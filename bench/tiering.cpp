@@ -5,7 +5,7 @@
 // Two claims are measured and enforced:
 //   1. Identity — merged campaign results under --tier=auto and
 //      --tier=interp are bit-identical to --tier=native for every swept
-//      worker count x lane width (the swap point moves timing only).
+//      worker count (the swap point moves timing only).
 //   2. Cold-start — on a cold cache, time-to-first-completed-seed under
 //      --tier=auto is >= 5x lower than --tier=native, while total campaign
 //      wall-clock stays within 1.2x of pure native on a long campaign.
@@ -111,9 +111,9 @@ int main() {
 
   // ---- 1. Identity sweep --------------------------------------------------
   // Short campaigns (identity needs coverage of the swap machinery, not
-  // scale): auto starts cold for each lane width, so its early seeds run
-  // interpreted and the rest native — whatever the mix, the merge must
-  // equal the pure-native reference.
+  // scale): auto starts cold, so its early seeds run interpreted and the
+  // rest native — whatever the mix, the merge must equal the pure-native
+  // reference.
   {
     std::vector<uint64_t> seeds;
     for (size_t k = 0; k < 16; ++k) seeds.push_back(1000 + 37 * k);
@@ -121,54 +121,48 @@ int main() {
 
     SimOptions refOpt = bench::engineOptions(Engine::AccMoS, steps);
     refOpt.tier = Tier::Native;
-    refOpt.batchLanes = 0;
     CampaignResult ref = runCampaign(sim.flatModel(), refOpt, base, seeds);
 
     std::printf("Tier identity: CSEV, %zu seeds x %llu steps, merged "
                 "results vs --tier=native\n",
                 seeds.size(), static_cast<unsigned long long>(steps));
     bench::hr(96);
-    std::printf("%-8s %6s %8s | %7s %7s %5s | %s\n", "tier", "lanes",
-                "workers", "interp", "native", "swap", "identical");
+    std::printf("%-8s %8s | %7s %7s %5s | %s\n", "tier", "workers",
+                "interp", "native", "swap", "identical");
     bench::hr(96);
     for (Tier tier : {Tier::Auto, Tier::Interp}) {
-      for (size_t lanes : {size_t{0}, size_t{8}}) {
-        if (tier == Tier::Auto) clearCache();  // cold per lane width
-        for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-          SimOptions opt = bench::engineOptions(Engine::AccMoS, steps);
-          opt.tier = tier;
-          opt.batchLanes = lanes;
-          opt.campaign.workers = workers;
-          CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
-          bool same = cr.failures.empty() && sameObservations(cr, ref);
-          if (!same) ++violations;
-          std::printf("%-8s %6zu %8zu | %7zu %7zu %5lld | %s\n",
-                      std::string(tierName(tier)).c_str(), lanes, workers,
-                      cr.interpSeeds, cr.nativeSeeds, cr.tierSwapIndex,
-                      same ? "yes" : "NO — VIOLATION");
-          json.row()
-              .str("phase", "identity")
-              .str("tier", std::string(tierName(tier)))
-              .count("batch_lanes", lanes)
-              .count("workers", workers)
-              .count("seeds", seeds.size())
-              .count("steps", steps)
-              .count("interp_seeds", cr.interpSeeds)
-              .count("native_seeds", cr.nativeSeeds)
-              .num("tier_swap_index", static_cast<double>(cr.tierSwapIndex))
-              .flag("identical_to_native", same);
-        }
+      if (tier == Tier::Auto) clearCache();  // cold start
+      for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+        SimOptions opt = bench::engineOptions(Engine::AccMoS, steps);
+        opt.tier = tier;
+        opt.campaign.workers = workers;
+        CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
+        bool same = cr.failures.empty() && sameObservations(cr, ref);
+        if (!same) ++violations;
+        std::printf("%-8s %8zu | %7zu %7zu %5lld | %s\n",
+                    std::string(tierName(tier)).c_str(), workers,
+                    cr.interpSeeds, cr.nativeSeeds, cr.tierSwapIndex,
+                    same ? "yes" : "NO — VIOLATION");
+        json.row()
+            .str("phase", "identity")
+            .str("tier", std::string(tierName(tier)))
+            .count("workers", workers)
+            .count("seeds", seeds.size())
+            .count("steps", steps)
+            .count("interp_seeds", cr.interpSeeds)
+            .count("native_seeds", cr.nativeSeeds)
+            .num("tier_swap_index", static_cast<double>(cr.tierSwapIndex))
+            .flag("identical_to_native", same);
       }
     }
     bench::hr(96);
   }
 
   // ---- 2. Cold-start elimination ------------------------------------------
-  // The long campaign: scalar chunks (lanes 0) so the first completed seed
-  // is a single run, not a whole lane-width batch. Both sides start on a
-  // cold cache; the native side pays generate + compile before seed 0 can
-  // answer, the auto side answers seed 0 on the interpreter while the same
-  // compile runs behind it.
+  // The long campaign. Both sides start on a cold cache; the native side
+  // pays generate + compile before seed 0 can answer, the auto side
+  // answers seed 0 on the interpreter while the same compile runs behind
+  // it.
   const size_t numSeeds =
       static_cast<size_t>(bench::envSteps("ACCMOS_TIER_BENCH_SEEDS", 96));
   // Few steps per seed: the tiered win lives where the one-off compile
@@ -186,7 +180,7 @@ int main() {
   Simulator demoSim(*demo);
 
   std::printf("\nCold start: TierDemo (%d actors), %zu seeds x %llu steps, "
-              "2 workers, scalar chunks, cold cache\n",
+              "2 workers, cold cache\n",
               demo->countActors(), numSeeds,
               static_cast<unsigned long long>(steps));
   bench::hr(96);
@@ -199,7 +193,6 @@ int main() {
     clearCache();
     SimOptions opt = bench::engineOptions(Engine::AccMoS, steps);
     opt.tier = tier;
-    opt.batchLanes = 0;
     opt.campaign.workers = 2;
     CampaignResult cr =
         runCampaign(demoSim.flatModel(), opt, TestCaseSpec{}, seeds);

@@ -1,8 +1,6 @@
 #include "codegen/accmos_engine.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <vector>
@@ -10,7 +8,6 @@
 #include "actors/spec.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/emitter.h"
-#include "codegen/fault.h"
 #include "codegen/model_lib.h"
 #include "codegen/results_parser.h"
 #include "codegen/run_guard.h"
@@ -18,11 +15,6 @@
 namespace accmos {
 
 namespace {
-
-// Test hook (ACCMOS_FAULT=batch-fail, legacy ACCMOS_BATCH_FAIL): forces
-// runBatch() onto the per-seed scalar fallback so the fallback matrix can
-// be exercised without manufacturing a defective library.
-bool batchForcedToFail() { return faultPlanFromEnv().batchFail; }
 
 // Seconds on the steady clock's epoch — the SAME clock the generated
 // code's accmos_now_s() reads, so host-computed absolute deadlines compare
@@ -77,18 +69,8 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
 ArtifactKind AccMoSEngine::artifactPlan(const SimOptions& opt,
                                         std::string* extraFlags) {
   if (extraFlags != nullptr) extraFlags->clear();
-  if (opt.execMode == ExecMode::Dlopen) {
-    // The batch kernel is compiled in via -DACCMOS_BATCH_LANES=N, not by
-    // changing the generated source, so the flag must be part of the
-    // compile-cache identity (CompilerDriver::cacheKey hashes extraFlags):
-    // a cached batchless artifact is never served to a batch-requesting
-    // engine, and vice versa.
-    if (opt.batchLanes > 0 && extraFlags != nullptr) {
-      *extraFlags = "-DACCMOS_BATCH_LANES=" + std::to_string(opt.batchLanes);
-    }
-    return ArtifactKind::SharedLib;
-  }
-  return ArtifactKind::Executable;
+  return opt.execMode == ExecMode::Dlopen ? ArtifactKind::SharedLib
+                                          : ArtifactKind::Executable;
 }
 
 AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
@@ -113,13 +95,12 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
     // Compile as a shared library and load it in-process. Any failure —
     // compiler without -shared/-fPIC support, a dlopen error, a library
     // with the wrong ABI — degrades to the subprocess backend rather than
-    // failing the engine. artifactPlan() decides kind + extra flags so an
-    // async pre-compile (TieredEngine) targets the identical cache entry.
-    std::string extraFlags;
-    ArtifactKind kind = artifactPlan(opt_, &extraFlags);
+    // failing the engine. artifactPlan() decides the kind so an async
+    // pre-compile (TieredEngine) targets the identical cache entry.
     try {
-      auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                       opt_.optFlag, kind, extraFlags);
+      auto compiled =
+          driver_->compile(source_, "model_" + fm_.modelName, opt_.optFlag,
+                           artifactPlan(opt_, nullptr));
       compileSeconds_ = compiled.seconds;
       compileCacheHit_ = compiled.cacheHit;
       artifactKeepAlive_ = compiled.keepAlive;
@@ -410,170 +391,13 @@ SimulationResult AccMoSEngine::runContained(
   }
 }
 
-uint64_t AccMoSEngine::batchLanes() const {
-  if (!libUsable() || batchForcedToFail()) return 0;
-  return lib_->batchLanes();
-}
-
-void AccMoSEngine::runBatchChunk(const uint64_t* seeds, size_t n,
-                                 uint64_t steps, double budget,
-                                 bool contained,
-                                 std::vector<SimulationResult>& out) {
-  const AccmosModelInfo& info = lib_->info();
-  const size_t diagStride =
-      static_cast<size_t>(info.numActors * info.numDiagKinds);
-
-  // One strided arena per buffer kind for the whole chunk — lane l's view
-  // is [l * stride, (l+1) * stride). Against n scalar runs this replaces
-  // ~10n allocations with ~10 and is a real part of the batch win on
-  // short runs; the library only ever sees the per-lane views.
-  std::vector<uint8_t> cov[4];
-  for (int m = 0; m < 4; ++m) {
-    cov[m].resize(static_cast<size_t>(info.covLen[m]) * n);
-  }
-  std::vector<AccmosDiagRec> diags(diagStride * n);
-  std::vector<AccmosCustomRec> customs(static_cast<size_t>(info.numCustom) *
-                                       n);
-  std::vector<uint64_t> collectCounts(static_cast<size_t>(info.numCollect) *
-                                      n);
-  std::vector<uint64_t> collectVals(
-      static_cast<size_t>(info.collectValsLen) * n);
-  std::vector<uint64_t> outVals(static_cast<size_t>(info.outValsLen) * n);
-  std::vector<AccmosRunResult> laneRes(n);
-
-  for (size_t l = 0; l < n; ++l) {
-    AccmosRunResult& r = laneRes[l];
-    std::memset(&r, 0, sizeof(r));
-    r.structSize = static_cast<uint32_t>(sizeof(AccmosRunResult));
-    r.abiVersion = lib_->abiVersion();
-    for (int m = 0; m < 4; ++m) {
-      const size_t len = static_cast<size_t>(info.covLen[m]);
-      r.cov[m] = len > 0 ? &cov[m][l * len] : nullptr;
-      r.covLen[m] = info.covLen[m];
-    }
-    r.diags = diagStride > 0 ? &diags[l * diagStride] : nullptr;
-    r.diagCap = diagStride;
-    r.customs =
-        info.numCustom > 0 ? &customs[l * info.numCustom] : nullptr;
-    r.customCap = info.numCustom;
-    r.collectCounts =
-        info.numCollect > 0 ? &collectCounts[l * info.numCollect] : nullptr;
-    r.numCollect = info.numCollect;
-    r.collectVals = info.collectValsLen > 0
-                        ? &collectVals[l * info.collectValsLen]
-                        : nullptr;
-    r.collectValsLen = info.collectValsLen;
-    r.outVals = info.outValsLen > 0 ? &outVals[l * info.outValsLen] : nullptr;
-    r.outValsLen = info.outValsLen;
-  }
-
-  AccmosBatchRunArgs args;
-  std::memset(&args, 0, sizeof(args));
-  args.structSize = lib_->batchArgsSize();
-  args.abiVersion = lib_->abiVersion();
-  args.numLanes = n;
-  args.maxSteps = steps;
-  args.timeBudgetSec = budget;
-  args.seeds = seeds;
-  if (lib_->supportsDeadlines()) {
-    args.deadlineSeconds = opt_.runTimeoutSec > 0.0
-                               ? steadyNowSeconds() + opt_.runTimeoutSec
-                               : 0.0;
-    args.stepBudget = opt_.stepBudget;
-  }
-
-  AccmosBatchRunResult bres;
-  std::memset(&bres, 0, sizeof(bres));
-  bres.structSize = static_cast<uint32_t>(sizeof(AccmosBatchRunResult));
-  bres.abiVersion = lib_->abiVersion();
-  bres.numLanes = n;
-  bres.lanes = laneRes.data();
-
-  // A crash inside the fused kernel takes the whole chunk down (the guard
-  // recovers control, but every lane's results are suspect): strike once —
-  // it is one faulting kernel call — and degrade the chunk to the scalar
-  // path, where the faulting seed is isolated from its chunk-mates.
-  GuardedCallResult g =
-      runGuarded([&]() { return lib_->runBatch(args, bres); });
-  if (g.crashed) strike();
-  int rc = g.crashed ? -1 : g.rc;
-  if (rc != ACCMOS_ABI_OK && rc != ACCMOS_ABI_ETIMEOUT) {
-    // Crash, or a geometry rejection that load-time cross-checks should
-    // have caught — either way the contract is "batch never changes
-    // observations", so degrade to the scalar path for this chunk instead
-    // of failing the campaign.
-    for (size_t l = 0; l < n; ++l) {
-      out.push_back(contained ? runContained(steps, budget, seeds[l])
-                              : run(steps, budget, seeds[l]));
-    }
-    return;
-  }
-  for (size_t l = 0; l < n; ++l) {
-    SimulationResult r = decodeBinaryResults(
-        laneRes[l], fm_, opt_.coverage ? &covPlan_ : nullptr,
-        opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
-        opt_.customDiagnostics);
-    if (contained && r.timedOut) {
-      // The batch deadline is shared: a lane may have been retired only
-      // because a sibling hogged the fused loop. One solo scalar retry
-      // with a fresh deadline makes survival a per-seed property — a seed
-      // that finishes within the deadline on its own yields bit-identical
-      // results at any lane count; one that cannot is a genuine Timeout.
-      out.push_back(runContained(steps, budget, seeds[l]));
-      continue;
-    }
-    r.execMode = kExecModeDlopenBatch;
-    finishResult(r);
-    out.push_back(std::move(r));
-  }
-}
-
 std::vector<SimulationResult> AccMoSEngine::runBatch(
     const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride,
     double timeBudgetOverride) {
-  uint64_t steps = maxStepsOverride != 0 ? maxStepsOverride : opt_.maxSteps;
-  double budget =
-      timeBudgetOverride >= 0.0 ? timeBudgetOverride : opt_.timeBudgetSec;
   std::vector<SimulationResult> out;
   out.reserve(seeds.size());
-  const uint64_t lanes = batchLanes();
-  if (lanes == 0) {
-    // Scalar fallback: no library (subprocess backend), a batchless or v1
-    // library, batching disabled, or the ACCMOS_BATCH_FAIL hook. Each
-    // result's execMode reports what actually ran.
-    for (uint64_t seed : seeds) {
-      out.push_back(run(steps, budget, seed));
-    }
-    return out;
-  }
-  for (size_t base = 0; base < seeds.size();
-       base += static_cast<size_t>(lanes)) {
-    const size_t n =
-        std::min<size_t>(static_cast<size_t>(lanes), seeds.size() - base);
-    runBatchChunk(&seeds[base], n, steps, budget, /*contained=*/false, out);
-  }
-  return out;
-}
-
-std::vector<SimulationResult> AccMoSEngine::runBatchContained(
-    const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride,
-    double timeBudgetOverride) {
-  uint64_t steps = maxStepsOverride != 0 ? maxStepsOverride : opt_.maxSteps;
-  double budget =
-      timeBudgetOverride >= 0.0 ? timeBudgetOverride : opt_.timeBudgetSec;
-  std::vector<SimulationResult> out;
-  out.reserve(seeds.size());
-  for (size_t base = 0; base < seeds.size();) {
-    const uint64_t lanes = batchLanes();  // re-read: quarantine may trip
-    if (lanes == 0) {
-      out.push_back(runContained(steps, budget, seeds[base]));
-      ++base;
-      continue;
-    }
-    const size_t n =
-        std::min<size_t>(static_cast<size_t>(lanes), seeds.size() - base);
-    runBatchChunk(&seeds[base], n, steps, budget, /*contained=*/true, out);
-    base += n;
+  for (uint64_t seed : seeds) {
+    out.push_back(run(maxStepsOverride, timeBudgetOverride, seed));
   }
   return out;
 }

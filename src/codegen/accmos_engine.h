@@ -63,11 +63,13 @@ class AccMoSEngine {
   static GeneratedModel generate(const FlatModel& fm, const SimOptions& opt,
                                  const TestCaseSpec& tests);
 
-  // The artifact the constructor will ask the compiler for under `opt` —
-  // kind plus extra flags (the batch-lane define). Exposed so an async
-  // pre-compile (TieredEngine) addresses the exact cache entry the engine
-  // construction will then hit; any drift here would make the hand-over a
-  // silent recompile.
+  // The artifact the constructor will ask the compiler for under `opt`.
+  // Exposed so an async pre-compile (TieredEngine) addresses the exact
+  // cache entry the engine construction will then hit; any drift here
+  // would make the hand-over a silent recompile. `extraFlags`, when
+  // non-null, is cleared: there are no extra compiler flags. The
+  // out-parameter stays because the benchmark harness (accbench/) passes
+  // one.
   static ArtifactKind artifactPlan(const SimOptions& opt,
                                    std::string* extraFlags);
 
@@ -86,17 +88,8 @@ class AccMoSEngine {
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);
 
-  // Executes one simulation per seed, fusing them through the library's
-  // accmos_run_batch kernel in chunks of up to batchLanes() lanes.
-  // Results are returned in seed order and are bit-identical to calling
-  // run() once per seed — the batch kernel is a throughput optimization,
-  // never an observable one (the differential suites enforce this).
-  // Falls back to per-seed scalar run() — and therefore reports "dlopen"
-  // or "process" in SimulationResult::execMode instead of "dlopen-batch" —
-  // when the engine has no loaded library, the library has no batch
-  // capability (v1 artifact, missing symbol, compiled batchless), batching
-  // is disabled (SimOptions::batchLanes == 0), or the ACCMOS_BATCH_FAIL
-  // test hook is set. Thread-safe like run().
+  // Executes one simulation per seed — run() in a loop, results in seed
+  // order. Thread-safe like run().
   std::vector<SimulationResult> runBatch(
       const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
       double timeBudgetOverride = -1.0);
@@ -117,28 +110,12 @@ class AccMoSEngine {
       uint64_t maxStepsOverride = 0, double timeBudgetOverride = -1.0,
       std::optional<uint64_t> seedOverride = std::nullopt);
 
-  // Fault-contained runBatch(): same ladder per seed. A crash inside the
-  // fused kernel takes the whole chunk down (lanes share one state struct
-  // instance lifetime), so the chunk degrades to per-seed runContained();
-  // a lane retired by the shared batch deadline gets one solo scalar retry
-  // with a fresh deadline — a seed that can finish within the deadline on
-  // its own therefore produces bit-identical results for any lane count.
-  std::vector<SimulationResult> runBatchContained(
-      const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
-      double timeBudgetOverride = -1.0);
-
   // Quarantine: after two strikes (in-process crash or hang) the engine
   // stops using the dlopen library for the rest of its lifetime and routes
   // every run through the subprocess backend, where the OS cleans up
   // whatever a fault leaves behind. Monotonic — there is no parole.
   int strikes() const { return strikes_.load(std::memory_order_relaxed); }
   bool quarantined() const { return strikes() >= 2; }
-
-  // Lanes a runBatch() call will actually fuse per kernel invocation:
-  // the loaded library's capability, or 0 when runBatch() would take the
-  // scalar fallback (evaluated per call — the ACCMOS_BATCH_FAIL hook is
-  // read here, not at construction).
-  uint64_t batchLanes() const;
 
   const std::string& generatedSource() const { return source_; }
   double generateSeconds() const { return generateSeconds_; }
@@ -160,13 +137,6 @@ class AccMoSEngine {
   SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed);
   SimulationResult runSubprocess(uint64_t steps, double budget,
                                  uint64_t seed);
-  // One fused kernel call over n <= batchLanes() consecutive seeds,
-  // appending n finished results to `out`. `contained` selects which
-  // scalar path (run / runContained) absorbs kernel crashes and
-  // deadline-retired lanes.
-  void runBatchChunk(const uint64_t* seeds, size_t n, uint64_t steps,
-                     double budget, bool contained,
-                     std::vector<SimulationResult>& out);
   // Common result tail: coverage report + generate/compile/load timings.
   void finishResult(SimulationResult& r) const;
 

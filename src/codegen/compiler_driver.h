@@ -115,9 +115,9 @@ class CompilerDriver {
   // Writes `source` to <dir>/<name>.cpp and compiles it — or, when the
   // cache holds a verified binary for the same (compiler, flags, source),
   // returns that binary with cacheHit set and near-zero seconds.
-  // `extraFlags` are appended verbatim to the compile command (e.g.
-  // "-DACCMOS_BATCH_LANES=8" for a batch-capable library) and are part of
-  // the cache identity — same source, different defines, distinct entries.
+  // `extraFlags` are appended verbatim to the compile command and are part
+  // of the cache identity — same source, different defines, distinct
+  // entries.
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
                         ArtifactKind kind = ArtifactKind::Executable,
@@ -175,9 +175,9 @@ class CompilerDriver {
   // kind (and its -shared -fPIC flags) is part of the address, so an
   // executable and a shared library of the same source get distinct keys.
   // Extra flags are part of the address for the same reason: a source
-  // compiled with -DACCMOS_BATCH_LANES=N produces a different binary than
-  // the flagless compile of the identical source, and a batch-requesting
-  // engine must never be served a cached batchless artifact.
+  // compiled with an extra -D define produces a different binary than the
+  // flagless compile of the identical source, and neither may be served
+  // in place of the other.
   static uint64_t cacheKey(const std::string& source,
                            const std::string& optFlag,
                            ArtifactKind kind = ArtifactKind::Executable,

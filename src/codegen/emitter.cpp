@@ -38,14 +38,10 @@ std::string asDoubleExpr(DataType t, const std::string& elem) {
 }
 
 // Trigger condition of one injected step-loop fault: fires from `step`
-// onward, optionally only for one seed (seedExpr is "seed" in the scalar
-// loop, "seeds[l]" in the batch loop).
-std::string faultCond(const FaultPlan::SiteFault& f,
-                      const std::string& seedExpr) {
+// onward, optionally only for one seed.
+std::string faultCond(const FaultPlan::SiteFault& f) {
   std::string c = "step >= " + std::to_string(f.step) + "ULL";
-  if (f.hasSeed) {
-    c += " && " + seedExpr + " == " + std::to_string(f.seed) + "ULL";
-  }
+  if (f.hasSeed) c += " && seed == " + std::to_string(f.seed) + "ULL";
   return c;
 }
 
@@ -170,41 +166,47 @@ void Emitter::emitConstTables(std::ostringstream& os) {
   if (any) os << "\n";
 }
 
-std::vector<Emitter::StateMember> Emitter::stateMembers() const {
-  std::vector<StateMember> mem;
+void Emitter::emitDeclarations(std::ostringstream& os) {
+  os << "  // ---- model data --------------------------------------------\n";
+  // One mutable state member: C++ element type, unqualified name, array
+  // suffix (e.g. "[3]"; empty for scalars) and trailing comment.
+  auto member = [&os](const std::string& type, const std::string& name,
+                      const std::string& dims, const std::string& comment) {
+    os << "  " << type << " " << name << dims << ";";
+    if (!comment.empty()) os << "  // " << comment;
+    os << "\n";
+  };
   // Diagnostic aggregation tables (first/count per actor x kind).
   const std::string diagDim = "[" + std::to_string(fm_.actors.size()) +
                               " * " + std::to_string(kNumDiagKinds) + "]";
-  mem.push_back({"uint64_t", "accmos_diag_first", diagDim, ""});
-  mem.push_back({"uint64_t", "accmos_diag_count", diagDim, ""});
+  member("uint64_t", "accmos_diag_first", diagDim, "");
+  member("uint64_t", "accmos_diag_count", diagDim, "");
   // Signals.
   for (const auto& sig : fm_.signals) {
-    mem.push_back({cpp(sig.type),
-                   "s" + std::to_string(&sig - fm_.signals.data()),
-                   "[" + std::to_string(sig.width) + "]", sig.name});
+    member(cpp(sig.type), "s" + std::to_string(&sig - fm_.signals.data()),
+           "[" + std::to_string(sig.width) + "]", sig.name);
   }
   // Actor states.
   const Registry& reg = Registry::instance();
   for (const auto& fa : fm_.actors) {
     auto st = reg.get(fa).state(fm_, fa);
     if (st) {
-      mem.push_back({cpp(st->type), "st" + std::to_string(fa.id),
-                     "[" + std::to_string(st->width) + "]",
-                     "state of " + fa.path});
+      member(cpp(st->type), "st" + std::to_string(fa.id),
+             "[" + std::to_string(st->width) + "]", "state of " + fa.path);
     }
   }
   // Data stores.
   for (size_t d = 0; d < fm_.dataStores.size(); ++d) {
     const auto& ds = fm_.dataStores[d];
-    mem.push_back({cpp(ds.type), dataStoreSymbol(static_cast<int>(d), ds.name),
-                   "[" + std::to_string(ds.width) + "]",
-                   "data store '" + ds.name + "'"});
+    member(cpp(ds.type), dataStoreSymbol(static_cast<int>(d), ds.name),
+           "[" + std::to_string(ds.width) + "]",
+           "data store '" + ds.name + "'");
   }
   // Random test-case stream states (sequence-driven ports read the shared
   // const tables instead).
   for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
     if (tests_.port(static_cast<int>(k)).sequence.empty()) {
-      mem.push_back({"uint64_t", "tc_state_" + std::to_string(k), "", ""});
+      member("uint64_t", "tc_state_" + std::to_string(k), "", "");
     }
   }
   // Coverage bitmaps.
@@ -215,39 +217,28 @@ std::vector<Emitter::StateMember> Emitter::stateMembers() const {
         {"accmos_cov_dec", CovMetric::Decision},
         {"accmos_cov_mcdc", CovMetric::MCDC}};
     for (const auto& [name, metric] : maps) {
-      mem.push_back(
-          {"uint8_t", name,
-           "[" + std::to_string(std::max(1, covPlan_->totalSlots(metric))) +
-               "]",
-           ""});
+      member("uint8_t", name,
+             "[" + std::to_string(std::max(1, covPlan_->totalSlots(metric))) +
+                 "]",
+             "");
     }
   }
   // Signal monitor buffers (paper Fig. 3 outputCollect repository).
   for (size_t k = 0; k < collectSignals_.size(); ++k) {
     const SignalInfo& sig = fm_.signal(collectSignals_[k]);
-    mem.push_back({cpp(sig.type), "col" + std::to_string(k),
-                   "[" + std::to_string(sig.width) + "]", ""});
-    mem.push_back({"uint64_t", "colcnt" + std::to_string(k), "", ""});
+    member(cpp(sig.type), "col" + std::to_string(k),
+           "[" + std::to_string(sig.width) + "]", "");
+    member("uint64_t", "colcnt" + std::to_string(k), "", "");
   }
   // Custom diagnosis slots.
   for (size_t k = 0; k < opt_.customDiagnostics.size(); ++k) {
-    mem.push_back({"double", "cd_prev_" + std::to_string(k), "", ""});
-    mem.push_back({"int", "cd_has_" + std::to_string(k), "", ""});
-    mem.push_back({"uint64_t", "cd_first_" + std::to_string(k), "", ""});
-    mem.push_back({"uint64_t", "cd_count_" + std::to_string(k), "", ""});
+    member("double", "cd_prev_" + std::to_string(k), "", "");
+    member("int", "cd_has_" + std::to_string(k), "", "");
+    member("uint64_t", "cd_first_" + std::to_string(k), "", "");
+    member("uint64_t", "cd_count_" + std::to_string(k), "", "");
   }
-  mem.push_back({"int", "accmos_stop", "", ""});
-  mem.push_back({"int", "accmos_diag_fired", "", ""});
-  return mem;
-}
-
-void Emitter::emitDeclarations(std::ostringstream& os) {
-  os << "  // ---- model data --------------------------------------------\n";
-  for (const auto& mem : stateMembers()) {
-    os << "  " << mem.type << " " << mem.name << mem.dims << ";";
-    if (!mem.comment.empty()) os << "  // " << mem.comment;
-    os << "\n";
-  }
+  member("int", "accmos_stop", "", "");
+  member("int", "accmos_diag_fired", "", "");
   os << "\n";
 }
 
@@ -400,7 +391,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
     os << "      // ACCMOS_FAULT hang: cooperative wedge — spins until the\n"
        << "      // deadline passes (or forever when none was set, which is\n"
        << "      // what the host watchdog exists for).\n"
-       << "      if (" << faultCond(faults_.hang, "seed") << ") {\n"
+       << "      if (" << faultCond(faults_.hang) << ") {\n"
        << "        while (!(deadline > 0.0 && accmos_now_s() >= deadline))\n"
        << "          accmos_pause_ms(1);\n"
        << "        *timedOut = 1; break;\n"
@@ -408,8 +399,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
   }
   if (faults_.crash.armed) {
     os << "      // ACCMOS_FAULT crash: a genuine fatal signal.\n"
-       << "      if (" << faultCond(faults_.crash, "seed")
-       << ") raise(SIGSEGV);\n";
+       << "      if (" << faultCond(faults_.crash) << ") raise(SIGSEGV);\n";
   }
   os << "      accmos_fill_inputs(step);\n"
      << "      Model_Exe(step);\n"
@@ -461,8 +451,8 @@ Emitter::AbiGeom Emitter::abiGeom() const {
   return g;
 }
 
-void Emitter::emitResultChecks(std::ostringstream& os, const std::string& ref,
-                               const std::string& ind) {
+void Emitter::emitResultChecks(std::ostringstream& os) {
+  const std::string ref = "res->", ind = "  ";
   const AbiGeom g = abiGeom();
   for (int m = 0; m < 4; ++m) {
     os << ind << "if (" << ref << "covLen[" << m << "] != " << g.covLen[m]
@@ -491,10 +481,9 @@ void Emitter::emitResultChecks(std::ostringstream& os, const std::string& ref,
   }
 }
 
-void Emitter::emitResultExtract(
-    std::ostringstream& os, const std::string& ref,
-    const std::function<std::string(const std::string&)>& acc,
-    const std::string& ind) {
+void Emitter::emitResultExtract(std::ostringstream& os) {
+  const std::string ref = "res->", ind = "  ";
+  auto acc = [](const std::string& member) { return "M->" + member; };
   const AbiGeom g = abiGeom();
   for (int m = 0; m < 4; ++m) {
     if (g.covLen[m] > 0) {
@@ -571,11 +560,7 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  info->collectValsLen = " << g.collectValsLen << "ULL;\n"
      << "  info->outValsLen = " << g.outValsLen << "ULL;\n"
      << "#if ACCMOS_ABI_VERSION >= 2u\n"
-     << "#ifdef ACCMOS_BATCH_LANES\n"
-     << "  info->batchLanes = (uint64_t)(ACCMOS_BATCH_LANES);\n"
-     << "#else\n"
      << "  info->batchLanes = 0ULL;\n"
-     << "#endif\n"
      << "#endif\n"
      << "  return ACCMOS_ABI_OK;\n"
      << "}\n\n";
@@ -589,7 +574,7 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  if (args->abiVersion != ACCMOS_ABI_VERSION ||\n"
      << "      res->abiVersion != ACCMOS_ABI_VERSION) "
         "return ACCMOS_ABI_EVERSION;\n";
-  emitResultChecks(os, "res->", "  ");
+  emitResultChecks(os);
   os << "  double deadline = 0.0;\n"
      << "  uint64_t stepBudget = 0;\n"
      << "#if ACCMOS_ABI_VERSION >= 3u\n"
@@ -610,192 +595,10 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  res->stoppedEarly = (uint32_t)stopped;\n"
      << "  res->timedOut = (uint32_t)timedOut;\n"
      << "  res->execNs = ns;\n";
-  emitResultExtract(
-      os, "res->", [](const std::string& n) { return "M->" + n; }, "  ");
+  emitResultExtract(os);
   os << "  delete M;\n"
      << "  return timedOut ? ACCMOS_ABI_ETIMEOUT : ACCMOS_ABI_OK;\n"
      << "}\n\n";
-}
-
-void Emitter::emitBatchSimLoop(std::ostringstream& os) {
-  os << "  // One fused batch simulation: every live lane advances one step\n"
-     << "  // per outer iteration, so the lane loop over independent SoA\n"
-     << "  // state is what the compiler auto-vectorizes. A lane that stops\n"
-     << "  // early is retired from the loop without touching any other\n"
-     << "  // lane's state; per-lane step counts and early-stop flags land\n"
-     << "  // in bl_steps_/bl_stopped_. The time budget (rarely used here)\n"
-     << "  // applies to the whole batch.\n"
-     << "  void accmos_batch_sim(uint64_t numLanes, const uint64_t* seeds,\n"
-     << "                        uint64_t maxSteps, double budget,\n"
-     << "                        double deadline, uint64_t stepBudget,\n"
-     << "                        unsigned long long* execNs) {\n"
-     << "    for (uint64_t l = 0; l < numLanes; ++l) {\n"
-     << "      accmos_cur_lane_ = (int)l;\n"
-     << "      Model_Init(seeds[l]);\n"
-     << "    }\n"
-     << "    auto t0 = std::chrono::steady_clock::now();\n"
-     << "    uint64_t active = numLanes;\n"
-     << "    for (uint64_t step = 0; step < maxSteps && active > 0; "
-        "++step) {\n"
-     << "      for (uint64_t l = 0; l < numLanes; ++l) {\n"
-     << "        if (bl_done_[l]) continue;\n";
-  if (faults_.hang.armed) {
-    os << "        // ACCMOS_FAULT hang: the lane wedges — it stays active\n"
-       << "        // but makes no more progress (the deadline sweep below,\n"
-       << "        // or the post-loop spin, retires it as timedOut).\n"
-       << "        if (bl_hung_[l]) continue;\n"
-       << "        if (" << faultCond(faults_.hang, "seeds[l]")
-       << ") { bl_hung_[l] = 1; continue; }\n";
-  }
-  if (faults_.crash.armed) {
-    os << "        // ACCMOS_FAULT crash: takes the whole fused batch down\n"
-       << "        // (one address space) — the host guard catches it and\n"
-       << "        // re-runs the chunk's seeds in contained scalar mode.\n"
-       << "        if (" << faultCond(faults_.crash, "seeds[l]")
-       << ") raise(SIGSEGV);\n";
-  }
-  os << "        accmos_cur_lane_ = (int)l;\n"
-     << "        accmos_fill_inputs(step);\n"
-     << "        Model_Exe(step);\n"
-     << "        bl_steps_[l] = step + 1;\n"
-     << "        if (accmos_stop) { bl_done_[l] = 1; bl_stopped_[l] = 1; "
-        "--active; continue; }\n";
-  if (opt_.stopOnDiagnostic) {
-    os << "        if (accmos_diag_fired) { bl_done_[l] = 1; bl_stopped_[l] "
-          "= 1; --active; }\n";
-  }
-  os << "      }\n"
-     << "      if (budget > 0.0 && (step & 1023) == 1023 &&\n"
-     << "          std::chrono::duration<double>(std::chrono::steady_clock"
-        "::now() - t0).count() >= budget) break;\n"
-     << "      // Deadline / step budget: retire every unfinished lane as\n"
-     << "      // timedOut; lanes already done keep their normal results.\n"
-     << "      if ((stepBudget != 0 && step + 1 >= stepBudget &&\n"
-     << "           step + 1 < maxSteps) ||\n"
-     << "          (deadline > 0.0 && (step & 255) == 255 &&\n"
-     << "           accmos_now_s() >= deadline)) {\n"
-     << "        for (uint64_t l = 0; l < numLanes; ++l)\n"
-     << "          if (!bl_done_[l]) { bl_done_[l] = 1; bl_timedout_[l] = 1; "
-        "}\n"
-     << "        active = 0;\n"
-     << "      }\n"
-     << "    }\n";
-  if (faults_.hang.armed) {
-    os << "    // Hung lanes surviving to the end of the loop mirror the\n"
-       << "    // scalar semantics: spin until the deadline (forever when\n"
-       << "    // none) and retire as timedOut.\n"
-       << "    for (uint64_t l = 0; l < numLanes; ++l) {\n"
-       << "      if (bl_done_[l] || !bl_hung_[l]) continue;\n"
-       << "      while (!(deadline > 0.0 && accmos_now_s() >= deadline))\n"
-       << "        accmos_pause_ms(1);\n"
-       << "      bl_done_[l] = 1; bl_timedout_[l] = 1;\n"
-       << "    }\n";
-  }
-  os << "    auto t1 = std::chrono::steady_clock::now();\n"
-     << "    *execNs = (unsigned long long)\n"
-     << "        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - "
-        "t0).count();\n"
-     << "  }\n";
-}
-
-void Emitter::emitBatchAbi(std::ostringstream& os) {
-  os << "extern \"C\" int accmos_run_batch(const AccmosBatchRunArgs* args, "
-        "AccmosBatchRunResult* res) {\n"
-     << "  if (!args || !res ||\n"
-     << "      args->structSize != (uint32_t)sizeof(AccmosBatchRunArgs) ||\n"
-     << "      res->structSize != (uint32_t)sizeof(AccmosBatchRunResult)) "
-        "return ACCMOS_ABI_EARG;\n"
-     << "  if (args->abiVersion != ACCMOS_ABI_VERSION ||\n"
-     << "      res->abiVersion != ACCMOS_ABI_VERSION) "
-        "return ACCMOS_ABI_EVERSION;\n"
-     << "  if (args->numLanes == 0 ||\n"
-     << "      args->numLanes > (uint64_t)(ACCMOS_BATCH_LANES) ||\n"
-     << "      args->seeds == 0 || res->numLanes != args->numLanes ||\n"
-     << "      res->lanes == 0) return ACCMOS_ABI_EBATCH;\n"
-     << "  for (uint64_t l = 0; l < args->numLanes; ++l) {\n"
-     << "    AccmosRunResult* L = &res->lanes[l];\n"
-     << "    if (L->structSize != (uint32_t)sizeof(AccmosRunResult)) "
-        "return ACCMOS_ABI_EARG;\n"
-     << "    if (L->abiVersion != ACCMOS_ABI_VERSION) "
-        "return ACCMOS_ABI_EVERSION;\n";
-  emitResultChecks(os, "L->", "    ");
-  os << "  }\n"
-     << "  double deadline = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "#if ACCMOS_ABI_VERSION >= 3u\n"
-     << "  deadline = args->deadlineSeconds;\n"
-     << "  stepBudget = args->stepBudget;\n"
-     << "#endif\n"
-     << "  accmos_batch* B = new (std::nothrow) accmos_batch();\n"
-     << "  if (!B) return ACCMOS_ABI_EALLOC;\n"
-     << "  unsigned long long ns = 0;\n"
-     << "  B->accmos_batch_sim(args->numLanes, args->seeds, args->maxSteps,\n"
-     << "                      args->timeBudgetSec, deadline, stepBudget, "
-        "&ns);\n"
-     << "  uint32_t anyTimedOut = 0;\n"
-     << "  for (uint64_t l = 0; l < args->numLanes; ++l) {\n"
-     << "    AccmosRunResult* L = &res->lanes[l];\n"
-     << "    L->stepsExecuted = B->bl_steps_[l];\n"
-     << "    L->stoppedEarly = B->bl_stopped_[l];\n"
-     << "    L->timedOut = B->bl_timedout_[l];\n"
-     << "    anyTimedOut |= B->bl_timedout_[l];\n"
-     << "    // Lanes run fused, so per-lane wall time is not separable:\n"
-     << "    // every lane reports the whole batch's loop time.\n"
-     << "    L->execNs = ns;\n";
-  emitResultExtract(
-      os, "L->",
-      [](const std::string& n) { return "B->bl_" + n + "[l]"; }, "    ");
-  os << "  }\n"
-     << "  delete B;\n"
-     << "  return anyTimedOut ? ACCMOS_ABI_ETIMEOUT : ACCMOS_ABI_OK;\n"
-     << "}\n";
-}
-
-void Emitter::emitBatch(std::ostringstream& os) {
-  const auto members = stateMembers();
-  os << "// ---- batched execution (ABI v2) -------------------------------\n"
-     << "// Compiled in only under -DACCMOS_BATCH_LANES=N: the scalar model\n"
-     << "// state is re-laid-out as structure-of-arrays with lane = seed,\n"
-     << "// and the SAME model-function texts are compiled against it via\n"
-     << "// lane-redirection macros (every unqualified state reference\n"
-     << "// becomes bl_<name>[accmos_cur_lane_]). Each lane therefore\n"
-     << "// executes arithmetic textually identical to the scalar path —\n"
-     << "// that is the bit-identity argument the differential tests pin\n"
-     << "// down. Instrumentation state (coverage bitmaps, diagnosis\n"
-     << "// tables, monitors) is per-lane like everything else.\n"
-     << "#if defined(ACCMOS_BATCH_LANES) && ACCMOS_ABI_VERSION >= 2u\n";
-  for (const auto& mem : members) {
-    os << "#define " << mem.name << " (bl_" << mem.name
-       << "[accmos_cur_lane_])\n";
-  }
-  os << "namespace {\n"
-     << "struct accmos_batch {\n"
-     << "  int accmos_cur_lane_;\n"
-     << "  uint8_t bl_done_[ACCMOS_BATCH_LANES];\n"
-     << "  uint64_t bl_steps_[ACCMOS_BATCH_LANES];\n"
-     << "  uint32_t bl_stopped_[ACCMOS_BATCH_LANES];\n"
-     << "  uint32_t bl_timedout_[ACCMOS_BATCH_LANES];\n"
-     << (faults_.hang.armed
-             ? "  uint8_t bl_hung_[ACCMOS_BATCH_LANES];\n"
-             : "")
-     << "  // ---- model data, one slot per lane -------------------------\n";
-  for (const auto& mem : members) {
-    os << "  " << mem.type << " bl_" << mem.name << "[ACCMOS_BATCH_LANES]"
-       << mem.dims << ";\n";
-  }
-  os << "\n";
-  emitDiagFn(os);
-  for (const auto& fn : diagFuncs_) os << fn << "\n";
-  emitFillInputs(os);
-  emitModelInit(os);
-  emitModelExe(os);
-  emitBatchSimLoop(os);
-  os << "};\n"
-     << "}  // namespace\n";
-  for (const auto& mem : members) os << "#undef " << mem.name << "\n";
-  os << "\n";
-  emitBatchAbi(os);
-  os << "#endif  // ACCMOS_BATCH_LANES && ACCMOS_ABI_VERSION >= 2\n\n";
 }
 
 void Emitter::emitMain(std::ostringstream& os) {
@@ -941,9 +744,9 @@ std::string Emitter::generate() {
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   // Test hook: ACCMOS_EMIT_ABI_V1 produces a bona fide ABI-version-1
-  // library (88-byte info struct, no batch entry point) by flipping the
-  // version switch inside the embedded run_abi.h text — the fallback tests
-  // use it to prove a v2 host degrades cleanly on old artifacts.
+  // library (88-byte info struct) by flipping the version switch inside
+  // the embedded run_abi.h text — the fallback tests use it to prove a v3
+  // host degrades cleanly on old artifacts.
   const char* v1 = std::getenv("ACCMOS_EMIT_ABI_V1");
   if (v1 != nullptr && v1[0] != '\0' && std::string(v1) != "0") {
     os << "#define ACCMOS_RUN_ABI_FORCE_V1 1\n";
@@ -968,7 +771,6 @@ std::string Emitter::generate() {
   os << "};\n"
      << "}  // namespace\n\n";
   emitAbi(os);
-  emitBatch(os);
   emitMain(os);
   return os.str();
 }

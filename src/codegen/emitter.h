@@ -9,7 +9,6 @@
 // Model_Init, and the main simulation loop with test-case import.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -55,21 +54,7 @@ class Emitter : public EmitSink {
   std::string freshVar(const std::string& hint) override;
 
  private:
-  // One mutable state member of the generated model. The list is built once
-  // and drives three emissions that must agree name-for-name: the scalar
-  // struct's declarations, the batch struct's structure-of-arrays
-  // declarations (name -> bl_name[ACCMOS_BATCH_LANES]<dims>), and the lane
-  // redirection macros that let the shared model-function texts compile
-  // against either layout.
-  struct StateMember {
-    std::string type;     // C++ element type
-    std::string name;     // unqualified member name
-    std::string dims;     // array suffix, e.g. "[3]"; empty for scalars
-    std::string comment;  // trailing comment; empty for none
-  };
-  std::vector<StateMember> stateMembers() const;
-
-  // Static geometry the ABI functions (scalar and batch) validate against.
+  // Static geometry the ABI functions validate against.
   struct AbiGeom {
     int covLen[4];
     const char* covArr[4];
@@ -85,11 +70,6 @@ class Emitter : public EmitSink {
   // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
   // run — the standalone main() or an accmos_run() call through the shared
   // library ABI — executes against a private, zero-initialized instance.
-  // emitBatch re-emits the identical member-function texts inside a
-  // structure-of-arrays `struct accmos_batch` (behind lane-redirection
-  // macros) plus the fused per-step lane loop and the accmos_run_batch
-  // ABI entry point; the whole block is preprocessor-gated on
-  // ACCMOS_BATCH_LANES so one generated source serves both builds.
   void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
@@ -98,21 +78,12 @@ class Emitter : public EmitSink {
   void emitModelExe(std::ostringstream& os);
   void emitSimLoop(std::ostringstream& os);
   void emitAbi(std::ostringstream& os);
-  void emitBatch(std::ostringstream& os);
-  void emitBatchSimLoop(std::ostringstream& os);
-  void emitBatchAbi(std::ostringstream& os);
   void emitMain(std::ostringstream& os);
 
-  // Shared between accmos_run and accmos_run_batch: buffer validation and
-  // result extraction for one AccmosRunResult. `ref` prefixes the result
-  // fields (e.g. "res->" / "L->"); `acc` maps a state-member name to its
-  // access expression ("M->name" scalar, "B->bl_name[l]" batch).
-  void emitResultChecks(std::ostringstream& os, const std::string& ref,
-                        const std::string& ind);
-  void emitResultExtract(
-      std::ostringstream& os, const std::string& ref,
-      const std::function<std::string(const std::string&)>& acc,
-      const std::string& ind);
+  // accmos_run's buffer validation of `res`, and the copy of the finished
+  // run's observations from state instance `M` into it.
+  void emitResultChecks(std::ostringstream& os);
+  void emitResultExtract(std::ostringstream& os);
 
   std::string makeDiagFunction(
       const std::vector<std::pair<DiagKind, std::string>>& flags);

@@ -124,8 +124,6 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
     plan.slowCompileMs = ms;
   } else if (name == "dlopen-fail") {
     plan.dlopenFail = true;
-  } else if (name == "batch-fail") {
-    plan.batchFail = true;
   } else {
     throw ModelError("ACCMOS_FAULT: unknown directive '" + d + "'");
   }
@@ -138,14 +136,11 @@ FaultPlan faultPlanFromEnv() {
   if (const char* v = std::getenv("ACCMOS_FAULT"); v != nullptr && *v) {
     for (const std::string& d : splitList(v, ";,")) parseDirective(d, plan);
   }
-  // Legacy hooks, kept as aliases so pre-existing tests and workflows
+  // Legacy hook, kept as an alias so pre-existing tests and workflows
   // keep working unchanged.
   if (const char* v = std::getenv("ACCMOS_DLOPEN_FAIL");
       v != nullptr && *v && std::string(v) != "0")
     plan.dlopenFail = true;
-  if (const char* v = std::getenv("ACCMOS_BATCH_FAIL");
-      v != nullptr && *v && std::string(v) != "0")
-    plan.batchFail = true;
   return plan;
 }
 

@@ -1,8 +1,8 @@
 // Deterministic fault injection: one env-driven facility (ACCMOS_FAULT)
 // that lets CI and tests exercise every containment path byte-for-byte —
 // hangs and crashes planted in the GENERATED step loop, compiler
-// failures staged in CompilerDriver, and the legacy dlopen/batch
-// degradation hooks — without patching source or depending on luck.
+// failures staged in CompilerDriver, and the legacy dlopen degradation
+// hook — without patching source or depending on luck.
 //
 // Grammar (directives separated by ';' or ','):
 //
@@ -26,10 +26,9 @@
 //   slow-compile:MS           compiler invocation sleeps MS milliseconds
 //                             first (exercises the compile watchdog).
 //   dlopen-fail               alias of the ACCMOS_DLOPEN_FAIL hook.
-//   batch-fail                alias of the ACCMOS_BATCH_FAIL hook.
 //
-// The legacy single-purpose env vars keep working; faultPlanFromEnv()
-// folds them in. hang/crash change the emitted source text, so they
+// The legacy single-purpose env var keeps working; faultPlanFromEnv()
+// folds it in. hang/crash change the emitted source text, so they
 // re-key the compile cache automatically — a faulted build can never be
 // served to (or poison) a fault-free run.
 #ifndef ACCMOS_CODEGEN_FAULT_H_
@@ -59,20 +58,19 @@ struct FaultPlan {
   int slowCompileMs = 0;
 
   bool dlopenFail = false;
-  bool batchFail = false;
 
   bool any() const {
     return hang.armed || crash.armed || compileFail || slowCompileMs > 0 ||
-           dlopenFail || batchFail;
+           dlopenFail;
   }
   // True when the emitter must plant fault code in the generated source.
   bool affectsEmit() const { return hang.armed || crash.armed; }
 };
 
-// Parses ACCMOS_FAULT (plus the legacy ACCMOS_DLOPEN_FAIL /
-// ACCMOS_BATCH_FAIL variables) on every call, so tests can flip the env
-// between runs. Malformed directives throw ModelError — a typo'd fault
-// spec silently injecting nothing would make CI vacuously green.
+// Parses ACCMOS_FAULT (plus the legacy ACCMOS_DLOPEN_FAIL variable) on
+// every call, so tests can flip the env between runs. Malformed
+// directives throw ModelError — a typo'd fault spec silently injecting
+// nothing would make CI vacuously green.
 FaultPlan faultPlanFromEnv();
 
 // Arms/consumes the compile-fail directive: returns true when THIS

@@ -60,7 +60,7 @@ ModelLib::ModelLib(const std::string& path) : path_(path) {
   // library checks structSize against its own 88-byte AccmosModelInfo and
   // rejects the larger v2 size with EARG — retry with the v1 size, which
   // fills only the first 88 bytes and leaves batchLanes at the zero we
-  // memset (the correct "no batch" capability answer).
+  // memset.
   std::memset(&info_, 0, sizeof(info_));
   info_.structSize = static_cast<uint32_t>(sizeof(AccmosModelInfo));
   int rc = infoFn(&info_);
@@ -81,14 +81,6 @@ ModelLib::ModelLib(const std::string& path) : path_(path) {
         "generated model library " + path + " reports incompatible ABI (rc=" +
         std::to_string(rc) + ", version=" + std::to_string(gotVersion) +
         ", host expects " + std::to_string(ACCMOS_ABI_VERSION) + " or 1)");
-  }
-  // The batch entry point is optional: absent in v1 libraries and in v2
-  // libraries compiled without -DACCMOS_BATCH_LANES. A null here plus
-  // batchLanes == 0 in the info struct both independently report "no
-  // batch"; batchLanes() requires agreement of the two.
-  if (info_.abiVersion >= 2u) {
-    runBatch_ = reinterpret_cast<AccmosRunBatchFn>(
-        ::dlsym(handle_, ACCMOS_SYM_RUN_BATCH));
   }
   auto t1 = std::chrono::steady_clock::now();
   loadSeconds_ = std::chrono::duration<double>(t1 - t0).count();

@@ -23,7 +23,7 @@ class ModelLib {
   // entry points. Version negotiation: the info query is issued with the
   // host's (v2) struct size first; a library that rejects it with
   // ACCMOS_ABI_EARG is retried with the 88-byte v1 size, and accepted when
-  // it reports abiVersion 1 — it simply has no batch capability. Throws
+  // it reports abiVersion 1. Throws
   // CompileError (carrying the dlerror/description) when the library
   // cannot be loaded, a mandatory symbol is missing, or the library's ABI
   // version is neither the host's nor 1. The ACCMOS_FAULT=dlopen-fail
@@ -43,24 +43,19 @@ class ModelLib {
   // AccmosRunArgs/AccmosRunResult so a v1 library's version check passes.
   uint32_t abiVersion() const { return info_.abiVersion; }
 
-  // structSize a caller must stamp into AccmosRunArgs / AccmosBatchRunArgs
-  // for THIS library. v3 appended the deadline/stepBudget fields, so a v3
-  // host talking to an older library must present the smaller pre-v3
-  // layout (which the v1 and v2 size checks accept) — the deadline fields
-  // simply do not travel, and the host-side watchdog is the only deadline
-  // enforcement for such libraries.
+  // structSize a caller must stamp into AccmosRunArgs for THIS library.
+  // v3 appended the deadline/stepBudget fields, so a v3 host talking to an
+  // older library must present the smaller pre-v3 layout (which the v1
+  // and v2 size checks accept) — the deadline fields simply do not travel,
+  // and the host-side watchdog is the only deadline enforcement for such
+  // libraries.
   uint32_t runArgsSize() const {
     return info_.abiVersion >= 3u ? static_cast<uint32_t>(sizeof(AccmosRunArgs))
                                   : ACCMOS_ABI_RUN_ARGS_SIZE_V2;
   }
-  uint32_t batchArgsSize() const {
-    return info_.abiVersion >= 3u
-               ? static_cast<uint32_t>(sizeof(AccmosBatchRunArgs))
-               : ACCMOS_ABI_BATCH_ARGS_SIZE_V2;
-  }
 
   // True when the library understands ABI v3 deadlines (deadlineSeconds /
-  // stepBudget in the args structs, timedOut in the results). Callers that
+  // stepBudget in the run args, timedOut in the results). Callers that
   // need a hard deadline against an older library must route the run to
   // the subprocess backend, whose watchdog works for any library age.
   bool supportsDeadlines() const { return info_.abiVersion >= 3u; }
@@ -69,23 +64,6 @@ class ModelLib {
   // success). Thread-safe: see the reentrancy contract above.
   int run(const AccmosRunArgs& args, AccmosRunResult& res) const {
     return run_(&args, &res);
-  }
-
-  // Maximum lanes per accmos_run_batch call, or 0 when the library has no
-  // batch support (v1 library, missing symbol, or compiled without
-  // -DACCMOS_BATCH_LANES). The three "no" answers are deliberately
-  // indistinguishable: callers only ever need "can I batch, and how wide".
-  uint64_t batchLanes() const {
-    return (info_.abiVersion >= 2u && runBatch_ != nullptr) ? info_.batchLanes
-                                                            : 0;
-  }
-
-  // One fused batch run (batchLanes() must be > 0; numLanes within it).
-  // Thread-safe for the same reason run() is: the batch state instance is
-  // private to the call.
-  int runBatch(const AccmosBatchRunArgs& args,
-               AccmosBatchRunResult& res) const {
-    return runBatch_(&args, &res);
   }
 
   // Wall time spent in dlopen + symbol resolution + info query.
@@ -103,7 +81,6 @@ class ModelLib {
   std::string path_;
   void* handle_ = nullptr;
   AccmosRunFn run_ = nullptr;
-  AccmosRunBatchFn runBatch_ = nullptr;
   AccmosModelInfo info_{};
   double loadSeconds_ = 0.0;
 };

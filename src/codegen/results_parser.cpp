@@ -316,7 +316,7 @@ SimulationResult decodeBinaryResults(
     const FlatActor& fa = fm.actor(fm.rootOutports[k]);
     const SignalInfo& sig = fm.signal(fa.inputs[0]);
     // In-place retype instead of constructing a fresh Value: this decoder
-    // sits on the per-run hot path of batched campaigns, where an extra
+    // sits on the per-run hot path of campaigns, where an extra
     // allocation per outport is measurable.
     result.finalOutputs[k].resize(sig.type, sig.width);
     for (int i = 0; i < sig.width; ++i) {

@@ -10,12 +10,9 @@
 // cached shared library.
 //
 // Contract (docs/EXECUTION.md has the narrative version):
-//  - The library exports two mandatory C symbols:
+//  - The library exports two C symbols:
 //      int accmos_model_info(AccmosModelInfo*);
 //      int accmos_run(const AccmosRunArgs*, AccmosRunResult*);
-//    and, when built with batch support (ABI v2, -DACCMOS_BATCH_LANES=N),
-//    a third optional one:
-//      int accmos_run_batch(const AccmosBatchRunArgs*, AccmosBatchRunResult*);
 //  - All result buffers are CALLER-owned; the library never allocates
 //    memory that outlives a call. The caller sizes them from
 //    accmos_model_info (worst case for the diagnostic tables).
@@ -34,13 +31,12 @@
 
 #include <stdint.h>
 
-/* Version 2 adds the batched entry point and the batchLanes capability
- * field appended to AccmosModelInfo. Version 3 appends a wall-clock
- * deadline and a max-step budget to the run-args structs (scalar and
- * batch) and defines the ETIMEOUT retirement status — AccmosModelInfo is
- * unchanged from v2. ACCMOS_RUN_ABI_FORCE_V1 is a test hook: defining it
- * before this header yields a genuine version-1 build (88-byte info
- * struct, no batch declarations), which is how the fallback tests
+/* Version 2 appended the batchLanes field to AccmosModelInfo, which
+ * libraries always set to 0. Version 3 appends a wall-clock deadline and
+ * a max-step budget to the run args and defines the ETIMEOUT retirement
+ * status — AccmosModelInfo is unchanged from v2. ACCMOS_RUN_ABI_FORCE_V1
+ * is a test hook: defining it before this header yields a genuine
+ * version-1 build (88-byte info struct), which is how the fallback tests
  * manufacture a real v1 library rather than simulating one. */
 #ifdef ACCMOS_RUN_ABI_FORCE_V1
 #define ACCMOS_ABI_VERSION 1u
@@ -53,13 +49,12 @@
  * rejected, so v3 hosts can still load v1 libraries. */
 #define ACCMOS_ABI_INFO_SIZE_V1 88u
 
-/* sizeof(AccmosRunArgs) / sizeof(AccmosBatchRunArgs) before v3 appended
- * the deadline fields. A library's accmos_run checks structSize against
- * ITS OWN sizeof, so a v3 host calling into an older library must stamp
- * the older, smaller size (the leading layout is unchanged — v3 only
- * appends). The v1 scalar args layout is identical to v2's. */
+/* sizeof(AccmosRunArgs) before v3 appended the deadline fields. A
+ * library's accmos_run checks structSize against ITS OWN sizeof, so a v3
+ * host calling into an older library must stamp the older, smaller size
+ * (the leading layout is unchanged — v3 only appends). The v1 args layout
+ * is identical to v2's. */
 #define ACCMOS_ABI_RUN_ARGS_SIZE_V2 32u
-#define ACCMOS_ABI_BATCH_ARGS_SIZE_V2 40u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
@@ -68,7 +63,6 @@ enum {
   ACCMOS_ABI_EVERSION = 2, /* abiVersion mismatch */
   ACCMOS_ABI_EBUFFER = 3,  /* a caller buffer is missing or mis-sized */
   ACCMOS_ABI_EALLOC = 4,   /* model-state allocation failed */
-  ACCMOS_ABI_EBATCH = 5,   /* bad batch geometry (lane count, lane array) */
   ACCMOS_ABI_ETIMEOUT = 6, /* run retired by deadline / step budget (v3);
                             * result fields up to the retirement point are
                             * valid and timedOut is set */
@@ -98,11 +92,10 @@ typedef struct AccmosModelInfo {
   uint64_t collectValsLen; /* sum of monitored-signal widths */
   uint64_t outValsLen;     /* sum of root-outport widths */
 #if ACCMOS_ABI_VERSION >= 2u
-  /* Batch capability: maximum lanes accmos_run_batch accepts per call, or
-   * 0 when the library was compiled without batch support. A v1 library
-   * writes only the first ACCMOS_ABI_INFO_SIZE_V1 bytes, so on the host
-   * side this field reads 0 for v1 libraries (the host zero-fills the
-   * struct before the query) — exactly the "no batch" answer wanted. */
+  /* Retired batch capability, kept so the v2 layout and the v1/v2 size
+   * negotiation are unchanged. Libraries always write 0; a v1 library
+   * writes only the first ACCMOS_ABI_INFO_SIZE_V1 bytes, and the host
+   * zero-fills the struct before the query. */
   uint64_t batchLanes;
 #endif
 } AccmosModelInfo;
@@ -186,50 +179,10 @@ typedef struct AccmosRunResult {
   uint64_t outValsLen;
 } AccmosRunResult;
 
-#if ACCMOS_ABI_VERSION >= 2u
-/* Arguments for one fused batch call: numLanes independent runs that share
- * a single structure-of-arrays state block and one fused step loop. Lane l
- * simulates seeds[l]; everything else (step/budget limits) is shared. */
-typedef struct AccmosBatchRunArgs {
-  uint32_t structSize; /* sizeof(AccmosBatchRunArgs) */
-  uint32_t abiVersion; /* ACCMOS_ABI_VERSION the caller was built against */
-  uint64_t numLanes;   /* 1 .. AccmosModelInfo.batchLanes */
-  uint64_t maxSteps;
-  double timeBudgetSec;  /* <= 0 = unlimited; applies to the whole batch */
-  const uint64_t* seeds; /* numLanes entries */
-#if ACCMOS_ABI_VERSION >= 3u
-  /* Same semantics as the scalar fields (see AccmosRunArgs). The deadline
-   * applies to the whole fused batch: when it passes, every lane not yet
-   * retired is marked timedOut and the call returns ETIMEOUT (lanes that
-   * already finished keep their normal results). */
-  double deadlineSeconds;
-  uint64_t stepBudget;
-#endif
-} AccmosBatchRunArgs;
-
-/* Batch results are an array of per-lane scalar result blocks: lane l's
- * outputs land in lanes[l], which must be initialized exactly like a
- * scalar AccmosRunResult (structSize, abiVersion, every caller-owned
- * buffer). The host points the per-lane buffers into one strided arena so
- * a whole chunk costs one allocation set, but the library only sees the
- * per-lane views and never writes outside them. */
-typedef struct AccmosBatchRunResult {
-  uint32_t structSize; /* sizeof(AccmosBatchRunResult) */
-  uint32_t abiVersion; /* caller's ACCMOS_ABI_VERSION */
-  uint64_t numLanes;   /* must equal args->numLanes */
-  AccmosRunResult* lanes;
-} AccmosBatchRunResult;
-#endif /* ACCMOS_ABI_VERSION >= 2u */
-
 typedef int (*AccmosModelInfoFn)(AccmosModelInfo*);
 typedef int (*AccmosRunFn)(const AccmosRunArgs*, AccmosRunResult*);
-#if ACCMOS_ABI_VERSION >= 2u
-typedef int (*AccmosRunBatchFn)(const AccmosBatchRunArgs*,
-                                AccmosBatchRunResult*);
-#endif
 
 #define ACCMOS_SYM_MODEL_INFO "accmos_model_info"
 #define ACCMOS_SYM_RUN "accmos_run"
-#define ACCMOS_SYM_RUN_BATCH "accmos_run_batch"
 
 #endif /* ACCMOS_RUN_ABI_H_ */

@@ -393,7 +393,7 @@ int runShardWorker(int fd) {
     // Evaluate in blocks so partial results stream out and a cooperative
     // interrupt (the coordinator forwards SIGINT/SIGTERM; the CLI
     // installed the handlers) flushes promptly. Per-spec results do not
-    // depend on batch boundaries, so blocking changes nothing observable.
+    // depend on block boundaries, so blocking changes nothing observable.
     size_t completed = 0;
     bool interrupted = false;
     for (size_t b0 = 0; b0 < req.specs.size() && !interrupted;

@@ -3,13 +3,13 @@
 //
 // A coordinator splits a campaign's spec list into contiguous shards and
 // fans them over N `accmos shard-worker` processes, each running the
-// existing parallel/batched/tiered campaign engine (SpecEvaluator) on its
+// existing parallel/tiered campaign engine (SpecEvaluator) on its
 // sub-range. Workers stream per-spec SimulationResults back over the
 // length-prefixed JSON frame protocol (src/serve/protocol.h) on a
 // socketpair; the coordinator concatenates them in shard order and runs
 // the very same spec-order merge a single process runs (mergeSpecResults),
 // so the final CampaignResult is bit-identical to `runCampaignSpecs` for
-// any shard count x worker count x lane count.
+// any shard count x worker count.
 //
 // All shards point at one coordinator-owned compile-cache directory (the
 // shared artifact store); the cross-process single-flight claim in

@@ -66,7 +66,7 @@ class Value {
   // Small-buffer storage: widths up to kInline — the common case, scalar
   // and narrow signals — live inline with no heap allocation. That matters
   // because Values are constructed per signal per step in the interpreter
-  // and per outport per run in the batched result decoder. Wider values
+  // and per outport per run in the binary result decoder. Wider values
   // spill into heap_. The element pointer is computed from width_, never
   // stored, so copy and move stay defaulted.
   static constexpr int kInline = 2;

@@ -17,8 +17,9 @@ inline constexpr const char* kAccmosVersion = "0.9.0";
 
 // Wire protocol of the accmosd unix-socket service (docs/SERVICE.md).
 // A client and daemon with different protocol versions refuse each other
-// at the hello handshake instead of mis-parsing frames.
-inline constexpr uint32_t kProtocolVersion = 1;
+// at the hello handshake instead of mis-parsing frames. Version 2 dropped
+// the batchLanes field from the options codec.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 // Compile-cache schema: the on-disk layout under $ACCMOS_CACHE_DIR
 // (<key>.bin + "<size> <fnv1a64-hex>" sidecar in <key>.meta, FNV-1a-keyed
@@ -32,7 +33,7 @@ inline std::string buildInfo() {
   out += "accmos " + std::string(kAccmosVersion) +
          " (AccMoS reproduction: code-generated Simulink model simulation)\n";
   out += "run ABI    : v" + std::to_string(ACCMOS_ABI_VERSION) +
-         " (accmos_run/accmos_run_batch, src/codegen/run_abi.h)\n";
+         " (accmos_run, src/codegen/run_abi.h)\n";
   out += "protocol   : v" + std::to_string(kProtocolVersion) +
          " (accmosd length-prefixed JSON over unix socket)\n";
   out += "cache      : " + std::string(kCacheSchema) +

@@ -10,13 +10,11 @@
 //
 // Campaigns scale across cores: `SimOptions::campaign.workers` fans the
 // seeds out over a worker pool (N concurrent executions of the one
-// compiled binary, or one interpreter instance per worker for SSE).
-// With the dlopen backend and batching on (SimOptions::batchLanes), each
-// worker claims lane-width chunks of seeds and fuses them through the
-// library's accmos_run_batch kernel (docs/EXECUTION.md). Per-seed results
-// are collected and then merged in seed order, so the outcome — per-seed
-// reports, merged bitmaps, deduplicated diagnostics — is bit-identical to
-// the sequential scalar run for any worker count and any lane width.
+// compiled binary, or one interpreter instance per worker for SSE). Each
+// worker claims one seed at a time. Per-seed results are collected and
+// then merged in seed order, so the outcome — per-seed reports, merged
+// bitmaps, deduplicated diagnostics — is bit-identical to the sequential
+// run for any worker count.
 #pragma once
 
 #include <atomic>
@@ -45,8 +43,8 @@ struct CampaignSeedResult {
   CoverageReport cumulative;        // union up to and including this seed
   size_t diagnosticKinds = 0;       // distinct (actor, kind) events
   // Execution backend that answered this seed: "interp" when the
-  // interpreter tier served it (SimOptions::tier), "dlopen" /
-  // "dlopen-batch" / "process" for native runs; empty for SSE campaigns.
+  // interpreter tier served it (SimOptions::tier), "dlopen" / "process"
+  // for native runs; empty for SSE campaigns.
   std::string execMode;
   // This seed's run was contained as a failure (timeout, crash, compile
   // failure): it contributed nothing to the merge, and the matching
@@ -87,7 +85,7 @@ struct CampaignResult {
   // aborts because one seed hung or crashed: the failed seed is recorded
   // here, excluded from the coverage/diagnostic merge, and every surviving
   // seed's contribution is bit-identical to a fault-free campaign over the
-  // survivors — for any worker count and any lane width.
+  // survivors — for any worker count.
   std::vector<RunFailure> failures;
   // The optimization pipeline runs once per campaign (not per seed);
   // ran == false when SimOptions::optimize was off.
@@ -96,7 +94,7 @@ struct CampaignResult {
   // A cooperative interrupt (SIGINT/SIGTERM → sim/interrupt.h) stopped the
   // campaign early. perSeed/failures/merges then cover exactly the specs
   // that finished — always a contiguous prefix of the batch, because
-  // workers claim chunks from a monotonic counter and complete every chunk
+  // workers claim specs from a monotonic counter and complete every spec
   // they claim — and every reported row is bit-identical to the same row
   // of an uninterrupted campaign. The CLI flushes these partial results
   // and exits with its documented interrupt code (docs/ROBUSTNESS.md).
@@ -194,10 +192,10 @@ class SpecEvaluator {
   // worker count or interleaving.
   //
   // When `done` is non-null the batch becomes cooperatively interruptible:
-  // workers stop claiming new chunks once interruptRequested()
-  // (sim/interrupt.h) reads true, finish every chunk already claimed, and
+  // workers stop claiming new specs once interruptRequested()
+  // (sim/interrupt.h) reads true, finish every spec already claimed, and
   // done->at(k) is set for exactly the completed specs — always a
-  // contiguous prefix, because chunk claims come from a monotonic counter.
+  // contiguous prefix, because claims come from a monotonic counter.
   // A null `done` (the default, and what the deterministic generator loop
   // uses) ignores the interrupt flag entirely.
   std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,
@@ -239,6 +237,10 @@ class SpecEvaluator {
   double timeToFirstResultSeconds() const { return firstResultSeconds_; }
 
  private:
+  // engineFor() with the spec's shapeKey() already computed.
+  class TieredEngine* engineFor(const std::string& key,
+                                const TestCaseSpec& spec);
+
   const FlatModel& fm_;
   SimOptions opt_;
   std::map<std::string, std::unique_ptr<class TieredEngine>> engines_;

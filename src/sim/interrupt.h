@@ -4,10 +4,10 @@
 //
 // The flag is deliberately global and async-signal-safe to raise: the CLI
 // and the accmosd daemon install handlers that call requestInterrupt(),
-// and long-running loops (campaign chunk claims, the daemon accept loop)
+// and long-running loops (campaign spec claims, the daemon accept loop)
 // poll interruptRequested() at their natural boundaries. Because campaign
-// workers claim spec chunks from a monotonic counter and always complete a
-// claimed chunk, the set of finished specs at interrupt time is a prefix —
+// workers claim specs from a monotonic counter and always complete a
+// claimed spec, the set of finished specs at interrupt time is a prefix —
 // which is what makes a partial merge well-defined (sim/campaign.h).
 #pragma once
 

@@ -51,39 +51,13 @@ struct CampaignOptions {
   size_t workers = 1;
 };
 
-// execMode string reported by SimulationResult::execMode for runs that went
-// through the fused batch kernel ("dlopen" and "process" come from
-// execModeName; the batch kernel is a capability of the dlopen backend, not
-// a third ExecMode, so it gets its own reporting string).
-inline constexpr const char* kExecModeDlopenBatch = "dlopen-batch";
-
-// Default for SimOptions::batchLanes: the ACCMOS_BATCH environment variable.
-//   unset/empty/"on"  -> 8 lanes (batching on by default)
-//   "0"/"off"/"no"    -> 0 (batching disabled; every run is scalar)
-//   a number N        -> N lanes (clamped to 64)
-// This is the CI toggle that reruns the whole test suite with batching
-// forced on and forced off.
-inline size_t defaultBatchLanes() {
-  const char* v = std::getenv("ACCMOS_BATCH");
-  if (v == nullptr || v[0] == '\0') return 8;
-  const std::string s(v);
-  if (s == "0" || s == "off" || s == "no") return 0;
-  if (s == "on" || s == "yes") return 8;
-  char* end = nullptr;
-  unsigned long n = std::strtoul(v, &end, 10);
-  if (end != v && *end == '\0' && n > 0) {
-    return n < 64 ? static_cast<size_t>(n) : 64;
-  }
-  return 8;
-}
-
 // Tiered execution policy for the AccMoS engine (docs/EXECUTION.md,
 // "Tiered execution").
 //   Native — construct the compiled engine synchronously (the classic
 //            behaviour; first run waits for generate + compile + load).
 //   Auto   — browser-JIT style: answer runs on the SSE interpreter while
 //            the optimizing compile proceeds on the background pool, then
-//            hot-swap new runs/chunks onto the dlopen library once ready.
+//            hot-swap new runs onto the dlopen library once ready.
 //            Observationally identical either way (all engines are
 //            observation-equivalent), so only timing moves.
 //   Interp — never compile; every run stays on the interpreter tier.
@@ -161,16 +135,10 @@ struct SimOptions {
 
   // AccMoS codegen knobs.
   ExecMode execMode = defaultExecMode();  // see ExecMode above
-  // Lane width of the fused batch kernel compiled into the shared library
-  // (-DACCMOS_BATCH_LANES=N), used by multi-seed entry points
-  // (AccMoSEngine::runBatch, campaigns, the generator's SpecEvaluator).
-  // 0 disables batching entirely: the library is compiled without the
-  // batch kernel and every run goes through scalar accmos_run(). Only
-  // meaningful for the dlopen backend; the subprocess backend is always
-  // scalar. Batched results are bit-identical to scalar ones by contract
-  // (enforced by the differential suites), so this knob only moves
-  // throughput, never observations.
-  size_t batchLanes = defaultBatchLanes();
+  // Inert: nothing reads it, and no CLI flag, environment variable or
+  // wire field sets it. It exists only because the frozen benchmark
+  // harness (accbench/harness/campaign.cpp) still assigns it.
+  size_t batchLanes = 0;
   // Tiered execution policy (see Tier above; CLI --tier=, env ACCMOS_TIER).
   Tier tier = defaultTier();
   std::string optFlag = "-O3";   // compiler optimization level

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +20,17 @@ std::string fmtExact(double v) {
   }
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+// Bitwise, not ==: +0.0 and -0.0 must compare unequal.
+bool sameBits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool samePort(const PortStimulus& a, const PortStimulus& b) {
+  return sameBits(&a.min, &b.min, 1) && sameBits(&a.max, &b.max, 1) &&
+         a.sequence.size() == b.sequence.size() &&
+         sameBits(a.sequence.data(), b.sequence.data(), a.sequence.size());
 }
 
 }  // namespace
@@ -140,6 +152,17 @@ std::string TestCaseSpec::shapeKey() const {
     port(ports[k]);
   }
   return os.str();
+}
+
+bool TestCaseSpec::sameShapeAs(const TestCaseSpec& other) const {
+  if (ports.size() != other.ports.size() ||
+      !samePort(defaultPort, other.defaultPort)) {
+    return false;
+  }
+  for (size_t k = 0; k < ports.size(); ++k) {
+    if (!samePort(ports[k], other.ports[k])) return false;
+  }
+  return true;
 }
 
 StimulusStream::StimulusStream(const TestCaseSpec& spec, const FlatModel& fm) {

@@ -66,6 +66,12 @@ struct TestCaseSpec {
   // stimulus but takes the seed as a runtime argument, so seed-only
   // variants of a spec share one compiled binary.
   std::string shapeKey() const;
+
+  // True when `other` carries a bitwise-identical stimulus (every port,
+  // the default port; the seed is ignored). Implies equal shapeKey()s at a
+  // fraction of the cost, so callers comparing neighbouring specs can skip
+  // the key. Bitwise means +0.0 and -0.0 bounds differ, as their keys do.
+  bool sameShapeAs(const TestCaseSpec& other) const;
 };
 
 // The runtime generator all in-process engines use; the generated runtime

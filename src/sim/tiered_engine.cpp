@@ -69,10 +69,9 @@ TieredEngine::TieredEngine(const FlatModel& fm, const SimOptions& opt,
       generateSeconds_ = gen_.generateSeconds;
       driver_ = std::make_unique<CompilerDriver>();
       driver_->setCacheEnabled(opt_.compileCache);
-      std::string extraFlags;
-      const ArtifactKind kind = AccMoSEngine::artifactPlan(opt_, &extraFlags);
-      handle_ = driver_->compileAsync(gen_.source, "model_" + fm_.modelName,
-                                      opt_.optFlag, kind, extraFlags);
+      handle_ = driver_->compileAsync(
+          gen_.source, "model_" + fm_.modelName, opt_.optFlag,
+          AccMoSEngine::artifactPlan(opt_, nullptr));
       break;
     }
   }
@@ -156,25 +155,6 @@ SimulationResult TieredEngine::runContained(
     return e->runContained(0, -1.0, seedOverride);
   }
   return interpRun(seedOverride.value_or(tests_.seed), worker);
-}
-
-std::vector<SimulationResult> TieredEngine::runBatchContained(
-    const std::vector<uint64_t>& seeds, size_t worker) {
-  std::vector<SimulationResult> out;
-  out.reserve(seeds.size());
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    if (AccMoSEngine* e = maybeNative()) {
-      const std::vector<uint64_t> rest(seeds.begin() +
-                                           static_cast<ptrdiff_t>(i),
-                                       seeds.end());
-      std::vector<SimulationResult> rs = e->runBatchContained(rest);
-      nativeRuns_.fetch_add(rs.size(), std::memory_order_relaxed);
-      for (auto& r : rs) out.push_back(std::move(r));
-      return out;
-    }
-    out.push_back(interpRun(seeds[i], worker));
-  }
-  return out;
 }
 
 double TieredEngine::generateSeconds() const { return generateSeconds_; }

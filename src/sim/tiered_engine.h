@@ -5,15 +5,14 @@
 // answered immediately on the resident SSE interpreter; the first run to
 // observe the finished compile constructs the native engine (a compile-cache
 // hit — the async job published the artifact) and atomically hot-swaps it
-// in, so every later run and every remaining batch chunk goes native.
+// in, so every later run goes native.
 //
 // Soundness: all engines are observation-equivalent (the differential
 // suites prove it), so WHERE the swap lands moves only timings — outputs,
 // coverage bitmaps, diagnostics and monitors are bit-identical per seed
 // across tiers, and the campaign's seed-order merge stays deterministic for
-// any worker count x lane width x swap point. SimulationResult::execMode
-// truthfully reports the tier that ran each seed ("interp" vs "dlopen" /
-// "dlopen-batch" / "process").
+// any worker count x swap point. SimulationResult::execMode truthfully
+// reports the tier that ran each seed ("interp" vs "dlopen" / "process").
 //
 // Tier::Auto and Tier::Interp silently harden to Tier::Native when a run
 // needs the generated code or the real compiler (see mustForceNative in
@@ -63,16 +62,10 @@ class TieredEngine {
 
   // Fault-contained single run (the campaign entry point): delegates to
   // AccMoSEngine::runContained on the native tier; the interp tier has no
-  // generated code to contain.
+  // generated code to contain. Checks for the finished compile on every
+  // call, so the hot-swap lands between any two seeds of a campaign.
   SimulationResult runContained(
       std::optional<uint64_t> seedOverride = std::nullopt, size_t worker = 0);
-
-  // Fault-contained multi-seed run, in seed order. Checks for the finished
-  // compile before every seed, so the hot-swap lands mid-chunk: seeds
-  // before the swap run interpreted, the rest go through the native
-  // engine's fused batch kernel. Bit-identical to any other split.
-  std::vector<SimulationResult> runBatchContained(
-      const std::vector<uint64_t>& seeds, size_t worker = 0);
 
   // The effective policy after hardening rules (see header comment).
   Tier policy() const { return policy_; }

@@ -6,6 +6,7 @@
 #include "bench_models/suite.h"
 #include "codegen/accmos_engine.h"
 #include "sim/campaign.h"
+#include "sim/tiered_engine.h"
 #include "test_util.h"
 
 namespace accmos {
@@ -204,6 +205,72 @@ TEST(Campaign, SpecEvaluatorSharesEnginesAcrossShapes) {
   for (size_t k = 0; k < specs.size(); ++k) {
     EXPECT_EQ(results[k].stepsExecuted, again[k].stepsExecuted);
   }
+}
+
+// Shape keying in SpecEvaluator::evaluate: a spec whose stimulus is
+// bitwise identical to its predecessor's reuses that engine, every other
+// spec is keyed on its own. The interpreter tier makes these structural
+// checks compile-free; each engine counts the runs it answered.
+class ShapeKeying : public ::testing::Test {
+ protected:
+  ShapeKeying() {
+    t_.inport("In1", 1);
+    t_.actor("G", "Gain").params().setDouble("gain", 2.0);
+    t_.outport("Out1", 1);
+    t_.wire("In1", "G");
+    t_.wire("G", "Out1");
+    sim_ = std::make_unique<Simulator>(t_.model());
+    opt_.engine = Engine::AccMoS;
+    opt_.tier = Tier::Interp;
+    opt_.maxSteps = 50;
+  }
+
+  static TestCaseSpec spec(double min, double max, uint64_t seed) {
+    TestCaseSpec s;
+    s.defaultPort = PortStimulus{min, max, {}};
+    s.seed = seed;
+    return s;
+  }
+
+  Tiny t_;
+  std::unique_ptr<Simulator> sim_;
+  SimOptions opt_;
+};
+
+TEST_F(ShapeKeying, HomogeneousBatchBuildsOneEngine) {
+  std::vector<TestCaseSpec> specs;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    specs.push_back(spec(-1.0, 1.0, seed));
+  }
+  SpecEvaluator eval(sim_->flatModel(), opt_);
+  eval.evaluate(specs);
+  EXPECT_EQ(eval.enginesBuilt(), 1u);
+  EXPECT_EQ(eval.engineFor(specs[0])->interpRuns(), specs.size());
+}
+
+TEST_F(ShapeKeying, SignedZeroBoundsBuildTwoEngines) {
+  const TestCaseSpec pos = spec(0.0, 1.0, 1);
+  const TestCaseSpec neg = spec(-0.0, 1.0, 2);
+  EXPECT_FALSE(pos.sameShapeAs(neg));
+  EXPECT_NE(pos.shapeKey(), neg.shapeKey());
+  SpecEvaluator eval(sim_->flatModel(), opt_);
+  eval.evaluate({pos, neg});
+  EXPECT_EQ(eval.enginesBuilt(), 2u);
+  EXPECT_NE(eval.engineFor(pos), eval.engineFor(neg));
+  EXPECT_EQ(eval.engineFor(pos)->interpRuns(), 1u);
+  EXPECT_EQ(eval.engineFor(neg)->interpRuns(), 1u);
+}
+
+TEST_F(ShapeKeying, InterleavedShapesMapBackToTheFirstEngine) {
+  const TestCaseSpec a = spec(-1.0, 1.0, 1);
+  const TestCaseSpec b = spec(-3.0, 3.0, 2);
+  const TestCaseSpec a2 = spec(-1.0, 1.0, 3);
+  SpecEvaluator eval(sim_->flatModel(), opt_);
+  eval.evaluate({a, b, a2});
+  EXPECT_EQ(eval.enginesBuilt(), 2u);
+  EXPECT_EQ(eval.engineFor(a)->interpRuns(), 2u) << "specs 0 and 2";
+  EXPECT_EQ(eval.engineFor(b)->interpRuns(), 1u);
+  EXPECT_EQ(eval.enginesBuilt(), 2u);
 }
 
 TEST(Campaign, SeedOverrideMatchesBakedSeed) {

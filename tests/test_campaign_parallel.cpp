@@ -146,5 +146,32 @@ TEST(ParallelCampaign, MoreWorkersThanSeeds) {
   expectSameCampaign(sequential, cr, "workers > seeds");
 }
 
+// Each seed's exec time is its own run's loop time, so a campaign's
+// summed exec can never exceed what its workers had: wall x workers, up to
+// clock rounding. Charging one run's time to several seeds breaks this.
+TEST(ParallelCampaign, SummedExecTimeFitsInWallTimesWorkers) {
+  LoadedModel loaded = loadBenchModel("CSEV");
+  TestCaseSpec base = loaded.stimulus.value_or(TestCaseSpec{});
+  Simulator sim(*loaded.model);
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.maxSteps = 10000;
+  auto seeds = campaignSeeds(16);
+  // Warm the compile cache so execution, not the compile, fills the wall
+  // clock — an inflated sum must not hide under compile time.
+  runCampaign(sim.flatModel(), opt, base, {1});
+
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    opt.campaign.workers = workers;
+    auto cr = runCampaign(sim.flatModel(), opt, base, seeds);
+    const std::string label = "workers=" + std::to_string(workers);
+    EXPECT_EQ(cr.workersUsed, workers) << label;
+    EXPECT_GT(cr.totalExecSeconds, 0.0) << label;
+    EXPECT_LE(cr.totalExecSeconds,
+              cr.wallSeconds * static_cast<double>(cr.workersUsed) + 1e-6)
+        << label;
+  }
+}
+
 }  // namespace
 }  // namespace accmos

@@ -261,57 +261,41 @@ TEST_F(CompileCacheTest, ArtifactKindIsPartOfTheCacheKey) {
   EXPECT_EQ(lib2.exePath, lib.exePath);
 }
 
-// The batch capability is compiled in via -DACCMOS_BATCH_LANES=N without
-// changing the generated source, so the extra flags must be part of the
-// content address (the same bug class ArtifactKind fixed above): a cached
-// batchless library served to a batch-requesting engine would silently
-// drop the kernel — every runBatch() falling back to scalar — and the
-// reverse would leak the kernel into engines that asked for none.
-TEST_F(CompileCacheTest, BatchCapabilityIsPartOfTheCacheKey) {
+// A -D define changes the binary without changing the source, so extra
+// compiler flags must be part of the content address (the same bug class
+// ArtifactKind fixed above): a flagless cached artifact must never be
+// served to a compile that asked for the define, or the reverse.
+TEST_F(CompileCacheTest, ExtraFlagsArePartOfTheCacheKey) {
   const std::string src = "int main(){}";
   EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
             CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=8"));
+                                     "-DACCMOS_TEST_FLAG=8"));
   EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=4"),
+                                     "-DACCMOS_TEST_FLAG=4"),
             CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=8"));
+                                     "-DACCMOS_TEST_FLAG=8"));
   // No extra flags keeps the pre-existing addresses.
   EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
             CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
                                      ""));
 
-  // Engine-level regression: warm the cache with a batchless library, then
-  // ask for a batched one. A false hit would hand back the batchless
-  // artifact and the new engine would report no kernel.
-  auto t = gainModel(2.0);
-  Simulator sim(t->model());
-  TestCaseSpec tests;
-  SimOptions scalarOpt = accOptions();
-  scalarOpt.execMode = ExecMode::Dlopen;
-  scalarOpt.batchLanes = 0;
-  AccMoSEngine scalar(sim.flatModel(), scalarOpt, tests);
-  EXPECT_FALSE(scalar.compileCacheHit());
-  EXPECT_EQ(scalar.batchLanes(), 0u);
-
-  SimOptions batchOpt = scalarOpt;
-  batchOpt.batchLanes = 8;
-  AccMoSEngine batched(sim.flatModel(), batchOpt, tests);
-  EXPECT_FALSE(batched.compileCacheHit())
-      << "batch-requesting engine must not hit the batchless entry";
-  EXPECT_NE(batched.exePath(), scalar.exePath());
-  EXPECT_EQ(batched.batchLanes(), 8u);
-  std::vector<SimulationResult> rs = batched.runBatch({1, 2});
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(rs[0].execMode, kExecModeDlopenBatch);
-
-  // Both capabilities now have their own entries and hit independently.
-  AccMoSEngine scalarAgain(sim.flatModel(), scalarOpt, tests);
-  AccMoSEngine batchedAgain(sim.flatModel(), batchOpt, tests);
-  EXPECT_TRUE(scalarAgain.compileCacheHit());
-  EXPECT_TRUE(batchedAgain.compileCacheHit());
-  EXPECT_EQ(scalarAgain.batchLanes(), 0u);
-  EXPECT_EQ(batchedAgain.batchLanes(), 8u);
+  // Compiling the same source with and without the define yields two
+  // distinct artifacts, each with its own entry that hits independently.
+  CompilerDriver driver;
+  const std::string source = "int main() { return 0; }\n";
+  auto plain = driver.compile(source, "flags", "-O0");
+  auto flagged = driver.compile(source, "flags", "-O0",
+                                ArtifactKind::Executable,
+                                "-DACCMOS_TEST_FLAG=1");
+  EXPECT_FALSE(plain.cacheHit);
+  EXPECT_FALSE(flagged.cacheHit)
+      << "a flagged compile must not hit the flagless entry";
+  EXPECT_NE(plain.exePath, flagged.exePath);
+  EXPECT_TRUE(driver.compile(source, "flags", "-O0").cacheHit);
+  EXPECT_TRUE(driver
+                  .compile(source, "flags", "-O0", ArtifactKind::Executable,
+                           "-DACCMOS_TEST_FLAG=1")
+                  .cacheHit);
 }
 
 // Regression for the error paths: a deliberately uncompilable source must

@@ -2,8 +2,8 @@
 // fans a campaign over real `accmos shard-worker` processes (the CLI
 // binary, ACCMOS_CLI_PATH) and the merged CampaignResult must be
 // bit-identical — in its observation view — to the single-process
-// runCampaignSpecs for any shard count x inner worker count x lane width,
-// including campaigns whose seeds hit injected crash/hang faults. A
+// runCampaignSpecs for any shard count x inner worker count, including
+// campaigns whose seeds hit injected crash/hang faults. A
 // worker-process death is contained as per-shard RunFailures (never a
 // coordinator abort), and a cooperative interrupt raised coordinator-side
 // is forwarded to the fleet and flushes a contiguous bit-identical
@@ -74,7 +74,6 @@ class DistTest : public ::testing::Test {
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
         execEnv_("ACCMOS_EXEC_MODE", nullptr),
-        batchEnv_("ACCMOS_BATCH", nullptr),
         tierEnv_("ACCMOS_TIER", nullptr),
         abortEnv_("ACCMOS_SHARD_ABORT", nullptr) {
     clearInterrupt();
@@ -101,7 +100,6 @@ class DistTest : public ::testing::Test {
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
   EnvGuard execEnv_;
-  EnvGuard batchEnv_;
   EnvGuard tierEnv_;
   EnvGuard abortEnv_;
   static int counter_;
@@ -208,7 +206,6 @@ TEST(ShardCodecs, RequestPartialDoneRoundTripExactly) {
   req.modelText = gainModelText();
   req.options = distSimOptions();
   req.options.campaign.workers = 3;
-  req.options.batchLanes = 4;
   req.specs = specsFor(5);
   req.shardIndex = 2;
   req.shardCount = 7;
@@ -252,63 +249,57 @@ TEST(ShardCodecs, RequestPartialDoneRoundTripExactly) {
 }
 
 // ---- The acceptance matrix ----------------------------------------------
-// shards {1,2,4} x inner workers {1,4} x lanes {0,8}: every sharded run's
-// observation view identical to the single-process reference. The first
-// run per lane width goes against an empty store with 4 shards racing —
-// the cross-process single-flight claim must hold it to exactly ONE
-// compiler invocation fleet-wide.
-TEST_F(DistTest, ShardedBitIdenticalAcrossShardsWorkersLanes) {
+// shards {1,2,4} x inner workers {1,4}: every sharded run's observation
+// view identical to the single-process reference. The first run goes
+// against an empty store with 4 shards racing — the cross-process
+// single-flight claim must hold it to exactly ONE compiler invocation
+// fleet-wide.
+TEST_F(DistTest, ShardedBitIdenticalAcrossShardsAndWorkers) {
   const std::string text = gainModelText();
   const auto specs = specsFor(12);
+  const SimOptions opt = distSimOptions();
 
-  for (size_t lanes : {size_t{8}, size_t{0}}) {
-    SimOptions opt = distSimOptions();
-    opt.batchLanes = lanes;
-    const std::string label = "lanes=" + std::to_string(lanes);
+  // Cold: 4 shards, one empty shared store, exactly one fleet compile.
+  {
+    SimOptions copt = opt;
+    copt.campaign.workers = 1;
+    const uint64_t base = CompilerDriver::compilerInvocations();
+    dist::ShardStats st;
+    CampaignResult cold =
+        dist::runShardedCampaign(text, copt, specs, shardOptions(4), &st);
+    EXPECT_EQ(st.shards, 4u);
+    EXPECT_EQ(st.deadWorkers, 0u);
+    EXPECT_EQ(st.fleetCompilerInvocations - base, 1u)
+        << "cold 4-shard fleet must compile exactly once";
+    CampaignResult ref = referenceRun(text, copt, specs);
+    EXPECT_TRUE(ref.compileCacheHit)
+        << "reference must be served by the store the fleet just filled";
+    EXPECT_EQ(obs(cold), obs(ref)) << "cold shards=4";
+  }
 
-    // Cold: 4 shards, one empty shared store, exactly one fleet compile.
-    {
-      SimOptions copt = opt;
-      copt.campaign.workers = 1;
+  SimOptions ropt = opt;
+  ropt.campaign.workers = 1;
+  const CampaignResult ref = referenceRun(text, ropt, specs);
+
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SimOptions sopt = opt;
+      sopt.campaign.workers = workers;
+      const std::string at = "shards=" + std::to_string(shards) +
+                             " workers=" + std::to_string(workers);
       const uint64_t base = CompilerDriver::compilerInvocations();
       dist::ShardStats st;
-      CampaignResult cold =
-          dist::runShardedCampaign(text, copt, specs, shardOptions(4), &st);
-      EXPECT_EQ(st.shards, 4u) << label;
-      EXPECT_EQ(st.deadWorkers, 0u) << label;
-      EXPECT_EQ(st.fleetCompilerInvocations - base, 1u)
-          << label << " cold 4-shard fleet must compile exactly once";
-      CampaignResult ref = referenceRun(text, copt, specs);
-      EXPECT_TRUE(ref.compileCacheHit)
-          << label << " reference must be served by the store the fleet "
-          << "just filled";
-      EXPECT_EQ(obs(cold), obs(ref)) << label << " cold shards=4";
-    }
-
-    SimOptions ropt = opt;
-    ropt.campaign.workers = 1;
-    const CampaignResult ref = referenceRun(text, ropt, specs);
-
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (size_t workers : {size_t{1}, size_t{4}}) {
-        SimOptions sopt = opt;
-        sopt.campaign.workers = workers;
-        const std::string at = label + " shards=" + std::to_string(shards) +
-                               " workers=" + std::to_string(workers);
-        const uint64_t base = CompilerDriver::compilerInvocations();
-        dist::ShardStats st;
-        CampaignResult cr = dist::runShardedCampaign(text, sopt, specs,
-                                                     shardOptions(shards),
-                                                     &st);
-        EXPECT_EQ(st.shards, shards) << at;
-        EXPECT_EQ(st.deadWorkers, 0u) << at;
-        EXPECT_EQ(st.fleetCompilerInvocations - base, 0u)
-            << at << " warm fleet must be all cache hits";
-        EXPECT_TRUE(cr.compileCacheHit) << at;
-        EXPECT_FALSE(cr.interrupted) << at;
-        EXPECT_EQ(cr.workersUsed, shards) << at;
-        EXPECT_EQ(obs(cr), obs(ref)) << at;
-      }
+      CampaignResult cr = dist::runShardedCampaign(text, sopt, specs,
+                                                   shardOptions(shards),
+                                                   &st);
+      EXPECT_EQ(st.shards, shards) << at;
+      EXPECT_EQ(st.deadWorkers, 0u) << at;
+      EXPECT_EQ(st.fleetCompilerInvocations - base, 0u)
+          << at << " warm fleet must be all cache hits";
+      EXPECT_TRUE(cr.compileCacheHit) << at;
+      EXPECT_FALSE(cr.interrupted) << at;
+      EXPECT_EQ(cr.workersUsed, shards) << at;
+      EXPECT_EQ(obs(cr), obs(ref)) << at;
     }
   }
 }
@@ -323,35 +314,31 @@ TEST_F(DistTest, ShardedBitIdenticalWithContainedCrashAndHangSeeds) {
   EnvGuard fault("ACCMOS_FAULT", "crash@25:seed=137;hang@25:seed=248");
   const std::string text = gainModelText();
   const auto specs = specsFor(12);
+  SimOptions opt = distSimOptions();
+  opt.maxSteps = 200;
+  opt.runTimeoutSec = 0.75;  // contains the hung seed
+  const std::string label = "faulted";
 
-  for (size_t lanes : {size_t{8}, size_t{0}}) {
-    SimOptions opt = distSimOptions();
-    opt.maxSteps = 200;
-    opt.batchLanes = lanes;
-    opt.runTimeoutSec = 0.75;  // contains the hung seed
-    const std::string label = "faulted lanes=" + std::to_string(lanes);
+  SimOptions ropt = opt;
+  ropt.campaign.workers = 1;
+  const CampaignResult ref = referenceRun(text, ropt, specs);
+  ASSERT_EQ(ref.failures.size(), 2u) << label;
 
-    SimOptions ropt = opt;
-    ropt.campaign.workers = 1;
-    const CampaignResult ref = referenceRun(text, ropt, specs);
-    ASSERT_EQ(ref.failures.size(), 2u) << label;
-
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      for (size_t workers : {size_t{1}, size_t{4}}) {
-        SimOptions sopt = opt;
-        sopt.campaign.workers = workers;
-        const std::string at = label + " shards=" + std::to_string(shards) +
-                               " workers=" + std::to_string(workers);
-        dist::ShardStats st;
-        CampaignResult cr = dist::runShardedCampaign(text, sopt, specs,
-                                                     shardOptions(shards),
-                                                     &st);
-        EXPECT_EQ(st.deadWorkers, 0u)
-            << at << " injected faults must be contained inside the "
-            << "worker, not kill it";
-        ASSERT_EQ(cr.failures.size(), 2u) << at;
-        EXPECT_EQ(obs(cr), obs(ref)) << at;
-      }
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SimOptions sopt = opt;
+      sopt.campaign.workers = workers;
+      const std::string at = label + " shards=" + std::to_string(shards) +
+                             " workers=" + std::to_string(workers);
+      dist::ShardStats st;
+      CampaignResult cr = dist::runShardedCampaign(text, sopt, specs,
+                                                   shardOptions(shards),
+                                                   &st);
+      EXPECT_EQ(st.deadWorkers, 0u)
+          << at << " injected faults must be contained inside the "
+          << "worker, not kill it";
+      ASSERT_EQ(cr.failures.size(), 2u) << at;
+      EXPECT_EQ(obs(cr), obs(ref)) << at;
     }
   }
 }

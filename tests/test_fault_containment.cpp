@@ -2,7 +2,7 @@
 // drives every degradation path byte-for-byte — a campaign survives a
 // seed that hangs and a seed that crashes (reporting exactly those as
 // structured RunFailures while every surviving seed stays bit-identical
-// to a fault-free campaign, for any worker count and any lane width),
+// to a fault-free campaign, for any worker count),
 // a deadline-armed dlopen run retires promptly instead of wedging the
 // host, two in-process strikes quarantine an engine onto the subprocess
 // backend, CompilerDriver absorbs transient compiler deaths and decodes
@@ -75,8 +75,7 @@ class FaultTest : public ::testing::Test {
                    std::to_string(counter_++))),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr),
-        batchEnv_("ACCMOS_BATCH", nullptr) {}
+        execEnv_("ACCMOS_EXEC_MODE", nullptr) {}
   ~FaultTest() override {
     std::error_code ec;
     fs::remove_all(cacheDir_, ec);
@@ -88,7 +87,6 @@ class FaultTest : public ::testing::Test {
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
   EnvGuard execEnv_;
-  EnvGuard batchEnv_;
   static int counter_;
 };
 
@@ -138,8 +136,7 @@ void expectSameCampaignRow(const CampaignSeedResult& a,
 // campaign completes reporting exactly those two as RunFailure{Timeout} /
 // RunFailure{Crash} — with every surviving seed's contribution (per-seed
 // rows, merged bitmaps, deduplicated diagnostics) bit-identical to a
-// fault-free campaign over only the survivors, across worker counts and
-// batch lane widths.
+// fault-free campaign over only the survivors, across worker counts.
 TEST_F(FaultTest, CampaignContainsHangAndCrashSeeds) {
   Tiny t;
   FlatModel fm = wrapGainModel(t);
@@ -154,56 +151,52 @@ TEST_F(FaultTest, CampaignContainsHangAndCrashSeeds) {
 
   EnvGuard fault("ACCMOS_FAULT", "hang@10:seed=3;crash@10:seed=5");
   for (size_t workers : {1u, 2u, 4u}) {
-    for (size_t lanes : {0u, 8u}) {
-      SimOptions o = opt;
-      o.campaign.workers = workers;
-      o.batchLanes = lanes;
-      std::string label = "workers=" + std::to_string(workers) +
-                          " lanes=" + std::to_string(lanes);
-      CampaignResult got = runCampaign(fm, o, base, seeds);
+    SimOptions o = opt;
+    o.campaign.workers = workers;
+    std::string label = "workers=" + std::to_string(workers);
+    CampaignResult got = runCampaign(fm, o, base, seeds);
 
-      ASSERT_EQ(got.failures.size(), 2u) << label;
-      EXPECT_EQ(got.failures[0].kind, FailureKind::Timeout) << label;
-      EXPECT_EQ(got.failures[0].seed, 3u) << label;
-      EXPECT_EQ(got.failures[0].index, 2u) << label;
-      EXPECT_EQ(got.failures[1].kind, FailureKind::Crash) << label;
-      EXPECT_EQ(got.failures[1].seed, 5u) << label;
-      EXPECT_EQ(got.failures[1].index, 4u) << label;
-      EXPECT_EQ(got.failures[1].signal, SIGSEGV) << label;
+    ASSERT_EQ(got.failures.size(), 2u) << label;
+    EXPECT_EQ(got.failures[0].kind, FailureKind::Timeout) << label;
+    EXPECT_EQ(got.failures[0].seed, 3u) << label;
+    EXPECT_EQ(got.failures[0].index, 2u) << label;
+    EXPECT_EQ(got.failures[1].kind, FailureKind::Crash) << label;
+    EXPECT_EQ(got.failures[1].seed, 5u) << label;
+    EXPECT_EQ(got.failures[1].index, 4u) << label;
+    EXPECT_EQ(got.failures[1].signal, SIGSEGV) << label;
 
-      ASSERT_EQ(got.perSeed.size(), seeds.size()) << label;
-      EXPECT_TRUE(got.perSeed[2].failed) << label;
-      EXPECT_TRUE(got.perSeed[4].failed) << label;
+    ASSERT_EQ(got.perSeed.size(), seeds.size()) << label;
+    EXPECT_TRUE(got.perSeed[2].failed) << label;
+    EXPECT_TRUE(got.perSeed[4].failed) << label;
 
-      for (CovMetric m : kAllCovMetrics) {
-        EXPECT_EQ(got.mergedBitmaps.bits(m), want.mergedBitmaps.bits(m))
-            << label << " bitmap " << covMetricName(m);
-      }
-      EXPECT_EQ(got.cumulative.toString(), want.cumulative.toString())
+    for (CovMetric m : kAllCovMetrics) {
+      EXPECT_EQ(got.mergedBitmaps.bits(m), want.mergedBitmaps.bits(m))
+          << label << " bitmap " << covMetricName(m);
+    }
+    EXPECT_EQ(got.cumulative.toString(), want.cumulative.toString())
+        << label;
+
+    size_t wk = 0;
+    for (size_t k = 0; k < seeds.size(); ++k) {
+      if (got.perSeed[k].failed) continue;
+      ASSERT_LT(wk, want.perSeed.size()) << label;
+      expectSameCampaignRow(got.perSeed[k], want.perSeed[wk],
+                            label + " seed " + std::to_string(seeds[k]));
+      ++wk;
+    }
+    EXPECT_EQ(wk, want.perSeed.size()) << label;
+
+    ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size()) << label;
+    for (size_t k = 0; k < got.diagnostics.size(); ++k) {
+      EXPECT_EQ(got.diagnostics[k].actorPath, want.diagnostics[k].actorPath)
           << label;
-
-      size_t wk = 0;
-      for (size_t k = 0; k < seeds.size(); ++k) {
-        if (got.perSeed[k].failed) continue;
-        ASSERT_LT(wk, want.perSeed.size()) << label;
-        expectSameCampaignRow(got.perSeed[k], want.perSeed[wk],
-                              label + " seed " + std::to_string(seeds[k]));
-        ++wk;
-      }
-      EXPECT_EQ(wk, want.perSeed.size()) << label;
-
-      ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size()) << label;
-      for (size_t k = 0; k < got.diagnostics.size(); ++k) {
-        EXPECT_EQ(got.diagnostics[k].actorPath, want.diagnostics[k].actorPath)
-            << label;
-        EXPECT_EQ(got.diagnostics[k].kind, want.diagnostics[k].kind) << label;
-        EXPECT_EQ(got.diagnostics[k].message, want.diagnostics[k].message)
-            << label;
-        EXPECT_EQ(got.diagnostics[k].firstStep, want.diagnostics[k].firstStep)
-            << label;
-        EXPECT_EQ(got.diagnostics[k].count, want.diagnostics[k].count)
-            << label;
-      }
+      EXPECT_EQ(got.diagnostics[k].kind, want.diagnostics[k].kind) << label;
+      EXPECT_EQ(got.diagnostics[k].message, want.diagnostics[k].message)
+          << label;
+      EXPECT_EQ(got.diagnostics[k].firstStep, want.diagnostics[k].firstStep)
+          << label;
+      EXPECT_EQ(got.diagnostics[k].count, want.diagnostics[k].count)
+          << label;
     }
   }
 }

@@ -89,7 +89,6 @@ class ServeTest : public ::testing::Test {
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
         execEnv_("ACCMOS_EXEC_MODE", nullptr),
-        batchEnv_("ACCMOS_BATCH", nullptr),
         tierEnv_("ACCMOS_TIER", nullptr) {}
   ~ServeTest() override {
     std::error_code ec;
@@ -111,7 +110,6 @@ class ServeTest : public ::testing::Test {
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
   EnvGuard execEnv_;
-  EnvGuard batchEnv_;
   EnvGuard tierEnv_;
   static int counter_;
 };

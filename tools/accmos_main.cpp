@@ -49,9 +49,6 @@
 //                                      background, then hot-swaps to native;
 //                                      interp never compiles (default
 //                                      native; also: env ACCMOS_TIER)
-//   --batch-lanes=N                    fused batch-kernel lane width for
-//                                      multi-seed runs; 0 = scalar only
-//                                      (default 8; also: env ACCMOS_BATCH)
 //   --timeout=SECONDS                  per-run wall-clock deadline: the
 //                                      generated code retires the run
 //                                      cooperatively, the process backend
@@ -74,8 +71,7 @@
 //   --target-metric=M    actor|condition|decision|mcdc (default: all)
 //   --corpus-dir=DIR     export corpus (.spec/.csv + MANIFEST.tsv)
 //   --engine=sse|accmos  evaluation engine (default accmos)
-//   --steps=N --workers=W --batch-lanes=N --no-opt --show-uncovered   as
-//                        above
+//   --steps=N --workers=W --no-opt --show-uncovered   as above
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -117,19 +113,16 @@ int usage() {
                "             [--target-metric=actor|condition|decision|mcdc]\n"
                "             [--corpus-dir=DIR] [--engine=sse|accmos] "
                "[--steps=N]\n"
-               "             [--workers=W] [--batch-lanes=N] [--no-opt] "
-               "[--show-uncovered]\n"
+               "             [--workers=W] [--no-opt] [--show-uncovered]\n"
                "  accmos run <model.xml> [--engine=E] [--steps=N] "
                "[--budget=S]\n"
                "             [--tests=F.csv] [--seed=N] [--collect=PATH]...\n"
                "             [--no-coverage] [--no-diagnosis] "
                "[--stop-on-diagnostic] [--opt=-O3] [--no-opt] "
                "[--exec-mode=dlopen|process] [--tier=native|auto|interp] "
-               "[--batch-lanes=N] "
                "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
                "  accmos campaign <model.xml> [--seeds=N] [--steps=M] "
-               "[--engine=accmos|sse] [--workers=W] [--batch-lanes=N] "
-               "[--shards=N] "
+               "[--engine=accmos|sse] [--workers=W] [--shards=N] "
                "[--no-opt] [--exec-mode=dlopen|process] "
                "[--tier=native|auto|interp] [--timeout=SEC] "
                "[--step-budget=N] [--show-uncovered]\n"
@@ -351,8 +344,6 @@ int cmdTestGen(const std::string& path,
       opt.maxSteps = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--workers", &v)) {
       opt.campaign.workers = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flagValue(arg, "--batch-lanes", &v)) {
-      opt.batchLanes = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--exec-mode", &v)) {
       if (!parseExecMode(v, &opt)) return 2;
     } else if (flagValue(arg, "--tier", &v)) {
@@ -458,8 +449,6 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       opt.collectList.push_back(v);
     } else if (flagValue(arg, "--opt", &v)) {
       opt.optFlag = v;
-    } else if (flagValue(arg, "--batch-lanes", &v)) {
-      opt.batchLanes = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--exec-mode", &v)) {
       if (!parseExecMode(v, &opt)) return 2;
     } else if (flagValue(arg, "--tier", &v)) {
@@ -594,8 +583,6 @@ int parseCampaignArgs(const std::vector<std::string>& args,
       opt.maxSteps = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--workers", &v)) {
       opt.campaign.workers = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flagValue(arg, "--batch-lanes", &v)) {
-      opt.batchLanes = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--shards", &v)) {
       ca->shards = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flagValue(arg, "--engine", &v)) {
