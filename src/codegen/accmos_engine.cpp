@@ -51,14 +51,15 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
     gen.covPlan = CoveragePlan::build(
         fm, [](const FlatActor& fa) { return covTraitsFor(fa); });
   }
+  DiagnosisPlan diagPlan;  // needed only while emitting
   if (opt.diagnosis) {
-    gen.diagPlan = DiagnosisPlan::build(
+    diagPlan = DiagnosisPlan::build(
         fm, [&](const FlatActor& fa) { return diagKindsFor(fm, fa); });
   }
 
   auto t0 = std::chrono::steady_clock::now();
   Emitter emitter(fm, opt, tests, opt.coverage ? &gen.covPlan : nullptr,
-                  opt.diagnosis ? &gen.diagPlan : nullptr);
+                  opt.diagnosis ? &diagPlan : nullptr);
   gen.source = emitter.generate();
   gen.collectSignals = emitter.collectSignals();
   auto t1 = std::chrono::steady_clock::now();
@@ -66,11 +67,10 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
   return gen;
 }
 
-ArtifactKind AccMoSEngine::artifactPlan(const SimOptions& opt,
+ArtifactKind AccMoSEngine::artifactPlan(const SimOptions& /*opt*/,
                                         std::string* extraFlags) {
   if (extraFlags != nullptr) extraFlags->clear();
-  return opt.execMode == ExecMode::Dlopen ? ArtifactKind::SharedLib
-                                          : ArtifactKind::Executable;
+  return ArtifactKind::SharedLib;
 }
 
 AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
@@ -83,174 +83,103 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
       opt_(opt),
       tests_(tests),
       covPlan_(std::move(gen.covPlan)),
-      diagPlan_(std::move(gen.diagPlan)),
       collectSignals_(std::move(gen.collectSignals)),
       source_(std::move(gen.source)),
       generateSeconds_(gen.generateSeconds) {
+  geometry_ = planGeometry();
   driver_ = std::make_unique<CompilerDriver>(opt_.workDir);
   driver_->setKeep(opt_.keepGeneratedCode || !opt_.workDir.empty());
   driver_->setCacheEnabled(opt_.compileCache);
 
-  if (opt_.execMode == ExecMode::Dlopen) {
-    // Compile as a shared library and load it in-process. Any failure —
-    // compiler without -shared/-fPIC support, a dlopen error, a library
-    // with the wrong ABI — degrades to the subprocess backend rather than
-    // failing the engine. artifactPlan() decides the kind so an async
-    // pre-compile (TieredEngine) targets the identical cache entry.
-    try {
-      auto compiled =
-          driver_->compile(source_, "model_" + fm_.modelName, opt_.optFlag,
-                           artifactPlan(opt_, nullptr));
-      compileSeconds_ = compiled.seconds;
-      compileCacheHit_ = compiled.cacheHit;
-      artifactKeepAlive_ = compiled.keepAlive;
-      // dlopen a private per-engine copy, never the shared cache entry
-      // directly: the dynamic linker dedups loads by pathname and inode,
-      // so dlopening a cache path that an earlier engine already mapped
-      // would hand back the old library even after the entry was healed
-      // or replaced. The copy lives in this engine's unique work dir and
-      // is cleaned up with it.
-      namespace fs = std::filesystem;
-      fs::path libCopy =
-          fs::path(driver_->dir()) / ("model_" + fm_.modelName + ".load.so");
-      fs::copy_file(compiled.exePath, libCopy,
-                    fs::copy_options::overwrite_existing);
-      lib_ = std::make_unique<ModelLib>(libCopy.string());
-      loadSeconds_ = lib_->loadSeconds();
-      exePath_ = compiled.exePath;
-      execModeUsed_ = ExecMode::Dlopen;
-
-      // Cross-check the library's reported geometry against our plans — a
-      // mismatch means we'd size buffers wrong, so fail closed (and fall
-      // back) instead of trusting it.
-      const AccmosModelInfo& info = lib_->info();
-      uint64_t expectedCov[4] = {0, 0, 0, 0};
-      if (opt_.coverage) {
-        for (int m = 0; m < 4; ++m) {
-          expectedCov[m] = static_cast<uint64_t>(
-              covPlan_.totalSlots(kAllCovMetrics[m]));
-        }
-      }
-      size_t collectValsLen = 0;
-      for (int sid : collectSignals_) {
-        collectValsLen += static_cast<size_t>(fm_.signal(sid).width);
-      }
-      size_t outValsLen = 0;
-      for (int oid : fm_.rootOutports) {
-        outValsLen +=
-            static_cast<size_t>(fm_.signal(fm_.actor(oid).inputs[0]).width);
-      }
-      bool covOk = true;
-      for (int m = 0; m < 4; ++m) covOk &= info.covLen[m] == expectedCov[m];
-      if (!covOk || info.numActors != fm_.actors.size() ||
-          info.numDiagKinds != static_cast<uint64_t>(kNumDiagKinds) ||
-          info.numCustom != opt_.customDiagnostics.size() ||
-          info.numCollect != collectSignals_.size() ||
-          info.collectValsLen != collectValsLen ||
-          info.outValsLen != outValsLen) {
-        throw CompileError("generated model library " + exePath_ +
-                           " reports a geometry that does not match the "
-                           "host's instrumentation plans");
-      }
-      return;
-    } catch (const CompileError&) {
-      lib_.reset();
-      loadSeconds_ = 0.0;
-    } catch (const std::filesystem::filesystem_error&) {
-      lib_.reset();
-      loadSeconds_ = 0.0;
-    }
-  }
-
-  auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                   opt_.optFlag, ArtifactKind::Executable);
-  compileSeconds_ += compiled.seconds;
+  // One artifact for both backends; an async pre-compile of the same
+  // source (TieredEngine) targets the identical cache entry.
+  auto compiled =
+      driver_->compile(source_, "model_" + fm_.modelName, opt_.optFlag);
+  compileSeconds_ = compiled.seconds;
   compileCacheHit_ = compiled.cacheHit;
   artifactKeepAlive_ = compiled.keepAlive;
   exePath_ = compiled.exePath;
-  processExePath_ = compiled.exePath;
-  execModeUsed_ = ExecMode::Process;
-}
+  if (opt_.execMode != ExecMode::Dlopen) return;
 
-const std::string& AccMoSEngine::ensureExecutable() {
-  std::lock_guard<std::mutex> lock(exeMutex_);
-  if (processExePath_.empty()) {
-    // First subprocess fallback of a dlopen-mode engine: the shared
-    // library cannot be exec'd, so build the executable form now. Usually
-    // a cache hit in any campaign that fell back before.
-    auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                     opt_.optFlag, ArtifactKind::Executable);
-    processExePath_ = compiled.exePath;
+  // Load the library in-process. Any failure — a dlopen error, a library
+  // with the wrong ABI or geometry — leaves the engine on the subprocess
+  // backend, which runs the same library in a child process.
+  try {
+    // dlopen a private per-engine copy, never the shared cache entry
+    // directly: the dynamic linker dedups loads by pathname and inode, so
+    // dlopening a cache path that an earlier engine already mapped would
+    // hand back the old library even after the entry was healed or
+    // replaced. The copy lives in this engine's unique work dir and is
+    // cleaned up with it.
+    namespace fs = std::filesystem;
+    fs::path libCopy =
+        fs::path(driver_->dir()) / ("model_" + fm_.modelName + ".load.so");
+    fs::copy_file(exePath_, libCopy, fs::copy_options::overwrite_existing);
+    lib_ = std::make_unique<ModelLib>(libCopy.string());
+    // A geometry other than the plans' means buffers sized wrong: fail
+    // closed instead of trusting the library.
+    if (!sameGeometry(lib_->info(), geometry_)) {
+      throw CompileError("generated model library " + exePath_ +
+                         " reports a geometry that does not match the "
+                         "host's instrumentation plans");
+    }
+    loadSeconds_ = lib_->loadSeconds();
+    execModeUsed_ = ExecMode::Dlopen;
+  } catch (const CompileError&) {
+    lib_.reset();
+  } catch (const std::filesystem::filesystem_error&) {
+    lib_.reset();
   }
-  return processExePath_;
 }
 
-bool AccMoSEngine::libUsable() const {
-  // A pre-v3 library has no cooperative deadline checks: an in-process
-  // hang there would be uninterruptible (no watchdog can kill a thread of
-  // our own process), so deadline-armed runs route around it.
-  return lib_ != nullptr && !quarantined() &&
-         (lib_->supportsDeadlines() || !deadlineArmed());
+AccmosModelInfo AccMoSEngine::planGeometry() const {
+  AccmosModelInfo g;
+  std::memset(&g, 0, sizeof(g));
+  if (opt_.coverage) {
+    for (int m = 0; m < 4; ++m) {
+      g.covLen[m] =
+          static_cast<uint64_t>(covPlan_.totalSlots(kAllCovMetrics[m]));
+    }
+  }
+  g.numActors = fm_.actors.size();
+  g.numDiagKinds = static_cast<uint64_t>(kNumDiagKinds);
+  g.numCustom = opt_.customDiagnostics.size();
+  g.numCollect = collectSignals_.size();
+  for (int sid : collectSignals_) {
+    g.collectValsLen += static_cast<uint64_t>(fm_.signal(sid).width);
+  }
+  for (int oid : fm_.rootOutports) {
+    g.outValsLen +=
+        static_cast<uint64_t>(fm_.signal(fm_.actor(oid).inputs[0]).width);
+  }
+  return g;
 }
 
 AccMoSEngine::~AccMoSEngine() = default;
 
 SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
                                             uint64_t seed) {
-  const AccmosModelInfo& info = lib_->info();
-
-  // Caller-owned buffers, sized once from the library's geometry. All
-  // locals — concurrent run() calls never share state.
-  std::vector<uint8_t> cov[4];
-  std::vector<AccmosDiagRec> diags(
-      static_cast<size_t>(info.numActors * info.numDiagKinds));
-  std::vector<AccmosCustomRec> customs(static_cast<size_t>(info.numCustom));
-  std::vector<uint64_t> collectCounts(static_cast<size_t>(info.numCollect));
-  std::vector<uint64_t> collectVals(static_cast<size_t>(info.collectValsLen));
-  std::vector<uint64_t> outVals(static_cast<size_t>(info.outValsLen));
+  // Caller-owned buffers, sized from the checked geometry. All locals —
+  // concurrent run() calls never share state.
+  RunBuffers buf(geometry_);
 
   AccmosRunArgs args;
   std::memset(&args, 0, sizeof(args));
-  // Stamp the version and struct size the LIBRARY implements, not our
-  // compile-time constants: a v1 library checks args against version 1 and
-  // the 32-byte pre-v3 layout (identical across v1/v2), so the v3
-  // deadline fields must not be counted into structSize for it.
-  args.structSize = lib_->runArgsSize();
-  args.abiVersion = lib_->abiVersion();
+  args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
+  args.abiVersion = ACCMOS_ABI_VERSION;
   args.maxSteps = steps;
   args.timeBudgetSec = budget;
   args.seed = seed;
-  if (lib_->supportsDeadlines()) {
-    args.deadlineSeconds = opt_.runTimeoutSec > 0.0
-                               ? steadyNowSeconds() + opt_.runTimeoutSec
+  args.deadlineSeconds =
+      opt_.runTimeoutSec > 0.0 ? steadyNowSeconds() + opt_.runTimeoutSec
                                : 0.0;
-    args.stepBudget = opt_.stepBudget;
-  }
-
-  AccmosRunResult res;
-  std::memset(&res, 0, sizeof(res));
-  res.structSize = static_cast<uint32_t>(sizeof(AccmosRunResult));
-  res.abiVersion = lib_->abiVersion();
-  for (int m = 0; m < 4; ++m) {
-    cov[m].resize(static_cast<size_t>(info.covLen[m]));
-    res.cov[m] = cov[m].empty() ? nullptr : cov[m].data();
-    res.covLen[m] = info.covLen[m];
-  }
-  res.diags = diags.empty() ? nullptr : diags.data();
-  res.diagCap = diags.size();
-  res.customs = customs.empty() ? nullptr : customs.data();
-  res.customCap = customs.size();
-  res.collectCounts = collectCounts.empty() ? nullptr : collectCounts.data();
-  res.numCollect = collectCounts.size();
-  res.collectVals = collectVals.empty() ? nullptr : collectVals.data();
-  res.collectValsLen = collectVals.size();
-  res.outVals = outVals.empty() ? nullptr : outVals.data();
-  res.outValsLen = outVals.size();
+  args.stepBudget = opt_.stepBudget;
 
   // The guard turns a fatal signal inside the generated code into a typed
   // exception (best effort — see run_guard.h); callers strike the engine
   // toward quarantine and retry on the subprocess backend.
-  GuardedCallResult g = runGuarded([&]() { return lib_->run(args, res); });
+  GuardedCallResult g =
+      runGuarded([&]() { return lib_->run(args, buf.res); });
   if (g.crashed) {
     throw SimCrashError("in-process model run crashed with signal " +
                             std::to_string(g.signal) + " (library " +
@@ -266,34 +195,42 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
                        std::to_string(rc) + " (library " + lib_->path() +
                        ")");
   }
-  SimulationResult result = decodeBinaryResults(
-      res, fm_, opt_.coverage ? &covPlan_ : nullptr,
-      opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
-      opt_.customDiagnostics);
-  result.execMode = std::string(execModeName(ExecMode::Dlopen));
-  return result;
+  return decode(buf.res, ExecMode::Dlopen);
 }
 
 SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
                                              uint64_t seed) {
-  const std::string& exe = ensureExecutable();
-  std::vector<std::string> argv = {std::to_string(steps),
+  std::vector<std::string> argv = {exePath_, std::to_string(steps),
                                    std::to_string(budget),
                                    std::to_string(seed)};
   if (deadlineArmed()) {
     // The deadline crosses the process boundary as a RELATIVE timeout
-    // (monotonic epochs differ between processes); the child computes its
+    // (monotonic epochs differ between processes); the runner computes its
     // own absolute deadline. The driver additionally arms its host-side
     // watchdog with the same timeout as a backstop for genuine hangs.
     argv.push_back(std::to_string(opt_.runTimeoutSec));
     argv.push_back(std::to_string(opt_.stepBudget));
   }
-  std::string output = driver_->run(exe, argv, opt_.runTimeoutSec);
-  SimulationResult result = parseResults(
-      output, fm_, opt_.coverage ? &covPlan_ : nullptr,
-      opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
-      opt_.customDiagnostics);
-  result.execMode = std::string(execModeName(ExecMode::Process));
+  std::string frame;
+  try {
+    frame = driver_->run(ACCMOS_RUN_LIB_PATH, argv, opt_.runTimeoutSec);
+  } catch (const SimCrashError& e) {
+    // The runner's own failures are typed, never a model crash.
+    if (e.exitStatus() == kRunLibExitLoad) throw CompileError(e.what());
+    if (e.exitStatus() == kRunLibExitRun) throw ModelError(e.what());
+    throw;
+  }
+  RunBuffers buf(geometry_);
+  readResultFrame(frame, buf);
+  return decode(buf.res, ExecMode::Process);
+}
+
+SimulationResult AccMoSEngine::decode(const AccmosRunResult& res,
+                                      ExecMode mode) const {
+  SimulationResult result =
+      decodeBinaryResults(res, fm_, opt_.coverage ? &covPlan_ : nullptr,
+                          collectSignals_, opt_.customDiagnostics);
+  result.execMode = std::string(execModeName(mode));
   return result;
 }
 

@@ -2,22 +2,24 @@
 // instrumentation, simulation code synthesis, compilation, execution, and
 // result recovery.
 //
-// Execution has two backends (SimOptions::execMode, docs/EXECUTION.md):
-//   Dlopen  — the generated code is compiled -shared -fPIC, loaded once
-//             with dlopen, and every run() is an in-process accmos_run()
-//             call filling caller-owned binary buffers. Zero subprocess,
-//             zero text parsing on the hot path. Falls back to Process
-//             automatically if the library cannot be built or loaded.
-//   Process — the generated code is compiled to an executable and each
-//             run() forks it, parsing the text result protocol.
-// Both backends produce bit-identical SimulationResults.
+// The generated code is compiled once, -shared -fPIC, and both execution
+// backends (SimOptions::execMode, docs/EXECUTION.md) run that one library:
+//   Dlopen  — loaded once with dlopen; every run() is an in-process
+//             accmos_run() call filling caller-owned binary buffers, with
+//             no subprocess on the hot path. Falls back to Process
+//             automatically if the library cannot be loaded.
+//   Process — every run() spawns the model-independent accmos-run-lib
+//             runner, which loads the library in a child process and
+//             sends the same buffers back as one binary frame.
+// Both backends decode through decodeBinaryResults and produce
+// bit-identical SimulationResults.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 
+#include "codegen/run_abi.h"
 #include "cov/coverage.h"
 #include "diag/diagnosis.h"
 #include "graph/flat_model.h"
@@ -38,7 +40,6 @@ enum class ArtifactKind : uint8_t;
 // without re-emitting.
 struct GeneratedModel {
   CoveragePlan covPlan;
-  DiagnosisPlan diagPlan;
   std::vector<int> collectSignals;
   std::string source;
   double generateSeconds = 0.0;
@@ -63,13 +64,10 @@ class AccMoSEngine {
   static GeneratedModel generate(const FlatModel& fm, const SimOptions& opt,
                                  const TestCaseSpec& tests);
 
-  // The artifact the constructor will ask the compiler for under `opt`.
-  // Exposed so an async pre-compile (TieredEngine) addresses the exact
-  // cache entry the engine construction will then hit; any drift here
-  // would make the hand-over a silent recompile. `extraFlags`, when
-  // non-null, is cleared: there are no extra compiler flags. The
-  // out-parameter stays because the benchmark harness (accbench/) passes
-  // one.
+  // The artifact the constructor asks the compiler for: always the shared
+  // library, with no extra compiler flags (`extraFlags`, when non-null, is
+  // cleared). Inert; it stays because the benchmark harness (accbench/)
+  // calls it.
   static ArtifactKind artifactPlan(const SimOptions& opt,
                                    std::string* extraFlags);
 
@@ -80,8 +78,8 @@ class AccMoSEngine {
 
   // Executes the compiled simulation. maxSteps/timeBudget default to the
   // options used at construction; pass nonzero values to override. The
-  // stimulus seed can be overridden per run — the generated program takes
-  // it as an argument, so one compiled simulator serves a whole campaign.
+  // stimulus seed can be overridden per run — accmos_run takes it as an
+  // argument, so one compiled simulator serves a whole campaign.
   // Thread-safe in both exec modes: concurrent campaign/gen workers share
   // one engine (and, in dlopen mode, one loaded library).
   SimulationResult run(uint64_t maxStepsOverride = 0,
@@ -120,7 +118,8 @@ class AccMoSEngine {
   const std::string& generatedSource() const { return source_; }
   double generateSeconds() const { return generateSeconds_; }
   double compileSeconds() const { return compileSeconds_; }
-  // Wall time spent loading the shared library (0 in process mode).
+  // Wall time spent loading the shared library in-process (0 in process
+  // mode).
   double loadSeconds() const { return loadSeconds_; }
   // True when the compiled simulator came from the content-addressed cache
   // (compileSeconds is then the cache-verification time, near zero).
@@ -137,21 +136,21 @@ class AccMoSEngine {
   SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed);
   SimulationResult runSubprocess(uint64_t steps, double budget,
                                  uint64_t seed);
+  // Both backends' decode of a filled result buffer.
+  SimulationResult decode(const AccmosRunResult& res, ExecMode mode) const;
   // Common result tail: coverage report + generate/compile/load timings.
   void finishResult(SimulationResult& r) const;
+  // The library geometry this engine's plans imply; a loaded library and
+  // every subprocess result frame must report exactly this.
+  AccmosModelInfo planGeometry() const;
 
-  // Subprocess fallback needs an *executable*; in dlopen mode the engine
-  // only compiled a shared library, so the executable is built lazily on
-  // first fallback (and cached — content-addressed — for the next one).
-  const std::string& ensureExecutable();
   void strike() { strikes_.fetch_add(1, std::memory_order_relaxed); }
   // True when this engine's options ask for deadline enforcement.
   bool deadlineArmed() const {
     return opt_.runTimeoutSec > 0.0 || opt_.stepBudget > 0;
   }
-  // Whether a run may use the loaded library right now (not quarantined,
-  // and the library can honour a requested deadline cooperatively).
-  bool libUsable() const;
+  // Whether a run may use the loaded library right now.
+  bool libUsable() const { return lib_ != nullptr && !quarantined(); }
   SimulationResult failedResult(FailureKind kind, uint64_t seed, int signal,
                                 int retries, const char* backend,
                                 std::string message) const;
@@ -160,10 +159,10 @@ class AccMoSEngine {
   SimOptions opt_;
   TestCaseSpec tests_;
   CoveragePlan covPlan_;
-  DiagnosisPlan diagPlan_;
   std::vector<int> collectSignals_;
   std::string source_;
-  std::string exePath_;
+  std::string exePath_;  // the compiled library both backends run
+  AccmosModelInfo geometry_;
   double generateSeconds_ = 0.0;
   double compileSeconds_ = 0.0;
   double loadSeconds_ = 0.0;
@@ -175,12 +174,6 @@ class AccMoSEngine {
   // lifetime when the binary could not be published to the cache
   // (CompileOutput::keepAlive).
   std::shared_ptr<void> artifactKeepAlive_;
-
-  // Lazily-built executable for the subprocess fallback (see
-  // ensureExecutable); equals exePath_ when the engine started in Process
-  // mode. Guarded by exeMutex_ — campaign workers share the engine.
-  std::string processExePath_;
-  std::mutex exeMutex_;
   std::atomic<int> strikes_{0};
 };
 

@@ -71,7 +71,7 @@ std::string hex16(uint64_t v) {
   return buf;
 }
 
-// Extra flags for ArtifactKind::SharedLib; part of the cache identity.
+// Every artifact is a shared library; part of the cache identity.
 constexpr const char* kSharedLibFlags = "-shared -fPIC";
 
 bool cacheDisabledByEnv() {
@@ -91,8 +91,7 @@ struct CacheEntry {
   fs::path meta;
 };
 
-CacheEntry cachePaths(uint64_t key) {
-  fs::path dir(CompilerDriver::cacheDir());
+CacheEntry cachePaths(const fs::path& dir, uint64_t key) {
   return {dir / (hex16(key) + ".bin"), dir / (hex16(key) + ".meta")};
 }
 
@@ -149,9 +148,8 @@ void sweepStaleTemps(const fs::path& dir) {
 // process (campaign workers compiling different shapes) can never race on
 // the same temp name. Best effort: any filesystem error leaves the cache
 // unused, not the build broken.
-bool storeEntry(uint64_t key, const fs::path& exePath) {
+bool storeEntry(const CacheEntry& e, const fs::path& exePath) {
   try {
-    CacheEntry e = cachePaths(key);
     fs::create_directories(e.bin.parent_path());
     sweepStaleTemps(e.bin.parent_path());
     std::string tag = "." + std::to_string(::getpid()) + "." +
@@ -196,8 +194,8 @@ class CacheKeyLock {
  public:
   ~CacheKeyLock() { release(); }
 
-  bool tryAcquire(uint64_t key) {
-    path_ = cachePaths(key).bin;
+  bool tryAcquire(const CacheEntry& e) {
+    path_ = e.bin;
     path_ += ".lock";
     std::error_code ec;
     fs::create_directories(path_.parent_path(), ec);
@@ -247,13 +245,19 @@ class CacheKeyLock {
 
 // One fully-specified compilation, independent of any CompilerDriver
 // instance: jobs capture these by value so they can outlive their creator
-// (the driver may be destroyed while a pool worker compiles).
+// (the driver may be destroyed while a pool worker compiles). Everything
+// the environment decides — compiler, cache and temp directories, fault
+// plan — is captured here at call time, so pool workers never read the
+// environment while a caller may be changing it.
 struct CompileParams {
   std::string source;
   std::string name;
   std::string optFlag;
   std::string extraFlags;
-  ArtifactKind kind = ArtifactKind::Executable;
+  std::string compiler;
+  fs::path cacheDir;
+  fs::path tempDir;
+  FaultPlan faults;
   double timeoutSec = 0.0;
   bool publish = false;  // cache usable: publish + single-flight by key
   uint64_t key = 0;
@@ -261,9 +265,9 @@ struct CompileParams {
 
 // Re-verifies and returns the cache entry for `key`, or nullopt on a miss
 // (dropping any stale in-process index entry).
-std::optional<CompileOutput> tryCacheHit(uint64_t key) {
+std::optional<CompileOutput> tryCacheHit(const fs::path& dir, uint64_t key) {
   auto t0 = std::chrono::steady_clock::now();
-  CacheEntry e = cachePaths(key);
+  CacheEntry e = cachePaths(dir, key);
   if (!verifyEntry(e)) {
     std::lock_guard<std::mutex> lock(g_cacheMutex);
     g_cacheIndex.erase(key);
@@ -288,10 +292,9 @@ std::optional<CompileOutput> tryCacheHit(uint64_t key) {
 // ends, so fault injection, retries and crash-safe publication behave
 // identically either way.
 CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
-  const bool shared = p.kind == ArtifactKind::SharedLib;
   CompileOutput out;
   fs::path src = fs::path(dirStr) / (p.name + ".cpp");
-  fs::path exe = fs::path(dirStr) / (shared ? p.name + ".so" : p.name);
+  fs::path exe = fs::path(dirStr) / (p.name + ".so");
   fs::path log = fs::path(dirStr) / (p.name + ".log");
   {
     std::ofstream f(src);
@@ -302,8 +305,9 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
 
   // Another process may have published this key since our caller's cache
   // probe; claiming the hit here saves the compile.
+  const CacheEntry entry = cachePaths(p.cacheDir, p.key);
   if (p.publish) {
-    if (auto hit = tryCacheHit(p.key)) {
+    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
       hit->sourcePath = out.sourcePath;
       return *hit;
     }
@@ -319,17 +323,17 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
         std::max(60.0, p.timeoutSec > 0.0 ? p.timeoutSec * 2.0 : 600.0);
     const auto waitStart = std::chrono::steady_clock::now();
     for (;;) {
-      if (claim.tryAcquire(p.key)) {
+      if (claim.tryAcquire(entry)) {
         // The previous holder may have published between our probe above
         // and this acquire; one more probe avoids a duplicate compile.
-        if (auto hit = tryCacheHit(p.key)) {
+        if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
           hit->sourcePath = out.sourcePath;
           return *hit;
         }
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      if (auto hit = tryCacheHit(p.key)) {
+      if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
         hit->sourcePath = out.sourcePath;
         return *hit;
       }
@@ -342,8 +346,8 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
   }
 
   std::ostringstream cmd;
-  cmd << CompilerDriver::compilerPath() << " -std=c++17 " << p.optFlag;
-  if (shared) cmd << " " << kSharedLibFlags;
+  cmd << p.compiler << " -std=c++17 " << p.optFlag << " "
+      << kSharedLibFlags;
   if (!p.extraFlags.empty()) cmd << " " << p.extraFlags;
   cmd << " -o " << shellQuote(exe.string()) << " " << shellQuote(src.string());
 
@@ -356,7 +360,7 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
   limits.cpuSeconds = p.timeoutSec > 0.0 ? p.timeoutSec * 2.0 : 0.0;
   limits.fileSizeBytes = 4ull << 30;
 
-  const FaultPlan faults = faultPlanFromEnv();
+  const FaultPlan& faults = p.faults;
   constexpr int kMaxAttempts = 3;
   out.invocation = g_invocations.fetch_add(1) + 1;
   auto t0 = std::chrono::steady_clock::now();
@@ -404,7 +408,7 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
                    (attempt == 1 ? "y" : "ies");
       }
       throw CompileError("compilation of generated simulation code failed: " +
-                         CompilerDriver::compilerPath() + " " + failure +
+                         p.compiler + " " + failure +
                          "\ncompiler output:\n" + r.output);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(25 << attempt));
@@ -419,11 +423,10 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
     f << r.output;
   }
   out.exePath = exe.string();
-  if (p.publish && storeEntry(p.key, exe)) {
-    CacheEntry e = cachePaths(p.key);
-    out.exePath = e.bin.string();
+  if (p.publish && storeEntry(entry, exe)) {
+    out.exePath = entry.bin.string();
     std::lock_guard<std::mutex> lock(g_cacheMutex);
-    g_cacheIndex[p.key] = e.bin.string();
+    g_cacheIndex[p.key] = entry.bin.string();
   }
   return out;
 }
@@ -433,8 +436,8 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
 // possibly a CompileOutput::keepAlive — goes away.
 struct JobWorkspace {
   std::string dir;
-  JobWorkspace() {
-    fs::path base = fs::temp_directory_path() /
+  explicit JobWorkspace(const fs::path& tempDir) {
+    fs::path base = tempDir /
                     ("accmos_async_" + std::to_string(::getpid()) + "_" +
                      std::to_string(g_dirCounter.fetch_add(1)));
     fs::create_directories(base);
@@ -512,7 +515,7 @@ bool runJobIfUnclaimed(const std::shared_ptr<CompileJob>& job,
     std::shared_ptr<JobWorkspace> ws;
     std::string dir = dirHint;
     if (dir.empty()) {
-      ws = std::make_shared<JobWorkspace>();
+      ws = std::make_shared<JobWorkspace>(job->params.tempDir);
       dir = ws->dir;
     }
     CompileOutput out = compileNow(job->params, dir);
@@ -695,14 +698,11 @@ double CompilerDriver::defaultCompileTimeout() {
 
 uint64_t CompilerDriver::cacheKey(const std::string& source,
                                   const std::string& optFlag,
-                                  ArtifactKind kind,
                                   const std::string& extraFlags) {
   uint64_t h = fnv1a64(compilerPath());
   h = fnv1a64(std::string(" -std=c++17 "), h);
   h = fnv1a64(optFlag, h);
-  if (kind == ArtifactKind::SharedLib) {
-    h = fnv1a64(std::string(kSharedLibFlags), h);
-  }
+  h = fnv1a64(std::string(kSharedLibFlags), h);
   if (!extraFlags.empty()) {
     h = fnv1a64(std::string("\x1f"), h);  // separator: flag fields
     h = fnv1a64(extraFlags, h);
@@ -725,19 +725,38 @@ int CompilerDriver::compilePoolSize() {
   return 2;
 }
 
-CompileOutput CompilerDriver::compile(const std::string& source,
-                                      const std::string& name,
-                                      const std::string& optFlag,
-                                      ArtifactKind kind,
-                                      const std::string& extraFlags) {
+namespace {
+
+// Captures one compile request, environment included, on the caller's
+// thread (see CompileParams).
+CompileParams makeParams(const std::string& source, const std::string& name,
+                         const std::string& optFlag,
+                         const std::string& extraFlags, double timeoutSec,
+                         bool cacheEnabled) {
   CompileParams p;
   p.source = source;
   p.name = name;
   p.optFlag = optFlag;
   p.extraFlags = extraFlags;
-  p.kind = kind;
-  p.timeoutSec = compileTimeoutSec_;
-  p.publish = cacheEnabled_ && !cacheDisabledByEnv();
+  p.compiler = CompilerDriver::compilerPath();
+  p.cacheDir = CompilerDriver::cacheDir();
+  p.tempDir = fs::temp_directory_path();
+  p.faults = faultPlanFromEnv();
+  p.timeoutSec = timeoutSec;
+  p.publish = cacheEnabled && !cacheDisabledByEnv();
+  if (p.publish) p.key = CompilerDriver::cacheKey(source, optFlag, extraFlags);
+  return p;
+}
+
+}  // namespace
+
+CompileOutput CompilerDriver::compile(const std::string& source,
+                                      const std::string& name,
+                                      const std::string& optFlag,
+                                      ArtifactKind /*kind: SharedLib*/,
+                                      const std::string& extraFlags) {
+  CompileParams p = makeParams(source, name, optFlag, extraFlags,
+                               compileTimeoutSec_, cacheEnabled_);
 
   // The caller's source copy always lands in this driver's directory (the
   // keepGeneratedCode contract), whichever thread ends up compiling.
@@ -755,8 +774,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     return out;
   }
 
-  p.key = cacheKey(source, optFlag, kind, extraFlags);
-  if (auto hit = tryCacheHit(p.key)) {
+  if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
     hit->sourcePath = src.string();
     return *hit;
   }
@@ -784,7 +802,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
   // it in its own directory and publication failed — would hand us a path
   // whose lifetime we don't control; rebuild locally instead.
   bool local = out.exePath.rfind(dir_, 0) == 0;
-  bool cached = out.exePath.rfind(cacheDir(), 0) == 0;
+  bool cached = out.exePath.rfind(p.cacheDir.string(), 0) == 0;
   if (!local && !cached && !out.keepAlive) {
     out = compileNow(p, dir_);
     out.sourcePath = src.string();
@@ -795,20 +813,11 @@ CompileOutput CompilerDriver::compile(const std::string& source,
 CompileHandle CompilerDriver::compileAsync(const std::string& source,
                                            const std::string& name,
                                            const std::string& optFlag,
-                                           ArtifactKind kind,
                                            const std::string& extraFlags) {
-  CompileParams p;
-  p.source = source;
-  p.name = name;
-  p.optFlag = optFlag;
-  p.extraFlags = extraFlags;
-  p.kind = kind;
-  p.timeoutSec = compileTimeoutSec_;
-  p.publish = cacheEnabled_ && !cacheDisabledByEnv();
-
+  CompileParams p = makeParams(source, name, optFlag, extraFlags,
+                               compileTimeoutSec_, cacheEnabled_);
   if (p.publish) {
-    p.key = cacheKey(source, optFlag, kind, extraFlags);
-    if (auto hit = tryCacheHit(p.key)) {
+    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
       // Warm model: the handle is ready before the caller's first poll.
       return CompileHandle(makeReadyJob(std::move(*hit)));
     }
@@ -833,35 +842,35 @@ std::string CompilerDriver::run(const std::string& exePath,
   argv.push_back(exePath);
   for (const auto& a : args) argv.push_back(a);
 
-  // The generated program normally retires itself cooperatively before
-  // its deadline; the watchdog is the backstop for a genuine hang, so it
-  // fires a little later than the cooperative deadline would.
+  // The model normally retires itself cooperatively before its deadline;
+  // the watchdog is the backstop for a genuine hang, so it fires a little
+  // later than the cooperative deadline would.
   SpawnLimits limits;
   limits.timeoutSec = timeoutSec > 0.0 ? timeoutSec * 1.5 + 1.0 : 0.0;
   limits.cpuSeconds = timeoutSec > 0.0 ? timeoutSec * 2.0 + 5.0 : 0.0;
   limits.fileSizeBytes = 1ull << 30;
 
-  SpawnResult r = spawnAndCapture(argv, limits);
+  SpawnResult r = spawnAndCapture(argv, limits, /*mergeStderr=*/false);
+  std::string what = "simulation process";
+  for (const auto& a : argv) what += " " + a;
   if (r.launchFailed) {
-    throw CompileError(
-        std::string("failed to launch generated simulation binary: ") +
-        std::strerror(r.launchErrno));
+    throw CompileError("failed to launch " + what + ": " +
+                       std::strerror(r.launchErrno));
   }
   if (r.timedOut) {
-    throw SimTimeoutError("generated simulation binary exceeded the " +
+    throw SimTimeoutError(what + " exceeded the " +
                           std::to_string(limits.timeoutSec) +
                           "s watchdog deadline; its process group was killed");
   }
   if (WIFSIGNALED(r.status)) {
-    throw SimCrashError("generated simulation binary " +
-                            describeWaitStatus(r.status) + "\n" + r.output,
+    throw SimCrashError(what + " " + describeWaitStatus(r.status) + "\n" +
+                            r.errors,
                         WTERMSIG(r.status));
   }
   std::string failure = describeWaitStatus(r.status);
   if (!failure.empty()) {
-    throw SimCrashError("generated simulation binary " + failure + "\n" +
-                            r.output,
-                        0);
+    throw SimCrashError(what + " " + failure + "\n" + r.errors, 0,
+                        WEXITSTATUS(r.status));
   }
   return r.output;
 }

@@ -1,6 +1,7 @@
 // Compile-and-execute step of the AccMoS pipeline: writes the generated
-// source, invokes the host C++ compiler (the paper uses GCC -O3), and runs
-// the resulting simulation binary capturing its result protocol.
+// source, invokes the host C++ compiler (the paper uses GCC -O3) to build
+// the model's shared library, and runs simulation processes under a
+// watchdog for the subprocess backend.
 //
 // Compilation is fronted by a content-addressed cache: the key is a hash of
 // (compiler, common flags, optimization level, generated source), and
@@ -39,14 +40,14 @@ class CompileCancelled : public CompileError {
   explicit CompileCancelled(const std::string& what) : CompileError(what) {}
 };
 
-// What the driver produces from the generated source. An Executable is run
-// as a subprocess via run(); a SharedLib is built -shared -fPIC for the
-// in-process dlopen backend. The two enter the compile cache under distinct
-// keys — identical source compiled both ways must never collide.
-enum class ArtifactKind : uint8_t { Executable, SharedLib };
+// What the driver produces from the generated source: always a shared
+// library built -shared -fPIC, which the dlopen backend loads in-process
+// and the subprocess backend's runner loads in a child. The enum stays
+// because the benchmark harness (accbench/) names it.
+enum class ArtifactKind : uint8_t { SharedLib };
 
 struct CompileOutput {
-  std::string exePath;  // executable or shared library, per ArtifactKind
+  std::string exePath;  // the compiled shared library
   std::string sourcePath;
   double seconds = 0.0;
   bool cacheHit = false;  // binary came from the content-addressed cache
@@ -112,15 +113,15 @@ class CompilerDriver {
   CompilerDriver(const CompilerDriver&) = delete;
   CompilerDriver& operator=(const CompilerDriver&) = delete;
 
-  // Writes `source` to <dir>/<name>.cpp and compiles it — or, when the
-  // cache holds a verified binary for the same (compiler, flags, source),
-  // returns that binary with cacheHit set and near-zero seconds.
-  // `extraFlags` are appended verbatim to the compile command and are part
-  // of the cache identity — same source, different defines, distinct
-  // entries.
+  // Writes `source` to <dir>/<name>.cpp and compiles it to a shared
+  // library — or, when the cache holds a verified binary for the same
+  // (compiler, flags, source), returns that binary with cacheHit set and
+  // near-zero seconds. `extraFlags` are appended verbatim to the compile
+  // command and are part of the cache identity — same source, different
+  // defines, distinct entries.
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
-                        ArtifactKind kind = ArtifactKind::Executable,
+                        ArtifactKind kind = ArtifactKind::SharedLib,
                         const std::string& extraFlags = "");
 
   // Starts the same compilation on the background compile pool and returns
@@ -130,7 +131,8 @@ class CompilerDriver {
   // N engines racing on one cold model enqueue exactly one compile, and all
   // handles resolve to the producer's output. The job compiles in its own
   // temporary workspace and publishes through the usual crash-safe cache
-  // path; it captures this driver's timeout/cache settings at call time and
+  // path; it captures this driver's timeout/cache settings and the
+  // environment (compiler, cache directory, fault plan) at call time and
   // does not reference the driver afterwards — destroying the driver while
   // the job runs is safe. With the cache unusable (setCacheEnabled(false)
   // or ACCMOS_CACHE_DISABLE) the compile still runs on the pool but cannot
@@ -142,15 +144,15 @@ class CompilerDriver {
   CompileHandle compileAsync(const std::string& source,
                              const std::string& name,
                              const std::string& optFlag,
-                             ArtifactKind kind = ArtifactKind::Executable,
                              const std::string& extraFlags = "");
 
-  // Runs the binary with the given argv, returning captured output
-  // (stdout+stderr). timeoutSec > 0 arms the host-side watchdog: on
-  // expiry the child's process group is SIGKILLed and SimTimeoutError is
-  // thrown. Death by signal throws SimCrashError (carrying the signal),
-  // a nonzero exit throws SimCrashError with signal 0, and a launch
-  // failure throws CompileError — the same taxonomy campaigns record.
+  // Runs the program with the given argv, returning its captured stdout;
+  // stderr goes into the failure messages. timeoutSec > 0 arms the
+  // host-side watchdog: on expiry the child's process group is SIGKILLed
+  // and SimTimeoutError is thrown. Death by signal throws SimCrashError
+  // (carrying the signal), a nonzero exit throws SimCrashError with signal
+  // 0 and the exit status, and a launch failure throws CompileError — the
+  // same taxonomy campaigns record.
   std::string run(const std::string& exePath,
                   const std::vector<std::string>& args,
                   double timeoutSec = 0.0) const;
@@ -171,16 +173,13 @@ class CompilerDriver {
   static std::string compilerPath();
   // Resolved cache directory: $ACCMOS_CACHE_DIR, else <tmp>/accmos-cache.
   static std::string cacheDir();
-  // Content-address of a compilation: stable across processes. The artifact
-  // kind (and its -shared -fPIC flags) is part of the address, so an
-  // executable and a shared library of the same source get distinct keys.
-  // Extra flags are part of the address for the same reason: a source
-  // compiled with an extra -D define produces a different binary than the
-  // flagless compile of the identical source, and neither may be served
-  // in place of the other.
+  // Content-address of a compilation: stable across processes. The
+  // compiler, the flags and the source are the address. Extra flags are
+  // part of it because a source compiled with an extra -D define produces
+  // a different binary than the flagless compile of the identical source,
+  // and neither may be served in place of the other.
   static uint64_t cacheKey(const std::string& source,
                            const std::string& optFlag,
-                           ArtifactKind kind = ArtifactKind::Executable,
                            const std::string& extraFlags = "");
 
   // Default compile watchdog: $ACCMOS_COMPILE_TIMEOUT seconds, else 300

@@ -1,7 +1,6 @@
 #include "codegen/emitter.h"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "actors/common.h"
 #include "codegen/runtime_preamble.h"
@@ -13,22 +12,12 @@ namespace {
 std::string cpp(DataType t) { return std::string(dataTypeCpp(t)); }
 
 // Packs one element for the binary result ABI: float-typed signals cross
-// the boundary as IEEE-754 double bits, integer-typed ones as
-// two's-complement int64 — pre-widened exactly like the text protocol, so
-// the binary decoder reproduces the text parser bit for bit.
+// the boundary as IEEE-754 double bits, integer-typed ones pre-widened to
+// two's-complement int64.
 std::string packExpr(DataType t, const std::string& elem) {
   if (isFloatType(t)) return "accmos_pack_f((double)" + elem + ")";
   if (t == DataType::U64) return "(uint64_t)" + elem;
   return "(uint64_t)(int64_t)" + elem;
-}
-
-// printf conversion for one element of a signal of type t.
-std::string printfFor(DataType t, const std::string& elem) {
-  if (isFloatType(t)) return "printf(\" %.17g\", (double)" + elem + ");";
-  if (t == DataType::U64) {
-    return "printf(\" %llu\", (unsigned long long)" + elem + ");";
-  }
-  return "printf(\" %lld\", (long long)" + elem + ");";
 }
 
 // Reads one element widened to double (u64 goes through unsigned).
@@ -559,9 +548,6 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  info->numCollect = " << collectSignals_.size() << "ULL;\n"
      << "  info->collectValsLen = " << g.collectValsLen << "ULL;\n"
      << "  info->outValsLen = " << g.outValsLen << "ULL;\n"
-     << "#if ACCMOS_ABI_VERSION >= 2u\n"
-     << "  info->batchLanes = 0ULL;\n"
-     << "#endif\n"
      << "  return ACCMOS_ABI_OK;\n"
      << "}\n\n";
 
@@ -575,21 +561,16 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "      res->abiVersion != ACCMOS_ABI_VERSION) "
         "return ACCMOS_ABI_EVERSION;\n";
   emitResultChecks(os);
-  os << "  double deadline = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "#if ACCMOS_ABI_VERSION >= 3u\n"
-     << "  deadline = args->deadlineSeconds;\n"
-     << "  stepBudget = args->stepBudget;\n"
-     << "#endif\n"
-     << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
+  os << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
      << "  if (!M) return ACCMOS_ABI_EALLOC;\n"
      << "  int stopped = 0;\n"
      << "  unsigned long long ns = 0;\n"
      << "  int timedOut = 0;\n"
      << "  res->stepsExecuted = M->accmos_sim_run(args->maxSteps, "
         "args->timeBudgetSec,\n"
-     << "                                         args->seed, deadline, "
-        "stepBudget,\n"
+     << "                                         args->seed, "
+        "args->deadlineSeconds,\n"
+     << "                                         args->stepBudget,\n"
      << "                                         &stopped, &ns, "
         "&timedOut);\n"
      << "  res->stoppedEarly = (uint32_t)stopped;\n"
@@ -599,97 +580,6 @@ void Emitter::emitAbi(std::ostringstream& os) {
   os << "  delete M;\n"
      << "  return timedOut ? ACCMOS_ABI_ETIMEOUT : ACCMOS_ABI_OK;\n"
      << "}\n\n";
-}
-
-void Emitter::emitMain(std::ostringstream& os) {
-  os << "int main(int argc, char* argv[]) {\n"
-     << "  uint64_t maxSteps = " << opt_.maxSteps << "ULL;\n"
-     << "  double budget = " << fmtD(opt_.timeBudgetSec) << ";\n"
-     << "  uint64_t seed = " << tests_.seed << "ULL;\n"
-     << "  double timeoutSec = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "  if (argc > 1) maxSteps = strtoull(argv[1], 0, 10);\n"
-     << "  if (argc > 2) budget = atof(argv[2]);\n"
-     << "  if (argc > 3) seed = strtoull(argv[3], 0, 10);\n"
-     << "  if (argc > 4) timeoutSec = atof(argv[4]);\n"
-     << "  if (argc > 5) stepBudget = strtoull(argv[5], 0, 10);\n"
-     << "  // The deadline crosses the process boundary as a RELATIVE\n"
-     << "  // timeout (monotonic epochs differ between processes in\n"
-     << "  // principle) and becomes absolute against our own clock here.\n"
-     << "  double deadline = timeoutSec > 0.0 ? accmos_now_s() + timeoutSec "
-        ": 0.0;\n"
-     << "  accmos_model* Mp = new accmos_model();\n"
-     << "  accmos_model& M = *Mp;\n"
-     << "  int stoppedEarly = 0;\n"
-     << "  unsigned long long ns = 0;\n"
-     << "  int timedOut = 0;\n"
-     << "  uint64_t step = M.accmos_sim_run(maxSteps, budget, seed, "
-        "deadline,\n"
-     << "                                   stepBudget, &stoppedEarly, &ns, "
-        "&timedOut);\n"
-     << "  // ---- result protocol ----\n"
-     << "  printf(\"ACCMOS_RESULT_BEGIN\\n\");\n"
-     << "  printf(\"STEPS %llu\\n\", (unsigned long long)step);\n"
-     << "  printf(\"STOPPED_EARLY %d\\n\", stoppedEarly);\n"
-     << "  printf(\"TIMED_OUT %d\\n\", timedOut);\n"
-     << "  printf(\"EXEC_NS %llu\\n\", ns);\n";
-  if (covPlan_ != nullptr) {
-    struct MapInfo {
-      const char* name;
-      const char* arr;
-      int total;
-    };
-    const MapInfo maps[] = {
-        {"actor", "accmos_cov_actor", covPlan_->totalSlots(CovMetric::Actor)},
-        {"condition", "accmos_cov_cond",
-         covPlan_->totalSlots(CovMetric::Condition)},
-        {"decision", "accmos_cov_dec",
-         covPlan_->totalSlots(CovMetric::Decision)},
-        {"mcdc", "accmos_cov_mcdc", covPlan_->totalSlots(CovMetric::MCDC)},
-    };
-    for (const auto& m : maps) {
-      os << "  printf(\"COVMAP " << m.name << " \");\n"
-         << "  for (int i = 0; i < " << m.total << "; ++i) putchar(M."
-         << m.arr << "[i] ? '1' : '0');\n"
-         << "  putchar('\\n');\n";
-    }
-  }
-  if (diagPlan_ != nullptr) {
-    os << "  for (int a = 0; a < " << fm_.actors.size() << "; ++a)\n"
-       << "    for (int k = 0; k < " << kNumDiagKinds << "; ++k) {\n"
-       << "      uint64_t c = M.accmos_diag_count[a * " << kNumDiagKinds
-       << " + k];\n"
-       << "      if (c) printf(\"DIAG %d %d %llu %llu\\n\", a, k,\n"
-       << "                    (unsigned long long)M.accmos_diag_first[a * "
-       << kNumDiagKinds << " + k], (unsigned long long)c);\n"
-       << "    }\n";
-  }
-  for (size_t k = 0; k < opt_.customDiagnostics.size(); ++k) {
-    os << "  if (M.cd_count_" << k << ") printf(\"CUSTOM " << k
-       << " %llu %llu\\n\", (unsigned long long)M.cd_first_" << k
-       << ", (unsigned long long)M.cd_count_" << k << ");\n";
-  }
-  for (size_t k = 0; k < collectSignals_.size(); ++k) {
-    const SignalInfo& sig = fm_.signal(collectSignals_[k]);
-    os << "  printf(\"COLLECT " << k << " %llu " << sig.width
-       << "\", (unsigned long long)M.colcnt" << k << ");\n"
-       << "  for (int i = 0; i < " << sig.width << "; ++i) "
-       << printfFor(sig.type, "M.col" + std::to_string(k) + "[i]") << "\n"
-       << "  putchar('\\n');\n";
-  }
-  for (size_t k = 0; k < fm_.rootOutports.size(); ++k) {
-    const FlatActor& fa = fm_.actor(fm_.rootOutports[k]);
-    const SignalInfo& sig = fm_.signal(fa.inputs[0]);
-    os << "  printf(\"OUT " << k << " " << sig.width << "\");\n"
-       << "  for (int i = 0; i < " << sig.width << "; ++i) "
-       << printfFor(sig.type, "M.s" + std::to_string(fa.inputs[0]) + "[i]")
-       << "\n"
-       << "  putchar('\\n');\n";
-  }
-  os << "  printf(\"ACCMOS_RESULT_END\\n\");\n"
-     << "  delete Mp;\n"
-     << "  return 0;\n"
-     << "}\n";
 }
 
 std::string Emitter::generate() {
@@ -738,19 +628,11 @@ std::string Emitter::generate() {
   // Pass 2: compose the program (paper Fig. 5). All mutable state and the
   // model functions sit inside `struct accmos_model`: unqualified member
   // references keep the emitted actor code textually identical to the old
-  // file-scope form, while `new accmos_model()` gives every run — the
-  // standalone main() or a concurrent accmos_run() ABI call — a private
-  // zero-initialized state instance.
+  // file-scope form, while `new accmos_model()` gives every accmos_run()
+  // ABI call — concurrent ones included — a private zero-initialized state
+  // instance.
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
-  // Test hook: ACCMOS_EMIT_ABI_V1 produces a bona fide ABI-version-1
-  // library (88-byte info struct) by flipping the version switch inside
-  // the embedded run_abi.h text — the fallback tests use it to prove a v3
-  // host degrades cleanly on old artifacts.
-  const char* v1 = std::getenv("ACCMOS_EMIT_ABI_V1");
-  if (v1 != nullptr && v1[0] != '\0' && std::string(v1) != "0") {
-    os << "#define ACCMOS_RUN_ABI_FORCE_V1 1\n";
-  }
   os << runtimePreamble();
   os << runAbiText();
   emitConstTables(os);
@@ -771,7 +653,6 @@ std::string Emitter::generate() {
   os << "};\n"
      << "}  // namespace\n\n";
   emitAbi(os);
-  emitMain(os);
   return os.str();
 }
 

@@ -68,8 +68,8 @@ class Emitter : public EmitSink {
   // Generated-program sections. All mutable simulation state lives in one
   // `struct accmos_model`; emitDeclarations/emitDiagFn/emitFillInputs/
   // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
-  // run — the standalone main() or an accmos_run() call through the shared
-  // library ABI — executes against a private, zero-initialized instance.
+  // accmos_run() call through the shared-library ABI executes against a
+  // private, zero-initialized instance.
   void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
@@ -78,7 +78,6 @@ class Emitter : public EmitSink {
   void emitModelExe(std::ostringstream& os);
   void emitSimLoop(std::ostringstream& os);
   void emitAbi(std::ostringstream& os);
-  void emitMain(std::ostringstream& os);
 
   // accmos_run's buffer validation of `res`, and the copy of the finished
   // run's observations from state instance `M` into it.

@@ -134,13 +134,9 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
 FaultPlan faultPlanFromEnv() {
   FaultPlan plan;
   if (const char* v = std::getenv("ACCMOS_FAULT"); v != nullptr && *v) {
+    plan.spec = v;
     for (const std::string& d : splitList(v, ";,")) parseDirective(d, plan);
   }
-  // Legacy hook, kept as an alias so pre-existing tests and workflows
-  // keep working unchanged.
-  if (const char* v = std::getenv("ACCMOS_DLOPEN_FAIL");
-      v != nullptr && *v && std::string(v) != "0")
-    plan.dlopenFail = true;
   return plan;
 }
 
@@ -152,11 +148,9 @@ bool consumeCompileFault(const FaultPlan& plan) {
   static std::mutex mu;
   static std::string armedFor;
   static bool used = false;
-  const char* env = std::getenv("ACCMOS_FAULT");
-  std::string cur = env ? env : "";
   std::lock_guard<std::mutex> lock(mu);
-  if (cur != armedFor) {
-    armedFor = cur;
+  if (plan.spec != armedFor) {
+    armedFor = plan.spec;
     used = false;
   }
   if (used) return false;

@@ -1,8 +1,8 @@
 // Deterministic fault injection: one env-driven facility (ACCMOS_FAULT)
 // that lets CI and tests exercise every containment path byte-for-byte —
 // hangs and crashes planted in the GENERATED step loop, compiler
-// failures staged in CompilerDriver, and the legacy dlopen degradation
-// hook — without patching source or depending on luck.
+// failures staged in CompilerDriver, and a failing in-process library
+// load — without patching source or depending on luck.
 //
 // Grammar (directives separated by ';' or ','):
 //
@@ -15,7 +15,9 @@
 //                             subprocess watchdog). Optional seed filter.
 //   crash[@STEP][:seed=S]     generated run raises SIGSEGV at STEP —
 //                             caught by the in-process signal guard, a
-//                             real signal death in a subprocess.
+//                             real signal death in the subprocess runner.
+//                             Both are compiled into the model library,
+//                             so they fire on either backend.
 //   compile-fail[:once][:sig=N][:exit=N]
 //                             compiler invocation dies. Default/sig=N: by
 //                             signal N (default SIGKILL — a transient
@@ -25,16 +27,19 @@
 //                             invocation after the env value changes.
 //   slow-compile:MS           compiler invocation sleeps MS milliseconds
 //                             first (exercises the compile watchdog).
-//   dlopen-fail               alias of the ACCMOS_DLOPEN_FAIL hook.
+//   dlopen-fail               the host's in-process library load fails,
+//                             so the engine falls back to the subprocess
+//                             backend. The runner itself ignores
+//                             ACCMOS_FAULT and loads the library normally.
 //
-// The legacy single-purpose env var keeps working; faultPlanFromEnv()
-// folds it in. hang/crash change the emitted source text, so they
-// re-key the compile cache automatically — a faulted build can never be
-// served to (or poison) a fault-free run.
+// hang/crash change the emitted source text, so they re-key the compile
+// cache automatically — a faulted build can never be served to (or
+// poison) a fault-free run.
 #ifndef ACCMOS_CODEGEN_FAULT_H_
 #define ACCMOS_CODEGEN_FAULT_H_
 
 #include <cstdint>
+#include <string>
 
 namespace accmos {
 
@@ -59,6 +64,9 @@ struct FaultPlan {
 
   bool dlopenFail = false;
 
+  // The ACCMOS_FAULT value this plan was parsed from (the :once key).
+  std::string spec;
+
   bool any() const {
     return hang.armed || crash.armed || compileFail || slowCompileMs > 0 ||
            dlopenFail;
@@ -67,16 +75,16 @@ struct FaultPlan {
   bool affectsEmit() const { return hang.armed || crash.armed; }
 };
 
-// Parses ACCMOS_FAULT (plus the legacy ACCMOS_DLOPEN_FAIL variable) on
-// every call, so tests can flip the env between runs. Malformed
-// directives throw ModelError — a typo'd fault spec silently injecting
-// nothing would make CI vacuously green.
+// Parses ACCMOS_FAULT on every call, so tests can flip the env between
+// runs. Malformed directives throw ModelError — a typo'd fault spec
+// silently injecting nothing would make CI vacuously green.
 FaultPlan faultPlanFromEnv();
 
 // Arms/consumes the compile-fail directive: returns true when THIS
-// compiler invocation should fail. With :once, only the first call after
-// the ACCMOS_FAULT value changes returns true (process-global bookkeeping,
-// thread-safe).
+// compiler invocation should fail. With :once, only the first call for a
+// plan whose spec differs from the previous one's returns true
+// (process-global bookkeeping, thread-safe). Reads no environment, so
+// compile-pool workers may call it.
 bool consumeCompileFault(const FaultPlan& plan);
 
 }  // namespace accmos

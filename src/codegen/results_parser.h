@@ -2,22 +2,19 @@
 // structure the in-process engines produce — what makes AccMoS-vs-SSE
 // results directly comparable in the tests and in the Table 2/3 benches.
 //
-// Two decoders, one contract:
-//   parseResults        — the text result protocol captured from a
-//                         subprocess run (ExecMode::Process).
-//   decodeBinaryResults — the packed buffers an in-process accmos_run()
-//                         call filled (ExecMode::Dlopen).
-// Both must produce bit-identical SimulationResults for the same
-// simulation; the differential tests in tests/test_exec_modes.cpp hold
-// them to it.
+// One decoder for both execution backends: an in-process accmos_run()
+// call fills caller-owned buffers directly (ExecMode::Dlopen), and a
+// subprocess run's result frame is first copied into the same buffers by
+// readResultFrame (ExecMode::Process). Both then go through
+// decodeBinaryResults.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "codegen/run_abi.h"
+#include "codegen/result_frame.h"
 #include "cov/coverage.h"
-#include "diag/diagnosis.h"
 #include "graph/flat_model.h"
 #include "ir/model.h"
 #include "sim/options.h"
@@ -25,32 +22,28 @@
 
 namespace accmos {
 
-// Malformed or truncated result data. A ModelError so pipeline-level
-// handlers see it; the message always carries the offending protocol line
-// number for the text decoder.
+// Malformed, truncated or out-of-range result data. A ModelError so
+// pipeline-level handlers see it.
 class ResultParseError : public ModelError {
  public:
   explicit ResultParseError(const std::string& what) : ModelError(what) {}
 };
 
-// `collectSignals` must be the emitter's monitored-signal list; plans may be
-// null when the program was generated without the corresponding
-// instrumentation. Throws ResultParseError (with the 1-based line number of
-// the offending line in `output`) on any malformed, truncated, or
-// out-of-range field — never returns a silent partial result.
-SimulationResult parseResults(const std::string& output, const FlatModel& fm,
-                              const CoveragePlan* covPlan,
-                              const DiagnosisPlan* diagPlan,
-                              const std::vector<int>& collectSignals,
-                              const std::vector<CustomDiagnostic>& custom);
+// Copies a result frame written by the subprocess runner into `out`,
+// whose geometry is the one the host's instrumentation plans imply.
+// Throws ResultParseError when the frame is rejected (see
+// decodeResultFrame in result_frame.h).
+void readResultFrame(std::string_view frame, RunBuffers& out);
 
-// Decodes the caller-owned buffers of a completed accmos_run() call. The
-// AccmosRunResult must have been filled by a run returning ACCMOS_ABI_OK
-// against buffers sized from the library's AccmosModelInfo.
+// Decodes the caller-owned buffers of a completed accmos_run() call, or of
+// a frame readResultFrame accepted. `collectSignals` must be the emitter's
+// monitored-signal list; `covPlan` is null when the program was generated
+// without coverage. Throws ResultParseError on any out-of-range field
+// (actor id, diagnostic kind, custom index, record count beyond its
+// buffer, bitmap size) — never returns a silent partial result.
 SimulationResult decodeBinaryResults(
     const AccmosRunResult& res, const FlatModel& fm,
-    const CoveragePlan* covPlan, const DiagnosisPlan* diagPlan,
-    const std::vector<int>& collectSignals,
+    const CoveragePlan* covPlan, const std::vector<int>& collectSignals,
     const std::vector<CustomDiagnostic>& custom);
 
 }  // namespace accmos

@@ -22,39 +22,23 @@
 //    dlopen'd simulator).
 //  - Both sides check structSize and abiVersion; any mismatch fails the
 //    call with a nonzero code instead of reading garbage.
-//  - Values cross the boundary pre-widened exactly like the text protocol:
-//    float-typed signals as IEEE-754 doubles (bit pattern in a uint64_t),
-//    integer-typed signals as two's-complement int64_t — so a binary
-//    decode is bit-identical to parsing the printed result block.
+//  - Values cross the boundary pre-widened: float-typed signals as
+//    IEEE-754 doubles (bit pattern in a uint64_t), integer-typed signals
+//    as two's-complement int64_t.
+//  - The subprocess backend runs the same library in a child process
+//    (accmos-run-lib), which ships these result buffers back to the host
+//    as one binary frame (result_frame.h).
 #ifndef ACCMOS_RUN_ABI_H_
 #define ACCMOS_RUN_ABI_H_
 
 #include <stdint.h>
 
-/* Version 2 appended the batchLanes field to AccmosModelInfo, which
- * libraries always set to 0. Version 3 appends a wall-clock deadline and
- * a max-step budget to the run args and defines the ETIMEOUT retirement
- * status — AccmosModelInfo is unchanged from v2. ACCMOS_RUN_ABI_FORCE_V1
- * is a test hook: defining it before this header yields a genuine
- * version-1 build (88-byte info struct), which is how the fallback tests
- * manufacture a real v1 library rather than simulating one. */
-#ifdef ACCMOS_RUN_ABI_FORCE_V1
-#define ACCMOS_ABI_VERSION 1u
-#else
-#define ACCMOS_ABI_VERSION 3u
-#endif
-
-/* sizeof(AccmosModelInfo) in a version-1 build: the negotiation handshake
- * retries accmos_model_info with this size when the full-size query is
- * rejected, so v3 hosts can still load v1 libraries. */
-#define ACCMOS_ABI_INFO_SIZE_V1 88u
-
-/* sizeof(AccmosRunArgs) before v3 appended the deadline fields. A
- * library's accmos_run checks structSize against ITS OWN sizeof, so a v3
- * host calling into an older library must stamp the older, smaller size
- * (the leading layout is unchanged — v3 only appends). The v1 args layout
- * is identical to v2's. */
-#define ACCMOS_ABI_RUN_ARGS_SIZE_V2 32u
+/* Version 3 added the wall-clock deadline and step budget to the run
+ * args and the ETIMEOUT retirement status. Version 4 dropped a retired
+ * slot from the end of AccmosModelInfo. The compile cache keys on the
+ * generated source, which embeds this header, so a host only ever loads
+ * libraries built against its own version. */
+#define ACCMOS_ABI_VERSION 4u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
@@ -91,13 +75,6 @@ typedef struct AccmosModelInfo {
   uint64_t numCollect;     /* monitored signals, in emission order */
   uint64_t collectValsLen; /* sum of monitored-signal widths */
   uint64_t outValsLen;     /* sum of root-outport widths */
-#if ACCMOS_ABI_VERSION >= 2u
-  /* Retired batch capability, kept so the v2 layout and the v1/v2 size
-   * negotiation are unchanged. Libraries always write 0; a v1 library
-   * writes only the first ACCMOS_ABI_INFO_SIZE_V1 bytes, and the host
-   * zero-fills the struct before the query. */
-  uint64_t batchLanes;
-#endif
 } AccmosModelInfo;
 
 typedef struct AccmosRunArgs {
@@ -106,7 +83,6 @@ typedef struct AccmosRunArgs {
   uint64_t maxSteps;
   double timeBudgetSec; /* <= 0 = unlimited */
   uint64_t seed;
-#if ACCMOS_ABI_VERSION >= 3u
   /* Fault-containment limits (v3). deadlineSeconds is an ABSOLUTE point
    * on the monotonic clock, expressed as seconds since its epoch
    * (std::chrono::steady_clock on the host; the generated code reads the
@@ -118,11 +94,10 @@ typedef struct AccmosRunArgs {
    * result), these mark the result timedOut — a containment event. */
   double deadlineSeconds;
   uint64_t stepBudget;
-#endif
 } AccmosRunArgs;
 
-/* One aggregated diagnostic event: mirrors a "DIAG actor kind first count"
- * line of the text protocol. */
+/* One aggregated diagnostic event: the first step and the number of steps
+ * at which `kind` fired on `actorId`. */
 typedef struct AccmosDiagRec {
   int32_t actorId;
   int32_t kind;
@@ -130,7 +105,7 @@ typedef struct AccmosDiagRec {
   uint64_t count;
 } AccmosDiagRec;
 
-/* One fired custom diagnosis: mirrors a "CUSTOM idx first count" line. */
+/* One fired custom diagnosis, by index into the host's custom list. */
 typedef struct AccmosCustomRec {
   uint64_t index;
   uint64_t firstStep;
@@ -144,9 +119,7 @@ typedef struct AccmosRunResult {
   /* ---- outputs ---- */
   uint64_t stepsExecuted;
   uint32_t stoppedEarly;
-  uint32_t timedOut; /* run was retired by deadline/stepBudget (v3 sets
-                      * this; pre-v3 libraries wrote 0 here — the field
-                      * was reserved0, so the layout is unchanged) */
+  uint32_t timedOut; /* run was retired by deadline/stepBudget */
   uint64_t execNs;
 
   /* Coverage bitmaps, one raw 0/1 byte per slot. cov[m] may be null when
@@ -155,8 +128,8 @@ typedef struct AccmosRunResult {
   uint8_t* cov[4];
   uint64_t covLen[4];
 
-  /* Diagnostic records, appended in (actor-major, kind) order — the same
-   * order the text protocol prints them. diagCap must be at least
+  /* Diagnostic records, appended in (actor-major, kind) order. diagCap
+   * must be at least
    * numActors * numDiagKinds (the worst case). */
   AccmosDiagRec* diags;
   uint64_t diagCap;

@@ -238,8 +238,7 @@ static inline void accmos_pause_ms(int ms) {
 }
 
 // Binary-ABI value packing: floats travel as their IEEE-754 double bit
-// pattern, so the host-side decoder reproduces the text protocol's
-// %.17g/strtod round-trip bit for bit.
+// pattern, so the host-side decoder recovers them bit for bit.
 static inline uint64_t accmos_pack_f(double v) {
   uint64_t u;
   memcpy(&u, &v, 8);

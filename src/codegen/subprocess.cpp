@@ -48,7 +48,7 @@ bool SpawnResult::exitedOk() const {
 }
 
 SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
-                            const SpawnLimits& limits) {
+                            const SpawnLimits& limits, bool mergeStderr) {
   SpawnResult res;
   if (argv.empty()) {
     res.launchFailed = true;
@@ -56,19 +56,31 @@ SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
     return res;
   }
 
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    res.launchFailed = true;
-    res.launchErrno = errno;
-    return res;
+  // Pipe 0 carries stdout (and stderr when merged), pipe 1 stderr.
+  int fds[2][2] = {{-1, -1}, {-1, -1}};
+  const int streams = mergeStderr ? 1 : 2;
+  auto closeAll = [&fds] {
+    for (auto& p : fds) {
+      for (int& fd : p) {
+        if (fd >= 0) ::close(fd);
+        fd = -1;
+      }
+    }
+  };
+  for (int i = 0; i < streams; ++i) {
+    if (::pipe(fds[i]) != 0) {
+      res.launchFailed = true;
+      res.launchErrno = errno;
+      closeAll();
+      return res;
+    }
   }
 
   pid_t pid = ::fork();
   if (pid < 0) {
     res.launchFailed = true;
     res.launchErrno = errno;
-    ::close(fds[0]);
-    ::close(fds[1]);
+    closeAll();
     return res;
   }
 
@@ -77,10 +89,9 @@ SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
     // whole compiler pipeline (driver + cc1plus + as + ld) with it.
     ::setpgid(0, 0);
     applyChildLimits(limits);
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::dup2(fds[1], STDERR_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
+    ::dup2(fds[0][1], STDOUT_FILENO);
+    ::dup2(fds[streams - 1][1], STDERR_FILENO);
+    closeAll();
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);
     for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
@@ -94,7 +105,13 @@ SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
   // Parent. Mirror the setpgid (races with the child's own call are
   // harmless — one of the two wins and both set the same group).
   ::setpgid(pid, pid);
-  ::close(fds[1]);
+  pollfd pfds[2];
+  std::string* sinks[2] = {&res.output, &res.errors};
+  for (int i = 0; i < 2; ++i) {
+    if (fds[i][1] >= 0) ::close(fds[i][1]);
+    fds[i][1] = -1;
+    pfds[i] = {fds[i][0], POLLIN, 0};
+  }
 
   const bool hasDeadline = limits.timeoutSec > 0.0;
   const Clock::time_point deadline =
@@ -103,8 +120,8 @@ SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
                              hasDeadline ? limits.timeoutSec : 0.0));
 
   char buf[4096];
-  bool open = true;
-  while (open) {
+  int open = streams;
+  while (open > 0) {
     int waitMs = -1;
     if (hasDeadline && !res.timedOut) {
       auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -112,28 +129,31 @@ SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
       waitMs = static_cast<int>(left.count());
       if (waitMs < 0) waitMs = 0;
     }
-    pollfd pfd{fds[0], POLLIN, 0};
-    int pr = ::poll(&pfd, 1, waitMs);
+    int pr = ::poll(pfds, static_cast<nfds_t>(streams), waitMs);
     if (pr < 0) {
       if (errno == EINTR) continue;
       break;
     }
     if (pr == 0) {
-      // Watchdog fired: kill the whole group, then keep draining the pipe
+      // Watchdog fired: kill the whole group, then keep draining the pipes
       // until EOF so the child can never block on a full pipe during its
       // death and we never return with it still running.
       res.timedOut = true;
       ::kill(-pid, SIGKILL);
       continue;
     }
-    ssize_t n = ::read(fds[0], buf, sizeof(buf));
-    if (n > 0) {
-      res.output.append(buf, static_cast<size_t>(n));
-    } else if (n == 0 || errno != EINTR) {
-      open = false;
+    for (int i = 0; i < streams; ++i) {
+      if (pfds[i].fd < 0 || pfds[i].revents == 0) continue;
+      ssize_t n = ::read(pfds[i].fd, buf, sizeof(buf));
+      if (n > 0) {
+        sinks[i]->append(buf, static_cast<size_t>(n));
+      } else if (n == 0 || errno != EINTR) {
+        pfds[i].fd = -1;  // EOF; closed below
+        --open;
+      }
     }
   }
-  ::close(fds[0]);
+  closeAll();
 
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {

@@ -30,17 +30,21 @@ struct SpawnResult {
   int launchErrno = 0;
   bool timedOut = false;  // watchdog fired; status reflects our SIGKILL
   int status = 0;         // raw waitpid status (WIFEXITED/WIFSIGNALED)
-  std::string output;     // combined stdout+stderr, captured via a pipe
+  std::string output;     // stdout, plus stderr when merged
+  std::string errors;     // stderr when not merged
 
   bool exitedOk() const;
 };
 
-// Runs argv[0] with the given argv (no shell involved), capturing
-// combined stdout+stderr. Never throws; every failure mode is in the
-// returned struct. The child is always fully reaped before return — a
-// deadline-exceeded run can never linger and block process exit.
+// Runs argv[0] with the given argv (no shell involved), capturing stdout
+// and stderr through pipes — into one string when `mergeStderr`, else
+// apart, so a binary stdout stays clean. Never throws; every failure mode
+// is in the returned struct. The child is always fully reaped before
+// return — a deadline-exceeded run can never linger and block process
+// exit.
 SpawnResult spawnAndCapture(const std::vector<std::string>& argv,
-                            const SpawnLimits& limits);
+                            const SpawnLimits& limits,
+                            bool mergeStderr = true);
 
 // "exited with status N" / "killed by signal N (SIGSEGV)" — shared by
 // CompilerDriver diagnostics and the failure taxonomy.

@@ -86,6 +86,7 @@ TieredEngine* SpecEvaluator::engineFor(const std::string& key,
   shape.seed = 1;
   auto engine = std::make_unique<TieredEngine>(fm_, opt_, shape);
   ++enginesBuilt_;
+  std::lock_guard<std::mutex> lock(enginesMutex_);
   return engines_.emplace(key, std::move(engine)).first->second.get();
 }
 
@@ -122,6 +123,7 @@ bool SpecEvaluator::allCompileCacheHits() const {
 
 size_t SpecEvaluator::residentBytes() const {
   size_t bytes = 0;
+  std::lock_guard<std::mutex> lock(enginesMutex_);
   for (const auto& [key, e] : engines_) bytes += e->residentBytes();
   return bytes;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -244,6 +245,10 @@ class SpecEvaluator {
   const FlatModel& fm_;
   SimOptions opt_;
   std::map<std::string, std::unique_ptr<class TieredEngine>> engines_;
+  // Guards engines_ against residentBytes() on another thread (the
+  // daemon's pool sizes entries that other requests are evaluating). Only
+  // the evaluate() thread inserts, so its own reads need no lock.
+  mutable std::mutex enginesMutex_;
   std::vector<std::unique_ptr<class Interpreter>> interps_;  // per worker
   size_t enginesBuilt_ = 0;
   std::atomic<bool> firstResultSeen_{false};

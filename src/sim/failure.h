@@ -59,12 +59,15 @@ class SimTimeoutError : public ModelError {
 // The generated model crashed (fatal signal or nonzero exit).
 class SimCrashError : public ModelError {
  public:
-  SimCrashError(const std::string& msg, int sig)
-      : ModelError(msg), signal_(sig) {}
+  SimCrashError(const std::string& msg, int sig, int exitStatus = 0)
+      : ModelError(msg), signal_(sig), exitStatus_(exitStatus) {}
   int terminatingSignal() const { return signal_; }
+  // Status of a child process that exited nonzero; 0 otherwise.
+  int exitStatus() const { return exitStatus_; }
 
  private:
   int signal_ = 0;
+  int exitStatus_ = 0;
 };
 
 // The model file could not be loaded/parsed — distinct from compile and

@@ -20,13 +20,14 @@ enum class Engine : uint8_t {
 
 std::string_view engineName(Engine e);
 
-// How the AccMoS engine executes the compiled simulator.
-//   Dlopen  — compile -shared -fPIC, dlopen once, run in-process through the
-//             binary result ABI (no subprocess, no text parsing per run).
-//             Falls back to Process automatically when the library cannot
-//             be built or loaded.
-//   Process — compile an executable, fork/exec per run, parse the text
-//             result protocol (the original backend; also the fallback).
+// How the AccMoS engine executes the compiled simulator. Both modes run
+// the same shared library, compiled -shared -fPIC once per model.
+//   Dlopen  — dlopen once, run in-process through the binary result ABI
+//             (no subprocess per run). Falls back to Process automatically
+//             when the library cannot be loaded.
+//   Process — per run, spawn the accmos-run-lib runner, which loads the
+//             library in a child process and returns one binary result
+//             frame (OS isolation; also the fallback).
 enum class ExecMode : uint8_t { Dlopen, Process };
 
 std::string_view execModeName(ExecMode m);
@@ -39,10 +40,9 @@ inline ExecMode defaultExecMode() {
   return ExecMode::Dlopen;
 }
 
-// Multi-seed campaign execution knobs. The compiled AccMoS simulator is a
-// self-contained process taking the stimulus seed as an argument, so a
-// campaign fans seeds out across a worker pool: N concurrent executions of
-// the one compiled binary (or one interpreter instance per worker for SSE).
+// Multi-seed campaign execution knobs. The compiled AccMoS simulator takes
+// the stimulus seed as a run argument, so a campaign fans seeds out across
+// a worker pool: N concurrent executions of the one compiled library (or one interpreter instance per worker for SSE).
 // Results are merged deterministically in seed order, so campaign output is
 // bit-identical regardless of worker count.
 struct CampaignOptions {

@@ -69,9 +69,8 @@ TieredEngine::TieredEngine(const FlatModel& fm, const SimOptions& opt,
       generateSeconds_ = gen_.generateSeconds;
       driver_ = std::make_unique<CompilerDriver>();
       driver_->setCacheEnabled(opt_.compileCache);
-      handle_ = driver_->compileAsync(
-          gen_.source, "model_" + fm_.modelName, opt_.optFlag,
-          AccMoSEngine::artifactPlan(opt_, nullptr));
+      handle_ = driver_->compileAsync(gen_.source, "model_" + fm_.modelName,
+                                      opt_.optFlag);
       break;
     }
   }
@@ -178,8 +177,9 @@ double TieredEngine::compileWaitSeconds() const {
 }
 
 size_t TieredEngine::residentBytes() const {
-  size_t bytes = gen_.source.size();
+  // Under the lock: adopting the native engine moves gen_ out.
   std::lock_guard<std::mutex> lock(buildMutex_);
+  size_t bytes = gen_.source.size();
   if (nativeOwned_) {
     bytes += nativeOwned_->generatedSource().size();
     struct stat st {};

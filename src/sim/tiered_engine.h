@@ -95,7 +95,7 @@ class TieredEngine {
 
   // Approximate bytes this engine keeps resident: the generated source it
   // holds plus the on-disk size of the adopted native artifact (the mapped
-  // shared library / executable). The model-library pool (src/serve)
+  // shared library). The model-library pool (src/serve)
   // charges entries against its byte budget with this — an estimate is
   // fine, eviction only needs a consistent relative measure.
   size_t residentBytes() const;

@@ -62,10 +62,13 @@ TEST(Codegen, GeneratedSourceHasPaperStructure) {
   opt.maxSteps = 10;
   AccMoSEngine engine(sim.flatModel(), opt, TestCaseSpec{});
   const std::string& src = engine.generatedSource();
-  // The three structural pieces of paper Fig. 5.
+  // The three structural pieces of paper Fig. 5. The paper's main() is
+  // the library entry point accmos_run: the model compiles to one shared
+  // library that both execution backends load, never to a program.
   EXPECT_NE(src.find("Model_Init"), std::string::npos);
   EXPECT_NE(src.find("Model_Exe"), std::string::npos);
-  EXPECT_NE(src.find("int main"), std::string::npos);
+  EXPECT_NE(src.find("int accmos_run("), std::string::npos);
+  EXPECT_EQ(src.find("int main"), std::string::npos);
   // Instrumentation: coverage bitmap writes and a generated diagnostic
   // function ("implementation defined elsewhere, call at a location").
   EXPECT_NE(src.find("accmos_cov_actor["), std::string::npos);

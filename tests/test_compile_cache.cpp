@@ -231,53 +231,19 @@ TEST_F(CompileCacheTest, CacheKeyIsStable) {
             CompilerDriver::cacheKey("int main(){ }", "-O2"));
 }
 
-// The artifact kind is part of the content address: identical source
-// compiled as an executable and as a shared library must never share a
-// cache entry — an exe handed to dlopen (or a .so handed to exec) would
-// fail in ways the sidecar cannot catch.
-TEST_F(CompileCacheTest, ArtifactKindIsPartOfTheCacheKey) {
-  const std::string src = "int main(){}";
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::Executable),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib));
-  // The kind defaults to Executable, so pre-existing executable entries
-  // keep their addresses.
-  EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2"),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::Executable));
-
-  // Compiling the same source both ways yields two distinct artifacts,
-  // each with its own entry that hits independently afterwards.
-  CompilerDriver driver;
-  const std::string source = "int main() { return 0; }\n";
-  auto exe = driver.compile(source, "both", "-O0", ArtifactKind::Executable);
-  auto lib = driver.compile(source, "both", "-O0", ArtifactKind::SharedLib);
-  EXPECT_NE(exe.exePath, lib.exePath);
-  EXPECT_FALSE(exe.cacheHit);
-  EXPECT_FALSE(lib.cacheHit);
-  auto exe2 = driver.compile(source, "both", "-O0", ArtifactKind::Executable);
-  auto lib2 = driver.compile(source, "both", "-O0", ArtifactKind::SharedLib);
-  EXPECT_TRUE(exe2.cacheHit);
-  EXPECT_TRUE(lib2.cacheHit);
-  EXPECT_EQ(exe2.exePath, exe.exePath);
-  EXPECT_EQ(lib2.exePath, lib.exePath);
-}
-
 // A -D define changes the binary without changing the source, so extra
-// compiler flags must be part of the content address (the same bug class
-// ArtifactKind fixed above): a flagless cached artifact must never be
-// served to a compile that asked for the define, or the reverse.
+// compiler flags must be part of the content address: a flagless cached
+// artifact must never be served to a compile that asked for the define,
+// or the reverse.
 TEST_F(CompileCacheTest, ExtraFlagsArePartOfTheCacheKey) {
   const std::string src = "int main(){}";
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_TEST_FLAG=8"));
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_TEST_FLAG=4"),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_TEST_FLAG=8"));
+  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2"),
+            CompilerDriver::cacheKey(src, "-O2", "-DACCMOS_TEST_FLAG=8"));
+  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", "-DACCMOS_TEST_FLAG=4"),
+            CompilerDriver::cacheKey(src, "-O2", "-DACCMOS_TEST_FLAG=8"));
   // No extra flags keeps the pre-existing addresses.
-  EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     ""));
+  EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2"),
+            CompilerDriver::cacheKey(src, "-O2", ""));
 
   // Compiling the same source with and without the define yields two
   // distinct artifacts, each with its own entry that hits independently.
@@ -285,7 +251,7 @@ TEST_F(CompileCacheTest, ExtraFlagsArePartOfTheCacheKey) {
   const std::string source = "int main() { return 0; }\n";
   auto plain = driver.compile(source, "flags", "-O0");
   auto flagged = driver.compile(source, "flags", "-O0",
-                                ArtifactKind::Executable,
+                                ArtifactKind::SharedLib,
                                 "-DACCMOS_TEST_FLAG=1");
   EXPECT_FALSE(plain.cacheHit);
   EXPECT_FALSE(flagged.cacheHit)
@@ -293,7 +259,7 @@ TEST_F(CompileCacheTest, ExtraFlagsArePartOfTheCacheKey) {
   EXPECT_NE(plain.exePath, flagged.exePath);
   EXPECT_TRUE(driver.compile(source, "flags", "-O0").cacheHit);
   EXPECT_TRUE(driver
-                  .compile(source, "flags", "-O0", ArtifactKind::Executable,
+                  .compile(source, "flags", "-O0", ArtifactKind::SharedLib,
                            "-DACCMOS_TEST_FLAG=1")
                   .cacheHit);
 }
@@ -400,8 +366,10 @@ TEST_F(CompileCacheTest, CrossProcessColdCompileIsSingleFlight) {
         ::dup2(fd, 2);
         ::close(fd);
       }
+      // --tier=native: an inherited ACCMOS_TIER=interp would answer the
+      // run on the interpreter and never compile.
       ::execl(ACCMOS_CLI_PATH, ACCMOS_CLI_PATH, "run", modelPath.c_str(),
-              "--engine=accmos", "--steps=50", "--opt=-O0",
+              "--engine=accmos", "--steps=50", "--opt=-O0", "--tier=native",
               static_cast<char*>(nullptr));
       ::_exit(127);
     }

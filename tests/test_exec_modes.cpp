@@ -3,10 +3,12 @@
 // bit-identical SimulationResults — outputs, coverage bitmaps,
 // diagnostics, monitors — for single runs, campaigns at any worker count,
 // and heterogeneous generator-style spec batches. Plus the backend
-// plumbing itself: an ABI-v1 library loads through version negotiation,
+// plumbing itself: one compiled artifact serves both backends (a dlopen
+// failure or a switch of backend never compiles the model again),
 // automatic fallback to Process when dlopen is unavailable (execMode
-// reporting what actually ran), ModelLib rejecting unloadable files, and
-// the ACCMOS_EXEC_MODE environment default.
+// reporting what actually ran), typed failures from the subprocess
+// runner, ModelLib rejecting unloadable files, and the ACCMOS_EXEC_MODE
+// environment default.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,6 +23,7 @@
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/model_lib.h"
+#include "codegen/runtime_preamble.h"
 #include "sim/campaign.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -75,8 +78,8 @@ SimOptions modeOptions(ExecMode mode, uint64_t steps = 300) {
 }
 
 // The whole-result comparison both backends are held to. Everything the
-// result protocol carries must agree bit-exactly; only the timing fields
-// and execMode may differ.
+// result buffers carry must agree bit-exactly; only the timing fields and
+// execMode may differ.
 void expectIdenticalResults(const SimulationResult& a,
                             const SimulationResult& b,
                             const std::string& label) {
@@ -131,7 +134,7 @@ TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
 }
 
 // Signal monitors and compiled custom diagnostics cross the binary ABI
-// through dedicated records; both must match the text protocol exactly.
+// through dedicated records; both backends must agree on them exactly.
 TEST(ExecModes, MonitorsAndCustomDiagnosticsAgree) {
   Tiny t;
   t.inport("In1", 1);
@@ -260,10 +263,9 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
   }
 }
 
-// The library fallbacks on a multi-seed run: an ABI-v1 library must load
-// through version negotiation and run in-process, and a library dlopen
-// cannot load must degrade to the subprocess backend. Both must reproduce
-// the default dlopen engine's results, with execMode naming what ran.
+// The library fallback on a multi-seed run: a library dlopen cannot load
+// must degrade to the subprocess backend, reproduce the default dlopen
+// engine's results, and report execMode "process".
 TEST(ExecModes, LibraryFallbacksAgreeWithDlopen) {
   auto model = sampleOverflowModel();
   TestCaseSpec tests = sampleOverflowStimulus();
@@ -288,20 +290,9 @@ TEST(ExecModes, LibraryFallbacksAgreeWithDlopen) {
   };
 
   {
-    // An ABI-v1 library (built via the emitter's ACCMOS_EMIT_ABI_V1 hook):
-    // ModelLib must negotiate down to the 88-byte v1 info struct and load
-    // it.
-    EnvGuard v1("ACCMOS_EMIT_ABI_V1", "1");
-    AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen, 300),
-                        tests);
-    EXPECT_EQ(engine.execModeUsed(), ExecMode::Dlopen)
-        << "v1 library should load through negotiation, not fall back";
-    expectSameRuns(engine, "dlopen", "ABI-v1 library");
-  }
-  {
     // dlopen unavailable entirely: every run degrades to the subprocess
     // backend.
-    EnvGuard fail("ACCMOS_DLOPEN_FAIL", "1");
+    EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
     AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen, 300),
                         tests);
     EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
@@ -320,7 +311,7 @@ TEST(ExecModes, DlopenFailureFallsBackToProcess) {
       simulate(t->model(), modeOptions(ExecMode::Dlopen), tests);
   EXPECT_EQ(clean.execMode, "dlopen");
 
-  EnvGuard fail("ACCMOS_DLOPEN_FAIL", "1");
+  EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
   AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen),
                       tests);
   EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
@@ -328,6 +319,118 @@ TEST(ExecModes, DlopenFailureFallsBackToProcess) {
   SimulationResult fb = engine.run();
   EXPECT_EQ(fb.execMode, "process");
   test::expectSameOutputs(clean, fb, "fallback");
+}
+
+// A private, empty compile cache for the enclosing scope: a test can count
+// compiler invocations and cache entries from a cold start.
+class ScopedCache {
+ public:
+  ScopedCache()
+      : dir_(fs::temp_directory_path() /
+             ("accmos_exec_cache_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter_++))),
+        env_("ACCMOS_CACHE_DIR", dir_.c_str()) {}
+  ~ScopedCache() {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  size_t entries() const {
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto& e : fs::directory_iterator(dir_, ec)) {
+      n += e.path().extension() == ".bin" ? 1 : 0;
+    }
+    return n;
+  }
+
+ private:
+  static int counter_;
+  fs::path dir_;
+  EnvGuard env_;
+};
+
+int ScopedCache::counter_ = 0;
+
+// One artifact: a cold dlopen engine whose library cannot be loaded runs
+// on the subprocess backend off the library it already built — exactly one
+// compiler invocation across construction and runs, one cache entry.
+TEST(ExecModes, DlopenFailureCompilesTheModelOnce) {
+  ScopedCache cache;
+  auto t = test::unaryConstModel("Abs", -5.0);
+  Simulator sim(t->model());
+  TestCaseSpec tests;
+
+  EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen), tests);
+  EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
+  EXPECT_EQ(engine.run().execMode, "process");
+  SimulationResult contained = engine.runContained(0, -1.0, 11);
+  EXPECT_FALSE(contained.failed) << contained.failure.summary();
+  EXPECT_EQ(contained.execMode, "process");
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 1u);
+  EXPECT_EQ(cache.entries(), 1u);
+}
+
+// Switching backend on a warm cache is free: a Process engine built after a
+// Dlopen engine on the same model runs the library the first one compiled.
+TEST(ExecModes, ProcessEngineReusesTheDlopenLibrary) {
+  ScopedCache cache;
+  auto t = test::unaryConstModel("Abs", -6.0);
+  Simulator sim(t->model());
+  TestCaseSpec tests;
+
+  AccMoSEngine dl(sim.flatModel(), modeOptions(ExecMode::Dlopen), tests);
+  EXPECT_EQ(dl.execModeUsed(), ExecMode::Dlopen);
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  AccMoSEngine pr(sim.flatModel(), modeOptions(ExecMode::Process), tests);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 0u);
+  EXPECT_TRUE(pr.compileCacheHit());
+  EXPECT_EQ(pr.exePath(), dl.exePath());
+  expectIdenticalResults(dl.run(), pr.run(), "backend switch");
+}
+
+// The subprocess runner's own failures are typed, never a model crash: a
+// library it cannot load is a CompileError, a library whose accmos_run
+// reports a failure status an AbiMismatch.
+TEST(ExecModes, RunnerFailuresAreTypedNotCrashes) {
+  ScopedCache cache;
+  auto t = test::unaryConstModel("Abs", -7.0);
+  Simulator sim(t->model());
+  TestCaseSpec tests;
+  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Process), tests);
+  ASSERT_FALSE(engine.runContained().failed);
+  const fs::path lib = engine.exePath();
+
+  {
+    std::ofstream out(lib, std::ios::trunc);
+    out << "this is not an ELF shared object\n";
+  }
+  SimulationResult unloadable = engine.runContained();
+  ASSERT_TRUE(unloadable.failed);
+  EXPECT_EQ(unloadable.failure.kind, FailureKind::CompileError)
+      << unloadable.failure.summary();
+  EXPECT_EQ(unloadable.failure.backend, "process");
+
+  const std::string failingRun =
+      std::string(runAbiText()) +
+      "extern \"C\" int accmos_model_info(AccmosModelInfo* i) {\n"
+      "  i->abiVersion = ACCMOS_ABI_VERSION;\n"
+      "  return ACCMOS_ABI_OK;\n"
+      "}\n"
+      "extern \"C\" int accmos_run(const AccmosRunArgs*, AccmosRunResult*) "
+      "{\n"
+      "  return ACCMOS_ABI_EALLOC;\n"
+      "}\n";
+  CompilerDriver driver;
+  CompileOutput fake = driver.compile(failingRun, "failing_run", "-O0");
+  fs::copy_file(fake.exePath, lib, fs::copy_options::overwrite_existing);
+  SimulationResult abiFailure = engine.runContained();
+  ASSERT_TRUE(abiFailure.failed);
+  EXPECT_EQ(abiFailure.failure.kind, FailureKind::AbiMismatch)
+      << abiFailure.failure.summary();
+  EXPECT_EQ(abiFailure.failure.backend, "process");
 }
 
 // ModelLib must reject files dlopen cannot load with a catchable

@@ -10,6 +10,7 @@
 // killed mid-publish.
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -271,27 +272,6 @@ TEST_F(FaultTest, TwoStrikesQuarantineEngineOntoSubprocess) {
   EXPECT_EQ(r3.failure.backend, "process");
 }
 
-// A pre-v3 library has no cooperative deadline checks, so deadline-armed
-// runs must route around it to the watchdogged subprocess backend —
-// while deadline-free runs still use it in-process.
-TEST_F(FaultTest, V1LibraryRoutesDeadlineRunsToSubprocess) {
-  EnvGuard v1("ACCMOS_EMIT_ABI_V1", "1");
-  Tiny t;
-  FlatModel fm = wrapGainModel(t);
-  SimOptions opt = faultOptions();
-  opt.execMode = ExecMode::Dlopen;
-  opt.runTimeoutSec = 0.0;
-
-  AccMoSEngine engine(fm, opt, fullRangeStimulus());
-  EXPECT_EQ(engine.run().execMode, "dlopen");
-  EXPECT_EQ(engine.run(0, -1.0, std::nullopt).execMode, "dlopen");
-
-  SimOptions armed = opt;
-  armed.runTimeoutSec = 0.5;
-  AccMoSEngine guarded(fm, armed, fullRangeStimulus());
-  EXPECT_EQ(guarded.run().execMode, "process");
-}
-
 // The generator keeps searching when every candidate faults: failures are
 // bookkept per candidate, nothing is accepted, and the loop still
 // terminates on its budget instead of aborting.
@@ -348,8 +328,17 @@ std::string uniqueSource(const std::string& tag, const std::string& body) {
 }
 
 constexpr const char* kHelloBody =
-    "#include <cstdio>\n"
-    "int main() { std::printf(\"hello\\n\"); return 0; }\n";
+    "extern \"C\" int accmos_hello() { return 42; }\n";
+
+// The compiled shared library loads and its hello symbol answers.
+void expectHelloLoads(const std::string& path) {
+  void* h = ::dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ASSERT_NE(h, nullptr) << ::dlerror();
+  auto* hello = reinterpret_cast<int (*)()>(::dlsym(h, "accmos_hello"));
+  ASSERT_NE(hello, nullptr) << path;
+  EXPECT_EQ(hello(), 42);
+  ::dlclose(h);
+}
 
 TEST_F(FaultTest, CompileFailOnceIsRetriedTransparently) {
   EnvGuard fault("ACCMOS_FAULT", "compile-fail:once");
@@ -357,7 +346,7 @@ TEST_F(FaultTest, CompileFailOnceIsRetriedTransparently) {
   CompileOutput out = driver.compile(uniqueSource("retry-once", kHelloBody),
                                      "retry_once", "-O0");
   EXPECT_GE(out.retries, 1);
-  EXPECT_EQ(driver.run(out.exePath, {}), "hello\n");
+  expectHelloLoads(out.exePath);
 }
 
 TEST_F(FaultTest, CompileFailExitIsNotRetried) {
@@ -402,13 +391,8 @@ TEST_F(FaultTest, SlowCompileTripsTheWatchdog) {
 
 TEST_F(FaultTest, RunDecodesSignalDeath) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("sigsegv",
-                   "#include <csignal>\n"
-                   "int main() { std::raise(SIGSEGV); return 0; }\n"),
-      "crasher", "-O0");
   try {
-    driver.run(out.exePath, {});
+    driver.run("/bin/sh", {"-c", "kill -SEGV $$"});
     FAIL() << "expected SimCrashError";
   } catch (const SimCrashError& e) {
     EXPECT_EQ(e.terminatingSignal(), SIGSEGV);
@@ -419,13 +403,12 @@ TEST_F(FaultTest, RunDecodesSignalDeath) {
 
 TEST_F(FaultTest, RunDecodesNonzeroExit) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("exit9", "int main() { return 9; }\n"), "exiter", "-O0");
   try {
-    driver.run(out.exePath, {});
+    driver.run("/bin/sh", {"-c", "exit 9"});
     FAIL() << "expected SimCrashError";
   } catch (const SimCrashError& e) {
     EXPECT_EQ(e.terminatingSignal(), 0);  // exited, not signalled
+    EXPECT_EQ(e.exitStatus(), 9);
     EXPECT_NE(std::string(e.what()).find("exit"), std::string::npos)
         << e.what();
   }
@@ -433,13 +416,8 @@ TEST_F(FaultTest, RunDecodesNonzeroExit) {
 
 TEST_F(FaultTest, RunWatchdogKillsHungBinary) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("sleeper",
-                   "#include <unistd.h>\n"
-                   "int main() { ::sleep(60); return 0; }\n"),
-      "sleeper", "-O0");
   auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(driver.run(out.exePath, {}, 0.3), SimTimeoutError);
+  EXPECT_THROW(driver.run("sleep", {"60"}, 0.3), SimTimeoutError);
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -449,12 +427,11 @@ TEST_F(FaultTest, RunWatchdogKillsHungBinary) {
 // Crash-safe cache publication: a writer killed mid-copy leaves a
 // truncated *.tmp behind. It must never be served as a cache entry, and
 // the next compile of the same source must succeed and publish a valid,
-// runnable binary alongside the debris.
+// loadable library alongside the debris.
 TEST_F(FaultTest, TruncatedCacheTempIsNeverServed) {
   fs::create_directories(cacheDir_);
   std::string src = uniqueSource("cache-tmp", kHelloBody);
-  uint64_t key = CompilerDriver::cacheKey(src, "-O0",
-                                          ArtifactKind::Executable, "");
+  uint64_t key = CompilerDriver::cacheKey(src, "-O0");
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(key));
@@ -468,14 +445,14 @@ TEST_F(FaultTest, TruncatedCacheTempIsNeverServed) {
   CompilerDriver driver;
   CompileOutput out = driver.compile(src, "cache_tmp", "-O0");
   EXPECT_FALSE(out.cacheHit);
-  EXPECT_EQ(driver.run(out.exePath, {}), "hello\n");
+  expectHelloLoads(out.exePath);
   EXPECT_TRUE(fs::exists(cacheDir_ / (std::string(hex) + ".bin")));
 
   // And the published entry is served (and verified) on the next compile.
   CompilerDriver driver2;
   CompileOutput again = driver2.compile(src, "cache_tmp2", "-O0");
   EXPECT_TRUE(again.cacheHit);
-  EXPECT_EQ(driver2.run(again.exePath, {}), "hello\n");
+  expectHelloLoads(again.exePath);
 }
 
 }  // namespace
