@@ -91,8 +91,8 @@ int main() {
           .num("speedup_vs_sserac", rac.execSeconds / acc[m].execSeconds)
           .num("generate_s", genSeconds)
           .num("compile_s", compileSeconds)
-          // Synchronous engine build: the run blocks for the whole compile.
-          // Tiered campaigns overlap it — see BENCH_tiering.json.
+          // Every engine builds before its first run, so the run blocks
+          // for the whole compile.
           .num("compile_wait_s", compileSeconds)
           .flag("compile_cache_hit", cacheHit);
     }

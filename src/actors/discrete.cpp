@@ -184,7 +184,7 @@ class DelaySpec : public ActorSpec {
 
  private:
   static int length(const Actor& a) {
-    return static_cast<int>(a.params().getInt("length", 1));
+    return a.intParam("length", 1, 0, kMaxDimParam);
   }
 };
 
@@ -198,7 +198,7 @@ class TappedDelaySpec : public ActorSpec {
   }
   bool isDelayClass(const Actor&) const override { return true; }
   int outputWidth(const Actor& a, int) const override {
-    return static_cast<int>(a.params().getInt("taps", 2));
+    return a.intParam("taps", 2, 1, kMaxDimParam);
   }
 
   std::optional<StateSpec> state(const FlatModel& fm,

@@ -223,7 +223,7 @@ class LogicalOperatorSpec : public ActorSpec {
   }
   static int numInputs(const Actor& a) {
     if (op(a) == "NOT") return 1;
-    return static_cast<int>(a.params().getInt("inputs", 2));
+    return a.intParam("inputs", 2, 0, kMaxDimParam);
   }
 
   static bool combine(const std::string& o, const bool* vals, int n) {
@@ -377,7 +377,7 @@ class BitwiseOperatorSpec : public ActorSpec {
   }
   static int numInputs(const Actor& a) {
     if (op(a) == "NOT") return 1;
-    return static_cast<int>(a.params().getInt("inputs", 2));
+    return a.intParam("inputs", 2, 0, kMaxDimParam);
   }
 };
 
@@ -399,7 +399,7 @@ class ShiftArithmeticSpec : public ActorSpec {
 
   void eval(EvalContext& ctx) const override {
     const Actor& a = *ctx.fa().src;
-    int bits = static_cast<int>(a.params().getInt("bits", 1));
+    int bits = a.intParam("bits", 1, 0, 63);
     bool left = a.params().getString("direction", "left") == "left";
     Value& out = ctx.out();
     ArithFlags fl;
@@ -418,7 +418,7 @@ class ShiftArithmeticSpec : public ActorSpec {
 
   void emit(EmitContext& ctx) const override {
     const Actor& a = *ctx.fa().src;
-    int bits = static_cast<int>(a.params().getInt("bits", 1));
+    int bits = a.intParam("bits", 1, 0, 63);
     bool left = a.params().getString("direction", "left") == "left";
     EmitFlags flags = declareArithFlags(ctx);
     beginElemLoop(ctx, ctx.outWidth());

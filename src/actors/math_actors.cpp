@@ -694,12 +694,12 @@ class MinMaxSpec : public ActorSpec {
   std::string type() const override { return "MinMax"; }
 
   ActorCatalog::PortLayout ports(const Actor& a) const override {
-    return {static_cast<int>(a.params().getInt("inputs", 2)), 1};
+    return {a.intParam("inputs", 2, 0, kMaxDimParam), 1};
   }
 
   // Decision coverage: which input wins (first index on ties).
   int decisionOutcomes(const Actor& a) const override {
-    return static_cast<int>(a.params().getInt("inputs", 2));
+    return a.intParam("inputs", 2, 0, kMaxDimParam);
   }
 
   std::vector<DiagKind> diagnostics(const FlatModel& fm,

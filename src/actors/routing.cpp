@@ -173,7 +173,7 @@ class MultiportSwitchSpec : public ActorSpec {
 
  private:
   static int cases(const Actor& a) {
-    return static_cast<int>(a.params().getInt("cases", 2));
+    return a.intParam("cases", 2, 0, kMaxDimParam);
   }
   static std::string elem(EmitContext& ctx, int port) {
     return ctx.in(port) + "[" + (ctx.inWidth(port) == 1 ? "0" : "i") + "]";
@@ -185,7 +185,7 @@ class MuxSpec : public ActorSpec {
   std::string type() const override { return "Mux"; }
 
   ActorCatalog::PortLayout ports(const Actor& a) const override {
-    return {static_cast<int>(a.params().getInt("inputs", 2)), 1};
+    return {a.intParam("inputs", 2, 0, kMaxDimParam), 1};
   }
 
   void eval(EvalContext& ctx) const override {
@@ -232,7 +232,7 @@ class DemuxSpec : public ActorSpec {
   std::string type() const override { return "Demux"; }
 
   ActorCatalog::PortLayout ports(const Actor& a) const override {
-    return {1, static_cast<int>(a.params().getInt("outputs", 2))};
+    return {1, a.intParam("outputs", 2, 0, kMaxDimParam)};
   }
 
   void eval(EvalContext& ctx) const override {

@@ -32,7 +32,7 @@ class ScopeSpec : public ActorSpec {
  public:
   std::string type() const override { return "Scope"; }
   ActorCatalog::PortLayout ports(const Actor& a) const override {
-    return {static_cast<int>(a.params().getInt("inputs", 1)), 0};
+    return {a.intParam("inputs", 1, 0, kMaxDimParam), 0};
   }
   void eval(EvalContext&) const override {}
   void emit(EmitContext&) const override {}

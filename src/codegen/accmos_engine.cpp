@@ -91,13 +91,11 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
   driver_->setKeep(opt_.keepGeneratedCode || !opt_.workDir.empty());
   driver_->setCacheEnabled(opt_.compileCache);
 
-  // One artifact for both backends; an async pre-compile of the same
-  // source (TieredEngine) targets the identical cache entry.
+  // One artifact for both backends.
   auto compiled =
       driver_->compile(source_, "model_" + fm_.modelName, opt_.optFlag);
   compileSeconds_ = compiled.seconds;
   compileCacheHit_ = compiled.cacheHit;
-  artifactKeepAlive_ = compiled.keepAlive;
   exePath_ = compiled.exePath;
   if (opt_.execMode != ExecMode::Dlopen) return;
 

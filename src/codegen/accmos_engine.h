@@ -34,10 +34,8 @@ enum class ArtifactKind : uint8_t;
 
 // The emit phase of the pipeline, detached from compilation: everything
 // AccMoSEngine derives from (model, options, stimulus) before the compiler
-// runs. Produced by AccMoSEngine::generate() and movable into an engine
-// later, so a caller (the tiered engine) can emit once, start the compile
-// asynchronously, and construct the engine when the binary is ready
-// without re-emitting.
+// runs. Produced by AccMoSEngine::generate(); the benchmark harness
+// (accbench/) times it apart from the compile.
 struct GeneratedModel {
   CoveragePlan covPlan;
   std::vector<int> collectSignals;
@@ -54,7 +52,9 @@ class AccMoSEngine {
                const TestCaseSpec& tests);
 
   // Same, from an already-emitted GeneratedModel (skips the emit phase).
-  // `gen` must come from generate() with the same (fm, opt, tests).
+  // `gen` must come from generate() with the same (fm, opt, tests). Public
+  // because the benchmark harness (accbench/harness/table1.cpp) times the
+  // emit and engine phases separately through it.
   AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
                const TestCaseSpec& tests, GeneratedModel&& gen);
 
@@ -170,10 +170,6 @@ class AccMoSEngine {
   ExecMode execModeUsed_ = ExecMode::Process;
   std::unique_ptr<class CompilerDriver> driver_;
   std::unique_ptr<class ModelLib> lib_;  // set in dlopen mode only
-  // Keeps a pool-compiled artifact's workspace alive for this engine's
-  // lifetime when the binary could not be published to the cache
-  // (CompileOutput::keepAlive).
-  std::shared_ptr<void> artifactKeepAlive_;
   std::atomic<int> strikes_{0};
 };
 

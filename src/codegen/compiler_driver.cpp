@@ -9,14 +9,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -243,20 +242,14 @@ class CacheKeyLock {
   bool held_ = false;
 };
 
-// One fully-specified compilation, independent of any CompilerDriver
-// instance: jobs capture these by value so they can outlive their creator
-// (the driver may be destroyed while a pool worker compiles). Everything
-// the environment decides — compiler, cache and temp directories, fault
-// plan — is captured here at call time, so pool workers never read the
-// environment while a caller may be changing it.
+// One fully-specified compilation: the request plus what the environment
+// decides (compiler, cache directory, fault plan), read once per request.
 struct CompileParams {
-  std::string source;
   std::string name;
   std::string optFlag;
   std::string extraFlags;
   std::string compiler;
   fs::path cacheDir;
-  fs::path tempDir;
   FaultPlan faults;
   double timeoutSec = 0.0;
   bool publish = false;  // cache usable: publish + single-flight by key
@@ -285,22 +278,15 @@ std::optional<CompileOutput> tryCacheHit(const fs::path& dir, uint64_t key) {
   return out;
 }
 
-// Runs one real compilation in `dirStr`: writes the source, invokes the
-// compiler under the watchdog/rlimits with the transient-failure retry
-// loop, and publishes to the cache when the params ask for it. This is the
-// single code path under both the synchronous and the asynchronous front
-// ends, so fault injection, retries and crash-safe publication behave
-// identically either way.
-CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
+// Runs one real compilation of the source already written to `src`,
+// building next to it: invokes the compiler under the watchdog/rlimits
+// with the transient-failure retry loop, and publishes to the cache when
+// the params ask for it.
+CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   CompileOutput out;
-  fs::path src = fs::path(dirStr) / (p.name + ".cpp");
-  fs::path exe = fs::path(dirStr) / (p.name + ".so");
-  fs::path log = fs::path(dirStr) / (p.name + ".log");
-  {
-    std::ofstream f(src);
-    if (!f) throw CompileError("cannot write " + src.string());
-    f << p.source;
-  }
+  const fs::path dir = src.parent_path();
+  fs::path exe = dir / (p.name + ".so");
+  fs::path log = dir / (p.name + ".log");
   out.sourcePath = src.string();
 
   // Another process may have published this key since our caller's cache
@@ -431,52 +417,13 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
   return out;
 }
 
-// Self-owned scratch directory for pool-executed jobs (a pool worker has
-// no driver directory to compile in). Removed when the last reference —
-// possibly a CompileOutput::keepAlive — goes away.
-struct JobWorkspace {
-  std::string dir;
-  explicit JobWorkspace(const fs::path& tempDir) {
-    fs::path base = tempDir /
-                    ("accmos_async_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(g_dirCounter.fetch_add(1)));
-    fs::create_directories(base);
-    dir = base.string();
-  }
-  ~JobWorkspace() {
-    std::error_code ec;
-    fs::remove_all(dir, ec);  // best effort
-  }
-};
-
-}  // namespace
-
-namespace detail {
-
-// One in-flight compilation shared by every requester of the same cache
-// key. The promise/shared_future pair carries the result to all of them;
-// `claimed` makes execution single-shot (whoever flips it runs the
-// compile — a synchronous caller inline, or a pool worker); `interest`
-// counts live handles for cooperative cancellation.
-class CompileJob {
- public:
-  explicit CompileJob(CompileParams p) : params(std::move(p)) {
-    future = promise.get_future().share();
-  }
-
-  CompileParams params;
+// One in-flight compilation, shared by every in-process requester of the
+// same cache key. The requester that registers it compiles; the rest wait
+// on the shared future and receive its value or its exception.
+struct CompileJob {
   std::promise<CompileOutput> promise;
-  std::shared_future<CompileOutput> future;
-  std::atomic<bool> claimed{false};
-  std::atomic<int> interest{0};
-  bool mapped = false;  // registered in the single-flight map
+  std::shared_future<CompileOutput> future = promise.get_future().share();
 };
-
-}  // namespace detail
-
-namespace {
-
-using detail::CompileJob;
 
 // Single-flight map: cache key -> the job currently compiling it. Entries
 // are removed the moment the job completes, so a later request re-probes
@@ -484,174 +431,7 @@ using detail::CompileJob;
 std::mutex g_flightMutex;
 std::unordered_map<uint64_t, std::shared_ptr<CompileJob>> g_inFlight;
 
-void unregisterJob(const std::shared_ptr<CompileJob>& job) {
-  if (!job->mapped) return;
-  std::lock_guard<std::mutex> lock(g_flightMutex);
-  auto it = g_inFlight.find(job->params.key);
-  if (it != g_inFlight.end() && it->second == job) g_inFlight.erase(it);
-}
-
-// Joins the in-flight job for `p.key` or registers a fresh one.
-// Returns {job, true-if-fresh}.
-std::pair<std::shared_ptr<CompileJob>, bool> acquireJob(
-    const CompileParams& p) {
-  std::lock_guard<std::mutex> lock(g_flightMutex);
-  auto it = g_inFlight.find(p.key);
-  if (it != g_inFlight.end()) return {it->second, false};
-  auto job = std::make_shared<CompileJob>(p);
-  job->mapped = true;
-  g_inFlight[p.key] = job;
-  return {job, true};
-}
-
-// Claims and executes `job` on the calling thread unless someone already
-// did. With an empty dirHint the job compiles in its own workspace (the
-// pool path); otherwise in the caller's driver directory (the inline
-// path). Always completes the promise — value or exception.
-bool runJobIfUnclaimed(const std::shared_ptr<CompileJob>& job,
-                       const std::string& dirHint) {
-  if (job->claimed.exchange(true)) return false;
-  try {
-    std::shared_ptr<JobWorkspace> ws;
-    std::string dir = dirHint;
-    if (dir.empty()) {
-      ws = std::make_shared<JobWorkspace>(job->params.tempDir);
-      dir = ws->dir;
-    }
-    CompileOutput out = compileNow(job->params, dir);
-    // Only an artifact still inside the workspace (publication failed or
-    // the cache is off) needs the workspace kept alive with the output.
-    if (ws && out.exePath.rfind(ws->dir, 0) == 0) out.keepAlive = ws;
-    job->promise.set_value(std::move(out));
-  } catch (...) {
-    job->promise.set_exception(std::current_exception());
-  }
-  unregisterJob(job);
-  return true;
-}
-
-// The background compile pool: a lazily-started set of worker threads
-// (ACCMOS_COMPILE_POOL, default 2) draining a FIFO of jobs. A job whose
-// every handle was cancelled before a worker reached it is completed with
-// CompileCancelled instead of being compiled; a job a synchronous caller
-// already claimed inline is skipped. Function-local static: constructed on
-// first use, joined at process exit.
-class CompilePool {
- public:
-  static CompilePool& instance() {
-    static CompilePool pool;
-    return pool;
-  }
-
-  void enqueue(std::shared_ptr<CompileJob> job) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(job));
-      size_t want = static_cast<size_t>(CompilerDriver::compilePoolSize());
-      while (workers_.size() < want) {
-        workers_.emplace_back([this] { workerLoop(); });
-      }
-    }
-    cv_.notify_one();
-  }
-
-  ~CompilePool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : workers_) t.join();
-  }
-
- private:
-  void workerLoop() {
-    for (;;) {
-      std::shared_ptr<CompileJob> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (stop_) return;
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      if (job->interest.load() <= 0) {
-        // Cooperative cancellation: nobody wants the result anymore and
-        // work has not started — complete without compiling.
-        if (!job->claimed.exchange(true)) {
-          job->promise.set_exception(std::make_exception_ptr(CompileCancelled(
-              "asynchronous compilation of " + job->params.name +
-              " cancelled before it started")));
-          unregisterJob(job);
-        }
-        continue;
-      }
-      runJobIfUnclaimed(job, "");
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::shared_ptr<CompileJob>> queue_;
-  std::vector<std::thread> workers_;
-  bool stop_ = false;
-};
-
-// An already-resolved job for the cache-hit fast path of compileAsync().
-std::shared_ptr<CompileJob> makeReadyJob(CompileOutput out) {
-  auto job = std::make_shared<CompileJob>(CompileParams{});
-  job->claimed.store(true);
-  job->promise.set_value(std::move(out));
-  return job;
-}
-
 }  // namespace
-
-CompileHandle::CompileHandle(std::shared_ptr<detail::CompileJob> job)
-    : job_(std::move(job)) {
-  if (job_) job_->interest.fetch_add(1);
-}
-
-CompileHandle::CompileHandle(CompileHandle&& other) noexcept
-    : job_(std::move(other.job_)), released_(other.released_) {
-  other.job_.reset();
-  other.released_ = true;
-}
-
-CompileHandle& CompileHandle::operator=(CompileHandle&& other) noexcept {
-  if (this != &other) {
-    cancel();
-    job_ = std::move(other.job_);
-    released_ = other.released_;
-    other.job_.reset();
-    other.released_ = true;
-  }
-  return *this;
-}
-
-CompileHandle::~CompileHandle() { cancel(); }
-
-bool CompileHandle::ready() const {
-  return job_ != nullptr &&
-         job_->future.wait_for(std::chrono::seconds(0)) ==
-             std::future_status::ready;
-}
-
-CompileOutput CompileHandle::get() const {
-  if (!job_) throw CompileError("get() on an empty CompileHandle");
-  return job_->future.get();
-}
-
-void CompileHandle::wait() const {
-  if (job_) job_->future.wait();
-}
-
-void CompileHandle::cancel() {
-  if (job_ && !released_) {
-    job_->interest.fetch_sub(1);
-    released_ = true;
-  }
-}
 
 CompilerDriver::CompilerDriver(std::string workDir) {
   if (workDir.empty()) {
@@ -713,125 +493,78 @@ uint64_t CompilerDriver::cacheKey(const std::string& source,
 
 uint64_t CompilerDriver::compilerInvocations() { return g_invocations.load(); }
 
-bool CompilerDriver::cacheDisabledGlobally() { return cacheDisabledByEnv(); }
-
-int CompilerDriver::compilePoolSize() {
-  if (const char* env = std::getenv("ACCMOS_COMPILE_POOL");
-      env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<int>(v < 16 ? v : 16);
-  }
-  return 2;
-}
-
-namespace {
-
-// Captures one compile request, environment included, on the caller's
-// thread (see CompileParams).
-CompileParams makeParams(const std::string& source, const std::string& name,
-                         const std::string& optFlag,
-                         const std::string& extraFlags, double timeoutSec,
-                         bool cacheEnabled) {
-  CompileParams p;
-  p.source = source;
-  p.name = name;
-  p.optFlag = optFlag;
-  p.extraFlags = extraFlags;
-  p.compiler = CompilerDriver::compilerPath();
-  p.cacheDir = CompilerDriver::cacheDir();
-  p.tempDir = fs::temp_directory_path();
-  p.faults = faultPlanFromEnv();
-  p.timeoutSec = timeoutSec;
-  p.publish = cacheEnabled && !cacheDisabledByEnv();
-  if (p.publish) p.key = CompilerDriver::cacheKey(source, optFlag, extraFlags);
-  return p;
-}
-
-}  // namespace
-
 CompileOutput CompilerDriver::compile(const std::string& source,
                                       const std::string& name,
                                       const std::string& optFlag,
                                       ArtifactKind /*kind: SharedLib*/,
                                       const std::string& extraFlags) {
-  CompileParams p = makeParams(source, name, optFlag, extraFlags,
-                               compileTimeoutSec_, cacheEnabled_);
+  CompileParams p;
+  p.name = name;
+  p.optFlag = optFlag;
+  p.extraFlags = extraFlags;
+  p.compiler = compilerPath();
+  p.cacheDir = cacheDir();
+  p.faults = faultPlanFromEnv();
+  p.timeoutSec = compileTimeoutSec_;
+  p.publish = cacheEnabled_ && !cacheDisabledByEnv();
 
-  // The caller's source copy always lands in this driver's directory (the
-  // keepGeneratedCode contract), whichever thread ends up compiling.
-  fs::path src = fs::path(dir_) / (name + ".cpp");
+  // The source always lands in this driver's directory (the
+  // keepGeneratedCode contract), whoever ends up compiling it.
+  const fs::path src = fs::path(dir_) / (name + ".cpp");
   {
     std::ofstream f(src);
     if (!f) throw CompileError("cannot write " + src.string());
     f << source;
   }
 
-  if (!p.publish) {
-    // No cache, no sharing: compile privately in this driver's directory.
-    CompileOutput out = compileNow(p, dir_);
-    out.sourcePath = src.string();
-    return out;
-  }
+  // No cache, no sharing: compile privately in this driver's directory.
+  if (!p.publish) return compileNow(p, src);
 
+  p.key = cacheKey(source, optFlag, extraFlags);
   if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
     hit->sourcePath = src.string();
     return *hit;
   }
 
-  // Single-flight: join the in-flight compile for this key or register a
-  // fresh one — and in either case try to claim execution inline, so the
-  // synchronous path never waits on pool scheduling. Exactly one claimant
-  // compiles; everyone else blocks on the shared future.
-  auto acquired = acquireJob(p);
-  std::shared_ptr<CompileJob> job = acquired.first;
-  job->interest.fetch_add(1);
-  runJobIfUnclaimed(job, dir_);
+  // Single-flight: join the in-flight compile for this key, or register
+  // one and compile it inline.
+  std::shared_ptr<CompileJob> job;
+  bool owner = false;
+  {
+    std::lock_guard<std::mutex> lock(g_flightMutex);
+    std::shared_ptr<CompileJob>& slot = g_inFlight[p.key];
+    if (!slot) {
+      slot = std::make_shared<CompileJob>();
+      owner = true;
+    }
+    job = slot;
+  }
+  if (owner) {
+    try {
+      job->promise.set_value(compileNow(p, src));
+    } catch (...) {
+      job->promise.set_exception(std::current_exception());
+    }
+    std::lock_guard<std::mutex> lock(g_flightMutex);
+    g_inFlight.erase(p.key);
+  }
   CompileOutput out;
   try {
     out = job->future.get();
-  } catch (...) {
-    job->interest.fetch_sub(1);
-    throw;
+  } catch (const CompileError& e) {
+    // Every requester throws its own copy while the job still holds the
+    // shared original, so no thread reads an exception another frees.
+    throw CompileError(e.what());
   }
-  job->interest.fetch_sub(1);
   out.sourcePath = src.string();
 
-  // A joined result normally lives in the cache (published) or carries its
-  // workspace via keepAlive. The residual corner — another driver compiled
-  // it in its own directory and publication failed — would hand us a path
-  // whose lifetime we don't control; rebuild locally instead.
-  bool local = out.exePath.rfind(dir_, 0) == 0;
-  bool cached = out.exePath.rfind(p.cacheDir.string(), 0) == 0;
-  if (!local && !cached && !out.keepAlive) {
-    out = compileNow(p, dir_);
-    out.sourcePath = src.string();
-  }
+  // A joined result lives in the cache unless the producer could not
+  // publish it; then it sits in the producer's directory, whose lifetime
+  // this driver does not control, so rebuild locally instead.
+  const bool local = out.exePath.rfind(dir_, 0) == 0;
+  const bool cached = out.exePath.rfind(p.cacheDir.string(), 0) == 0;
+  if (!local && !cached) out = compileNow(p, src);
   return out;
-}
-
-CompileHandle CompilerDriver::compileAsync(const std::string& source,
-                                           const std::string& name,
-                                           const std::string& optFlag,
-                                           const std::string& extraFlags) {
-  CompileParams p = makeParams(source, name, optFlag, extraFlags,
-                               compileTimeoutSec_, cacheEnabled_);
-  if (p.publish) {
-    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-      // Warm model: the handle is ready before the caller's first poll.
-      return CompileHandle(makeReadyJob(std::move(*hit)));
-    }
-    auto acquired = acquireJob(p);
-    CompileHandle h(acquired.first);  // register interest before enqueueing
-    if (acquired.second) CompilePool::instance().enqueue(acquired.first);
-    return h;
-  }
-
-  // Cache off: still async, but private — no key to share under.
-  auto job = std::make_shared<CompileJob>(std::move(p));
-  CompileHandle h(job);
-  CompilePool::instance().enqueue(std::move(job));
-  return h;
 }
 
 std::string CompilerDriver::run(const std::string& exePath,

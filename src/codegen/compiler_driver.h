@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,16 +27,6 @@ namespace accmos {
 class CompileError : public ModelError {
  public:
   explicit CompileError(const std::string& what) : ModelError(what) {}
-};
-
-// Thrown from CompileHandle::get() when an async compile was cancelled by
-// every interested party before a worker started it — the job completes
-// with this instead of a binary. A CompileError so existing containment
-// (SpecEvaluator's per-shape catch, the tiered engine's degradation path)
-// handles it without new cases.
-class CompileCancelled : public CompileError {
- public:
-  explicit CompileCancelled(const std::string& what) : CompileError(what) {}
 };
 
 // What the driver produces from the generated source: always a shared
@@ -57,50 +46,6 @@ struct CompileOutput {
   // compiler. Requests that joined an in-flight single-flight compile share
   // the producer's ordinal — two equal ordinals mean one compiler run.
   uint64_t invocation = 0;
-  // Keeps a pool-owned workspace alive while this output is held: a
-  // background compile whose binary could not be published to the cache
-  // leaves exePath pointing into its temporary workspace, which lives
-  // exactly as long as some CompileOutput still references it.
-  std::shared_ptr<void> keepAlive;
-};
-
-namespace detail {
-class CompileJob;
-}
-
-// A future for one asynchronous compilation. Move-only; dropping or
-// cancelling the handle withdraws this caller's interest — a job every
-// interested party abandoned before a pool worker picked it up is never
-// compiled (its future completes with CompileCancelled). A job already
-// running is not interrupted: the compile finishes and (cache permitting)
-// publishes, so the work benefits the next request for the same key.
-class CompileHandle {
- public:
-  CompileHandle() = default;
-  CompileHandle(CompileHandle&& other) noexcept;
-  CompileHandle& operator=(CompileHandle&& other) noexcept;
-  CompileHandle(const CompileHandle&) = delete;
-  CompileHandle& operator=(const CompileHandle&) = delete;
-  ~CompileHandle();
-
-  bool valid() const { return job_ != nullptr; }
-  // Non-blocking: has the compile finished (successfully or not)?
-  bool ready() const;
-  // Blocks until finished, then returns the output or rethrows the
-  // compile's failure (CompileError, CompileCancelled, ...). May be called
-  // repeatedly and even after cancel() — the result is shared.
-  CompileOutput get() const;
-  // Blocks until finished without consuming the result.
-  void wait() const;
-  // Withdraws this handle's interest (idempotent). See class comment.
-  void cancel();
-
- private:
-  friend class CompilerDriver;
-  explicit CompileHandle(std::shared_ptr<detail::CompileJob> job);
-
-  std::shared_ptr<detail::CompileJob> job_;
-  bool released_ = false;  // interest already withdrawn (cancel/move-out)
 };
 
 class CompilerDriver {
@@ -119,32 +64,18 @@ class CompilerDriver {
   // near-zero seconds. `extraFlags` are appended verbatim to the compile
   // command and are part of the cache identity — same source, different
   // defines, distinct entries.
+  //
+  // Single-flight per cache key: concurrent requests in one process share
+  // one compiler run. The first requester compiles inline in its own
+  // directory; the others wait for it and receive its output, or the same
+  // exception. Across processes, a claim file in the cache directory holds
+  // a cold key to one compile (see the .cpp). Both need the cache; with it
+  // off (setCacheEnabled(false) or ACCMOS_CACHE_DISABLE) every request
+  // compiles privately.
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
                         ArtifactKind kind = ArtifactKind::SharedLib,
                         const std::string& extraFlags = "");
-
-  // Starts the same compilation on the background compile pool and returns
-  // immediately. A verified cache entry yields an already-ready handle (no
-  // pool round trip), so a warm model "compiles" before the caller's first
-  // run. Requests are de-duplicated in flight per cache key (single-flight):
-  // N engines racing on one cold model enqueue exactly one compile, and all
-  // handles resolve to the producer's output. The job compiles in its own
-  // temporary workspace and publishes through the usual crash-safe cache
-  // path; it captures this driver's timeout/cache settings and the
-  // environment (compiler, cache directory, fault plan) at call time and
-  // does not reference the driver afterwards — destroying the driver while
-  // the job runs is safe. With the cache unusable (setCacheEnabled(false)
-  // or ACCMOS_CACHE_DISABLE) the compile still runs on the pool but cannot
-  // be de-duplicated or served to other drivers; the workspace then lives
-  // as long as the returned output (CompileOutput::keepAlive).
-  //
-  // This is the async primitive the tiered engine swaps on and the future
-  // accmosd daemon schedules with (ROADMAP).
-  CompileHandle compileAsync(const std::string& source,
-                             const std::string& name,
-                             const std::string& optFlag,
-                             const std::string& extraFlags = "");
 
   // Runs the program with the given argv, returning its captured stdout;
   // stderr goes into the failure messages. timeoutSec > 0 arms the
@@ -190,15 +121,6 @@ class CompilerDriver {
   // joined single-flight requests do not count). The regression handle for
   // "N racing engines, one compile".
   static uint64_t compilerInvocations();
-
-  // True when ACCMOS_CACHE_DISABLE turns the compile cache off process-wide
-  // (re-read per call). The tiered engine checks this: async hand-over of
-  // the compiled artifact rides on the cache.
-  static bool cacheDisabledGlobally();
-
-  // Background compile pool width: $ACCMOS_COMPILE_POOL, default 2,
-  // clamped to [1, 16].
-  static int compilePoolSize();
 
  private:
   std::string dir_;

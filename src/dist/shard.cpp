@@ -309,25 +309,17 @@ CampaignResult runShardedCampaign(const std::string& modelText,
   out.workersUsed = workers.size();
   bool anyBuilt = false;
   bool allHits = true;
-  double firstResult = -1.0;
   for (const auto& w : workers) {
     out.generateSeconds += w.done.generateSeconds;
     out.compileSeconds += w.done.compileSeconds;
     out.loadSeconds += w.done.loadSeconds;
-    out.compileWaitSeconds += w.done.compileWaitSeconds;
     if (w.done.generateSeconds > 0.0 || w.done.compileSeconds > 0.0 ||
         w.done.compileCacheHit) {
       anyBuilt = true;
       allHits = allHits && w.done.compileCacheHit;
     }
-    if (w.done.timeToFirstResultSeconds >= 0.0 &&
-        (firstResult < 0.0 ||
-         w.done.timeToFirstResultSeconds < firstResult)) {
-      firstResult = w.done.timeToFirstResultSeconds;
-    }
   }
   out.compileCacheHit = anyBuilt && allHits;
-  if (firstResult >= 0.0) out.timeToFirstResultSeconds = firstResult;
   out.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
@@ -421,10 +413,8 @@ int runShardWorker(int fd) {
     d.generateSeconds = evaluator.generateSeconds();
     d.compileSeconds = evaluator.compileSeconds();
     d.loadSeconds = evaluator.loadSeconds();
-    d.compileWaitSeconds = evaluator.compileWaitSeconds();
     d.compileCacheHit =
         evaluator.enginesBuilt() > 0 && evaluator.allCompileCacheHits();
-    d.timeToFirstResultSeconds = evaluator.timeToFirstResultSeconds();
     d.compilerInvocations = CompilerDriver::compilerInvocations();
     serve::writeFrame(fd, serve::toJson(d).write());
     return 0;

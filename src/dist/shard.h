@@ -3,8 +3,7 @@
 //
 // A coordinator splits a campaign's spec list into contiguous shards and
 // fans them over N `accmos shard-worker` processes, each running the
-// existing parallel/tiered campaign engine (SpecEvaluator) on its
-// sub-range. Workers stream per-spec SimulationResults back over the
+// existing parallel campaign engine (SpecEvaluator) on its sub-range. Workers stream per-spec SimulationResults back over the
 // length-prefixed JSON frame protocol (src/serve/protocol.h) on a
 // socketpair; the coordinator concatenates them in shard order and runs
 // the very same spec-order merge a single process runs (mergeSpecResults),

@@ -187,7 +187,7 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
   out.uncovered = listUncovered(*model, plan, out.mergedBitmaps);
   out.diagKinds = diagSeen.size();
   out.enginesBuilt = evaluator.enginesBuilt();
-  out.compileWaitSeconds = evaluator.compileWaitSeconds();
+  out.compileWaitSeconds = evaluator.compileSeconds();
 
   if (!gopt.corpusDir.empty()) {
     bool scalarPorts = true;

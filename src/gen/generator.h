@@ -69,9 +69,8 @@ struct GenResult {
   double wallSeconds = 0.0;
   OptStats optStats;
   size_t enginesBuilt = 0;  // AccMoS: distinct stimulus shapes compiled
-  // Wall seconds the search actually blocked on the compiler (see
-  // CampaignResult::compileWaitSeconds — near zero under Tier::Auto,
-  // where candidate evaluation overlaps the background compiles).
+  // Wall seconds the search blocked on the compiler: the per-shape
+  // compile time, since every engine compiles before its first run.
   double compileWaitSeconds = 0.0;
   // Contained per-candidate failures (timeouts, crashes, compile
   // failures), in evaluation order; RunFailure::index is the global

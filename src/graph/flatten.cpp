@@ -226,7 +226,7 @@ class Flattener {
                          "' used as a signal source");
       }
       // Inner Inport k aliases input port k of the owning subsystem actor.
-      int portIdx = static_cast<int>(a->params().getInt("port", 1));
+      int portIdx = a->intParam("port", 1, 1, kMaxDimParam);
       const SystemCtx& c = ctx_.at(&sys);
       const Line& l = drivingLine(*c.parentSystem, c.owner->name(), portIdx);
       return resolveOutput(*c.parentSystem, l.fromActor, l.fromPort);
@@ -272,7 +272,7 @@ class Flattener {
         for (const auto& a : to->subsystem()->actors()) {
           if (a->type() == "Inport") {
             maxPort = std::max(
-                maxPort, static_cast<int>(a->params().getInt("port", 1)));
+                maxPort, a->intParam("port", 1, 1, kMaxDimParam));
           }
         }
         if (isEnabledSubsystem(*to)) ++maxPort;
@@ -319,7 +319,7 @@ class Flattener {
     for (const auto& a : sub.subsystem()->actors()) {
       if (a->type() == "Inport") {
         maxPort = std::max(maxPort,
-                           static_cast<int>(a->params().getInt("port", 1)));
+                           a->intParam("port", 1, 1, kMaxDimParam));
       }
     }
     return maxPort + 1;
@@ -346,7 +346,7 @@ class Flattener {
     for (const auto& fa : out_.actors) {
       const System& sys = *systemOf_.at(fa.src);
       if (ctx_.at(&sys).owner != nullptr) continue;
-      int portIdx = static_cast<int>(fa.src->params().getInt("port", 1));
+      int portIdx = fa.src->intParam("port", 1, 1, kMaxDimParam);
       if (fa.type() == "Inport") {
         if (!ins.emplace(portIdx, fa.id).second) {
           throw ModelError("duplicate root Inport index " +

@@ -1148,7 +1148,7 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
   }
   if (ty == "Delay") {
     int w = op.out[0].width;
-    int n = static_cast<int>(a.params().getInt("length", 1));
+    int n = a.intParam("length", 1, 0, kMaxDimParam);
     pushEval(kCopyStateToOut);
     upd.ip = {w, n};
     pushUpdate(kDelayUpdate);

@@ -1,5 +1,7 @@
 #include "ir/model.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -39,7 +41,19 @@ double ParamMap::getDouble(const std::string& key, double def) const {
 int64_t ParamMap::getInt(const std::string& key, int64_t def) const {
   auto it = map_.find(key);
   if (it == map_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& v = it->second;
+  // strtoll alone would skip leading blanks and stop at trailing junk.
+  const size_t first = !v.empty() && (v[0] == '-' || v[0] == '+') ? 1 : 0;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v.c_str(), &end, 10);
+  if (first >= v.size() ||
+      std::isdigit(static_cast<unsigned char>(v[first])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    throw ModelError("parameter '" + key + "': '" + v +
+                     "' is not an integer in the 64-bit range");
+  }
+  return n;
 }
 
 bool ParamMap::getBool(const std::string& key, bool def) const {
@@ -73,10 +87,21 @@ void Actor::setDtype(DataType t) {
   params_.set("dtype", std::string(dataTypeName(t)));
 }
 
-int Actor::width() const {
-  int64_t w = params_.getInt("width", 1);
-  if (w < 1) throw ModelError("actor '" + name_ + "': width must be >= 1");
-  return static_cast<int>(w);
+int Actor::width() const { return intParam("width", 1, 1, kMaxDimParam); }
+
+int Actor::intParam(const std::string& key, int def, int lo, int hi) const {
+  int64_t v = def;
+  try {
+    v = params_.getInt(key, def);
+  } catch (const ModelError& e) {
+    throw ModelError("actor '" + name_ + "': " + e.what());
+  }
+  if (v < lo || v > hi) {
+    throw ModelError("actor '" + name_ + "': parameter '" + key +
+                     "' must be in " + std::to_string(lo) + ".." +
+                     std::to_string(hi) + ", not " + std::to_string(v));
+  }
+  return static_cast<int>(v);
 }
 
 void Actor::setWidth(int w) { params_.setInt("width", w); }

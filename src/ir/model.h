@@ -38,6 +38,8 @@ class ParamMap {
   std::string getString(const std::string& key,
                         const std::string& def = "") const;
   double getDouble(const std::string& key, double def = 0.0) const;
+  // Throws ModelError naming `key` unless the whole value is a decimal
+  // integer that fits int64_t.
   int64_t getInt(const std::string& key, int64_t def = 0) const;
   bool getBool(const std::string& key, bool def = false) const;
   // Comma/space separated list of doubles, e.g. lookup table data.
@@ -48,6 +50,11 @@ class ParamMap {
  private:
   std::map<std::string, std::string> map_;
 };
+
+// Upper bound on count- and size-like integer parameters (port counts and
+// indices, widths, taps): far above any real model, and small enough that
+// the product of two of them stays inside int.
+inline constexpr int kMaxDimParam = 1 << 15;
 
 // One block instance. Subsystem-type actors own a nested System.
 class Actor {
@@ -66,9 +73,14 @@ class Actor {
   DataType dtype() const;
   void setDtype(DataType t);
 
-  // Declared signal width (vector length) of the outputs.
+  // Declared signal width (vector length) of the outputs, 1..kMaxDimParam.
   int width() const;
   void setWidth(int w);
+
+  // An int parameter that must lie in [lo, hi]: port counts, widths,
+  // lengths, bit counts. Throws ModelError naming this actor and `key`
+  // when the value is malformed or out of range.
+  int intParam(const std::string& key, int def, int lo, int hi) const;
 
   // Nested system for Subsystem / EnabledSubsystem actors.
   System* subsystem() { return subsystem_.get(); }

@@ -3,7 +3,7 @@
 //
 // An entry owns everything a request would otherwise rebuild per process —
 // the parsed model, the flattened/optimized FlatModel, and a warm
-// SpecEvaluator whose per-shape TieredEngines hold the dlopen'd libraries.
+// SpecEvaluator whose per-shape AccMoSEngines hold the dlopen'd libraries.
 // A repeat request for the same (model text, options) key therefore skips
 // generation, compilation AND dlopen entirely; the regression handles are
 // CompilerDriver::compilerInvocations() and ModelLib::loadCount(), both
@@ -119,7 +119,7 @@ class ModelLibPool {
 
   // Returns a lease on the resident entry for (modelText, opt), building
   // it on a miss. Construction (parse + flatten + optimize) happens under
-  // the pool lock; engine compilation does NOT happen here — TieredEngines
+  // the pool lock; engine compilation does NOT happen here — AccMoSEngines
   // build lazily inside the request, off the pool lock. Throws whatever
   // the model pipeline throws (ModelError and friends) on a bad model.
   PoolLease acquire(const std::string& modelText, const SimOptions& opt);

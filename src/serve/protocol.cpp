@@ -381,11 +381,6 @@ Json toJson(const CampaignResult& r) {
   j.set("compileSeconds", Json::number(r.compileSeconds));
   j.set("loadSeconds", Json::number(r.loadSeconds));
   j.set("compileCacheHit", Json::boolean(r.compileCacheHit));
-  j.set("compileWaitSeconds", Json::number(r.compileWaitSeconds));
-  j.set("timeToFirstResultSeconds", Json::number(r.timeToFirstResultSeconds));
-  j.set("tierSwapIndex", Json::i64(r.tierSwapIndex));
-  j.set("interpSeeds", Json::u64(static_cast<uint64_t>(r.interpSeeds)));
-  j.set("nativeSeeds", Json::u64(static_cast<uint64_t>(r.nativeSeeds)));
   j.set("workersUsed", Json::u64(static_cast<uint64_t>(r.workersUsed)));
   Json fails = Json::array();
   for (const auto& f : r.failures) fails.push(toJson(f));
@@ -421,11 +416,6 @@ CampaignResult campaignResultFromJson(const Json& j, const std::string& where) {
   r.compileSeconds = getDouble(j, where, "compileSeconds");
   r.loadSeconds = getDouble(j, where, "loadSeconds");
   r.compileCacheHit = getBool(j, where, "compileCacheHit");
-  r.compileWaitSeconds = getDouble(j, where, "compileWaitSeconds");
-  r.timeToFirstResultSeconds = getDouble(j, where, "timeToFirstResultSeconds");
-  r.tierSwapIndex = getI64(j, where, "tierSwapIndex");
-  r.interpSeeds = static_cast<size_t>(getU64(j, where, "interpSeeds"));
-  r.nativeSeeds = static_cast<size_t>(getU64(j, where, "nativeSeeds"));
   r.workersUsed = static_cast<size_t>(getU64(j, where, "workersUsed"));
   {
     const auto& arr = getArray(j, where, "failures");
@@ -537,7 +527,6 @@ Json toJson(const SimOptions& o) {
   }
   j.set("customDiagnostics", std::move(customs));
   j.set("execMode", Json::str(std::string(execModeName(o.execMode))));
-  j.set("tier", Json::str(std::string(tierName(o.tier))));
   j.set("optFlag", Json::str(o.optFlag));
   j.set("compileCache", Json::boolean(o.compileCache));
   j.set("workers", Json::u64(static_cast<uint64_t>(o.campaign.workers)));
@@ -604,16 +593,6 @@ SimOptions optionsFromJson(const Json& j, const std::string& where) {
     o.execMode = ExecMode::Process;
   } else {
     badEnum(sub(where, "execMode"), mname);
-  }
-  const std::string& tname = getString(j, where, "tier");
-  if (tname == tierName(Tier::Native)) {
-    o.tier = Tier::Native;
-  } else if (tname == tierName(Tier::Auto)) {
-    o.tier = Tier::Auto;
-  } else if (tname == tierName(Tier::Interp)) {
-    o.tier = Tier::Interp;
-  } else {
-    badEnum(sub(where, "tier"), tname);
   }
   o.optFlag = getString(j, where, "optFlag");
   o.compileCache = getBool(j, where, "compileCache");
@@ -685,9 +664,7 @@ Json toJson(const ShardDone& d) {
   j.set("generateSeconds", Json::number(d.generateSeconds));
   j.set("compileSeconds", Json::number(d.compileSeconds));
   j.set("loadSeconds", Json::number(d.loadSeconds));
-  j.set("compileWaitSeconds", Json::number(d.compileWaitSeconds));
   j.set("compileCacheHit", Json::boolean(d.compileCacheHit));
-  j.set("timeToFirstResultSeconds", Json::number(d.timeToFirstResultSeconds));
   j.set("compilerInvocations", Json::u64(d.compilerInvocations));
   return j;
 }
@@ -699,10 +676,7 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where) {
   d.generateSeconds = getDouble(j, where, "generateSeconds");
   d.compileSeconds = getDouble(j, where, "compileSeconds");
   d.loadSeconds = getDouble(j, where, "loadSeconds");
-  d.compileWaitSeconds = getDouble(j, where, "compileWaitSeconds");
   d.compileCacheHit = getBool(j, where, "compileCacheHit");
-  d.timeToFirstResultSeconds =
-      getDouble(j, where, "timeToFirstResultSeconds");
   d.compilerInvocations = getU64(j, where, "compilerInvocations");
   return d;
 }

@@ -129,9 +129,7 @@ struct ShardDone {
   double generateSeconds = 0.0;
   double compileSeconds = 0.0;
   double loadSeconds = 0.0;
-  double compileWaitSeconds = 0.0;
   bool compileCacheHit = false;
-  double timeToFirstResultSeconds = -1.0;
   uint64_t compilerInvocations = 0;  // this worker process's count
 };
 Json toJson(const ShardDone& d);
@@ -139,13 +137,11 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where);
 
 // ---- Observation canonicalization --------------------------------------
 // The observation-only view of a campaign: everything that is contractually
-// bit-identical across workers, exec modes and tiers — per-seed
+// bit-identical across workers, exec modes and shards — per-seed
 // steps/coverage/diagnostic counts, merged bitmaps, deduplicated
-// diagnostics, failure records, opt stats — with timing and tier-placement
-// fields (execSeconds, execMode, tierSwapIndex, interp/nativeSeeds,
-// workersUsed) excluded. Client-vs-local bit-identity asserts compare the
-// rendered text of this view; under ACCMOS_TIER=auto the excluded fields
-// legitimately differ run to run while this view may not.
+// diagnostics, failure records, opt stats — with timing and placement
+// fields (execSeconds, execMode, workersUsed) excluded. Client-vs-local
+// bit-identity asserts compare the rendered text of this view.
 Json campaignObservations(const CampaignResult& r);
 
 // ---- Frames ------------------------------------------------------------

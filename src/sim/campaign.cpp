@@ -1,5 +1,7 @@
 #include "sim/campaign.h"
 
+#include <sys/stat.h>
+
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -13,7 +15,6 @@
 #include "interp/interpreter.h"
 #include "opt/pipeline.h"
 #include "sim/interrupt.h"
-#include "sim/tiered_engine.h"
 
 namespace accmos {
 namespace {
@@ -72,11 +73,11 @@ SpecEvaluator::SpecEvaluator(const FlatModel& fm, const SimOptions& opt)
 
 SpecEvaluator::~SpecEvaluator() = default;
 
-TieredEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec) {
+AccMoSEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec) {
   return engineFor(spec.shapeKey(), spec);
 }
 
-TieredEngine* SpecEvaluator::engineFor(const std::string& key,
+AccMoSEngine* SpecEvaluator::engineFor(const std::string& key,
                                        const TestCaseSpec& spec) {
   auto it = engines_.find(key);
   if (it != engines_.end()) return it->second.get();
@@ -84,7 +85,7 @@ TieredEngine* SpecEvaluator::engineFor(const std::string& key,
   // of a spec map to one compiled binary (the seed is a runtime argument).
   TestCaseSpec shape = spec;
   shape.seed = 1;
-  auto engine = std::make_unique<TieredEngine>(fm_, opt_, shape);
+  auto engine = std::make_unique<AccMoSEngine>(fm_, opt_, shape);
   ++enginesBuilt_;
   std::lock_guard<std::mutex> lock(enginesMutex_);
   return engines_.emplace(key, std::move(engine)).first->second.get();
@@ -108,12 +109,6 @@ double SpecEvaluator::loadSeconds() const {
   return s;
 }
 
-double SpecEvaluator::compileWaitSeconds() const {
-  double s = 0.0;
-  for (const auto& [key, e] : engines_) s += e->compileWaitSeconds();
-  return s;
-}
-
 bool SpecEvaluator::allCompileCacheHits() const {
   for (const auto& [key, e] : engines_) {
     if (!e->compileCacheHit()) return false;
@@ -124,7 +119,16 @@ bool SpecEvaluator::allCompileCacheHits() const {
 size_t SpecEvaluator::residentBytes() const {
   size_t bytes = 0;
   std::lock_guard<std::mutex> lock(enginesMutex_);
-  for (const auto& [key, e] : engines_) bytes += e->residentBytes();
+  for (const auto& [key, e] : engines_) {
+    // The generated source the engine holds plus the on-disk size of its
+    // library (what dlopen maps); an estimate is fine, the pool's eviction
+    // only needs a consistent relative measure.
+    bytes += e->generatedSource().size();
+    struct stat st {};
+    if (::stat(e->exePath().c_str(), &st) == 0 && st.st_size > 0) {
+      bytes += static_cast<size_t>(st.st_size);
+    }
+  }
   return bytes;
 }
 
@@ -146,35 +150,17 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
   for (const auto& spec : specs) spec.validate();
   if (done != nullptr) done->assign(specs.size(), 0);
 
-  // Time-to-first-result is measured from here: the serial engine build
-  // below is exactly the synchronous compile that Tier::Auto overlaps
-  // away, so it must count against the metric. Reset per call so a pooled
-  // evaluator reports each batch's own latency (callers never overlap
-  // evaluate() calls on one evaluator; the pool serializes per entry).
-  const auto evalStart = std::chrono::steady_clock::now();
-  firstResultSeen_.store(false, std::memory_order_relaxed);
-  auto markFirstResult = [&] {
-    if (!firstResultSeen_.load(std::memory_order_relaxed) &&
-        !firstResultSeen_.exchange(true, std::memory_order_relaxed)) {
-      firstResultSeconds_ = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - evalStart)
-                                .count();
-    }
-  };
-
   // AccMoS: build (or reuse) the per-shape engines serially before the
   // fan-out — compilation already parallelizes poorly and the serial order
-  // keeps construction bookkeeping deterministic (under Tier::Auto the
-  // construction only emits and enqueues, so this loop is cheap and the
-  // compiles overlap the runs below). A spec whose stimulus is bitwise
-  // identical to its predecessor's — every spec of a seed campaign —
-  // reuses the predecessor's engine without formatting a shape key; every
-  // other spec is keyed once. A shape whose simulator cannot be compiled
-  // does not abort the batch: every spec of that shape is marked with the
-  // compile failure (engineOf == nullptr, errorOf pointing into
-  // failedShapes) and reported as a contained CompileError result; other
-  // shapes run normally.
-  std::vector<TieredEngine*> engineOf;
+  // keeps construction bookkeeping deterministic. A spec whose stimulus is
+  // bitwise identical to its predecessor's — every spec of a seed
+  // campaign — reuses the predecessor's engine without formatting a shape
+  // key; every other spec is keyed once. A shape whose simulator cannot
+  // be compiled does not abort the batch: every spec of that shape is
+  // marked with the compile failure (engineOf == nullptr, errorOf pointing
+  // into failedShapes) and reported as a contained CompileError result;
+  // other shapes run normally.
+  std::vector<AccMoSEngine*> engineOf;
   std::vector<const std::string*> errorOf;
   std::map<std::string, std::string> failedShapes;
   if (opt_.engine == Engine::AccMoS) {
@@ -228,9 +214,8 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
           // Contained execution never throws for per-run faults — a hung
           // or crashed seed comes back as a failed result and its
           // neighbours are unaffected.
-          out[k] = engineOf[k]->runContained(specs[k].seed, worker);
+          out[k] = engineOf[k]->runContained(0, -1.0, specs[k].seed);
         }
-        markFirstResult();
         if (done != nullptr) (*done)[k] = 1;
       } catch (...) {
         std::lock_guard<std::mutex> lock(errMutex);
@@ -260,8 +245,8 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
 // Merge strictly in spec order: coverage-bitmap unions, diagnostic
 // deduplication and the per-spec cumulative reports are computed exactly
 // as a sequential run would, so the campaign outcome is independent of the
-// execution interleaving that produced `results` — worker pools, tier
-// swaps, or shard processes (src/dist) all feed the same merge.
+// execution interleaving that produced `results` — worker pools or shard
+// processes (src/dist) both feed the same merge.
 CampaignResult mergeSpecResults(const FlatModel& model,
                                 const std::vector<TestCaseSpec>& specs,
                                 const std::vector<SimulationResult>& results,
@@ -308,24 +293,7 @@ CampaignResult mergeSpecResults(const FlatModel& model,
     sr.cumulative = makeReport(plan, out.mergedBitmaps);
     sr.diagnosticKinds = res.diagnostics.size();
     sr.execMode = res.execMode;
-    if (res.execMode == kExecModeInterp) {
-      ++out.interpSeeds;
-    } else if (!res.execMode.empty()) {
-      ++out.nativeSeeds;
-    }
     out.perSeed.push_back(std::move(sr));
-  }
-  // Where the hot-swap landed, in merge order: only meaningful when both
-  // tiers answered seeds.
-  if (out.interpSeeds > 0 && out.nativeSeeds > 0) {
-    for (size_t k = 0; k < out.perSeed.size(); ++k) {
-      const CampaignSeedResult& sr = out.perSeed[k];
-      if (!sr.failed && !sr.execMode.empty() &&
-          sr.execMode != kExecModeInterp) {
-        out.tierSwapIndex = static_cast<long long>(k);
-        break;
-      }
-    }
   }
 
   out.cumulative = makeReport(plan, out.mergedBitmaps);
@@ -357,9 +325,7 @@ CampaignResult runCampaignSpecsOn(
   const double generate0 = evaluator.generateSeconds();
   const double compile0 = evaluator.compileSeconds();
   const double load0 = evaluator.loadSeconds();
-  const double wait0 = evaluator.compileWaitSeconds();
 
-  const auto evalStart = std::chrono::steady_clock::now();
   std::vector<uint8_t> done;
   std::vector<SimulationResult> results = evaluator.evaluate(specs, &done);
 
@@ -375,16 +341,8 @@ CampaignResult runCampaignSpecsOn(
   out.generateSeconds = evaluator.generateSeconds() - generate0;
   out.compileSeconds = evaluator.compileSeconds() - compile0;
   out.loadSeconds = evaluator.loadSeconds() - load0;
-  out.compileWaitSeconds = evaluator.compileWaitSeconds() - wait0;
   out.compileCacheHit =
       evaluator.enginesBuilt() > built0 && evaluator.allCompileCacheHits();
-  if (evaluator.timeToFirstResultSeconds() >= 0.0) {
-    // Campaign-relative: the flatten/optimize prelude plus the evaluator's
-    // own start-to-first-result span.
-    out.timeToFirstResultSeconds =
-        std::chrono::duration<double>(evalStart - wall0).count() +
-        evaluator.timeToFirstResultSeconds();
-  }
   auto wall1 = std::chrono::steady_clock::now();
   out.wallSeconds = std::chrono::duration<double>(wall1 - wall0).count();
   return out;

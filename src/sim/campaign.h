@@ -17,7 +17,6 @@
 // run for any worker count.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -43,9 +42,8 @@ struct CampaignSeedResult {
   CoverageReport coverage;          // this seed alone
   CoverageReport cumulative;        // union up to and including this seed
   size_t diagnosticKinds = 0;       // distinct (actor, kind) events
-  // Execution backend that answered this seed: "interp" when the
-  // interpreter tier served it (SimOptions::tier), "dlopen" / "process"
-  // for native runs; empty for SSE campaigns.
+  // Execution backend that answered this seed: "dlopen" / "process" for
+  // AccMoS runs; empty for SSE campaigns.
   std::string execMode;
   // This seed's run was contained as a failure (timeout, crash, compile
   // failure): it contributed nothing to the merge, and the matching
@@ -67,20 +65,6 @@ struct CampaignResult {
   double compileSeconds = 0.0;
   double loadSeconds = 0.0;           // AccMoS dlopen mode: library loads
   bool compileCacheHit = false;       // AccMoS: every binary came cached
-  // Tiered execution (SimOptions::tier, docs/EXECUTION.md). Wall seconds
-  // workers actually BLOCKED on the compiler: equals compileSeconds under
-  // Tier::Native (the synchronous build), near zero under Tier::Auto
-  // (the compile overlaps interpreted runs on the background pool).
-  double compileWaitSeconds = 0.0;
-  // Wall seconds from campaign start until the first per-seed result was
-  // available — the cold-start latency tiering attacks.
-  double timeToFirstResultSeconds = 0.0;
-  // First spec index answered by the compiled simulator when earlier
-  // specs ran interpreted — where the hot-swap landed in merge order.
-  // -1 when no swap happened (all-native, all-interp, or SSE).
-  long long tierSwapIndex = -1;
-  size_t interpSeeds = 0;             // seeds answered by the interp tier
-  size_t nativeSeeds = 0;             // seeds answered by the native tier
   size_t workersUsed = 1;
   // Contained per-seed failures, in seed (spec) order. A campaign never
   // aborts because one seed hung or crashed: the failed seed is recorded
@@ -128,7 +112,7 @@ class SpecEvaluator;
 // the campaign interrupted), folds the first `completed` results into a
 // CampaignResult exactly as a sequential single-process run would —
 // bitmap unions, diagnostic dedup, per-spec cumulative reports, contained
-// failures, tier counters. The shard coordinator (src/dist) concatenates
+// failures. The shard coordinator (src/dist) concatenates
 // per-shard result vectors and calls this, which is what makes a sharded
 // campaign bit-identical to a single-process one: both run the very same
 // merge over the very same per-spec results in the very same order.
@@ -143,14 +127,14 @@ CampaignResult mergeSpecResults(const FlatModel& model,
 // entry point. `model` must be the (already optimized, if desired) model
 // the evaluator was constructed on, and `optStats` whatever the caller's
 // one-time optimization pass reported. One-off cost fields of the result
-// (generate/compile/load/compileWait seconds, enginesBuilt-derived
-// compileCacheHit) are DELTAS across this call: with a fresh evaluator
+// (generate/compile/load seconds, enginesBuilt-derived compileCacheHit)
+// are DELTAS across this call: with a fresh evaluator
 // they equal the classic totals (runCampaignSpecs delegates here), while
 // a pooled evaluator whose engines are already warm reports them as zero
 // — the accmosd warm-hit guarantee made visible in the result itself.
 // The run is cooperatively interruptible (see CampaignResult::interrupted).
-// `wallStart` backdates wallSeconds/timeToFirstResult to include caller
-// prelude work (flatten/optimize); omitted, the clock starts here.
+// `wallStart` backdates wallSeconds to include caller prelude work
+// (flatten/optimize); omitted, the clock starts here.
 CampaignResult runCampaignSpecsOn(
     const FlatModel& model, SpecEvaluator& evaluator, const SimOptions& opt,
     const std::vector<TestCaseSpec>& specs, const OptStats& optStats,
@@ -172,12 +156,6 @@ CampaignResult runCampaignSpecsOn(
 // accmos_run ABI is reentrant), in process mode each run is a child
 // process; the content-addressed compile cache absorbs repeated shapes
 // across evaluators and runs.
-//
-// Each AccMoS shape is fronted by a TieredEngine, so under
-// SimOptions::tier == Auto the evaluator starts answering specs on the
-// interpreter tier while the per-shape compiles proceed on the background
-// pool, hot-swapping to the compiled simulator mid-batch (Tier::Native
-// keeps the classic synchronous build).
 class SpecEvaluator {
  public:
   // Throws ModelError unless `opt` names an instrumented engine (SSE or
@@ -208,51 +186,37 @@ class SpecEvaluator {
   // count never changes observations, only scheduling.
   void setWorkers(size_t workers) { opt_.campaign.workers = workers; }
 
-  // The per-shape compiled engine for `spec`, building (or async-enqueuing
-  // under Tier::Auto) on first use. Exposed for the daemon's single-run
-  // path, which answers `client run` straight off the pooled engine;
-  // batch callers go through evaluate(). AccMoS only.
-  class TieredEngine* engineFor(const TestCaseSpec& spec);
+  // The per-shape compiled engine for `spec`, building it on first use.
+  // Batch callers go through evaluate(). AccMoS only.
+  class AccMoSEngine* engineFor(const TestCaseSpec& spec);
 
   // Approximate bytes held resident by the cached per-shape engines
   // (generated sources + loaded artifacts) — what the model-library pool
   // charges against its byte budget.
   size_t residentBytes() const;
 
-  // AccMoS bookkeeping (all zero / true for SSE). Computed over the live
-  // per-shape engines rather than snapshotted at construction, because
-  // under Tier::Auto the compile cost only becomes known when the async
-  // build finishes mid-batch.
+  // AccMoS bookkeeping (all zero / true for SSE), summed over the live
+  // per-shape engines.
   size_t enginesBuilt() const { return enginesBuilt_; }
   double generateSeconds() const;
   double compileSeconds() const;
   double loadSeconds() const;
-  // Wall seconds workers actually blocked on the compiler (see
-  // CampaignResult::compileWaitSeconds).
-  double compileWaitSeconds() const;
   bool allCompileCacheHits() const;
-  // Wall seconds from the start of the most recent evaluate() call until
-  // its first spec result landed; negative before any evaluate() ran.
-  // Per-call (not lifetime) so a pooled evaluator reports each request's
-  // own cold/warm latency.
-  double timeToFirstResultSeconds() const { return firstResultSeconds_; }
 
  private:
   // engineFor() with the spec's shapeKey() already computed.
-  class TieredEngine* engineFor(const std::string& key,
+  class AccMoSEngine* engineFor(const std::string& key,
                                 const TestCaseSpec& spec);
 
   const FlatModel& fm_;
   SimOptions opt_;
-  std::map<std::string, std::unique_ptr<class TieredEngine>> engines_;
+  std::map<std::string, std::unique_ptr<class AccMoSEngine>> engines_;
   // Guards engines_ against residentBytes() on another thread (the
   // daemon's pool sizes entries that other requests are evaluating). Only
   // the evaluate() thread inserts, so its own reads need no lock.
   mutable std::mutex enginesMutex_;
   std::vector<std::unique_ptr<class Interpreter>> interps_;  // per worker
   size_t enginesBuilt_ = 0;
-  std::atomic<bool> firstResultSeen_{false};
-  double firstResultSeconds_ = -1.0;
 };
 
 }  // namespace accmos

@@ -51,43 +51,6 @@ struct CampaignOptions {
   size_t workers = 1;
 };
 
-// Tiered execution policy for the AccMoS engine (docs/EXECUTION.md,
-// "Tiered execution").
-//   Native — construct the compiled engine synchronously (the classic
-//            behaviour; first run waits for generate + compile + load).
-//   Auto   — browser-JIT style: answer runs on the SSE interpreter while
-//            the optimizing compile proceeds on the background pool, then
-//            hot-swap new runs onto the dlopen library once ready.
-//            Observationally identical either way (all engines are
-//            observation-equivalent), so only timing moves.
-//   Interp — never compile; every run stays on the interpreter tier.
-// Auto/Interp silently harden to Native when a run needs capabilities only
-// the generated code has: cooperative deadlines (runTimeoutSec/stepBudget),
-// Expression custom diagnostics, injected compiler/step-loop faults
-// (ACCMOS_FAULT targets generated code and the compiler — tiering around
-// the injection would dodge it), or a disabled compile cache (the async
-// artifact hand-over rides on the cache).
-enum class Tier : uint8_t { Native, Auto, Interp };
-
-std::string_view tierName(Tier t);
-
-// execMode string reported for runs answered by the interpreter tier.
-inline constexpr const char* kExecModeInterp = "interp";
-
-// Default for SimOptions::tier: ACCMOS_TIER=auto|interp|native (anything
-// else, including unset, is Native — campaigns keep their classic
-// synchronous-compile behaviour unless tiering is asked for). This is the
-// CI toggle that reruns the whole suite on each tier.
-inline Tier defaultTier() {
-  const char* v = std::getenv("ACCMOS_TIER");
-  if (v != nullptr) {
-    const std::string s(v);
-    if (s == "auto") return Tier::Auto;
-    if (s == "interp") return Tier::Interp;
-  }
-  return Tier::Native;
-}
-
 // Default for SimOptions::optimize. The pre-engine optimization pipeline is
 // on unless the environment says otherwise: ACCMOS_NO_OPT=1 disables it
 // process-wide (the CI toggle that reruns the whole test suite
@@ -139,8 +102,6 @@ struct SimOptions {
   // wire field sets it. It exists only because the frozen benchmark
   // harness (accbench/harness/campaign.cpp) still assigns it.
   size_t batchLanes = 0;
-  // Tiered execution policy (see Tier above; CLI --tier=, env ACCMOS_TIER).
-  Tier tier = defaultTier();
   std::string optFlag = "-O3";   // compiler optimization level
   bool keepGeneratedCode = false;
   std::string workDir;           // empty = temp directory

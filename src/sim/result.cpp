@@ -53,13 +53,4 @@ std::string_view execModeName(ExecMode m) {
   return "?";
 }
 
-std::string_view tierName(Tier t) {
-  switch (t) {
-    case Tier::Native: return "native";
-    case Tier::Auto: return "auto";
-    case Tier::Interp: return "interp";
-  }
-  return "?";
-}
-
 }  // namespace accmos

@@ -6,7 +6,6 @@
 #include "interp/compiled.h"
 #include "interp/interpreter.h"
 #include "opt/pipeline.h"
-#include "sim/tiered_engine.h"
 
 namespace accmos {
 namespace {
@@ -15,14 +14,6 @@ SimulationResult dispatch(const FlatModel& fm, const SimOptions& opt,
                           const TestCaseSpec& tests) {
   switch (opt.engine) {
     case Engine::AccMoS:
-      if (opt.tier != Tier::Native) {
-        // Tiered single run: under Auto this answers on whichever tier is
-        // ready first (a warm compile cache makes it native; a cold one
-        // interpreted, withdrawing interest in the async compile on
-        // return); under Interp it never compiles.
-        TieredEngine tiered(fm, opt, tests);
-        return tiered.run();
-      }
       return runAccMoS(fm, opt, tests);
     case Engine::SSE:
       return runInterpreter(fm, opt, tests);

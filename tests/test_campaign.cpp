@@ -6,7 +6,6 @@
 #include "bench_models/suite.h"
 #include "codegen/accmos_engine.h"
 #include "sim/campaign.h"
-#include "sim/tiered_engine.h"
 #include "test_util.h"
 
 namespace accmos {
@@ -67,9 +66,6 @@ TEST(Campaign, AccMoSMatchesSseSeedBySeed) {
   auto sse = runCampaign(sim.flatModel(), sseOpt, benchStimulus("SPV"), seeds);
   SimOptions accOpt = sseOpt;
   accOpt.engine = Engine::AccMoS;
-  // Pinned: the compileSeconds assertion below needs the synchronous
-  // compile (an ambient ACCMOS_TIER=interp/auto would skip or defer it).
-  accOpt.tier = Tier::Native;
   auto acc = runCampaign(sim.flatModel(), accOpt, benchStimulus("SPV"), seeds);
 
   ASSERT_EQ(sse.perSeed.size(), acc.perSeed.size());
@@ -209,8 +205,9 @@ TEST(Campaign, SpecEvaluatorSharesEnginesAcrossShapes) {
 
 // Shape keying in SpecEvaluator::evaluate: a spec whose stimulus is
 // bitwise identical to its predecessor's reuses that engine, every other
-// spec is keyed on its own. The interpreter tier makes these structural
-// checks compile-free; each engine counts the runs it answered.
+// spec is keyed on its own. A tiny model at -O0 keeps the compiles cheap;
+// each result must match a direct engine run of its own spec, so a spec
+// served by another shape's engine shows up as a wrong observation.
 class ShapeKeying : public ::testing::Test {
  protected:
   ShapeKeying() {
@@ -221,7 +218,7 @@ class ShapeKeying : public ::testing::Test {
     t_.wire("G", "Out1");
     sim_ = std::make_unique<Simulator>(t_.model());
     opt_.engine = Engine::AccMoS;
-    opt_.tier = Tier::Interp;
+    opt_.optFlag = "-O0";
     opt_.maxSteps = 50;
   }
 
@@ -232,6 +229,25 @@ class ShapeKeying : public ::testing::Test {
     return s;
   }
 
+  // Evaluates `specs` on a fresh evaluator, checks every result against a
+  // direct AccMoSEngine run of its own spec, and returns enginesBuilt().
+  size_t evaluateAndCheck(const std::vector<TestCaseSpec>& specs) {
+    SpecEvaluator eval(sim_->flatModel(), opt_);
+    std::vector<SimulationResult> results = eval.evaluate(specs);
+    for (size_t k = 0; k < specs.size(); ++k) {
+      SimulationResult direct =
+          AccMoSEngine(sim_->flatModel(), opt_, specs[k]).run();
+      const std::string label = "spec " + std::to_string(k);
+      EXPECT_EQ(results[k].stepsExecuted, direct.stepsExecuted) << label;
+      test::expectSameOutputs(results[k], direct, label);
+      for (CovMetric m : kAllCovMetrics) {
+        EXPECT_EQ(results[k].bitmaps.bits(m), direct.bitmaps.bits(m))
+            << label << " " << covMetricName(m);
+      }
+    }
+    return eval.enginesBuilt();
+  }
+
   Tiny t_;
   std::unique_ptr<Simulator> sim_;
   SimOptions opt_;
@@ -239,13 +255,10 @@ class ShapeKeying : public ::testing::Test {
 
 TEST_F(ShapeKeying, HomogeneousBatchBuildsOneEngine) {
   std::vector<TestCaseSpec> specs;
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
     specs.push_back(spec(-1.0, 1.0, seed));
   }
-  SpecEvaluator eval(sim_->flatModel(), opt_);
-  eval.evaluate(specs);
-  EXPECT_EQ(eval.enginesBuilt(), 1u);
-  EXPECT_EQ(eval.engineFor(specs[0])->interpRuns(), specs.size());
+  EXPECT_EQ(evaluateAndCheck(specs), 1u);
 }
 
 TEST_F(ShapeKeying, SignedZeroBoundsBuildTwoEngines) {
@@ -253,24 +266,14 @@ TEST_F(ShapeKeying, SignedZeroBoundsBuildTwoEngines) {
   const TestCaseSpec neg = spec(-0.0, 1.0, 2);
   EXPECT_FALSE(pos.sameShapeAs(neg));
   EXPECT_NE(pos.shapeKey(), neg.shapeKey());
-  SpecEvaluator eval(sim_->flatModel(), opt_);
-  eval.evaluate({pos, neg});
-  EXPECT_EQ(eval.enginesBuilt(), 2u);
-  EXPECT_NE(eval.engineFor(pos), eval.engineFor(neg));
-  EXPECT_EQ(eval.engineFor(pos)->interpRuns(), 1u);
-  EXPECT_EQ(eval.engineFor(neg)->interpRuns(), 1u);
+  EXPECT_EQ(evaluateAndCheck({pos, neg}), 2u);
 }
 
 TEST_F(ShapeKeying, InterleavedShapesMapBackToTheFirstEngine) {
   const TestCaseSpec a = spec(-1.0, 1.0, 1);
   const TestCaseSpec b = spec(-3.0, 3.0, 2);
   const TestCaseSpec a2 = spec(-1.0, 1.0, 3);
-  SpecEvaluator eval(sim_->flatModel(), opt_);
-  eval.evaluate({a, b, a2});
-  EXPECT_EQ(eval.enginesBuilt(), 2u);
-  EXPECT_EQ(eval.engineFor(a)->interpRuns(), 2u) << "specs 0 and 2";
-  EXPECT_EQ(eval.engineFor(b)->interpRuns(), 1u);
-  EXPECT_EQ(eval.enginesBuilt(), 2u);
+  EXPECT_EQ(evaluateAndCheck({a, b, a2}), 2u) << "specs 0 and 2 share one";
 }
 
 TEST(Campaign, SeedOverrideMatchesBakedSeed) {

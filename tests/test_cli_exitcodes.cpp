@@ -91,6 +91,14 @@ TEST_F(CliExitCodes, UsageErrorsExitTwo) {
   EXPECT_EQ(runCli("bogus-subcommand"), 2);
   EXPECT_EQ(runCli("run"), 2);
   EXPECT_EQ(runCli("run " + model("Sample.xml") + " --engine=warp9"), 2);
+  // Numeric flags take the whole value as an in-range number.
+  const std::string fmtm = model("FMTM.xml");
+  EXPECT_EQ(runCli("run " + fmtm + " --engine=sse --steps=abc"), 2);
+  EXPECT_EQ(runCli("campaign " + fmtm + " --seeds=3x"), 2);
+  EXPECT_EQ(runCli("campaign " + fmtm + " --workers=-1"), 2);
+  EXPECT_EQ(runCli("run " + fmtm + " --timeout=abc"), 2);
+  EXPECT_EQ(runCli("campaign " + fmtm + " --seeds=-5"), 2);
+  EXPECT_EQ(runCli("gen " + fmtm + " --budget=abc"), 2);
 }
 
 TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {

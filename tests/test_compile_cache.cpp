@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codegen/accmos_engine.h"
@@ -321,6 +322,60 @@ class EnvGuard {
   std::string old_;
 };
 
+// In-process single-flight: N workers constructing engines for one cold
+// model (the campaign cold-start race) compile it once.
+TEST_F(CompileCacheTest, SingleFlightDeduplicatesConcurrentEngineBuilds) {
+  EnvGuard fault("ACCMOS_FAULT", "slow-compile:300");
+  auto t = gainModel(3.0);
+  Simulator sim(t->model());
+  SimOptions opt = accOptions();
+  TestCaseSpec tests;
+
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  std::unique_ptr<AccMoSEngine> e1, e2;
+  std::thread w1([&] { e1 = std::make_unique<AccMoSEngine>(
+                           sim.flatModel(), opt, tests); });
+  std::thread w2([&] { e2 = std::make_unique<AccMoSEngine>(
+                           sim.flatModel(), opt, tests); });
+  w1.join();
+  w2.join();
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 1u)
+      << "two racing engine builds must share one compiler run";
+
+  SimulationResult r1 = e1->run();
+  SimulationResult r2 = e2->run();
+  test::expectSameOutputs(r1, r2, "single-flight engines");
+}
+
+// The failure side of single-flight: a request that joins a failing
+// compile receives the producer's CompileError, not a compiler run of its
+// own. The compiler output names the producer's directory, so equal texts
+// also show that only one driver compiled.
+TEST_F(CompileCacheTest, SingleFlightSharesACompileFailure) {
+  EnvGuard fault("ACCMOS_FAULT", "slow-compile:300");
+  const std::string bad = "int main() { this is not C++; }\n";
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  std::string what1, what2;
+  auto attempt = [&bad](std::string* what) {
+    CompilerDriver driver;
+    try {
+      driver.compile(bad, "broken", "-O0");
+    } catch (const CompileError& e) {
+      *what = e.what();
+    }
+  };
+  std::thread w1(attempt, &what1);
+  std::thread w2(attempt, &what2);
+  w1.join();
+  w2.join();
+  EXPECT_NE(what1.find("compilation of generated simulation code failed"),
+            std::string::npos)
+      << what1;
+  EXPECT_EQ(what1, what2);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 1u)
+      << "the joiner must not run the compiler again";
+}
+
 // Cross-process single-flight: two separate processes cold-compile the
 // SAME model against ONE shared cache directory at the same time. The
 // lockfile claim in CompilerDriver must hold the pair to exactly one
@@ -366,10 +421,8 @@ TEST_F(CompileCacheTest, CrossProcessColdCompileIsSingleFlight) {
         ::dup2(fd, 2);
         ::close(fd);
       }
-      // --tier=native: an inherited ACCMOS_TIER=interp would answer the
-      // run on the interpreter and never compile.
       ::execl(ACCMOS_CLI_PATH, ACCMOS_CLI_PATH, "run", modelPath.c_str(),
-              "--engine=accmos", "--steps=50", "--opt=-O0", "--tier=native",
+              "--engine=accmos", "--steps=50", "--opt=-O0",
               static_cast<char*>(nullptr));
       ::_exit(127);
     }

@@ -74,7 +74,6 @@ class DistTest : public ::testing::Test {
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
         execEnv_("ACCMOS_EXEC_MODE", nullptr),
-        tierEnv_("ACCMOS_TIER", nullptr),
         abortEnv_("ACCMOS_SHARD_ABORT", nullptr) {
     clearInterrupt();
   }
@@ -100,7 +99,6 @@ class DistTest : public ::testing::Test {
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
   EnvGuard execEnv_;
-  EnvGuard tierEnv_;
   EnvGuard abortEnv_;
   static int counter_;
 };
@@ -140,7 +138,6 @@ SimOptions distSimOptions() {
   opt.engine = Engine::AccMoS;
   opt.maxSteps = 300;
   opt.optFlag = "-O0";  // throwaway models; keep the compiles cheap
-  opt.tier = Tier::Native;
   return opt;
 }
 
@@ -234,9 +231,7 @@ TEST(ShardCodecs, RequestPartialDoneRoundTripExactly) {
   d.generateSeconds = 0.25;
   d.compileSeconds = 1.5;
   d.loadSeconds = 0.125;
-  d.compileWaitSeconds = 0.5;
   d.compileCacheHit = true;
-  d.timeToFirstResultSeconds = 0.75;
   d.compilerInvocations = 3;
   Json dj = serve::toJson(d);
   EXPECT_EQ(dj.at("op", "$").asString("$.op"), "done");

@@ -70,10 +70,6 @@ SimOptions modeOptions(ExecMode mode, uint64_t steps = 300) {
   opt.maxSteps = steps;
   opt.optFlag = "-O1";  // cheap compiles; the backends behave the same
   opt.execMode = mode;
-  // These tests assert which native backend ran (execMode strings,
-  // loadSeconds); an ambient ACCMOS_TIER=interp/auto would answer runs on
-  // the interpreter tier instead. The tiered suite is test_tiered.cpp.
-  opt.tier = Tier::Native;
   return opt;
 }
 

@@ -1,10 +1,14 @@
 // Unit tests for the model file format (reader/writer) and the IR basics.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "bench_models/suite.h"
 #include "parser/model_io.h"
 #include "sim/simulator.h"
 #include "test_util.h"
+#include "xml/xml.h"
 
 namespace accmos {
 namespace {
@@ -26,6 +30,14 @@ TEST(ParamMap, TypedAccessors) {
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list[1], 2.5);
   EXPECT_EQ(p.getString("missing", "def"), "def");
+  // getInt takes only a whole decimal integer that fits int64_t.
+  for (const char* bad : {"2junk", "", " 2", "1.5", "-", "0x10",
+                          "9223372036854775808"}) {
+    p.set("n", bad);
+    EXPECT_THROW(p.getInt("n"), ModelError) << "'" << bad << "'";
+  }
+  p.set("n", "-9223372036854775808");
+  EXPECT_EQ(p.getInt("n"), INT64_MIN);
 }
 
 TEST(ModelIr, DuplicateActorRejected) {
@@ -163,6 +175,72 @@ TEST(ModelIo, FileRoundTrip) {
   auto back = readModelFromFile(path);
   EXPECT_EQ(back->countActors(), model->countActors());
   EXPECT_THROW(readModelFromFile("/nonexistent/x.xml"), ModelError);
+}
+
+std::string readModelText(const std::string& name) {
+  std::ifstream in(std::string(ACCMOS_MODELS_DIR) + "/" + name);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// An integer parameter that does not fit its use fails as a ModelError
+// naming the actor and the parameter. None of these may wrap to a
+// plausible port count, lose its trailing junk, or reach a vector size.
+TEST(ModelIo, OutOfRangeIntegerParametersAreModelErrors) {
+  const std::string text = readModelText("FMTM.xml");
+  const std::string param = "<param name=\"inputs\" value=\"2\"/>";
+  const size_t at = text.find(param);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"4294967298", "2junk", "-1"}) {
+    std::string bad = text;
+    bad.replace(at, param.size(),
+                "<param name=\"inputs\" value=\"" + std::string(value) +
+                    "\"/>");
+    LoadedModel loaded = loadModelFromString(bad);
+    try {
+      Simulator sim(*loaded.model);
+      ADD_FAILURE() << "inputs=" << value << " was accepted";
+    } catch (const ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("actor 'And4'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'inputs'"), std::string::npos) << what;
+    }
+  }
+}
+
+// Seeded mutation fuzzing of the model reader: a benchmark model's XML,
+// mutated by a fixed SplitMix64 stream (test::mutateOnce, 1-3 mutations
+// each), goes through the loader, flatten and validation. Every mutant
+// must end as a ModelError, an xml::ParseError or a valid model — never
+// another exception, a crash or a hang. The sanitizer CI jobs run it too.
+TEST(ModelIo, MutatedModelFilesLoadOrFailTyped) {
+  const std::string text = readModelText("SPV.xml");
+  ASSERT_FALSE(text.empty());
+  SplitMix64 rng(2024);
+  size_t valid = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutant = text;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      mutant = test::mutateOnce(std::move(mutant), rng);
+    }
+    try {
+      LoadedModel loaded = loadModelFromString(mutant);
+      FlatModel fm = flatten(*loaded.model, Registry::instance());
+      validateFlatModel(fm);
+      ++valid;
+    } catch (const ModelError&) {
+      ++rejected;
+    } catch (const xml::ParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << " escaped as an untyped "
+                    << "exception: " << e.what();
+    }
+  }
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

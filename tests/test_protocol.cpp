@@ -262,11 +262,8 @@ TEST(Protocol, CampaignResultRoundTripsExactly) {
       runCampaign(sim.flatModel(), opt, benchStimulus("CSEV"), {1, 2, 3});
   ASSERT_EQ(cr.perSeed.size(), 3u);
 
-  // Exercise every field the campaign itself didn't populate: tier
-  // placement, a contained failure, the interrupt marker.
-  cr.tierSwapIndex = 2;
-  cr.interpSeeds = 2;
-  cr.nativeSeeds = 1;
+  // Exercise every field the campaign itself didn't populate: a contained
+  // failure, the interrupt marker.
   cr.interrupted = true;
   cr.failures.push_back(
       {FailureKind::Crash, 1074, 2, 11, 0, "dlopen", "SIGSEGV in step 17"});
@@ -299,11 +296,6 @@ TEST(Protocol, CampaignResultRoundTripsExactly) {
   EXPECT_EQ(cr.compileSeconds, back.compileSeconds);
   EXPECT_EQ(cr.loadSeconds, back.loadSeconds);
   EXPECT_EQ(cr.compileCacheHit, back.compileCacheHit);
-  EXPECT_EQ(cr.compileWaitSeconds, back.compileWaitSeconds);
-  EXPECT_EQ(cr.timeToFirstResultSeconds, back.timeToFirstResultSeconds);
-  EXPECT_EQ(cr.tierSwapIndex, back.tierSwapIndex);
-  EXPECT_EQ(cr.interpSeeds, back.interpSeeds);
-  EXPECT_EQ(cr.nativeSeeds, back.nativeSeeds);
   EXPECT_EQ(cr.workersUsed, back.workersUsed);
   ASSERT_EQ(cr.failures.size(), back.failures.size());
   for (size_t k = 0; k < cr.failures.size(); ++k) {
@@ -330,7 +322,6 @@ TEST(Protocol, SimOptionsRoundTripAndDaemonLocalFieldsDropped) {
   o.customDiagnostics.push_back(rangeDiagnostic("root/A", "lane", -1.0, 1.0));
   o.customDiagnostics.push_back(suddenChangeDiagnostic("root/B", "jump", 0.5));
   o.execMode = ExecMode::Process;
-  o.tier = Tier::Auto;
   o.optFlag = "-O1";
   o.compileCache = false;
   o.campaign.workers = 7;
@@ -361,7 +352,6 @@ TEST(Protocol, SimOptionsRoundTripAndDaemonLocalFieldsDropped) {
             CustomDiagnostic::Kind::SuddenChange);
   EXPECT_EQ(back.customDiagnostics[1].maxDelta, 0.5);
   EXPECT_EQ(back.execMode, o.execMode);
-  EXPECT_EQ(back.tier, o.tier);
   EXPECT_EQ(back.optFlag, o.optFlag);
   EXPECT_EQ(back.compileCache, o.compileCache);
   EXPECT_EQ(back.campaign.workers, o.campaign.workers);
@@ -438,7 +428,6 @@ TEST(Protocol, CampaignObservationsExcludeTimingAndPlacement) {
   EXPECT_EQ(obs.find("wallSeconds"), std::string::npos);
   EXPECT_EQ(obs.find("execSeconds"), std::string::npos);
   EXPECT_EQ(obs.find("execMode"), std::string::npos);
-  EXPECT_EQ(obs.find("tierSwapIndex"), std::string::npos);
   EXPECT_EQ(obs.find("workersUsed"), std::string::npos);
   EXPECT_NE(obs.find("mergedBitmaps"), std::string::npos);
 
@@ -447,14 +436,10 @@ TEST(Protocol, CampaignObservationsExcludeTimingAndPlacement) {
   CampaignResult moved = cr;
   moved.wallSeconds += 1.0;
   moved.totalExecSeconds += 0.5;
-  moved.timeToFirstResultSeconds += 0.25;
-  moved.tierSwapIndex = 1;
-  moved.interpSeeds = 1;
-  moved.nativeSeeds = 1;
   moved.workersUsed = 8;
   for (auto& row : moved.perSeed) {
     row.execSeconds += 0.125;
-    row.execMode = "interp";
+    row.execMode = "process";
   }
   EXPECT_EQ(obs, serve::campaignObservations(moved).write());
 }
@@ -515,6 +500,96 @@ TEST(Protocol, TruncatedAndOversizeFramesThrow) {
   ::close(fds[0]);
   EXPECT_THROW(serve::readFrame(fds[1], &got), ProtocolError);
   ::close(fds[1]);
+}
+
+// ---- Seeded mutation fuzzing -------------------------------------------
+// Real payloads of the decoders the daemon and the shard coordinator run on
+// bytes from a socket, mutated by a fixed SplitMix64 stream
+// (test::mutateOnce, 1-3 mutations each). Every mutant must decode or fail
+// with a ModelError (JsonError and ProtocolError are ModelErrors) — never
+// another exception, a crash or a hang. The sanitizer CI jobs run it too.
+
+template <typename Decode>
+void fuzzDecoder(const std::string& payload, uint64_t seed, Decode decode) {
+  SplitMix64 rng(seed);
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string text = payload;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      text = test::mutateOnce(std::move(text), rng);
+    }
+    try {
+      decode(parseJson(text));
+      ++decoded;
+    } catch (const ModelError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << " escaped as an untyped "
+                    << "exception: " << e.what();
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Protocol, MutatedPayloadsDecodeOrFailTyped) {
+  SimOptions o;
+  o.engine = Engine::AccMoS;
+  o.maxSteps = 5000;
+  o.runTimeoutSec = 2.5;
+  o.collectList = {"root/G"};
+  o.customDiagnostics.push_back(rangeDiagnostic("root/G", "lane", -1.0, 1.0));
+  o.campaign.workers = 4;
+  {
+    SCOPED_TRACE("SimOptions");
+    fuzzDecoder(serve::toJson(o).write(), 1,
+                [](const Json& j) { serve::optionsFromJson(j, "$"); });
+  }
+
+  TestCaseSpec spec;
+  spec.seed = 1037;
+  spec.ports.resize(2);
+  spec.ports[0].min = -2.5;
+  spec.ports[0].max = 7.25;
+  spec.ports[1].sequence = {0.25, -1.0, 3.0};
+  {
+    SCOPED_TRACE("TestCaseSpec");
+    fuzzDecoder(serve::toJson(spec).write(), 2, [](const Json& j) {
+      serve::specFromJson(j, "$").validate();
+    });
+  }
+
+  test::Tiny t;
+  t.inport("In1", 1, DataType::I8);
+  Actor& g = t.actor("G", "Gain");
+  g.params().setDouble("gain", 5.0);
+  g.setDtype(DataType::I8);
+  t.outport("Out1", 1);
+  t.wire("In1", "G");
+  t.wire("G", "Out1");
+  SimOptions sse;
+  sse.maxSteps = 50;
+  CampaignResult cr = runCampaign(t.flatten(), sse, TestCaseSpec{}, {1, 2});
+  cr.failures.push_back(
+      {FailureKind::Crash, 1074, 1, 11, 0, "dlopen", "SIGSEGV in step 17"});
+  {
+    SCOPED_TRACE("CampaignResult");
+    fuzzDecoder(serve::toJson(cr).write(), 3, [](const Json& j) {
+      serve::campaignResultFromJson(j, "$");
+    });
+  }
+
+  serve::ShardDone d;
+  d.completed = 9;
+  d.generateSeconds = 0.25;
+  d.compileSeconds = 1.5;
+  d.compilerInvocations = 3;
+  {
+    SCOPED_TRACE("ShardDone");
+    fuzzDecoder(serve::toJson(d).write(), 4,
+                [](const Json& j) { serve::shardDoneFromJson(j, "$"); });
+  }
 }
 
 }  // namespace

@@ -12,9 +12,6 @@
 //    only the dlopen is repaid.
 //  * Containment: a crash-quarantined seed degrades per the PR 7 ladder
 //    without killing the daemon or a concurrent clean client.
-//  * Reentrancy: threads hammering one pooled TieredEngine mid-hot-swap
-//    stay bit-identical to a synchronous native reference (this test is
-//    the ASan/UBSan CI target for shared-engine races).
 #include <gtest/gtest.h>
 
 #include <string.h>
@@ -38,7 +35,6 @@
 #include "serve/version.h"
 #include "sim/campaign.h"
 #include "sim/failure.h"
-#include "sim/tiered_engine.h"
 #include "test_util.h"
 
 namespace accmos {
@@ -88,8 +84,7 @@ class ServeTest : public ::testing::Test {
                    std::to_string(counter_++) + ".sock")),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr),
-        tierEnv_("ACCMOS_TIER", nullptr) {}
+        execEnv_("ACCMOS_EXEC_MODE", nullptr) {}
   ~ServeTest() override {
     std::error_code ec;
     fs::remove_all(cacheDir_, ec);
@@ -110,7 +105,6 @@ class ServeTest : public ::testing::Test {
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
   EnvGuard execEnv_;
-  EnvGuard tierEnv_;
   static int counter_;
 };
 
@@ -166,7 +160,6 @@ SimOptions serveSimOptions() {
   opt.engine = Engine::AccMoS;
   opt.maxSteps = 300;
   opt.optFlag = "-O0";  // service tests compile throwaway models
-  opt.tier = Tier::Native;
   return opt;
 }
 
@@ -298,7 +291,6 @@ TEST_F(ServeTest, WarmPoolRequestSkipsCompilerAndDlopen) {
   EXPECT_EQ(warm.generateSeconds, 0.0);
   EXPECT_EQ(warm.compileSeconds, 0.0);
   EXPECT_EQ(warm.loadSeconds, 0.0);
-  EXPECT_EQ(warm.compileWaitSeconds, 0.0);
   EXPECT_EQ(obs(warm), obs(cold));
 }
 
@@ -405,76 +397,6 @@ TEST_F(ServeTest, CrashQuarantinedSeedDoesNotKillDaemonOrOtherClients) {
   EXPECT_EQ(stats.at("scheduler", "$").at("executed", "$.scheduler")
                 .asU64("$.scheduler.executed"),
             2u);
-}
-
-// Shared-engine reentrancy: N threads hammer one pooled TieredEngine while
-// its native compile lands mid-hammer (Tier::Auto). Every answer — from
-// whichever tier served it — must be bit-identical to a synchronous native
-// reference. This is the ASan/UBSan target for hot-swap races.
-TEST_F(ServeTest, SharedTieredEngineReentrantAcrossHotSwap) {
-  Tiny t;
-  FlatModel fm = gainModel(t);
-  TestCaseSpec spec = fullRangeStimulus();
-  spec.seed = 100;
-
-  SimOptions opt = serveSimOptions();
-  opt.tier = Tier::Auto;
-  SpecEvaluator pooled(fm, opt);
-  TieredEngine* eng = pooled.engineFor(spec);
-  ASSERT_NE(eng, nullptr);
-
-  SimOptions nativeOpt = serveSimOptions();
-  SpecEvaluator reference(fm, nativeOpt);
-  TieredEngine* refEng = reference.engineFor(spec);
-  ASSERT_NE(refEng, nullptr);
-  ASSERT_TRUE(refEng->nativeReady());
-
-  constexpr size_t kThreads = 3;
-  constexpr size_t kRunsPerThread = 20;
-  constexpr uint64_t kSeedBase = 100;
-  constexpr uint64_t kDistinctSeeds = 5;
-
-  auto fingerprint = [](const SimulationResult& r) {
-    Json j = Json::object();
-    j.set("steps", Json::u64(r.stepsExecuted));
-    Json outs = Json::array();
-    for (const Value& v : r.finalOutputs) outs.push(serve::toJson(v));
-    j.set("outputs", std::move(outs));
-    j.set("coverage", Json::str(r.coverage.toString()));
-    j.set("bitmaps", serve::toJson(r.bitmaps));
-    Json diags = Json::array();
-    for (const DiagRecord& d : r.diagnostics) diags.push(serve::toJson(d));
-    j.set("diagnostics", std::move(diags));
-    return j.write();
-  };
-
-  std::vector<std::string> expected(kDistinctSeeds);
-  for (uint64_t s = 0; s < kDistinctSeeds; ++s) {
-    expected[s] = fingerprint(refEng->runContained(kSeedBase + s, 0));
-  }
-
-  std::vector<std::vector<std::string>> got(
-      kThreads, std::vector<std::string>(kRunsPerThread));
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < kThreads; ++w) {
-    // Distinct worker index per thread: the interp tier keeps one
-    // interpreter instance per worker slot.
-    threads.emplace_back([&, w] {
-      for (size_t i = 0; i < kRunsPerThread; ++i) {
-        const uint64_t seed = kSeedBase + (i % kDistinctSeeds);
-        got[w][i] = fingerprint(eng->runContained(seed, w));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  for (size_t w = 0; w < kThreads; ++w) {
-    for (size_t i = 0; i < kRunsPerThread; ++i) {
-      EXPECT_EQ(got[w][i], expected[i % kDistinctSeeds])
-          << "thread " << w << " run " << i;
-    }
-  }
-  EXPECT_EQ(eng->interpRuns() + eng->nativeRuns(), kThreads * kRunsPerThread);
 }
 
 // Concurrent requests never exceed the scheduler's worker count.

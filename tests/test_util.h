@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <string>
 
 #include "actors/spec.h"
 #include "graph/flatten.h"
+#include "ir/arith.h"
 #include "ir/model.h"
 #include "sim/simulator.h"
 
@@ -121,6 +123,44 @@ inline void expectSameOutputs(const SimulationResult& a,
         << label << " output " << k << ": " << a.finalOutputs[k].toString()
         << " vs " << b.finalOutputs[k].toString();
   }
+}
+
+// One seeded mutation of `text`, for the mutation fuzzers over untrusted
+// input: a bit flip, a truncation, a deletion of up to 16 bytes, or an
+// insertion of a run of 1-20 digits (half the time signed, half the time
+// next to an existing digit), which drives parsers into their overflow
+// and huge-count paths. The caller's fixed `rng` makes the run repeatable.
+inline std::string mutateOnce(std::string text, SplitMix64& rng) {
+  if (text.empty()) return text;
+  auto below = [&rng](uint64_t n) { return rng.next() % n; };
+  switch (below(4)) {
+    case 0:  // bit flip
+      text[below(text.size())] ^= static_cast<char>(1u << below(8));
+      break;
+    case 1:  // truncation
+      text.resize(below(text.size()));
+      break;
+    case 2:  // deletion
+      text.erase(below(text.size()), below(16) + 1);
+      break;
+    default: {  // digit run
+      size_t at = below(text.size() + 1);
+      if (below(2) == 0) {
+        // Land next to a number, so the run extends it.
+        while (at < text.size() &&
+               !std::isdigit(static_cast<unsigned char>(text[at]))) {
+          ++at;
+        }
+      }
+      std::string run = below(2) == 0 ? "-" : "";
+      for (uint64_t k = below(20) + 1; k > 0; --k) {
+        run.push_back(static_cast<char>('0' + below(10)));
+      }
+      text.insert(at, run);
+      break;
+    }
+  }
+  return text;
 }
 
 }  // namespace accmos::test

@@ -43,12 +43,6 @@
 //                                      (also: env ACCMOS_NO_OPT=1)
 //   --exec-mode=dlopen|process         AccMoS execution backend (default
 //                                      dlopen; also: env ACCMOS_EXEC_MODE)
-//   --tier=native|auto|interp          tiered execution (docs/EXECUTION.md):
-//                                      auto answers runs on the interpreter
-//                                      while the compile proceeds in the
-//                                      background, then hot-swaps to native;
-//                                      interp never compiles (default
-//                                      native; also: env ACCMOS_TIER)
 //   --timeout=SECONDS                  per-run wall-clock deadline: the
 //                                      generated code retires the run
 //                                      cooperatively, the process backend
@@ -72,14 +66,20 @@
 //   --corpus-dir=DIR     export corpus (.spec/.csv + MANIFEST.tsv)
 //   --engine=sse|accmos  evaluation engine (default accmos)
 //   --steps=N --workers=W --no-opt --show-uncovered   as above
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "actors/spec.h"
@@ -119,12 +119,11 @@ int usage() {
                "             [--tests=F.csv] [--seed=N] [--collect=PATH]...\n"
                "             [--no-coverage] [--no-diagnosis] "
                "[--stop-on-diagnostic] [--opt=-O3] [--no-opt] "
-               "[--exec-mode=dlopen|process] [--tier=native|auto|interp] "
+               "[--exec-mode=dlopen|process] "
                "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
                "  accmos campaign <model.xml> [--seeds=N] [--steps=M] "
                "[--engine=accmos|sse] [--workers=W] [--shards=N] "
-               "[--no-opt] [--exec-mode=dlopen|process] "
-               "[--tier=native|auto|interp] [--timeout=SEC] "
+               "[--no-opt] [--exec-mode=dlopen|process] [--timeout=SEC] "
                "[--step-budget=N] [--show-uncovered]\n"
                "  accmos export-suite <directory>\n"
                "  accmos serve --socket=PATH [--pool-budget=BYTES] "
@@ -176,20 +175,41 @@ void printFailures(const std::vector<RunFailure>& failures) {
   }
 }
 
-// --tier=native|auto|interp; returns false (after printing) on a bad value.
-bool parseTier(const std::string& v, SimOptions* opt) {
-  if (v == "native") {
-    opt->tier = Tier::Native;
-  } else if (v == "auto") {
-    opt->tier = Tier::Auto;
-  } else if (v == "interp") {
-    opt->tier = Tier::Interp;
+// Every numeric flag's value: the whole of `v` must be a non-negative
+// decimal number (no sign, whitespace, inf or nan) within [lo, hi].
+// Returns false (after printing the flag) otherwise, like parseExecMode.
+// T is an unsigned integer type or double.
+template <typename T>
+bool parseNumber(const char* flag, const std::string& v, T* out, T lo = T(0),
+                 T hi = std::numeric_limits<T>::max()) {
+  const bool lead = !v.empty() &&
+                    (std::isdigit(static_cast<unsigned char>(v[0])) != 0 ||
+                     (std::is_floating_point_v<T> && v[0] == '.'));
+  char* end = nullptr;
+  errno = 0;
+  bool ok = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double d = lead ? std::strtod(v.c_str(), &end) : 0.0;
+    ok = lead && errno == 0 && *end == '\0' && std::isfinite(d) &&
+         d >= static_cast<double>(lo) && d <= static_cast<double>(hi);
+    if (ok) *out = static_cast<T>(d);
   } else {
-    std::fprintf(stderr, "tier must be native, auto or interp, not '%s'\n",
-                 v.c_str());
-    return false;
+    const unsigned long long u = lead ? std::strtoull(v.c_str(), &end, 10) : 0;
+    ok = lead && errno == 0 && *end == '\0' &&
+         u >= static_cast<unsigned long long>(lo) &&
+         u <= static_cast<unsigned long long>(hi);
+    if (ok) *out = static_cast<T>(u);
   }
-  return true;
+  if (!ok) {
+    std::fprintf(stderr, "%s needs a non-negative %s", flag,
+                 std::is_floating_point_v<T> ? "number" : "integer");
+    if (lo != T(0) || hi != std::numeric_limits<T>::max()) {
+      std::fprintf(stderr, " in [%.0f, %.0f]", static_cast<double>(lo),
+                   static_cast<double>(hi));
+    }
+    std::fprintf(stderr, ", not '%s'\n", v.c_str());
+  }
+  return ok;
 }
 
 // --exec-mode=dlopen|process; returns false (after printing) on a bad value.
@@ -317,11 +337,11 @@ int cmdTestGen(const std::string& path,
   std::string v;
   for (const auto& arg : args) {
     if (flagValue(arg, "--budget", &v)) {
-      gopt.budget = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--budget", v, &gopt.budget)) return 2;
     } else if (flagValue(arg, "--batch", &v)) {
-      gopt.batch = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--batch", v, &gopt.batch)) return 2;
     } else if (flagValue(arg, "--gen-seed", &v)) {
-      gopt.genSeed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--gen-seed", v, &gopt.genSeed)) return 2;
     } else if (flagValue(arg, "--target-metric", &v)) {
       auto m = covMetricFromName(v);
       if (!m) {
@@ -341,17 +361,15 @@ int cmdTestGen(const std::string& path,
         return 2;
       }
     } else if (flagValue(arg, "--steps", &v)) {
-      opt.maxSteps = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--steps", v, &opt.maxSteps)) return 2;
     } else if (flagValue(arg, "--workers", &v)) {
-      opt.campaign.workers = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--workers", v, &opt.campaign.workers)) return 2;
     } else if (flagValue(arg, "--exec-mode", &v)) {
       if (!parseExecMode(v, &opt)) return 2;
-    } else if (flagValue(arg, "--tier", &v)) {
-      if (!parseTier(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
-      opt.runTimeoutSec = std::strtod(v.c_str(), nullptr);
+      if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
-      opt.stepBudget = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--no-opt") {
       opt.optimize = false;
     } else if (arg == "--show-uncovered") {
@@ -436,14 +454,14 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
         return 2;
       }
     } else if (flagValue(arg, "--steps", &v)) {
-      opt.maxSteps = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--steps", v, &opt.maxSteps)) return 2;
     } else if (flagValue(arg, "--budget", &v)) {
-      opt.timeBudgetSec = std::strtod(v.c_str(), nullptr);
+      if (!parseNumber("--budget", v, &opt.timeBudgetSec)) return 2;
     } else if (flagValue(arg, "--tests", &v)) {
       ra->tests = TestCaseSpec::fromCsv(v);
       ra->explicitTests = true;
     } else if (flagValue(arg, "--seed", &v)) {
-      ra->tests.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--seed", v, &ra->tests.seed)) return 2;
       ra->explicitTests = true;
     } else if (flagValue(arg, "--collect", &v)) {
       opt.collectList.push_back(v);
@@ -451,12 +469,10 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       opt.optFlag = v;
     } else if (flagValue(arg, "--exec-mode", &v)) {
       if (!parseExecMode(v, &opt)) return 2;
-    } else if (flagValue(arg, "--tier", &v)) {
-      if (!parseTier(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
-      opt.runTimeoutSec = std::strtod(v.c_str(), nullptr);
+      if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
-      opt.stepBudget = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--no-coverage") {
       opt.coverage = false;
     } else if (arg == "--no-diagnosis") {
@@ -527,9 +543,6 @@ int printRunResult(const SimulationResult& res, const SimOptions& opt) {
     if (res.loadSeconds > 0.0) std::printf(" + %.3fs load", res.loadSeconds);
     if (!res.execMode.empty()) std::printf(" [%s]", res.execMode.c_str());
     std::printf("\n");
-  } else if (!res.execMode.empty()) {
-    // Interpreter-tier runs have no codegen cost line to carry the mode.
-    std::printf("mode     : %s\n", res.execMode.c_str());
   }
   if (res.hasCoverage) {
     std::printf("coverage : %s\n", res.coverage.toString().c_str());
@@ -578,13 +591,18 @@ int parseCampaignArgs(const std::vector<std::string>& args,
   std::string v;
   for (const auto& arg : args) {
     if (flagValue(arg, "--seeds", &v)) {
-      ca->numSeeds = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
+      unsigned n = 0;
+      if (!parseNumber("--seeds", v, &n, 1u,
+                       unsigned{std::numeric_limits<int>::max()})) {
+        return 2;
+      }
+      ca->numSeeds = static_cast<int>(n);
     } else if (flagValue(arg, "--steps", &v)) {
-      opt.maxSteps = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--steps", v, &opt.maxSteps)) return 2;
     } else if (flagValue(arg, "--workers", &v)) {
-      opt.campaign.workers = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--workers", v, &opt.campaign.workers)) return 2;
     } else if (flagValue(arg, "--shards", &v)) {
-      ca->shards = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--shards", v, &ca->shards)) return 2;
     } else if (flagValue(arg, "--engine", &v)) {
       if (v == "accmos") opt.engine = Engine::AccMoS;
       else if (v == "sse") opt.engine = Engine::SSE;
@@ -594,12 +612,10 @@ int parseCampaignArgs(const std::vector<std::string>& args,
       }
     } else if (flagValue(arg, "--exec-mode", &v)) {
       if (!parseExecMode(v, &opt)) return 2;
-    } else if (flagValue(arg, "--tier", &v)) {
-      if (!parseTier(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
-      opt.runTimeoutSec = std::strtod(v.c_str(), nullptr);
+      if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
-      opt.stepBudget = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--no-opt") {
       opt.optimize = false;
     } else if (arg == "--show-uncovered") {
@@ -644,19 +660,10 @@ int printCampaign(const CampaignResult& cr, const SimOptions& opt,
   std::printf("exec     : %.3fs total, %.3fs wall", cr.totalExecSeconds,
               cr.wallSeconds);
   if (cr.compileSeconds > 0.0) {
-    std::printf(" (+%.3fs one-off generate+compile, %.3fs compile-wait%s%s)",
-                cr.generateSeconds + cr.compileSeconds, cr.compileWaitSeconds,
+    std::printf(" (+%.3fs one-off generate+compile%s%s)",
+                cr.generateSeconds + cr.compileSeconds,
                 cr.loadSeconds > 0.0 ? ", dlopen" : "",
                 cr.compileCacheHit ? ", cached" : "");
-  }
-  if (opt.engine == Engine::AccMoS && opt.tier != Tier::Native) {
-    std::printf("\ntier     : %s — %zu interp + %zu native seed(s), "
-                "first result %.3fs",
-                std::string(tierName(opt.tier)).c_str(), cr.interpSeeds,
-                cr.nativeSeeds, cr.timeToFirstResultSeconds);
-    if (cr.tierSwapIndex >= 0) {
-      std::printf(", hot-swap at seed index %lld", cr.tierSwapIndex);
-    }
   }
   std::printf("\ndiagnosis: %zu distinct event(s) across the campaign\n",
               cr.diagnostics.size());
@@ -754,9 +761,11 @@ int cmdServe(const std::vector<std::string>& args) {
     if (flagValue(arg, "--socket", &v)) {
       sopt.socketPath = v;
     } else if (flagValue(arg, "--pool-budget", &v)) {
-      sopt.poolBudgetBytes = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--pool-budget", v, &sopt.poolBudgetBytes)) return 2;
     } else if (flagValue(arg, "--request-workers", &v)) {
-      sopt.requestWorkers = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parseNumber("--request-workers", v, &sopt.requestWorkers)) {
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return 2;
