@@ -70,28 +70,17 @@ int main() {
               "cache");
   bench::hr(96);
 
-  struct Config {
-    Engine engine;
-    ExecMode mode;  // meaningful for AccMoS only
-  };
-  const Config configs[] = {{Engine::SSE, ExecMode::Dlopen},
-                            {Engine::AccMoS, ExecMode::Dlopen},
-                            {Engine::AccMoS, ExecMode::Process}};
-
   bench::JsonReporter json("campaign_scaling");
-  for (const Config& cfg : configs) {
-    bool isAcc = cfg.engine == Engine::AccMoS;
+  for (Engine engine : {Engine::SSE, Engine::AccMoS}) {
+    bool isAcc = engine == Engine::AccMoS;
     // The generated code is orders of magnitude faster per step; give it
     // proportionally more work so per-seed runtime stays measurable.
     uint64_t steps =
         isAcc ? bench::benchSteps() * 10 : bench::benchSteps() / 10;
-    std::string label = std::string(engineName(cfg.engine)) +
-                        (isAcc ? "/" + std::string(execModeName(cfg.mode))
-                               : std::string());
+    const std::string label(engineName(engine));
     double base1 = 0.0;
     for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      SimOptions opt = bench::engineOptions(cfg.engine, steps);
-      opt.execMode = cfg.mode;
+      SimOptions opt = bench::engineOptions(engine, steps);
       opt.campaign.workers = workers;
       CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
       if (workers == 1) base1 = cr.wallSeconds;
@@ -100,17 +89,16 @@ int main() {
                   cr.workersUsed, cr.wallSeconds, base1 / cr.wallSeconds,
                   cr.compileSeconds, cr.totalExecSeconds,
                   isAcc ? (cr.compileCacheHit ? "hit" : "miss") : "-");
-      auto& row = json.row()
-                      .str("engine", std::string(engineName(cfg.engine)))
-                      .count("steps", steps)
-                      .count("seeds", numSeeds)
-                      .count("workers", cr.workersUsed)
-                      .num("wall_s", cr.wallSeconds)
-                      .num("speedup_vs_1_worker", base1 / cr.wallSeconds)
-                      .num("compile_s", cr.compileSeconds)
-                      .num("exec_s", cr.totalExecSeconds)
-                      .flag("compile_cache_hit", cr.compileCacheHit);
-      if (isAcc) row.str("exec_mode", std::string(execModeName(cfg.mode)));
+      json.row()
+          .str("engine", label)
+          .count("steps", steps)
+          .count("seeds", numSeeds)
+          .count("workers", cr.workersUsed)
+          .num("wall_s", cr.wallSeconds)
+          .num("speedup_vs_1_worker", base1 / cr.wallSeconds)
+          .num("compile_s", cr.compileSeconds)
+          .num("exec_s", cr.totalExecSeconds)
+          .flag("compile_cache_hit", cr.compileCacheHit);
     }
   }
   bench::hr(96);
@@ -237,69 +225,6 @@ int main() {
     }
     std::error_code ec;
     fs::remove_all(shardCache, ec);
-  }
-
-  // Per-run transport overhead: a small model under many seeds with few
-  // steps each, warm compile cache — the regime where what dominates is
-  // not simulation but how a run is launched. The dlopen backend's
-  // in-process call should beat the fork+exec+pipe+parse of the process
-  // backend by well over 2x per run.
-  {
-    const size_t overheadSeeds = static_cast<size_t>(
-        bench::envSteps("ACCMOS_BENCH_OVERHEAD_SEEDS", 64));
-    const uint64_t overheadSteps = 2000;
-    ModelBuilder sb("PerRun", 11);
-    sb.addInport(DataType::F64);
-    sb.addInport(DataType::F64);
-    sb.addCompSubsystem(4);
-    sb.addOutport(sb.pool());
-    auto small = sb.take();
-    Simulator smallSim(*small);
-    std::vector<uint64_t> manySeeds;
-    for (size_t k = 0; k < overheadSeeds; ++k) {
-      manySeeds.push_back(5000 + 13 * k);
-    }
-
-    std::printf("\nPer-run overhead: small model, %zu seeds x %llu steps, "
-                "1 worker, warm cache\n",
-                overheadSeeds,
-                static_cast<unsigned long long>(overheadSteps));
-    bench::hr(96);
-    double wall[2] = {0.0, 0.0};
-    const ExecMode modes[2] = {ExecMode::Dlopen, ExecMode::Process};
-    for (int m = 0; m < 2; ++m) {
-      SimOptions opt = bench::engineOptions(Engine::AccMoS, overheadSteps);
-      opt.execMode = modes[m];
-      opt.campaign.workers = 1;
-      // First campaign warms the compile cache (and pays the one-off
-      // compile); the measured campaign then isolates per-run cost.
-      runCampaign(smallSim.flatModel(), opt, TestCaseSpec{}, manySeeds);
-      CampaignResult cr =
-          runCampaign(smallSim.flatModel(), opt, TestCaseSpec{}, manySeeds);
-      wall[m] = cr.wallSeconds;
-      double perRunMs = 1e3 * cr.wallSeconds / overheadSeeds;
-      std::printf("%-15s %9.3fs wall  %8.3f ms/run  %10.1f runs/s\n",
-                  std::string(execModeName(modes[m])).c_str(),
-                  cr.wallSeconds, perRunMs, overheadSeeds / cr.wallSeconds);
-      json.row()
-          .str("engine", "accmos")
-          .str("phase", "per_run_overhead")
-          .str("exec_mode", std::string(execModeName(modes[m])))
-          .count("seeds", overheadSeeds)
-          .count("steps", overheadSteps)
-          .num("wall_s", cr.wallSeconds)
-          .num("per_run_ms", perRunMs)
-          .num("runs_per_s", overheadSeeds / cr.wallSeconds);
-    }
-    double speedup = wall[1] / wall[0];
-    bench::hr(96);
-    std::printf("dlopen per-run throughput speedup over process: %.1fx "
-                "(expected >= 2x)\n",
-                speedup);
-    json.row()
-        .str("engine", "accmos")
-        .str("phase", "per_run_overhead")
-        .num("dlopen_per_run_speedup", speedup);
   }
 
   // Cold vs. warm engine construction on a model not compiled above, in a

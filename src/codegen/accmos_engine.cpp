@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "actors/common.h"
 #include "actors/spec.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/emitter.h"
@@ -87,21 +88,18 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
       source_(std::move(gen.source)),
       generateSeconds_(gen.generateSeconds) {
   geometry_ = planGeometry();
-  driver_ = std::make_unique<CompilerDriver>(opt_.workDir);
-  driver_->setKeep(opt_.keepGeneratedCode || !opt_.workDir.empty());
-  driver_->setCacheEnabled(opt_.compileCache);
+  driver_ = std::make_unique<CompilerDriver>();
 
-  // One artifact for both backends.
+  // One artifact, wherever a run executes.
   auto compiled =
       driver_->compile(source_, "model_" + fm_.modelName, opt_.optFlag);
   compileSeconds_ = compiled.seconds;
   compileCacheHit_ = compiled.cacheHit;
   exePath_ = compiled.exePath;
-  if (opt_.execMode != ExecMode::Dlopen) return;
 
   // Load the library in-process. Any failure — a dlopen error, a library
   // with the wrong ABI or geometry — leaves the engine on the subprocess
-  // backend, which runs the same library in a child process.
+  // rung, which runs the same library in a child process.
   try {
     // dlopen a private per-engine copy, never the shared cache entry
     // directly: the dynamic linker dedups loads by pathname and inode, so
@@ -122,7 +120,6 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
                          "host's instrumentation plans");
     }
     loadSeconds_ = lib_->loadSeconds();
-    execModeUsed_ = ExecMode::Dlopen;
   } catch (const CompileError&) {
     lib_.reset();
   } catch (const std::filesystem::filesystem_error&) {
@@ -193,22 +190,21 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
                        std::to_string(rc) + " (library " + lib_->path() +
                        ")");
   }
-  return decode(buf.res, ExecMode::Dlopen);
+  return decode(buf.res, "dlopen");
 }
 
 SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
                                              uint64_t seed) {
-  std::vector<std::string> argv = {exePath_, std::to_string(steps),
-                                   std::to_string(budget),
-                                   std::to_string(seed)};
-  if (deadlineArmed()) {
-    // The deadline crosses the process boundary as a RELATIVE timeout
-    // (monotonic epochs differ between processes); the runner computes its
-    // own absolute deadline. The driver additionally arms its host-side
-    // watchdog with the same timeout as a backstop for genuine hangs.
-    argv.push_back(std::to_string(opt_.runTimeoutSec));
-    argv.push_back(std::to_string(opt_.stepBudget));
-  }
+  // The deadline crosses the process boundary as a RELATIVE timeout
+  // (monotonic epochs differ between processes); the runner computes its
+  // own absolute deadline. The driver additionally arms its host-side
+  // watchdog with the same timeout as a backstop for genuine hangs. Both
+  // doubles travel as round-trip exact text: std::to_string's six fixed
+  // decimals would turn a 1e-7 budget into 0 (unlimited).
+  const std::vector<std::string> argv = {
+      exePath_, std::to_string(steps), fmtD(budget),
+      std::to_string(seed), fmtD(opt_.runTimeoutSec),
+      std::to_string(opt_.stepBudget)};
   std::string frame;
   try {
     frame = driver_->run(ACCMOS_RUN_LIB_PATH, argv, opt_.runTimeoutSec);
@@ -220,15 +216,15 @@ SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
   }
   RunBuffers buf(geometry_);
   readResultFrame(frame, buf);
-  return decode(buf.res, ExecMode::Process);
+  return decode(buf.res, "process");
 }
 
 SimulationResult AccMoSEngine::decode(const AccmosRunResult& res,
-                                      ExecMode mode) const {
+                                      const char* execMode) const {
   SimulationResult result =
       decodeBinaryResults(res, fm_, opt_.coverage ? &covPlan_ : nullptr,
                           collectSignals_, opt_.customDiagnostics);
-  result.execMode = std::string(execModeName(mode));
+  result.execMode = execMode;
   return result;
 }
 

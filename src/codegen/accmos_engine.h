@@ -2,22 +2,25 @@
 // instrumentation, simulation code synthesis, compilation, execution, and
 // result recovery.
 //
-// The generated code is compiled once, -shared -fPIC, and both execution
-// backends (SimOptions::execMode, docs/EXECUTION.md) run that one library:
-//   Dlopen  — loaded once with dlopen; every run() is an in-process
-//             accmos_run() call filling caller-owned binary buffers, with
-//             no subprocess on the hot path. Falls back to Process
-//             automatically if the library cannot be loaded.
-//   Process — every run() spawns the model-independent accmos-run-lib
-//             runner, which loads the library in a child process and
-//             sends the same buffers back as one binary frame.
-// Both backends decode through decodeBinaryResults and produce
-// bit-identical SimulationResults.
+// The generated code is compiled once, -shared -fPIC, and every run
+// executes that one library. Where it runs is the engine's decision
+// (docs/EXECUTION.md), not an option:
+//   in-process — the library is dlopen'd once; every run() is an
+//                accmos_run() call filling caller-owned binary buffers,
+//                with no subprocess on the hot path.
+//   subprocess — the containment rung: the model-independent
+//                accmos-run-lib runner loads the library in a child
+//                process and sends the same buffers back as one binary
+//                frame. Used when the library cannot be loaded, for a
+//                struck run's one retry, and after quarantine.
+// Both decode through decodeBinaryResults and produce bit-identical
+// SimulationResults.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "codegen/run_abi.h"
 #include "cov/coverage.h"
@@ -80,8 +83,8 @@ class AccMoSEngine {
   // options used at construction; pass nonzero values to override. The
   // stimulus seed can be overridden per run — accmos_run takes it as an
   // argument, so one compiled simulator serves a whole campaign.
-  // Thread-safe in both exec modes: concurrent campaign/gen workers share
-  // one engine (and, in dlopen mode, one loaded library).
+  // Thread-safe: concurrent campaign/gen workers share one engine and its
+  // one loaded library.
   SimulationResult run(uint64_t maxStepsOverride = 0,
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);
@@ -118,16 +121,18 @@ class AccMoSEngine {
   const std::string& generatedSource() const { return source_; }
   double generateSeconds() const { return generateSeconds_; }
   double compileSeconds() const { return compileSeconds_; }
-  // Wall time spent loading the shared library in-process (0 in process
-  // mode).
+  // Wall time spent loading the shared library in-process (0 when the
+  // load failed).
   double loadSeconds() const { return loadSeconds_; }
   // True when the compiled simulator came from the content-addressed cache
   // (compileSeconds is then the cache-verification time, near zero).
   bool compileCacheHit() const { return compileCacheHit_; }
   const std::string& exePath() const { return exePath_; }
-  // Backend actually in use — Process either by request or because the
-  // dlopen backend fell back.
-  ExecMode execModeUsed() const { return execModeUsed_; }
+  // Where the next run() executes: "dlopen", or "process" when the
+  // library could not be loaded or is quarantined.
+  std::string_view execModeUsed() const {
+    return libUsable() ? "dlopen" : "process";
+  }
   const CoveragePlan* coveragePlan() const {
     return opt_.coverage ? &covPlan_ : nullptr;
   }
@@ -136,8 +141,9 @@ class AccMoSEngine {
   SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed);
   SimulationResult runSubprocess(uint64_t steps, double budget,
                                  uint64_t seed);
-  // Both backends' decode of a filled result buffer.
-  SimulationResult decode(const AccmosRunResult& res, ExecMode mode) const;
+  // The decode of a filled result buffer, wherever the run executed.
+  SimulationResult decode(const AccmosRunResult& res,
+                          const char* execMode) const;
   // Common result tail: coverage report + generate/compile/load timings.
   void finishResult(SimulationResult& r) const;
   // The library geometry this engine's plans imply; a loaded library and
@@ -145,10 +151,6 @@ class AccMoSEngine {
   AccmosModelInfo planGeometry() const;
 
   void strike() { strikes_.fetch_add(1, std::memory_order_relaxed); }
-  // True when this engine's options ask for deadline enforcement.
-  bool deadlineArmed() const {
-    return opt_.runTimeoutSec > 0.0 || opt_.stepBudget > 0;
-  }
   // Whether a run may use the loaded library right now.
   bool libUsable() const { return lib_ != nullptr && !quarantined(); }
   SimulationResult failedResult(FailureKind kind, uint64_t seed, int signal,
@@ -161,15 +163,14 @@ class AccMoSEngine {
   CoveragePlan covPlan_;
   std::vector<int> collectSignals_;
   std::string source_;
-  std::string exePath_;  // the compiled library both backends run
+  std::string exePath_;  // the compiled library every run executes
   AccmosModelInfo geometry_;
   double generateSeconds_ = 0.0;
   double compileSeconds_ = 0.0;
   double loadSeconds_ = 0.0;
   bool compileCacheHit_ = false;
-  ExecMode execModeUsed_ = ExecMode::Process;
   std::unique_ptr<class CompilerDriver> driver_;
-  std::unique_ptr<class ModelLib> lib_;  // set in dlopen mode only
+  std::unique_ptr<class ModelLib> lib_;  // null when the load failed
   std::atomic<int> strikes_{0};
 };
 

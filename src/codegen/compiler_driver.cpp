@@ -404,7 +404,7 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.retries = attempt;
   {
-    // Keep the on-disk log for debugging sessions with keepGeneratedCode.
+    // The compiler's output, beside the source it built.
     std::ofstream f(log);
     f << r.output;
   }
@@ -448,7 +448,7 @@ CompilerDriver::CompilerDriver(std::string workDir) {
 }
 
 CompilerDriver::~CompilerDriver() {
-  if (owned_ && !keep_) {
+  if (owned_) {
     std::error_code ec;
     fs::remove_all(dir_, ec);  // best effort
   }
@@ -498,6 +498,10 @@ CompileOutput CompilerDriver::compile(const std::string& source,
                                       const std::string& optFlag,
                                       ArtifactKind /*kind: SharedLib*/,
                                       const std::string& extraFlags) {
+  if (!isOptLevel(optFlag)) {
+    throw CompileError("optimization flag '" + optFlag +
+                       "' is not one of -O0, -O1, -O2 or -O3");
+  }
   CompileParams p;
   p.name = name;
   p.optFlag = optFlag;
@@ -506,10 +510,10 @@ CompileOutput CompilerDriver::compile(const std::string& source,
   p.cacheDir = cacheDir();
   p.faults = faultPlanFromEnv();
   p.timeoutSec = compileTimeoutSec_;
-  p.publish = cacheEnabled_ && !cacheDisabledByEnv();
+  p.publish = !cacheDisabledByEnv();
 
-  // The source always lands in this driver's directory (the
-  // keepGeneratedCode contract), whoever ends up compiling it.
+  // The source always lands in this driver's directory, whoever ends up
+  // compiling it.
   const fs::path src = fs::path(dir_) / (name + ".cpp");
   {
     std::ofstream f(src);

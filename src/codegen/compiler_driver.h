@@ -29,6 +29,15 @@ class CompileError : public ModelError {
   explicit CompileError(const std::string& what) : ModelError(what) {}
 };
 
+// The optimization flags CompilerDriver::compile accepts: exactly -O0,
+// -O1, -O2 or -O3. The flag lands on a /bin/sh command line and reaches
+// the daemon from its socket, so anything else is refused (compile()
+// throws CompileError, the wire codec and the CLI reject it up front).
+inline bool isOptLevel(const std::string& flag) {
+  return flag.size() == 3 && flag[0] == '-' && flag[1] == 'O' &&
+         flag[2] >= '0' && flag[2] <= '3';
+}
+
 // What the driver produces from the generated source: always a shared
 // library built -shared -fPIC, which the dlopen backend loads in-process
 // and the subprocess backend's runner loads in a child. The enum stays
@@ -70,8 +79,8 @@ class CompilerDriver {
   // directory; the others wait for it and receive its output, or the same
   // exception. Across processes, a claim file in the cache directory holds
   // a cold key to one compile (see the .cpp). Both need the cache; with it
-  // off (setCacheEnabled(false) or ACCMOS_CACHE_DISABLE) every request
-  // compiles privately.
+  // off (ACCMOS_CACHE_DISABLE=1) every request compiles privately. Throws
+  // CompileError, before any shell runs, unless isOptLevel(optFlag).
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
                         ArtifactKind kind = ArtifactKind::SharedLib,
@@ -89,12 +98,6 @@ class CompilerDriver {
                   double timeoutSec = 0.0) const;
 
   const std::string& dir() const { return dir_; }
-  // Keep the working directory on destruction (for debugging / the
-  // keepGeneratedCode option).
-  void setKeep(bool keep) { keep_ = keep; }
-  // Disable the compile cache for this driver (SimOptions::compileCache).
-  // The ACCMOS_CACHE_DISABLE environment variable disables it globally.
-  void setCacheEnabled(bool enabled) { cacheEnabled_ = enabled; }
   // Wall-clock watchdog for one compiler invocation (seconds; 0 = off).
   // Initialized from $ACCMOS_COMPILE_TIMEOUT, default 300.
   void setCompileTimeout(double sec) { compileTimeoutSec_ = sec; }
@@ -124,9 +127,7 @@ class CompilerDriver {
 
  private:
   std::string dir_;
-  bool owned_ = false;  // we created it -> we may remove it
-  bool keep_ = false;
-  bool cacheEnabled_ = true;
+  bool owned_ = false;  // we created it -> we remove it
   double compileTimeoutSec_ = defaultCompileTimeout();
 };
 

@@ -2,11 +2,10 @@
 // structure the in-process engines produce — what makes AccMoS-vs-SSE
 // results directly comparable in the tests and in the Table 2/3 benches.
 //
-// One decoder for both execution backends: an in-process accmos_run()
-// call fills caller-owned buffers directly (ExecMode::Dlopen), and a
-// subprocess run's result frame is first copied into the same buffers by
-// readResultFrame (ExecMode::Process). Both then go through
-// decodeBinaryResults.
+// One decoder for both ways a run executes: an in-process accmos_run()
+// call fills caller-owned buffers directly, and an accmos-run-lib child's
+// result frame is first copied into the same buffers by readResultFrame.
+// Both then go through decodeBinaryResults.
 #pragma once
 
 #include <string>

@@ -4,9 +4,7 @@
 #include <signal.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace accmos {
@@ -61,19 +59,10 @@ struct AltStack {
   }
 };
 
-bool guardDisabled() {
-  const char* v = std::getenv("ACCMOS_NO_RUN_GUARD");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
 }  // namespace
 
 GuardedCallResult runGuarded(const std::function<int()>& fn) {
   GuardedCallResult out;
-  if (guardDisabled()) {
-    out.rc = fn();
-    return out;
-  }
   installHandlersOnce();
   thread_local AltStack altStack;
   g_caughtSignal = 0;

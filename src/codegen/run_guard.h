@@ -8,7 +8,7 @@
 // (leaked, by design) and nothing re-enters the faulted library call.
 // The guard exists to buy ONE orderly retry on the subprocess backend
 // and to trip the quarantine counter; a model that faults twice is
-// demoted to Process mode where the OS provides real isolation.
+// demoted to the subprocess rung, where the OS provides real isolation.
 #ifndef ACCMOS_CODEGEN_RUN_GUARD_H_
 #define ACCMOS_CODEGEN_RUN_GUARD_H_
 
@@ -26,8 +26,8 @@ struct GuardedCallResult {
 // are installed process-wide once (SA_NODEFER|SA_ONSTACK, per-thread
 // sigaltstack); a guarded thread that faults longjmps out, an unguarded
 // thread re-raises with the default disposition — behavior outside
-// guarded regions is unchanged. Set ACCMOS_NO_RUN_GUARD=1 to disable
-// (e.g. to let a debugger see the original fault).
+// guarded regions is unchanged. Always armed: a debugger stops on the
+// fatal signal before the handler runs.
 GuardedCallResult runGuarded(const std::function<int()>& fn);
 
 }  // namespace accmos

@@ -1,13 +1,14 @@
 // accmos-run-lib: the subprocess backend's model runner.
 //
-//   accmos-run-lib LIBRARY STEPS BUDGET SEED [TIMEOUT STEP_BUDGET]
+//   accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT STEP_BUDGET
 //
 // Loads a generated model library (the same cached shared object the
-// dlopen backend loads in-process), runs it once through accmos_run and
-// writes the result buffers to stdout as one binary frame
-// (result_frame.h). TIMEOUT is in relative seconds (0 = none), because
-// monotonic clocks of two processes need not share an epoch; it becomes an
-// absolute deadline here, on the clock the generated step loop reads.
+// engine loads in-process), runs it once through accmos_run and writes the
+// result buffers to stdout as one binary frame (result_frame.h). BUDGET
+// and TIMEOUT are seconds (0 = none) in a round-trip exact format. TIMEOUT
+// is relative, because monotonic clocks of two processes need not share an
+// epoch; it becomes an absolute deadline here, on the clock the generated
+// step loop reads.
 // Exit status 0 means a frame was written; any other status is a
 // RunLibExit value, explained on stderr.
 #include <dlfcn.h>
@@ -28,10 +29,10 @@ static int fail(int status, const std::string& what) {
 }
 
 int main(int argc, char* argv[]) {
-  if (argc != 5 && argc != 7) {
+  if (argc != 7) {
     return fail(kRunLibExitUsage,
-                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED "
-                "[TIMEOUT STEP_BUDGET]");
+                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT "
+                "STEP_BUDGET");
   }
   const std::string lib = argv[1];
   AccmosRunArgs args;
@@ -41,17 +42,15 @@ int main(int argc, char* argv[]) {
   args.maxSteps = std::strtoull(argv[2], nullptr, 10);
   args.timeBudgetSec = std::strtod(argv[3], nullptr);
   args.seed = std::strtoull(argv[4], nullptr, 10);
-  if (argc == 7) {
-    const double timeout = std::strtod(argv[5], nullptr);
-    if (timeout > 0.0) {
-      args.deadlineSeconds =
-          std::chrono::duration<double>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count() +
-          timeout;
-    }
-    args.stepBudget = std::strtoull(argv[6], nullptr, 10);
+  const double timeout = std::strtod(argv[5], nullptr);
+  if (timeout > 0.0) {
+    args.deadlineSeconds =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count() +
+        timeout;
   }
+  args.stepBudget = std::strtoull(argv[6], nullptr, 10);
 
   void* handle = ::dlopen(lib.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) return fail(kRunLibExitLoad, ::dlerror());

@@ -7,6 +7,7 @@
 
 #include <bit>
 
+#include "codegen/compiler_driver.h"
 #include "ir/datatype.h"
 
 namespace accmos::serve {
@@ -526,9 +527,7 @@ Json toJson(const SimOptions& o) {
     customs.push(std::move(cj));
   }
   j.set("customDiagnostics", std::move(customs));
-  j.set("execMode", Json::str(std::string(execModeName(o.execMode))));
   j.set("optFlag", Json::str(o.optFlag));
-  j.set("compileCache", Json::boolean(o.compileCache));
   j.set("workers", Json::u64(static_cast<uint64_t>(o.campaign.workers)));
   return j;
 }
@@ -586,21 +585,11 @@ SimOptions optionsFromJson(const Json& j, const std::string& where) {
       o.customDiagnostics.push_back(std::move(c));
     }
   }
-  const std::string& mname = getString(j, where, "execMode");
-  if (mname == execModeName(ExecMode::Dlopen)) {
-    o.execMode = ExecMode::Dlopen;
-  } else if (mname == execModeName(ExecMode::Process)) {
-    o.execMode = ExecMode::Process;
-  } else {
-    badEnum(sub(where, "execMode"), mname);
-  }
+  // The flag lands on the compiler's shell command line: only the four
+  // levels may come off the wire.
   o.optFlag = getString(j, where, "optFlag");
-  o.compileCache = getBool(j, where, "compileCache");
+  if (!isOptLevel(o.optFlag)) badEnum(sub(where, "optFlag"), o.optFlag);
   o.campaign.workers = static_cast<size_t>(getU64(j, where, "workers"));
-  // Daemon-local knobs never travel: scratch placement and artifact
-  // retention are the daemon operator's call, not the client's.
-  o.workDir.clear();
-  o.keepGeneratedCode = false;
   return o;
 }
 

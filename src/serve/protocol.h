@@ -81,12 +81,12 @@ PortStimulus portStimulusFromJson(const Json& j, const std::string& where);
 Json toJson(const TestCaseSpec& s);
 TestCaseSpec specFromJson(const Json& j, const std::string& where);
 
-// SimOptions travel without workDir/keepGeneratedCode (daemon-local
-// concerns — the daemon decides where its scratch space lives) and reject
-// CustomDiagnostic::Kind::Expression in both directions: its std::function
-// callback cannot travel, and accepting the cppCondition string alone
-// would hand remote clients arbitrary code injection into generated
-// simulators. toJson throws ProtocolError naming the diagnostic.
+// SimOptions reject CustomDiagnostic::Kind::Expression in both
+// directions: its std::function callback cannot travel, and accepting the
+// cppCondition string alone would hand remote clients arbitrary code
+// injection into generated simulators. toJson throws ProtocolError naming
+// the diagnostic. For the same reason optionsFromJson accepts an optFlag
+// only when isOptLevel holds: the flag reaches the compiler's shell line.
 Json toJson(const SimOptions& o);
 SimOptions optionsFromJson(const Json& j, const std::string& where);
 
@@ -137,7 +137,7 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where);
 
 // ---- Observation canonicalization --------------------------------------
 // The observation-only view of a campaign: everything that is contractually
-// bit-identical across workers, exec modes and shards — per-seed
+// bit-identical across workers, execution rungs and shards — per-seed
 // steps/coverage/diagnostic counts, merged bitmaps, deduplicated
 // diagnostics, failure records, opt stats — with timing and placement
 // fields (execSeconds, execMode, workersUsed) excluded. Client-vs-local

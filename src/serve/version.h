@@ -19,8 +19,10 @@ inline constexpr const char* kAccmosVersion = "0.9.0";
 // A client and daemon with different protocol versions refuse each other
 // at the hello handshake instead of mis-parsing frames. Version 2 dropped
 // the batchLanes field from the options codec; version 3 dropped the tier
-// option and the tiering fields of campaign results and shard summaries.
-inline constexpr uint32_t kProtocolVersion = 3;
+// option and the tiering fields of campaign results and shard summaries;
+// version 4 dropped the execMode and compileCache options and restricts
+// optFlag to -O0..-O3.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 // Compile-cache schema: the on-disk layout under $ACCMOS_CACHE_DIR
 // (<key>.bin + "<size> <fnv1a64-hex>" sidecar in <key>.meta, FNV-1a-keyed

@@ -135,10 +135,10 @@ size_t SpecEvaluator::residentBytes() const {
 // Runs every spec, storing the result at the spec's index. With more than
 // one worker, specs are pulled one at a time from a shared counter by a
 // pool of threads: the SSE engine gets one persistent interpreter instance
-// per worker; the AccMoS engine's runContained() is thread-safe in both
-// exec modes, so workers call the per-shape engines directly — concurrent
-// calls into one loaded library (dlopen mode) or concurrent child
-// processes each writing to their own pipe (process mode). Result k lands
+// per worker; the AccMoS engine's runContained() is thread-safe, so
+// workers call the per-shape engines directly — concurrent calls into one
+// loaded library, or concurrent child processes each writing to their own
+// pipe when a run is contained out of process. Result k lands
 // at out[k], so the spec-order merge downstream is deterministic for any
 // worker count. The first exception thrown by any worker is rethrown on
 // the caller.

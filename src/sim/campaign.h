@@ -5,7 +5,7 @@
 //
 // With Engine::AccMoS the model is generated and compiled once and the
 // simulator re-run per seed — in-process accmos_run() calls into one
-// dlopen'd library by default, child processes in ExecMode::Process —
+// dlopen'd library (a child process only when containment needs one) —
 // which is exactly how a generated simulator amortizes over a campaign.
 //
 // Campaigns scale across cores: `SimOptions::campaign.workers` fans the
@@ -63,7 +63,7 @@ struct CampaignResult {
   double wallSeconds = 0.0;           // wall clock for the whole campaign
   double generateSeconds = 0.0;       // AccMoS one-off costs
   double compileSeconds = 0.0;
-  double loadSeconds = 0.0;           // AccMoS dlopen mode: library loads
+  double loadSeconds = 0.0;           // AccMoS: in-process library loads
   bool compileCacheHit = false;       // AccMoS: every binary came cached
   size_t workersUsed = 1;
   // Contained per-seed failures, in seed (spec) order. A campaign never
@@ -151,11 +151,11 @@ CampaignResult runCampaignSpecsOn(
 // interpreter instance. For Engine::AccMoS one simulator is generated and
 // compiled per distinct stimulus *shape* (TestCaseSpec::shapeKey — the
 // seed is normalized out and passed as a runtime argument), cached for the
-// evaluator's lifetime, and executed concurrently — in the default dlopen
-// exec mode all workers call into the one loaded shared library (its
-// accmos_run ABI is reentrant), in process mode each run is a child
-// process; the content-addressed compile cache absorbs repeated shapes
-// across evaluators and runs.
+// evaluator's lifetime, and executed concurrently — all workers call into
+// the one loaded shared library (its accmos_run ABI is reentrant), and a
+// run the engine contains in a child process is its own process; the
+// content-addressed compile cache absorbs repeated shapes across
+// evaluators and runs.
 class SpecEvaluator {
  public:
   // Throws ModelError unless `opt` names an instrumented engine (SSE or

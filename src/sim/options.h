@@ -20,26 +20,6 @@ enum class Engine : uint8_t {
 
 std::string_view engineName(Engine e);
 
-// How the AccMoS engine executes the compiled simulator. Both modes run
-// the same shared library, compiled -shared -fPIC once per model.
-//   Dlopen  — dlopen once, run in-process through the binary result ABI
-//             (no subprocess per run). Falls back to Process automatically
-//             when the library cannot be loaded.
-//   Process — per run, spawn the accmos-run-lib runner, which loads the
-//             library in a child process and returns one binary result
-//             frame (OS isolation; also the fallback).
-enum class ExecMode : uint8_t { Dlopen, Process };
-
-std::string_view execModeName(ExecMode m);
-
-// Default for SimOptions::execMode: ACCMOS_EXEC_MODE=process selects the
-// subprocess backend, anything else (including unset) selects dlopen.
-inline ExecMode defaultExecMode() {
-  const char* v = std::getenv("ACCMOS_EXEC_MODE");
-  if (v != nullptr && std::string(v) == "process") return ExecMode::Process;
-  return ExecMode::Dlopen;
-}
-
 // Multi-seed campaign execution knobs. The compiled AccMoS simulator takes
 // the stimulus seed as a run argument, so a campaign fans seeds out across
 // a worker pool: N concurrent executions of the one compiled library (or one interpreter instance per worker for SSE).
@@ -96,19 +76,16 @@ struct SimOptions {
   // Custom signal diagnoses (§3.2.B).
   std::vector<CustomDiagnostic> customDiagnostics;
 
-  // AccMoS codegen knobs.
-  ExecMode execMode = defaultExecMode();  // see ExecMode above
+  // AccMoS codegen knobs. How a run executes is the engine's decision,
+  // not an option (docs/EXECUTION.md).
+  //
   // Inert: nothing reads it, and no CLI flag, environment variable or
   // wire field sets it. It exists only because the frozen benchmark
   // harness (accbench/harness/campaign.cpp) still assigns it.
   size_t batchLanes = 0;
-  std::string optFlag = "-O3";   // compiler optimization level
-  bool keepGeneratedCode = false;
-  std::string workDir;           // empty = temp directory
-  // Reuse compiled simulators across engine constructions via the
-  // content-addressed cache (key: compiler + flags + generated source).
-  // The cache lives under $ACCMOS_CACHE_DIR (default: <tmp>/accmos-cache).
-  bool compileCache = true;
+  // Compiler optimization level: exactly -O0, -O1, -O2 or -O3
+  // (isOptLevel in codegen/compiler_driver.h).
+  std::string optFlag = "-O3";
 
   // Multi-seed campaign execution (runCampaign only).
   CampaignOptions campaign;

@@ -45,12 +45,4 @@ std::string_view engineName(Engine e) {
   return "?";
 }
 
-std::string_view execModeName(ExecMode m) {
-  switch (m) {
-    case ExecMode::Dlopen: return "dlopen";
-    case ExecMode::Process: return "process";
-  }
-  return "?";
-}
-
 }  // namespace accmos

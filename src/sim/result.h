@@ -40,8 +40,8 @@ struct SimulationResult {
   RunFailure failure;
 
   // Wall-clock split. For in-process engines only execSeconds is set; the
-  // AccMoS path also reports generation and compilation time, and — in
-  // dlopen exec mode — the one-time shared-library load time.
+  // AccMoS path also reports generation and compilation time, and — when
+  // the library loaded in-process — the one-time load time.
   double execSeconds = 0.0;
   double generateSeconds = 0.0;
   double compileSeconds = 0.0;
@@ -50,9 +50,9 @@ struct SimulationResult {
     return execSeconds + generateSeconds + compileSeconds + loadSeconds;
   }
 
-  // Execution backend the AccMoS engine actually used ("dlopen" or
-  // "process"; empty for the interpreting engines). May differ from
-  // SimOptions::execMode when the dlopen backend fell back to a subprocess.
+  // Where the AccMoS engine ran this result: "dlopen" (in-process) or
+  // "process" (the accmos-run-lib rung, after a load failure, a struck run
+  // or quarantine); empty for the interpreting engines.
   std::string execMode;
 
   bool hasCoverage = false;

@@ -15,38 +15,13 @@
 #include <filesystem>
 #include <string>
 
+#include "test_util.h"
+
 namespace accmos {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Scoped environment override (the CLI child inherits this process's
-// environment through std::system).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
+using test::EnvGuard;
 
 class CliExitCodes : public ::testing::Test {
  protected:
@@ -55,8 +30,7 @@ class CliExitCodes : public ::testing::Test {
                   ("accmos_cli_test_" + std::to_string(::getpid()) + "_" +
                    std::to_string(counter_++))),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
-        faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr) {}
+        faultEnv_("ACCMOS_FAULT", nullptr) {}
   ~CliExitCodes() override {
     std::error_code ec;
     fs::remove_all(cacheDir_, ec);
@@ -81,7 +55,6 @@ class CliExitCodes : public ::testing::Test {
   fs::path cacheDir_;
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
-  EnvGuard execEnv_;
   static int counter_;
 };
 
@@ -99,6 +72,13 @@ TEST_F(CliExitCodes, UsageErrorsExitTwo) {
   EXPECT_EQ(runCli("run " + fmtm + " --timeout=abc"), 2);
   EXPECT_EQ(runCli("campaign " + fmtm + " --seeds=-5"), 2);
   EXPECT_EQ(runCli("gen " + fmtm + " --budget=abc"), 2);
+  // The compiler flag is one of four levels; shell syntax never reaches
+  // the compiler's command line.
+  EXPECT_EQ(runCli("run " + fmtm + " '--opt=-O2; true'"), 2);
+  // The backend is the engine's choice: there is no flag to pick it.
+  EXPECT_EQ(runCli("run " + fmtm + " --exec-mode=process"), 2);
+  EXPECT_EQ(runCli("campaign " + fmtm + " --exec-mode=process"), 2);
+  EXPECT_EQ(runCli("gen " + fmtm + " --budget=4 --exec-mode=process"), 2);
 }
 
 TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {

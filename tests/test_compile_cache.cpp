@@ -28,6 +28,7 @@ namespace accmos {
 namespace {
 
 namespace fs = std::filesystem;
+using test::EnvGuard;
 using test::Tiny;
 
 // Each test gets a private cache directory via ACCMOS_CACHE_DIR, so hits
@@ -167,10 +168,10 @@ TEST_F(CompileCacheTest, TruncatedToZeroAlsoRecovers) {
 }
 
 TEST_F(CompileCacheTest, OptOutDisablesReuse) {
+  EnvGuard off("ACCMOS_CACHE_DISABLE", "1");
   auto t = gainModel(2.0);
   Simulator sim(t->model());
   SimOptions opt = accOptions();
-  opt.compileCache = false;
   TestCaseSpec tests;
   AccMoSEngine first(sim.flatModel(), opt, tests);
   AccMoSEngine second(sim.flatModel(), opt, tests);
@@ -288,39 +289,24 @@ TEST_F(CompileCacheTest, UncompilableSourceSurfacesCompilerStderr) {
   EXPECT_EQ(entries, 0u);
 }
 
+// The optimization flag lands on the compiler's /bin/sh command line, and
+// the daemon takes it from its socket: anything but the four levels is
+// refused before a shell runs.
+TEST_F(CompileCacheTest, ShellSyntaxInTheOptFlagIsRefused) {
+  const fs::path marker = dir_ / "injected";
+  CompilerDriver driver;
+  EXPECT_THROW(driver.compile("int f() { return 0; }\n", "inject",
+                              "-O0; touch " + marker.string() + " #"),
+               CompileError);
+  EXPECT_FALSE(fs::exists(marker));
+}
+
 TEST_F(CompileCacheTest, MissingBinaryRunFails) {
   CompilerDriver driver;
   EXPECT_THROW(driver.run((fs::path(driver.dir()) / "nonexistent").string(),
                           {"1", "0", "1"}),
                CompileError);
 }
-
-// Scoped environment override (same idiom as test_fault_containment.cpp).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // In-process single-flight: N workers constructing engines for one cold
 // model (the campaign cold-start race) compile it once.

@@ -33,34 +33,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using serve::Json;
+using test::EnvGuard;
 using test::Tiny;
-
-// Scoped environment override (same idiom as test_serve.cpp).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // Private shared store per test (the workers inherit it through
 // ShardOptions::cacheDir), ambient overrides cleared so results are
@@ -73,7 +47,6 @@ class DistTest : public ::testing::Test {
                    std::to_string(counter_++))),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
         faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr),
         abortEnv_("ACCMOS_SHARD_ABORT", nullptr) {
     clearInterrupt();
   }
@@ -98,7 +71,6 @@ class DistTest : public ::testing::Test {
  private:
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
-  EnvGuard execEnv_;
   EnvGuard abortEnv_;
   static int counter_;
 };

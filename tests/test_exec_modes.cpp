@@ -1,19 +1,17 @@
 // The AccMoS execution paths (docs/EXECUTION.md) held to one contract:
-// the dlopen in-process backend and the subprocess backend must produce
-// bit-identical SimulationResults — outputs, coverage bitmaps,
-// diagnostics, monitors — for single runs, campaigns at any worker count,
-// and heterogeneous generator-style spec batches. Plus the backend
-// plumbing itself: one compiled artifact serves both backends (a dlopen
-// failure or a switch of backend never compiles the model again),
-// automatic fallback to Process when dlopen is unavailable (execMode
-// reporting what actually ran), typed failures from the subprocess
-// runner, ModelLib rejecting unloadable files, and the ACCMOS_EXEC_MODE
-// environment default.
+// an in-process run of the loaded library and a run of the same library
+// on the containment rung (the accmos-run-lib child, forced here with
+// ACCMOS_FAULT=dlopen-fail) must produce bit-identical SimulationResults —
+// outputs, coverage bitmaps, diagnostics, monitors — for single runs,
+// campaigns at any worker count, and heterogeneous generator-style spec
+// batches. Plus the plumbing itself: one compiled artifact serves both (a
+// dlopen failure never compiles the model again), execMode reports what
+// actually ran, the runner receives the run's budgets exactly, its own
+// failures are typed, and ModelLib rejects unloadable files.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,80 +30,24 @@ namespace accmos {
 namespace {
 
 namespace fs = std::filesystem;
+using test::EnvGuard;
+using test::expectIdenticalResults;
 using test::Tiny;
 
-// Sets (or, with nullptr, clears) an environment variable for the
-// enclosing scope only; the previous value is restored on exit, so these
-// tests behave the same under an ambient ACCMOS_EXEC_MODE (CI runs the
-// whole suite under both backends).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
-SimOptions modeOptions(ExecMode mode, uint64_t steps = 300) {
+SimOptions accOptions(uint64_t steps = 300) {
   SimOptions opt;
   opt.engine = Engine::AccMoS;
   opt.maxSteps = steps;
-  opt.optFlag = "-O1";  // cheap compiles; the backends behave the same
-  opt.execMode = mode;
+  opt.optFlag = "-O1";  // cheap compiles; both rungs behave the same
   return opt;
 }
 
-// The whole-result comparison both backends are held to. Everything the
-// result buffers carry must agree bit-exactly; only the timing fields and
-// execMode may differ.
-void expectIdenticalResults(const SimulationResult& a,
-                            const SimulationResult& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.stepsExecuted, b.stepsExecuted) << label;
-  EXPECT_EQ(a.stoppedEarly, b.stoppedEarly) << label;
-  test::expectSameOutputs(a, b, label);
-  ASSERT_EQ(a.hasCoverage, b.hasCoverage) << label;
-  if (a.hasCoverage) {
-    EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << label;
-    for (CovMetric m : kAllCovMetrics) {
-      EXPECT_EQ(a.bitmaps.bits(m), b.bitmaps.bits(m))
-          << label << " bitmap " << covMetricName(m);
-    }
-  }
-  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size()) << label;
-  for (size_t k = 0; k < a.diagnostics.size(); ++k) {
-    const DiagRecord& da = a.diagnostics[k];
-    const DiagRecord& db = b.diagnostics[k];
-    EXPECT_EQ(da.actorPath, db.actorPath) << label << " diag " << k;
-    EXPECT_EQ(da.kind, db.kind) << label << " diag " << k;
-    EXPECT_EQ(da.message, db.message) << label << " diag " << k;
-    EXPECT_EQ(da.firstStep, db.firstStep) << label << " diag " << k;
-    EXPECT_EQ(da.count, db.count) << label << " diag " << k;
-  }
-  ASSERT_EQ(a.collected.size(), b.collected.size()) << label;
-  for (size_t k = 0; k < a.collected.size(); ++k) {
-    EXPECT_EQ(a.collected[k].path, b.collected[k].path) << label;
-    EXPECT_EQ(a.collected[k].last, b.collected[k].last) << label;
-    EXPECT_EQ(a.collected[k].count, b.collected[k].count) << label;
-  }
+// Calls fn() with the in-process library load forced to fail, so every
+// engine it builds runs on the accmos-run-lib rung.
+template <typename Fn>
+auto onProcessRung(Fn fn) {
+  EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+  return fn();
 }
 
 // The Sample model ships overflow-triggering stimulus: a run produces real
@@ -116,10 +58,10 @@ TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
   tests.ports[0].max = 1e6;  // scale up so the overflow fires in-budget
   tests.ports[1].max = 1e6;
 
-  SimulationResult dl =
-      simulate(*model, modeOptions(ExecMode::Dlopen, 10000), tests);
+  const SimOptions opt = accOptions(10000);
+  SimulationResult dl = simulate(*model, opt, tests);
   SimulationResult pr =
-      simulate(*model, modeOptions(ExecMode::Process, 10000), tests);
+      onProcessRung([&] { return simulate(*model, opt, tests); });
 
   EXPECT_EQ(dl.execMode, "dlopen");
   EXPECT_EQ(pr.execMode, "process");
@@ -130,7 +72,7 @@ TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
 }
 
 // Signal monitors and compiled custom diagnostics cross the binary ABI
-// through dedicated records; both backends must agree on them exactly.
+// through dedicated records; both rungs must agree on them exactly.
 TEST(ExecModes, MonitorsAndCustomDiagnosticsAgree) {
   Tiny t;
   t.inport("In1", 1);
@@ -147,50 +89,53 @@ TEST(ExecModes, MonitorsAndCustomDiagnosticsAgree) {
   cd.minValue = -0.5;
   cd.maxValue = 0.5;  // default stimulus is [0,1) * gain 2 -> fires often
 
-  auto run = [&](ExecMode mode) {
-    SimOptions opt = modeOptions(mode);
+  auto run = [&] {
+    SimOptions opt = accOptions();
     opt.collectList.push_back("T_G");
     opt.customDiagnostics.push_back(cd);
     TestCaseSpec tests;
     tests.seed = 42;
     return simulate(t.model(), opt, tests);
   };
-  SimulationResult dl = run(ExecMode::Dlopen);
-  SimulationResult pr = run(ExecMode::Process);
+  SimulationResult dl = run();
+  SimulationResult pr = onProcessRung(run);
 
+  EXPECT_EQ(dl.execMode, "dlopen");
+  EXPECT_EQ(pr.execMode, "process");
   ASSERT_EQ(dl.collected.size(), 1u);
   EXPECT_GT(dl.collected[0].count, 0u);
   EXPECT_NE(dl.findDiag("T_G", DiagKind::Custom), nullptr);
   expectIdenticalResults(dl, pr, "monitors+custom");
 }
 
-// Campaigns fan concurrent runs over one engine: in dlopen mode that is
-// many threads calling accmos_run() into one loaded library. The merged
-// outcome must be identical across backends and worker counts.
+// Campaigns fan concurrent runs over one engine: in-process that is many
+// threads calling accmos_run() into one loaded library. The merged outcome
+// must be identical on both rungs and for every worker count.
 TEST(ExecModes, CampaignsAgreeAcrossBackendsAndWorkerCounts) {
   auto model = sampleOverflowModel();
   TestCaseSpec base = sampleOverflowStimulus();
   Simulator sim(*model);
   std::vector<uint64_t> seeds = {1000, 1037, 1074, 1111, 1148, 1185};
+  auto campaign = [&](size_t workers) {
+    SimOptions opt = accOptions(200);
+    opt.campaign.workers = workers;
+    return runCampaign(sim.flatModel(), opt, base, seeds);
+  };
 
-  CampaignResult ref;  // dlopen, 1 worker
-  bool haveRef = false;
-  for (ExecMode mode : {ExecMode::Dlopen, ExecMode::Process}) {
+  const CampaignResult ref = campaign(1);  // in-process, 1 worker
+  EXPECT_GT(ref.loadSeconds, 0.0);
+  for (const std::string rung : {"dlopen", "process"}) {
     for (size_t workers : {1u, 2u, 4u}) {
-      SimOptions opt = modeOptions(mode, 200);
-      opt.campaign.workers = workers;
-      CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
-      if (!haveRef) {
-        ref = cr;
-        haveRef = true;
-        EXPECT_GT(ref.loadSeconds, 0.0);
-        continue;
-      }
-      std::string label = std::string(execModeName(mode)) + "/w" +
-                          std::to_string(workers);
+      if (rung == "dlopen" && workers == 1) continue;  // the reference
+      CampaignResult cr =
+          rung == "dlopen"
+              ? campaign(workers)
+              : onProcessRung([&] { return campaign(workers); });
+      std::string label = rung + "/w" + std::to_string(workers);
       EXPECT_EQ(cr.cumulative.toString(), ref.cumulative.toString()) << label;
       ASSERT_EQ(cr.perSeed.size(), ref.perSeed.size()) << label;
       for (size_t k = 0; k < cr.perSeed.size(); ++k) {
+        EXPECT_EQ(cr.perSeed[k].execMode, rung) << label;
         EXPECT_EQ(cr.perSeed[k].coverage.toString(),
                   ref.perSeed[k].coverage.toString())
             << label << " seed " << cr.perSeed[k].seed;
@@ -215,7 +160,7 @@ TEST(ExecModes, CampaignsAgreeAcrossBackendsAndWorkerCounts) {
 // The generator's workload: a heterogeneous spec batch where different
 // stimulus shapes compile different simulators (seed-only variants share
 // one). Replaying the batch must give the same per-spec results on the
-// subprocess backend and the dlopen backend.
+// process rung and in-process.
 TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
   auto model = sampleOverflowModel();
   Simulator sim(*model);
@@ -238,8 +183,8 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
   wide.seed = 9;
   specs.push_back(wide);
 
-  auto evaluate = [&](ExecMode mode) {
-    SimOptions opt = modeOptions(mode, 200);
+  auto evaluate = [&] {
+    SimOptions opt = accOptions(200);
     opt.optimize = false;  // SpecEvaluator takes the model as given
     opt.campaign.workers = 2;
     SpecEvaluator evaluator(sim.flatModel(), opt);
@@ -247,8 +192,8 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
     EXPECT_EQ(evaluator.enginesBuilt(), 2u) << "two stimulus shapes";
     return out;
   };
-  auto pr = evaluate(ExecMode::Process);
-  auto dl = evaluate(ExecMode::Dlopen);
+  auto pr = onProcessRung(evaluate);
+  auto dl = evaluate();
   ASSERT_EQ(pr.size(), specs.size());
   ASSERT_EQ(dl.size(), specs.size());
   for (size_t k = 0; k < specs.size(); ++k) {
@@ -268,8 +213,7 @@ TEST(ExecModes, LibraryFallbacksAgreeWithDlopen) {
   Simulator sim(*model);
   std::vector<uint64_t> seeds = {3, 4, 5};
 
-  AccMoSEngine reference(sim.flatModel(), modeOptions(ExecMode::Dlopen, 300),
-                         tests);
+  AccMoSEngine reference(sim.flatModel(), accOptions(), tests);
   std::vector<SimulationResult> ref = reference.runBatch(seeds);
   ASSERT_EQ(ref.size(), seeds.size());
   for (const auto& r : ref) EXPECT_EQ(r.execMode, "dlopen");
@@ -289,28 +233,25 @@ TEST(ExecModes, LibraryFallbacksAgreeWithDlopen) {
     // dlopen unavailable entirely: every run degrades to the subprocess
     // backend.
     EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
-    AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen, 300),
-                        tests);
-    EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
+    AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
+    EXPECT_EQ(engine.execModeUsed(), "process");
     expectSameRuns(engine, "process", "dlopen failure");
   }
 }
 
 // When the library cannot be loaded the engine must degrade to the
-// subprocess backend, not fail — same results, execMode records the truth.
+// process rung, not fail — same results, execMode records the truth.
 TEST(ExecModes, DlopenFailureFallsBackToProcess) {
   auto t = test::unaryConstModel("Abs", -3.0);
   Simulator sim(t->model());
   TestCaseSpec tests;
 
-  SimulationResult clean =
-      simulate(t->model(), modeOptions(ExecMode::Dlopen), tests);
+  SimulationResult clean = simulate(t->model(), accOptions(), tests);
   EXPECT_EQ(clean.execMode, "dlopen");
 
   EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
-  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen),
-                      tests);
-  EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
+  AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
+  EXPECT_EQ(engine.execModeUsed(), "process");
   EXPECT_EQ(engine.loadSeconds(), 0.0);
   SimulationResult fb = engine.run();
   EXPECT_EQ(fb.execMode, "process");
@@ -348,9 +289,9 @@ class ScopedCache {
 
 int ScopedCache::counter_ = 0;
 
-// One artifact: a cold dlopen engine whose library cannot be loaded runs
-// on the subprocess backend off the library it already built — exactly one
-// compiler invocation across construction and runs, one cache entry.
+// One artifact: a cold engine whose library cannot be loaded runs on the
+// process rung off the library it already built — exactly one compiler
+// invocation across construction and runs, one cache entry.
 TEST(ExecModes, DlopenFailureCompilesTheModelOnce) {
   ScopedCache cache;
   auto t = test::unaryConstModel("Abs", -5.0);
@@ -359,8 +300,8 @@ TEST(ExecModes, DlopenFailureCompilesTheModelOnce) {
 
   EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
   const uint64_t before = CompilerDriver::compilerInvocations();
-  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen), tests);
-  EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);
+  AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
+  EXPECT_EQ(engine.execModeUsed(), "process");
   EXPECT_EQ(engine.run().execMode, "process");
   SimulationResult contained = engine.runContained(0, -1.0, 11);
   EXPECT_FALSE(contained.failed) << contained.failure.summary();
@@ -369,22 +310,20 @@ TEST(ExecModes, DlopenFailureCompilesTheModelOnce) {
   EXPECT_EQ(cache.entries(), 1u);
 }
 
-// Switching backend on a warm cache is free: a Process engine built after a
-// Dlopen engine on the same model runs the library the first one compiled.
-TEST(ExecModes, ProcessEngineReusesTheDlopenLibrary) {
-  ScopedCache cache;
-  auto t = test::unaryConstModel("Abs", -6.0);
-  Simulator sim(t->model());
-  TestCaseSpec tests;
-
-  AccMoSEngine dl(sim.flatModel(), modeOptions(ExecMode::Dlopen), tests);
-  EXPECT_EQ(dl.execModeUsed(), ExecMode::Dlopen);
-  const uint64_t before = CompilerDriver::compilerInvocations();
-  AccMoSEngine pr(sim.flatModel(), modeOptions(ExecMode::Process), tests);
-  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 0u);
-  EXPECT_TRUE(pr.compileCacheHit());
-  EXPECT_EQ(pr.exePath(), dl.exePath());
-  expectIdenticalResults(dl.run(), pr.run(), "backend switch");
+// The runner receives the run's budgets exactly: a 1e-7 s budget stops the
+// in-process loop at its first clock check (step 1024), and must stop the
+// child at the same step rather than reach it rounded to 0 (unlimited).
+TEST(ExecModes, SubMicrosecondBudgetsReachTheRunner) {
+  auto t = test::unaryConstModel("Abs", -8.0);
+  SimOptions opt = accOptions(5'000'000);
+  opt.timeBudgetSec = 1e-7;
+  SimulationResult dl = simulate(t->model(), opt, TestCaseSpec{});
+  SimulationResult pr = onProcessRung(
+      [&] { return simulate(t->model(), opt, TestCaseSpec{}); });
+  EXPECT_EQ(dl.execMode, "dlopen");
+  EXPECT_EQ(pr.execMode, "process");
+  EXPECT_EQ(dl.stepsExecuted, 1024u);
+  EXPECT_EQ(pr.stepsExecuted, dl.stepsExecuted);
 }
 
 // The subprocess runner's own failures are typed, never a model crash: a
@@ -395,7 +334,8 @@ TEST(ExecModes, RunnerFailuresAreTypedNotCrashes) {
   auto t = test::unaryConstModel("Abs", -7.0);
   Simulator sim(t->model());
   TestCaseSpec tests;
-  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Process), tests);
+  EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+  AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
   ASSERT_FALSE(engine.runContained().failed);
   const fs::path lib = engine.exePath();
 
@@ -449,24 +389,6 @@ TEST(ExecModes, ModelLibRejectsUnloadableFiles) {
   }
   fs::remove(garbage);
   EXPECT_THROW(ModelLib("/nonexistent/path/model.so"), CompileError);
-}
-
-// ACCMOS_EXEC_MODE picks the default backend for options constructed after
-// it is set; anything but "process" means dlopen.
-TEST(ExecModes, EnvironmentSelectsTheDefaultBackend) {
-  EnvGuard clear("ACCMOS_EXEC_MODE", nullptr);
-  EXPECT_EQ(defaultExecMode(), ExecMode::Dlopen);
-  {
-    EnvGuard env("ACCMOS_EXEC_MODE", "process");
-    EXPECT_EQ(defaultExecMode(), ExecMode::Process);
-    SimOptions opt;
-    EXPECT_EQ(opt.execMode, ExecMode::Process);
-  }
-  {
-    EnvGuard env("ACCMOS_EXEC_MODE", "dlopen");
-    EXPECT_EQ(defaultExecMode(), ExecMode::Dlopen);
-  }
-  EXPECT_EQ(defaultExecMode(), ExecMode::Dlopen);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -34,40 +33,13 @@ namespace accmos {
 namespace {
 
 namespace fs = std::filesystem;
+using test::EnvGuard;
 using test::Tiny;
-
-// Scoped environment override; restores the previous value on exit so
-// these tests compose with an ambient ACCMOS_EXEC_MODE / ACCMOS_FAULT.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // Every test runs against a private, empty compile cache (fault-armed
 // builds re-key the cache by design, but driver-level fault tests compile
 // fault-free sources that must not be served from a shared cache), with
-// any ambient fault/exec-mode overrides cleared.
+// any ambient fault override cleared.
 class FaultTest : public ::testing::Test {
  protected:
   FaultTest()
@@ -75,8 +47,7 @@ class FaultTest : public ::testing::Test {
                   ("accmos_fault_test_" + std::to_string(::getpid()) + "_" +
                    std::to_string(counter_++))),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
-        faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr) {}
+        faultEnv_("ACCMOS_FAULT", nullptr) {}
   ~FaultTest() override {
     std::error_code ec;
     fs::remove_all(cacheDir_, ec);
@@ -87,7 +58,6 @@ class FaultTest : public ::testing::Test {
  private:
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
-  EnvGuard execEnv_;
   static int counter_;
 };
 
@@ -211,7 +181,6 @@ TEST_F(FaultTest, DeadlineExceededDlopenRunNeverBlocks) {
   FlatModel fm = wrapGainModel(t);
   SimOptions opt = faultOptions();
   opt.runTimeoutSec = 0.3;
-  opt.execMode = ExecMode::Dlopen;
 
   AccMoSEngine engine(fm, opt, fullRangeStimulus());
   auto t0 = std::chrono::steady_clock::now();
@@ -248,7 +217,6 @@ TEST_F(FaultTest, TwoStrikesQuarantineEngineOntoSubprocess) {
   Tiny t;
   FlatModel fm = wrapGainModel(t);
   SimOptions opt = faultOptions();
-  opt.execMode = ExecMode::Dlopen;
 
   AccMoSEngine engine(fm, opt, fullRangeStimulus());
   ASSERT_FALSE(engine.quarantined());

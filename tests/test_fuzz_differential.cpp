@@ -84,6 +84,17 @@ TEST_P(FuzzAccMoS, GeneratedCodeMatchesInterpreter) {
     EXPECT_EQ(sse.diagnostics[k].firstStep, acc.diagnostics[k].firstStep);
     EXPECT_EQ(sse.diagnostics[k].count, acc.diagnostics[k].count);
   }
+
+  // The containment rung on random models: the same cached library, run
+  // in the accmos-run-lib child, observes exactly what the in-process run
+  // did.
+  test::EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+  auto child = test::runOn(*model, Engine::AccMoS, 500, tests);
+  EXPECT_EQ(acc.execMode, "dlopen");
+  EXPECT_EQ(child.execMode, "process");
+  test::expectIdenticalResults(acc, child,
+                               "fuzz process rung seed " +
+                                   std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzAccMoS,

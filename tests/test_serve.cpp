@@ -19,7 +19,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -42,34 +41,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using serve::Json;
+using test::EnvGuard;
 using test::Tiny;
-
-// Scoped environment override (same idiom as test_fault_containment.cpp).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // Private compile cache + socket path per test, ambient overrides cleared
 // so results are deterministic regardless of the caller's environment.
@@ -83,8 +56,7 @@ class ServeTest : public ::testing::Test {
                   ("accmosd_test_" + std::to_string(::getpid()) + "_" +
                    std::to_string(counter_++) + ".sock")),
         cacheEnv_("ACCMOS_CACHE_DIR", cacheDir_.string().c_str()),
-        faultEnv_("ACCMOS_FAULT", nullptr),
-        execEnv_("ACCMOS_EXEC_MODE", nullptr) {}
+        faultEnv_("ACCMOS_FAULT", nullptr) {}
   ~ServeTest() override {
     std::error_code ec;
     fs::remove_all(cacheDir_, ec);
@@ -104,7 +76,6 @@ class ServeTest : public ::testing::Test {
  private:
   EnvGuard cacheEnv_;
   EnvGuard faultEnv_;
-  EnvGuard execEnv_;
   static int counter_;
 };
 

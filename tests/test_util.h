@@ -1,10 +1,11 @@
-// Shared helpers for the test suite: tiny-model construction and
-// cross-engine result comparison.
+// Shared helpers for the test suite: tiny-model construction, scoped
+// environment overrides and cross-engine result comparison.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -15,6 +16,35 @@
 #include "sim/simulator.h"
 
 namespace accmos::test {
+
+// Sets (or, with nullptr, clears) an environment variable for the
+// enclosing scope; the previous value is restored on exit. Child processes
+// the test spawns inherit the override.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~EnvGuard() {
+    if (had_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string old_;
+};
 
 // Fluent builder for small test models.
 class Tiny {
@@ -122,6 +152,41 @@ inline void expectSameOutputs(const SimulationResult& a,
     EXPECT_EQ(a.finalOutputs[k], b.finalOutputs[k])
         << label << " output " << k << ": " << a.finalOutputs[k].toString()
         << " vs " << b.finalOutputs[k].toString();
+  }
+}
+
+// The whole-result comparison for two runs of one compiled model, wherever
+// each executed: everything the result buffers carry must agree
+// bit-exactly; only the timing fields and execMode may differ.
+inline void expectIdenticalResults(const SimulationResult& a,
+                                   const SimulationResult& b,
+                                   const std::string& label) {
+  EXPECT_EQ(a.stepsExecuted, b.stepsExecuted) << label;
+  EXPECT_EQ(a.stoppedEarly, b.stoppedEarly) << label;
+  expectSameOutputs(a, b, label);
+  ASSERT_EQ(a.hasCoverage, b.hasCoverage) << label;
+  if (a.hasCoverage) {
+    EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << label;
+    for (CovMetric m : kAllCovMetrics) {
+      EXPECT_EQ(a.bitmaps.bits(m), b.bitmaps.bits(m))
+          << label << " bitmap " << covMetricName(m);
+    }
+  }
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size()) << label;
+  for (size_t k = 0; k < a.diagnostics.size(); ++k) {
+    const DiagRecord& da = a.diagnostics[k];
+    const DiagRecord& db = b.diagnostics[k];
+    EXPECT_EQ(da.actorPath, db.actorPath) << label << " diag " << k;
+    EXPECT_EQ(da.kind, db.kind) << label << " diag " << k;
+    EXPECT_EQ(da.message, db.message) << label << " diag " << k;
+    EXPECT_EQ(da.firstStep, db.firstStep) << label << " diag " << k;
+    EXPECT_EQ(da.count, db.count) << label << " diag " << k;
+  }
+  ASSERT_EQ(a.collected.size(), b.collected.size()) << label;
+  for (size_t k = 0; k < a.collected.size(); ++k) {
+    EXPECT_EQ(a.collected[k].path, b.collected[k].path) << label;
+    EXPECT_EQ(a.collected[k].last, b.collected[k].last) << label;
+    EXPECT_EQ(a.collected[k].count, b.collected[k].count) << label;
   }
 }
 

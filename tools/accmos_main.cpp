@@ -38,15 +38,14 @@
 //   --no-coverage --no-diagnosis       disable instrumentation
 //   --stop-on-diagnostic               halt at the first error
 //   --show-uncovered                   list every unreached coverage point
-//   --opt=-O2                          compiler flag for generated code
+//   --opt=-O0|-O1|-O2|-O3              compiler optimization level for the
+//                                      generated code (default -O3)
 //   --no-opt                           skip the model optimization pipeline
 //                                      (also: env ACCMOS_NO_OPT=1)
-//   --exec-mode=dlopen|process         AccMoS execution backend (default
-//                                      dlopen; also: env ACCMOS_EXEC_MODE)
 //   --timeout=SECONDS                  per-run wall-clock deadline: the
 //                                      generated code retires the run
-//                                      cooperatively, the process backend
-//                                      adds a kill-on-expiry watchdog
+//                                      cooperatively, a contained child
+//                                      run adds a kill-on-expiry watchdog
 //   --step-budget=N                    retire a run after N steps even if
 //                                      --steps asked for more
 //
@@ -118,12 +117,11 @@ int usage() {
                "[--budget=S]\n"
                "             [--tests=F.csv] [--seed=N] [--collect=PATH]...\n"
                "             [--no-coverage] [--no-diagnosis] "
-               "[--stop-on-diagnostic] [--opt=-O3] [--no-opt] "
-               "[--exec-mode=dlopen|process] "
+               "[--stop-on-diagnostic] [--opt=-O0|-O1|-O2|-O3] [--no-opt] "
                "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
                "  accmos campaign <model.xml> [--seeds=N] [--steps=M] "
                "[--engine=accmos|sse] [--workers=W] [--shards=N] "
-               "[--no-opt] [--exec-mode=dlopen|process] [--timeout=SEC] "
+               "[--no-opt] [--timeout=SEC] "
                "[--step-budget=N] [--show-uncovered]\n"
                "  accmos export-suite <directory>\n"
                "  accmos serve --socket=PATH [--pool-budget=BYTES] "
@@ -177,7 +175,7 @@ void printFailures(const std::vector<RunFailure>& failures) {
 
 // Every numeric flag's value: the whole of `v` must be a non-negative
 // decimal number (no sign, whitespace, inf or nan) within [lo, hi].
-// Returns false (after printing the flag) otherwise, like parseExecMode.
+// Returns false (after printing the flag) otherwise.
 // T is an unsigned integer type or double.
 template <typename T>
 bool parseNumber(const char* flag, const std::string& v, T* out, T lo = T(0),
@@ -210,20 +208,6 @@ bool parseNumber(const char* flag, const std::string& v, T* out, T lo = T(0),
     std::fprintf(stderr, ", not '%s'\n", v.c_str());
   }
   return ok;
-}
-
-// --exec-mode=dlopen|process; returns false (after printing) on a bad value.
-bool parseExecMode(const std::string& v, SimOptions* opt) {
-  if (v == "dlopen") {
-    opt->execMode = ExecMode::Dlopen;
-  } else if (v == "process") {
-    opt->execMode = ExecMode::Process;
-  } else {
-    std::fprintf(stderr, "exec mode must be dlopen or process, not '%s'\n",
-                 v.c_str());
-    return false;
-  }
-  return true;
 }
 
 // SIGINT/SIGTERM raise the cooperative interrupt flag (sim/interrupt.h):
@@ -364,8 +348,6 @@ int cmdTestGen(const std::string& path,
       if (!parseNumber("--steps", v, &opt.maxSteps)) return 2;
     } else if (flagValue(arg, "--workers", &v)) {
       if (!parseNumber("--workers", v, &opt.campaign.workers)) return 2;
-    } else if (flagValue(arg, "--exec-mode", &v)) {
-      if (!parseExecMode(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
@@ -466,9 +448,12 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
     } else if (flagValue(arg, "--collect", &v)) {
       opt.collectList.push_back(v);
     } else if (flagValue(arg, "--opt", &v)) {
+      if (!isOptLevel(v)) {
+        std::fprintf(stderr, "--opt must be -O0, -O1, -O2 or -O3, not '%s'\n",
+                     v.c_str());
+        return 2;
+      }
       opt.optFlag = v;
-    } else if (flagValue(arg, "--exec-mode", &v)) {
-      if (!parseExecMode(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
@@ -610,8 +595,6 @@ int parseCampaignArgs(const std::vector<std::string>& args,
         std::fprintf(stderr, "campaign engine must be accmos or sse\n");
         return 2;
       }
-    } else if (flagValue(arg, "--exec-mode", &v)) {
-      if (!parseExecMode(v, &opt)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
