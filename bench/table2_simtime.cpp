@@ -71,9 +71,6 @@ int main() {
         .num("speedup_vs_sserac", r3)
         .num("generate_s", genSeconds)
         .num("compile_s", compileSeconds)
-        // Every engine builds before its first run, so the run blocks
-        // for the whole compile.
-        .num("compile_wait_s", compileSeconds)
         .flag("compile_cache_hit", cacheHit);
   }
   bench::hr(108);

@@ -34,6 +34,28 @@ std::string faultCond(const FaultPlan::SiteFault& f) {
   return c;
 }
 
+// Cap on the step-private signal bytes Model_Exe keeps on the stack; the
+// signals past it stay members. The largest Table 1 model (LANS) needs
+// 2.9 KB, while one f64 signal at kMaxDimParam is 256 KiB and campaign
+// and daemon workers run on 8 MiB thread stacks.
+constexpr size_t kMaxLocalBytes = 64 * 1024;
+
+// One declaration line: C++ element type, unqualified name, array suffix
+// (e.g. "[3]"; empty for scalars) and trailing comment.
+void declare(std::ostringstream& os, const std::string& type,
+             const std::string& name, const std::string& dims,
+             const std::string& comment) {
+  os << "  " << type << " " << name << dims << ";";
+  if (!comment.empty()) os << "  // " << comment;
+  os << "\n";
+}
+
+void declareSignal(std::ostringstream& os, const FlatModel& fm, size_t id) {
+  const SignalInfo& sig = fm.signals[id];
+  declare(os, cpp(sig.type), "s" + std::to_string(id),
+          "[" + std::to_string(sig.width) + "]", sig.name);
+}
+
 }  // namespace
 
 Emitter::Emitter(const FlatModel& fm, const SimOptions& opt,
@@ -46,6 +68,74 @@ Emitter::Emitter(const FlatModel& fm, const SimOptions& opt,
       diagPlan_(diagPlan),
       faults_(faultPlanFromEnv()) {
   collectSignals_ = monitoredSignals(fm_, opt_.collectList);
+  classifyLocals();
+}
+
+void Emitter::classifyLocals() {
+  // Model_Exe runs every actor's eval section in schedule order, then the
+  // update sections, the signal monitors and the custom diagnoses, which
+  // all read at kAfterEval.
+  const int kAfterEval = static_cast<int>(fm_.schedule.size());
+  std::vector<int> pos(fm_.actors.size());
+  for (size_t k = 0; k < fm_.schedule.size(); ++k) {
+    pos[static_cast<size_t>(fm_.schedule[k])] = static_cast<int>(k);
+  }
+  local_.assign(fm_.signals.size(), false);
+  for (size_t s = 0; s < local_.size(); ++s) {
+    local_[s] = fm_.signals[s].producerActor >= 0;
+  }
+  // accmos_fill_inputs writes the root Inports' signals, and accmos_run
+  // copies the root Outports' after the loop.
+  for (int id : fm_.rootInports) {
+    local_[static_cast<size_t>(fm_.actor(id).outputs[0])] = false;
+  }
+  for (int id : fm_.rootOutports) {
+    local_[static_cast<size_t>(fm_.actor(id).inputs[0])] = false;
+  }
+  // A read of signal `s` at schedule position `at`, made only while enable
+  // signal `en` is set (-1: every step), sees this step's value only when
+  // the producer ran earlier in the step and runs whenever the read does.
+  // A producer a disabled enable skips holds its last output, which must
+  // outlive the step.
+  auto read = [&](int s, int at, int en) {
+    if (!local_[static_cast<size_t>(s)]) return;
+    const FlatActor& p = fm_.actor(fm_.signal(s).producerActor);
+    if (at <= pos[static_cast<size_t>(p.id)] ||
+        (p.enableSignal >= 0 && p.enableSignal != en)) {
+      local_[static_cast<size_t>(s)] = false;
+    }
+  };
+  for (const FlatActor& fa : fm_.actors) {
+    // A delay-class actor's eval only copies its state out; it reads its
+    // inputs in the update phase, which is why the schedule does not order
+    // it after their producers.
+    const int at =
+        fa.delayClass ? kAfterEval : pos[static_cast<size_t>(fa.id)];
+    for (int s : fa.inputs) read(s, at, fa.enableSignal);
+    // The `if (sE[0] != 0)` guard itself is evaluated every step.
+    if (fa.enableSignal >= 0) {
+      read(fa.enableSignal, pos[static_cast<size_t>(fa.id)], -1);
+    }
+  }
+  for (int s : collectSignals_) read(s, kAfterEval, -1);
+  for (const CustomDiagnostic& cd : opt_.customDiagnostics) {
+    const FlatActor* fa = fm_.findByPath(cd.actorPath);
+    if (fa != nullptr && !fa->outputs.empty()) {
+      read(fa->outputs[0], kAfterEval, -1);
+    }
+  }
+  size_t bytes = 0;
+  for (size_t s = 0; s < local_.size(); ++s) {
+    if (!local_[s]) continue;
+    const SignalInfo& sig = fm_.signals[s];
+    const size_t size = static_cast<size_t>(sig.width) *
+                        static_cast<size_t>(dataTypeSize(sig.type));
+    if (bytes + size > kMaxLocalBytes) {
+      local_[s] = false;
+    } else {
+      bytes += size;
+    }
+  }
 }
 
 std::string Emitter::sanitize(const std::string& name) {
@@ -157,23 +247,19 @@ void Emitter::emitConstTables(std::ostringstream& os) {
 
 void Emitter::emitDeclarations(std::ostringstream& os) {
   os << "  // ---- model data --------------------------------------------\n";
-  // One mutable state member: C++ element type, unqualified name, array
-  // suffix (e.g. "[3]"; empty for scalars) and trailing comment.
   auto member = [&os](const std::string& type, const std::string& name,
                       const std::string& dims, const std::string& comment) {
-    os << "  " << type << " " << name << dims << ";";
-    if (!comment.empty()) os << "  // " << comment;
-    os << "\n";
+    declare(os, type, name, dims, comment);
   };
   // Diagnostic aggregation tables (first/count per actor x kind).
   const std::string diagDim = "[" + std::to_string(fm_.actors.size()) +
                               " * " + std::to_string(kNumDiagKinds) + "]";
   member("uint64_t", "accmos_diag_first", diagDim, "");
   member("uint64_t", "accmos_diag_count", diagDim, "");
-  // Signals.
-  for (const auto& sig : fm_.signals) {
-    member(cpp(sig.type), "s" + std::to_string(&sig - fm_.signals.data()),
-           "[" + std::to_string(sig.width) + "]", sig.name);
+  // Signals that outlive a step; the step-private rest are locals of
+  // Model_Exe.
+  for (size_t s = 0; s < fm_.signals.size(); ++s) {
+    if (!local_[s]) declareSignal(os, fm_, s);
   }
   // Actor states.
   const Registry& reg = Registry::instance();
@@ -318,6 +404,10 @@ void Emitter::emitModelInit(std::ostringstream& os) {
 void Emitter::emitModelExe(std::ostringstream& os) {
   os << "void Model_Exe(uint64_t step) {\n";
   os << "  (void)step;\n";
+  // Step-private signals: every read this step follows this step's write.
+  for (size_t s = 0; s < fm_.signals.size(); ++s) {
+    if (local_[s]) declareSignal(os, fm_, s);
+  }
   os << evalSection_.str();
   os << "  // ---- state update phase ----\n";
   os << updateSection_.str();
@@ -625,12 +715,14 @@ std::string Emitter::generate() {
   }
   current_ = nullptr;
 
-  // Pass 2: compose the program (paper Fig. 5). All mutable state and the
-  // model functions sit inside `struct accmos_model`: unqualified member
-  // references keep the emitted actor code textually identical to the old
-  // file-scope form, while `new accmos_model()` gives every accmos_run()
-  // ABI call — concurrent ones included — a private zero-initialized state
-  // instance.
+  // Pass 2: compose the program (paper Fig. 5). The model functions and
+  // all state that outlives a step sit inside `struct accmos_model`, so
+  // `new accmos_model()` gives every accmos_run() ABI call — concurrent
+  // ones included — a private zero-initialized state instance. Signals
+  // private to one step (classifyLocals) are uninitialized local arrays of
+  // Model_Exe instead, which keeps GCC's alias analysis of that one large
+  // function off them. The actor code names both kinds by the same
+  // unqualified `sN`, so it is the same text either way.
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   os << runtimePreamble();

@@ -69,7 +69,9 @@ class Emitter : public EmitSink {
   // `struct accmos_model`; emitDeclarations/emitDiagFn/emitFillInputs/
   // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
   // accmos_run() call through the shared-library ABI executes against a
-  // private, zero-initialized instance.
+  // private, zero-initialized instance. Step-private signals (see
+  // classifyLocals) are the exception: they are local arrays of
+  // Model_Exe, so they too are private to each call.
   void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
@@ -83,6 +85,12 @@ class Emitter : public EmitSink {
   // run's observations from state instance `M` into it.
   void emitResultChecks(std::ostringstream& os);
   void emitResultExtract(std::ostringstream& os);
+
+  // Simulink Coder's "local block outputs": marks in local_ each signal
+  // that every step writes before it reads it and that nothing reads
+  // outside Model_Exe, up to kMaxLocalBytes in total. Linear in actors
+  // plus ports.
+  void classifyLocals();
 
   std::string makeDiagFunction(
       const std::vector<std::pair<DiagKind, std::string>>& flags);
@@ -113,6 +121,7 @@ class Emitter : public EmitSink {
   std::ostringstream updateSection_;
   std::vector<std::string> diagFuncs_;
   std::vector<int> collectSignals_;
+  std::vector<bool> local_;  // per signal id: a local of Model_Exe
 };
 
 }  // namespace accmos

@@ -3,10 +3,20 @@
 // interpreting engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+
 #include "bench_models/sample_overflow.h"
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/emitter.h"
+#include "codegen/model_lib.h"
+#include "codegen/result_frame.h"
+#include "opt/pipeline.h"
+#include "parser/model_io.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -186,6 +196,174 @@ TEST(Codegen, UninstrumentedCodeOmitsInstrumentation) {
   auto res = engine.run();
   EXPECT_FALSE(res.hasCoverage);
   EXPECT_TRUE(res.diagnostics.empty());
+}
+
+// ---- Step-private signals --------------------------------------------------
+//
+// Model_Exe keeps the signals private to one step in uninitialized local
+// arrays. In an ordinary build, a local read before this step's write still
+// sees the last step's value, from the stack slot that survives between
+// calls or the register that carries it around the inlined step loop: the
+// differentials cannot see a held output wrongly made local. Built with
+// -ftrivial-auto-var-init=pattern at -O0, every Model_Exe call stores a
+// poison pattern into its locals, so the same read sees the pattern. (At
+// -O2, GCC inlines Model_Exe into the loop and, optimizing as if the
+// locals were still uninitialized, hoists the pattern store out of it.)
+
+// Compiles `source` with the compiler driver's compiler and library flags,
+// at -O0 with every automatic variable pattern-initialized, into `dir`;
+// returns the library's path.
+std::string compilePatternInit(const std::string& source,
+                               const std::string& dir) {
+  const std::string src = dir + "/pattern.cpp";
+  const std::string lib = dir + "/pattern.so";
+  std::ofstream(src) << source;
+  const std::string cmd = CompilerDriver::compilerPath() +
+                          " -std=c++17 -O0 -shared -fPIC "
+                          "-ftrivial-auto-var-init=pattern -o '" +
+                          lib + "' '" + src + "'";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  return lib;
+}
+
+// One accmos_run() through `lib` with the arguments the engine passes when
+// no deadline or step budget is set; returns the result frame with the
+// wall-clock execNs zeroed.
+std::string runFrame(const ModelLib& lib, uint64_t steps, uint64_t seed) {
+  RunBuffers buf(lib.info());
+  AccmosRunArgs args;
+  std::memset(&args, 0, sizeof(args));
+  args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
+  args.abiVersion = ACCMOS_ABI_VERSION;
+  args.maxSteps = steps;
+  args.seed = seed;
+  EXPECT_EQ(lib.run(args, buf.res), ACCMOS_ABI_OK);
+  buf.res.execNs = 0;
+  return encodeResultFrame(buf);
+}
+
+// The engine's own library and a pattern-initialized build of the source
+// it generated must write the same result frames.
+void expectPatternInitMatches(const Model& model, const SimOptions& opt,
+                              const TestCaseSpec& tests,
+                              const std::string& label) {
+  Simulator sim(model);
+  const FlatModel fm =
+      opt.optimize ? optimizeModel(sim.flatModel(), opt) : sim.flatModel();
+  AccMoSEngine engine(fm, opt, tests);
+  CompilerDriver scratch;  // a private temp dir, removed with it
+  // A private copy, as the engine loads (docs/EXECUTION.md).
+  const std::string engineLib = scratch.dir() + "/engine.so";
+  std::filesystem::copy_file(engine.exePath(), engineLib);
+  ModelLib ref(engineLib);
+  ModelLib pattern(
+      compilePatternInit(engine.generatedSource(), scratch.dir()));
+  for (uint64_t steps : {uint64_t{1}, uint64_t{3}, opt.maxSteps}) {
+    EXPECT_TRUE(runFrame(ref, steps, tests.seed) ==
+                runFrame(pattern, steps, tests.seed))
+        << label << ": result frames differ after " << steps << " steps";
+  }
+}
+
+std::vector<std::string> shippedModels() {
+  std::vector<std::string> names;
+  namespace fs = std::filesystem;
+  for (const auto& e : fs::directory_iterator(ACCMOS_MODELS_DIR)) {
+    const fs::path& p = e.path();
+    if (p.extension() == ".xml") names.push_back(p.stem().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+class PatternInitShipped : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PatternInitShipped, MatchesEngineLibrary) {
+  LoadedModel lm = loadModelFromFile(std::string(ACCMOS_MODELS_DIR) + "/" +
+                                     GetParam() + ".xml");
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  expectPatternInitMatches(*lm.model, opt,
+                           lm.stimulus.value_or(TestCaseSpec{}), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, PatternInitShipped, ::testing::ValuesIn(shippedModels()),
+    [](const ::testing::TestParamInfo<std::string>& p) { return p.param; });
+
+// The fuzz differentials' random models, enabled subsystems among them.
+class PatternInitFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PatternInitFuzz, MatchesEngineLibrary) {
+  const uint64_t seed = GetParam();
+  TestCaseSpec tests;
+  tests.seed = seed;
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.maxSteps = 500;
+  expectPatternInitMatches(*test::randomModel(seed), opt, tests,
+                           "fuzz seed " + std::to_string(seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatternInitFuzz,
+                         ::testing::Values(101, 202, 303, 404));
+
+// An enabled subsystem In1 -> G1 -> G2 -> G3 whose outputs leave it while
+// the enable toggles: G2's through an unguarded root Gain, G3's straight
+// into a root Outport. Disabled steps must hold both, so both stay members;
+// G1's output is read only under its own enable, so it may be a local.
+TEST(StepPrivateSignals, HeldEnabledOutputsStayMembers) {
+  Tiny t("Held");
+  t.inport("In1", 1);
+  t.inport("En", 2);
+  Actor& cmp = t.actor("C", "CompareToConstant");
+  cmp.params().set("op", ">");
+  cmp.params().setDouble("value", 0.5);
+  System& inner = t.actor("S", "EnabledSubsystem").makeSubsystem();
+  inner.addActor("In1", "Inport").params().setInt("port", 1);
+  inner.addActor("G1", "Gain").params().setDouble("gain", 2.0);
+  inner.addActor("G2", "Gain").params().setDouble("gain", -1.5);
+  inner.addActor("G3", "Gain").params().setDouble("gain", 0.25);
+  inner.addActor("Out1", "Outport").params().setInt("port", 1);
+  inner.addActor("Out2", "Outport").params().setInt("port", 2);
+  inner.connect("In1", 1, "G1", 1);
+  inner.connect("G1", 1, "G2", 1);
+  inner.connect("G2", 1, "G3", 1);
+  inner.connect("G2", 1, "Out1", 1);
+  inner.connect("G3", 1, "Out2", 1);
+  t.actor("G", "Gain").params().setDouble("gain", 3.0);
+  t.outport("Out1", 1);
+  t.outport("Out2", 2);
+  t.wire("En", "C");
+  t.wire("In1", "S", 1);
+  t.wire("C", "S", 2);
+  t.wire("S", 1, "G", 1);
+  t.wire("G", "Out1");
+  t.wire("S", 2, "Out2", 1);
+
+  TestCaseSpec tests;
+  tests.seed = 11;
+  PortStimulus gate;
+  gate.sequence = {1.0, 0.0, 0.0, 1.0, 0.0};
+  tests.ports = {PortStimulus{}, gate};
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.maxSteps = 200;
+
+  Simulator sim(t.model());
+  const std::string src =
+      AccMoSEngine::generate(sim.flatModel(), opt, tests).source;
+  const size_t exe = src.find("void Model_Exe(");
+  ASSERT_NE(exe, std::string::npos);
+  EXPECT_GT(src.find("// Held_S_G1:1"), exe);
+  EXPECT_LT(src.find("// Held_S_G2:1"), exe);
+  EXPECT_LT(src.find("// Held_S_G3:1"), exe);
+
+  expectPatternInitMatches(t.model(), opt, tests, "held outputs");
+  const SimulationResult acc = simulate(t.model(), opt, tests);
+  opt.engine = Engine::SSE;
+  const SimulationResult sse = simulate(t.model(), opt, tests);
+  test::expectSameOutputs(sse, acc, "held outputs, AccMoS vs SSE");
 }
 
 }  // namespace

@@ -13,30 +13,7 @@
 namespace accmos {
 namespace {
 
-std::unique_ptr<Model> randomModel(uint64_t seed) {
-  SplitMix64 rng(seed);
-  ModelBuilder b("Fuzz" + std::to_string(seed), seed);
-  int inports = 3 + static_cast<int>(rng.next() % 3);
-  for (int k = 0; k < inports; ++k) b.addInport(DataType::F64);
-  int subsystems = 3 + static_cast<int>(rng.next() % 6);
-  for (int k = 0; k < subsystems; ++k) {
-    int inner = 6 + static_cast<int>(rng.next() % 12);
-    switch (rng.next() % 5) {
-      case 0: b.addCompSubsystem(inner); break;
-      case 1: b.addLogicSubsystem(std::max(inner, ModelBuilder::kMinLogic));
-        break;
-      case 2: b.addStateSubsystem(std::max(inner, ModelBuilder::kMinState));
-        break;
-      case 3: b.addLookupSubsystem(inner); break;
-      default:
-        b.addEnabledCompSubsystem(inner, 0.3 + rng.nextUnit() * 0.6);
-        break;
-    }
-  }
-  int outports = 1 + static_cast<int>(rng.next() % 2);
-  for (int k = 0; k < outports; ++k) b.addOutport(b.pool());
-  return b.take();
-}
+using test::randomModel;
 
 class FuzzDifferential : public ::testing::TestWithParam<uint64_t> {};
 

@@ -228,6 +228,50 @@ TEST_F(ServeTest, ClientRunMatchesLocalSimulation) {
   }
 }
 
+// A model whose step-private signals would take about 10 MiB of stack as
+// locals of Model_Exe: a kMaxDimParam-wide f64 Inport through a chain of
+// 40 Gains into an Outport. The emitter's cap on local bytes keeps them
+// members, so campaign workers and daemon request threads, which run on
+// 8 MiB stacks, run it like any other model.
+TEST_F(ServeTest, WideSignalsRunOnWorkerAndDaemonThreadStacks) {
+  Tiny t("Wide");
+  t.inport("In1", 1).setWidth(kMaxDimParam);
+  std::string prev = "In1";
+  for (int k = 1; k <= 40; ++k) {
+    const std::string g = std::string("G") + std::to_string(k);
+    Actor& gain = t.actor(g, "Gain");
+    gain.params().setDouble("gain", k % 2 == 0 ? 0.5 : 1.5);
+    gain.setWidth(kMaxDimParam);
+    t.wire(prev, g);
+    prev = g;
+  }
+  t.outport("Out1", 1);
+  t.wire(prev, "Out1");
+  const FlatModel fm = t.flatten();
+  SimOptions opt = serveSimOptions();
+  opt.maxSteps = 3;
+  SimOptions sseOpt = opt;
+  sseOpt.engine = Engine::SSE;
+
+  const std::vector<uint64_t> seeds = {1, 2, 3, 4};
+  const CampaignResult sse = runCampaign(fm, sseOpt, TestCaseSpec{}, seeds);
+  opt.campaign.workers = 4;
+  const CampaignResult acc = runCampaign(fm, opt, TestCaseSpec{}, seeds);
+  EXPECT_TRUE(acc.failures.empty());
+  EXPECT_EQ(obs(acc), obs(sse));
+
+  DaemonRunner dr(serveOptions());
+  serve::ServeClient cl(sockPath_.string());
+  TestCaseSpec spec;
+  spec.seed = 7;
+  const SimulationResult remote =
+      cl.run(writeModelToString(t.model()), opt, spec);
+  EXPECT_FALSE(remote.failed) << remote.failure.message;
+  EXPECT_EQ(remote.stepsExecuted, 3u);
+  test::expectSameOutputs(simulate(t.model(), sseOpt, spec), remote,
+                          "daemon run vs SSE");
+}
+
 // The warm-hit guarantee: the second identical request touches neither the
 // compiler nor dlopen, reports zero one-off cost deltas, and is
 // observation-identical to the cold one.

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "actors/spec.h"
+#include "bench_models/modelgen.h"
 #include "graph/flatten.h"
 #include "ir/arith.h"
 #include "ir/model.h"
@@ -101,6 +103,34 @@ inline std::unique_ptr<Tiny> unaryConstModel(const std::string& type,
   t->wire("C", "Op");
   t->wire("Op", "Out1");
   return t;
+}
+
+// A structurally random model from the pattern library, the fuzz
+// differentials' input: 3-5 f64 Inports, 3-8 computational, logic, state,
+// lookup or enabled subsystems, and 1-2 Outports.
+inline std::unique_ptr<Model> randomModel(uint64_t seed) {
+  SplitMix64 rng(seed);
+  ModelBuilder b("Fuzz" + std::to_string(seed), seed);
+  int inports = 3 + static_cast<int>(rng.next() % 3);
+  for (int k = 0; k < inports; ++k) b.addInport(DataType::F64);
+  int subsystems = 3 + static_cast<int>(rng.next() % 6);
+  for (int k = 0; k < subsystems; ++k) {
+    int inner = 6 + static_cast<int>(rng.next() % 12);
+    switch (rng.next() % 5) {
+      case 0: b.addCompSubsystem(inner); break;
+      case 1: b.addLogicSubsystem(std::max(inner, ModelBuilder::kMinLogic));
+        break;
+      case 2: b.addStateSubsystem(std::max(inner, ModelBuilder::kMinState));
+        break;
+      case 3: b.addLookupSubsystem(inner); break;
+      default:
+        b.addEnabledCompSubsystem(inner, 0.3 + rng.nextUnit() * 0.6);
+        break;
+    }
+  }
+  int outports = 1 + static_cast<int>(rng.next() % 2);
+  for (int k = 0; k < outports; ++k) b.addOutport(b.pool());
+  return b.take();
 }
 
 // Expects the model to be rejected by flatten-time or validation-time
