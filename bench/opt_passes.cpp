@@ -1,13 +1,16 @@
 // Effect of the pre-engine optimization pipeline (src/opt) on the step
 // loop: a model with a deep constant region (folds to one Constant) and a
-// large dead region (eliminated outright) is swept across every engine with
-// the pipeline on and off. Instrumentation is off — that is the
+// large dead region (eliminated outright) is swept across every engine, on
+// the optimized model (Simulator::run) and on the flattened model as given
+// (the engine entry point itself). Instrumentation is off — that is the
 // configuration where folding and dead-code elimination may rewrite (with
 // coverage on, instrumented actors pin the model by design).
 //
 // Knobs: ACCMOS_BENCH_STEPS (default 100000).
 #include "bench_common.h"
-#include "opt/pipeline.h"
+#include "codegen/accmos_engine.h"
+#include "interp/compiled.h"
+#include "interp/interpreter.h"
 
 namespace {
 
@@ -61,6 +64,7 @@ int main() {
   const uint64_t steps = bench::benchSteps();
   const int chain = 40;
   auto model = optDemoModel(chain);
+  Simulator sim(*model);
   TestCaseSpec tests;
   tests.seed = 9;
 
@@ -73,16 +77,20 @@ int main() {
   bench::hr(92);
 
   bench::JsonReporter json("opt_passes");
-  for (Engine e : {Engine::SSE, Engine::SSEac, Engine::SSErac,
-                   Engine::AccMoS}) {
+  using EngineFn = SimulationResult (*)(const FlatModel&, const SimOptions&,
+                                        const TestCaseSpec&);
+  const std::pair<Engine, EngineFn> engines[] = {
+      {Engine::SSE, runInterpreter},
+      {Engine::SSEac, runAccelerator},
+      {Engine::SSErac, runRapidAccelerator},
+      {Engine::AccMoS, runAccMoS}};
+  for (const auto& [e, runAsGiven] : engines) {
     SimOptions opt = bench::engineOptions(e, steps);
     opt.coverage = false;
     opt.diagnosis = false;
 
-    opt.optimize = false;
-    auto plain = simulate(*model, opt, tests);
-    opt.optimize = true;
-    auto opted = simulate(*model, opt, tests);
+    auto plain = runAsGiven(sim.flatModel(), opt, tests);
+    auto opted = sim.run(opt, tests);
 
     double speedup = plain.execSeconds / opted.execSeconds;
     const OptStats& st = opted.optStats;

@@ -73,11 +73,6 @@ std::string hex16(uint64_t v) {
 // Every artifact is a shared library; part of the cache identity.
 constexpr const char* kSharedLibFlags = "-shared -fPIC";
 
-bool cacheDisabledByEnv() {
-  const char* v = std::getenv("ACCMOS_CACHE_DISABLE");
-  return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-}
-
 // In-process index of cache entries this process has verified or produced.
 // Hits are still re-verified against the on-disk content (size + hash), so
 // external corruption — or a cleaned temp dir — degrades to a recompile,
@@ -187,25 +182,32 @@ bool storeEntry(const CacheEntry& e, const fs::path& exePath) {
 // correctness dependency: a claimant that cannot acquire within a bounded
 // budget compiles anyway (the duplicate store is harmless — publication is
 // atomic and content-addressed), and a lock whose holder died is broken by
-// the next contender, so a crashed compiler never wedges the fleet.
+// the next contender, so a crashed compiler never wedges the fleet. Only
+// EEXIST means another process holds the key. Any other failure to create
+// the claim file (a cache directory owned by another user, a read-only
+// file system, a path through a regular file) means no claim can be made
+// there, so waiting would only stall: the request compiles at once without
+// one, and publication fails soft.
 
 class CacheKeyLock {
  public:
+  enum class Claim { Acquired, Held, Unusable };
+
   ~CacheKeyLock() { release(); }
 
-  bool tryAcquire(const CacheEntry& e) {
+  Claim tryAcquire(const CacheEntry& e) {
     path_ = e.bin;
     path_ += ".lock";
     std::error_code ec;
     fs::create_directories(path_.parent_path(), ec);
     int fd = ::open(path_.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) return false;
+    if (fd < 0) return errno == EEXIST ? Claim::Held : Claim::Unusable;
     std::string pid = std::to_string(::getpid()) + "\n";
     ssize_t ignored = ::write(fd, pid.data(), pid.size());
     (void)ignored;
     ::close(fd);
     held_ = true;
-    return true;
+    return Claim::Acquired;
   }
 
   // Breaks the lock when its recorded holder is provably gone (dead pid on
@@ -252,7 +254,6 @@ struct CompileParams {
   fs::path cacheDir;
   FaultPlan faults;
   double timeoutSec = 0.0;
-  bool publish = false;  // cache usable: publish + single-flight by key
   uint64_t key = 0;
 };
 
@@ -281,7 +282,7 @@ std::optional<CompileOutput> tryCacheHit(const fs::path& dir, uint64_t key) {
 // Runs one real compilation of the source already written to `src`,
 // building next to it: invokes the compiler under the watchdog/rlimits
 // with the transient-failure retry loop, and publishes to the cache when
-// the params ask for it.
+// the cache directory takes the entry.
 CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   CompileOutput out;
   const fs::path dir = src.parent_path();
@@ -292,11 +293,9 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   // Another process may have published this key since our caller's cache
   // probe; claiming the hit here saves the compile.
   const CacheEntry entry = cachePaths(p.cacheDir, p.key);
-  if (p.publish) {
-    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-      hit->sourcePath = out.sourcePath;
-      return *hit;
-    }
+  if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
+    hit->sourcePath = out.sourcePath;
+    return *hit;
   }
 
   // Cross-process single-flight (see CacheKeyLock): claim the key, or poll
@@ -304,31 +303,31 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   // successful publish, compile failure, exception — the claim's RAII
   // release unblocks the other processes.
   CacheKeyLock claim;
-  if (p.publish) {
-    const double budget =
-        std::max(60.0, p.timeoutSec > 0.0 ? p.timeoutSec * 2.0 : 600.0);
-    const auto waitStart = std::chrono::steady_clock::now();
-    for (;;) {
-      if (claim.tryAcquire(entry)) {
-        // The previous holder may have published between our probe above
-        // and this acquire; one more probe avoids a duplicate compile.
-        if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-          hit->sourcePath = out.sourcePath;
-          return *hit;
-        }
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double budget =
+      std::max(60.0, p.timeoutSec > 0.0 ? p.timeoutSec * 2.0 : 600.0);
+  const auto waitStart = std::chrono::steady_clock::now();
+  for (;;) {
+    const CacheKeyLock::Claim c = claim.tryAcquire(entry);
+    if (c == CacheKeyLock::Claim::Unusable) break;  // nobody can hold it
+    if (c == CacheKeyLock::Claim::Acquired) {
+      // The previous holder may have published between our probe above
+      // and this acquire; one more probe avoids a duplicate compile.
       if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
         hit->sourcePath = out.sourcePath;
         return *hit;
       }
-      claim.breakIfStale(budget);
-      const double waited = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - waitStart)
-                                .count();
-      if (waited > budget) break;  // claim-less compile: still correct
+      break;
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
+      hit->sourcePath = out.sourcePath;
+      return *hit;
+    }
+    claim.breakIfStale(budget);
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - waitStart)
+                              .count();
+    if (waited > budget) break;  // claim-less compile: still correct
   }
 
   std::ostringstream cmd;
@@ -409,7 +408,7 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
     f << r.output;
   }
   out.exePath = exe.string();
-  if (p.publish && storeEntry(entry, exe)) {
+  if (storeEntry(entry, exe)) {
     out.exePath = entry.bin.string();
     std::lock_guard<std::mutex> lock(g_cacheMutex);
     g_cacheIndex[p.key] = entry.bin.string();
@@ -510,7 +509,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
   p.cacheDir = cacheDir();
   p.faults = faultPlanFromEnv();
   p.timeoutSec = compileTimeoutSec_;
-  p.publish = !cacheDisabledByEnv();
+  p.key = cacheKey(source, optFlag, extraFlags);
 
   // The source always lands in this driver's directory, whoever ends up
   // compiling it.
@@ -521,10 +520,6 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     f << source;
   }
 
-  // No cache, no sharing: compile privately in this driver's directory.
-  if (!p.publish) return compileNow(p, src);
-
-  p.key = cacheKey(source, optFlag, extraFlags);
   if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
     hit->sourcePath = src.string();
     return *hit;

@@ -78,9 +78,10 @@ class CompilerDriver {
   // one compiler run. The first requester compiles inline in its own
   // directory; the others wait for it and receive its output, or the same
   // exception. Across processes, a claim file in the cache directory holds
-  // a cold key to one compile (see the .cpp). Both need the cache; with it
-  // off (ACCMOS_CACHE_DISABLE=1) every request compiles privately. Throws
-  // CompileError, before any shell runs, unless isOptLevel(optFlag).
+  // a cold key to one compile (see the .cpp). A cache directory that cannot
+  // be used (no claim file can be created in it) costs no wait: the request
+  // compiles at once in this driver's directory and publishes nothing.
+  // Throws CompileError, before any shell runs, unless isOptLevel(optFlag).
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
                         ArtifactKind kind = ArtifactKind::SharedLib,

@@ -161,12 +161,7 @@ CampaignResult runShardedCampaign(const std::string& modelText,
   LoadedModel loaded = loadModelFromString(modelText);
   Simulator sim(*loaded.model);
   OptStats optStats;
-  FlatModel optimized;
-  const FlatModel* model = &sim.flatModel();
-  if (opt.optimize) {
-    optimized = optimizeModel(sim.flatModel(), opt, &optStats);
-    model = &optimized;
-  }
+  const FlatModel model = optimizeModel(sim.flatModel(), opt, &optStats);
 
   const std::string workerPath =
       sopt.workerPath.empty() ? selfExePath() : sopt.workerPath;
@@ -301,8 +296,7 @@ CampaignResult runShardedCampaign(const std::string& modelText,
     }
   }
 
-  CampaignResult out =
-      mergeSpecResults(*model, specs, all, completed, optStats);
+  CampaignResult out = mergeSpecResults(model, specs, all, completed, optStats);
 
   // Fleet bookkeeping: one-off costs sum across shards; the cache flag
   // holds only if every shard that built engines was served by the store.
@@ -373,14 +367,8 @@ int runShardWorker(int fd) {
   try {
     LoadedModel loaded = loadModelFromString(req.modelText);
     Simulator sim(*loaded.model);
-    OptStats optStats;
-    FlatModel optimized;
-    const FlatModel* model = &sim.flatModel();
-    if (req.options.optimize) {
-      optimized = optimizeModel(sim.flatModel(), req.options, &optStats);
-      model = &optimized;
-    }
-    SpecEvaluator evaluator(*model, req.options);
+    const FlatModel model = optimizeModel(sim.flatModel(), req.options);
+    SpecEvaluator evaluator(model, req.options);
 
     // Evaluate in blocks so partial results stream out and a cooperative
     // interrupt (the coordinator forwards SIGINT/SIGTERM; the CLI

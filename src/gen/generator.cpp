@@ -58,15 +58,10 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
 
   // Optimize once up front, like a campaign: every candidate evaluates the
   // same model, so the pipeline cost amortizes across the whole search.
-  FlatModel optimized;
-  const FlatModel* model = &fm;
-  if (opt.optimize) {
-    optimized = optimizeModel(fm, opt, &out.optStats);
-    model = &optimized;
-  }
+  const FlatModel model = optimizeModel(fm, opt, &out.optStats);
 
   CoveragePlan plan = CoveragePlan::build(
-      *model, [](const FlatActor& fa) { return covTraitsFor(fa); });
+      model, [](const FlatActor& fa) { return covTraitsFor(fa); });
   out.mergedBitmaps = CoverageRecorder(plan);
 
   std::vector<CovMetric> metrics;
@@ -79,10 +74,10 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
   // The evaluator (and its per-shape compiled simulators / per-worker
   // interpreters) persists across iterations, so only genuinely new
   // stimulus shapes pay generation + compilation.
-  SpecEvaluator evaluator(*model, opt);
+  SpecEvaluator evaluator(model, opt);
 
   MutationContext ctx;
-  ctx.numPorts = std::max<size_t>(model->rootInports.size(), 1);
+  ctx.numPorts = std::max<size_t>(model.rootInports.size(), 1);
   ctx.stepsPerRun = opt.maxSteps;
 
   SplitMix64 rng(gopt.genSeed);
@@ -184,22 +179,21 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
 
   out.saturated = saturated;
   out.finalCoverage = makeReport(plan, out.mergedBitmaps);
-  out.uncovered = listUncovered(*model, plan, out.mergedBitmaps);
+  out.uncovered = listUncovered(model, plan, out.mergedBitmaps);
   out.diagKinds = diagSeen.size();
   out.enginesBuilt = evaluator.enginesBuilt();
   out.compileWaitSeconds = evaluator.compileSeconds();
 
   if (!gopt.corpusDir.empty()) {
     bool scalarPorts = true;
-    for (int id : model->rootInports) {
-      const FlatActor& fa = model->actor(id);
-      if (fa.outputs.empty() ||
-          model->signal(fa.outputs[0]).width != 1) {
+    for (int id : model.rootInports) {
+      const FlatActor& fa = model.actor(id);
+      if (fa.outputs.empty() || model.signal(fa.outputs[0]).width != 1) {
         scalarPorts = false;
         break;
       }
     }
-    writeCorpusDir(out.corpus, gopt.corpusDir, model->rootInports.size(),
+    writeCorpusDir(out.corpus, gopt.corpusDir, model.rootInports.size(),
                    opt.maxSteps, scalarPorts);
   }
 

@@ -82,9 +82,8 @@ struct GenResult {
 
 // Runs the feedback loop on `fm` for gopt.budget candidate evaluations of
 // opt.maxSteps steps each. Requires an instrumented engine (SSE or AccMoS)
-// with coverage enabled; the optimization pipeline runs once up front when
-// opt.optimize is set. opt.campaign.workers fans each candidate batch over
-// the worker pool.
+// with coverage enabled; the optimization pipeline runs once up front.
+// opt.campaign.workers fans each candidate batch over the worker pool.
 GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
                         const GenOptions& gopt);
 

@@ -9,7 +9,6 @@ FlatModel optimizeModel(const FlatModel& fm, const SimOptions& opt,
                         OptStats* stats) {
   FlatModel out = fm;
   OptStats st;
-  st.ran = true;
   st.actorsBefore = static_cast<int>(out.actors.size());
   st.signalsBefore = static_cast<int>(out.signals.size());
 

@@ -2,12 +2,14 @@
 // construction (paper §3.1 sits upstream; both the AccMoS code generator
 // and the SSE interpreter consume the optimized FlatModel unchanged).
 //
-// The pipeline is controlled by SimOptions::optimize (CLI --no-opt,
-// environment ACCMOS_NO_OPT=1). It never changes observable behaviour:
-// outputs, coverage bitmaps, diagnostics, collected signals and stop
-// behaviour are bit-identical to the unoptimized model — instrumented
-// actors are liveness roots and folding evaluates through the actors' own
-// eval() semantics. See docs/OPTIMIZATION.md.
+// Every simulation, campaign, generation loop, pool entry and shard runs
+// the pipeline; engines take whatever model they are given, so the
+// unoptimized reference is an engine called on the flattened model. It
+// never changes observable behaviour: outputs, coverage bitmaps,
+// diagnostics, collected signals and stop behaviour are bit-identical to
+// the unoptimized model — instrumented actors are liveness roots and
+// folding evaluates through the actors' own eval() semantics. See
+// docs/OPTIMIZATION.md.
 #pragma once
 
 #include "graph/flat_model.h"

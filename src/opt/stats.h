@@ -8,8 +8,6 @@
 namespace accmos {
 
 struct OptStats {
-  bool ran = false;  // false when SimOptions::optimize was off
-
   int actorsBefore = 0;
   int actorsAfter = 0;
   int signalsBefore = 0;
@@ -22,7 +20,6 @@ struct OptStats {
   int stateUpdatesHoisted = 0;  // delay-class actors moved to schedule front
 
   std::string summary() const {
-    if (!ran) return "optimization off";
     return "folded " + std::to_string(actorsFolded) + ", bypassed " +
            std::to_string(identitiesBypassed) + ", eliminated " +
            std::to_string(actorsEliminated) + " actor(s) / " +

@@ -296,7 +296,7 @@ std::string Daemon::dispatch(const std::string& requestText,
         resp.set("result", toJson(rs[0]));
       } else {
         CampaignResult cr =
-            runCampaignSpecsOn(lease->activeModel(), lease->evaluator(),
+            runCampaignSpecsOn(lease->optimizedModel(), lease->evaluator(),
                                simOpt, specs, lease->optStats());
         resp.set("result", toJson(cr));
       }

@@ -38,13 +38,9 @@ PoolEntry::PoolEntry(std::string modelText, const SimOptions& opt)
     : modelText_(std::move(modelText)) {
   LoadedModel loaded = loadModelFromString(modelText_);
   model_ = std::move(loaded.model);
-  fm_ = flatten(*model_, Registry::instance());
-  active_ = &fm_;
-  if (opt.optimize) {
-    optimized_ = optimizeModel(fm_, opt, &optStats_);
-    active_ = &optimized_;
-  }
-  evaluator_ = std::make_unique<SpecEvaluator>(*active_, opt);
+  optimized_ = optimizeModel(flatten(*model_, Registry::instance()), opt,
+                             &optStats_);
+  evaluator_ = std::make_unique<SpecEvaluator>(optimized_, opt);
 }
 
 size_t PoolEntry::residentBytes() const {

@@ -2,8 +2,8 @@
 // kept resident between requests (docs/SERVICE.md, "Pool semantics").
 //
 // An entry owns everything a request would otherwise rebuild per process —
-// the parsed model, the flattened/optimized FlatModel, and a warm
-// SpecEvaluator whose per-shape AccMoSEngines hold the dlopen'd libraries.
+// the parsed model, its optimized FlatModel, and a warm SpecEvaluator
+// whose per-shape AccMoSEngines hold the dlopen'd libraries.
 // A repeat request for the same (model text, options) key therefore skips
 // generation, compilation AND dlopen entirely; the regression handles are
 // CompilerDriver::compilerInvocations() and ModelLib::loadCount(), both
@@ -54,8 +54,8 @@ class PoolEntry {
   PoolEntry(const PoolEntry&) = delete;
   PoolEntry& operator=(const PoolEntry&) = delete;
 
-  // The model the evaluator runs (optimized when the options asked for it).
-  const FlatModel& activeModel() const { return *active_; }
+  // The optimized model the evaluator runs.
+  const FlatModel& optimizedModel() const { return optimized_; }
   const OptStats& optStats() const { return optStats_; }
   SpecEvaluator& evaluator() { return *evaluator_; }
 
@@ -69,10 +69,8 @@ class PoolEntry {
 
  private:
   std::string modelText_;
-  std::unique_ptr<Model> model_;
-  FlatModel fm_;
+  std::unique_ptr<Model> model_;  // the optimized model's actors point here
   FlatModel optimized_;
-  const FlatModel* active_ = nullptr;
   OptStats optStats_;
   std::unique_ptr<SpecEvaluator> evaluator_;
   std::mutex runMutex_;

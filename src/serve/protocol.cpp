@@ -223,7 +223,6 @@ RunFailure runFailureFromJson(const Json& j, const std::string& where) {
 
 Json toJson(const OptStats& s) {
   Json j = Json::object();
-  j.set("ran", Json::boolean(s.ran));
   j.set("actorsBefore", Json::i64(s.actorsBefore));
   j.set("actorsAfter", Json::i64(s.actorsAfter));
   j.set("signalsBefore", Json::i64(s.signalsBefore));
@@ -238,7 +237,6 @@ Json toJson(const OptStats& s) {
 
 OptStats optStatsFromJson(const Json& j, const std::string& where) {
   OptStats s;
-  s.ran = getBool(j, where, "ran");
   s.actorsBefore = getInt(j, where, "actorsBefore");
   s.actorsAfter = getInt(j, where, "actorsAfter");
   s.signalsBefore = getInt(j, where, "signalsBefore");
@@ -504,7 +502,6 @@ Json toJson(const SimOptions& o) {
   j.set("stepBudget", Json::u64(o.stepBudget));
   j.set("coverage", Json::boolean(o.coverage));
   j.set("diagnosis", Json::boolean(o.diagnosis));
-  j.set("optimize", Json::boolean(o.optimize));
   Json coll = Json::array();
   for (const auto& p : o.collectList) coll.push(Json::str(p));
   j.set("collectList", std::move(coll));
@@ -551,7 +548,6 @@ SimOptions optionsFromJson(const Json& j, const std::string& where) {
   o.stepBudget = getU64(j, where, "stepBudget");
   o.coverage = getBool(j, where, "coverage");
   o.diagnosis = getBool(j, where, "diagnosis");
-  o.optimize = getBool(j, where, "optimize");
   {
     const auto& arr = getArray(j, where, "collectList");
     const std::string awhere = sub(where, "collectList");

@@ -21,8 +21,9 @@ inline constexpr const char* kAccmosVersion = "0.9.0";
 // the batchLanes field from the options codec; version 3 dropped the tier
 // option and the tiering fields of campaign results and shard summaries;
 // version 4 dropped the execMode and compileCache options and restricts
-// optFlag to -O0..-O3.
-inline constexpr uint32_t kProtocolVersion = 4;
+// optFlag to -O0..-O3; version 5 dropped the optimize option and the ran
+// field of optimizer statistics (the pipeline always runs).
+inline constexpr uint32_t kProtocolVersion = 5;
 
 // Compile-cache schema: the on-disk layout under $ACCMOS_CACHE_DIR
 // (<key>.bin + "<size> <fnv1a64-hex>" sidecar in <key>.meta, FNV-1a-keyed

@@ -360,15 +360,9 @@ CampaignResult runCampaignSpecs(const FlatModel& fm, const SimOptions& opt,
   // Optimize once for the whole campaign; every spec runs the same model,
   // so the pipeline cost amortizes exactly like the one-off compiles.
   OptStats optStats;
-  FlatModel optimized;
-  const FlatModel* model = &fm;
-  if (opt.optimize) {
-    optimized = optimizeModel(fm, opt, &optStats);
-    model = &optimized;
-  }
-
-  SpecEvaluator evaluator(*model, opt);
-  return runCampaignSpecsOn(*model, evaluator, opt, specs, optStats, wall0);
+  const FlatModel model = optimizeModel(fm, opt, &optStats);
+  SpecEvaluator evaluator(model, opt);
+  return runCampaignSpecsOn(model, evaluator, opt, specs, optStats, wall0);
 }
 
 CampaignResult runCampaign(const FlatModel& fm, const SimOptions& opt,

@@ -72,8 +72,7 @@ struct CampaignResult {
   // seed's contribution is bit-identical to a fault-free campaign over the
   // survivors — for any worker count.
   std::vector<RunFailure> failures;
-  // The optimization pipeline runs once per campaign (not per seed);
-  // ran == false when SimOptions::optimize was off.
+  // The optimization pipeline runs once per campaign (not per seed).
   OptStats optStats;
 
   // A cooperative interrupt (SIGINT/SIGTERM → sim/interrupt.h) stopped the
@@ -124,11 +123,12 @@ CampaignResult mergeSpecResults(const FlatModel& model,
                                 size_t completed, const OptStats& optStats);
 
 // The campaign loop over a CALLER-OWNED evaluator — the resident-service
-// entry point. `model` must be the (already optimized, if desired) model
-// the evaluator was constructed on, and `optStats` whatever the caller's
-// one-time optimization pass reported. One-off cost fields of the result
-// (generate/compile/load seconds, enginesBuilt-derived compileCacheHit)
-// are DELTAS across this call: with a fresh evaluator
+// entry point. `model` must be the model the evaluator was constructed
+// on, used as given (callers pass the optimized model; the tests' raw
+// model is the unoptimized reference), and `optStats` whatever the
+// caller's one-time optimization pass reported. One-off cost fields of the
+// result (generate/compile/load seconds, enginesBuilt-derived
+// compileCacheHit) are DELTAS across this call: with a fresh evaluator
 // they equal the classic totals (runCampaignSpecs delegates here), while
 // a pooled evaluator whose engines are already warm reports them as zero
 // — the accmosd warm-hit guarantee made visible in the result itself.
@@ -146,9 +146,8 @@ CampaignResult runCampaignSpecsOn(
 // search so compiled simulators persist between iterations.
 //
 // The model is used exactly as given — no optimization pass is applied
-// here; callers that want the pipeline run it once up front (as
-// runCampaignSpecs does). For Engine::SSE each worker keeps one persistent
-// interpreter instance. For Engine::AccMoS one simulator is generated and
+// here; callers run the pipeline once up front (as runCampaignSpecs does).
+// For Engine::SSE each worker keeps one persistent interpreter instance. For Engine::AccMoS one simulator is generated and
 // compiled per distinct stimulus *shape* (TestCaseSpec::shapeKey — the
 // seed is normalized out and passed as a runtime argument), cached for the
 // evaluator's lifetime, and executed concurrently — all workers call into

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,15 +30,6 @@ struct CampaignOptions {
   size_t workers = 1;
 };
 
-// Default for SimOptions::optimize. The pre-engine optimization pipeline is
-// on unless the environment says otherwise: ACCMOS_NO_OPT=1 disables it
-// process-wide (the CI toggle that reruns the whole test suite
-// unoptimized). The CLI exposes the same switch as --no-opt.
-inline bool defaultOptimize() {
-  const char* v = std::getenv("ACCMOS_NO_OPT");
-  return v == nullptr || v[0] == '\0' || v[0] == '0';
-}
-
 struct SimOptions {
   Engine engine = Engine::SSE;
 
@@ -61,13 +51,6 @@ struct SimOptions {
   // (paper §2) — the facade rejects these combinations.
   bool coverage = true;
   bool diagnosis = true;
-
-  // Run the optimization pipeline (src/opt: constant folding, identity
-  // simplification, dead-code elimination, schedule compaction) on the
-  // flattened model before the engine sees it. Observation-equivalent by
-  // construction: outputs, collected signals, coverage and diagnostics are
-  // bit-identical with it on or off, for every engine.
-  bool optimize = defaultOptimize();
 
   // Actor paths whose outputs are monitored (paper Fig. 3 outputCollect).
   // Scope/Display actors are always monitored.

@@ -72,8 +72,8 @@ struct SimulationResult {
   // Final value of each root outport (ordered by port index).
   std::vector<Value> finalOutputs;
 
-  // What the pre-engine optimization pipeline did (ran == false when
-  // SimOptions::optimize was off).
+  // What the pre-engine optimization pipeline did (all zero when an
+  // engine was called directly, without the Simulator facade).
   OptStats optStats;
 
   std::string summary() const;

@@ -50,14 +50,11 @@ SimulationResult Simulator::run(const SimOptions& opt,
                        " cannot stop on diagnostics (none are produced)");
     }
   }
-  if (opt.optimize) {
-    OptStats st;
-    FlatModel optimized = optimizeModel(fm_, opt, &st);
-    SimulationResult res = dispatch(optimized, opt, tests);
-    res.optStats = st;
-    return res;
-  }
-  return dispatch(fm_, opt, tests);
+  OptStats st;
+  FlatModel optimized = optimizeModel(fm_, opt, &st);
+  SimulationResult res = dispatch(optimized, opt, tests);
+  res.optStats = st;
+  return res;
 }
 
 SimulationResult simulate(const Model& model, const SimOptions& opt,

@@ -248,8 +248,7 @@ void expectPatternInitMatches(const Model& model, const SimOptions& opt,
                               const TestCaseSpec& tests,
                               const std::string& label) {
   Simulator sim(model);
-  const FlatModel fm =
-      opt.optimize ? optimizeModel(sim.flatModel(), opt) : sim.flatModel();
+  const FlatModel fm = optimizeModel(sim.flatModel(), opt);
   AccMoSEngine engine(fm, opt, tests);
   CompilerDriver scratch;  // a private temp dir, removed with it
   // A private copy, as the engine loads (docs/EXECUTION.md).

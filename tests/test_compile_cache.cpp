@@ -10,9 +10,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,23 +170,71 @@ TEST_F(CompileCacheTest, TruncatedToZeroAlsoRecovers) {
   EXPECT_EQ(res.stepsExecuted, opt.maxSteps);
 }
 
-TEST_F(CompileCacheTest, OptOutDisablesReuse) {
-  EnvGuard off("ACCMOS_CACHE_DISABLE", "1");
-  auto t = gainModel(2.0);
+// A cache directory that cannot be used costs no wait. Below a regular
+// file no claim file can be created (ENOTDIR), so nobody can hold the key:
+// the driver compiles at once instead of polling for a publication that
+// cannot come, runs, and creates nothing. Tests run as root, which ignores
+// permission bits, so a file blocks the directory rather than chmod.
+TEST_F(CompileCacheTest, UnusableCacheDirCompilesAtOnce) {
+  const fs::path blocker = dir_ / "not-a-directory";
+  std::ofstream(blocker) << "x";
+  EnvGuard cache("ACCMOS_CACHE_DIR", (blocker / "accmos-cache").c_str());
+  EnvGuard timeout("ACCMOS_COMPILE_TIMEOUT", "5");
+  auto t = gainModel(5.0);
   Simulator sim(t->model());
   SimOptions opt = accOptions();
-  TestCaseSpec tests;
-  AccMoSEngine first(sim.flatModel(), opt, tests);
-  AccMoSEngine second(sim.flatModel(), opt, tests);
-  EXPECT_FALSE(first.compileCacheHit());
-  EXPECT_FALSE(second.compileCacheHit());
-  // Nothing was published to the cache directory.
-  size_t entries = 0;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  AccMoSEngine engine(sim.flatModel(), opt, TestCaseSpec{});
+  SimulationResult res = engine.run();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(seconds, 30.0) << "the compile waited on an unusable cache";
+  EXPECT_FALSE(engine.compileCacheHit());
+  EXPECT_EQ(res.stepsExecuted, opt.maxSteps);
+  EXPECT_TRUE(fs::is_regular_file(blocker));
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
+                          fs::directory_iterator()),
+            1)
+      << "only the blocking file may exist";
+}
+
+// `accmos gen` emits exactly the source `accmos run` compiles (the
+// optimized model with its embedded stimulus) and compiles nothing. The
+// optimizer hoists state updates in TWC, so the unoptimized emission would
+// name a different cache entry.
+TEST_F(CompileCacheTest, GenEmitsTheSourceRunCompiles) {
+  const std::string model = std::string(ACCMOS_MODELS_DIR) + "/TWC.xml";
+  const fs::path out = dir_.string() + ".gen.cpp";  // outside the cache
+  auto cli = [](const std::string& args) {
+    std::string cmd = std::string("'") + ACCMOS_CLI_PATH + "' " + args +
+                      " >/dev/null 2>&1";
+    int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+
+  ASSERT_EQ(cli("gen '" + model + "' -o '" + out.string() + "'"), 0);
+  EXPECT_TRUE(fs::is_empty(dir_)) << "accmos gen compiled something";
+  std::ifstream in(out);
+  std::string source((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+  fs::remove(out);
+  ASSERT_FALSE(source.empty());
+
+  const int rc = cli("run '" + model + "' --steps=1");
+  EXPECT_TRUE(rc == 0 || rc == 3) << "accmos run exited " << rc;
+  std::vector<std::string> bins;
   for (const auto& entry : fs::directory_iterator(dir_)) {
-    (void)entry;
-    ++entries;
+    if (entry.path().extension() == ".bin") {
+      bins.push_back(entry.path().filename().string());
+    }
   }
-  EXPECT_EQ(entries, 0u);
+  char key[17];
+  std::snprintf(key, sizeof(key), "%016llx",
+                static_cast<unsigned long long>(
+                    CompilerDriver::cacheKey(source, "-O3")));
+  EXPECT_EQ(bins, std::vector<std::string>{std::string(key) + ".bin"});
 }
 
 // The optimizer changes the generated source (folded/eliminated actors emit

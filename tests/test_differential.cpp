@@ -1,7 +1,9 @@
 // Cross-engine differential tests: for the same model and stimulus, the
 // four engines (SSE interpreter, SSEac bytecode, SSErac closures, and
 // AccMoS generated code) must produce bit-identical outputs, and the two
-// instrumented engines identical coverage and diagnostics.
+// instrumented engines identical coverage and diagnostics. The baseline is
+// SSE on the unoptimized model; the optimized SSE run must match it in
+// every observation.
 //
 // This is the property the paper's whole method rests on: code-based
 // simulation must be a faithful replacement for the interpreting engine.
@@ -25,9 +27,12 @@ TEST_P(InProcessDifferential, FastModesMatchInterpreterOutputs) {
   const BenchModelInfo& info = GetParam();
   auto model = buildBenchmarkModel(info.name);
   TestCaseSpec tests = benchStimulus(info.name);
-  auto sse = test::runOn(*model, Engine::SSE, 1500, tests);
+  auto sse = test::runUnoptimized(
+      *model, test::engineOptions(Engine::SSE, 1500), tests);
+  auto opted = test::runOn(*model, Engine::SSE, 1500, tests);
   auto ac = test::runOn(*model, Engine::SSEac, 1500, tests);
   auto rac = test::runOn(*model, Engine::SSErac, 1500, tests);
+  test::expectIdenticalResults(sse, opted, info.name + " optimized SSE");
   test::expectSameOutputs(sse, ac, info.name + " SSEac");
   test::expectSameOutputs(sse, rac, info.name + " SSErac");
   EXPECT_EQ(sse.stepsExecuted, ac.stepsExecuted);
@@ -46,8 +51,11 @@ TEST(AccMoSDifferential, MatchesInterpreterOnBenchmarks) {
   for (const char* name : {"CSEV", "TWC", "SPV"}) {
     auto model = buildBenchmarkModel(name);
     TestCaseSpec tests = benchStimulus(name);
-    auto sse = test::runOn(*model, Engine::AccMoS, 1000, tests);
-    auto acc = test::runOn(*model, Engine::SSE, 1000, tests);
+    auto sse = test::runUnoptimized(
+        *model, test::engineOptions(Engine::SSE, 1000), tests);
+    auto opted = test::runOn(*model, Engine::SSE, 1000, tests);
+    auto acc = test::runOn(*model, Engine::AccMoS, 1000, tests);
+    test::expectIdenticalResults(sse, opted, std::string(name) + " opt SSE");
     test::expectSameOutputs(sse, acc, std::string(name) + " AccMoS");
     for (CovMetric m : kAllCovMetrics) {
       EXPECT_EQ(sse.coverage.of(m).covered, acc.coverage.of(m).covered)
@@ -59,8 +67,11 @@ TEST(AccMoSDifferential, MatchesInterpreterOnBenchmarks) {
 TEST(AccMoSDifferential, MatchesInterpreterOnInjectedCsev) {
   auto model = buildCsevWithInjectedErrors();
   TestCaseSpec tests = benchStimulus("CSEV");
-  auto sse = test::runOn(*model, Engine::SSE, 5000, tests);
+  auto sse = test::runUnoptimized(
+      *model, test::engineOptions(Engine::SSE, 5000), tests);
+  auto opted = test::runOn(*model, Engine::SSE, 5000, tests);
   auto acc = test::runOn(*model, Engine::AccMoS, 5000, tests);
+  test::expectIdenticalResults(sse, opted, "injected CSEV optimized SSE");
   test::expectSameOutputs(sse, acc, "injected CSEV");
   ASSERT_EQ(sse.diagnostics.size(), acc.diagnostics.size());
   for (size_t k = 0; k < sse.diagnostics.size(); ++k) {

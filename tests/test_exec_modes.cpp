@@ -185,7 +185,6 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
 
   auto evaluate = [&] {
     SimOptions opt = accOptions(200);
-    opt.optimize = false;  // SpecEvaluator takes the model as given
     opt.campaign.workers = 2;
     SpecEvaluator evaluator(sim.flatModel(), opt);
     auto out = evaluator.evaluate(specs);

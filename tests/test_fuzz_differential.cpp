@@ -143,7 +143,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCampaignDifferential,
 // Optimization-pipeline differentials: the optimized model must be
 // observation-equivalent to the unoptimized one — outputs, collected
 // signals, coverage bitmaps and diagnostics all bit-identical — under every
-// engine. The unoptimized SSE run is the ground-truth baseline.
+// engine. The unoptimized SSE run (the interpreter called on the flattened
+// model as given) is the ground-truth baseline; every other run goes
+// through the Simulator facade, which always optimizes (only the pipeline
+// sets OptStats::actorsBefore).
 // ---------------------------------------------------------------------------
 
 void expectSameObservations(const SimulationResult& base,
@@ -183,10 +186,10 @@ TEST_P(FuzzOptDifferential, OptimizedSseMatchesUnoptimizedBaseline) {
   auto model = randomModel(seed);
   TestCaseSpec tests;
   tests.seed = seed * 13 + 3;
-  auto base = test::runOn(*model, Engine::SSE, 600, /*optimize=*/false, tests);
-  auto opt = test::runOn(*model, Engine::SSE, 600, /*optimize=*/true, tests);
-  EXPECT_FALSE(base.optStats.ran);
-  EXPECT_TRUE(opt.optStats.ran);
+  auto base = test::runUnoptimized(
+      *model, test::engineOptions(Engine::SSE, 600), tests);
+  auto opt = test::runOn(*model, Engine::SSE, 600, tests);
+  EXPECT_GT(opt.optStats.actorsBefore, 0);
   expectSameObservations(base, opt,
                          "opt SSE seed " + std::to_string(seed));
 }
@@ -203,15 +206,13 @@ TEST_P(FuzzOptDifferential, OptimizedFastModesMatchUnoptimizedBaseline) {
   bare.maxSteps = 600;
   bare.coverage = false;
   bare.diagnosis = false;
-  bare.optimize = false;
-  auto base = simulate(*model, bare, tests);
+  auto base = test::runUnoptimized(*model, bare, tests);
 
   for (Engine e : {Engine::SSE, Engine::SSEac, Engine::SSErac}) {
     SimOptions o = bare;
     o.engine = e;
-    o.optimize = true;
     auto got = simulate(*model, o, tests);
-    EXPECT_TRUE(got.optStats.ran);
+    EXPECT_GT(got.optStats.actorsBefore, 0);
     test::expectSameOutputs(base, got,
                             "bare opt " + std::string(engineName(e)) +
                                 " seed " + std::to_string(seed));
@@ -231,10 +232,10 @@ TEST_P(FuzzOptAccMoS, OptimizedGeneratedCodeMatchesUnoptimizedInterpreter) {
   auto model = randomModel(seed);
   TestCaseSpec tests;
   tests.seed = seed;
-  auto base = test::runOn(*model, Engine::SSE, 500, /*optimize=*/false, tests);
-  auto acc = test::runOn(*model, Engine::AccMoS, 500, /*optimize=*/true,
-                         tests);
-  EXPECT_TRUE(acc.optStats.ran);
+  auto base = test::runUnoptimized(
+      *model, test::engineOptions(Engine::SSE, 500), tests);
+  auto acc = test::runOn(*model, Engine::AccMoS, 500, tests);
+  EXPECT_GT(acc.optStats.actorsBefore, 0);
   expectSameObservations(base, acc,
                          "opt AccMoS seed " + std::to_string(seed));
 }
@@ -243,7 +244,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOptAccMoS,
                          ::testing::Values(101, 202, 303, 404));
 
 // Campaign mode: the pipeline runs once per campaign; merged coverage
-// bitmaps and deduplicated diagnostics must match the unoptimized campaign.
+// bitmaps and deduplicated diagnostics must match the unoptimized campaign
+// (the campaign loop over an evaluator built on the raw model).
 class FuzzOptCampaign : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzOptCampaign, OptimizedCampaignMatchesUnoptimized) {
@@ -257,12 +259,12 @@ TEST_P(FuzzOptCampaign, OptimizedCampaignMatchesUnoptimized) {
   SimOptions opt;
   opt.engine = Engine::SSE;
   opt.maxSteps = 300;
-  opt.optimize = false;
-  auto base = runCampaign(sim.flatModel(), opt, TestCaseSpec{}, seeds);
-  opt.optimize = true;
+  std::vector<TestCaseSpec> specs(seeds.size());
+  for (size_t k = 0; k < seeds.size(); ++k) specs[k].seed = seeds[k];
+  SpecEvaluator raw(sim.flatModel(), opt);
+  auto base = runCampaignSpecsOn(sim.flatModel(), raw, opt, specs, OptStats{});
   auto opted = runCampaign(sim.flatModel(), opt, TestCaseSpec{}, seeds);
-  EXPECT_FALSE(base.optStats.ran);
-  EXPECT_TRUE(opted.optStats.ran);
+  EXPECT_GT(opted.optStats.actorsBefore, 0);
 
   for (CovMetric m : kAllCovMetrics) {
     EXPECT_EQ(base.cumulative.of(m).covered, opted.cumulative.of(m).covered)

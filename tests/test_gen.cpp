@@ -11,6 +11,7 @@
 #include "gen/generator.h"
 #include "gen/mutate.h"
 #include "interp/interpreter.h"
+#include "opt/pipeline.h"
 #include "test_util.h"
 
 namespace accmos {
@@ -60,7 +61,6 @@ SimOptions sseOptions(uint64_t steps, size_t workers = 1) {
   SimOptions opt;
   opt.engine = Engine::SSE;
   opt.maxSteps = steps;
-  opt.optimize = false;  // replay tests compare plans on the raw model
   opt.campaign.workers = workers;
   return opt;
 }
@@ -145,11 +145,13 @@ TEST(Gen, TrajectoryMonotoneAndCorpusReplayReproducesBitmaps) {
   }
 
   // Replaying exactly the accepted corpus reproduces the merged bitmaps:
-  // rejected candidates contributed nothing the corpus does not carry.
+  // rejected candidates contributed nothing the corpus does not carry. The
+  // search ran on the optimized model, so the replay does too.
+  const FlatModel optimized = optimizeModel(fm, opt);
   CoveragePlan plan = CoveragePlan::build(
-      fm, [](const FlatActor& fa) { return covTraitsFor(fa); });
+      optimized, [](const FlatActor& fa) { return covTraitsFor(fa); });
   CoverageRecorder replay(plan);
-  Interpreter interp(fm, opt);
+  Interpreter interp(optimized, opt);
   for (const auto& e : gr.corpus.entries()) {
     replay.merge(interp.run(e.spec).bitmaps);
     EXPECT_GT(e.newBits + e.newDiagKinds, 0u);

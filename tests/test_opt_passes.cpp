@@ -20,7 +20,6 @@ SimOptions bare() {
   SimOptions o;
   o.coverage = false;
   o.diagnosis = false;
-  o.optimize = true;
   return o;
 }
 
@@ -66,8 +65,9 @@ TEST(ConstFold, WrapsExactlyLikeRuntime) {
   EXPECT_EQ(folded->src->params().getDouble("value", 0.0), -56.0);
   EXPECT_TRUE(folded->inputs.empty());
 
-  auto base = test::runOn(t.model(), Engine::SSE, 10, false, TestCaseSpec{});
-  auto opt = test::runOn(t.model(), Engine::SSE, 10, true, TestCaseSpec{});
+  auto base = test::runUnoptimized(
+      t.model(), test::engineOptions(Engine::SSE, 10), TestCaseSpec{});
+  auto opt = test::runOn(t.model(), Engine::SSE, 10);
   test::expectSameOutputs(base, opt, "i8 wrap fold");
   ASSERT_EQ(opt.finalOutputs.size(), 1u);
   EXPECT_EQ(opt.finalOutputs[0].asInt(0), -56);
@@ -338,28 +338,23 @@ TEST(Compact, HoistsUngatedDelayActors) {
   EXPECT_TRUE(fm.actor(fm.schedule[0]).delayClass);
 
   // And hoisting keeps results identical.
-  auto base = test::runOn(t.model(), Engine::SSE, 50, false, TestCaseSpec{});
-  auto opt = test::runOn(t.model(), Engine::SSE, 50, true, TestCaseSpec{});
+  auto base = test::runUnoptimized(
+      t.model(), test::engineOptions(Engine::SSE, 50), TestCaseSpec{});
+  auto opt = test::runOn(t.model(), Engine::SSE, 50);
   test::expectSameOutputs(base, opt, "delay hoist");
 }
 
-TEST(Pipeline, OffSwitchReportsNoRunAndOnSwitchReportsWork) {
-  // optimize=false leaves the model untouched and reports ran=false.
+TEST(Pipeline, SimulateReportsThePassesWork) {
+  // Every run through the facade optimizes and reports what the passes
+  // did.
   auto t = deadRegionModel();
   SimOptions opts;
   opts.engine = Engine::SSE;
   opts.maxSteps = 10;
   opts.coverage = false;  // instrumentation would pin the dead region
   opts.diagnosis = false;
-  opts.optimize = false;
   auto res = simulate(t->model(), opts, TestCaseSpec{});
-  EXPECT_FALSE(res.optStats.ran);
-  EXPECT_EQ(res.optStats.summary(), "optimization off");
-
-  opts.optimize = true;
-  auto res2 = simulate(t->model(), opts, TestCaseSpec{});
-  EXPECT_TRUE(res2.optStats.ran);
-  EXPECT_GT(res2.optStats.actorsBefore, res2.optStats.actorsAfter);
+  EXPECT_GT(res.optStats.actorsBefore, res.optStats.actorsAfter);
 }
 
 }  // namespace

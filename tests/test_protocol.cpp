@@ -72,7 +72,6 @@ void expectFailureEq(const RunFailure& a, const RunFailure& b,
 }
 
 void expectOptStatsEq(const OptStats& a, const OptStats& b) {
-  EXPECT_EQ(a.ran, b.ran);
   EXPECT_EQ(a.actorsBefore, b.actorsBefore);
   EXPECT_EQ(a.actorsAfter, b.actorsAfter);
   EXPECT_EQ(a.signalsBefore, b.signalsBefore);
@@ -317,7 +316,6 @@ TEST(Protocol, SimOptionsRoundTrip) {
   o.stepBudget = 99;
   o.coverage = true;
   o.diagnosis = false;
-  o.optimize = false;
   o.collectList = {"root/A", "root/Sub/B"};
   o.customDiagnostics.push_back(rangeDiagnostic("root/A", "lane", -1.0, 1.0));
   o.customDiagnostics.push_back(suddenChangeDiagnostic("root/B", "jump", 0.5));
@@ -334,7 +332,6 @@ TEST(Protocol, SimOptionsRoundTrip) {
   EXPECT_EQ(back.stepBudget, o.stepBudget);
   EXPECT_EQ(back.coverage, o.coverage);
   EXPECT_EQ(back.diagnosis, o.diagnosis);
-  EXPECT_EQ(back.optimize, o.optimize);
   EXPECT_EQ(back.collectList, o.collectList);
   ASSERT_EQ(back.customDiagnostics.size(), 2u);
   EXPECT_EQ(back.customDiagnostics[0].kind, CustomDiagnostic::Kind::Range);

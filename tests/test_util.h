@@ -13,6 +13,7 @@
 #include "actors/spec.h"
 #include "bench_models/modelgen.h"
 #include "graph/flatten.h"
+#include "interp/interpreter.h"
 #include "ir/arith.h"
 #include "ir/model.h"
 #include "sim/simulator.h"
@@ -144,33 +145,32 @@ inline void expectInvalid(Tiny& t) {
       ModelError);
 }
 
+// Default options for `steps` on `engine`; the fast modes, which reject
+// instrumentation, run without it.
+inline SimOptions engineOptions(Engine engine, uint64_t steps) {
+  SimOptions opt;
+  opt.engine = engine;
+  opt.maxSteps = steps;
+  if (engine == Engine::SSEac || engine == Engine::SSErac) {
+    opt.coverage = false;
+    opt.diagnosis = false;
+  }
+  return opt;
+}
+
 // Runs the model on the given engine for `steps` with default options.
 inline SimulationResult runOn(Model& m, Engine engine, uint64_t steps,
                               const TestCaseSpec& tests = TestCaseSpec{}) {
-  SimOptions opt;
-  opt.engine = engine;
-  opt.maxSteps = steps;
-  if (engine == Engine::SSEac || engine == Engine::SSErac) {
-    opt.coverage = false;
-    opt.diagnosis = false;
-  }
-  return simulate(m, opt, tests);
+  return simulate(m, engineOptions(engine, steps), tests);
 }
 
-// Same, with explicit control over the pre-engine optimization pipeline —
-// the opt-mode differential tests compare optimize=true against the
-// optimize=false baseline.
-inline SimulationResult runOn(Model& m, Engine engine, uint64_t steps,
-                              bool optimize, const TestCaseSpec& tests) {
-  SimOptions opt;
-  opt.engine = engine;
-  opt.maxSteps = steps;
-  opt.optimize = optimize;
-  if (engine == Engine::SSEac || engine == Engine::SSErac) {
-    opt.coverage = false;
-    opt.diagnosis = false;
-  }
-  return simulate(m, opt, tests);
+// The unoptimized reference the optimizer's differentials compare
+// against: the SSE interpreter on flatten(m) exactly as given, without the
+// optimization pipeline the Simulator facade applies. opt.engine is not
+// read.
+inline SimulationResult runUnoptimized(const Model& m, const SimOptions& opt,
+                                       const TestCaseSpec& tests) {
+  return runInterpreter(flatten(m, Registry::instance()), opt, tests);
 }
 
 // Asserts two output vectors are identical (bit-exact).

@@ -1,7 +1,8 @@
 // The accmos command-line tool: the packaged entry point of the pipeline.
 //
 //   accmos info <model.xml>                     model inventory
-//   accmos gen <model.xml> [-o out.cpp]         emit simulation code
+//   accmos gen <model.xml> [-o out.cpp]         emit the simulation code
+//                                               `accmos run` compiles
 //   accmos gen <model.xml> --budget=N [...]     coverage-guided test-case
 //                                               generation (src/gen)
 //   accmos run <model.xml> [options]            simulate and report
@@ -40,8 +41,6 @@
 //   --show-uncovered                   list every unreached coverage point
 //   --opt=-O0|-O1|-O2|-O3              compiler optimization level for the
 //                                      generated code (default -O3)
-//   --no-opt                           skip the model optimization pipeline
-//                                      (also: env ACCMOS_NO_OPT=1)
 //   --timeout=SECONDS                  per-run wall-clock deadline: the
 //                                      generated code retires the run
 //                                      cooperatively, a contained child
@@ -64,7 +63,7 @@
 //   --target-metric=M    actor|condition|decision|mcdc (default: all)
 //   --corpus-dir=DIR     export corpus (.spec/.csv + MANIFEST.tsv)
 //   --engine=sse|accmos  evaluation engine (default accmos)
-//   --steps=N --workers=W --no-opt --show-uncovered   as above
+//   --steps=N --workers=W --show-uncovered   as above
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -112,17 +111,16 @@ int usage() {
                "             [--target-metric=actor|condition|decision|mcdc]\n"
                "             [--corpus-dir=DIR] [--engine=sse|accmos] "
                "[--steps=N]\n"
-               "             [--workers=W] [--no-opt] [--show-uncovered]\n"
+               "             [--workers=W] [--show-uncovered]\n"
                "  accmos run <model.xml> [--engine=E] [--steps=N] "
                "[--budget=S]\n"
                "             [--tests=F.csv] [--seed=N] [--collect=PATH]...\n"
                "             [--no-coverage] [--no-diagnosis] "
-               "[--stop-on-diagnostic] [--opt=-O0|-O1|-O2|-O3] [--no-opt] "
+               "[--stop-on-diagnostic] [--opt=-O0|-O1|-O2|-O3] "
                "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
                "  accmos campaign <model.xml> [--seeds=N] [--steps=M] "
                "[--engine=accmos|sse] [--workers=W] [--shards=N] "
-               "[--no-opt] [--timeout=SEC] "
-               "[--step-budget=N] [--show-uncovered]\n"
+               "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
                "  accmos export-suite <directory>\n"
                "  accmos serve --socket=PATH [--pool-budget=BYTES] "
                "[--request-workers=N]\n"
@@ -235,19 +233,14 @@ std::string readFileText(const std::string& path) {
 
 // Resolves accumulated bitmaps back to the coverage points never reached.
 // Rebuilds the plan the engine recorded against: the optimization pipeline
-// (when on) must run here exactly as it did before the engine, since slot
-// layout follows the optimized actor set.
+// must run here exactly as it did before the engine, since slot layout
+// follows the optimized actor set.
 void printUncovered(const FlatModel& fm, const SimOptions& opt,
                     const CoverageRecorder& bitmaps) {
-  FlatModel optimized;
-  const FlatModel* model = &fm;
-  if (opt.optimize) {
-    optimized = optimizeModel(fm, opt);
-    model = &optimized;
-  }
+  const FlatModel model = optimizeModel(fm, opt);
   CoveragePlan plan = CoveragePlan::build(
-      *model, [](const FlatActor& fa) { return covTraitsFor(fa); });
-  auto uncovered = listUncovered(*model, plan, bitmaps);
+      model, [](const FlatActor& fa) { return covTraitsFor(fa); });
+  auto uncovered = listUncovered(model, plan, bitmaps);
   std::printf("uncovered: %zu point(s)\n", uncovered.size());
   for (const auto& u : uncovered) {
     std::printf("  [%s] %s: %s\n",
@@ -285,27 +278,6 @@ int cmdInfo(const std::string& path) {
   std::printf("actor types  :");
   for (const auto& [ty, n] : hist) std::printf(" %s:%d", ty.c_str(), n);
   std::printf("\n");
-  return 0;
-}
-
-int cmdGen(const std::string& path, const std::string& outPath) {
-  auto model = readModelCli(path);
-  Simulator sim(*model);
-  SimOptions opt;
-  opt.engine = Engine::AccMoS;
-  AccMoSEngine engine(sim.flatModel(), opt, TestCaseSpec{});
-  if (outPath.empty() || outPath == "-") {
-    std::fputs(engine.generatedSource().c_str(), stdout);
-  } else {
-    std::ofstream out(outPath);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
-      return 1;
-    }
-    out << engine.generatedSource();
-    std::printf("wrote %s (%zu bytes)\n", outPath.c_str(),
-                engine.generatedSource().size());
-  }
   return 0;
 }
 
@@ -352,8 +324,6 @@ int cmdTestGen(const std::string& path,
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
       if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
-    } else if (arg == "--no-opt") {
-      opt.optimize = false;
     } else if (arg == "--show-uncovered") {
       showUncovered = true;
     } else {
@@ -462,8 +432,6 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       opt.coverage = false;
     } else if (arg == "--no-diagnosis") {
       opt.diagnosis = false;
-    } else if (arg == "--no-opt") {
-      opt.optimize = false;
     } else if (arg == "--stop-on-diagnostic") {
       opt.stopOnDiagnostic = true;
     } else if (arg == "--show-uncovered") {
@@ -476,6 +444,32 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
   if (opt.engine == Engine::SSEac || opt.engine == Engine::SSErac) {
     opt.coverage = false;
     opt.diagnosis = false;
+  }
+  return 0;
+}
+
+// accmos gen without --budget: emits the source `accmos run` compiles for
+// the model (the optimized model, its embedded stimulus and run's default
+// options) without compiling it.
+int cmdGen(const std::string& path, const std::string& outPath) {
+  RunArgs ra;
+  parseRunArgs({}, &ra);
+  LoadedModel loaded = loadModelCli(path);
+  if (loaded.stimulus) ra.tests = *loaded.stimulus;
+  Simulator sim(*loaded.model);
+  const FlatModel model = optimizeModel(sim.flatModel(), ra.opt);
+  const std::string source =
+      AccMoSEngine::generate(model, ra.opt, ra.tests).source;
+  if (outPath.empty() || outPath == "-") {
+    std::fputs(source.c_str(), stdout);
+  } else {
+    std::ofstream out(outPath);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
+      return 1;
+    }
+    out << source;
+    std::printf("wrote %s (%zu bytes)\n", outPath.c_str(), source.size());
   }
   return 0;
 }
@@ -599,8 +593,6 @@ int parseCampaignArgs(const std::vector<std::string>& args,
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
     } else if (flagValue(arg, "--step-budget", &v)) {
       if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
-    } else if (arg == "--no-opt") {
-      opt.optimize = false;
     } else if (arg == "--show-uncovered") {
       ca->showUncovered = true;
     } else {
