@@ -168,11 +168,10 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
   args.deadlineSeconds =
       opt_.runTimeoutSec > 0.0 ? steadyNowSeconds() + opt_.runTimeoutSec
                                : 0.0;
-  args.stepBudget = opt_.stepBudget;
 
   // The guard turns a fatal signal inside the generated code into a typed
-  // exception (best effort — see run_guard.h); callers strike the engine
-  // toward quarantine and retry on the subprocess backend.
+  // exception (best effort — see run_guard.h); run() strikes the engine
+  // toward quarantine and retries on the subprocess backend.
   GuardedCallResult g =
       runGuarded([&]() { return lib_->run(args, buf.res); });
   if (g.crashed) {
@@ -183,8 +182,8 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
   }
   int rc = g.rc;
   // ETIMEOUT is a *retired* run, not a broken one: the generated loop
-  // observed its deadline or step budget, extraction still ran, and
-  // res.timedOut is set — decode normally.
+  // observed its deadline, extraction still ran, and res.timedOut is set —
+  // decode normally.
   if (rc != ACCMOS_ABI_OK && rc != ACCMOS_ABI_ETIMEOUT) {
     throw CompileError("in-process model run failed with ABI status " +
                        std::to_string(rc) + " (library " + lib_->path() +
@@ -203,8 +202,7 @@ SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
   // decimals would turn a 1e-7 budget into 0 (unlimited).
   const std::vector<std::string> argv = {
       exePath_, std::to_string(steps), fmtD(budget),
-      std::to_string(seed), fmtD(opt_.runTimeoutSec),
-      std::to_string(opt_.stepBudget)};
+      std::to_string(seed), fmtD(opt_.runTimeoutSec)};
   std::string frame;
   try {
     frame = driver_->run(ACCMOS_RUN_LIB_PATH, argv, opt_.runTimeoutSec);
@@ -238,19 +236,6 @@ void AccMoSEngine::finishResult(SimulationResult& r) const {
   r.loadSeconds = loadSeconds_;
 }
 
-SimulationResult AccMoSEngine::run(uint64_t maxStepsOverride,
-                                   double timeBudgetOverride,
-                                   std::optional<uint64_t> seedOverride) {
-  uint64_t steps = maxStepsOverride != 0 ? maxStepsOverride : opt_.maxSteps;
-  double budget =
-      timeBudgetOverride >= 0.0 ? timeBudgetOverride : opt_.timeBudgetSec;
-  uint64_t seed = seedOverride.value_or(tests_.seed);
-  SimulationResult result = libUsable() ? runInProcess(steps, budget, seed)
-                                        : runSubprocess(steps, budget, seed);
-  finishResult(result);
-  return result;
-}
-
 SimulationResult AccMoSEngine::failedResult(FailureKind kind, uint64_t seed,
                                             int signal, int retries,
                                             const char* backend,
@@ -268,9 +253,9 @@ SimulationResult AccMoSEngine::failedResult(FailureKind kind, uint64_t seed,
   return r;
 }
 
-SimulationResult AccMoSEngine::runContained(
-    uint64_t maxStepsOverride, double timeBudgetOverride,
-    std::optional<uint64_t> seedOverride) {
+SimulationResult AccMoSEngine::run(uint64_t maxStepsOverride,
+                                   double timeBudgetOverride,
+                                   std::optional<uint64_t> seedOverride) {
   const uint64_t steps =
       maxStepsOverride != 0 ? maxStepsOverride : opt_.maxSteps;
   const double budget =
@@ -287,7 +272,7 @@ SimulationResult AccMoSEngine::runContained(
       }
       // Cooperative in-process hang: a timed-out run's partial
       // observations depend on wall-clock timing, so they are never
-      // merged. Strike, then give the seed its one subprocess retry.
+      // reported. Strike, then give the run its one subprocess retry.
       strike();
     } catch (const SimCrashError&) {
       strike();
@@ -303,7 +288,7 @@ SimulationResult AccMoSEngine::runContained(
     if (r.timedOut) {
       return failedResult(
           FailureKind::Timeout, seed, 0, retries, "process",
-          "run retired at its wall-clock deadline / step budget");
+          "run retired at its wall-clock deadline");
     }
     finishResult(r);
     return r;

@@ -14,7 +14,8 @@
 //                frame. Used when the library cannot be loaded, for a
 //                struck run's one retry, and after quarantine.
 // Both decode through decodeBinaryResults and produce bit-identical
-// SimulationResults.
+// SimulationResults. Every run() walks the two rungs as one ladder, and a
+// fault that survives it comes back as a RunFailure, not an exception.
 #pragma once
 
 #include <atomic>
@@ -85,6 +86,18 @@ class AccMoSEngine {
   // argument, so one compiled simulator serves a whole campaign.
   // Thread-safe: concurrent campaign/gen workers share one engine and its
   // one loaded library.
+  //
+  // Every run walks the containment ladder (docs/ROBUSTNESS.md)
+  //   dlopen -> subprocess -> structured failure,
+  // and never throws for a per-run fault: an in-process run that crashes
+  // (caught by the signal guard) or hangs (retired by its deadline) earns
+  // the engine a strike and is retried exactly once on the subprocess
+  // backend, whose host-side watchdog can kill even an uncooperative
+  // child. If that attempt also fails, the returned SimulationResult has
+  // failed == true and a populated RunFailure instead of observations. A
+  // run retired at its deadline carries wall-clock-dependent partial
+  // observations, so it is reported as FailureKind::Timeout, never as a
+  // result.
   SimulationResult run(uint64_t maxStepsOverride = 0,
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);
@@ -94,22 +107,6 @@ class AccMoSEngine {
   std::vector<SimulationResult> runBatch(
       const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
       double timeBudgetOverride = -1.0);
-
-  // Fault-contained single run: never throws for per-run faults. The
-  // degradation ladder (docs/ROBUSTNESS.md) is
-  //   dlopen -> subprocess -> structured failure:
-  // an in-process run that crashes (caught by the signal guard) or hangs
-  // (retired by its ABI v3 deadline / step budget) earns the engine a
-  // strike and is retried exactly once on the subprocess backend, whose
-  // host-side watchdog can kill even an uncooperative child. If that
-  // attempt also fails, the returned SimulationResult has failed == true
-  // and a populated RunFailure instead of observations — campaigns and the
-  // generator record it and move on. Results that timed out carry
-  // wall-clock-dependent partial observations, so containment reports them
-  // as FailureKind::Timeout rather than merging nondeterministic data.
-  SimulationResult runContained(
-      uint64_t maxStepsOverride = 0, double timeBudgetOverride = -1.0,
-      std::optional<uint64_t> seedOverride = std::nullopt);
 
   // Quarantine: after two strikes (in-process crash or hang) the engine
   // stops using the dlopen library for the rest of its lifetime and routes

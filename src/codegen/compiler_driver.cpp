@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -72,13 +73,6 @@ std::string hex16(uint64_t v) {
 
 // Every artifact is a shared library; part of the cache identity.
 constexpr const char* kSharedLibFlags = "-shared -fPIC";
-
-// In-process index of cache entries this process has verified or produced.
-// Hits are still re-verified against the on-disk content (size + hash), so
-// external corruption — or a cleaned temp dir — degrades to a recompile,
-// never to executing a damaged binary.
-std::mutex g_cacheMutex;
-std::unordered_map<uint64_t, std::string> g_cacheIndex;
 
 struct CacheEntry {
   fs::path bin;
@@ -257,20 +251,14 @@ struct CompileParams {
   uint64_t key = 0;
 };
 
-// Re-verifies and returns the cache entry for `key`, or nullopt on a miss
-// (dropping any stale in-process index entry).
+// Verifies and returns the cache entry for `key`, or nullopt on a miss.
+// Every hit is checked against the on-disk content (size + hash), so
+// external corruption — or a cleaned temp dir — degrades to a recompile,
+// never to executing a damaged binary.
 std::optional<CompileOutput> tryCacheHit(const fs::path& dir, uint64_t key) {
   auto t0 = std::chrono::steady_clock::now();
   CacheEntry e = cachePaths(dir, key);
-  if (!verifyEntry(e)) {
-    std::lock_guard<std::mutex> lock(g_cacheMutex);
-    g_cacheIndex.erase(key);
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> lock(g_cacheMutex);
-    g_cacheIndex[key] = e.bin.string();
-  }
+  if (!verifyEntry(e)) return std::nullopt;
   auto t1 = std::chrono::steady_clock::now();
   CompileOutput out;
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -288,15 +276,11 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
   const fs::path dir = src.parent_path();
   fs::path exe = dir / (p.name + ".so");
   fs::path log = dir / (p.name + ".log");
-  out.sourcePath = src.string();
 
   // Another process may have published this key since our caller's cache
   // probe; claiming the hit here saves the compile.
   const CacheEntry entry = cachePaths(p.cacheDir, p.key);
-  if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-    hit->sourcePath = out.sourcePath;
-    return *hit;
-  }
+  if (auto hit = tryCacheHit(p.cacheDir, p.key)) return *hit;
 
   // Cross-process single-flight (see CacheKeyLock): claim the key, or poll
   // for the winner's publication. Whatever happens below — cache hit,
@@ -312,17 +296,11 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
     if (c == CacheKeyLock::Claim::Acquired) {
       // The previous holder may have published between our probe above
       // and this acquire; one more probe avoids a duplicate compile.
-      if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-        hit->sourcePath = out.sourcePath;
-        return *hit;
-      }
+      if (auto hit = tryCacheHit(p.cacheDir, p.key)) return *hit;
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-      hit->sourcePath = out.sourcePath;
-      return *hit;
-    }
+    if (auto hit = tryCacheHit(p.cacheDir, p.key)) return *hit;
     claim.breakIfStale(budget);
     const double waited = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - waitStart)
@@ -347,7 +325,7 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
 
   const FaultPlan& faults = p.faults;
   constexpr int kMaxAttempts = 3;
-  out.invocation = g_invocations.fetch_add(1) + 1;
+  g_invocations.fetch_add(1);
   auto t0 = std::chrono::steady_clock::now();
   SpawnResult r;
   int attempt = 0;
@@ -407,12 +385,7 @@ CompileOutput compileNow(const CompileParams& p, const fs::path& src) {
     std::ofstream f(log);
     f << r.output;
   }
-  out.exePath = exe.string();
-  if (storeEntry(entry, exe)) {
-    out.exePath = entry.bin.string();
-    std::lock_guard<std::mutex> lock(g_cacheMutex);
-    g_cacheIndex[p.key] = entry.bin.string();
-  }
+  out.exePath = storeEntry(entry, exe) ? entry.bin.string() : exe.string();
   return out;
 }
 
@@ -520,10 +493,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     f << source;
   }
 
-  if (auto hit = tryCacheHit(p.cacheDir, p.key)) {
-    hit->sourcePath = src.string();
-    return *hit;
-  }
+  if (auto hit = tryCacheHit(p.cacheDir, p.key)) return *hit;
 
   // Single-flight: join the in-flight compile for this key, or register
   // one and compile it inline.
@@ -555,7 +525,6 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     // shared original, so no thread reads an exception another frees.
     throw CompileError(e.what());
   }
-  out.sourcePath = src.string();
 
   // A joined result lives in the cache unless the producer could not
   // publish it; then it sits in the producer's directory, whose lifetime
@@ -594,14 +563,21 @@ std::string CompilerDriver::run(const std::string& exePath,
                           std::to_string(limits.timeoutSec) +
                           "s watchdog deadline; its process group was killed");
   }
+  // The child's stderr, when it wrote any, follows the verdict on its own
+  // lines; a silent child leaves a one-line message.
+  std::string errors = r.errors;
+  while (!errors.empty() && std::isspace(static_cast<unsigned char>(
+                                errors.back())) != 0) {
+    errors.pop_back();
+  }
+  if (!errors.empty()) errors.insert(0, "\n");
   if (WIFSIGNALED(r.status)) {
-    throw SimCrashError(what + " " + describeWaitStatus(r.status) + "\n" +
-                            r.errors,
+    throw SimCrashError(what + " " + describeWaitStatus(r.status) + errors,
                         WTERMSIG(r.status));
   }
   std::string failure = describeWaitStatus(r.status);
   if (!failure.empty()) {
-    throw SimCrashError(what + " " + failure + "\n" + r.errors, 0,
+    throw SimCrashError(what + " " + failure + errors, 0,
                         WEXITSTATUS(r.status));
   }
   return r.output;

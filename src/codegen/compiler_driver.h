@@ -46,15 +46,9 @@ enum class ArtifactKind : uint8_t { SharedLib };
 
 struct CompileOutput {
   std::string exePath;  // the compiled shared library
-  std::string sourcePath;
   double seconds = 0.0;
   bool cacheHit = false;  // binary came from the content-addressed cache
   int retries = 0;  // transient compiler failures absorbed (OOM-kill, EAGAIN)
-  // Process-wide ordinal (1-based) of the real compiler invocation that
-  // produced this binary; 0 when the cache served it without running the
-  // compiler. Requests that joined an in-flight single-flight compile share
-  // the producer's ordinal — two equal ordinals mean one compiler run.
-  uint64_t invocation = 0;
 };
 
 class CompilerDriver {

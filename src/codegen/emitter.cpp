@@ -452,12 +452,10 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
   os << "  // One full simulation on this state instance. Returns the steps\n"
      << "  // executed; the loop's wall time lands in *execNs. deadline is\n"
      << "  // an absolute accmos_now_s() point (0 = none) polled every 256\n"
-     << "  // steps; stepBudget caps executed steps (0 = none). Either\n"
-     << "  // tripping retires the run with *timedOut set — partial results\n"
-     << "  // up to that point stay valid.\n"
+     << "  // steps; passing it retires the run with *timedOut set.\n"
      << "  uint64_t accmos_sim_run(uint64_t maxSteps, double budget,\n"
      << "                          uint64_t seed, double deadline,\n"
-     << "                          uint64_t stepBudget, int* stoppedEarly,\n"
+     << "                          int* stoppedEarly,\n"
      << "                          unsigned long long* execNs,\n"
      << "                          int* timedOut) {\n"
      << "    Model_Init(seed);\n"
@@ -489,8 +487,6 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
   os << "      if (budget > 0.0 && (step & 1023) == 1023 &&\n"
      << "          std::chrono::duration<double>(std::chrono::steady_clock"
         "::now() - t0).count() >= budget) { ++step; break; }\n"
-     << "      if (stepBudget != 0 && step + 1 >= stepBudget &&\n"
-     << "          step + 1 < maxSteps) { ++step; *timedOut = 1; break; }\n"
      << "      if (deadline > 0.0 && (step & 255) == 255 &&\n"
      << "          accmos_now_s() >= deadline) { ++step; *timedOut = 1; "
         "break; }\n"
@@ -660,7 +656,6 @@ void Emitter::emitAbi(std::ostringstream& os) {
         "args->timeBudgetSec,\n"
      << "                                         args->seed, "
         "args->deadlineSeconds,\n"
-     << "                                         args->stepBudget,\n"
      << "                                         &stopped, &ns, "
         "&timedOut);\n"
      << "  res->stoppedEarly = (uint32_t)stopped;\n"

@@ -35,10 +35,11 @@
 
 /* Version 3 added the wall-clock deadline and step budget to the run
  * args and the ETIMEOUT retirement status. Version 4 dropped a retired
- * slot from the end of AccmosModelInfo. The compile cache keys on the
- * generated source, which embeds this header, so a host only ever loads
- * libraries built against its own version. */
-#define ACCMOS_ABI_VERSION 4u
+ * slot from the end of AccmosModelInfo. Version 5 dropped the step budget
+ * from the end of AccmosRunArgs. The compile cache keys on the generated
+ * source, which embeds this header, so a host only ever loads libraries
+ * built against its own version. */
+#define ACCMOS_ABI_VERSION 5u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
@@ -47,7 +48,7 @@ enum {
   ACCMOS_ABI_EVERSION = 2, /* abiVersion mismatch */
   ACCMOS_ABI_EBUFFER = 3,  /* a caller buffer is missing or mis-sized */
   ACCMOS_ABI_EALLOC = 4,   /* model-state allocation failed */
-  ACCMOS_ABI_ETIMEOUT = 6, /* run retired by deadline / step budget (v3);
+  ACCMOS_ABI_ETIMEOUT = 6, /* run retired at its deadline (v3);
                             * result fields up to the retirement point are
                             * valid and timedOut is set */
 };
@@ -83,17 +84,14 @@ typedef struct AccmosRunArgs {
   uint64_t maxSteps;
   double timeBudgetSec; /* <= 0 = unlimited */
   uint64_t seed;
-  /* Fault-containment limits (v3). deadlineSeconds is an ABSOLUTE point
-   * on the monotonic clock, expressed as seconds since its epoch
-   * (std::chrono::steady_clock on the host; the generated code reads the
-   * same clock) — 0 means no deadline. The step loop polls it every K
-   * steps (amortized) and retires the run with ACCMOS_ABI_ETIMEOUT when
-   * it passes. stepBudget caps total executed steps independently of
-   * maxSteps (0 = no budget); exceeding it also retires with ETIMEOUT.
-   * Unlike timeBudgetSec (a normal early-stop that yields a successful
-   * result), these mark the result timedOut — a containment event. */
+  /* Fault-containment deadline (v3): an ABSOLUTE point on the monotonic
+   * clock, expressed as seconds since its epoch (std::chrono::steady_clock
+   * on the host; the generated code reads the same clock) — 0 means no
+   * deadline. The step loop polls it every K steps (amortized) and retires
+   * the run with ACCMOS_ABI_ETIMEOUT when it passes. Unlike timeBudgetSec
+   * (a normal early-stop that yields a successful result), it marks the
+   * result timedOut — a containment event. */
   double deadlineSeconds;
-  uint64_t stepBudget;
 } AccmosRunArgs;
 
 /* One aggregated diagnostic event: the first step and the number of steps
@@ -119,7 +117,7 @@ typedef struct AccmosRunResult {
   /* ---- outputs ---- */
   uint64_t stepsExecuted;
   uint32_t stoppedEarly;
-  uint32_t timedOut; /* run was retired by deadline/stepBudget */
+  uint32_t timedOut; /* run was retired at its deadline */
   uint64_t execNs;
 
   /* Coverage bitmaps, one raw 0/1 byte per slot. cov[m] may be null when

@@ -1,6 +1,6 @@
 // accmos-run-lib: the subprocess backend's model runner.
 //
-//   accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT STEP_BUDGET
+//   accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT
 //
 // Loads a generated model library (the same cached shared object the
 // engine loads in-process), runs it once through accmos_run and writes the
@@ -29,10 +29,9 @@ static int fail(int status, const std::string& what) {
 }
 
 int main(int argc, char* argv[]) {
-  if (argc != 7) {
+  if (argc != 6) {
     return fail(kRunLibExitUsage,
-                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT "
-                "STEP_BUDGET");
+                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT");
   }
   const std::string lib = argv[1];
   AccmosRunArgs args;
@@ -50,7 +49,6 @@ int main(int argc, char* argv[]) {
             .count() +
         timeout;
   }
-  args.stepBudget = std::strtoull(argv[6], nullptr, 10);
 
   void* handle = ::dlopen(lib.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) return fail(kRunLibExitLoad, ::dlerror());
@@ -71,8 +69,8 @@ int main(int argc, char* argv[]) {
 
   RunBuffers buf(info);
   const int rc = runFn(&args, &buf.res);
-  // ETIMEOUT is a retired run, not a broken one: its observations up to the
-  // retirement point travel like any other result.
+  // ETIMEOUT is a retired run, not a broken one: its frame travels with
+  // timedOut set, and the host reports a Timeout.
   if (rc != ACCMOS_ABI_OK && rc != ACCMOS_ABI_ETIMEOUT) {
     return fail(kRunLibExitRun,
                 lib + ": accmos_run returned ABI status " + std::to_string(rc));

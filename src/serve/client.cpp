@@ -34,8 +34,6 @@ Json helloRequest() {
   std::string message = "daemon reported an error";
   if (const Json* k = resp.find("kind")) kind = k->asString("$.kind");
   if (const Json* e = resp.find("error")) message = e->asString("$.error");
-  if (kind == "timeout") throw SimTimeoutError(message);
-  if (kind == "crash") throw SimCrashError(message, 0);
   if (kind == "compile") throw CompileError(message);
   if (kind == "model-load") throw ModelLoadError(message);
   if (kind == "protocol") throw ProtocolError(message);

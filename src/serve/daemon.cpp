@@ -30,10 +30,10 @@ Json errorResponse(const std::string& kind, const std::string& message) {
 
 // The exception → wire-kind mapping; the client rehydrates these into the
 // closest local exception so `accmos client` exits with the same
-// documented code the local CLI would (docs/ROBUSTNESS.md).
+// documented code the local CLI would (docs/ROBUSTNESS.md). A run that
+// crashes or times out is not an exception: it comes back as a failed
+// result.
 std::string classify(const std::exception& e) {
-  if (dynamic_cast<const SimTimeoutError*>(&e) != nullptr) return "timeout";
-  if (dynamic_cast<const SimCrashError*>(&e) != nullptr) return "crash";
   if (dynamic_cast<const CompileError*>(&e) != nullptr) return "compile";
   if (dynamic_cast<const ModelLoadError*>(&e) != nullptr) return "model-load";
   if (dynamic_cast<const JsonError*>(&e) != nullptr) return "protocol";

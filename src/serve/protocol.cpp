@@ -499,7 +499,6 @@ Json toJson(const SimOptions& o) {
   j.set("timeBudgetSec", Json::number(o.timeBudgetSec));
   j.set("stopOnDiagnostic", Json::boolean(o.stopOnDiagnostic));
   j.set("runTimeoutSec", Json::number(o.runTimeoutSec));
-  j.set("stepBudget", Json::u64(o.stepBudget));
   j.set("coverage", Json::boolean(o.coverage));
   j.set("diagnosis", Json::boolean(o.diagnosis));
   Json coll = Json::array();
@@ -545,7 +544,6 @@ SimOptions optionsFromJson(const Json& j, const std::string& where) {
   o.timeBudgetSec = getDouble(j, where, "timeBudgetSec");
   o.stopOnDiagnostic = getBool(j, where, "stopOnDiagnostic");
   o.runTimeoutSec = getDouble(j, where, "runTimeoutSec");
-  o.stepBudget = getU64(j, where, "stepBudget");
   o.coverage = getBool(j, where, "coverage");
   o.diagnosis = getBool(j, where, "diagnosis");
   {

@@ -22,8 +22,10 @@ inline constexpr const char* kAccmosVersion = "0.9.0";
 // option and the tiering fields of campaign results and shard summaries;
 // version 4 dropped the execMode and compileCache options and restricts
 // optFlag to -O0..-O3; version 5 dropped the optimize option and the ran
-// field of optimizer statistics (the pipeline always runs).
-inline constexpr uint32_t kProtocolVersion = 5;
+// field of optimizer statistics (the pipeline always runs); version 6
+// dropped the step budget option, and a run that crashes or times out
+// now comes back as a failed result, not as a "timeout" or "crash" error.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 // Compile-cache schema: the on-disk layout under $ACCMOS_CACHE_DIR
 // (<key>.bin + "<size> <fnv1a64-hex>" sidecar in <key>.meta, FNV-1a-keyed

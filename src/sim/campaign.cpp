@@ -15,6 +15,7 @@
 #include "interp/interpreter.h"
 #include "opt/pipeline.h"
 #include "sim/interrupt.h"
+#include "sim/simulator.h"
 
 namespace accmos {
 namespace {
@@ -50,6 +51,7 @@ void checkInstrumentedEngine(const SimOptions& opt) {
   if (!opt.coverage) {
     throw ModelError("test campaigns accumulate coverage; enable it");
   }
+  checkRunTimeout(opt);
 }
 
 // Contained stand-in for a spec whose simulator never built: the whole
@@ -135,10 +137,10 @@ size_t SpecEvaluator::residentBytes() const {
 // Runs every spec, storing the result at the spec's index. With more than
 // one worker, specs are pulled one at a time from a shared counter by a
 // pool of threads: the SSE engine gets one persistent interpreter instance
-// per worker; the AccMoS engine's runContained() is thread-safe, so
-// workers call the per-shape engines directly — concurrent calls into one
-// loaded library, or concurrent child processes each writing to their own
-// pipe when a run is contained out of process. Result k lands
+// per worker; the AccMoS engine's run() is thread-safe, so workers call
+// the per-shape engines directly — concurrent calls into one loaded
+// library, or concurrent child processes each writing to their own pipe
+// when a run is contained out of process. Result k lands
 // at out[k], so the spec-order merge downstream is deterministic for any
 // worker count. The first exception thrown by any worker is rethrown on
 // the caller.
@@ -211,10 +213,10 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
         } else if (engineOf[k] == nullptr) {
           out[k] = compileFailedResult(specs[k].seed, *errorOf[k]);
         } else {
-          // Contained execution never throws for per-run faults — a hung
-          // or crashed seed comes back as a failed result and its
+          // An AccMoS run never throws for per-run faults — a hung or
+          // crashed seed comes back as a failed result and its
           // neighbours are unaffected.
-          out[k] = engineOf[k]->runContained(0, -1.0, specs[k].seed);
+          out[k] = engineOf[k]->run(0, -1.0, specs[k].seed);
         }
         if (done != nullptr) (*done)[k] = 1;
       } catch (...) {

@@ -2,11 +2,12 @@
 // (docs/ROBUSTNESS.md has the narrative version).
 //
 // Containment turns "a generated model misbehaved" from a process-fatal
-// event into data: campaigns and generation sessions record a RunFailure
-// per affected seed and keep going, while single-run entry points
-// (Simulator::run, the CLI) surface the same taxonomy as typed
-// exceptions so callers can tell a hang from a crash from a compiler
-// failure without string-matching messages.
+// event into data: every AccMoS run returns a RunFailure instead of
+// observations when a fault survives the containment ladder. Campaigns and
+// generation sessions record one per affected seed and keep going;
+// `accmos run` and `accmos client run` print it and exit with the kind's
+// documented code, so callers can tell a hang from a crash from a
+// compiler failure without string-matching messages.
 #ifndef ACCMOS_SIM_FAILURE_H_
 #define ACCMOS_SIM_FAILURE_H_
 
@@ -19,8 +20,8 @@
 namespace accmos {
 
 // Why a run produced no usable result. Timeout covers both cooperative
-// retirement (deadline / step budget observed inside the generated step
-// loop) and the host-side watchdog killing a wedged subprocess. Crash is
+// retirement (the deadline observed inside the generated step loop) and
+// the host-side watchdog killing a wedged subprocess. Crash is
 // death by signal (SIGSEGV/SIGBUS/SIGFPE/SIGILL in-process, or any fatal
 // signal in a subprocess) or a nonzero exit of the generated program.
 // CompileError is the compiler failing after retries. AbiMismatch is a
@@ -50,13 +51,14 @@ struct RunFailure {
   std::string summary() const;
 };
 
-// A run exceeded its wall-clock deadline or step budget.
+// A subprocess outlived its watchdog deadline (CompilerDriver::run).
 class SimTimeoutError : public ModelError {
  public:
   explicit SimTimeoutError(const std::string& msg) : ModelError(msg) {}
 };
 
-// The generated model crashed (fatal signal or nonzero exit).
+// The generated model crashed in-process, or a subprocess died by a fatal
+// signal or exited nonzero (CompilerDriver::run).
 class SimCrashError : public ModelError {
  public:
   SimCrashError(const std::string& msg, int sig, int exitStatus = 0)

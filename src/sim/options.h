@@ -38,14 +38,13 @@ struct SimOptions {
   double timeBudgetSec = 0.0;  // 0 = unlimited
   bool stopOnDiagnostic = false;
 
-  // Fault-containment deadlines (0 = unlimited). Unlike timeBudgetSec —
-  // a soft "stop collecting after N seconds" knob honoured mid-loop — these
-  // mark the run as *timed out*: the generated code retires the run with
-  // SimulationResult::timedOut set (ABI v3 deadlineSeconds / stepBudget),
-  // and the subprocess backend additionally arms a host-side watchdog that
-  // kills the child's process group if the cooperative check never fires.
+  // Fault-containment deadline (0 = unlimited). Unlike timeBudgetSec — a
+  // soft "stop collecting after N seconds" knob honoured mid-loop — it
+  // retires the run as *timed out* (ABI deadlineSeconds), and the
+  // subprocess backend additionally arms a host-side watchdog that kills
+  // the child's process group if the cooperative check never fires. Only
+  // generated code observes it: other engines refuse a nonzero value.
   double runTimeoutSec = 0.0;
-  uint64_t stepBudget = 0;
 
   // Instrumentation. The fast modes cannot collect coverage or diagnose
   // (paper §2) — the facade rejects these combinations.

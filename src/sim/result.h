@@ -27,15 +27,15 @@ struct SimulationResult {
   uint64_t stepsExecuted = 0;
   bool stoppedEarly = false;  // StopSimulation actor or stop-on-diagnostic
 
-  // Run retired by its wall-clock deadline (SimOptions::runTimeoutSec) or
-  // step budget (SimOptions::stepBudget) instead of reaching maxSteps.
-  // Observations up to the retirement point are valid.
+  // The run was retired by its wall-clock deadline
+  // (SimOptions::runTimeoutSec) on every rung it tried: set only together
+  // with failed and a FailureKind::Timeout failure.
   bool timedOut = false;
 
-  // Containment record: set by the fault-contained execution paths
-  // (campaigns, the generator) instead of throwing, so one bad seed cannot
-  // abort a whole campaign. When failed is true the rest of the result
-  // carries no observations and `failure` says what happened.
+  // Containment record: the AccMoS engine returns a failed result instead
+  // of throwing, so one bad seed cannot abort a whole campaign and every
+  // caller reports a fault the same way. When failed is true the rest of
+  // the result carries no observations and `failure` says what happened.
   bool failed = false;
   RunFailure failure;
 

@@ -27,6 +27,15 @@ SimulationResult dispatch(const FlatModel& fm, const SimOptions& opt,
 
 }  // namespace
 
+void checkRunTimeout(const SimOptions& opt) {
+  if (opt.runTimeoutSec > 0.0 && opt.engine != Engine::AccMoS) {
+    throw ModelError(
+        "a run timeout needs the AccMoS engine: only generated code "
+        "observes the deadline, and " +
+        std::string(engineName(opt.engine)) + " would ignore it");
+  }
+}
+
 Simulator::Simulator(const Model& model)
     : fm_(flatten(model, Registry::instance())) {
   validateFlatModel(fm_);
@@ -50,6 +59,7 @@ SimulationResult Simulator::run(const SimOptions& opt,
                        " cannot stop on diagnostics (none are produced)");
     }
   }
+  checkRunTimeout(opt);
   OptStats st;
   FlatModel optimized = optimizeModel(fm_, opt, &st);
   SimulationResult res = dispatch(optimized, opt, tests);

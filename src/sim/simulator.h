@@ -22,12 +22,18 @@ class Simulator {
 
   // Runs one simulation. Throws ModelError when the options are invalid
   // for the chosen engine — the fast modes cannot collect coverage,
-  // diagnose, monitor signals, or run custom diagnostics (paper §2).
+  // diagnose, monitor signals, or run custom diagnostics (paper §2), and
+  // only AccMoS observes a run timeout (checkRunTimeout).
   SimulationResult run(const SimOptions& opt, const TestCaseSpec& tests) const;
 
  private:
   FlatModel fm_;
 };
+
+// Throws ModelError when opt sets a run timeout (runTimeoutSec > 0) for
+// an engine other than AccMoS: only generated code observes the deadline,
+// so any other engine would silently ignore it.
+void checkRunTimeout(const SimOptions& opt);
 
 // One-shot convenience.
 SimulationResult simulate(const Model& model, const SimOptions& opt,

@@ -301,10 +301,9 @@ TEST(ExecModes, DlopenFailureCompilesTheModelOnce) {
   const uint64_t before = CompilerDriver::compilerInvocations();
   AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
   EXPECT_EQ(engine.execModeUsed(), "process");
-  EXPECT_EQ(engine.run().execMode, "process");
-  SimulationResult contained = engine.runContained(0, -1.0, 11);
-  EXPECT_FALSE(contained.failed) << contained.failure.summary();
-  EXPECT_EQ(contained.execMode, "process");
+  SimulationResult r = engine.run(0, -1.0, 11);
+  EXPECT_FALSE(r.failed) << r.failure.summary();
+  EXPECT_EQ(r.execMode, "process");
   EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 1u);
   EXPECT_EQ(cache.entries(), 1u);
 }
@@ -335,14 +334,14 @@ TEST(ExecModes, RunnerFailuresAreTypedNotCrashes) {
   TestCaseSpec tests;
   EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
   AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
-  ASSERT_FALSE(engine.runContained().failed);
+  ASSERT_FALSE(engine.run().failed);
   const fs::path lib = engine.exePath();
 
   {
     std::ofstream out(lib, std::ios::trunc);
     out << "this is not an ELF shared object\n";
   }
-  SimulationResult unloadable = engine.runContained();
+  SimulationResult unloadable = engine.run();
   ASSERT_TRUE(unloadable.failed);
   EXPECT_EQ(unloadable.failure.kind, FailureKind::CompileError)
       << unloadable.failure.summary();
@@ -361,7 +360,7 @@ TEST(ExecModes, RunnerFailuresAreTypedNotCrashes) {
   CompilerDriver driver;
   CompileOutput fake = driver.compile(failingRun, "failing_run", "-O0");
   fs::copy_file(fake.exePath, lib, fs::copy_options::overwrite_existing);
-  SimulationResult abiFailure = engine.runContained();
+  SimulationResult abiFailure = engine.run();
   ASSERT_TRUE(abiFailure.failed);
   EXPECT_EQ(abiFailure.failure.kind, FailureKind::AbiMismatch)
       << abiFailure.failure.summary();

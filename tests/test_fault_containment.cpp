@@ -2,12 +2,13 @@
 // drives every degradation path byte-for-byte — a campaign survives a
 // seed that hangs and a seed that crashes (reporting exactly those as
 // structured RunFailures while every surviving seed stays bit-identical
-// to a fault-free campaign, for any worker count),
-// a deadline-armed dlopen run retires promptly instead of wedging the
-// host, two in-process strikes quarantine an engine onto the subprocess
-// backend, CompilerDriver absorbs transient compiler deaths and decodes
-// the non-transient ones, and the compile cache shrugs off a writer
-// killed mid-publish.
+// to a fault-free campaign, for any worker count), a single run walks the
+// same ladder and returns its fault as a failed result, a deadline-armed
+// dlopen run retires promptly instead of wedging the host, two in-process
+// strikes quarantine an engine onto the subprocess backend, a run timeout
+// is refused where no generated code could observe it, CompilerDriver
+// absorbs transient compiler deaths and decodes the non-transient ones,
+// and the compile cache shrugs off a writer killed mid-publish.
 #include <gtest/gtest.h>
 
 #include <dlfcn.h>
@@ -174,7 +175,9 @@ TEST_F(FaultTest, CampaignContainsHangAndCrashSeeds) {
 
 // A deadline-armed dlopen run whose generated code wedges must retire
 // itself cooperatively — the host process is never blocked past the
-// deadline (plus scheduling slack), and the partial result says so.
+// deadline (plus scheduling slack). The run retires again on its one
+// retry in the child and comes back as a Timeout failure, never as the
+// wall-clock-dependent partial observations.
 TEST_F(FaultTest, DeadlineExceededDlopenRunNeverBlocks) {
   EnvGuard fault("ACCMOS_FAULT", "hang@10");
   Tiny t;
@@ -188,24 +191,49 @@ TEST_F(FaultTest, DeadlineExceededDlopenRunNeverBlocks) {
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  ASSERT_TRUE(res.failed);
+  EXPECT_EQ(res.failure.kind, FailureKind::Timeout);
+  EXPECT_EQ(res.failure.retries, 1);  // in-process attempt, then subprocess
   EXPECT_TRUE(res.timedOut);
-  EXPECT_LT(res.stepsExecuted, opt.maxSteps);
-  EXPECT_LT(elapsed, 5.0);  // deadline 0.3s; generous slack for slow CI
+  EXPECT_EQ(res.stepsExecuted, 0u);
+  EXPECT_LT(elapsed, 5.0);  // deadline 0.3s per rung; slack for slow CI
 }
 
-// A step budget retires the run deterministically (same flag as the
-// wall-clock deadline) — this is what the CLI's --step-budget maps to.
-TEST_F(FaultTest, StepBudgetRetiresRunDeterministically) {
+// A single run through the Simulator facade walks the same ladder as a
+// campaign seed: a crash that survives the retry comes back as a failed
+// result carrying the signal, not as an exception.
+TEST_F(FaultTest, SingleRunCrashComesBackAsAFailedResult) {
+  EnvGuard fault("ACCMOS_FAULT", "crash@10");
+  Tiny t;
+  wrapGainModel(t);
+  SimulationResult res =
+      simulate(t.model(), faultOptions(), fullRangeStimulus());
+  ASSERT_TRUE(res.failed);
+  EXPECT_EQ(res.failure.kind, FailureKind::Crash);
+  EXPECT_EQ(res.failure.signal, SIGSEGV);
+  EXPECT_EQ(res.failure.retries, 1);
+  EXPECT_EQ(res.failure.backend, "process");
+  EXPECT_FALSE(res.timedOut);
+  EXPECT_FALSE(res.hasCoverage);
+  EXPECT_TRUE(res.diagnostics.empty());
+}
+
+// Only generated code observes a run timeout, so every other engine
+// refuses one instead of running without it.
+TEST_F(FaultTest, RunTimeoutNeedsTheAccMoSEngine) {
   Tiny t;
   FlatModel fm = wrapGainModel(t);
-  SimOptions opt = faultOptions();
-  opt.runTimeoutSec = 0.0;
-  opt.stepBudget = 17;
+  SimOptions opt;
+  opt.engine = Engine::SSE;
+  opt.maxSteps = 50;
+  opt.runTimeoutSec = 1.0;
+  EXPECT_THROW(simulate(t.model(), opt, fullRangeStimulus()), ModelError);
+  EXPECT_THROW(runCampaign(fm, opt, fullRangeStimulus(), {1, 2}),
+               ModelError);
+  EXPECT_THROW({ SpecEvaluator ev(fm, opt); }, ModelError);
 
-  AccMoSEngine engine(fm, opt, fullRangeStimulus());
-  SimulationResult res = engine.run();
-  EXPECT_TRUE(res.timedOut);
-  EXPECT_EQ(res.stepsExecuted, 17u);
+  opt.runTimeoutSec = 0.0;  // no deadline: nothing to honour
+  EXPECT_FALSE(simulate(t.model(), opt, fullRangeStimulus()).failed);
 }
 
 // Two in-process faults quarantine the engine: every later run goes
@@ -221,20 +249,20 @@ TEST_F(FaultTest, TwoStrikesQuarantineEngineOntoSubprocess) {
   AccMoSEngine engine(fm, opt, fullRangeStimulus());
   ASSERT_FALSE(engine.quarantined());
 
-  SimulationResult r1 = engine.runContained();
+  SimulationResult r1 = engine.run();
   ASSERT_TRUE(r1.failed);
   EXPECT_EQ(r1.failure.kind, FailureKind::Crash);
   EXPECT_EQ(r1.failure.signal, SIGSEGV);
   EXPECT_EQ(r1.failure.backend, "process");
   EXPECT_EQ(r1.failure.retries, 1);  // in-process attempt, then subprocess
 
-  SimulationResult r2 = engine.runContained();
+  SimulationResult r2 = engine.run();
   ASSERT_TRUE(r2.failed);
   EXPECT_TRUE(engine.quarantined()) << "two in-process crashes must "
                                        "quarantine the library";
 
   // Quarantined: no in-process attempt happens at all.
-  SimulationResult r3 = engine.runContained();
+  SimulationResult r3 = engine.run();
   ASSERT_TRUE(r3.failed);
   EXPECT_EQ(r3.failure.retries, 0);
   EXPECT_EQ(r3.failure.backend, "process");

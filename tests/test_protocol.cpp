@@ -313,7 +313,6 @@ TEST(Protocol, SimOptionsRoundTrip) {
   o.timeBudgetSec = 1.5;
   o.stopOnDiagnostic = true;
   o.runTimeoutSec = 2.25;
-  o.stepBudget = 99;
   o.coverage = true;
   o.diagnosis = false;
   o.collectList = {"root/A", "root/Sub/B"};
@@ -329,7 +328,6 @@ TEST(Protocol, SimOptionsRoundTrip) {
   EXPECT_EQ(back.timeBudgetSec, o.timeBudgetSec);
   EXPECT_EQ(back.stopOnDiagnostic, o.stopOnDiagnostic);
   EXPECT_EQ(back.runTimeoutSec, o.runTimeoutSec);
-  EXPECT_EQ(back.stepBudget, o.stepBudget);
   EXPECT_EQ(back.coverage, o.coverage);
   EXPECT_EQ(back.diagnosis, o.diagnosis);
   EXPECT_EQ(back.collectList, o.collectList);

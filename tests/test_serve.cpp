@@ -41,6 +41,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using serve::Json;
+using test::DaemonRunner;
 using test::EnvGuard;
 using test::Tiny;
 
@@ -80,30 +81,6 @@ class ServeTest : public ::testing::Test {
 };
 
 int ServeTest::counter_ = 0;
-
-// Runs Daemon::run() on its own thread; the constructor has already bound
-// and listened, so clients may connect as soon as this returns.
-class DaemonRunner {
- public:
-  explicit DaemonRunner(const serve::ServeOptions& opt)
-      : daemon_(opt), thread_([this] { daemon_.run(); }) {}
-  ~DaemonRunner() { stop(); }
-
-  // Waits for run() to return WITHOUT asking for shutdown — for tests
-  // where the stop came from the protocol (`client shutdown`).
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-  void stop() {
-    daemon_.shutdown();
-    join();
-  }
-  serve::Daemon& daemon() { return daemon_; }
-
- private:
-  serve::Daemon daemon_;
-  std::thread thread_;
-};
 
 // I8 gain that wraps on overflow under full-range stimulus: outputs,
 // coverage and diagnostics all depend on the seed, so bit-identity claims

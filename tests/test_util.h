@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: tiny-model construction, scoped
-// environment overrides and cross-engine result comparison.
+// environment overrides, an in-process daemon and cross-engine result
+// comparison.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "actors/spec.h"
 #include "bench_models/modelgen.h"
@@ -16,6 +18,7 @@
 #include "interp/interpreter.h"
 #include "ir/arith.h"
 #include "ir/model.h"
+#include "serve/daemon.h"
 #include "sim/simulator.h"
 
 namespace accmos::test {
@@ -47,6 +50,30 @@ class EnvGuard {
   const char* name_;
   bool had_ = false;
   std::string old_;
+};
+
+// Runs Daemon::run() on its own thread; the constructor has already bound
+// and listened, so clients may connect as soon as this returns.
+class DaemonRunner {
+ public:
+  explicit DaemonRunner(const serve::ServeOptions& opt)
+      : daemon_(opt), thread_([this] { daemon_.run(); }) {}
+  ~DaemonRunner() { stop(); }
+
+  // Waits for run() to return WITHOUT asking for shutdown — for tests
+  // where the stop came from the protocol (`client shutdown`).
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+  void stop() {
+    daemon_.shutdown();
+    join();
+  }
+  serve::Daemon& daemon() { return daemon_; }
+
+ private:
+  serve::Daemon daemon_;
+  std::thread thread_;
 };
 
 // Fluent builder for small test models.

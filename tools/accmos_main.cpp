@@ -41,18 +41,23 @@
 //   --show-uncovered                   list every unreached coverage point
 //   --opt=-O0|-O1|-O2|-O3              compiler optimization level for the
 //                                      generated code (default -O3)
-//   --timeout=SECONDS                  per-run wall-clock deadline: the
+//   --timeout=SECONDS                  per-run wall-clock deadline
+//                                      (accmos engine only): the
 //                                      generated code retires the run
-//                                      cooperatively, a contained child
-//                                      run adds a kill-on-expiry watchdog
-//   --step-budget=N                    retire a run after N steps even if
-//                                      --steps asked for more
+//                                      cooperatively, its one retry in a
+//                                      child adds a kill-on-expiry
+//                                      watchdog
+//
+// Every accmos run walks the containment ladder (docs/ROBUSTNESS.md): a
+// run that crashes or times out in-process is retried once in a child
+// process, and a fault that survives the retry is reported as one
+// `failure` line with its exit code below.
 //
 // Exit codes (docs/ROBUSTNESS.md):
 //   0  success            1  internal error        2  usage error
 //   3  run finished with diagnostics               4  model load/parse error
 //   5  generated-code compile error                6  generated model crashed
-//   7  run timed out (deadline or step budget)
+//   7  run timed out (deadline)
 //   8  campaign/testgen completed but contained per-seed failures
 //   9  campaign interrupted (SIGINT/SIGTERM): partial results were flushed
 //
@@ -117,10 +122,10 @@ int usage() {
                "             [--tests=F.csv] [--seed=N] [--collect=PATH]...\n"
                "             [--no-coverage] [--no-diagnosis] "
                "[--stop-on-diagnostic] [--opt=-O0|-O1|-O2|-O3] "
-               "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
+               "[--timeout=SEC] [--show-uncovered]\n"
                "  accmos campaign <model.xml> [--seeds=N] [--steps=M] "
                "[--engine=accmos|sse] [--workers=W] [--shards=N] "
-               "[--timeout=SEC] [--step-budget=N] [--show-uncovered]\n"
+               "[--timeout=SEC] [--show-uncovered]\n"
                "  accmos export-suite <directory>\n"
                "  accmos serve --socket=PATH [--pool-budget=BYTES] "
                "[--request-workers=N]\n"
@@ -168,6 +173,18 @@ std::unique_ptr<Model> readModelCli(const std::string& path) {
 void printFailures(const std::vector<RunFailure>& failures) {
   for (const auto& f : failures) {
     std::printf("failure  : %s\n", f.summary().c_str());
+  }
+}
+
+// --timeout is refused, not ignored, on an engine that cannot observe it
+// (checkRunTimeout). Returns false after printing.
+bool timeoutHonoured(const SimOptions& opt) {
+  try {
+    checkRunTimeout(opt);
+    return true;
+  } catch (const ModelError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
   }
 }
 
@@ -322,8 +339,6 @@ int cmdTestGen(const std::string& path,
       if (!parseNumber("--workers", v, &opt.campaign.workers)) return 2;
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
-    } else if (flagValue(arg, "--step-budget", &v)) {
-      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--show-uncovered") {
       showUncovered = true;
     } else {
@@ -331,6 +346,7 @@ int cmdTestGen(const std::string& path,
       return 2;
     }
   }
+  if (!timeoutHonoured(opt)) return 2;
 
   LoadedModel loaded = loadModelCli(path);
   if (loaded.stimulus) gopt.base = *loaded.stimulus;
@@ -426,8 +442,6 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       opt.optFlag = v;
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
-    } else if (flagValue(arg, "--step-budget", &v)) {
-      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--no-coverage") {
       opt.coverage = false;
     } else if (arg == "--no-diagnosis") {
@@ -441,6 +455,7 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       return 2;
     }
   }
+  if (!timeoutHonoured(opt)) return 2;
   if (opt.engine == Engine::SSEac || opt.engine == Engine::SSErac) {
     opt.coverage = false;
     opt.diagnosis = false;
@@ -491,7 +506,7 @@ int cmdRun(const std::string& path, const std::vector<std::string>& args) {
   auto res = sim.run(opt, ra.tests);
 
   int code = printRunResult(res, opt);
-  if (ra.showUncovered) {
+  if (ra.showUncovered && !res.failed) {
     if (!res.hasCoverage) {
       std::fprintf(stderr,
                    "--show-uncovered needs coverage (an instrumented "
@@ -507,10 +522,25 @@ int printRunResult(const SimulationResult& res, const SimOptions& opt) {
   std::printf("engine   : %s\n",
               std::string(engineName(opt.engine)).c_str());
   std::printf("optimize : %s\n", res.optStats.summary().c_str());
-  std::printf("steps    : %llu%s%s\n",
+  if (res.failed) {
+    // A fault survived the containment ladder: the result observed
+    // nothing, so only the failure is reported.
+    printFailures({res.failure});
+    switch (res.failure.kind) {
+      case FailureKind::Crash:
+        return 6;
+      case FailureKind::Timeout:
+        return 7;
+      case FailureKind::CompileError:
+        return 5;
+      case FailureKind::AbiMismatch:
+        return 1;
+    }
+    return 1;
+  }
+  std::printf("steps    : %llu%s\n",
               static_cast<unsigned long long>(res.stepsExecuted),
-              res.stoppedEarly ? " (stopped early)" : "",
-              res.timedOut ? " (timed out: deadline/step budget)" : "");
+              res.stoppedEarly ? " (stopped early)" : "");
   std::printf("exec     : %.4fs (%.1f ns/step)\n", res.execSeconds,
               res.stepsExecuted > 0
                   ? 1e9 * res.execSeconds /
@@ -546,10 +576,6 @@ int printRunResult(const SimulationResult& res, const SimOptions& opt) {
                 static_cast<unsigned long long>(d.count),
                 d.message.c_str());
   }
-  // A retired (timed-out) run outranks "finished with diagnostics": its
-  // observations stop at the retirement point, so they are not the full
-  // story the diagnostics exit code promises.
-  if (res.timedOut) return 7;
   return res.diagnostics.empty() ? 0 : 3;
 }
 
@@ -591,8 +617,6 @@ int parseCampaignArgs(const std::vector<std::string>& args,
       }
     } else if (flagValue(arg, "--timeout", &v)) {
       if (!parseNumber("--timeout", v, &opt.runTimeoutSec)) return 2;
-    } else if (flagValue(arg, "--step-budget", &v)) {
-      if (!parseNumber("--step-budget", v, &opt.stepBudget)) return 2;
     } else if (arg == "--show-uncovered") {
       ca->showUncovered = true;
     } else {
@@ -600,7 +624,7 @@ int parseCampaignArgs(const std::vector<std::string>& args,
       return 2;
     }
   }
-  return 0;
+  return timeoutHonoured(opt) ? 0 : 2;
 }
 
 // The campaign seed schedule: deterministic, so a client can reconstruct
@@ -794,6 +818,12 @@ int cmdClientRun(const std::string& socketPath, const std::string& path,
                  "(accmos or sse)\n");
     return 2;
   }
+  if (!ra.opt.coverage) {
+    std::fprintf(stderr,
+                 "the daemon serves coverage-instrumented runs only; "
+                 "drop --no-coverage\n");
+    return 2;
+  }
   // Load locally too: parse errors keep their local exit code (4) without
   // a round-trip, and the embedded <stimulus> default matches `accmos run`.
   std::string text = readFileText(path);
@@ -805,7 +835,7 @@ int cmdClientRun(const std::string& socketPath, const std::string& path,
   SimulationResult res = client.run(text, ra.opt, ra.tests, &meta);
   int code = printRunResult(res, ra.opt);
   printServiceLine(meta);
-  if (ra.showUncovered) {
+  if (ra.showUncovered && !res.failed) {
     if (!res.hasCoverage) {
       std::fprintf(stderr,
                    "--show-uncovered needs coverage (an instrumented "
@@ -980,12 +1010,6 @@ int mainImpl(int argc, char** argv) {
   } catch (const ModelLoadError& e) {
     std::fprintf(stderr, "accmos: %s\n", e.what());
     return 4;
-  } catch (const SimTimeoutError& e) {
-    std::fprintf(stderr, "accmos: %s\n", e.what());
-    return 7;
-  } catch (const SimCrashError& e) {
-    std::fprintf(stderr, "accmos: %s\n", e.what());
-    return 6;
   } catch (const CompileError& e) {
     std::fprintf(stderr, "accmos: %s\n", e.what());
     return 5;
