@@ -318,10 +318,24 @@ std::vector<SimulationResult> AccMoSEngine::runBatch(
   return out;
 }
 
+SimulationResult compileFailedResult(uint64_t seed, const std::string& msg) {
+  SimulationResult r;
+  r.failed = true;
+  r.failure.kind = FailureKind::CompileError;
+  r.failure.seed = seed;
+  r.failure.backend = "compile";
+  r.failure.message = msg;
+  return r;
+}
+
 SimulationResult runAccMoS(const FlatModel& fm, const SimOptions& opt,
                            const TestCaseSpec& tests) {
-  AccMoSEngine engine(fm, opt, tests);
-  return engine.run();
+  try {
+    AccMoSEngine engine(fm, opt, tests);
+    return engine.run();
+  } catch (const CompileError& e) {
+    return compileFailedResult(tests.seed, e.what());
+  }
 }
 
 }  // namespace accmos

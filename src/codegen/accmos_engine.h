@@ -171,7 +171,12 @@ class AccMoSEngine {
   std::atomic<int> strikes_{0};
 };
 
-// One-shot convenience.
+// Contained stand-in for a run whose simulator never built: the engine
+// constructor threw CompileError with `msg`.
+SimulationResult compileFailedResult(uint64_t seed, const std::string& msg);
+
+// One-shot convenience. A simulator that fails to compile comes back as
+// compileFailedResult, as it does from a campaign.
 SimulationResult runAccMoS(const FlatModel& fm, const SimOptions& opt,
                            const TestCaseSpec& tests);
 

@@ -6,7 +6,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "codegen/compiler_driver.h"
 #include "codegen/run_abi.h"
 #include "serve/protocol.h"
 #include "serve/version.h"
@@ -34,7 +33,6 @@ Json helloRequest() {
   std::string message = "daemon reported an error";
   if (const Json* k = resp.find("kind")) kind = k->asString("$.kind");
   if (const Json* e = resp.find("error")) message = e->asString("$.error");
-  if (kind == "compile") throw CompileError(message);
   if (kind == "model-load") throw ModelLoadError(message);
   if (kind == "protocol") throw ProtocolError(message);
   throw ModelError(message);

@@ -61,7 +61,7 @@ class PoolEntry {
 
   // Serializes requests on THIS entry: SpecEvaluator::evaluate calls must
   // not overlap on one evaluator. Requests for different entries run
-  // concurrently on the scheduler.
+  // concurrently, each on its own connection's thread.
   std::mutex& runMutex() { return runMutex_; }
 
   // Resident footprint charged against the pool budget.

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "codegen/compiler_driver.h"
@@ -773,10 +774,18 @@ bool readFrame(int fd, std::string* payload) {
                         std::to_string(kMaxFrameBytes) +
                         "-byte limit (corrupt stream?)");
   }
-  payload->resize(len);
-  if (len > 0 && recvAll(fd, payload->data(), len) < len) {
-    throw ProtocolError("peer closed mid-frame (got fewer than " +
-                        std::to_string(len) + " payload bytes)");
+  // Grow the payload as its bytes arrive, a chunk at a time: the length
+  // prefix is the peer's claim, and memory follows what it actually sent.
+  constexpr size_t kChunkBytes = size_t{1} << 20;
+  payload->clear();
+  while (payload->size() < len) {
+    const size_t at = payload->size();
+    const size_t want = std::min<size_t>(kChunkBytes, len - at);
+    payload->resize(at + want);
+    if (recvAll(fd, payload->data() + at, want) < want) {
+      throw ProtocolError("peer closed mid-frame (got fewer than " +
+                          std::to_string(len) + " payload bytes)");
+    }
   }
   return true;
 }

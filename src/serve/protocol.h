@@ -156,7 +156,8 @@ void writeFrame(int fd, const std::string& payload);
 
 // Reads one frame. Returns false on a clean EOF at a frame boundary (the
 // peer hung up between messages); throws ProtocolError on a truncated
-// frame, an oversize length prefix, or a socket error.
+// frame, an oversize length prefix, or a socket error. Memory is committed
+// for the bytes received, not for the length the prefix claims.
 bool readFrame(int fd, std::string* payload);
 
 }  // namespace accmos::serve

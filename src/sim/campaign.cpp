@@ -54,18 +54,6 @@ void checkInstrumentedEngine(const SimOptions& opt) {
   checkRunTimeout(opt);
 }
 
-// Contained stand-in for a spec whose simulator never built: the whole
-// shape failed to compile, so every spec of that shape gets this failure.
-SimulationResult compileFailedResult(uint64_t seed, const std::string& msg) {
-  SimulationResult r;
-  r.failed = true;
-  r.failure.kind = FailureKind::CompileError;
-  r.failure.seed = seed;
-  r.failure.backend = "compile";
-  r.failure.message = msg;
-  return r;
-}
-
 }  // namespace
 
 SpecEvaluator::SpecEvaluator(const FlatModel& fm, const SimOptions& opt)

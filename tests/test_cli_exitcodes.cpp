@@ -186,14 +186,14 @@ std::vector<std::string> observations(const std::string& out) {
 }
 
 // A daemon started with ACCMOS_FAULT set (in this process, so its runs
-// see the fault) serves `args`: it must exit with `wantCode` and print
-// only the engine, optimize and one failure line naming `wantFailure` —
-// no observation — and the local `accmos run` of the same request must
-// exit and print the same.
+// see the fault) serves a faulting run, and the local `accmos run` of the
+// same request must exit and print the same.
 class CliFaultedDaemon : public CliExitCodes {
  protected:
-  void expectSameAsLocal(const std::string& args, int wantCode,
-                         const std::string& wantFailure) {
+  // Runs `args` on Sample.xml through a daemon and locally. Both must exit
+  // with `wantCode` and print the same observations, which are returned.
+  std::vector<std::string> sameOnBothPaths(const std::string& args,
+                                           int wantCode) {
     const fs::path sock =
         fs::temp_directory_path() /
         ("accmosd_cli_test_" + std::to_string(::getpid()) + ".sock");
@@ -217,11 +217,19 @@ class CliFaultedDaemon : public CliExitCodes {
     const std::vector<std::string> got = observations(clientOut);
     EXPECT_EQ(got, observations(localOut))
         << "client:\n" << clientOut << "local:\n" << localOut;
-    ASSERT_EQ(got.size(), 3u) << clientOut;
-    EXPECT_EQ(got[0].rfind("engine", 0), 0u) << clientOut;
-    EXPECT_EQ(got[1].rfind("optimize", 0), 0u) << clientOut;
-    EXPECT_EQ(got[2].rfind("failure", 0), 0u) << clientOut;
-    EXPECT_NE(got[2].find(wantFailure), std::string::npos) << clientOut;
+    return got;
+  }
+
+  // Both paths print only the engine, optimize and one failure line
+  // naming `wantFailure` — no observation.
+  void expectSameAsLocal(const std::string& args, int wantCode,
+                         const std::string& wantFailure) {
+    const std::vector<std::string> got = sameOnBothPaths(args, wantCode);
+    ASSERT_EQ(got.size(), 3u) << ::testing::PrintToString(got);
+    EXPECT_EQ(got[0].rfind("engine", 0), 0u) << got[0];
+    EXPECT_EQ(got[1].rfind("optimize", 0), 0u) << got[1];
+    EXPECT_EQ(got[2].rfind("failure", 0), 0u) << got[2];
+    EXPECT_NE(got[2].find(wantFailure), std::string::npos) << got[2];
   }
 };
 
@@ -234,6 +242,21 @@ TEST_F(CliFaultedDaemon, TimedOutRunExitsSevenOnBothPaths) {
   EnvGuard fault("ACCMOS_FAULT", "hang@5");
   expectSameAsLocal("--steps=50 --opt=-O0 --timeout=1", 7,
                     "Timeout on process after 1 retry");
+}
+
+// A simulator that fails to compile is one report on both paths. The
+// fixture's cache directory is fresh, so the injected compiler failure
+// reaches a real compile. The failure message carries the compiler's
+// output on the lines after the failure line, so there are more than 3.
+TEST_F(CliFaultedDaemon, CompileFailureExitsFiveOnBothPaths) {
+  EnvGuard fault("ACCMOS_FAULT", "compile-fail:exit=2");
+  const std::vector<std::string> got =
+      sameOnBothPaths("--steps=50 --opt=-O0", 5);
+  ASSERT_GE(got.size(), 3u);
+  EXPECT_EQ(got[0].rfind("engine", 0), 0u) << got[0];
+  EXPECT_EQ(got[1].rfind("optimize", 0), 0u) << got[1];
+  EXPECT_EQ(got[2].rfind("failure", 0), 0u) << got[2];
+  EXPECT_NE(got[2].find("CompileError"), std::string::npos) << got[2];
 }
 
 }  // namespace

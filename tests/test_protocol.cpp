@@ -13,7 +13,9 @@
 #include <thread>
 
 #include "bench_models/suite.h"
+#include "parser/model_io.h"
 #include "serve/protocol.h"
+#include "serve/version.h"
 #include "sim/campaign.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -115,6 +117,18 @@ void expectSimResultEq(const SimulationResult& a, const SimulationResult& b) {
                   "output " + std::to_string(k));
   }
   expectOptStatsEq(a.optStats, b.optStats);
+}
+
+// An I8 gain between one inport and one outport: it wraps within a few
+// steps under full-range stimulus.
+void addGainModel(test::Tiny& t) {
+  t.inport("In1", 1, DataType::I8);
+  Actor& g = t.actor("G", "Gain");
+  g.params().setDouble("gain", 5.0);
+  g.setDtype(DataType::I8);
+  t.outport("Out1", 1);
+  t.wire("In1", "G");
+  t.wire("G", "Out1");
 }
 
 // ---- Values ------------------------------------------------------------
@@ -221,13 +235,7 @@ TEST(Protocol, SimulationResultRoundTripsExactly) {
   // engines actually produce. The I8 gain wraps within a few steps under
   // full-range stimulus, so diagnostics are guaranteed present.
   test::Tiny t;
-  t.inport("In1", 1, DataType::I8);
-  Actor& g = t.actor("G", "Gain");
-  g.params().setDouble("gain", 5.0);
-  g.setDtype(DataType::I8);
-  t.outport("Out1", 1);
-  t.wire("In1", "G");
-  t.wire("G", "Out1");
+  addGainModel(t);
 
   SimOptions opt;
   opt.engine = Engine::SSE;
@@ -494,6 +502,23 @@ TEST(Protocol, TruncatedAndOversizeFramesThrow) {
   ::close(fds[0]);
   EXPECT_THROW(serve::readFrame(fds[1], &got), ProtocolError);
   ::close(fds[1]);
+
+  // The largest legal length prefix, then 3 bytes and a hang-up: the
+  // prefix is the peer's claim, so the reader commits memory only for the
+  // bytes that arrived, not 256 MiB.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const uint32_t max = serve::kMaxFrameBytes;
+  const unsigned char claim[] = {static_cast<unsigned char>(max >> 24),
+                                 static_cast<unsigned char>(max >> 16),
+                                 static_cast<unsigned char>(max >> 8),
+                                 static_cast<unsigned char>(max),
+                                 'a', 'b', 'c'};
+  ASSERT_EQ(::send(fds[0], claim, sizeof claim, 0),
+            static_cast<ssize_t>(sizeof claim));
+  ::close(fds[0]);
+  EXPECT_THROW(serve::readFrame(fds[1], &got), ProtocolError);
+  EXPECT_LT(got.capacity(), size_t{2} << 20);
+  ::close(fds[1]);
 }
 
 // ---- Seeded mutation fuzzing -------------------------------------------
@@ -555,13 +580,7 @@ TEST(Protocol, MutatedPayloadsDecodeOrFailTyped) {
   }
 
   test::Tiny t;
-  t.inport("In1", 1, DataType::I8);
-  Actor& g = t.actor("G", "Gain");
-  g.params().setDouble("gain", 5.0);
-  g.setDtype(DataType::I8);
-  t.outport("Out1", 1);
-  t.wire("In1", "G");
-  t.wire("G", "Out1");
+  addGainModel(t);
   SimOptions sse;
   sse.maxSteps = 50;
   CampaignResult cr = runCampaign(t.flatten(), sse, TestCaseSpec{}, {1, 2});
@@ -584,6 +603,82 @@ TEST(Protocol, MutatedPayloadsDecodeOrFailTyped) {
     fuzzDecoder(serve::toJson(d).write(), 4,
                 [](const Json& j) { serve::shardDoneFromJson(j, "$"); });
   }
+}
+
+// One frame as it travels: a 4-byte big-endian length, then the payload.
+std::string frameBytes(const std::string& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::string out = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+                     static_cast<char>(len >> 8), static_cast<char>(len)};
+  return out + payload;
+}
+
+// The frame reader on the bytes a daemon reads from a socket: a stream of
+// three valid frames (a hello, a run request, a stats request) with 1-3
+// mutations, written into a socketpair whose writer then hangs up. Reading
+// must yield frames and then a clean end, or a ProtocolError; each payload
+// must parse or throw JsonError. Nothing else may escape, crash or hang.
+TEST(Protocol, MutatedFrameStreamsEndInFramesOrTypedErrors) {
+  test::Tiny t;
+  addGainModel(t);
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.maxSteps = 300;
+  TestCaseSpec spec;
+  spec.seed = 7;
+
+  Json hello = Json::object();
+  hello.set("op", Json::str("hello"));
+  hello.set("protocol", Json::u64(serve::kProtocolVersion));
+  Json run = Json::object();
+  run.set("op", Json::str("run"));
+  run.set("model", Json::str(writeModelToString(t.model())));
+  run.set("options", serve::toJson(opt));
+  run.set("spec", serve::toJson(spec));
+  Json stats = Json::object();
+  stats.set("op", Json::str("stats"));
+  const std::string stream = frameBytes(hello.write()) +
+                             frameBytes(run.write()) +
+                             frameBytes(stats.write());
+
+  SplitMix64 rng(5);
+  size_t cleanEnds = 0;
+  size_t framingErrors = 0;
+  size_t parsed = 0;
+  size_t jsonErrors = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = stream;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      bytes = test::mutateOnce(std::move(bytes), rng);
+    }
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::send(fds[0], bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fds[0]);
+    try {
+      std::string payload;
+      while (serve::readFrame(fds[1], &payload)) {
+        try {
+          parseJson(payload);
+          ++parsed;
+        } catch (const JsonError&) {
+          ++jsonErrors;
+        }
+      }
+      ++cleanEnds;
+    } catch (const ProtocolError&) {
+      ++framingErrors;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << " escaped as an untyped "
+                    << "exception: " << e.what();
+    }
+    ::close(fds[1]);
+  }
+  EXPECT_GT(cleanEnds, 0u);
+  EXPECT_GT(framingErrors, 0u);
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(jsonErrors, 0u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -426,6 +427,32 @@ TEST_F(ServeTest, SchedulerBoundsConcurrentRequests) {
   EXPECT_LE(sched.at("peakInFlight", "$.scheduler")
                 .asU64("$.scheduler.peakInFlight"),
             1u);
+}
+
+// This process's address-space size, in KiB (VmSize in /proc/self/status).
+int64_t vmSizeKiB() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+// A connection's thread ends with its connection: churning connections
+// leaves the daemon's address space flat, where an unreleased thread keeps
+// its stack mapped (8 MiB each by default).
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
+  DaemonRunner dr(serveOptions());
+  auto connectAndClose = [&] {
+    serve::ServeClient cl(sockPath_.string());
+    cl.stats();
+  };
+  for (int k = 0; k < 8; ++k) connectAndClose();
+  const int64_t before = vmSizeKiB();
+  for (int k = 0; k < 128; ++k) connectAndClose();
+  const int64_t grown = vmSizeKiB() - before;
+  EXPECT_LT(grown, int64_t{64} << 10) << grown << " KiB over 128 connections";
 }
 
 // A client that speaks a different protocol version is refused at the

@@ -781,7 +781,7 @@ int cmdServe(const std::vector<std::string>& args) {
               serve::kAccmosVersion, serve::kProtocolVersion,
               sopt.socketPath.c_str());
   std::printf("accmosd  : %zu request worker(s), pool budget %llu bytes%s\n",
-              daemon.scheduler().workers(),
+              daemon.requestSlots(),
               static_cast<unsigned long long>(sopt.poolBudgetBytes),
               sopt.poolBudgetBytes == 0 ? " (unbounded)" : "");
   std::fflush(stdout);
@@ -789,7 +789,7 @@ int cmdServe(const std::vector<std::string>& args) {
   serve::PoolStats ps = daemon.poolStats();
   std::printf("accmosd  : shut down cleanly (%llu request(s) served, "
               "pool %llu hit(s) / %llu miss(es) / %llu eviction(s))\n",
-              static_cast<unsigned long long>(daemon.scheduler().executed()),
+              static_cast<unsigned long long>(daemon.requestsExecuted()),
               static_cast<unsigned long long>(ps.hits),
               static_cast<unsigned long long>(ps.misses),
               static_cast<unsigned long long>(ps.evictions));
@@ -1010,9 +1010,6 @@ int mainImpl(int argc, char** argv) {
   } catch (const ModelLoadError& e) {
     std::fprintf(stderr, "accmos: %s\n", e.what());
     return 4;
-  } catch (const CompileError& e) {
-    std::fprintf(stderr, "accmos: %s\n", e.what());
-    return 5;
   } catch (const serve::ProtocolError& e) {
     // Transport/handshake trouble between `accmos client` and accmosd —
     // an environment problem, not a simulation outcome.
