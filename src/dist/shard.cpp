@@ -376,6 +376,7 @@ int runShardWorker(int fd) {
     // depend on block boundaries, so blocking changes nothing observable.
     size_t completed = 0;
     bool interrupted = false;
+    EngineBuildCosts built;
     for (size_t b0 = 0; b0 < req.specs.size() && !interrupted;
          b0 += kBlockSpecs) {
       if (interruptRequested()) break;
@@ -383,7 +384,8 @@ int runShardWorker(int fd) {
       std::vector<TestCaseSpec> block(req.specs.begin() + b0,
                                       req.specs.begin() + b1);
       std::vector<uint8_t> done;
-      std::vector<SimulationResult> rs = evaluator.evaluate(block, &done);
+      std::vector<SimulationResult> rs = evaluator.evaluate(
+          block, req.options.campaign.workers, &done, &built);
       size_t n = 0;
       while (n < done.size() && done[n] != 0) ++n;
       serve::ShardPartial p;
@@ -398,11 +400,10 @@ int runShardWorker(int fd) {
     serve::ShardDone d;
     d.completed = completed;
     d.interrupted = completed < req.specs.size();
-    d.generateSeconds = evaluator.generateSeconds();
-    d.compileSeconds = evaluator.compileSeconds();
-    d.loadSeconds = evaluator.loadSeconds();
-    d.compileCacheHit =
-        evaluator.enginesBuilt() > 0 && evaluator.allCompileCacheHits();
+    d.generateSeconds = built.generateSeconds;
+    d.compileSeconds = built.compileSeconds;
+    d.loadSeconds = built.loadSeconds;
+    d.compileCacheHit = built.allCacheHits();
     d.compilerInvocations = CompilerDriver::compilerInvocations();
     serve::writeFrame(fd, serve::toJson(d).write());
     return 0;

@@ -71,10 +71,11 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
     metrics.assign(std::begin(kAllCovMetrics), std::end(kAllCovMetrics));
   }
 
-  // The evaluator (and its per-shape compiled simulators / per-worker
-  // interpreters) persists across iterations, so only genuinely new
-  // stimulus shapes pay generation + compilation.
+  // The evaluator (and its per-shape compiled simulators) persists across
+  // iterations, so only genuinely new stimulus shapes pay generation +
+  // compilation; `built` sums what the batches compiled.
   SpecEvaluator evaluator(model, opt);
+  EngineBuildCosts built;
 
   MutationContext ctx;
   ctx.numPorts = std::max<size_t>(model.rootInports.size(), 1);
@@ -113,7 +114,8 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
     std::vector<TestCaseSpec> specs;
     specs.reserve(cands.size());
     for (const auto& c : cands) specs.push_back(c.spec);
-    std::vector<SimulationResult> results = evaluator.evaluate(specs);
+    std::vector<SimulationResult> results =
+        evaluator.evaluate(specs, opt.campaign.workers, nullptr, &built);
     out.evaluations += specs.size();
 
     // Acceptance is judged strictly in candidate order against the global
@@ -181,8 +183,8 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
   out.finalCoverage = makeReport(plan, out.mergedBitmaps);
   out.uncovered = listUncovered(model, plan, out.mergedBitmaps);
   out.diagKinds = diagSeen.size();
-  out.enginesBuilt = evaluator.enginesBuilt();
-  out.compileWaitSeconds = evaluator.compileSeconds();
+  out.enginesBuilt = built.enginesBuilt;
+  out.compileWaitSeconds = built.compileSeconds;
 
   if (!gopt.corpusDir.empty()) {
     bool scalarPorts = true;

@@ -1,6 +1,7 @@
 #include "serve/daemon.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -152,7 +153,8 @@ Daemon::Daemon(const ServeOptions& opt)
   // is replaced rather than failing startup.
   ::unlink(opt_.socketPath.c_str());
   if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listenFd_, 64) < 0) {
+      ::listen(listenFd_, 64) < 0 ||
+      ::pipe2(wakeFds_, O_CLOEXEC | O_NONBLOCK) != 0) {
     const std::string err = ::strerror(errno);
     ::close(listenFd_);
     listenFd_ = -1;
@@ -163,7 +165,15 @@ Daemon::Daemon(const ServeOptions& opt)
 Daemon::~Daemon() {
   shutdown();
   if (listenFd_ >= 0) ::close(listenFd_);
+  ::close(wakeFds_[0]);
+  ::close(wakeFds_[1]);
   ::unlink(opt_.socketPath.c_str());
+}
+
+void Daemon::wake() {
+  // A full pipe already holds a wake-up: EAGAIN is fine.
+  const char byte = 0;
+  [[maybe_unused]] const ssize_t n = ::write(wakeFds_[1], &byte, 1);
 }
 
 uint64_t Daemon::requestsExecuted() const {
@@ -171,15 +181,11 @@ uint64_t Daemon::requestsExecuted() const {
   return executed_;
 }
 
+// Raises the flag and wakes the accept loop, which leaves its loop and
+// cuts the open connections loose in run()'s drain.
 void Daemon::shutdown() {
-  if (stopping_.exchange(true)) return;
-  // Cut idle connections loose: their blocked readFrame() sees EOF. A
-  // connection mid-request finishes writing its response first — its fd
-  // shutdown only stops further reads from mattering.
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Connection& c : conns_) {
-    if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
-  }
+  stopping_.store(true);
+  wake();
 }
 
 // Joins the threads of connections that have ended, so a daemon holds one
@@ -201,19 +207,25 @@ void Daemon::run() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     // A cooperative interrupt (SIGTERM/SIGINT handler) stops the service
     // exactly like `client shutdown`; in-flight campaigns observe the
-    // same flag and return their partial prefix.
+    // same flag and return their partial prefix. The handler only raises
+    // a flag, so the poll below ticks to look at it.
     if (interruptRequested()) {
       shutdown();
       break;
     }
     joinEndedConnections();
-    pollfd pfd{listenFd_, POLLIN, 0};
-    int n = ::poll(&pfd, 1, 200);
+    pollfd pfds[2] = {{listenFd_, POLLIN, 0}, {wakeFds_[0], POLLIN, 0}};
+    int n = ::poll(pfds, 2, 200);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (n == 0 || (pfd.revents & POLLIN) == 0) continue;
+    if ((pfds[1].revents & POLLIN) != 0) {
+      char drain[64];
+      while (::read(wakeFds_[0], drain, sizeof drain) > 0) {
+      }
+    }
+    if ((pfds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -236,12 +248,18 @@ void Daemon::run() {
       ::close(fd);
     }
   }
-  shutdown();
-  // Join every connection thread: each in-flight request completes and
-  // flushes its response before run() returns.
+  // Cut idle connections loose, under the lock that takes them off the
+  // list, so none escapes the cut: their blocked reads see EOF. A
+  // connection mid-request finishes writing its response first, since its
+  // fd shutdown only stops further reads from mattering. Then join every
+  // connection thread: each in-flight request completes and flushes its
+  // response before run() returns.
   std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    for (const Connection& c : conns_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+    }
     conns.swap(conns_);
   }
   for (Connection& c : conns) c.thread.join();
@@ -259,11 +277,18 @@ void Daemon::handleConnection(Connection& conn) {
   const int fd = conn.fd;
   try {
     // Versioned hello handshake first: refuse a client speaking a
-    // different protocol before either side mis-parses a frame.
+    // different protocol before either side mis-parses a frame. The hello
+    // must begin within the frame deadline, or a peer that connects and
+    // says nothing holds this thread (and its stack) as long as it likes.
+    // Once it has said hello it may idle between frames.
+    if (!waitReadable(fd, kFrameDeadline)) {
+      throw FrameDeadlineError("no hello arrived");
+    }
     std::string text;
-    const bool helloOk = readFrame(fd, &text) && answerHello(fd, text);
+    const bool helloOk =
+        readFrame(fd, &text, kFrameDeadline) && answerHello(fd, text);
 
-    while (helloOk && readFrame(fd, &text)) {
+    while (helloOk && readFrame(fd, &text, kFrameDeadline)) {
       bool wantShutdown = false;
       writeFrame(fd, dispatch(text, &wantShutdown));
       if (wantShutdown) {
@@ -271,6 +296,10 @@ void Daemon::handleConnection(Connection& conn) {
         break;
       }
     }
+  } catch (const FrameDeadlineError& e) {
+    // The peer kept this thread waiting on a hello or a half-sent frame.
+    std::fprintf(stderr, "accmosd: connection closed: %s within %llds\n",
+                 e.what(), static_cast<long long>(kFrameDeadline.count()));
   } catch (const ProtocolError&) {
     // Peer vanished or spoke garbage at the framing layer; nothing left
     // to tell it. The daemon itself is unaffected.
@@ -280,13 +309,14 @@ void Daemon::handleConnection(Connection& conn) {
     std::fprintf(stderr, "accmosd: connection dropped: %s\n", e.what());
   }
   // Mark the connection ended BEFORE closing: once closed, the fd number
-  // can be reused by a new connection and must no longer be on
-  // shutdown()'s cut list.
+  // can be reused by a new connection and must no longer be on run()'s
+  // cut list.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     conn.fd = -1;
   }
   ::close(fd);
+  wake();  // the accept loop joins this thread now, not on its next tick
 }
 
 // Parses one request frame and produces the response frame text. Run and
@@ -347,17 +377,16 @@ std::string Daemon::dispatch(const std::string& requestText,
     }
 
     RequestSlot slot(*this);
+    // Requests for one model share its entry's evaluator and run in
+    // parallel: evaluate() is re-entrant and takes this request's workers.
     PoolLease lease = pool_.acquire(modelText, simOpt);
-    // One request at a time per entry (SpecEvaluator::evaluate must not
-    // overlap on one evaluator); different models proceed in parallel.
-    std::lock_guard<std::mutex> entryLock(lease->runMutex());
-    lease->evaluator().setWorkers(simOpt.campaign.workers);
 
     Json resp = Json::object();
     resp.set("ok", Json::boolean(true));
     resp.set("op", Json::str(op));
     if (op == "run") {
-      std::vector<SimulationResult> rs = lease->evaluator().evaluate(specs);
+      std::vector<SimulationResult> rs = lease->evaluator().evaluate(
+          specs, simOpt.campaign.workers, nullptr, nullptr);
       rs[0].optStats = lease->optStats();
       resp.set("result", toJson(rs[0]));
     } else {

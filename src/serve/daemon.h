@@ -3,9 +3,12 @@
 // A Daemon owns a unix-domain listening socket and a model-library pool
 // (lib_pool.h). Each accepted connection gets its own thread, which reads
 // the connection's frames and runs its requests itself; the thread ends
-// with the connection and the accept loop joins it on its next tick. At
-// most `requestWorkers` run/campaign requests execute at once, admitted in
-// arrival order; stats and shutdown answer without waiting for a slot.
+// with the connection and wakes the accept loop, which joins it. A
+// connection must begin its hello within kFrameDeadline, and a frame must
+// arrive whole within kFrameDeadline of its first byte. At most
+// `requestWorkers` run/campaign requests execute at once, admitted in
+// arrival order, and requests for one model run in parallel like any
+// others; stats and shutdown answer without waiting for a slot.
 // Results are computed by the same campaign/evaluator machinery the CLI
 // uses locally — bit-identical by construction, with fault containment
 // (quarantine, deadlines, degradation ladder) keeping a hostile model from
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -29,6 +33,12 @@
 #include "serve/lib_pool.h"
 
 namespace accmos::serve {
+
+// How long a new connection may take to begin its hello, and any
+// connection to deliver the rest of a frame once its first byte has
+// arrived; a connection that misses either is closed. Idle time between
+// frames after the hello is not limited.
+inline constexpr std::chrono::seconds kFrameDeadline{5};
 
 struct ServeOptions {
   std::string socketPath;
@@ -58,8 +68,9 @@ class Daemon {
   // then joins every connection thread and returns.
   void run();
 
-  // Thread-safe, idempotent: stop accepting, wake the accept loop, cut
-  // idle connections loose. In-flight requests still complete.
+  // Thread-safe, idempotent: raise the stop flag and wake the accept
+  // loop, which stops accepting and cuts idle connections loose.
+  // In-flight requests still complete.
   void shutdown();
 
   const ServeOptions& options() const { return opt_; }
@@ -83,10 +94,15 @@ class Daemon {
   void handleConnection(Connection& conn);
   std::string dispatch(const std::string& requestText, bool* wantShutdown);
   void joinEndedConnections();
+  // Makes the accept loop's poll return now. Thread-safe.
+  void wake();
 
   ServeOptions opt_;
   const size_t slots_;
   int listenFd_ = -1;
+  // Self-pipe in the accept loop's poll set: shutdown() and every ending
+  // connection write a byte to [1] so the loop acts at once.
+  int wakeFds_[2] = {-1, -1};
   ModelLibPool pool_;
   std::atomic<bool> stopping_{false};
 

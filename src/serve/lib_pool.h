@@ -46,7 +46,8 @@ struct PoolStats {
 // One resident model. Constructed from the model XML text a client shipped
 // plus the request's canonical options (worker count normalized out — the
 // worker count never changes observations, so one entry serves requests
-// with any workers value via SpecEvaluator::setWorkers).
+// with any workers value: each passes its own to evaluate()). Any number
+// of requests may use one entry at once; its evaluator is re-entrant.
 class PoolEntry {
  public:
   PoolEntry(std::string modelText, const SimOptions& opt);
@@ -59,11 +60,6 @@ class PoolEntry {
   const OptStats& optStats() const { return optStats_; }
   SpecEvaluator& evaluator() { return *evaluator_; }
 
-  // Serializes requests on THIS entry: SpecEvaluator::evaluate calls must
-  // not overlap on one evaluator. Requests for different entries run
-  // concurrently, each on its own connection's thread.
-  std::mutex& runMutex() { return runMutex_; }
-
   // Resident footprint charged against the pool budget.
   size_t residentBytes() const;
 
@@ -73,7 +69,6 @@ class PoolEntry {
   FlatModel optimized_;
   OptStats optStats_;
   std::unique_ptr<SpecEvaluator> evaluator_;
-  std::mutex runMutex_;
 
   friend class ModelLibPool;
   uint64_t lastUse_ = 0;  // pool LRU tick, guarded by the pool mutex

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <errno.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -722,15 +723,42 @@ void sendAll(int fd, const void* data, size_t len) {
   }
 }
 
-// Returns bytes read; stops short only on EOF. eofAtStartOk lets the
-// caller treat "peer hung up between frames" as a clean end of stream.
-size_t recvAll(int fd, void* data, size_t len) {
+using Clock = std::chrono::steady_clock;
+
+// Waits until `fd` has bytes (or EOF) to read; false once `until` passes
+// first.
+bool readableBy(int fd, Clock::time_point until) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        until - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    const int n = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (n > 0) return true;
+    if (n < 0 && errno != EINTR) {
+      throw ProtocolError(std::string("frame read failed: ") +
+                          ::strerror(errno));
+    }
+  }
+}
+
+// Returns bytes read; stops short only on EOF. With `until`, a read that
+// would block first waits for data no later than *until.
+size_t recvAll(int fd, void* data, size_t len,
+               const Clock::time_point* until) {
   char* p = static_cast<char*>(data);
   size_t got = 0;
   while (got < len) {
-    ssize_t n = ::recv(fd, p + got, len - got, 0);
+    ssize_t n = ::recv(fd, p + got, len - got,
+                       until != nullptr ? MSG_DONTWAIT : 0);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (until != nullptr && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (!readableBy(fd, *until)) {
+          throw FrameDeadlineError("a frame did not arrive whole");
+        }
+        continue;
+      }
       throw ProtocolError(std::string("frame read failed: ") +
                           ::strerror(errno));
     }
@@ -741,6 +769,10 @@ size_t recvAll(int fd, void* data, size_t len) {
 }
 
 }  // namespace
+
+bool waitReadable(int fd, std::chrono::milliseconds within) {
+  return readableBy(fd, Clock::now() + within);
+}
 
 void writeFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
@@ -757,10 +789,16 @@ void writeFrame(int fd, const std::string& payload) {
   sendAll(fd, payload.data(), payload.size());
 }
 
-bool readFrame(int fd, std::string* payload) {
+bool readFrame(int fd, std::string* payload,
+               std::chrono::milliseconds deadline) {
   unsigned char hdr[4];
-  size_t got = recvAll(fd, hdr, sizeof hdr);
+  // A peer may idle between frames as long as it likes; the deadline, if
+  // any, starts with the frame's first byte.
+  size_t got = recvAll(fd, hdr, 1, nullptr);
   if (got == 0) return false;  // clean EOF at a frame boundary
+  const Clock::time_point until = Clock::now() + deadline;
+  const Clock::time_point* bound = deadline.count() > 0 ? &until : nullptr;
+  got += recvAll(fd, hdr + 1, sizeof hdr - 1, bound);
   if (got < sizeof hdr) {
     throw ProtocolError("peer closed mid-frame (truncated length prefix)");
   }
@@ -782,7 +820,7 @@ bool readFrame(int fd, std::string* payload) {
     const size_t at = payload->size();
     const size_t want = std::min<size_t>(kChunkBytes, len - at);
     payload->resize(at + want);
-    if (recvAll(fd, payload->data() + at, want) < want) {
+    if (recvAll(fd, payload->data() + at, want, bound) < want) {
       throw ProtocolError("peer closed mid-frame (got fewer than " +
                           std::to_string(len) + " payload bytes)");
     }

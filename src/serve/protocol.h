@@ -23,6 +23,7 @@
 // docs/SERVICE.md and exercised end-to-end by tests/test_serve.cpp.
 #pragma once
 
+#include <chrono>
 #include <string>
 
 #include "serve/json.h"
@@ -39,6 +40,14 @@ namespace accmos::serve {
 class ProtocolError : public ModelError {
  public:
   explicit ProtocolError(const std::string& what) : ModelError(what) {}
+};
+
+// A frame that did not arrive whole within readFrame's deadline, or a
+// wait for a peer that did not speak in time.
+class FrameDeadlineError : public ProtocolError {
+ public:
+  explicit FrameDeadlineError(const std::string& what)
+      : ProtocolError(what) {}
 };
 
 // ---- Codecs ------------------------------------------------------------
@@ -157,7 +166,14 @@ void writeFrame(int fd, const std::string& payload);
 // Reads one frame. Returns false on a clean EOF at a frame boundary (the
 // peer hung up between messages); throws ProtocolError on a truncated
 // frame, an oversize length prefix, or a socket error. Memory is committed
-// for the bytes received, not for the length the prefix claims.
-bool readFrame(int fd, std::string* payload);
+// for the bytes received, not for the length the prefix claims. With a
+// nonzero `deadline`, the wait for a frame's first byte is unbounded but
+// the rest must follow within `deadline` of it, else FrameDeadlineError.
+bool readFrame(int fd, std::string* payload,
+               std::chrono::milliseconds deadline = {});
+
+// Waits at most `within` for `fd` to have bytes (or EOF) to read; false if
+// it has none by then. Throws ProtocolError on a socket error.
+bool waitReadable(int fd, std::chrono::milliseconds within);
 
 }  // namespace accmos::serve

@@ -35,8 +35,7 @@ void mergeDiagnostics(std::map<std::tuple<int, DiagKind, std::string>,
   }
 }
 
-size_t resolveWorkers(const SimOptions& opt, size_t numJobs) {
-  size_t workers = opt.campaign.workers;
+size_t resolveWorkers(size_t workers, size_t numJobs) {
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -64,46 +63,42 @@ SpecEvaluator::SpecEvaluator(const FlatModel& fm, const SimOptions& opt)
 SpecEvaluator::~SpecEvaluator() = default;
 
 AccMoSEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec) {
-  return engineFor(spec.shapeKey(), spec);
+  return engineFor(spec.shapeKey(), spec, nullptr);
+}
+
+AccMoSEngine* SpecEvaluator::findEngine(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(enginesMutex_);
+  auto it = engines_.find(key);
+  return it == engines_.end() ? nullptr : it->second.get();
 }
 
 AccMoSEngine* SpecEvaluator::engineFor(const std::string& key,
-                                       const TestCaseSpec& spec) {
-  auto it = engines_.find(key);
-  if (it != engines_.end()) return it->second.get();
+                                       const TestCaseSpec& spec,
+                                       EngineBuildCosts* built) {
+  if (AccMoSEngine* e = findEngine(key)) return e;
+  // Checked again under the build lock: a call that lost the race for
+  // this shape finds the winner's engine instead of compiling it twice.
+  std::lock_guard<std::mutex> buildLock(buildMutex_);
+  if (AccMoSEngine* e = findEngine(key)) return e;
   // Normalize the seed out of the generated source so seed-only variants
   // of a spec map to one compiled binary (the seed is a runtime argument).
   TestCaseSpec shape = spec;
   shape.seed = 1;
   auto engine = std::make_unique<AccMoSEngine>(fm_, opt_, shape);
-  ++enginesBuilt_;
+  if (built != nullptr) {
+    ++built->enginesBuilt;
+    if (engine->compileCacheHit()) ++built->cacheHits;
+    built->generateSeconds += engine->generateSeconds();
+    built->compileSeconds += engine->compileSeconds();
+    built->loadSeconds += engine->loadSeconds();
+  }
   std::lock_guard<std::mutex> lock(enginesMutex_);
   return engines_.emplace(key, std::move(engine)).first->second.get();
 }
 
-double SpecEvaluator::generateSeconds() const {
-  double s = 0.0;
-  for (const auto& [key, e] : engines_) s += e->generateSeconds();
-  return s;
-}
-
-double SpecEvaluator::compileSeconds() const {
-  double s = 0.0;
-  for (const auto& [key, e] : engines_) s += e->compileSeconds();
-  return s;
-}
-
-double SpecEvaluator::loadSeconds() const {
-  double s = 0.0;
-  for (const auto& [key, e] : engines_) s += e->loadSeconds();
-  return s;
-}
-
-bool SpecEvaluator::allCompileCacheHits() const {
-  for (const auto& [key, e] : engines_) {
-    if (!e->compileCacheHit()) return false;
-  }
-  return true;
+size_t SpecEvaluator::enginesBuilt() const {
+  std::lock_guard<std::mutex> lock(enginesMutex_);
+  return engines_.size();
 }
 
 size_t SpecEvaluator::residentBytes() const {
@@ -122,10 +117,15 @@ size_t SpecEvaluator::residentBytes() const {
   return bytes;
 }
 
+std::vector<SimulationResult> SpecEvaluator::evaluate(
+    const std::vector<TestCaseSpec>& specs) {
+  return evaluate(specs, opt_.campaign.workers, nullptr, nullptr);
+}
+
 // Runs every spec, storing the result at the spec's index. With more than
 // one worker, specs are pulled one at a time from a shared counter by a
-// pool of threads: the SSE engine gets one persistent interpreter instance
-// per worker; the AccMoS engine's run() is thread-safe, so workers call
+// pool of threads: each SSE worker builds its own interpreter for the
+// call; the AccMoS engine's run() is thread-safe, so workers call
 // the per-shape engines directly — concurrent calls into one loaded
 // library, or concurrent child processes each writing to their own pipe
 // when a run is contained out of process. Result k lands
@@ -133,7 +133,8 @@ size_t SpecEvaluator::residentBytes() const {
 // worker count. The first exception thrown by any worker is rethrown on
 // the caller.
 std::vector<SimulationResult> SpecEvaluator::evaluate(
-    const std::vector<TestCaseSpec>& specs, std::vector<uint8_t>* done) {
+    const std::vector<TestCaseSpec>& specs, size_t workers,
+    std::vector<uint8_t>* done, EngineBuildCosts* built) {
   if (specs.empty()) {
     throw ModelError("spec batch evaluation needs at least one test case");
   }
@@ -169,21 +170,19 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
         continue;
       }
       try {
-        engineOf[k] = engineFor(key, specs[k]);
+        engineOf[k] = engineFor(key, specs[k], built);
       } catch (const CompileError& e) {
         errorOf[k] = &failedShapes.emplace(key, e.what()).first->second;
       }
     }
   }
 
-  size_t workers = resolveWorkers(opt_, specs.size());
-  if (opt_.engine == Engine::SSE) {
-    if (interps_.size() < workers) interps_.resize(workers);
-  }
+  workers = resolveWorkers(workers, specs.size());
 
   std::vector<SimulationResult> out(specs.size());
-  auto runRange = [&](size_t worker, std::atomic<size_t>& next,
-                      std::exception_ptr& error, std::mutex& errMutex) {
+  auto runRange = [&](std::atomic<size_t>& next, std::exception_ptr& error,
+                      std::mutex& errMutex) {
+    std::unique_ptr<Interpreter> interp;  // SSE: this worker's, this call
     for (;;) {
       // Interruptible batches stop CLAIMING here but always finish a
       // claimed spec, so claims — handed out by the monotonic counter —
@@ -195,7 +194,6 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
       if (k >= specs.size()) break;
       try {
         if (opt_.engine == Engine::SSE) {
-          auto& interp = interps_[worker];
           if (!interp) interp = std::make_unique<Interpreter>(fm_, opt_);
           out[k] = interp->run(specs[k]);
         } else if (engineOf[k] == nullptr) {
@@ -219,12 +217,12 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
   std::exception_ptr error;
   std::mutex errMutex;
   if (workers <= 1) {
-    runRange(0, next, error, errMutex);
+    runRange(next, error, errMutex);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] { runRange(w, next, error, errMutex); });
+      pool.emplace_back([&] { runRange(next, error, errMutex); });
     }
     for (auto& t : pool) t.join();
   }
@@ -307,17 +305,10 @@ CampaignResult runCampaignSpecsOn(
 
   const auto wall0 = wallStart.value_or(std::chrono::steady_clock::now());
 
-  // One-off cost fields are reported as deltas across this call, so a
-  // warm pooled evaluator (daemon repeat request) truthfully reports zero
-  // generation/compile/load work; a fresh evaluator reports the classic
-  // totals since every counter starts at zero.
-  const size_t built0 = evaluator.enginesBuilt();
-  const double generate0 = evaluator.generateSeconds();
-  const double compile0 = evaluator.compileSeconds();
-  const double load0 = evaluator.loadSeconds();
-
   std::vector<uint8_t> done;
-  std::vector<SimulationResult> results = evaluator.evaluate(specs, &done);
+  EngineBuildCosts built;
+  std::vector<SimulationResult> results =
+      evaluator.evaluate(specs, opt.campaign.workers, &done, &built);
 
   // A cooperative interrupt stops the batch after a prefix of the specs;
   // the merge then covers exactly that prefix (partial results are
@@ -327,12 +318,11 @@ CampaignResult runCampaignSpecsOn(
 
   CampaignResult out = mergeSpecResults(model, specs, results, completed,
                                         optStats);
-  out.workersUsed = resolveWorkers(opt, specs.size());
-  out.generateSeconds = evaluator.generateSeconds() - generate0;
-  out.compileSeconds = evaluator.compileSeconds() - compile0;
-  out.loadSeconds = evaluator.loadSeconds() - load0;
-  out.compileCacheHit =
-      evaluator.enginesBuilt() > built0 && evaluator.allCompileCacheHits();
+  out.workersUsed = resolveWorkers(opt.campaign.workers, specs.size());
+  out.generateSeconds = built.generateSeconds;
+  out.compileSeconds = built.compileSeconds;
+  out.loadSeconds = built.loadSeconds;
+  out.compileCacheHit = built.allCacheHits();
   auto wall1 = std::chrono::steady_clock::now();
   out.wallSeconds = std::chrono::duration<double>(wall1 - wall0).count();
   return out;

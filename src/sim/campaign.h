@@ -126,64 +126,93 @@ CampaignResult mergeSpecResults(const FlatModel& model,
 // entry point. `model` must be the model the evaluator was constructed
 // on, used as given (callers pass the optimized model; the tests' raw
 // model is the unoptimized reference), and `optStats` whatever the
-// caller's one-time optimization pass reported. One-off cost fields of the
-// result (generate/compile/load seconds, enginesBuilt-derived
-// compileCacheHit) are DELTAS across this call: with a fresh evaluator
-// they equal the classic totals (runCampaignSpecs delegates here), while
-// a pooled evaluator whose engines are already warm reports them as zero
-// — the accmosd warm-hit guarantee made visible in the result itself.
-// The run is cooperatively interruptible (see CampaignResult::interrupted).
-// `wallStart` backdates wallSeconds to include caller prelude work
-// (flatten/optimize); omitted, the clock starts here.
+// caller's one-time optimization pass reported. The batch runs over
+// opt.campaign.workers workers, whatever count the evaluator was built
+// with. One-off cost fields of the result (generate/compile/load seconds,
+// compileCacheHit) cover the engines THIS call built (EngineBuildCosts):
+// with a fresh evaluator they equal the classic totals (runCampaignSpecs
+// delegates here), while a pooled evaluator whose engines are already
+// warm reports them as zero — even while another call on the same
+// evaluator compiles a new shape. The run is cooperatively interruptible
+// (see CampaignResult::interrupted). `wallStart` backdates wallSeconds to
+// include caller prelude work (flatten/optimize); omitted, the clock
+// starts here.
 CampaignResult runCampaignSpecsOn(
     const FlatModel& model, SpecEvaluator& evaluator, const SimOptions& opt,
     const std::vector<TestCaseSpec>& specs, const OptStats& optStats,
     std::optional<std::chrono::steady_clock::time_point> wallStart =
         std::nullopt);
 
+// The one-off costs of the per-shape engines an evaluate() call built
+// itself. A shape that was already resident, or that another call built,
+// costs the call nothing, so a warm evaluator reports zeros however many
+// calls share it.
+struct EngineBuildCosts {
+  size_t enginesBuilt = 0;
+  size_t cacheHits = 0;  // engines whose binary the compile cache supplied
+  double generateSeconds = 0.0;
+  double compileSeconds = 0.0;
+  double loadSeconds = 0.0;
+
+  // At least one engine was built, and every one came from the cache.
+  bool allCacheHits() const {
+    return enginesBuilt > 0 && cacheHits == enginesBuilt;
+  }
+};
+
 // The batch-evaluation primitive under runCampaignSpecs, reusable across
 // batches: the coverage-guided generator holds one evaluator for the whole
-// search so compiled simulators persist between iterations.
+// search so compiled simulators persist between iterations, and the
+// daemon's pool keeps one per resident model.
 //
 // The model is used exactly as given — no optimization pass is applied
 // here; callers run the pipeline once up front (as runCampaignSpecs does).
-// For Engine::SSE each worker keeps one persistent interpreter instance. For Engine::AccMoS one simulator is generated and
-// compiled per distinct stimulus *shape* (TestCaseSpec::shapeKey — the
-// seed is normalized out and passed as a runtime argument), cached for the
-// evaluator's lifetime, and executed concurrently — all workers call into
-// the one loaded shared library (its accmos_run ABI is reentrant), and a
-// run the engine contains in a child process is its own process; the
-// content-addressed compile cache absorbs repeated shapes across
-// evaluators and runs.
+// For Engine::SSE each worker of a call builds its own interpreter. For
+// Engine::AccMoS one simulator is generated and compiled per distinct
+// stimulus *shape* (TestCaseSpec::shapeKey — the seed is normalized out
+// and passed as a runtime argument), cached for the evaluator's lifetime,
+// and executed concurrently — all workers call into the one loaded shared
+// library (its accmos_run ABI is reentrant), and a run the engine
+// contains in a child process is its own process; the content-addressed
+// compile cache absorbs repeated shapes across evaluators and runs.
+//
+// Re-entrant: any number of threads may call evaluate() on one evaluator
+// at once, each with its own worker count. Resident shapes are looked up
+// under a lock; a missing shape is built under one build lock and checked
+// again there, so calls that race on a new shape compile it once, and a
+// call that needs only resident shapes never waits behind a compile.
 class SpecEvaluator {
  public:
   // Throws ModelError unless `opt` names an instrumented engine (SSE or
-  // AccMoS) with coverage enabled.
+  // AccMoS) with coverage enabled. opt.campaign.workers is the worker
+  // count of evaluate(specs).
   SpecEvaluator(const FlatModel& fm, const SimOptions& opt);
   ~SpecEvaluator();
 
   SpecEvaluator(const SpecEvaluator&) = delete;
   SpecEvaluator& operator=(const SpecEvaluator&) = delete;
 
+  // evaluate() at the constructor's worker count, uninterruptible, with
+  // no cost record.
+  std::vector<SimulationResult> evaluate(
+      const std::vector<TestCaseSpec>& specs);
+
   // Validates and runs every spec for opt.maxSteps, fanning the batch over
-  // opt.campaign.workers workers; out[k] is spec k's result regardless of
-  // worker count or interleaving.
+  // `workers` workers (0 = one per hardware thread); out[k] is spec k's
+  // result regardless of worker count or interleaving.
   //
   // When `done` is non-null the batch becomes cooperatively interruptible:
   // workers stop claiming new specs once interruptRequested()
   // (sim/interrupt.h) reads true, finish every spec already claimed, and
   // done->at(k) is set for exactly the completed specs — always a
   // contiguous prefix, because claims come from a monotonic counter.
-  // A null `done` (the default, and what the deterministic generator loop
-  // uses) ignores the interrupt flag entirely.
+  // A null `done` (what the deterministic generator loop uses) ignores
+  // the interrupt flag entirely. When `built` is non-null, the costs of
+  // the engines this call built are added to it.
   std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,
-                                         std::vector<uint8_t>* done = nullptr);
-
-  // Re-targets the worker count for subsequent evaluate() calls. The
-  // daemon's model-library pool keeps one evaluator per model and serves
-  // requests with differing worker counts from it — legal because worker
-  // count never changes observations, only scheduling.
-  void setWorkers(size_t workers) { opt_.campaign.workers = workers; }
+                                         size_t workers,
+                                         std::vector<uint8_t>* done,
+                                         EngineBuildCosts* built);
 
   // The per-shape compiled engine for `spec`, building it on first use.
   // Batch callers go through evaluate(). AccMoS only.
@@ -194,28 +223,27 @@ class SpecEvaluator {
   // charges against its byte budget.
   size_t residentBytes() const;
 
-  // AccMoS bookkeeping (all zero / true for SSE), summed over the live
-  // per-shape engines.
-  size_t enginesBuilt() const { return enginesBuilt_; }
-  double generateSeconds() const;
-  double compileSeconds() const;
-  double loadSeconds() const;
-  bool allCompileCacheHits() const;
+  // Distinct stimulus shapes compiled and resident (0 for SSE).
+  size_t enginesBuilt() const;
 
  private:
-  // engineFor() with the spec's shapeKey() already computed.
+  // engineFor() with the spec's shapeKey() already computed; adds the
+  // costs of an engine it builds to `built` when non-null.
   class AccMoSEngine* engineFor(const std::string& key,
-                                const TestCaseSpec& spec);
+                                const TestCaseSpec& spec,
+                                EngineBuildCosts* built);
+  class AccMoSEngine* findEngine(const std::string& key) const;
 
   const FlatModel& fm_;
-  SimOptions opt_;
+  const SimOptions opt_;
+  // Entries are never erased, so an engine pointer stays valid for the
+  // evaluator's lifetime once looked up.
   std::map<std::string, std::unique_ptr<class AccMoSEngine>> engines_;
-  // Guards engines_ against residentBytes() on another thread (the
-  // daemon's pool sizes entries that other requests are evaluating). Only
-  // the evaluate() thread inserts, so its own reads need no lock.
+  // Guards engines_ — every lookup, the insert, and residentBytes() on
+  // the daemon pool's thread.
   mutable std::mutex enginesMutex_;
-  std::vector<std::unique_ptr<class Interpreter>> interps_;  // per worker
-  size_t enginesBuilt_ = 0;
+  // Held while a missing shape is built: one compile at a time.
+  std::mutex buildMutex_;
 };
 
 }  // namespace accmos

@@ -1,5 +1,6 @@
 #include "sim/testcase.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +32,28 @@ bool samePort(const PortStimulus& a, const PortStimulus& b) {
   return sameBits(&a.min, &b.min, 1) && sameBits(&a.max, &b.max, 1) &&
          a.sequence.size() == b.sequence.size() &&
          sameBits(a.sequence.data(), b.sequence.data(), a.sequence.size());
+}
+
+// One CSV cell as a number: strtod must consume all of it apart from
+// surrounding whitespace.
+double parseCell(const std::string& cell, const std::string& path,
+                 size_t lineNo, size_t column) {
+  const char* const begin = cell.c_str();
+  const char* const stop = begin + cell.size();  // past any embedded NUL
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  const bool consumed = end != begin;
+  while (consumed && end != stop &&
+         std::isspace(static_cast<unsigned char>(*end))) {
+    ++end;
+  }
+  if (!consumed || end != stop) {
+    throw ModelError("test-case CSV '" + path + "' line " +
+                     std::to_string(lineNo) + " column " +
+                     std::to_string(column) + ": '" + cell +
+                     "' is not a number");
+  }
+  return v;
 }
 
 }  // namespace
@@ -78,7 +101,8 @@ TestCaseSpec TestCaseSpec::fromCsv(const std::string& path) {
     size_t col = 0;
     while (std::getline(ls, cell, ',')) {
       if (col >= spec.ports.size()) spec.ports.emplace_back();
-      spec.ports[col].sequence.push_back(std::strtod(cell.c_str(), nullptr));
+      spec.ports[col].sequence.push_back(
+          parseCell(cell, path, lineNo, col + 1));
       ++col;
     }
     if (columns == 0) columns = col;

@@ -50,7 +50,8 @@ struct TestCaseSpec {
 
   // Loads explicit sequences from a CSV file (one column per root inport,
   // '#' comments allowed). Throws a line-numbered ModelError on malformed
-  // input (ragged rows, unparsable cells, empty files).
+  // input: ragged rows, empty files, and a cell that is not wholly one
+  // number apart from surrounding whitespace (named by line and column).
   static TestCaseSpec fromCsv(const std::string& path);
 
   // Inverse of fromCsv: writes one column per port. Every port must carry

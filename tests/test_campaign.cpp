@@ -1,10 +1,17 @@
 // Tests for the multi-seed test-campaign API: coverage accumulation is
-// monotone, AccMoS and SSE campaigns agree seed-by-seed, and the compiled
-// simulator is reused across seeds via the runtime seed argument.
+// monotone, AccMoS and SSE campaigns agree seed-by-seed, the compiled
+// simulator is reused across seeds via the runtime seed argument, and
+// overlapping evaluate() calls on one evaluator match sequential ones.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <latch>
+#include <thread>
 
 #include "bench_models/suite.h"
 #include "codegen/accmos_engine.h"
+#include "codegen/compiler_driver.h"
 #include "sim/campaign.h"
 #include "test_util.h"
 
@@ -298,6 +305,92 @@ TEST(Campaign, SeedOverrideMatchesBakedSeed) {
   AccMoSEngine engine(sim.flatModel(), opt, s1);
   auto overridden = engine.run(0, -1.0, 222);
   test::expectSameOutputs(baked, overridden, "seed override");
+}
+
+// Four threads call evaluate() on one evaluator at once, two at one
+// worker and two at four, on a shape nothing has built (a private compile
+// cache). Each thread's results equal a sequential evaluation of its batch
+// bit for bit, the shape compiles once, and exactly one call is charged
+// with building it.
+TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
+  namespace fs = std::filesystem;
+  const fs::path cache = fs::temp_directory_path() /
+                         ("accmos_overlap_" + std::to_string(::getpid()));
+  test::EnvGuard cacheEnv("ACCMOS_CACHE_DIR", cache.c_str());
+  // An I8 gain that wraps under full-range stimulus: outputs, coverage and
+  // diagnostics all depend on the seed.
+  Tiny t;
+  t.inport("In1", 1, DataType::I8);
+  Actor& g = t.actor("G", "Gain");
+  g.params().setDouble("gain", 5.0);
+  g.setDtype(DataType::I8);
+  t.outport("Out1", 1);
+  t.wire("In1", "G");
+  t.wire("G", "Out1");
+  Simulator sim(t.model());
+  TestCaseSpec base;
+  base.defaultPort = PortStimulus{0.0, 127.0, {}};
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<TestCaseSpec>> batches(kThreads);
+  for (size_t c = 0; c < kThreads; ++c) {
+    for (uint64_t s = 0; s < 16; ++s) {
+      batches[c].push_back(base);
+      batches[c].back().seed = 100 * (c + 1) + s;
+    }
+  }
+
+  for (Engine engine : {Engine::AccMoS, Engine::SSE}) {
+    const std::string label = engine == Engine::AccMoS ? "AccMoS" : "SSE";
+    const size_t shapes = engine == Engine::AccMoS ? 1 : 0;
+    SimOptions opt;
+    opt.engine = engine;
+    opt.maxSteps = 300;
+    opt.optFlag = "-O0";
+
+    const uint64_t invocations = CompilerDriver::compilerInvocations();
+    SpecEvaluator shared(sim.flatModel(), opt);
+    std::vector<std::vector<SimulationResult>> got(kThreads);
+    std::vector<EngineBuildCosts> built(kThreads);
+    std::vector<std::string> err(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kThreads; ++c) {
+      threads.emplace_back([&, c] {
+        start.arrive_and_wait();
+        try {
+          got[c] = shared.evaluate(batches[c], c % 2 == 0 ? 1 : 4, nullptr,
+                                   &built[c]);
+        } catch (const std::exception& e) {
+          err[c] = e.what();
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, shapes)
+        << label;
+    EXPECT_EQ(shared.enginesBuilt(), shapes) << label;
+    size_t chargedBuilds = 0;
+    for (const EngineBuildCosts& b : built) chargedBuilds += b.enginesBuilt;
+    EXPECT_EQ(chargedBuilds, shapes) << label;
+
+    SpecEvaluator sequential(sim.flatModel(), opt);
+    for (size_t c = 0; c < kThreads; ++c) {
+      ASSERT_EQ(err[c], "") << label << " thread " << c;
+      const std::vector<SimulationResult> want =
+          sequential.evaluate(batches[c], 1, nullptr, nullptr);
+      ASSERT_EQ(got[c].size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k) {
+        test::expectIdenticalResults(
+            got[c][k], want[k],
+            label + " thread " + std::to_string(c) + " spec " +
+                std::to_string(k));
+      }
+    }
+  }
+  std::error_code ec;
+  fs::remove_all(cache, ec);
 }
 
 }  // namespace

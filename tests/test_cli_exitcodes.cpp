@@ -6,7 +6,7 @@
 // prints the same report as the local `accmos run`.
 //
 //   0  success            1  internal error     2  usage error
-//   3  diagnostics found  4  model load failed  5  compile failed
+//   3  diagnostics found  4  model/tests load   5  compile failed
 //   6  model crashed      7  run timed out      8  contained failures
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,8 +114,24 @@ TEST_F(CliExitCodes, UsageErrorsExitTwo) {
             2);
 }
 
+// A --tests CSV that is missing, ragged or holds a cell that is not a
+// number is bad input, like a model that does not load: nothing runs.
 TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {
   EXPECT_EQ(runCli("run /nonexistent/model.xml --steps=10"), 4);
+  const std::string dir = testing::TempDir();
+  auto csv = [&](const char* name, const char* body) {
+    const std::string path = dir + "accmos_cli_" + name + ".csv";
+    std::ofstream(path) << body;
+    return "'" + path + "'";
+  };
+  const std::string run = "run " + model("FMTM.xml") + " --engine=sse " +
+                          "--steps=10 --tests=";
+  EXPECT_EQ(runCli(run + csv("good", "1.5\n2\n")), 0);
+  EXPECT_EQ(runCli(run + csv("word", "1.5\nabc\n")), 4);
+  EXPECT_EQ(runCli(run + csv("suffix", "1.5\n2x\n")), 4);
+  EXPECT_EQ(runCli(run + csv("empty_cell", "1,2\n,4\n")), 4);
+  EXPECT_EQ(runCli(run + csv("ragged", "1,2\n3\n")), 4);
+  EXPECT_EQ(runCli(run + "/nonexistent/tests.csv"), 4);
 }
 
 TEST_F(CliExitCodes, CleanRunExitsZero) {

@@ -12,15 +12,22 @@
 //    only the dlopen is repaid.
 //  * Containment: a crash-quarantined seed degrades per the PR 7 ladder
 //    without killing the daemon or a concurrent clean client.
+//  * Overlap: requests for one resident model run in parallel, a peer
+//    that stalls half-frame or never says hello is cut off at the
+//    deadline, and a stop cuts idle connections loose.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +138,20 @@ void expectSameRow(const CampaignSeedResult& a, const CampaignSeedResult& b,
   EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << label;
   EXPECT_EQ(a.cumulative.toString(), b.cumulative.toString()) << label;
   EXPECT_EQ(a.diagnosticKinds, b.diagnosticKinds) << label;
+}
+
+// A raw connection to the daemon at `path`, below the client's framing.
+int connectRaw(const fs::path& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ::strncpy(addr.sun_path, path.string().c_str(), sizeof(addr.sun_path) - 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    fd = -1;
+  }
+  return fd;
 }
 
 // The acceptance matrix: clients {1,2,4} x per-request workers {1,4},
@@ -429,6 +450,147 @@ TEST_F(ServeTest, SchedulerBoundsConcurrentRequests) {
             1u);
 }
 
+// Starts a campaign on its own connection and returns once the daemon has
+// leased the model's pool entry for it: the campaign holds a request slot
+// and is about to run.
+std::thread startCampaign(DaemonRunner& dr, const fs::path& sock,
+                          const std::string& text, const SimOptions& opt,
+                          const std::vector<TestCaseSpec>& specs,
+                          CampaignResult* out, std::string* err) {
+  const uint64_t hits = dr.daemon().poolStats().hits;
+  std::thread th([&, sock, out, err] {
+    try {
+      serve::ServeClient cl(sock.string());
+      *out = cl.campaign(text, opt, specs);
+    } catch (const std::exception& e) {
+      *err = e.what();
+    }
+  });
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (dr.daemon().poolStats().hits == hits &&
+         std::chrono::steady_clock::now() < giveUp) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return th;
+}
+
+// Requests for one resident model run in parallel. With two request slots,
+// a run sent while a campaign of about a second on the same model executes
+// answers before that campaign ends; a warm campaign is charged nothing
+// for a shape another request compiles meanwhile; every answer equals
+// local execution.
+TEST_F(ServeTest, SameModelRequestsRunInParallel) {
+  Tiny t;
+  const FlatModel fm = gainModel(t);
+  const std::string text = writeModelToString(t.model());
+  SimOptions opt = serveSimOptions();
+  opt.maxSteps = 20000;
+  const TestCaseSpec base = fullRangeStimulus();
+
+  DaemonRunner dr(serveOptions(2));
+  serve::ServeClient cl(sockPath_.string());
+  cl.run(text, opt, base);  // the model and its shape become resident
+
+  // Enough seeds for about a second at one worker, timed on a warm
+  // 32-seed campaign.
+  SimOptions oneWorker = opt;
+  oneWorker.campaign.workers = 1;
+  std::vector<uint64_t> seeds(32);
+  for (size_t k = 0; k < seeds.size(); ++k) seeds[k] = k + 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  cl.campaign(text, oneWorker, specsFor(base, seeds));
+  const double perSeed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count() /
+                         static_cast<double>(seeds.size());
+  seeds.resize(
+      std::clamp<size_t>(static_cast<size_t>(1.0 / perSeed), 32, 4000));
+  for (size_t k = 0; k < seeds.size(); ++k) seeds[k] = k + 1;
+  const std::vector<TestCaseSpec> specs = specsFor(base, seeds);
+
+  // A run on the resident shape, while the campaign runs.
+  CampaignResult campaign;
+  std::string err;
+  std::thread th =
+      startCampaign(dr, sockPath_, text, oneWorker, specs, &campaign, &err);
+  const uint64_t executed = dr.daemon().requestsExecuted();
+  TestCaseSpec spec = base;
+  spec.seed = 4242;
+  const SimulationResult run = cl.run(text, opt, spec);
+  EXPECT_EQ(dr.daemon().requestsExecuted(), executed + 1)
+      << "the run answered only after the campaign on its model finished";
+  th.join();
+  ASSERT_EQ(err, "");
+  const Json stats = cl.stats();
+  EXPECT_EQ(stats.at("scheduler", "$")
+                .at("peakInFlight", "$.scheduler")
+                .asU64("$.scheduler.peakInFlight"),
+            2u);
+
+  const SimulationResult localRun = simulate(t.model(), opt, spec);
+  test::expectIdenticalResults(run, localRun, "run beside a campaign");
+  SimOptions local = opt;
+  local.campaign.workers = 4;
+  const std::string localObs = obs(runCampaign(fm, local, base, seeds));
+  EXPECT_EQ(obs(campaign), localObs);
+
+  // A run on a new shape compiles while a warm campaign runs.
+  const uint64_t invocations = CompilerDriver::compilerInvocations();
+  CampaignResult warm;
+  th = startCampaign(dr, sockPath_, text, oneWorker, specs, &warm, &err);
+  TestCaseSpec wide = base;
+  wide.defaultPort = PortStimulus{-100.0, 100.0, {}};
+  const SimulationResult fresh = cl.run(text, opt, wide);
+  th.join();
+  ASSERT_EQ(err, "");
+  EXPECT_EQ(CompilerDriver::compilerInvocations(), invocations + 1);
+  EXPECT_EQ(warm.generateSeconds, 0.0);
+  EXPECT_EQ(warm.compileSeconds, 0.0);
+  EXPECT_EQ(warm.loadSeconds, 0.0);
+  EXPECT_FALSE(warm.compileCacheHit);
+  EXPECT_EQ(obs(warm), localObs);
+  test::expectIdenticalResults(fresh, simulate(t.model(), opt, wide),
+                               "run on a new shape");
+}
+
+// A peer that sends a length prefix and stalls, and a peer that connects
+// and never says hello, are cut off once the deadline passes. Meanwhile the
+// daemon answers other connections, and a connection idle between frames
+// after its hello stays open past the deadline.
+TEST_F(ServeTest, StalledHalfFrameIsClosedAtItsDeadline) {
+  DaemonRunner dr(serveOptions());
+  serve::ServeClient idle(sockPath_.string());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const int stalled = connectRaw(sockPath_);
+  const int silent = connectRaw(sockPath_);
+  ASSERT_GE(stalled, 0);
+  ASSERT_GE(silent, 0);
+  const unsigned char prefix[4] = {0, 0, 1, 0};  // claims 256 bytes
+  ASSERT_EQ(::send(stalled, prefix, sizeof prefix, MSG_NOSIGNAL), 4);
+
+  serve::ServeClient cl(sockPath_.string());
+  EXPECT_NO_THROW(cl.stats());
+
+  const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
+      serve::kFrameDeadline + std::chrono::seconds(10));
+  for (const int fd : {stalled, silent}) {
+    const char* what = fd == stalled ? "stalled" : "silent";
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, static_cast<int>(wait.count())), 1)
+        << "the " << what << " connection is still open";
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0)
+        << "expected the daemon's hang-up on the " << what << " connection";
+    ::close(fd);
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, serve::kFrameDeadline);
+
+  EXPECT_NO_THROW(idle.stats());
+  EXPECT_NO_THROW(cl.stats());
+}
+
 // This process's address-space size, in KiB (VmSize in /proc/self/status).
 int64_t vmSizeKiB() {
   std::ifstream in("/proc/self/status");
@@ -460,13 +622,8 @@ TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
 TEST_F(ServeTest, HelloHandshakeRejectsWrongProtocolVersion) {
   DaemonRunner dr(serveOptions());
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ::strncpy(addr.sun_path, sockPath_.string().c_str(),
-            sizeof(addr.sun_path) - 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int fd = connectRaw(sockPath_);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
 
   Json hello = Json::object();
   hello.set("op", Json::str("hello"));
@@ -493,6 +650,37 @@ TEST_F(ServeTest, ClientShutdownStopsDaemonGracefully) {
   }
   dr.join();  // run() must return without our intervention
   EXPECT_THROW(serve::ServeClient{sockPath_.string()}, serve::ProtocolError);
+}
+
+// A stop cuts idle connections loose: run() returns at once while another
+// client holds a connection open and says nothing more. Repeated, because
+// the stop races the accept loop's drain: a connection left uncut when the
+// drain takes the list keeps run() waiting on its read.
+TEST_F(ServeTest, ShutdownCutsIdleConnectionsLoose) {
+  for (int round = 0; round < 200; ++round) {
+    serve::Daemon daemon(serveOptions());
+    std::atomic<bool> returned{false};
+    std::thread runner([&] {
+      daemon.run();
+      returned = true;
+    });
+    auto idle = std::make_unique<serve::ServeClient>(sockPath_.string());
+    if (round % 2 == 0) {
+      serve::ServeClient(sockPath_.string()).shutdown();
+    } else {
+      daemon.shutdown();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!returned &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool stoppedInTime = returned;
+    idle.reset();  // a hung run() returns once the idle client hangs up
+    runner.join();
+    ASSERT_TRUE(stoppedInTime)
+        << "run() waited on an idle connection in round " << round;
+  }
 }
 
 }  // namespace

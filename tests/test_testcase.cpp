@@ -133,6 +133,77 @@ TEST(Csv, RejectsMissingAndRaggedFiles) {
   EXPECT_THROW(TestCaseSpec::fromCsv(empty), ModelError);
 }
 
+// A cell must be one number, apart from surrounding whitespace; the error
+// names the cell's line and column.
+TEST(Csv, RejectsCellsThatAreNotNumbers) {
+  const std::string path = testing::TempDir() + "accmos_cells.csv";
+  for (const char* cell : {"abc", "2x", "", " ", "1 2", "--1"}) {
+    {
+      std::ofstream f(path);
+      f << "# header\n1,2\n" << cell << ",3\n";
+    }
+    try {
+      TestCaseSpec::fromCsv(path);
+      ADD_FAILURE() << "accepted the cell '" << cell << "'";
+    } catch (const ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3 column 1"), std::string::npos) << what;
+    }
+  }
+  {
+    std::ofstream f(path);
+    f << " 1.5 ,\t-2e3\r\n0x10, 7 \n";
+  }
+  const TestCaseSpec spec = TestCaseSpec::fromCsv(path);
+  ASSERT_EQ(spec.ports.size(), 2u);
+  EXPECT_EQ(spec.ports[0].sequence, (std::vector<double>{1.5, 16.0}));
+  EXPECT_EQ(spec.ports[1].sequence, (std::vector<double>{-2000.0, 7.0}));
+}
+
+// Seeded mutation fuzzing of the CSV reader: a valid three-column file,
+// mutated by a fixed SplitMix64 stream (test::mutateOnce, 1-3 mutations
+// each). Every mutant must load as a valid spec or fail as a ModelError —
+// never another exception, a crash or a hang.
+TEST(Csv, MutatedFilesLoadOrFailTyped) {
+  const std::string text =
+      "# accmos test case: 3 port(s) x 4 step(s)\n"
+      "1.5,-2,0.30000000000000004\n"
+      "2.5,1e-17,42\n"
+      "-3,7,-0\n"
+      "0.125,-128,127\n";
+  const std::string path = testing::TempDir() + "accmos_mutant.csv";
+  SplitMix64 rng(21);
+  size_t valid = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutant = text;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      mutant = test::mutateOnce(std::move(mutant), rng);
+    }
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << mutant;
+    }
+    try {
+      const TestCaseSpec spec = TestCaseSpec::fromCsv(path);
+      spec.validate();
+      ASSERT_FALSE(spec.ports.empty()) << "iteration " << iter;
+      for (const PortStimulus& p : spec.ports) {
+        EXPECT_EQ(p.sequence.size(), spec.ports[0].sequence.size())
+            << "iteration " << iter;
+      }
+      ++valid;
+    } catch (const ModelError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << " escaped as an untyped "
+                    << "exception: " << e.what();
+    }
+  }
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(Validation, RejectsMalformedStimulus) {
   TestCaseSpec spec;
   spec.ports = {PortStimulus{2.0, 1.0, {}}};  // min > max

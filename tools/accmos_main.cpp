@@ -134,7 +134,7 @@ int usage() {
                "  accmos client <stats|shutdown> --socket=PATH\n"
                "  accmos --version\n"
                "exit codes: 0 ok, 1 internal, 2 usage, 3 diagnostics, "
-               "4 model-load, 5 compile,\n"
+               "4 model or --tests load, 5 compile,\n"
                "            6 crash, 7 timeout, 8 campaign with contained "
                "failures, 9 interrupted\n");
   return 2;
@@ -167,6 +167,16 @@ std::unique_ptr<Model> readModelCli(const std::string& path) {
     throw;
   } catch (const std::exception& e) {
     throw ModelLoadError("cannot load model " + path + ": " + e.what());
+  }
+}
+
+// A --tests file that cannot be read or parsed is bad input, as a model
+// that cannot be loaded is: exit 4.
+TestCaseSpec readTestsCli(const std::string& path) {
+  try {
+    return TestCaseSpec::fromCsv(path);
+  } catch (const ModelError& e) {
+    throw ModelLoadError(e.what());
   }
 }
 
@@ -426,7 +436,7 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
     } else if (flagValue(arg, "--budget", &v)) {
       if (!parseNumber("--budget", v, &opt.timeBudgetSec)) return 2;
     } else if (flagValue(arg, "--tests", &v)) {
-      ra->tests = TestCaseSpec::fromCsv(v);
+      ra->tests = readTestsCli(v);
       ra->explicitTests = true;
     } else if (flagValue(arg, "--seed", &v)) {
       if (!parseNumber("--seed", v, &ra->tests.seed)) return 2;
