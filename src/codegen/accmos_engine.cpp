@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <vector>
 
 #include "actors/common.h"
@@ -32,7 +33,7 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
                                       const SimOptions& opt,
                                       const TestCaseSpec& tests) {
   validateFlatModel(fm);
-  tests.validate();  // the emitter bakes the stimulus into generated code
+  tests.validate();
   for (const auto& cd : opt.customDiagnostics) {
     if (cd.kind == CustomDiagnostic::Kind::Expression &&
         cd.cppCondition.empty()) {
@@ -59,7 +60,7 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
   }
 
   auto t0 = std::chrono::steady_clock::now();
-  Emitter emitter(fm, opt, tests, opt.coverage ? &gen.covPlan : nullptr,
+  Emitter emitter(fm, opt, opt.coverage ? &gen.covPlan : nullptr,
                   opt.diagnosis ? &diagPlan : nullptr);
   gen.source = emitter.generate();
   gen.collectSignals = emitter.collectSignals();
@@ -152,8 +153,20 @@ AccmosModelInfo AccMoSEngine::planGeometry() const {
 
 AccMoSEngine::~AccMoSEngine() = default;
 
-SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
-                                            uint64_t seed) {
+std::vector<AccmosPortStim> portTable(const TestCaseSpec& tests,
+                                      size_t numPorts) {
+  std::vector<AccmosPortStim> ports(numPorts);
+  for (size_t k = 0; k < numPorts; ++k) {
+    const PortStimulus& p = tests.port(static_cast<int>(k));
+    ports[k] = AccmosPortStim{p.min, p.max, p.sequence.data(),
+                              p.sequence.size()};
+  }
+  return ports;
+}
+
+SimulationResult AccMoSEngine::runInProcess(
+    uint64_t steps, double budget, uint64_t seed,
+    const std::vector<AccmosPortStim>& ports) {
   // Caller-owned buffers, sized from the checked geometry. All locals —
   // concurrent run() calls never share state.
   RunBuffers buf(geometry_);
@@ -168,6 +181,8 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
   args.deadlineSeconds =
       opt_.runTimeoutSec > 0.0 ? steadyNowSeconds() + opt_.runTimeoutSec
                                : 0.0;
+  args.ports = ports.data();
+  args.numPorts = ports.size();
 
   // The guard turns a fatal signal inside the generated code into a typed
   // exception (best effort — see run_guard.h); run() strikes the engine
@@ -192,8 +207,32 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
   return decode(buf.res, "dlopen");
 }
 
-SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
-                                             uint64_t seed) {
+SimulationResult AccMoSEngine::runSubprocess(
+    uint64_t steps, double budget, uint64_t seed,
+    const std::vector<AccmosPortStim>& ports) {
+  namespace fs = std::filesystem;
+  // The port table travels as a stimulus frame in a file (a pipe would
+  // make the host handle SIGPIPE from a child that died early), named
+  // uniquely so that concurrent runs never share one.
+  const fs::path stimulus =
+      fs::path(driver_->dir()) /
+      ("stimulus_" + std::to_string(stimulusFiles_.fetch_add(1)) + ".bin");
+  struct RemoveFile {
+    const fs::path& path;
+    ~RemoveFile() {
+      std::error_code ec;
+      fs::remove(path, ec);
+    }
+  } removeStimulus{stimulus};
+  {
+    const std::string bytes = encodeStimulusFrame(ports.data(), ports.size());
+    std::ofstream out(stimulus, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      throw ModelError("cannot write the stimulus file " + stimulus.string());
+    }
+  }
   // The deadline crosses the process boundary as a RELATIVE timeout
   // (monotonic epochs differ between processes); the runner computes its
   // own absolute deadline. The driver additionally arms its host-side
@@ -201,15 +240,20 @@ SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
   // doubles travel as round-trip exact text: std::to_string's six fixed
   // decimals would turn a 1e-7 budget into 0 (unlimited).
   const std::vector<std::string> argv = {
-      exePath_, std::to_string(steps), fmtD(budget),
-      std::to_string(seed), fmtD(opt_.runTimeoutSec)};
+      exePath_,  std::to_string(steps), fmtD(budget), std::to_string(seed),
+      fmtD(opt_.runTimeoutSec), stimulus.string()};
   std::string frame;
   try {
     frame = driver_->run(ACCMOS_RUN_LIB_PATH, argv, opt_.runTimeoutSec);
   } catch (const SimCrashError& e) {
-    // The runner's own failures are typed, never a model crash.
+    // The runner's own failures are typed, never a model crash: a library
+    // it cannot load is a compile failure, a stimulus file it cannot read
+    // or a failing accmos_run an ABI mismatch.
     if (e.exitStatus() == kRunLibExitLoad) throw CompileError(e.what());
-    if (e.exitStatus() == kRunLibExitRun) throw ModelError(e.what());
+    if (e.exitStatus() == kRunLibExitRun ||
+        e.exitStatus() == kRunLibExitUsage) {
+      throw ModelError(e.what());
+    }
     throw;
   }
   RunBuffers buf(geometry_);
@@ -253,19 +297,34 @@ SimulationResult AccMoSEngine::failedResult(FailureKind kind, uint64_t seed,
   return r;
 }
 
+SimulationResult AccMoSEngine::run(const TestCaseSpec& spec,
+                                   uint64_t maxStepsOverride,
+                                   double timeBudgetOverride) {
+  return runSpec(spec, spec.seed, maxStepsOverride, timeBudgetOverride);
+}
+
 SimulationResult AccMoSEngine::run(uint64_t maxStepsOverride,
                                    double timeBudgetOverride,
                                    std::optional<uint64_t> seedOverride) {
+  return runSpec(tests_, seedOverride.value_or(tests_.seed),
+                 maxStepsOverride, timeBudgetOverride);
+}
+
+SimulationResult AccMoSEngine::runSpec(const TestCaseSpec& spec,
+                                       uint64_t seed,
+                                       uint64_t maxStepsOverride,
+                                       double timeBudgetOverride) {
   const uint64_t steps =
       maxStepsOverride != 0 ? maxStepsOverride : opt_.maxSteps;
   const double budget =
       timeBudgetOverride >= 0.0 ? timeBudgetOverride : opt_.timeBudgetSec;
-  const uint64_t seed = seedOverride.value_or(tests_.seed);
+  const std::vector<AccmosPortStim> ports =
+      portTable(spec, fm_.rootInports.size());
 
   int retries = 0;
   if (libUsable()) {
     try {
-      SimulationResult r = runInProcess(steps, budget, seed);
+      SimulationResult r = runInProcess(steps, budget, seed, ports);
       if (!r.timedOut) {
         finishResult(r);
         return r;
@@ -284,7 +343,7 @@ SimulationResult AccMoSEngine::run(uint64_t maxStepsOverride,
   }
 
   try {
-    SimulationResult r = runSubprocess(steps, budget, seed);
+    SimulationResult r = runSubprocess(steps, budget, seed, ports);
     if (r.timedOut) {
       return failedResult(
           FailureKind::Timeout, seed, 0, retries, "process",

@@ -3,16 +3,19 @@
 // result recovery.
 //
 // The generated code is compiled once, -shared -fPIC, and every run
-// executes that one library. Where it runs is the engine's decision
+// executes that one library: a model compiles to one library whatever its
+// test cases, because each run passes its test case through the run ABI's
+// port table (run_abi.h). Where it runs is the engine's decision
 // (docs/EXECUTION.md), not an option:
 //   in-process — the library is dlopen'd once; every run() is an
 //                accmos_run() call filling caller-owned binary buffers,
 //                with no subprocess on the hot path.
 //   subprocess — the containment rung: the model-independent
 //                accmos-run-lib runner loads the library in a child
-//                process and sends the same buffers back as one binary
-//                frame. Used when the library cannot be loaded, for a
-//                struck run's one retry, and after quarantine.
+//                process, reads the port table from a stimulus file and
+//                sends the same buffers back as one binary frame. Used
+//                when the library cannot be loaded, for a struck run's
+//                one retry, and after quarantine.
 // Both decode through decodeBinaryResults and produce bit-identical
 // SimulationResults. Every run() walks the two rungs as one ladder, and a
 // fault that survives it comes back as a RunFailure, not an exception.
@@ -37,9 +40,9 @@ namespace accmos {
 enum class ArtifactKind : uint8_t;
 
 // The emit phase of the pipeline, detached from compilation: everything
-// AccMoSEngine derives from (model, options, stimulus) before the compiler
-// runs. Produced by AccMoSEngine::generate(); the benchmark harness
-// (accbench/) times it apart from the compile.
+// AccMoSEngine derives from (model, options) before the compiler runs.
+// Produced by AccMoSEngine::generate(); the benchmark harness (accbench/)
+// times it apart from the compile.
 struct GeneratedModel {
   CoveragePlan covPlan;
   std::vector<int> collectSignals;
@@ -50,8 +53,10 @@ struct GeneratedModel {
 class AccMoSEngine {
  public:
   // Builds the plans and generates + compiles the simulation program once;
-  // run() can then execute it repeatedly (with step/budget overrides) —
-  // mirroring how a generated simulator is reused across test campaigns.
+  // run() can then execute it repeatedly (with step/budget overrides and
+  // any test case) — mirroring how a generated simulator is reused across
+  // test campaigns. `tests` is the test case run() without a spec
+  // executes; it is validated, not compiled in.
   AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
                const TestCaseSpec& tests);
 
@@ -64,7 +69,7 @@ class AccMoSEngine {
 
   // Validates the model/spec/options and runs the emitter — the pure
   // front half of the constructor. Throws ModelError exactly where the
-  // constructor would.
+  // constructor would. The source does not depend on `tests`.
   static GeneratedModel generate(const FlatModel& fm, const SimOptions& opt,
                                  const TestCaseSpec& tests);
 
@@ -80,10 +85,12 @@ class AccMoSEngine {
   AccMoSEngine(const AccMoSEngine&) = delete;
   AccMoSEngine& operator=(const AccMoSEngine&) = delete;
 
-  // Executes the compiled simulation. maxSteps/timeBudget default to the
-  // options used at construction; pass nonzero values to override. The
-  // stimulus seed can be overridden per run — accmos_run takes it as an
-  // argument, so one compiled simulator serves a whole campaign.
+  // Executes the compiled simulation on `spec`, its ranges, sequences and
+  // seed. maxSteps/timeBudget default to the options used at construction;
+  // pass nonzero values to override. accmos_run takes the test case as an
+  // argument, so one compiled simulator serves a whole campaign and every
+  // generated test case. `spec` must pass validate(); evaluate() checks
+  // every spec of a batch before it runs any.
   // Thread-safe: concurrent campaign/gen workers share one engine and its
   // one loaded library.
   //
@@ -98,6 +105,11 @@ class AccMoSEngine {
   // run retired at its deadline carries wall-clock-dependent partial
   // observations, so it is reported as FailureKind::Timeout, never as a
   // result.
+  SimulationResult run(const TestCaseSpec& spec, uint64_t maxStepsOverride = 0,
+                       double timeBudgetOverride = -1.0);
+
+  // run() on the constructor's test case, with its seed optionally
+  // overridden.
   SimulationResult run(uint64_t maxStepsOverride = 0,
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);
@@ -135,9 +147,16 @@ class AccMoSEngine {
   }
 
  private:
-  SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed);
-  SimulationResult runSubprocess(uint64_t steps, double budget,
-                                 uint64_t seed);
+  // The containment ladder for one run of `spec` under `seed`.
+  SimulationResult runSpec(const TestCaseSpec& spec, uint64_t seed,
+                           uint64_t maxStepsOverride,
+                           double timeBudgetOverride);
+  SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed,
+                                const std::vector<AccmosPortStim>& ports);
+  // Hands `ports` to the runner in a stimulus file of this engine's work
+  // dir, removed after the run.
+  SimulationResult runSubprocess(uint64_t steps, double budget, uint64_t seed,
+                                 const std::vector<AccmosPortStim>& ports);
   // The decode of a filled result buffer, wherever the run executed.
   SimulationResult decode(const AccmosRunResult& res,
                           const char* execMode) const;
@@ -169,7 +188,14 @@ class AccMoSEngine {
   std::unique_ptr<class CompilerDriver> driver_;
   std::unique_ptr<class ModelLib> lib_;  // null when the load failed
   std::atomic<int> strikes_{0};
+  std::atomic<uint64_t> stimulusFiles_{0};  // names each run's file uniquely
 };
+
+// The run ABI's port table for `tests` on a model with `numPorts` root
+// Inports: entry k describes tests.port(k) and points into its sequence,
+// so the table is valid while `tests` lives unchanged. Copies no values.
+std::vector<AccmosPortStim> portTable(const TestCaseSpec& tests,
+                                      size_t numPorts);
 
 // Contained stand-in for a run whose simulator never built: the engine
 // constructor threw CompileError with `msg`.

@@ -59,11 +59,9 @@ void declareSignal(std::ostringstream& os, const FlatModel& fm, size_t id) {
 }  // namespace
 
 Emitter::Emitter(const FlatModel& fm, const SimOptions& opt,
-                 const TestCaseSpec& tests, const CoveragePlan* covPlan,
-                 const DiagnosisPlan* diagPlan)
+                 const CoveragePlan* covPlan, const DiagnosisPlan* diagPlan)
     : fm_(fm),
       opt_(opt),
-      tests_(tests),
       covPlan_(covPlan),
       diagPlan_(diagPlan),
       faults_(faultPlanFromEnv()) {
@@ -226,25 +224,6 @@ std::string Emitter::covMcdcStmt(int condIdx, const std::string& valExpr) {
 
 // ---- sections --------------------------------------------------------------
 
-void Emitter::emitConstTables(std::ostringstream& os) {
-  // Explicit stimulus sequences are immutable, so they stay at file scope,
-  // shared by every model-state instance.
-  bool any = false;
-  for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
-    const PortStimulus& stim = tests_.port(static_cast<int>(k));
-    if (stim.sequence.empty()) continue;
-    os << "static const double tc_seq_" << k << "[" << stim.sequence.size()
-       << "] = {";
-    for (size_t i = 0; i < stim.sequence.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << fmtD(stim.sequence[i]);
-    }
-    os << "};\n";
-    any = true;
-  }
-  if (any) os << "\n";
-}
-
 void Emitter::emitDeclarations(std::ostringstream& os) {
   os << "  // ---- model data --------------------------------------------\n";
   auto member = [&os](const std::string& type, const std::string& name,
@@ -277,12 +256,17 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
            "[" + std::to_string(ds.width) + "]",
            "data store '" + ds.name + "'");
   }
-  // Random test-case stream states (sequence-driven ports read the shared
-  // const tables instead).
+  // Each root Inport's stimulus for this run, copied from the run's port
+  // table: a range draws from its SplitMix64 stream, a sequence is read
+  // through a cursor that equals step % tc_len.
   for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
-    if (tests_.port(static_cast<int>(k)).sequence.empty()) {
-      member("uint64_t", "tc_state_" + std::to_string(k), "", "");
-    }
+    const std::string n = std::to_string(k);
+    member("uint64_t", "tc_state_" + n, "", "");
+    member("double", "tc_min_" + n, "", "");
+    member("double", "tc_span_" + n, "", "");
+    member("const double*", "tc_seq_" + n, "", "");
+    member("uint64_t", "tc_len_" + n, "", "");
+    member("uint64_t", "tc_pos_" + n, "", "");
   }
   // Coverage bitmaps.
   if (covPlan_ != nullptr) {
@@ -328,28 +312,27 @@ void Emitter::emitDiagFn(std::ostringstream& os) {
 }
 
 void Emitter::emitFillInputs(std::ostringstream& os) {
-  os << "void accmos_fill_inputs(uint64_t step) {\n";
-  if (fm_.rootInports.empty()) os << "  (void)step;\n";
+  os << "void accmos_fill_inputs() {\n";
   for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
     const FlatActor& fa = fm_.actor(fm_.rootInports[k]);
     const SignalInfo& sig = fm_.signal(fa.outputs[0]);
-    const PortStimulus& stim = tests_.port(static_cast<int>(k));
-    os << "  // Inport " << fa.path << "\n";
-    os << "  for (int i = 0; i < " << sig.width << "; ++i) {\n";
-    if (stim.sequence.empty()) {
-      os << "    double v = " << fmtD(stim.min) << " + accmos_sm64_unit(&tc_state_"
-         << k << ") * (" << fmtD(stim.max) << " - " << fmtD(stim.min)
-         << ");\n";
-    } else {
-      os << "    double v = tc_seq_" << k << "[step % "
-         << stim.sequence.size() << "ULL];\n";
-    }
-    os << "    " << storeFromDouble(sig.type,
-                                    "s" + std::to_string(fa.outputs[0]) +
-                                        "[i]",
-                                    "v")
-       << "\n";
-    os << "  }\n";
+    const std::string n = std::to_string(k);
+    const std::string store = storeFromDouble(
+        sig.type, "s" + std::to_string(fa.outputs[0]) + "[i]", "v");
+    os << "  // Inport " << fa.path << "\n"
+       << "  if (tc_len_" << n << " != 0) {\n"
+       << "    double v = tc_seq_" << n << "[tc_pos_" << n << "];\n"
+       << "    if (++tc_pos_" << n << " == tc_len_" << n << ") tc_pos_" << n
+       << " = 0;\n"
+       << "    for (int i = 0; i < " << sig.width << "; ++i) " << store
+       << "\n"
+       << "  } else {\n"
+       << "    for (int i = 0; i < " << sig.width << "; ++i) {\n"
+       << "      double v = tc_min_" << n << " + accmos_sm64_unit(&tc_state_"
+       << n << ") * tc_span_" << n << ";\n"
+       << "      " << store << "\n"
+       << "    }\n"
+       << "  }\n";
   }
   os << "}\n\n";
 }
@@ -364,8 +347,10 @@ std::string Emitter::storeFromDouble(DataType t, const std::string& dst,
 
 void Emitter::emitModelInit(std::ostringstream& os) {
   const Registry& reg = Registry::instance();
-  os << "void Model_Init(uint64_t accmos_seed) {\n";
+  os << "void Model_Init(uint64_t accmos_seed, "
+        "const AccmosPortStim* accmos_ports) {\n";
   os << "  (void)accmos_seed;\n";
+  os << "  (void)accmos_ports;\n";
   for (const auto& fa : fm_.actors) {
     auto st = reg.get(fa).state(fm_, fa);
     if (!st) continue;
@@ -393,10 +378,16 @@ void Emitter::emitModelInit(std::ostringstream& os) {
        << "\n";
   }
   for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
-    if (tests_.port(static_cast<int>(k)).sequence.empty()) {
-      os << "  tc_state_" << k << " = accmos_portseed(accmos_seed, "
-         << k << ");\n";
-    }
+    const std::string n = std::to_string(k);
+    const std::string port = "accmos_ports[" + n + "]";
+    os << "  tc_state_" << n << " = accmos_portseed(accmos_seed, " << n
+       << ");\n"
+       << "  tc_min_" << n << " = " << port << ".min;\n"
+       << "  tc_span_" << n << " = " << port << ".max - " << port
+       << ".min;\n"
+       << "  tc_seq_" << n << " = " << port << ".seq;\n"
+       << "  tc_len_" << n << " = " << port << ".seqLen;\n"
+       << "  tc_pos_" << n << " = 0;\n";
   }
   os << "}\n\n";
 }
@@ -454,11 +445,12 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
      << "  // an absolute accmos_now_s() point (0 = none) polled every 256\n"
      << "  // steps; passing it retires the run with *timedOut set.\n"
      << "  uint64_t accmos_sim_run(uint64_t maxSteps, double budget,\n"
-     << "                          uint64_t seed, double deadline,\n"
-     << "                          int* stoppedEarly,\n"
+     << "                          uint64_t seed,\n"
+     << "                          const AccmosPortStim* ports,\n"
+     << "                          double deadline, int* stoppedEarly,\n"
      << "                          unsigned long long* execNs,\n"
      << "                          int* timedOut) {\n"
-     << "    Model_Init(seed);\n"
+     << "    Model_Init(seed, ports);\n"
      << "    int stopped = 0;\n"
      << "    *timedOut = 0;\n"
      << "    auto t0 = std::chrono::steady_clock::now();\n"
@@ -478,7 +470,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
     os << "      // ACCMOS_FAULT crash: a genuine fatal signal.\n"
        << "      if (" << faultCond(faults_.crash) << ") raise(SIGSEGV);\n";
   }
-  os << "      accmos_fill_inputs(step);\n"
+  os << "      accmos_fill_inputs();\n"
      << "      Model_Exe(step);\n"
      << "      if (accmos_stop) { ++step; stopped = 1; break; }\n";
   if (opt_.stopOnDiagnostic) {
@@ -645,19 +637,24 @@ void Emitter::emitAbi(std::ostringstream& os) {
         "return ACCMOS_ABI_EARG;\n"
      << "  if (args->abiVersion != ACCMOS_ABI_VERSION ||\n"
      << "      res->abiVersion != ACCMOS_ABI_VERSION) "
-        "return ACCMOS_ABI_EVERSION;\n";
+        "return ACCMOS_ABI_EVERSION;\n"
+     << "  if (args->numPorts != " << fm_.rootInports.size() << "ULL";
+  if (!fm_.rootInports.empty()) os << " || !args->ports";
+  os << ") return ACCMOS_ABI_EARG;\n";
+  if (!fm_.rootInports.empty()) {
+    os << "  for (uint64_t k = 0; k < args->numPorts; ++k)\n"
+       << "    if (args->ports[k].seqLen != 0 && !args->ports[k].seq) "
+          "return ACCMOS_ABI_EARG;\n";
+  }
   emitResultChecks(os);
   os << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
      << "  if (!M) return ACCMOS_ABI_EALLOC;\n"
      << "  int stopped = 0;\n"
      << "  unsigned long long ns = 0;\n"
      << "  int timedOut = 0;\n"
-     << "  res->stepsExecuted = M->accmos_sim_run(args->maxSteps, "
-        "args->timeBudgetSec,\n"
-     << "                                         args->seed, "
-        "args->deadlineSeconds,\n"
-     << "                                         &stopped, &ns, "
-        "&timedOut);\n"
+     << "  res->stepsExecuted = M->accmos_sim_run(\n"
+     << "      args->maxSteps, args->timeBudgetSec, args->seed, args->ports,\n"
+     << "      args->deadlineSeconds, &stopped, &ns, &timedOut);\n"
      << "  res->stoppedEarly = (uint32_t)stopped;\n"
      << "  res->timedOut = (uint32_t)timedOut;\n"
      << "  res->execNs = ns;\n";
@@ -722,7 +719,6 @@ std::string Emitter::generate() {
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   os << runtimePreamble();
   os << runAbiText();
-  emitConstTables(os);
   // The anonymous namespace is load-bearing: it gives the struct (and the
   // statics inside its inline member functions) internal linkage. Without
   // it the actor templates' function-local tables become STB_GNU_UNIQUE

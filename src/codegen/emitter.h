@@ -6,7 +6,9 @@
 // instrumentation the plans call for — actor/condition/decision/MC-DC
 // coverage marks, per-actor diagnostic functions, signal-monitor calls,
 // custom signal diagnoses — and composes the model system function, a
-// Model_Init, and the main simulation loop with test-case import.
+// Model_Init, and the main simulation loop with test-case import. The test
+// case itself is not emitted: each run passes it through the run ABI's
+// port table, so one model compiles to one source whatever its stimulus.
 #pragma once
 
 #include <map>
@@ -19,7 +21,6 @@
 #include "cov/coverage.h"
 #include "diag/diagnosis.h"
 #include "sim/options.h"
-#include "sim/testcase.h"
 
 namespace accmos {
 
@@ -28,8 +29,7 @@ class Emitter : public EmitSink {
   // Plans may be null to generate uninstrumented code (used by the ablation
   // benches; the paper's AccMoS always instruments).
   Emitter(const FlatModel& fm, const SimOptions& opt,
-          const TestCaseSpec& tests, const CoveragePlan* covPlan,
-          const DiagnosisPlan* diagPlan);
+          const CoveragePlan* covPlan, const DiagnosisPlan* diagPlan);
 
   // Returns the complete C++ source of the simulation program.
   std::string generate();
@@ -72,7 +72,6 @@ class Emitter : public EmitSink {
   // private, zero-initialized instance. Step-private signals (see
   // classifyLocals) are the exception: they are local arrays of
   // Model_Exe, so they too are private to each call.
-  void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
   void emitFillInputs(std::ostringstream& os);
@@ -100,7 +99,6 @@ class Emitter : public EmitSink {
 
   const FlatModel& fm_;
   SimOptions opt_;
-  TestCaseSpec tests_;
   const CoveragePlan* covPlan_;
   const DiagnosisPlan* diagPlan_;
   // Deterministic fault injection (ACCMOS_FAULT): hang/crash directives

@@ -29,6 +29,22 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 128, "the frame header has no padding");
 
+constexpr uint32_t kStimMagic = 0x46534D41u;  // "AMSF" read little-endian
+
+struct StimHeader {
+  uint32_t magic;
+  uint32_t version;
+  uint64_t numPorts;
+};
+static_assert(sizeof(StimHeader) == 16, "the stimulus header has no padding");
+
+struct StimPort {
+  double min;
+  double max;
+  uint64_t seqLen;
+};
+static_assert(sizeof(StimPort) == 24, "a stimulus port record has no padding");
+
 }  // namespace
 
 RunBuffers::RunBuffers(const AccmosModelInfo& geometry)
@@ -134,6 +150,76 @@ std::string decodeResultFrame(std::string_view frame, RunBuffers& out) {
   take(out.collectVals, out.collectVals.size());
   take(out.outVals, out.outVals.size());
   for (auto& c : out.cov) take(c, c.size());
+  return {};
+}
+
+std::string encodeStimulusFrame(const AccmosPortStim* ports,
+                                uint64_t numPorts) {
+  const StimHeader h{kStimMagic, ACCMOS_ABI_VERSION, numPorts};
+  std::string out(reinterpret_cast<const char*>(&h), sizeof(h));
+  for (uint64_t k = 0; k < numPorts; ++k) {
+    const StimPort r{ports[k].min, ports[k].max, ports[k].seqLen};
+    out.append(reinterpret_cast<const char*>(&r), sizeof(r));
+  }
+  for (uint64_t k = 0; k < numPorts; ++k) {
+    if (ports[k].seqLen == 0) continue;  // seq may be null
+    out.append(reinterpret_cast<const char*>(ports[k].seq),
+               ports[k].seqLen * sizeof(double));
+  }
+  return out;
+}
+
+std::string decodeStimulusFrame(std::string_view frame, StimulusTable& out) {
+  out.ports.clear();
+  out.values.clear();
+  StimHeader h;
+  if (frame.size() < sizeof(h)) {
+    return "truncated header: " + std::to_string(frame.size()) + " of " +
+           std::to_string(sizeof(h)) + " bytes";
+  }
+  std::memcpy(&h, frame.data(), sizeof(h));
+  if (h.magic != kStimMagic) return "bad magic number";
+  if (h.version != ACCMOS_ABI_VERSION) {
+    return "version " + std::to_string(h.version) + ", runner expects " +
+           std::to_string(ACCMOS_ABI_VERSION);
+  }
+  // Every count is checked against the bytes left before it is multiplied,
+  // so no product can overflow.
+  size_t left = frame.size() - sizeof(h);
+  if (h.numPorts > left / sizeof(StimPort)) {
+    return "truncated: " + std::to_string(h.numPorts) +
+           " port record(s) declared, " + std::to_string(left) +
+           " bytes follow the header";
+  }
+  std::vector<AccmosPortStim> ports(h.numPorts);
+  const char* p = frame.data() + sizeof(h);
+  left -= h.numPorts * sizeof(StimPort);
+  uint64_t values = 0;
+  for (uint64_t k = 0; k < h.numPorts; ++k) {
+    StimPort r;
+    std::memcpy(&r, p, sizeof(r));
+    p += sizeof(r);
+    if (r.seqLen > left / sizeof(double) - values) {
+      return "port " + std::to_string(k) + ": a sequence of " +
+             std::to_string(r.seqLen) + " value(s) overruns the frame";
+    }
+    values += r.seqLen;
+    ports[k] = AccmosPortStim{r.min, r.max, nullptr, r.seqLen};
+  }
+  if (left > values * sizeof(double)) {
+    return std::to_string(left - values * sizeof(double)) + " trailing bytes";
+  }
+  out.ports = std::move(ports);
+  out.values.resize(values);
+  if (values > 0) {
+    std::memcpy(out.values.data(), p, values * sizeof(double));
+  }
+  const double* seq = out.values.data();
+  for (AccmosPortStim& port : out.ports) {
+    if (port.seqLen == 0) continue;
+    port.seq = seq;
+    seq += port.seqLen;
+  }
   return {};
 }
 

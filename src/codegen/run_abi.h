@@ -36,15 +36,18 @@
 /* Version 3 added the wall-clock deadline and step budget to the run
  * args and the ETIMEOUT retirement status. Version 4 dropped a retired
  * slot from the end of AccmosModelInfo. Version 5 dropped the step budget
- * from the end of AccmosRunArgs. The compile cache keys on the generated
- * source, which embeds this header, so a host only ever loads libraries
- * built against its own version. */
-#define ACCMOS_ABI_VERSION 5u
+ * from the end of AccmosRunArgs. Version 6 added the root-Inport stimulus
+ * table (ports, numPorts) to the end of AccmosRunArgs: the stimulus is run
+ * data, so a model compiles to one library whatever its test cases. The
+ * compile cache keys on the generated source, which embeds this header,
+ * so a host only ever loads libraries built against its own version. */
+#define ACCMOS_ABI_VERSION 6u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
   ACCMOS_ABI_OK = 0,
-  ACCMOS_ABI_EARG = 1,     /* null pointer or structSize mismatch */
+  ACCMOS_ABI_EARG = 1,     /* null pointer, structSize mismatch, or a
+                            * port table of the wrong length (v6) */
   ACCMOS_ABI_EVERSION = 2, /* abiVersion mismatch */
   ACCMOS_ABI_EBUFFER = 3,  /* a caller buffer is missing or mis-sized */
   ACCMOS_ABI_EALLOC = 4,   /* model-state allocation failed */
@@ -78,6 +81,16 @@ typedef struct AccmosModelInfo {
   uint64_t outValsLen;     /* sum of root-outport widths */
 } AccmosModelInfo;
 
+/* The stimulus of one root Inport for one run (v6): a uniform draw from
+ * [min, max) on the port's SplitMix64 stream when seqLen is 0, else
+ * seq[step % seqLen]. seq points into caller memory that must outlive the
+ * accmos_run call; the library never keeps it. */
+typedef struct AccmosPortStim {
+  double min, max;
+  const double* seq;
+  uint64_t seqLen;
+} AccmosPortStim;
+
 typedef struct AccmosRunArgs {
   uint32_t structSize; /* sizeof(AccmosRunArgs) */
   uint32_t abiVersion; /* ACCMOS_ABI_VERSION the caller was built against */
@@ -92,6 +105,12 @@ typedef struct AccmosRunArgs {
    * (a normal early-stop that yields a successful result), it marks the
    * result timedOut — a containment event. */
   double deadlineSeconds;
+  /* One entry per root Inport, in the model's port order (v6). numPorts
+   * must equal the model's root-Inport count, and a non-empty table or a
+   * port with seqLen > 0 must not carry a null pointer; otherwise the call
+   * fails with ACCMOS_ABI_EARG. */
+  const AccmosPortStim* ports;
+  uint64_t numPorts;
 } AccmosRunArgs;
 
 /* One aggregated diagnostic event: the first step and the number of steps

@@ -1,14 +1,15 @@
 // accmos-run-lib: the subprocess backend's model runner.
 //
-//   accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT
+//   accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT STIMULUS
 //
 // Loads a generated model library (the same cached shared object the
-// engine loads in-process), runs it once through accmos_run and writes the
-// result buffers to stdout as one binary frame (result_frame.h). BUDGET
-// and TIMEOUT are seconds (0 = none) in a round-trip exact format. TIMEOUT
-// is relative, because monotonic clocks of two processes need not share an
-// epoch; it becomes an absolute deadline here, on the clock the generated
-// step loop reads.
+// engine loads in-process), runs it once through accmos_run on the
+// root-Inport table read from the STIMULUS file (a stimulus frame,
+// result_frame.h) and writes the result buffers to stdout as one binary
+// result frame. BUDGET and TIMEOUT are seconds (0 = none) in a round-trip
+// exact format. TIMEOUT is relative, because monotonic clocks of two
+// processes need not share an epoch; it becomes an absolute deadline here,
+// on the clock the generated step loop reads.
 // Exit status 0 means a frame was written; any other status is a
 // RunLibExit value, explained on stderr.
 #include <dlfcn.h>
@@ -17,6 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "codegen/result_frame.h"
@@ -29,9 +32,10 @@ static int fail(int status, const std::string& what) {
 }
 
 int main(int argc, char* argv[]) {
-  if (argc != 6) {
+  if (argc != 7) {
     return fail(kRunLibExitUsage,
-                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT");
+                "usage: accmos-run-lib LIBRARY STEPS BUDGET SEED TIMEOUT "
+                "STIMULUS");
   }
   const std::string lib = argv[1];
   AccmosRunArgs args;
@@ -49,6 +53,21 @@ int main(int argc, char* argv[]) {
             .count() +
         timeout;
   }
+  std::ifstream in(argv[6], std::ios::binary);
+  const std::string stimulusFrame{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+  if (!in) {
+    return fail(kRunLibExitUsage,
+                std::string("cannot read the stimulus file ") + argv[6]);
+  }
+  StimulusTable stimulus;
+  if (std::string why = decodeStimulusFrame(stimulusFrame, stimulus);
+      !why.empty()) {
+    return fail(kRunLibExitUsage,
+                std::string("stimulus file ") + argv[6] + ": " + why);
+  }
+  args.ports = stimulus.ports.data();
+  args.numPorts = stimulus.ports.size();
 
   void* handle = ::dlopen(lib.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) return fail(kRunLibExitLoad, ::dlerror());

@@ -1,7 +1,6 @@
 #include "gen/corpus.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,17 +9,6 @@
 
 namespace accmos::gen {
 namespace {
-
-// Shortest form that parses back to the same double (see testcase.cpp).
-std::string fmtExact(double v) {
-  char buf[40];
-  for (int prec = 9; prec <= 17; prec += 4) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void writePort(std::ostringstream& os, const std::string& head,
                const PortStimulus& p) {

@@ -71,9 +71,9 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
     metrics.assign(std::begin(kAllCovMetrics), std::end(kAllCovMetrics));
   }
 
-  // The evaluator (and its per-shape compiled simulators) persists across
-  // iterations, so only genuinely new stimulus shapes pay generation +
-  // compilation; `built` sums what the batches compiled.
+  // The evaluator (and its one compiled simulator) persists across
+  // iterations: the first batch pays generation + compilation, every
+  // candidate after it is run data; `built` records that one build.
   SpecEvaluator evaluator(model, opt);
   EngineBuildCosts built;
 

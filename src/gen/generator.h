@@ -4,11 +4,11 @@
 // The paper motivates coverage collection as the way to "validate that
 // test cases are comprehensive enough to cover different parts of models"
 // (§3.2.A); with AccMoS making per-case runs nearly free (one compiled
-// binary re-executed per candidate) the bitmaps can *drive* the search:
-// mutate corpus specs, batch-evaluate candidates through the campaign
-// worker pool, keep any candidate that sets a previously-unset bitmap slot
-// in an enabled metric — or, optionally, triggers a new distinct
-// (actor, diagnostic kind) event.
+// binary re-executed per candidate, whatever its ranges and sequences) the
+// bitmaps can *drive* the search: mutate corpus specs, batch-evaluate
+// candidates through the campaign worker pool, keep any candidate that
+// sets a previously-unset bitmap slot in an enabled metric — or,
+// optionally, triggers a new distinct (actor, diagnostic kind) event.
 //
 // Determinism contract: a fixed generator seed (plus fixed budget, batch
 // size, base spec and model) reproduces the whole search bit-exactly —
@@ -68,9 +68,11 @@ struct GenResult {
   bool saturated = false;  // every enabled point covered before the budget
   double wallSeconds = 0.0;
   OptStats optStats;
-  size_t enginesBuilt = 0;  // AccMoS: distinct stimulus shapes compiled
-  // Wall seconds the search blocked on the compiler: the per-shape
-  // compile time, since every engine compiles before its first run.
+  // AccMoS: the compiled simulators the search built — the one library
+  // of the model, so 1, or 0 with SSE.
+  size_t enginesBuilt = 0;
+  // Wall seconds the search blocked on the compiler: that library's
+  // compile time, since the engine compiles before its first run.
   double compileWaitSeconds = 0.0;
   // Contained per-candidate failures (timeouts, crashes, compile
   // failures), in evaluation order; RunFailure::index is the global

@@ -106,8 +106,8 @@ PoolLease ModelLibPool::acquire(const std::string& modelText,
 void ModelLibPool::release(const std::shared_ptr<PoolEntry>& entry) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (entry->users_ > 0) --entry->users_;
-  // The entry's footprint typically grew during the request (engines
-  // compiled and loaded lazily), so re-check the budget on the way out.
+  // The entry's footprint grows during its first request (the engine
+  // compiles and loads lazily), so re-check the budget on the way out.
   evictToBudgetLocked(nullptr);
 }
 

@@ -3,14 +3,15 @@
 //
 // An entry owns everything a request would otherwise rebuild per process —
 // the parsed model, its optimized FlatModel, and a warm SpecEvaluator
-// whose per-shape AccMoSEngines hold the dlopen'd libraries.
-// A repeat request for the same (model text, options) key therefore skips
-// generation, compilation AND dlopen entirely; the regression handles are
+// whose one AccMoSEngine holds the dlopen'd library. A repeat request for
+// the same (model text, options) key therefore skips generation,
+// compilation AND dlopen entirely, whatever test case it carries: the
+// stimulus is run data, not part of the library. The regression handles are
 // CompilerDriver::compilerInvocations() and ModelLib::loadCount(), both
 // required unchanged across a warm hit by tests/test_serve.cpp.
 //
 // Eviction is LRU under a byte budget: entries are charged their resident
-// footprint (model text + generated sources + on-disk artifact sizes, via
+// footprint (model text + generated source + on-disk artifact size, via
 // SpecEvaluator::residentBytes), and when the pool exceeds its budget the
 // least-recently-used idle entry is dropped. Entries serving an in-flight
 // request (users > 0) are never evicted — a lease pins its entry. An
@@ -112,9 +113,10 @@ class ModelLibPool {
 
   // Returns a lease on the resident entry for (modelText, opt), building
   // it on a miss. Construction (parse + flatten + optimize) happens under
-  // the pool lock; engine compilation does NOT happen here — AccMoSEngines
-  // build lazily inside the request, off the pool lock. Throws whatever
-  // the model pipeline throws (ModelError and friends) on a bad model.
+  // the pool lock; engine compilation does NOT happen here — the
+  // AccMoSEngine builds lazily inside the request, off the pool lock.
+  // Throws whatever the model pipeline throws (ModelError and friends) on
+  // a bad model.
   PoolLease acquire(const std::string& modelText, const SimOptions& opt);
 
   PoolStats stats() const;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -63,28 +64,22 @@ SpecEvaluator::SpecEvaluator(const FlatModel& fm, const SimOptions& opt)
 SpecEvaluator::~SpecEvaluator() = default;
 
 AccMoSEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec) {
-  return engineFor(spec.shapeKey(), spec, nullptr);
+  return engineFor(spec, nullptr);
 }
 
-AccMoSEngine* SpecEvaluator::findEngine(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(enginesMutex_);
-  auto it = engines_.find(key);
-  return it == engines_.end() ? nullptr : it->second.get();
+AccMoSEngine* SpecEvaluator::builtEngine() const {
+  std::lock_guard<std::mutex> lock(engineMutex_);
+  return engine_.get();
 }
 
-AccMoSEngine* SpecEvaluator::engineFor(const std::string& key,
-                                       const TestCaseSpec& spec,
+AccMoSEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec,
                                        EngineBuildCosts* built) {
-  if (AccMoSEngine* e = findEngine(key)) return e;
-  // Checked again under the build lock: a call that lost the race for
-  // this shape finds the winner's engine instead of compiling it twice.
+  if (AccMoSEngine* e = builtEngine()) return e;
+  // Checked again under the build lock: a call that lost the race for the
+  // first use finds the winner's engine instead of compiling it twice.
   std::lock_guard<std::mutex> buildLock(buildMutex_);
-  if (AccMoSEngine* e = findEngine(key)) return e;
-  // Normalize the seed out of the generated source so seed-only variants
-  // of a spec map to one compiled binary (the seed is a runtime argument).
-  TestCaseSpec shape = spec;
-  shape.seed = 1;
-  auto engine = std::make_unique<AccMoSEngine>(fm_, opt_, shape);
+  if (AccMoSEngine* e = builtEngine()) return e;
+  auto engine = std::make_unique<AccMoSEngine>(fm_, opt_, spec);
   if (built != nullptr) {
     ++built->enginesBuilt;
     if (engine->compileCacheHit()) ++built->cacheHits;
@@ -92,27 +87,21 @@ AccMoSEngine* SpecEvaluator::engineFor(const std::string& key,
     built->compileSeconds += engine->compileSeconds();
     built->loadSeconds += engine->loadSeconds();
   }
-  std::lock_guard<std::mutex> lock(enginesMutex_);
-  return engines_.emplace(key, std::move(engine)).first->second.get();
-}
-
-size_t SpecEvaluator::enginesBuilt() const {
-  std::lock_guard<std::mutex> lock(enginesMutex_);
-  return engines_.size();
+  std::lock_guard<std::mutex> lock(engineMutex_);
+  engine_ = std::move(engine);
+  return engine_.get();
 }
 
 size_t SpecEvaluator::residentBytes() const {
-  size_t bytes = 0;
-  std::lock_guard<std::mutex> lock(enginesMutex_);
-  for (const auto& [key, e] : engines_) {
-    // The generated source the engine holds plus the on-disk size of its
-    // library (what dlopen maps); an estimate is fine, the pool's eviction
-    // only needs a consistent relative measure.
-    bytes += e->generatedSource().size();
-    struct stat st {};
-    if (::stat(e->exePath().c_str(), &st) == 0 && st.st_size > 0) {
-      bytes += static_cast<size_t>(st.st_size);
-    }
+  const AccMoSEngine* e = builtEngine();
+  if (e == nullptr) return 0;
+  // The generated source the engine holds plus the on-disk size of its
+  // library (what dlopen maps); an estimate is fine, the pool's eviction
+  // only needs a consistent relative measure.
+  size_t bytes = e->generatedSource().size();
+  struct stat st {};
+  if (::stat(e->exePath().c_str(), &st) == 0 && st.st_size > 0) {
+    bytes += static_cast<size_t>(st.st_size);
   }
   return bytes;
 }
@@ -125,10 +114,10 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
 // Runs every spec, storing the result at the spec's index. With more than
 // one worker, specs are pulled one at a time from a shared counter by a
 // pool of threads: each SSE worker builds its own interpreter for the
-// call; the AccMoS engine's run() is thread-safe, so workers call
-// the per-shape engines directly — concurrent calls into one loaded
-// library, or concurrent child processes each writing to their own pipe
-// when a run is contained out of process. Result k lands
+// call; the AccMoS engine's run() is thread-safe, so workers call the
+// one engine directly — concurrent calls into one loaded library, or
+// concurrent child processes each writing to their own pipe when a run
+// is contained out of process. Result k lands
 // at out[k], so the spec-order merge downstream is deterministic for any
 // worker count. The first exception thrown by any worker is rethrown on
 // the caller.
@@ -141,39 +130,16 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
   for (const auto& spec : specs) spec.validate();
   if (done != nullptr) done->assign(specs.size(), 0);
 
-  // AccMoS: build (or reuse) the per-shape engines serially before the
-  // fan-out — compilation already parallelizes poorly and the serial order
-  // keeps construction bookkeeping deterministic. A spec whose stimulus is
-  // bitwise identical to its predecessor's — every spec of a seed
-  // campaign — reuses the predecessor's engine without formatting a shape
-  // key; every other spec is keyed once. A shape whose simulator cannot
-  // be compiled does not abort the batch: every spec of that shape is
-  // marked with the compile failure (engineOf == nullptr, errorOf pointing
-  // into failedShapes) and reported as a contained CompileError result;
-  // other shapes run normally.
-  std::vector<AccMoSEngine*> engineOf;
-  std::vector<const std::string*> errorOf;
-  std::map<std::string, std::string> failedShapes;
+  // AccMoS: build (or reuse) the one engine before the fan-out. A
+  // simulator that cannot be compiled does not abort the batch: every
+  // spec is reported as a contained CompileError result.
+  AccMoSEngine* engine = nullptr;
+  std::string compileError;
   if (opt_.engine == Engine::AccMoS) {
-    engineOf.resize(specs.size(), nullptr);
-    errorOf.resize(specs.size(), nullptr);
-    for (size_t k = 0; k < specs.size(); ++k) {
-      if (k > 0 && specs[k].sameShapeAs(specs[k - 1])) {
-        engineOf[k] = engineOf[k - 1];
-        errorOf[k] = errorOf[k - 1];
-        continue;
-      }
-      const std::string key = specs[k].shapeKey();
-      auto fit = failedShapes.find(key);
-      if (fit != failedShapes.end()) {
-        errorOf[k] = &fit->second;
-        continue;
-      }
-      try {
-        engineOf[k] = engineFor(key, specs[k], built);
-      } catch (const CompileError& e) {
-        errorOf[k] = &failedShapes.emplace(key, e.what()).first->second;
-      }
+    try {
+      engine = engineFor(specs[0], built);
+    } catch (const CompileError& e) {
+      compileError = e.what();
     }
   }
 
@@ -196,13 +162,13 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
         if (opt_.engine == Engine::SSE) {
           if (!interp) interp = std::make_unique<Interpreter>(fm_, opt_);
           out[k] = interp->run(specs[k]);
-        } else if (engineOf[k] == nullptr) {
-          out[k] = compileFailedResult(specs[k].seed, *errorOf[k]);
+        } else if (engine == nullptr) {
+          out[k] = compileFailedResult(specs[k].seed, compileError);
         } else {
           // An AccMoS run never throws for per-run faults — a hung or
           // crashed seed comes back as a failed result and its
           // neighbours are unaffected.
-          out[k] = engineOf[k]->run(0, -1.0, specs[k].seed);
+          out[k] = engine->run(specs[k]);
         }
         if (done != nullptr) (*done)[k] = 1;
       } catch (...) {

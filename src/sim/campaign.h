@@ -4,7 +4,7 @@
 // different parts of models", §3.2.A).
 //
 // With Engine::AccMoS the model is generated and compiled once and the
-// simulator re-run per seed — in-process accmos_run() calls into one
+// simulator re-run per test case — in-process accmos_run() calls into one
 // dlopen'd library (a child process only when containment needs one) —
 // which is exactly how a generated simulator amortizes over a campaign.
 //
@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -129,11 +128,10 @@ CampaignResult mergeSpecResults(const FlatModel& model,
 // caller's one-time optimization pass reported. The batch runs over
 // opt.campaign.workers workers, whatever count the evaluator was built
 // with. One-off cost fields of the result (generate/compile/load seconds,
-// compileCacheHit) cover the engines THIS call built (EngineBuildCosts):
+// compileCacheHit) cover the engine THIS call built (EngineBuildCosts):
 // with a fresh evaluator they equal the classic totals (runCampaignSpecs
-// delegates here), while a pooled evaluator whose engines are already
-// warm reports them as zero — even while another call on the same
-// evaluator compiles a new shape. The run is cooperatively interruptible
+// delegates here), while a pooled evaluator whose engine is already warm
+// reports them as zero. The run is cooperatively interruptible
 // (see CampaignResult::interrupted). `wallStart` backdates wallSeconds to
 // include caller prelude work (flatten/optimize); omitted, the clock
 // starts here.
@@ -143,12 +141,12 @@ CampaignResult runCampaignSpecsOn(
     std::optional<std::chrono::steady_clock::time_point> wallStart =
         std::nullopt);
 
-// The one-off costs of the per-shape engines an evaluate() call built
-// itself. A shape that was already resident, or that another call built,
-// costs the call nothing, so a warm evaluator reports zeros however many
-// calls share it.
+// The one-off costs of the engine an evaluate() call built itself. An
+// engine that was already resident, or that another call built, costs the
+// call nothing, so a warm evaluator reports zeros however many calls share
+// it.
 struct EngineBuildCosts {
-  size_t enginesBuilt = 0;
+  size_t enginesBuilt = 0;  // 0 or 1: the evaluator holds one engine
   size_t cacheHits = 0;  // engines whose binary the compile cache supplied
   double generateSeconds = 0.0;
   double compileSeconds = 0.0;
@@ -168,19 +166,19 @@ struct EngineBuildCosts {
 // The model is used exactly as given — no optimization pass is applied
 // here; callers run the pipeline once up front (as runCampaignSpecs does).
 // For Engine::SSE each worker of a call builds its own interpreter. For
-// Engine::AccMoS one simulator is generated and compiled per distinct
-// stimulus *shape* (TestCaseSpec::shapeKey — the seed is normalized out
-// and passed as a runtime argument), cached for the evaluator's lifetime,
-// and executed concurrently — all workers call into the one loaded shared
-// library (its accmos_run ABI is reentrant), and a run the engine
-// contains in a child process is its own process; the content-addressed
-// compile cache absorbs repeated shapes across evaluators and runs.
+// Engine::AccMoS one simulator is generated and compiled on first use,
+// kept for the evaluator's lifetime, and executed concurrently on every
+// spec — each run passes its spec's ranges, sequences and seed through the
+// run ABI, all workers call into the one loaded shared library (its
+// accmos_run ABI is reentrant), and a run the engine contains in a child
+// process is its own process; the content-addressed compile cache absorbs
+// the compile across evaluators and runs.
 //
 // Re-entrant: any number of threads may call evaluate() on one evaluator
-// at once, each with its own worker count. Resident shapes are looked up
-// under a lock; a missing shape is built under one build lock and checked
-// again there, so calls that race on a new shape compile it once, and a
-// call that needs only resident shapes never waits behind a compile.
+// at once, each with its own worker count. The engine is looked up under
+// a lock, and built under one build lock and checked again there, so
+// calls that race on the first use compile once, and a lookup never waits
+// behind a compile.
 class SpecEvaluator {
  public:
   // Throws ModelError unless `opt` names an instrumented engine (SSE or
@@ -208,41 +206,41 @@ class SpecEvaluator {
   // contiguous prefix, because claims come from a monotonic counter.
   // A null `done` (what the deterministic generator loop uses) ignores
   // the interrupt flag entirely. When `built` is non-null, the costs of
-  // the engines this call built are added to it.
+  // the engine this call built are added to it. When the engine cannot be
+  // built, every spec's result is a contained CompileError, and the next
+  // call tries the build again.
   std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,
                                          size_t workers,
                                          std::vector<uint8_t>* done,
                                          EngineBuildCosts* built);
 
-  // The per-shape compiled engine for `spec`, building it on first use.
-  // Batch callers go through evaluate(). AccMoS only.
+  // The model's compiled engine, building it on first use with `spec` as
+  // its default test case; it runs any spec. Throws CompileError when the
+  // build fails. Batch callers go through evaluate(). AccMoS only.
   class AccMoSEngine* engineFor(const TestCaseSpec& spec);
 
-  // Approximate bytes held resident by the cached per-shape engines
-  // (generated sources + loaded artifacts) — what the model-library pool
-  // charges against its byte budget.
+  // Approximate bytes held resident by the engine (generated source +
+  // loaded artifact) — what the model-library pool charges against its
+  // byte budget.
   size_t residentBytes() const;
 
-  // Distinct stimulus shapes compiled and resident (0 for SSE).
-  size_t enginesBuilt() const;
-
  private:
-  // engineFor() with the spec's shapeKey() already computed; adds the
-  // costs of an engine it builds to `built` when non-null.
-  class AccMoSEngine* engineFor(const std::string& key,
-                                const TestCaseSpec& spec,
+  // engineFor() that adds the costs of an engine it builds to `built`
+  // when non-null.
+  class AccMoSEngine* engineFor(const TestCaseSpec& spec,
                                 EngineBuildCosts* built);
-  class AccMoSEngine* findEngine(const std::string& key) const;
+  // The built engine, or null.
+  class AccMoSEngine* builtEngine() const;
 
   const FlatModel& fm_;
   const SimOptions opt_;
-  // Entries are never erased, so an engine pointer stays valid for the
+  // Set once and never reset, so the engine stays valid for the
   // evaluator's lifetime once looked up.
-  std::map<std::string, std::unique_ptr<class AccMoSEngine>> engines_;
-  // Guards engines_ — every lookup, the insert, and residentBytes() on
-  // the daemon pool's thread.
-  mutable std::mutex enginesMutex_;
-  // Held while a missing shape is built: one compile at a time.
+  std::unique_ptr<class AccMoSEngine> engine_;
+  // Guards engine_: every lookup, the store, and residentBytes() on the
+  // daemon pool's thread, which must never wait behind a compile.
+  mutable std::mutex engineMutex_;
+  // Held while the engine is built: one compile.
   std::mutex buildMutex_;
 };
 

@@ -4,35 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace accmos {
 namespace {
-
-// Shortest representation that parses back to the same double (%.17g is
-// always exact; try the shorter forms first for readable files).
-std::string fmtExact(double v) {
-  char buf[40];
-  for (int prec = 9; prec <= 17; prec += 4) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Bitwise, not ==: +0.0 and -0.0 must compare unequal.
-bool sameBits(const double* a, const double* b, size_t n) {
-  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
-}
-
-bool samePort(const PortStimulus& a, const PortStimulus& b) {
-  return sameBits(&a.min, &b.min, 1) && sameBits(&a.max, &b.max, 1) &&
-         a.sequence.size() == b.sequence.size() &&
-         sameBits(a.sequence.data(), b.sequence.data(), a.sequence.size());
-}
 
 // One CSV cell as a number: strtod must consume all of it apart from
 // surrounding whitespace.
@@ -57,6 +33,17 @@ double parseCell(const std::string& cell, const std::string& path,
 }
 
 }  // namespace
+
+std::string fmtExact(double v) {
+  // %.17g is always exact; the shorter forms first, for readable files.
+  char buf[40];
+  for (int prec = 9; prec <= 17; prec += 4) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 void PortStimulus::validate(const std::string& what) const {
   if (sequence.empty()) {
@@ -156,37 +143,6 @@ void TestCaseSpec::toCsv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw ModelError("cannot write test-case CSV '" + path + "'");
   out << body;
-}
-
-std::string TestCaseSpec::shapeKey() const {
-  std::ostringstream os;
-  auto port = [&os](const PortStimulus& p) {
-    if (p.sequence.empty()) {
-      os << "r " << fmtExact(p.min) << " " << fmtExact(p.max);
-    } else {
-      os << "s";
-      for (double v : p.sequence) os << " " << fmtExact(v);
-    }
-    os << "\n";
-  };
-  os << "default ";
-  port(defaultPort);
-  for (size_t k = 0; k < ports.size(); ++k) {
-    os << "port " << k << " ";
-    port(ports[k]);
-  }
-  return os.str();
-}
-
-bool TestCaseSpec::sameShapeAs(const TestCaseSpec& other) const {
-  if (ports.size() != other.ports.size() ||
-      !samePort(defaultPort, other.defaultPort)) {
-    return false;
-  }
-  for (size_t k = 0; k < ports.size(); ++k) {
-    if (!samePort(ports[k], other.ports[k])) return false;
-  }
-  return true;
 }
 
 StimulusStream::StimulusStream(const TestCaseSpec& spec, const FlatModel& fm) {

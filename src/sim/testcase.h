@@ -3,8 +3,8 @@
 // during the simulation loop").
 //
 // A TestCaseSpec is declarative so the same stimulus can be replayed by the
-// in-process engines and baked into generated code: a seeded SplitMix64
-// stream per port, or explicit cycled sequences, or a CSV file
+// interpreters and handed to generated code as run data: a seeded
+// SplitMix64 stream per port, or explicit cycled sequences, or a CSV file
 // (materialized into sequences at load time).
 #pragma once
 
@@ -60,20 +60,11 @@ struct TestCaseSpec {
   // written with enough precision to round-trip doubles exactly.
   void toCsv(const std::string& path) const;
   std::string toCsvString() const;
-
-  // Canonical text form of the stimulus *shape* — ports, ranges and
-  // sequences with the seed excluded. The campaign layer caches compiled
-  // AccMoS simulators under this key: the generated code bakes the
-  // stimulus but takes the seed as a runtime argument, so seed-only
-  // variants of a spec share one compiled binary.
-  std::string shapeKey() const;
-
-  // True when `other` carries a bitwise-identical stimulus (every port,
-  // the default port; the seed is ignored). Implies equal shapeKey()s at a
-  // fraction of the cost, so callers comparing neighbouring specs can skip
-  // the key. Bitwise means +0.0 and -0.0 bounds differ, as their keys do.
-  bool sameShapeAs(const TestCaseSpec& other) const;
 };
+
+// The shortest text that parses back to exactly `v` (%.17g at worst): the
+// number format of test-case CSVs and corpus spec files.
+std::string fmtExact(double v);
 
 // The runtime generator all in-process engines use; the generated runtime
 // preamble contains the byte-identical algorithm, so every engine sees the

@@ -1,6 +1,6 @@
 // Tests for the multi-seed test-campaign API: coverage accumulation is
-// monotone, AccMoS and SSE campaigns agree seed-by-seed, the compiled
-// simulator is reused across seeds via the runtime seed argument, and
+// monotone, AccMoS and SSE campaigns agree seed-by-seed, one compiled
+// simulator serves every seed and stimulus through the run ABI, and
 // overlapping evaluate() calls on one evaluator match sequential ones.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -184,108 +184,83 @@ TEST(Campaign, HeterogeneousSpecsAgreeAcrossEnginesAndWorkers) {
   }
 }
 
-TEST(Campaign, SpecEvaluatorSharesEnginesAcrossShapes) {
-  auto model = buildBenchmarkModel("SPV");
-  Simulator sim(*model);
-  TestCaseSpec base = benchStimulus("SPV");
-  SimOptions opt;
-  opt.engine = Engine::AccMoS;
-  opt.maxSteps = 100;
+// One evaluator compiles one library for the model, whatever its specs.
+// A fresh evaluator on a fresh compile cache runs a batch that interleaves
+// two ranges, +0.0 and -0.0 bounds and two CSV-style sequences: the
+// compiler runs once, and every result equals the SSE run of its own spec,
+// so a spec run on another spec's stimulus shows up as a wrong observation.
+TEST(Campaign, OneLibraryServesEveryStimulus) {
+  namespace fs = std::filesystem;
+  const fs::path cache = fs::temp_directory_path() /
+                         ("accmos_one_library_" + std::to_string(::getpid()));
+  test::EnvGuard cacheEnv("ACCMOS_CACHE_DIR", cache.c_str());
+  // An F64 gain beside an I8 gain that wraps: outputs, coverage and
+  // diagnostics all follow the stimulus of both ports.
+  Tiny t;
+  t.inport("In1", 1);
+  t.inport("In2", 2, DataType::I8);
+  t.actor("G1", "Gain").params().setDouble("gain", 2.0);
+  Actor& g2 = t.actor("G2", "Gain");
+  g2.params().setDouble("gain", 5.0);
+  g2.setDtype(DataType::I8);
+  t.outport("Out1", 1);
+  t.outport("Out2", 2);
+  t.wire("In1", "G1");
+  t.wire("G1", "Out1");
+  t.wire("In2", "G2");
+  t.wire("G2", "Out2");
+  Simulator sim(t.model());
 
-  std::vector<TestCaseSpec> specs(4, base);
-  for (size_t k = 0; k < specs.size(); ++k) specs[k].seed = 100 + k;
-  TestCaseSpec wide = base;
-  wide.defaultPort = PortStimulus{-3.0, 3.0, {}};
-  specs.push_back(wide);
-
-  SpecEvaluator eval(sim.flatModel(), opt);
-  auto results = eval.evaluate(specs);
-  ASSERT_EQ(results.size(), specs.size());
-  // 5 specs, 2 distinct stimulus shapes -> 2 engines.
-  EXPECT_EQ(eval.enginesBuilt(), 2u);
-  auto again = eval.evaluate(specs);
-  EXPECT_EQ(eval.enginesBuilt(), 2u);  // fully reused on the second batch
-  for (size_t k = 0; k < specs.size(); ++k) {
-    EXPECT_EQ(results[k].stepsExecuted, again[k].stepsExecuted);
-  }
-}
-
-// Shape keying in SpecEvaluator::evaluate: a spec whose stimulus is
-// bitwise identical to its predecessor's reuses that engine, every other
-// spec is keyed on its own. A tiny model at -O0 keeps the compiles cheap;
-// each result must match a direct engine run of its own spec, so a spec
-// served by another shape's engine shows up as a wrong observation.
-class ShapeKeying : public ::testing::Test {
- protected:
-  ShapeKeying() {
-    t_.inport("In1", 1);
-    t_.actor("G", "Gain").params().setDouble("gain", 2.0);
-    t_.outport("Out1", 1);
-    t_.wire("In1", "G");
-    t_.wire("G", "Out1");
-    sim_ = std::make_unique<Simulator>(t_.model());
-    opt_.engine = Engine::AccMoS;
-    opt_.optFlag = "-O0";
-    opt_.maxSteps = 50;
-  }
-
-  static TestCaseSpec spec(double min, double max, uint64_t seed) {
+  auto range = [](double min, double max, uint64_t seed) {
     TestCaseSpec s;
     s.defaultPort = PortStimulus{min, max, {}};
     s.seed = seed;
     return s;
+  };
+  auto csv = [](std::vector<double> a, std::vector<double> b) {
+    TestCaseSpec s;
+    s.ports = {PortStimulus{0.0, 1.0, std::move(a)},
+               PortStimulus{0.0, 1.0, std::move(b)}};
+    return s;
+  };
+  const std::vector<TestCaseSpec> specs = {
+      range(-1.0, 1.0, 1),
+      csv({0.5, -1.5, 2.0}, {30.0, -100.0, 7.0}),
+      range(0.0, 127.0, 2),
+      range(-0.0, 127.0, 2),
+      csv({-0.0, 0.25, 4.0, -3.0}, {120.0, 1.0, -0.0, 60.0}),
+      range(-1.0, 1.0, 3),
+      range(0.0, 127.0, 4),
+  };
+
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.optFlag = "-O0";
+  opt.maxSteps = 64;
+  opt.campaign.workers = 2;
+  const uint64_t invocations = CompilerDriver::compilerInvocations();
+  SpecEvaluator eval(sim.flatModel(), opt);
+  EngineBuildCosts built;
+  const std::vector<SimulationResult> results =
+      eval.evaluate(specs, opt.campaign.workers, nullptr, &built);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, 1u);
+  EXPECT_EQ(built.enginesBuilt, 1u);
+
+  SimOptions sse = opt;
+  sse.engine = Engine::SSE;
+  ASSERT_EQ(results.size(), specs.size());
+  for (size_t k = 0; k < specs.size(); ++k) {
+    test::expectIdenticalResults(
+        results[k], runInterpreter(sim.flatModel(), sse, specs[k]),
+        "spec " + std::to_string(k));
   }
-
-  // Evaluates `specs` on a fresh evaluator, checks every result against a
-  // direct AccMoSEngine run of its own spec, and returns enginesBuilt().
-  size_t evaluateAndCheck(const std::vector<TestCaseSpec>& specs) {
-    SpecEvaluator eval(sim_->flatModel(), opt_);
-    std::vector<SimulationResult> results = eval.evaluate(specs);
-    for (size_t k = 0; k < specs.size(); ++k) {
-      SimulationResult direct =
-          AccMoSEngine(sim_->flatModel(), opt_, specs[k]).run();
-      const std::string label = "spec " + std::to_string(k);
-      EXPECT_EQ(results[k].stepsExecuted, direct.stepsExecuted) << label;
-      test::expectSameOutputs(results[k], direct, label);
-      for (CovMetric m : kAllCovMetrics) {
-        EXPECT_EQ(results[k].bitmaps.bits(m), direct.bitmaps.bits(m))
-            << label << " " << covMetricName(m);
-      }
-    }
-    return eval.enginesBuilt();
-  }
-
-  Tiny t_;
-  std::unique_ptr<Simulator> sim_;
-  SimOptions opt_;
-};
-
-TEST_F(ShapeKeying, HomogeneousBatchBuildsOneEngine) {
-  std::vector<TestCaseSpec> specs;
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    specs.push_back(spec(-1.0, 1.0, seed));
-  }
-  EXPECT_EQ(evaluateAndCheck(specs), 1u);
-}
-
-TEST_F(ShapeKeying, SignedZeroBoundsBuildTwoEngines) {
-  const TestCaseSpec pos = spec(0.0, 1.0, 1);
-  const TestCaseSpec neg = spec(-0.0, 1.0, 2);
-  EXPECT_FALSE(pos.sameShapeAs(neg));
-  EXPECT_NE(pos.shapeKey(), neg.shapeKey());
-  EXPECT_EQ(evaluateAndCheck({pos, neg}), 2u);
-}
-
-TEST_F(ShapeKeying, InterleavedShapesMapBackToTheFirstEngine) {
-  const TestCaseSpec a = spec(-1.0, 1.0, 1);
-  const TestCaseSpec b = spec(-3.0, 3.0, 2);
-  const TestCaseSpec a2 = spec(-1.0, 1.0, 3);
-  EXPECT_EQ(evaluateAndCheck({a, b, a2}), 2u) << "specs 0 and 2 share one";
+  std::error_code ec;
+  fs::remove_all(cache, ec);
 }
 
 TEST(Campaign, SeedOverrideMatchesBakedSeed) {
   // AccMoSEngine with a runtime seed override must equal a fresh engine
-  // built with that seed baked in.
+  // built with that seed in its test case.
   Tiny t;
   t.inport("In1", 1);
   Actor& g = t.actor("G", "Gain");
@@ -308,9 +283,9 @@ TEST(Campaign, SeedOverrideMatchesBakedSeed) {
 }
 
 // Four threads call evaluate() on one evaluator at once, two at one
-// worker and two at four, on a shape nothing has built (a private compile
+// worker and two at four, on a model nothing has built (a private compile
 // cache). Each thread's results equal a sequential evaluation of its batch
-// bit for bit, the shape compiles once, and exactly one call is charged
+// bit for bit, the model compiles once, and exactly one call is charged
 // with building it.
 TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
   namespace fs = std::filesystem;
@@ -342,7 +317,7 @@ TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
 
   for (Engine engine : {Engine::AccMoS, Engine::SSE}) {
     const std::string label = engine == Engine::AccMoS ? "AccMoS" : "SSE";
-    const size_t shapes = engine == Engine::AccMoS ? 1 : 0;
+    const size_t engines = engine == Engine::AccMoS ? 1 : 0;
     SimOptions opt;
     opt.engine = engine;
     opt.maxSteps = 300;
@@ -368,12 +343,11 @@ TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
     }
     for (auto& th : threads) th.join();
 
-    EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, shapes)
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, engines)
         << label;
-    EXPECT_EQ(shared.enginesBuilt(), shapes) << label;
     size_t chargedBuilds = 0;
     for (const EngineBuildCosts& b : built) chargedBuilds += b.enginesBuilt;
-    EXPECT_EQ(chargedBuilds, shapes) << label;
+    EXPECT_EQ(chargedBuilds, engines) << label;
 
     SpecEvaluator sequential(sim.flatModel(), opt);
     for (size_t c = 0; c < kThreads; ++c) {

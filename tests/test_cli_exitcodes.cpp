@@ -52,8 +52,20 @@ class CliExitCodes : public ::testing::Test {
 
   // Same, capturing stdout into *out.
   static int runCliOutput(const std::string& args, std::string* out) {
-    std::string cmd =
-        std::string("'") + ACCMOS_CLI_PATH + "' " + args + " 2>/dev/null";
+    return capture(
+        std::string("'") + ACCMOS_CLI_PATH + "' " + args + " 2>/dev/null",
+        out);
+  }
+
+  // Same, capturing stderr into *err instead (stdout is discarded).
+  static int runCliErrors(const std::string& args, std::string* err) {
+    return capture(std::string("'") + ACCMOS_CLI_PATH + "' " + args +
+                       " 2>&1 >/dev/null",
+                   err);
+  }
+
+  // Runs `cmd` through the shell, capturing its stdout into *out.
+  static int capture(const std::string& cmd, std::string* out) {
     FILE* p = ::popen(cmd.c_str(), "r");
     if (p == nullptr) return -1;
     out->clear();
@@ -114,8 +126,9 @@ TEST_F(CliExitCodes, UsageErrorsExitTwo) {
             2);
 }
 
-// A --tests CSV that is missing, ragged or holds a cell that is not a
-// number is bad input, like a model that does not load: nothing runs.
+// A --tests CSV that is missing, ragged, holds a cell that is not a number
+// or has a column count other than the model's root-Inport count is bad
+// input, like a model that does not load: nothing runs.
 TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {
   EXPECT_EQ(runCli("run /nonexistent/model.xml --steps=10"), 4);
   const std::string dir = testing::TempDir();
@@ -126,7 +139,25 @@ TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {
   };
   const std::string run = "run " + model("FMTM.xml") + " --engine=sse " +
                           "--steps=10 --tests=";
-  EXPECT_EQ(runCli(run + csv("good", "1.5\n2\n")), 0);
+  // FMTM has six root Inports.
+  EXPECT_EQ(runCli(run + csv("good", "1.5,2,0,1,-1,3\n2,0.5,1,0,4,2\n")), 0);
+  const std::string seven = csv("seven", "1,2,3,4,5,6,7\n7,6,5,4,3,2,1\n");
+  const std::string one = csv("one", "1.5\n2\n");
+  std::string err;
+  EXPECT_EQ(runCliErrors(run + seven, &err), 4);
+  EXPECT_NE(err.find("has 7 column(s), but the model has 6 root Inport(s)"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(runCliErrors(run + one, &err), 4);
+  EXPECT_NE(err.find("has 1 column(s), but the model has 6 root Inport(s)"),
+            std::string::npos)
+      << err;
+  // `accmos client run` checks the CSV against the model before it
+  // contacts a daemon.
+  const std::string client = "client run " + model("FMTM.xml") +
+                             " --socket=/nonexistent/accmosd.sock --tests=";
+  EXPECT_EQ(runCli(client + seven), 4);
+  EXPECT_EQ(runCli(client + one), 4);
   EXPECT_EQ(runCli(run + csv("word", "1.5\nabc\n")), 4);
   EXPECT_EQ(runCli(run + csv("suffix", "1.5\n2x\n")), 4);
   EXPECT_EQ(runCli(run + csv("empty_cell", "1,2\n,4\n")), 4);

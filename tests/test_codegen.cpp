@@ -87,6 +87,39 @@ TEST(Codegen, GeneratedSourceHasPaperStructure) {
   EXPECT_NE(src.find("accmos_fill_inputs"), std::string::npos);
 }
 
+// The stimulus is run data: the emitted source, and so the compiled
+// library, is one per model whatever the test case — other range bounds, a
+// -0.0 bound, a sequence port or another seed.
+TEST(Codegen, SourceDoesNotDependOnTheTestCase) {
+  Tiny t = mixedModel();
+  Simulator sim(t.model());
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  TestCaseSpec a;
+  a.ports = {PortStimulus{0.0, 1.0, {}}, PortStimulus{-2.0, 2.0, {}}};
+  const std::string source =
+      AccMoSEngine::generate(sim.flatModel(), opt, a).source;
+
+  TestCaseSpec range = a;
+  range.ports[1] = PortStimulus{-5.0, 7.5, {}};
+  TestCaseSpec negZero = a;
+  negZero.ports[0].min = -0.0;
+  TestCaseSpec sequence = a;
+  sequence.ports[1].sequence = {0.25, -1.0, 3.0};
+  TestCaseSpec seed = a;
+  seed.seed = 99;
+  const std::pair<const char*, TestCaseSpec> others[] = {
+      {"range", range},
+      {"-0.0 bound", negZero},
+      {"sequence", sequence},
+      {"seed", seed}};
+  for (const auto& [label, b] : others) {
+    EXPECT_TRUE(AccMoSEngine::generate(sim.flatModel(), opt, b).source ==
+                source)
+        << label;
+  }
+}
+
 TEST(Codegen, MatchesInterpreterOnMixedModel) {
   Tiny t = mixedModel();
   auto sse = test::runOn(t.model(), Engine::SSE, 500);
@@ -226,17 +259,22 @@ std::string compilePatternInit(const std::string& source,
   return lib;
 }
 
-// One accmos_run() through `lib` with the arguments the engine passes when
-// no deadline or step budget is set; returns the result frame with the
-// wall-clock execNs zeroed.
-std::string runFrame(const ModelLib& lib, uint64_t steps, uint64_t seed) {
+// One accmos_run() of `tests` through `lib`, a model with `numPorts` root
+// Inports, with the arguments the engine passes when no deadline or step
+// budget is set; returns the result frame with the wall-clock execNs
+// zeroed.
+std::string runFrame(const ModelLib& lib, uint64_t steps,
+                     const TestCaseSpec& tests, size_t numPorts) {
   RunBuffers buf(lib.info());
+  const std::vector<AccmosPortStim> ports = portTable(tests, numPorts);
   AccmosRunArgs args;
   std::memset(&args, 0, sizeof(args));
   args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
   args.abiVersion = ACCMOS_ABI_VERSION;
   args.maxSteps = steps;
-  args.seed = seed;
+  args.seed = tests.seed;
+  args.ports = ports.data();
+  args.numPorts = ports.size();
   EXPECT_EQ(lib.run(args, buf.res), ACCMOS_ABI_OK);
   buf.res.execNs = 0;
   return encodeResultFrame(buf);
@@ -258,8 +296,9 @@ void expectPatternInitMatches(const Model& model, const SimOptions& opt,
   ModelLib pattern(
       compilePatternInit(engine.generatedSource(), scratch.dir()));
   for (uint64_t steps : {uint64_t{1}, uint64_t{3}, opt.maxSteps}) {
-    EXPECT_TRUE(runFrame(ref, steps, tests.seed) ==
-                runFrame(pattern, steps, tests.seed))
+    const size_t numPorts = fm.rootInports.size();
+    EXPECT_TRUE(runFrame(ref, steps, tests, numPorts) ==
+                runFrame(pattern, steps, tests, numPorts))
         << label << ": result frames differ after " << steps << " steps";
   }
 }

@@ -7,7 +7,8 @@
 // batches. Plus the plumbing itself: one compiled artifact serves both (a
 // dlopen failure never compiles the model again), execMode reports what
 // actually ran, the runner receives the run's budgets exactly, its own
-// failures are typed, and ModelLib rejects unloadable files.
+// failures (a bad stimulus file among them) are typed, and ModelLib
+// rejects unloadable files.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -49,6 +50,37 @@ auto onProcessRung(Fn fn) {
   EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
   return fn();
 }
+
+// A private, empty compile cache for the enclosing scope: a test can count
+// compiler invocations and cache entries from a cold start.
+class ScopedCache {
+ public:
+  ScopedCache()
+      : dir_(fs::temp_directory_path() /
+             ("accmos_exec_cache_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter_++))),
+        env_("ACCMOS_CACHE_DIR", dir_.c_str()) {}
+  ~ScopedCache() {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  size_t entries() const {
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto& e : fs::directory_iterator(dir_, ec)) {
+      n += e.path().extension() == ".bin" ? 1 : 0;
+    }
+    return n;
+  }
+
+ private:
+  static int counter_;
+  fs::path dir_;
+  EnvGuard env_;
+};
+
+int ScopedCache::counter_ = 0;
 
 // The Sample model ships overflow-triggering stimulus: a run produces real
 // diagnostics, so the differential covers the diagnostic records too.
@@ -157,22 +189,23 @@ TEST(ExecModes, CampaignsAgreeAcrossBackendsAndWorkerCounts) {
   }
 }
 
-// The generator's workload: a heterogeneous spec batch where different
-// stimulus shapes compile different simulators (seed-only variants share
-// one). Replaying the batch must give the same per-spec results on the
-// process rung and in-process.
+// The generator's workload: a heterogeneous spec batch of seeds, ranges
+// and sequences, all run by one compiled simulator. Replaying the batch
+// must give the same per-spec results on the process rung and in-process,
+// and the two replays together compile the model once.
 TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
+  ScopedCache cache;
   auto model = sampleOverflowModel();
   Simulator sim(*model);
   TestCaseSpec base = sampleOverflowStimulus();
 
   std::vector<TestCaseSpec> specs;
-  for (uint64_t seed : {7u, 8u}) {  // one shape, two seeds
+  for (uint64_t seed : {7u, 8u}) {  // one stimulus, two seeds
     TestCaseSpec s = base;
     s.seed = seed;
     specs.push_back(s);
   }
-  TestCaseSpec wide = base;  // a second shape
+  TestCaseSpec wide = base;  // other ranges
   wide.defaultPort.min = -2.0;
   wide.defaultPort.max = 2.0;
   for (auto& p : wide.ports) {
@@ -182,17 +215,22 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
   }
   wide.seed = 9;
   specs.push_back(wide);
+  TestCaseSpec seq = base;  // explicit sequences, as a --tests CSV gives
+  seq.ports[0].sequence = {900.0, -3.5, 1000.0, 0.0, 512.25};
+  seq.ports[1].sequence = {1000.0, 999.5, -0.0, 250.0, 700.0};
+  specs.push_back(seq);
 
+  const uint64_t invocations = CompilerDriver::compilerInvocations();
   auto evaluate = [&] {
     SimOptions opt = accOptions(200);
     opt.campaign.workers = 2;
     SpecEvaluator evaluator(sim.flatModel(), opt);
-    auto out = evaluator.evaluate(specs);
-    EXPECT_EQ(evaluator.enginesBuilt(), 2u) << "two stimulus shapes";
-    return out;
+    return evaluator.evaluate(specs);
   };
   auto pr = onProcessRung(evaluate);
   auto dl = evaluate();
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, 1u)
+      << "one library serves every spec on both rungs";
   ASSERT_EQ(pr.size(), specs.size());
   ASSERT_EQ(dl.size(), specs.size());
   for (size_t k = 0; k < specs.size(); ++k) {
@@ -256,37 +294,6 @@ TEST(ExecModes, DlopenFailureFallsBackToProcess) {
   EXPECT_EQ(fb.execMode, "process");
   test::expectSameOutputs(clean, fb, "fallback");
 }
-
-// A private, empty compile cache for the enclosing scope: a test can count
-// compiler invocations and cache entries from a cold start.
-class ScopedCache {
- public:
-  ScopedCache()
-      : dir_(fs::temp_directory_path() /
-             ("accmos_exec_cache_" + std::to_string(::getpid()) + "_" +
-              std::to_string(counter_++))),
-        env_("ACCMOS_CACHE_DIR", dir_.c_str()) {}
-  ~ScopedCache() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  size_t entries() const {
-    size_t n = 0;
-    std::error_code ec;
-    for (const auto& e : fs::directory_iterator(dir_, ec)) {
-      n += e.path().extension() == ".bin" ? 1 : 0;
-    }
-    return n;
-  }
-
- private:
-  static int counter_;
-  fs::path dir_;
-  EnvGuard env_;
-};
-
-int ScopedCache::counter_ = 0;
 
 // One artifact: a cold engine whose library cannot be loaded runs on the
 // process rung off the library it already built — exactly one compiler
@@ -365,6 +372,67 @@ TEST(ExecModes, RunnerFailuresAreTypedNotCrashes) {
   EXPECT_EQ(abiFailure.failure.kind, FailureKind::AbiMismatch)
       << abiFailure.failure.summary();
   EXPECT_EQ(abiFailure.failure.backend, "process");
+}
+
+// The stimulus file is the runner's one input besides its command line.
+// A file the engine cannot write, and one the runner reads as truncated,
+// each end the run as a typed AbiMismatch on the process rung, never a
+// Crash, and the engine runs normally afterwards. The engine writes its
+// work dir under TMPDIR, which the test points at a private directory to
+// reach the files.
+TEST(ExecModes, BadStimulusFilesAreTypedNotCrashes) {
+  ScopedCache cache;
+  const fs::path tmp = fs::temp_directory_path() /
+                       ("accmos_stimulus_tmp_" + std::to_string(::getpid()));
+  fs::create_directories(tmp);
+  Tiny t;
+  t.inport("In1", 1);
+  t.actor("G", "Gain").params().setDouble("gain", 3.0);
+  t.outport("Out1", 1);
+  t.wire("In1", "G");
+  t.wire("G", "Out1");
+  Simulator sim(t.model());
+  TestCaseSpec tests;
+  tests.ports = {PortStimulus{0.0, 1.0, {0.5, -2.0, 4.0}}};
+  {
+    EnvGuard tmpdir("TMPDIR", tmp.c_str());
+    EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+    AccMoSEngine engine(sim.flatModel(), accOptions(), tests);
+    std::vector<fs::path> workDirs;
+    for (const auto& e : fs::directory_iterator(tmp)) {
+      workDirs.push_back(e.path());
+    }
+    ASSERT_EQ(workDirs.size(), 1u) << "the engine's work dir";
+    const fs::path& work = workDirs[0];
+
+    // The runner reads the engine's first stimulus file through a link
+    // to /dev/null: an empty frame.
+    fs::create_symlink("/dev/null", work / "stimulus_0.bin");
+    SimulationResult truncated = engine.run();
+    ASSERT_TRUE(truncated.failed);
+    EXPECT_EQ(truncated.failure.kind, FailureKind::AbiMismatch)
+        << truncated.failure.summary();
+    EXPECT_EQ(truncated.failure.backend, "process");
+    EXPECT_NE(truncated.failure.message.find("stimulus file"),
+              std::string::npos)
+        << truncated.failure.message;
+
+    SimulationResult good = engine.run();
+    ASSERT_FALSE(good.failed) << good.failure.summary();
+    SimOptions sse = accOptions();
+    sse.engine = Engine::SSE;
+    expectIdenticalResults(good, runInterpreter(sim.flatModel(), sse, tests),
+                           "after a bad stimulus file");
+
+    fs::remove_all(work);
+    SimulationResult unwritable = engine.run();
+    ASSERT_TRUE(unwritable.failed);
+    EXPECT_EQ(unwritable.failure.kind, FailureKind::AbiMismatch)
+        << unwritable.failure.summary();
+    EXPECT_EQ(unwritable.failure.backend, "process");
+  }
+  std::error_code ec;
+  fs::remove_all(tmp, ec);
 }
 
 // ModelLib must reject files dlopen cannot load with a catchable

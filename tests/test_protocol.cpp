@@ -403,16 +403,22 @@ TEST(Protocol, TestCaseSpecRoundTripsExactly) {
 
   TestCaseSpec back =
       serve::specFromJson(parseJson(serve::toJson(s).write()), "$");
+  // Field by field and bitwise, so that -0.0 must stay -0.0: the daemon
+  // runs exactly the stimulus the client sent.
+  auto bits = [](const PortStimulus& p) {
+    std::vector<uint64_t> out = {std::bit_cast<uint64_t>(p.min),
+                                 std::bit_cast<uint64_t>(p.max)};
+    for (double v : p.sequence) out.push_back(std::bit_cast<uint64_t>(v));
+    return out;
+  };
   EXPECT_EQ(back.seed, s.seed);
-  ASSERT_EQ(back.ports.size(), 2u);
-  EXPECT_EQ(back.ports[0].min, p1.min);
-  EXPECT_EQ(back.ports[0].max, p1.max);
-  EXPECT_TRUE(back.ports[0].sequence.empty());
-  EXPECT_EQ(back.ports[1].sequence, p2.sequence);
-  EXPECT_EQ(back.defaultPort.max, 100.0);
-  // The spec's compiled-simulator cache key survives the trip — what the
-  // daemon's model-library pool relies on.
-  EXPECT_EQ(back.shapeKey(), s.shapeKey());
+  ASSERT_EQ(back.ports.size(), s.ports.size());
+  for (size_t k = 0; k < s.ports.size(); ++k) {
+    EXPECT_EQ(back.ports[k].sequence.size(), s.ports[k].sequence.size())
+        << "port " << k;
+    EXPECT_EQ(bits(back.ports[k]), bits(s.ports[k])) << "port " << k;
+  }
+  EXPECT_EQ(bits(back.defaultPort), bits(s.defaultPort));
 }
 
 // ---- Observation canonicalization --------------------------------------

@@ -4,7 +4,10 @@
 // model round-trips to the in-process result; each malformed frame is
 // rejected with a ResultParseError (one case per rejection); the binary
 // decoder range-checks every record; and a seeded mutation loop over a
-// real frame ends every iteration in a ModelError or a decoded result.
+// real frame ends every iteration in a ModelError or a decoded result. The
+// stimulus frame that carries a run's port table to the runner is held to
+// the same: it round-trips bitwise, each malformed frame is rejected with
+// a reason, and mutants decode to tables that fit them or are rejected.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +18,7 @@
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/model_lib.h"
+#include "codegen/result_frame.h"
 #include "codegen/results_parser.h"
 #include "test_util.h"
 
@@ -72,12 +76,16 @@ class ResultFrameTest : public ::testing::Test {
     lib_ = new ModelLib(out.exePath);
 
     RunBuffers buf(lib_->info());
+    const std::vector<AccmosPortStim> ports =
+        portTable(stimulus, fm_->rootInports.size());
     AccmosRunArgs args;
     std::memset(&args, 0, sizeof(args));
     args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
     args.abiVersion = ACCMOS_ABI_VERSION;
     args.maxSteps = opt_->maxSteps;
     args.seed = 7;
+    args.ports = ports.data();
+    args.numPorts = ports.size();
     EXPECT_EQ(lib_->run(args, buf.res), ACCMOS_ABI_OK);
     frame_ = new std::string(encodeResultFrame(buf));
     direct_ = new SimulationResult(decode(buf.res));
@@ -294,6 +302,137 @@ TEST_F(ResultFrameTest, MutatedFramesFailTypedOrDecode) {
                     lib_->info().numCustom);
       ++decoded;
     } catch (const ModelError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// ---- The stimulus frame ---------------------------------------------------
+
+// A port table with a range port, sequence ports and a -0.0 bound: every
+// kind of record the stimulus frame carries.
+class StimulusFrameTest : public ::testing::Test {
+ protected:
+  std::string frame() const {
+    return encodeStimulusFrame(ports_.data(), ports_.size());
+  }
+
+  // `t` fits a frame of `frameSize` bytes: the frame is exactly as long as
+  // the table declares, and every sequence lies inside the decoded values.
+  static void expectFits(const StimulusTable& t, size_t frameSize,
+                         const std::string& label) {
+    uint64_t values = 0;
+    for (const AccmosPortStim& p : t.ports) {
+      values += p.seqLen;
+      if (p.seqLen == 0) {
+        EXPECT_EQ(p.seq, nullptr) << label;
+        continue;
+      }
+      ASSERT_NE(p.seq, nullptr) << label;
+      EXPECT_GE(p.seq, t.values.data()) << label;
+      EXPECT_LE(p.seq + p.seqLen, t.values.data() + t.values.size())
+          << label;
+    }
+    EXPECT_EQ(values, t.values.size()) << label;
+    EXPECT_EQ(16 + 24 * t.ports.size() + 8 * values, frameSize) << label;
+  }
+
+  // `f` is rejected with a reason naming `why`, leaving `out` empty.
+  static void expectRejected(const std::string& f, const std::string& why) {
+    StimulusTable out;
+    const std::string got = decodeStimulusFrame(f, out);
+    EXPECT_NE(got.find(why), std::string::npos)
+        << "expected '" << why << "', got '" << got << "'";
+    EXPECT_TRUE(out.ports.empty());
+  }
+
+  std::vector<double> a_ = {0.5, -0.0, 1e300};
+  std::vector<double> b_ = {7.0};
+  std::vector<AccmosPortStim> ports_ = {
+      {-1.0, 2.5, nullptr, 0},
+      {0.0, 1.0, a_.data(), a_.size()},
+      {-0.0, 1.0, nullptr, 0},
+      {0.0, 1.0, b_.data(), b_.size()}};
+};
+
+TEST_F(StimulusFrameTest, RoundTripsBitwise) {
+  const std::string f = frame();
+  StimulusTable t;
+  ASSERT_EQ(decodeStimulusFrame(f, t), "");
+  expectFits(t, f.size(), "round trip");
+  ASSERT_EQ(t.ports.size(), ports_.size());
+  for (size_t k = 0; k < ports_.size(); ++k) {
+    EXPECT_EQ(std::memcmp(&t.ports[k].min, &ports_[k].min, 8), 0) << k;
+    EXPECT_EQ(std::memcmp(&t.ports[k].max, &ports_[k].max, 8), 0) << k;
+    ASSERT_EQ(t.ports[k].seqLen, ports_[k].seqLen) << k;
+    if (ports_[k].seqLen > 0) {
+      EXPECT_EQ(std::memcmp(t.ports[k].seq, ports_[k].seq,
+                            ports_[k].seqLen * 8),
+                0)
+          << k;
+    }
+  }
+  StimulusTable none;
+  ASSERT_EQ(decodeStimulusFrame(encodeStimulusFrame(nullptr, 0), none), "");
+  EXPECT_TRUE(none.ports.empty());
+}
+
+TEST_F(StimulusFrameTest, RejectsMalformedFrames) {
+  const std::string f = frame();
+  std::string bad = f;
+  bad[0] ^= 0x20;
+  expectRejected(bad, "bad magic");
+  bad = f;
+  const uint32_t v5 = 5;
+  std::memcpy(&bad[4], &v5, 4);
+  expectRejected(bad, "version 5");
+  expectRejected(f.substr(0, 15), "truncated header");
+  expectRejected(f.substr(0, 16 + 24 * 3), "truncated");
+  expectRejected(f.substr(0, f.size() - 8), "overruns the frame");
+  expectRejected(f + "x", "1 trailing bytes");
+  // A sequence length near 2^64 must not wrap the frame-size arithmetic.
+  bad = f;
+  putU64(bad, 16 + 24 + 16, ~uint64_t{0});
+  expectRejected(bad, "overruns the frame");
+  bad = f;
+  putU64(bad, 8, uint64_t{1} << 60);
+  expectRejected(bad, "truncated");
+}
+
+// Seeded mutations of a real stimulus frame, on the pattern of the CSV and
+// model-file fuzzers, plus edits of its length fields. Every mutant must
+// decode to a table that fits it or be rejected with a reason; the
+// sanitizer CI jobs run this too, so a read past the frame fails there.
+TEST_F(StimulusFrameTest, MutatedFramesDecodeToFittingTablesOrFailWithAReason) {
+  const std::string f = frame();
+  SplitMix64 rng(22);
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string mutant = f;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      mutant = test::mutateOnce(std::move(mutant), rng);
+    }
+    if (rng.next() % 4 == 0 && mutant.size() >= 16) {
+      // The port count or a sequence length, when the mutant still has it.
+      const size_t port = rng.next() % ports_.size();
+      const size_t at = rng.next() % 2 == 0 ? 8 : 16 + 24 * port + 16;
+      if (at + 8 <= mutant.size()) {
+        const uint64_t edits[] = {1, 3, 1000, ~uint64_t{0},
+                                  uint64_t{1} << 61, rng.next()};
+        putU64(mutant, at, edits[rng.next() % 6]);
+      }
+    }
+    StimulusTable t;
+    const std::string why = decodeStimulusFrame(mutant, t);
+    const std::string label = "iteration " + std::to_string(iter);
+    if (why.empty()) {
+      expectFits(t, mutant.size(), label);
+      ++decoded;
+    } else {
+      EXPECT_TRUE(t.ports.empty()) << label;
       ++rejected;
     }
   }

@@ -386,11 +386,6 @@ int cmdTestGen(const std::string& path,
               "diagnostic kind(s)\n",
               gr.corpus.size(), gr.evaluations, gr.diagKinds);
   printFailures(gr.failures);
-  if (gr.enginesBuilt > 0) {
-    std::printf("codegen  : %zu distinct stimulus shape(s) compiled, "
-                "%.3fs compile-wait\n",
-                gr.enginesBuilt, gr.compileWaitSeconds);
-  }
   if (!gopt.corpusDir.empty()) {
     std::printf("exported : %s (MANIFEST.tsv + entry_*.spec/.csv)\n",
                 gopt.corpusDir.c_str());
@@ -411,9 +406,24 @@ int cmdTestGen(const std::string& path,
 struct RunArgs {
   SimOptions opt;
   TestCaseSpec tests;
+  std::string testsPath;  // the --tests CSV, when one was given
   bool showUncovered = false;
   bool explicitTests = false;  // --tests/--seed override embedded stimulus
 };
+
+// A --tests CSV holds one column per root Inport of the model; any other
+// count is bad input, as a CSV that cannot be parsed is: exit 4.
+void checkTestsColumns(const RunArgs& ra, const FlatModel& fm) {
+  if (ra.testsPath.empty() ||
+      ra.tests.ports.size() == fm.rootInports.size()) {
+    return;
+  }
+  throw ModelLoadError("test-case CSV '" + ra.testsPath + "' has " +
+                       std::to_string(ra.tests.ports.size()) +
+                       " column(s), but the model has " +
+                       std::to_string(fm.rootInports.size()) +
+                       " root Inport(s)");
+}
 
 // Returns 0 on success, 2 (after printing) on a bad flag.
 int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
@@ -437,6 +447,7 @@ int parseRunArgs(const std::vector<std::string>& args, RunArgs* ra) {
       if (!parseNumber("--budget", v, &opt.timeBudgetSec)) return 2;
     } else if (flagValue(arg, "--tests", &v)) {
       ra->tests = readTestsCli(v);
+      ra->testsPath = v;
       ra->explicitTests = true;
     } else if (flagValue(arg, "--seed", &v)) {
       if (!parseNumber("--seed", v, &ra->tests.seed)) return 2;
@@ -513,6 +524,7 @@ int cmdRun(const std::string& path, const std::vector<std::string>& args) {
   // An embedded <stimulus> is the default; --tests/--seed override it.
   if (loaded.stimulus && !ra.explicitTests) ra.tests = *loaded.stimulus;
   Simulator sim(*loaded.model);
+  checkTestsColumns(ra, sim.flatModel());
   auto res = sim.run(opt, ra.tests);
 
   int code = printRunResult(res, opt);
@@ -839,6 +851,8 @@ int cmdClientRun(const std::string& socketPath, const std::string& path,
   std::string text = readFileText(path);
   LoadedModel loaded = loadModelCli(path);
   if (loaded.stimulus && !ra.explicitTests) ra.tests = *loaded.stimulus;
+  Simulator sim(*loaded.model);
+  checkTestsColumns(ra, sim.flatModel());
 
   serve::ServeClient client(socketPath);
   serve::ServiceMeta meta;
@@ -852,7 +866,6 @@ int cmdClientRun(const std::string& socketPath, const std::string& path,
                    "engine, without --no-coverage)\n");
       return 2;
     }
-    Simulator sim(*loaded.model);
     printUncovered(sim.flatModel(), ra.opt, res.bitmaps);
   }
   return code;
