@@ -383,15 +383,13 @@ int runShardWorker(int fd) {
       const size_t b1 = std::min(req.specs.size(), b0 + kBlockSpecs);
       std::vector<TestCaseSpec> block(req.specs.begin() + b0,
                                       req.specs.begin() + b1);
-      std::vector<uint8_t> done;
-      std::vector<SimulationResult> rs = evaluator.evaluate(
-          block, req.options.campaign.workers, &done, &built);
-      size_t n = 0;
-      while (n < done.size() && done[n] != 0) ++n;
       serve::ShardPartial p;
       p.first = b0;
-      p.results.assign(std::make_move_iterator(rs.begin()),
-                       std::make_move_iterator(rs.begin() + n));
+      const size_t n = evaluator.evaluateInOrder(
+          block, req.options.campaign.workers, /*interruptible=*/true, &built,
+          [&](size_t, SimulationResult&& r) {
+            p.results.push_back(std::move(r));
+          });
       serve::writeFrame(fd, serve::toJson(p).write());
       completed = b0 + n;
       if (n < block.size()) interrupted = true;

@@ -115,7 +115,7 @@ GenResult runGeneration(const FlatModel& fm, const SimOptions& opt,
     specs.reserve(cands.size());
     for (const auto& c : cands) specs.push_back(c.spec);
     std::vector<SimulationResult> results =
-        evaluator.evaluate(specs, opt.campaign.workers, nullptr, &built);
+        evaluator.evaluate(specs, opt.campaign.workers, &built);
     out.evaluations += specs.size();
 
     // Acceptance is judged strictly in candidate order against the global

@@ -124,9 +124,9 @@ CampaignResult ServeClient::campaign(const std::string& modelText,
   req.set("op", Json::str("campaign"));
   req.set("model", Json::str(modelText));
   req.set("options", toJson(opt));
-  Json arr = Json::array();
-  for (const auto& s : specs) arr.push(toJson(s));
-  req.set("specs", std::move(arr));
+  req.set("specs", renderedArray(specs, [](const TestCaseSpec& s) {
+            return toJson(s);
+          }));
   Json resp = request(req);
   if (meta != nullptr) *meta = serviceMetaFromJson(resp);
   return campaignResultFromJson(resp.at("result", "$"), "$.result");

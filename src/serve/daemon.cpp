@@ -386,7 +386,7 @@ std::string Daemon::dispatch(const std::string& requestText,
     resp.set("op", Json::str(op));
     if (op == "run") {
       std::vector<SimulationResult> rs = lease->evaluator().evaluate(
-          specs, simOpt.campaign.workers, nullptr, nullptr);
+          specs, simOpt.campaign.workers, nullptr);
       rs[0].optStats = lease->optStats();
       resp.set("result", toJson(rs[0]));
     } else {

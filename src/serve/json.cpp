@@ -58,6 +58,13 @@ Json Json::object() {
   return j;
 }
 
+Json Json::rendered(std::string text) {
+  Json j;
+  j.kind_ = Kind::Rendered;
+  j.str_ = std::move(text);
+  return j;
+}
+
 namespace {
 
 const char* kindName(Json::Kind k) {
@@ -70,6 +77,7 @@ const char* kindName(Json::Kind k) {
     case Json::Kind::String: return "string";
     case Json::Kind::Array: return "array";
     case Json::Kind::Object: return "object";
+    case Json::Kind::Rendered: return "rendered JSON text";
   }
   return "?";
 }
@@ -191,32 +199,34 @@ void writeEscaped(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
-void writeValue(const Json& j, std::string& out) {
-  switch (j.kind()) {
-    case Json::Kind::Null:
+}  // namespace
+
+void Json::write(std::string& out) const {
+  switch (kind_) {
+    case Kind::Null:
       out += "null";
       return;
-    case Json::Kind::Bool:
-      out += j.asBool("write") ? "true" : "false";
+    case Kind::Bool:
+      out += bool_ ? "true" : "false";
       return;
-    case Json::Kind::U64: {
+    case Kind::U64: {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, j.asU64("write"));
+      std::snprintf(buf, sizeof(buf), "%" PRIu64, u64_);
       out += buf;
       return;
     }
-    case Json::Kind::I64: {
+    case Kind::I64: {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRId64, j.asI64("write"));
+      std::snprintf(buf, sizeof(buf), "%" PRId64, i64_);
       out += buf;
       return;
     }
-    case Json::Kind::Double: {
+    case Kind::Double: {
       // %.17g round-trips every finite double exactly through strtod.
       // Non-finite timings never travel (Value payloads go as bit
       // patterns), but render something parse-able rather than invalid
       // JSON if one ever does.
-      double v = j.asDouble("write");
+      const double v = dbl_;
       char buf[40];
       if (v != v) {
         out += "\"nan\"";
@@ -231,33 +241,36 @@ void writeValue(const Json& j, std::string& out) {
       out += buf;
       return;
     }
-    case Json::Kind::String:
-      writeEscaped(j.asString("write"), out);
+    case Kind::String:
+      writeEscaped(str_, out);
       return;
-    case Json::Kind::Array: {
+    case Kind::Array: {
       out.push_back('[');
-      const auto& arr = j.asArray("write");
-      for (size_t k = 0; k < arr.size(); ++k) {
+      for (size_t k = 0; k < arr_.size(); ++k) {
         if (k > 0) out.push_back(',');
-        writeValue(arr[k], out);
+        arr_[k].write(out);
       }
       out.push_back(']');
       return;
     }
-    case Json::Kind::Object: {
+    case Kind::Object: {
       out.push_back('{');
-      const auto& obj = j.members("write");
-      for (size_t k = 0; k < obj.size(); ++k) {
+      for (size_t k = 0; k < obj_.size(); ++k) {
         if (k > 0) out.push_back(',');
-        writeEscaped(obj[k].first, out);
+        writeEscaped(obj_[k].first, out);
         out.push_back(':');
-        writeValue(obj[k].second, out);
+        obj_[k].second.write(out);
       }
       out.push_back('}');
       return;
     }
+    case Kind::Rendered:
+      out += str_;
+      return;
   }
 }
+
+namespace {
 
 // Recursive-descent parser over the raw bytes; every failure is anchored
 // to the 1-based line and the absolute byte offset of the offending byte.
@@ -508,7 +521,7 @@ class Parser {
 
 std::string Json::write() const {
   std::string out;
-  writeValue(*this, out);
+  write(out);
   return out;
 }
 

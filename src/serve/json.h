@@ -36,7 +36,9 @@ class JsonError : public ModelError {
 
 class Json {
  public:
-  enum class Kind : uint8_t { Null, Bool, U64, I64, Double, String, Array, Object };
+  enum class Kind : uint8_t {
+    Null, Bool, U64, I64, Double, String, Array, Object, Rendered
+  };
 
   Json() = default;  // null
   static Json null() { return Json(); }
@@ -47,6 +49,10 @@ class Json {
   static Json str(std::string v);
   static Json array();
   static Json object();
+  // JSON text rendered already, which write() copies verbatim (see
+  // renderedArray). Every reader treats it as a kind mismatch, and
+  // parseJson never produces one.
+  static Json rendered(std::string text);
 
   Kind kind() const { return kind_; }
   bool isNull() const { return kind_ == Kind::Null; }
@@ -77,6 +83,8 @@ class Json {
 
   // Renders compactly (no whitespace beyond what strings carry).
   std::string write() const;
+  // The same text, appended to `out`.
+  void write(std::string& out) const;
 
  private:
   Kind kind_ = Kind::Null;
@@ -88,6 +96,24 @@ class Json {
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
 };
+
+// An array rendered one element at a time: `elementJson(e)` builds each
+// element's small DOM, which is written and dropped at once. A campaign's
+// per-seed rows (about 31 nodes of 112 bytes each per row) then cost
+// their text rather than a node tree of every row. The text is the one
+// the same array built with array()/push() writes.
+template <class Range, class ElementJson>
+Json renderedArray(const Range& elements, ElementJson elementJson) {
+  std::string text = "[";
+  bool first = true;
+  for (const auto& e : elements) {
+    if (!first) text.push_back(',');
+    first = false;
+    elementJson(e).write(text);
+  }
+  text.push_back(']');
+  return Json::rendered(std::move(text));
+}
 
 // Parses one JSON document (the whole string must be consumed apart from
 // trailing whitespace). Throws JsonError with the 1-based line and the

@@ -368,9 +368,9 @@ CampaignSeedResult seedResultFromJson(const Json& j, const std::string& where) {
 
 Json toJson(const CampaignResult& r) {
   Json j = Json::object();
-  Json perSeed = Json::array();
-  for (const auto& s : r.perSeed) perSeed.push(toJson(s));
-  j.set("perSeed", std::move(perSeed));
+  j.set("perSeed", renderedArray(r.perSeed, [](const CampaignSeedResult& s) {
+          return toJson(s);
+        }));
   j.set("cumulative", toJson(r.cumulative));
   j.set("mergedBitmaps", toJson(r.mergedBitmaps));
   Json diags = Json::array();
@@ -670,19 +670,17 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where) {
 
 Json campaignObservations(const CampaignResult& r) {
   Json j = Json::object();
-  Json perSeed = Json::array();
-  for (const auto& s : r.perSeed) {
-    Json row = Json::object();
-    row.set("seed", Json::u64(s.seed));
-    row.set("steps", Json::u64(s.steps));
-    row.set("coverage", toJson(s.coverage));
-    row.set("cumulative", toJson(s.cumulative));
-    row.set("diagnosticKinds",
-            Json::u64(static_cast<uint64_t>(s.diagnosticKinds)));
-    row.set("failed", Json::boolean(s.failed));
-    perSeed.push(std::move(row));
-  }
-  j.set("perSeed", std::move(perSeed));
+  j.set("perSeed", renderedArray(r.perSeed, [](const CampaignSeedResult& s) {
+          Json row = Json::object();
+          row.set("seed", Json::u64(s.seed));
+          row.set("steps", Json::u64(s.steps));
+          row.set("coverage", toJson(s.coverage));
+          row.set("cumulative", toJson(s.cumulative));
+          row.set("diagnosticKinds",
+                  Json::u64(static_cast<uint64_t>(s.diagnosticKinds)));
+          row.set("failed", Json::boolean(s.failed));
+          return row;
+        }));
   j.set("cumulative", toJson(r.cumulative));
   j.set("mergedBitmaps", toJson(r.mergedBitmaps));
   Json diags = Json::array();

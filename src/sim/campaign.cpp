@@ -108,27 +108,35 @@ size_t SpecEvaluator::residentBytes() const {
 
 std::vector<SimulationResult> SpecEvaluator::evaluate(
     const std::vector<TestCaseSpec>& specs) {
-  return evaluate(specs, opt_.campaign.workers, nullptr, nullptr);
+  return evaluate(specs, opt_.campaign.workers, nullptr);
 }
 
-// Runs every spec, storing the result at the spec's index. With more than
-// one worker, specs are pulled one at a time from a shared counter by a
-// pool of threads: each SSE worker builds its own interpreter for the
-// call; the AccMoS engine's run() is thread-safe, so workers call the
-// one engine directly — concurrent calls into one loaded library, or
-// concurrent child processes each writing to their own pipe when a run
-// is contained out of process. Result k lands
-// at out[k], so the spec-order merge downstream is deterministic for any
-// worker count. The first exception thrown by any worker is rethrown on
-// the caller.
 std::vector<SimulationResult> SpecEvaluator::evaluate(
     const std::vector<TestCaseSpec>& specs, size_t workers,
-    std::vector<uint8_t>* done, EngineBuildCosts* built) {
+    EngineBuildCosts* built) {
+  std::vector<SimulationResult> out(specs.size());
+  evaluateInOrder(specs, workers, /*interruptible=*/false, built,
+                  [&](size_t k, SimulationResult&& r) {
+                    out[k] = std::move(r);
+                  });
+  return out;
+}
+
+// Specs are pulled one at a time from a shared counter by a pool of
+// threads: each SSE worker builds its own interpreter for the call; the
+// AccMoS engine's run() is thread-safe, so workers call the one engine
+// directly — concurrent calls into one loaded library, or concurrent child
+// processes each writing to their own pipe when a run is contained out of
+// process. Delivery is strictly in spec order whatever the interleaving,
+// so the merge downstream is deterministic for any worker count.
+size_t SpecEvaluator::evaluateInOrder(const std::vector<TestCaseSpec>& specs,
+                                      size_t workers, bool interruptible,
+                                      EngineBuildCosts* built,
+                                      const ResultSink& sink) {
   if (specs.empty()) {
     throw ModelError("spec batch evaluation needs at least one test case");
   }
   for (const auto& spec : specs) spec.validate();
-  if (done != nullptr) done->assign(specs.size(), 0);
 
   // AccMoS: build (or reuse) the one engine before the fan-out. A
   // simulator that cannot be compiled does not abort the batch: every
@@ -145,119 +153,158 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
 
   workers = resolveWorkers(workers, specs.size());
 
-  std::vector<SimulationResult> out(specs.size());
-  auto runRange = [&](std::atomic<size_t>& next, std::exception_ptr& error,
-                      std::mutex& errMutex) {
+  std::atomic<size_t> next{0};
+  std::atomic<bool> stop{false};
+  std::mutex deliveryMutex;
+  // Guarded by deliveryMutex: the results handed to `sink` so far (always
+  // specs [0, delivered)), the results that finished ahead of that prefix,
+  // and the first exception.
+  size_t delivered = 0;
+  std::map<size_t, SimulationResult> waiting;
+  std::exception_ptr error;
+
+  // `sink` runs under the lock: that is what makes its calls one at a time
+  // and in spec order.
+  auto deliver = [&](size_t k, SimulationResult&& res) {
+    std::lock_guard<std::mutex> lock(deliveryMutex);
+    if (k != delivered) {
+      waiting.emplace(k, std::move(res));
+      return;
+    }
+    sink(delivered++, std::move(res));
+    for (auto it = waiting.begin();
+         it != waiting.end() && it->first == delivered;
+         it = waiting.erase(it)) {
+      sink(delivered++, std::move(it->second));
+    }
+  };
+
+  auto work = [&] {
     std::unique_ptr<Interpreter> interp;  // SSE: this worker's, this call
     for (;;) {
-      // Interruptible batches stop CLAIMING here but always finish a
-      // claimed spec, so claims — handed out by the monotonic counter —
-      // cover a prefix of the spec order and every claim completes: the
-      // finished set is a contiguous prefix, which makes the partial
-      // merge downstream well-defined.
-      if (done != nullptr && interruptRequested()) break;
+      // An interrupt stops CLAIMING here, but a claimed spec always
+      // finishes and is delivered, so claims — handed out by the monotonic
+      // counter — cover a prefix of the spec order and the delivered count
+      // is that prefix, which makes the partial merge well-defined.
+      if (stop.load() || (interruptible && interruptRequested())) return;
       const size_t k = next.fetch_add(1);
-      if (k >= specs.size()) break;
+      if (k >= specs.size()) return;
       try {
         if (opt_.engine == Engine::SSE) {
           if (!interp) interp = std::make_unique<Interpreter>(fm_, opt_);
-          out[k] = interp->run(specs[k]);
+          deliver(k, interp->run(specs[k]));
         } else if (engine == nullptr) {
-          out[k] = compileFailedResult(specs[k].seed, compileError);
+          deliver(k, compileFailedResult(specs[k].seed, compileError));
         } else {
           // An AccMoS run never throws for per-run faults — a hung or
           // crashed seed comes back as a failed result and its
           // neighbours are unaffected.
-          out[k] = engine->run(specs[k]);
+          deliver(k, engine->run(specs[k]));
         }
-        if (done != nullptr) (*done)[k] = 1;
       } catch (...) {
-        std::lock_guard<std::mutex> lock(errMutex);
+        std::lock_guard<std::mutex> lock(deliveryMutex);
         if (!error) error = std::current_exception();
+        stop = true;
         return;
       }
     }
   };
 
-  std::atomic<size_t> next{0};
-  std::exception_ptr error;
-  std::mutex errMutex;
   if (workers <= 1) {
-    runRange(next, error, errMutex);
+    work();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] { runRange(next, error, errMutex); });
-    }
+    for (size_t w = 0; w < workers; ++w) pool.emplace_back(work);
     for (auto& t : pool) t.join();
   }
   if (error) std::rethrow_exception(error);
-  return out;
+  return delivered;
 }
 
-// Merge strictly in spec order: coverage-bitmap unions, diagnostic
-// deduplication and the per-spec cumulative reports are computed exactly
-// as a sequential run would, so the campaign outcome is independent of the
-// execution interleaving that produced `results` — worker pools or shard
-// processes (src/dist) both feed the same merge.
+namespace {
+
+// The spec-order merge, one result at a time: add() folds the next spec's
+// result exactly as a sequential run would — coverage-bitmap union,
+// diagnostic deduplication and the cumulative report after it, or a
+// contained failure — so the campaign outcome is independent of the
+// execution interleaving that produced the results. finish() renders the
+// campaign-wide fields. Worker pools and shard processes (src/dist) both
+// feed this one fold.
+class CampaignFold {
+ public:
+  CampaignFold(const FlatModel& model, size_t specCount,
+               const OptStats& optStats)
+      : plan_(CoveragePlan::build(
+            model, [](const FlatActor& fa) { return covTraitsFor(fa); })),
+        specCount_(specCount) {
+    out_.optStats = optStats;
+    out_.mergedBitmaps = CoverageRecorder(plan_);
+    out_.perSeed.reserve(specCount);
+  }
+
+  // Folds the result of the spec after the last one added.
+  void add(const TestCaseSpec& spec, const SimulationResult& res) {
+    const size_t k = out_.perSeed.size();
+    CampaignSeedResult sr;
+    sr.seed = spec.seed;
+    sr.execMode = res.execMode;
+    if (res.failed) {
+      // Contained failure: record it, contribute nothing to the merge.
+      // Survivor contributions stay bit-identical to a fault-free
+      // campaign over the survivors because the fold is strictly
+      // spec-ordered and a skipped seed leaves no trace in the bitmaps.
+      RunFailure f = res.failure;
+      f.seed = spec.seed;
+      f.index = k;
+      out_.failures.push_back(std::move(f));
+      sr.failed = true;
+    } else {
+      out_.mergedBitmaps.merge(res.bitmaps);
+      mergeDiagnostics(diagnostics_, res.diagnostics);
+      out_.totalExecSeconds += res.execSeconds;
+      sr.steps = res.stepsExecuted;
+      sr.execSeconds = res.execSeconds;
+      sr.coverage = res.coverage;
+      sr.diagnosticKinds = res.diagnostics.size();
+    }
+    sr.cumulative = makeReport(plan_, out_.mergedBitmaps);
+    out_.perSeed.push_back(std::move(sr));
+  }
+
+  // The campaign over every spec added; fewer than `specCount` marks it
+  // interrupted.
+  CampaignResult finish() && {
+    out_.interrupted = out_.perSeed.size() < specCount_;
+    out_.cumulative = makeReport(plan_, out_.mergedBitmaps);
+    for (const auto& [key, rec] : diagnostics_) {
+      out_.diagnostics.push_back(rec);
+    }
+    std::sort(out_.diagnostics.begin(), out_.diagnostics.end(),
+              [](const DiagRecord& a, const DiagRecord& b) {
+                return std::tie(a.firstStep, a.actorPath) <
+                       std::tie(b.firstStep, b.actorPath);
+              });
+    return std::move(out_);
+  }
+
+ private:
+  CoveragePlan plan_;
+  size_t specCount_;
+  CampaignResult out_;
+  std::map<std::tuple<int, DiagKind, std::string>, DiagRecord> diagnostics_;
+};
+
+}  // namespace
+
 CampaignResult mergeSpecResults(const FlatModel& model,
                                 const std::vector<TestCaseSpec>& specs,
                                 const std::vector<SimulationResult>& results,
                                 size_t completed, const OptStats& optStats) {
-  CampaignResult out;
-  out.optStats = optStats;
-
-  CoveragePlan plan = CoveragePlan::build(
-      model, [](const FlatActor& fa) { return covTraitsFor(fa); });
-  out.mergedBitmaps = CoverageRecorder(plan);
+  CampaignFold fold(model, specs.size(), optStats);
   completed = std::min(completed, specs.size());
-  out.interrupted = completed < specs.size();
-
-  std::map<std::tuple<int, DiagKind, std::string>, DiagRecord> merged;
-  out.perSeed.reserve(completed);
-  for (size_t k = 0; k < completed; ++k) {
-    const SimulationResult& res = results[k];
-    if (res.failed) {
-      // Contained failure: record it, contribute nothing to the merge.
-      // Survivor contributions stay bit-identical to a fault-free
-      // campaign over the survivors because the merge below is strictly
-      // spec-ordered and a skipped seed leaves no trace in the bitmaps.
-      RunFailure f = res.failure;
-      f.seed = specs[k].seed;
-      f.index = k;
-      out.failures.push_back(std::move(f));
-      CampaignSeedResult sr;
-      sr.seed = specs[k].seed;
-      sr.failed = true;
-      sr.execMode = res.execMode;
-      sr.cumulative = makeReport(plan, out.mergedBitmaps);
-      out.perSeed.push_back(std::move(sr));
-      continue;
-    }
-    out.mergedBitmaps.merge(res.bitmaps);
-    mergeDiagnostics(merged, res.diagnostics);
-    out.totalExecSeconds += res.execSeconds;
-
-    CampaignSeedResult sr;
-    sr.seed = specs[k].seed;
-    sr.steps = res.stepsExecuted;
-    sr.execSeconds = res.execSeconds;
-    sr.coverage = res.coverage;
-    sr.cumulative = makeReport(plan, out.mergedBitmaps);
-    sr.diagnosticKinds = res.diagnostics.size();
-    sr.execMode = res.execMode;
-    out.perSeed.push_back(std::move(sr));
-  }
-
-  out.cumulative = makeReport(plan, out.mergedBitmaps);
-  for (const auto& [key, rec] : merged) out.diagnostics.push_back(rec);
-  std::sort(out.diagnostics.begin(), out.diagnostics.end(),
-            [](const DiagRecord& a, const DiagRecord& b) {
-              return std::tie(a.firstStep, a.actorPath) <
-                     std::tie(b.firstStep, b.actorPath);
-            });
-  return out;
+  for (size_t k = 0; k < completed; ++k) fold.add(specs[k], results[k]);
+  return std::move(fold).finish();
 }
 
 CampaignResult runCampaignSpecsOn(
@@ -271,19 +318,17 @@ CampaignResult runCampaignSpecsOn(
 
   const auto wall0 = wallStart.value_or(std::chrono::steady_clock::now());
 
-  std::vector<uint8_t> done;
+  // Each result is folded as soon as the completed prefix reaches it and
+  // freed when the sink returns. A cooperative interrupt stops the batch
+  // after a prefix of the specs, and the fold then covers exactly that
+  // prefix (each of its rows matches the uninterrupted campaign's).
+  CampaignFold fold(model, specs.size(), optStats);
   EngineBuildCosts built;
-  std::vector<SimulationResult> results =
-      evaluator.evaluate(specs, opt.campaign.workers, &done, &built);
+  evaluator.evaluateInOrder(
+      specs, opt.campaign.workers, /*interruptible=*/true, &built,
+      [&](size_t k, SimulationResult&& res) { fold.add(specs[k], res); });
 
-  // A cooperative interrupt stops the batch after a prefix of the specs;
-  // the merge then covers exactly that prefix (partial results are
-  // flushed, and each prefix row matches the uninterrupted campaign's).
-  size_t completed = 0;
-  while (completed < specs.size() && done[completed] != 0) ++completed;
-
-  CampaignResult out = mergeSpecResults(model, specs, results, completed,
-                                        optStats);
+  CampaignResult out = std::move(fold).finish();
   out.workersUsed = resolveWorkers(opt.campaign.workers, specs.size());
   out.generateSeconds = built.generateSeconds;
   out.compileSeconds = built.compileSeconds;

@@ -11,14 +11,17 @@
 // Campaigns scale across cores: `SimOptions::campaign.workers` fans the
 // seeds out over a worker pool (N concurrent executions of the one
 // compiled binary, or one interpreter instance per worker for SSE). Each
-// worker claims one seed at a time. Per-seed results are collected and
-// then merged in seed order, so the outcome — per-seed reports, merged
-// bitmaps, deduplicated diagnostics — is bit-identical to the sequential
-// run for any worker count.
+// worker claims one seed at a time. Each result is folded into the merge
+// in seed order as soon as every earlier seed's result is in, and dropped
+// once folded, so the outcome — per-seed reports, merged bitmaps,
+// deduplicated diagnostics — is bit-identical to the sequential run for
+// any worker count, and a campaign holds one row per seed rather than
+// every seed's result.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -104,16 +107,17 @@ CampaignResult runCampaignSpecs(const FlatModel& fm, const SimOptions& opt,
 
 class SpecEvaluator;
 
-// The spec-order merge under every campaign entry point, callable on its
-// own: given per-spec results for `specs` (result k describes spec k) and
-// the count of completed leading specs (`completed` < specs.size() marks
-// the campaign interrupted), folds the first `completed` results into a
-// CampaignResult exactly as a sequential single-process run would —
-// bitmap unions, diagnostic dedup, per-spec cumulative reports, contained
-// failures. The shard coordinator (src/dist) concatenates
-// per-shard result vectors and calls this, which is what makes a sharded
-// campaign bit-identical to a single-process one: both run the very same
-// merge over the very same per-spec results in the very same order.
+// The spec-order merge over results held in a vector: given per-spec
+// results for `specs` (result k describes spec k) and the count of
+// completed leading specs (`completed` < specs.size() marks the campaign
+// interrupted), folds the first `completed` results into a CampaignResult
+// exactly as a sequential single-process run would — bitmap unions,
+// diagnostic dedup, per-spec cumulative reports, contained failures. It
+// is a loop over the very fold runCampaignSpecsOn feeds one result at a
+// time, so there is one merge. The shard coordinator (src/dist)
+// concatenates per-shard result vectors and calls this, which is what
+// makes a sharded campaign bit-identical to a single-process one: both run
+// the same fold over the same per-spec results in the same order.
 // Timing / one-off-cost fields (wallSeconds, compileSeconds, ...) are the
 // caller's to fill; optStats is copied through.
 CampaignResult mergeSpecResults(const FlatModel& model,
@@ -132,7 +136,10 @@ CampaignResult mergeSpecResults(const FlatModel& model,
 // with a fresh evaluator they equal the classic totals (runCampaignSpecs
 // delegates here), while a pooled evaluator whose engine is already warm
 // reports them as zero. The run is cooperatively interruptible
-// (see CampaignResult::interrupted). `wallStart` backdates wallSeconds to
+// (see CampaignResult::interrupted). Results reach the merge through
+// SpecEvaluator::evaluateInOrder and are dropped once folded, so the call
+// holds one CampaignSeedResult row per spec plus the few results that
+// finished ahead of an earlier spec. `wallStart` backdates wallSeconds to
 // include caller prelude work (flatten/optimize); omitted, the clock
 // starts here.
 CampaignResult runCampaignSpecsOn(
@@ -158,10 +165,10 @@ struct EngineBuildCosts {
   }
 };
 
-// The batch-evaluation primitive under runCampaignSpecs, reusable across
-// batches: the coverage-guided generator holds one evaluator for the whole
-// search so compiled simulators persist between iterations, and the
-// daemon's pool keeps one per resident model.
+// The batch evaluator under runCampaignSpecs, reusable across batches:
+// the coverage-guided generator holds one evaluator for the whole search
+// so compiled simulators persist between iterations, and the daemon's pool
+// keeps one per resident model.
 //
 // The model is used exactly as given — no optimization pass is applied
 // here; callers run the pipeline once up front (as runCampaignSpecs does).
@@ -190,29 +197,44 @@ class SpecEvaluator {
   SpecEvaluator(const SpecEvaluator&) = delete;
   SpecEvaluator& operator=(const SpecEvaluator&) = delete;
 
-  // evaluate() at the constructor's worker count, uninterruptible, with
-  // no cost record.
+  // evaluate() at the constructor's worker count, with no cost record.
   std::vector<SimulationResult> evaluate(
       const std::vector<TestCaseSpec>& specs);
 
-  // Validates and runs every spec for opt.maxSteps, fanning the batch over
-  // `workers` workers (0 = one per hardware thread); out[k] is spec k's
-  // result regardless of worker count or interleaving.
-  //
-  // When `done` is non-null the batch becomes cooperatively interruptible:
-  // workers stop claiming new specs once interruptRequested()
-  // (sim/interrupt.h) reads true, finish every spec already claimed, and
-  // done->at(k) is set for exactly the completed specs — always a
-  // contiguous prefix, because claims come from a monotonic counter.
-  // A null `done` (what the deterministic generator loop uses) ignores
-  // the interrupt flag entirely. When `built` is non-null, the costs of
-  // the engine this call built are added to it. When the engine cannot be
-  // built, every spec's result is a contained CompileError, and the next
-  // call tries the build again.
+  // Every spec's result at once: out[k] is spec k's result regardless of
+  // worker count or interleaving. evaluateInOrder() underneath, ignoring
+  // the interrupt flag entirely — what the deterministic generator loop
+  // needs.
   std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,
                                          size_t workers,
-                                         std::vector<uint8_t>* done,
                                          EngineBuildCosts* built);
+
+  // Takes spec k's result. Called in spec order, one call at a time.
+  using ResultSink = std::function<void(size_t k, SimulationResult&& result)>;
+
+  // The evaluation primitive. Validates and runs every spec for
+  // opt.maxSteps, fanning the batch over `workers` workers (0 = one per
+  // hardware thread), and hands each result to `sink` as soon as every
+  // earlier spec's result has been handed over. Workers claim specs one at
+  // a time from a shared counter; a result that finishes ahead of an
+  // earlier spec waits until the prefix reaches it. So in steady state
+  // about one result per worker waits, and a hung spec holds back at most
+  // what finished before its deadline. Returns how many results were
+  // handed over: the completed prefix of `specs`.
+  //
+  // When `interruptible`, workers stop claiming new specs once
+  // interruptRequested() (sim/interrupt.h) reads true and finish every
+  // spec already claimed; claims come from a monotonic counter, so the
+  // count returned is still a contiguous prefix, and it is below
+  // specs.size() exactly when the interrupt stopped the batch. When
+  // `built` is non-null, the costs of the engine this call built are added
+  // to it. When the engine cannot be built, every spec's result is a
+  // contained CompileError, and the next call tries the build again. The
+  // first exception a run or `sink` throws stops the claims and is
+  // rethrown once the workers have stopped.
+  size_t evaluateInOrder(const std::vector<TestCaseSpec>& specs,
+                         size_t workers, bool interruptible,
+                         EngineBuildCosts* built, const ResultSink& sink);
 
   // The model's compiled engine, building it on first use with `spec` as
   // its default test case; it runs any spec. Throws CompileError when the

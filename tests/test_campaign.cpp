@@ -1,7 +1,8 @@
 // Tests for the multi-seed test-campaign API: coverage accumulation is
 // monotone, AccMoS and SSE campaigns agree seed-by-seed, one compiled
-// simulator serves every seed and stimulus through the run ABI, and
-// overlapping evaluate() calls on one evaluator match sequential ones.
+// simulator serves every seed and stimulus through the run ABI,
+// overlapping evaluate() calls on one evaluator match sequential ones, and
+// an interrupted campaign is a bit-identical prefix of the full one.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,7 +13,9 @@
 #include "bench_models/suite.h"
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
+#include "serve/protocol.h"
 #include "sim/campaign.h"
+#include "sim/interrupt.h"
 #include "test_util.h"
 
 namespace accmos {
@@ -242,7 +245,7 @@ TEST(Campaign, OneLibraryServesEveryStimulus) {
   SpecEvaluator eval(sim.flatModel(), opt);
   EngineBuildCosts built;
   const std::vector<SimulationResult> results =
-      eval.evaluate(specs, opt.campaign.workers, nullptr, &built);
+      eval.evaluate(specs, opt.campaign.workers, &built);
   EXPECT_EQ(CompilerDriver::compilerInvocations() - invocations, 1u);
   EXPECT_EQ(built.enginesBuilt, 1u);
 
@@ -334,7 +337,7 @@ TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
       threads.emplace_back([&, c] {
         start.arrive_and_wait();
         try {
-          got[c] = shared.evaluate(batches[c], c % 2 == 0 ? 1 : 4, nullptr,
+          got[c] = shared.evaluate(batches[c], c % 2 == 0 ? 1 : 4,
                                    &built[c]);
         } catch (const std::exception& e) {
           err[c] = e.what();
@@ -353,7 +356,7 @@ TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
     for (size_t c = 0; c < kThreads; ++c) {
       ASSERT_EQ(err[c], "") << label << " thread " << c;
       const std::vector<SimulationResult> want =
-          sequential.evaluate(batches[c], 1, nullptr, nullptr);
+          sequential.evaluate(batches[c], 1, nullptr);
       ASSERT_EQ(got[c].size(), want.size());
       for (size_t k = 0; k < want.size(); ++k) {
         test::expectIdenticalResults(
@@ -365,6 +368,57 @@ TEST(Campaign, OverlappingEvaluateCallsMatchSequential) {
   }
   std::error_code ec;
   fs::remove_all(cache, ec);
+}
+
+// A cooperative interrupt raised from a second thread partway through an
+// in-process campaign, at one worker and at four: workers stop claiming,
+// finish what they claimed, and the fold covers exactly the delivered
+// prefix. That prefix is bit-identical to an uninterrupted campaign over
+// the same specs, including rows that finished ahead of an earlier spec
+// and waited for it. SSE needs no compiler, so the interrupt's timing is
+// the test.
+TEST(Campaign, InterruptedCampaignIsABitIdenticalPrefix) {
+  auto model = buildBenchmarkModel("CSEV");
+  Simulator sim(*model);
+  SimOptions opt;
+  opt.engine = Engine::SSE;
+  opt.maxSteps = 1000;
+  std::vector<TestCaseSpec> specs(128, benchStimulus("CSEV"));
+  for (size_t k = 0; k < specs.size(); ++k) specs[k].seed = 1000 + 37 * k;
+  auto obs = [](const CampaignResult& cr) {
+    return serve::campaignObservations(cr).write();
+  };
+
+  for (size_t workers : {1, 4}) {
+    const std::string label = std::to_string(workers) + " worker(s)";
+    opt.campaign.workers = workers;
+    clearInterrupt();
+    std::thread trigger([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      requestInterrupt();
+    });
+    const CampaignResult cr = runCampaignSpecs(sim.flatModel(), opt, specs);
+    trigger.join();
+    clearInterrupt();
+
+    if (cr.interrupted) {
+      ASSERT_LT(cr.perSeed.size(), specs.size()) << label;
+      if (cr.perSeed.empty()) continue;  // the interrupt beat every claim
+      const std::vector<TestCaseSpec> prefix(
+          specs.begin(), specs.begin() + cr.perSeed.size());
+      const CampaignResult ref = runCampaignSpecs(sim.flatModel(), opt, prefix);
+      ASSERT_FALSE(ref.interrupted) << label;
+      CampaignResult sansFlag = cr;
+      sansFlag.interrupted = false;
+      EXPECT_EQ(obs(sansFlag), obs(ref))
+          << label << ", interrupted after " << cr.perSeed.size() << " of "
+          << specs.size() << " specs";
+    } else {
+      // The campaign outran the interrupt; full identity must hold instead.
+      EXPECT_EQ(obs(cr), obs(runCampaignSpecs(sim.flatModel(), opt, specs)))
+          << label;
+    }
+  }
 }
 
 }  // namespace

@@ -312,6 +312,77 @@ TEST(Protocol, CampaignResultRoundTripsExactly) {
   EXPECT_EQ(cr.interrupted, back.interrupted);
 }
 
+// The campaign encoders render perSeed one row at a time. Their text must
+// be the text of the same document built as a DOM, row by row with
+// array()/push(), for a campaign with normal, failed and interrupted rows
+// and for one with no rows. The rendered node itself cannot be read back.
+TEST(Protocol, CampaignRowsRenderAsTheirDom) {
+  auto model = buildBenchmarkModel("CSEV");
+  Simulator sim(*model);
+  SimOptions opt;
+  opt.engine = Engine::SSE;
+  opt.maxSteps = 300;
+  CampaignResult cr =
+      runCampaign(sim.flatModel(), opt, benchStimulus("CSEV"), {1, 2, 3});
+  ASSERT_EQ(cr.perSeed.size(), 3u);
+  // A contained failure in the middle row, a placement string that needs
+  // escaping, and the interrupt marker.
+  cr.perSeed[1].failed = true;
+  cr.perSeed[1].steps = 0;
+  cr.perSeed[1].execMode = "pro\"cess\n";
+  cr.failures.push_back(
+      {FailureKind::Crash, 2, 1, 11, 1, "process", "SIGSEGV in step 17"});
+  cr.interrupted = true;
+
+  auto domOf = [](const CampaignResult& r) {
+    Json rows = Json::array();
+    for (const auto& s : r.perSeed) rows.push(serve::toJson(s));
+    Json j = serve::toJson(r);
+    j.set("perSeed", std::move(rows));  // replaces in place: same key order
+    return j.write();
+  };
+  auto observationDomOf = [](const CampaignResult& r) {
+    Json rows = Json::array();
+    for (const auto& s : r.perSeed) {
+      Json row = Json::object();
+      row.set("seed", Json::u64(s.seed));
+      row.set("steps", Json::u64(s.steps));
+      row.set("coverage", serve::toJson(s.coverage));
+      row.set("cumulative", serve::toJson(s.cumulative));
+      row.set("diagnosticKinds",
+              Json::u64(static_cast<uint64_t>(s.diagnosticKinds)));
+      row.set("failed", Json::boolean(s.failed));
+      rows.push(std::move(row));
+    }
+    Json j = serve::campaignObservations(r);
+    j.set("perSeed", std::move(rows));
+    return j.write();
+  };
+
+  for (const CampaignResult& r : {cr, CampaignResult{}}) {
+    const std::string label = std::to_string(r.perSeed.size()) + " rows";
+    EXPECT_EQ(serve::toJson(r).write(), domOf(r)) << label;
+    EXPECT_EQ(serve::campaignObservations(r).write(), observationDomOf(r))
+        << label;
+  }
+  EXPECT_NE(serve::toJson(cr).write().find("\"perSeed\":[{\"seed\":1,"),
+            std::string::npos);
+  EXPECT_NE(serve::toJson(CampaignResult{}).write().find("\"perSeed\":[],"),
+            std::string::npos);
+
+  // A rendered array is text to write, not a document to read: every
+  // reader throws the typed error instead of handing out its contents.
+  const Json rendered = serve::toJson(cr).at("perSeed", "$");
+  EXPECT_EQ(rendered.kind(), Json::Kind::Rendered);
+  EXPECT_THROW(rendered.asArray("$.perSeed"), JsonError);
+  EXPECT_THROW(rendered.members("$.perSeed"), JsonError);
+  EXPECT_THROW(rendered.at("seed", "$.perSeed"), JsonError);
+  EXPECT_THROW(rendered.asString("$.perSeed"), JsonError);
+  EXPECT_EQ(rendered.find("seed"), nullptr);
+  EXPECT_THROW(serve::campaignResultFromJson(serve::toJson(cr), "$"),
+               JsonError);
+}
+
 // ---- Options / specs ---------------------------------------------------
 
 TEST(Protocol, SimOptionsRoundTrip) {
