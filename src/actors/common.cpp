@@ -1,6 +1,8 @@
 #include "actors/common.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <sstream>
 
 namespace accmos {
 
@@ -15,11 +17,53 @@ std::string fmtD(double v) {
   return s;
 }
 
-std::string fmtI(int64_t v) {
+std::string fmtI(Int128 v) {
   if (v == std::numeric_limits<int64_t>::min()) {
     return "(-9223372036854775807LL - 1)";
   }
-  return std::to_string(v) + "LL";
+  if (v > std::numeric_limits<int64_t>::max()) {
+    return std::to_string(static_cast<uint64_t>(v)) + "ULL";
+  }
+  return std::to_string(static_cast<int64_t>(v)) + "LL";
+}
+
+std::vector<Int128> intConstantValues(const Actor& a, DataType t, int width) {
+  const Int128 lo = intTypeMin(t);
+  const Int128 hi = uintTypeMax(t);
+  std::vector<Int128> vals;
+  std::istringstream is(a.params().getString("value", "0"));
+  std::string tok;
+  while (std::getline(is, tok, ',')) {
+    if (tok.empty()) continue;
+    const size_t b = tok.find_first_not_of(" \t");
+    const size_t e = tok.find_last_not_of(" \t");
+    const std::string lit =
+        b == std::string::npos ? "" : tok.substr(b, e - b + 1);
+    const size_t digits =
+        !lit.empty() && (lit[0] == '-' || lit[0] == '+') ? 1 : 0;
+    if (digits == lit.size() ||
+        lit.find_first_not_of("0123456789", digits) != std::string::npos) {
+      double d = std::strtod(tok.c_str(), nullptr);
+      vals.push_back(storeDoubleAsInt(t, d).value);
+      continue;
+    }
+    Int128 v = 0;
+    bool huge = false;  // beyond every type's range; stop before Int128 would
+    for (size_t k = digits; k < lit.size() && !huge; ++k) {
+      v = v * 10 + (lit[k] - '0');
+      huge = v > (Int128{1} << 65);
+    }
+    if (lit[0] == '-') v = -v;
+    if (huge || v < lo || v > hi) {
+      throw ModelError("actor '" + a.name() + "': value '" + lit +
+                       "' is out of range for " +
+                       std::string(dataTypeName(t)));
+    }
+    vals.push_back(v);
+  }
+  if (vals.empty()) vals.push_back(0);
+  vals.resize(static_cast<size_t>(width), vals.back());
+  return vals;
 }
 
 std::vector<DiagKind> arithDiags(const FlatModel& fm, const FlatActor& fa) {
@@ -82,13 +126,8 @@ std::string storeOutSat(EmitContext& ctx, const std::string& idx,
   if (!sat || isFloatType(t)) {
     return ctx.storeOutStmt(idx, expr, flags.wrap, flags.prec);
   }
-  std::string elem = ctx.out() + "[" + idx + "]";
-  std::string s = "{ accmos_wrapres _w = accmos_sat_" +
-                  std::string(dataTypeName(t)) + "(" + expr + "); " + elem +
-                  " = (" + std::string(dataTypeCpp(t)) + ")_w.value;";
-  if (!flags.sat.empty()) s += " " + flags.sat + " |= _w.wrapped;";
-  if (!flags.prec.empty()) s += " " + flags.prec + " |= _w.prec;";
-  return s + " }";
+  return foldStmt(t, ctx.out() + "[" + idx + "]", expr, true, flags.sat,
+                  flags.prec);
 }
 
 void beginElemLoop(EmitContext& ctx, int width) {

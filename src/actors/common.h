@@ -16,7 +16,9 @@ inline double inD(EvalContext& ctx, int port, int elem) {
   return v.asDouble(v.width() == 1 ? 0 : elem);
 }
 
-inline int64_t inI(EvalContext& ctx, int port, int elem) {
+// The one exact integer read: the value the element's type holds (a u64
+// at or above 2^63 stays positive); floats truncate through f2i.
+inline Int128 inI(EvalContext& ctx, int port, int elem) {
   const Value& v = ctx.in(port);
   return v.asInt(v.width() == 1 ? 0 : elem);
 }
@@ -33,6 +35,10 @@ struct ArithFlags {
   bool sat = false;  // saturating arithmetic clamped
   bool prec = false;
   bool nan = false;
+
+  // The flag an integer fold sets: the clamp of a saturating actor, else
+  // the wrap.
+  bool& overflow(bool saturating) { return saturating ? sat : wrap; }
 };
 
 // Simulink's per-block "saturate on overflow" arithmetic option; supported
@@ -51,12 +57,12 @@ inline void storeReal(EvalContext& ctx, int port, int elem, double v,
   fl.prec = fl.prec || sf.precisionLoss;
 }
 
-// Stores a wide integer result with wrap detection.
-inline void storeInt(EvalContext& ctx, int port, int elem, Int128 acc,
-                     ArithFlags& fl) {
-  IntResult r = wrapStore(ctx.out(port).type(), acc);
-  ctx.out(port).setI(elem, r.value);
-  fl.wrap = fl.wrap || r.wrapped;
+// Folds an exact integer into `t` (a wrap, or a clamp when `sat`), noting
+// it in `fl`; returns the stored value, exact.
+inline Int128 foldInt(DataType t, Int128 exact, bool sat, ArithFlags& fl) {
+  IntResult r = fold(t, exact, sat);
+  fl.overflow(sat) |= r.wrapped != 0;
+  return r.value;
 }
 
 // Reports the accumulated arithmetic diagnostics for the current actor;
@@ -101,13 +107,18 @@ struct EmitFlags {
   std::string prec;
   std::string nan;
 
+  // The variable an integer fold sets (see ArithFlags::overflow).
+  const std::string& overflow(bool saturating) const {
+    return saturating ? sat : wrap;
+  }
+
   std::vector<std::pair<DiagKind, std::string>> asDiagCall() const;
 };
 
 EmitFlags declareArithFlags(EmitContext& ctx);
 
 // storeOutStmt variant honouring the actor's saturate-on-overflow option:
-// integer outputs go through accmos_sat_<t> and flag flags.sat when `sat`.
+// integer outputs clamp and flag flags.sat when `sat`.
 std::string storeOutSat(EmitContext& ctx, const std::string& idx,
                         const std::string& expr, const EmitFlags& flags,
                         bool sat);
@@ -132,7 +143,14 @@ std::vector<char> parseOps(const Actor& a, const std::string& def,
 // Formats a double as a round-trippable C++ literal ("1.5", "1e30", ...).
 std::string fmtD(double v);
 
-// Formats an int64 literal with the LL suffix.
-std::string fmtI(int64_t v);
+// Formats an exact integer as a C++ literal of its value: LL suffix, or
+// ULL at or above 2^63.
+std::string fmtI(Int128 v);
+
+// An integer Constant's element values, stored in `t` and broadcast to
+// `width`. A token that is a decimal integer literal is exact and must fit
+// `t` (ModelError naming the actor otherwise); any other token is stored
+// as a real, as a float Constant would be.
+std::vector<Int128> intConstantValues(const Actor& a, DataType t, int width);
 
 }  // namespace accmos

@@ -31,29 +31,10 @@ class DataTypeConversionSpec : public ActorSpec {
 
   void eval(EvalContext& ctx) const override {
     ArithFlags fl;
-    if (saturating(ctx.fa()) && !ctx.out().isFloat()) {
-      // Saturating conversion: clamp into the target range.
-      Value& out = ctx.out();
-      const Value& in = ctx.in(0);
-      for (int i = 0; i < out.width(); ++i) {
-        int src = in.width() == 1 ? 0 : i;
-        RealStoreResult r;
-        if (in.isFloat()) {
-          r = storeDoubleAsIntSat(out.type(), in.f(src));
-        } else {
-          IntResult w = satStore(out.type(), static_cast<Int128>(in.i(src)));
-          r.value = w.value;
-          r.wrapped = w.wrapped;
-        }
-        out.setI(i, r.value);
-        fl.sat = fl.sat || r.wrapped;
-        fl.prec = fl.prec || r.precisionLoss;
-      }
-    } else {
-      auto flags = ctx.out().convertFrom(ctx.in(0));
-      fl.wrap = flags.wrapped;
-      fl.prec = flags.precisionLoss;
-    }
+    bool sat = saturating(ctx.fa());
+    auto flags = ctx.out().convertFrom(ctx.in(0), sat);
+    fl.overflow(sat) = flags.wrapped;
+    fl.prec = flags.precisionLoss;
     reportArith(ctx, fl);
   }
 
@@ -64,31 +45,18 @@ class DataTypeConversionSpec : public ActorSpec {
     beginElemLoop(ctx, ctx.outWidth());
     if (isFloatType(outT) && !isFloatType(inT)) {
       // int -> float: flag precision loss when the integer does not
-      // round-trip (mirrors Value::convertFrom).
-      bool uns = isUnsignedInt(inT);
+      // round-trip (as Value::convertFrom does).
       std::string x = ctx.sink().freshVar("x");
       std::string v = ctx.sink().freshVar("v");
-      std::string elem =
-          ctx.in(0) + "[" + (ctx.inWidth(0) == 1 ? "0" : "i") + "]";
-      if (uns) {
-        ctx.line("uint64_t " + x + " = (uint64_t)" + elem + ";");
-      } else {
-        ctx.line("int64_t " + x + " = " + ctx.inElem(0, "i", DataType::I64) +
-                 ";");
-      }
-      ctx.line("double " + v + " = (double)" + x + ";");
+      ctx.line("__int128 " + x + " = " + ctx.inElem(0, "i", DataType::I64) +
+               ";");
+      ctx.line("double " + v + " = " + ctx.inElem(0, "i", DataType::F64) +
+               ";");
       ctx.line(ctx.out() + "[i] = (" + std::string(dataTypeCpp(outT)) + ")" +
                v + ";");
       if (!flags.prec.empty()) {
-        ctx.line("if ((double)" + ctx.out() + "[i] != " + v + ") " +
-                 flags.prec + " = 1;");
-        if (uns) {
-          ctx.line("else if ((uint64_t)(long double)" + v + " != " + x + ") " +
-                   flags.prec + " = 1;");
-        } else {
-          ctx.line("else if ((int64_t)" + v + " != " + x + ") " + flags.prec +
-                   " = 1;");
-        }
+        ctx.line("if ((double)" + ctx.out() + "[i] != " + v + " || (__int128)" +
+                 v + " != " + x + ") " + flags.prec + " = 1;");
       }
     } else if (isFloatType(outT)) {
       // float -> float.
@@ -103,8 +71,7 @@ class DataTypeConversionSpec : public ActorSpec {
                            flags, saturating(ctx.fa())));
     } else {
       // int -> int: two's-complement wrap or saturating clamp.
-      ctx.line(storeOutSat(ctx, "i",
-                           "(__int128)" + ctx.inElem(0, "i", DataType::I64),
+      ctx.line(storeOutSat(ctx, "i", ctx.inElem(0, "i", DataType::I64),
                            flags, saturating(ctx.fa())));
     }
     endElemLoop(ctx);

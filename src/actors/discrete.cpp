@@ -312,16 +312,11 @@ class DiscreteIntegratorSpec : public ActorSpec {
         fl.prec = fl.prec || sf.precisionLoss;
       }
     } else {
-      int64_t ki = f2i(k);
+      Int128 ki = f2i(k);
       bool sat = saturating(ctx.fa());
       for (int i = 0; i < st.width(); ++i) {
-        Int128 acc = static_cast<Int128>(st.i(i)) +
-                     static_cast<Int128>(ki) * inI(ctx, 0, i);
-        IntResult r = sat ? satStore(st.type(), acc)
-                          : wrapStore(st.type(), acc);
-        fl.wrap = fl.wrap || (!sat && r.wrapped);
-        fl.sat = fl.sat || (sat && r.wrapped);
-        st.setI(i, r.value);
+        st.setI(i, foldInt(st.type(), st.asInt(i) + ki * inI(ctx, 0, i), sat,
+                           fl));
       }
     }
     reportArith(ctx, fl);
@@ -362,23 +357,20 @@ class DiscreteIntegratorSpec : public ActorSpec {
               std::string(dataTypeCpp(ctx.outType())) + ")_s; }";
       ctx.sink().updateLine(stmt);
     } else {
-      std::string fn = sat ? "accmos_sat_" : "accmos_store_";
-      const std::string& flagVar = sat ? flags.sat : flags.wrap;
-      std::string stmt = "{ accmos_wrapres _w = " + fn +
-                         std::string(dataTypeName(ctx.outType())) +
-                         "((__int128)" + ctx.state() + "[i] + (__int128)" +
-                         fmtI(f2i(k)) + " * " +
-                         ctx.inElem(0, "i", DataType::I64) + "); " +
-                         ctx.state() + "[i] = (" +
-                         std::string(dataTypeCpp(ctx.outType())) +
-                         ")_w.value;";
-      if (!flagVar.empty()) stmt += " " + flagVar + " |= _w.wrapped;";
-      stmt += " }";
-      ctx.sink().updateLine(stmt);
+      ctx.sink().updateLine(foldStmt(
+          ctx.outType(), ctx.state() + "[i]",
+          "(__int128)" + ctx.state() + "[i] + " + fmtI(f2i(k)) + " * " +
+              ctx.inElem(0, "i", DataType::I64),
+          sat, flags.overflow(sat)));
     }
     ctx.sink().updateLine("}");
-    // The diagnostic call runs after the update loop.
-    ctx.sink().diagCallInUpdate(flags.asDiagCall());
+    // The diagnostic call runs after the update loop, where update() also
+    // reports the static downcast.
+    auto call = flags.asDiagCall();
+    if (ctx.sink().diagOn(DiagKind::Downcast)) {
+      call.emplace_back(DiagKind::Downcast, "1");
+    }
+    ctx.sink().diagCallInUpdate(call);
   }
 };
 

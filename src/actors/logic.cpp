@@ -318,6 +318,7 @@ class BitwiseOperatorSpec : public ActorSpec {
     int n = ctx.numInputs();
     Value& out = ctx.out();
     for (int i = 0; i < out.width(); ++i) {
+      // Bitwise ops act on 64-bit patterns: the exact operand's low bits.
       uint64_t acc = static_cast<uint64_t>(inI(ctx, 0, i));
       if (o == "NOT") {
         acc = ~acc;
@@ -329,11 +330,8 @@ class BitwiseOperatorSpec : public ActorSpec {
           else acc ^= v;
         }
       }
-      // Mask to the output width without flagging: bit patterns, not
-      // arithmetic values.
-      out.setI(i, wrapStore(out.type(), static_cast<Int128>(
-                                            static_cast<int64_t>(acc)))
-                      .value);
+      // A bit pattern, not an arithmetic value: store it unflagged.
+      out.setI(i, static_cast<int64_t>(acc));
     }
   }
 
@@ -353,7 +351,8 @@ class BitwiseOperatorSpec : public ActorSpec {
                  ctx.inElem(p, "i", DataType::I64) + ";");
       }
     }
-    ctx.line(ctx.storeOutStmt("i", "(__int128)(int64_t)" + acc, "", ""));
+    ctx.line(ctx.out() + "[i] = (" + std::string(dataTypeCpp(ctx.outType())) +
+             ")" + acc + ";");
     endElemLoop(ctx);
   }
 
@@ -404,14 +403,8 @@ class ShiftArithmeticSpec : public ActorSpec {
     Value& out = ctx.out();
     ArithFlags fl;
     for (int i = 0; i < out.width(); ++i) {
-      int64_t v = inI(ctx, 0, i);
-      if (left) {
-        IntResult r = wrapStore(out.type(), static_cast<Int128>(v) << bits);
-        fl.wrap = fl.wrap || r.wrapped;
-        out.setI(i, r.value);
-      } else {
-        out.setI(i, v >> bits);
-      }
+      Int128 v = inI(ctx, 0, i);
+      out.setI(i, left ? foldInt(out.type(), v << bits, false, fl) : v >> bits);
     }
     reportArith(ctx, fl);
   }
@@ -422,17 +415,11 @@ class ShiftArithmeticSpec : public ActorSpec {
     bool left = a.params().getString("direction", "left") == "left";
     EmitFlags flags = declareArithFlags(ctx);
     beginElemLoop(ctx, ctx.outWidth());
-    if (left) {
-      ctx.line(ctx.storeOutStmt("i",
-                                "(__int128)" + ctx.inElem(0, "i", DataType::I64) +
-                                    " << " + std::to_string(bits),
-                                flags.wrap, flags.prec));
-    } else {
-      ctx.line(ctx.storeOutStmt("i",
-                                "(__int128)(" + ctx.inElem(0, "i", DataType::I64) +
-                                    " >> " + std::to_string(bits) + ")",
-                                flags.wrap, flags.prec));
-    }
+    ctx.line(ctx.storeOutStmt("i",
+                              ctx.inElem(0, "i", DataType::I64) +
+                                  (left ? " << " : " >> ") +
+                                  std::to_string(bits),
+                              flags.wrap, flags.prec));
     endElemLoop(ctx);
     finishEmit(ctx, flags);
   }

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "actors/common.h"
-#include "actors/lut.h"
 
 namespace accmos {
 namespace {
@@ -20,60 +19,6 @@ std::string tableLiteral(const std::vector<double>& v) {
   os << "}";
   return os.str();
 }
-
-}  // namespace
-
-// Shared 1-D lookup semantic; the generated runtime carries an identical
-// accmos_lut1() implementation.
-double accmosLut1(const std::vector<double>& xs, const std::vector<double>& ys,
-                  double v, bool nearest, int& outcome) {
-  int n = static_cast<int>(xs.size());
-  if (v <= xs[0]) {
-    outcome = v < xs[0] ? 0 : 1;
-    return ys[0];
-  }
-  if (v >= xs[static_cast<size_t>(n - 1)]) {
-    outcome = v > xs[static_cast<size_t>(n - 1)] ? 2 : 1;
-    return ys[static_cast<size_t>(n - 1)];
-  }
-  outcome = 1;
-  int k = 0;
-  while (k + 2 < n && v >= xs[static_cast<size_t>(k + 1)]) ++k;
-  double x0 = xs[static_cast<size_t>(k)];
-  double x1 = xs[static_cast<size_t>(k + 1)];
-  double y0 = ys[static_cast<size_t>(k)];
-  double y1 = ys[static_cast<size_t>(k + 1)];
-  if (nearest) return (v - x0 <= x1 - v) ? y0 : y1;
-  return y0 + (y1 - y0) * (v - x0) / (x1 - x0);
-}
-
-double accmosLut2(const std::vector<double>& xs, const std::vector<double>& ys,
-                  const std::vector<double>& zs, double u, double v,
-                  bool& clipped) {
-  int nx = static_cast<int>(xs.size());
-  int ny = static_cast<int>(ys.size());
-  if (u < xs[0]) { u = xs[0]; clipped = true; }
-  if (u > xs[static_cast<size_t>(nx - 1)]) { u = xs[static_cast<size_t>(nx - 1)]; clipped = true; }
-  if (v < ys[0]) { v = ys[0]; clipped = true; }
-  if (v > ys[static_cast<size_t>(ny - 1)]) { v = ys[static_cast<size_t>(ny - 1)]; clipped = true; }
-  int ix = 0;
-  while (ix + 2 < nx && u >= xs[static_cast<size_t>(ix + 1)]) ++ix;
-  int iy = 0;
-  while (iy + 2 < ny && v >= ys[static_cast<size_t>(iy + 1)]) ++iy;
-  double x0 = xs[static_cast<size_t>(ix)], x1 = xs[static_cast<size_t>(ix + 1)];
-  double y0 = ys[static_cast<size_t>(iy)], y1 = ys[static_cast<size_t>(iy + 1)];
-  double tx = (u - x0) / (x1 - x0);
-  double ty = (v - y0) / (y1 - y0);
-  double z00 = zs[static_cast<size_t>(ix * ny + iy)];
-  double z01 = zs[static_cast<size_t>(ix * ny + iy + 1)];
-  double z10 = zs[static_cast<size_t>((ix + 1) * ny + iy)];
-  double z11 = zs[static_cast<size_t>((ix + 1) * ny + iy + 1)];
-  double a = z00 + (z10 - z00) * tx;
-  double b = z01 + (z11 - z01) * tx;
-  return a + (b - a) * ty;
-}
-
-namespace {
 
 class Lookup1DSpec : public ActorSpec {
  public:
@@ -102,7 +47,8 @@ class Lookup1DSpec : public ActorSpec {
     bool oob = false;
     for (int i = 0; i < ctx.out().width(); ++i) {
       int outcome = 1;
-      double r = accmosLut1(xs, ys, inD(ctx, 0, i), nearest, outcome);
+      double r = accmos_lut1(xs.data(), ys.data(), static_cast<int>(xs.size()),
+                             inD(ctx, 0, i), nearest ? 1 : 0, &outcome);
       ctx.decision(outcome);
       oob = oob || outcome != 1;
       storeReal(ctx, 0, i, r, fl);
@@ -190,8 +136,10 @@ class Lookup2DSpec : public ActorSpec {
     auto zs = a.params().getDoubleList("z");
     double u = inD(ctx, 0, 0);
     double v = inD(ctx, 1, 0);
-    bool clipped = false;
-    double r = accmosLut2(xs, ys, zs, u, v, clipped);
+    int clipped = 0;
+    double r = accmos_lut2(xs.data(), static_cast<int>(xs.size()), ys.data(),
+                           static_cast<int>(ys.size()), zs.data(), u, v,
+                           &clipped);
     ctx.decision(clipped ? 0 : 1);
     if (clipped) ctx.reportDiag(DiagKind::OutOfBounds);
     ArithFlags fl;

@@ -5,6 +5,7 @@
 // Integer semantics: Simulink accumulates in the output type, so every
 // partial operation wraps (and flags) at the output width — that fold is
 // exactly what the paper's wrap-on-overflow diagnosis observes.
+#include <algorithm>
 #include <cmath>
 
 #include "actors/common.h"
@@ -12,32 +13,18 @@
 namespace accmos {
 namespace {
 
-// Folds one partial integer result into the output type, accumulating the
-// wrap (or saturate) flag (shared by Sum/Product/DotProduct/...).
-int64_t foldInt(DataType t, Int128 acc, ArithFlags& fl, bool sat = false) {
-  if (sat) {
-    IntResult r = satStore(t, acc);
-    fl.sat = fl.sat || r.wrapped;
-    return r.value;
-  }
-  IntResult r = wrapStore(t, acc);
-  fl.wrap = fl.wrap || r.wrapped;
-  return r.value;
-}
-
-// Emits the generated-code equivalent: acc = wrap(expr), flag |= wrapped
-// (or the saturating store when the actor uses saturate-on-overflow).
-std::string foldIntStmt(EmitContext& ctx, const std::string& accVar,
+// Emits `acc = fold(expr)` for an accumulator of the output type, flagging
+// the wrap (or the clamp of a saturating actor).
+std::string foldAccStmt(EmitContext& ctx, const std::string& acc,
                         const std::string& expr, const EmitFlags& flags,
                         bool sat) {
-  DataType t = ctx.outType();
-  std::string fn = sat ? "accmos_sat_" : "accmos_store_";
-  const std::string& flagVar = sat ? flags.sat : flags.wrap;
-  std::string s = "{ accmos_wrapres _w = " + fn +
-                  std::string(dataTypeName(t)) + "((__int128)" + expr + "); " +
-                  accVar + " = _w.value;";
-  if (!flagVar.empty()) s += " " + flagVar + " |= _w.wrapped;";
-  return s + " }";
+  return foldStmt(ctx.outType(), acc, expr, sat, flags.overflow(sat));
+}
+
+// Declares an accumulator of the output type: `T acc = init;`.
+std::string declareAcc(EmitContext& ctx, const std::string& acc, int init) {
+  return std::string(dataTypeCpp(ctx.outType())) + " " + acc + " = " +
+         std::to_string(init) + ";";
 }
 
 // ---------------------------------------------------------------------------
@@ -72,12 +59,10 @@ class SumSpec : public ActorSpec {
       DataType t = out.type();
       bool sat = saturating(ctx.fa());
       for (int i = 0; i < out.width(); ++i) {
-        int64_t acc = 0;
+        Int128 acc = 0;
         for (size_t p = 0; p < ops.size(); ++p) {
-          Int128 wide = static_cast<Int128>(acc);
-          int64_t v = inI(ctx, static_cast<int>(p), i);
-          wide = ops[p] == '+' ? wide + v : wide - v;
-          acc = foldInt(t, wide, fl, sat);
+          Int128 v = inI(ctx, static_cast<int>(p), i);
+          acc = foldInt(t, ops[p] == '+' ? acc + v : acc - v, sat, fl);
         }
         out.setI(i, acc);
       }
@@ -105,15 +90,15 @@ class SumSpec : public ActorSpec {
     } else {
       std::string acc = ctx.sink().freshVar("acc");
       bool sat = saturating(ctx.fa());
-      ctx.line("int64_t " + acc + " = 0;");
+      ctx.line(declareAcc(ctx, acc, 0));
       for (size_t p = 0; p < ops.size(); ++p) {
         std::string term = ctx.inElem(static_cast<int>(p), "i", DataType::I64);
-        ctx.line(foldIntStmt(ctx, acc,
-                             acc + (ops[p] == '+' ? " + " : " - ") + term,
+        ctx.line(foldAccStmt(ctx, acc,
+                             "(__int128)" + acc +
+                                 (ops[p] == '+' ? " + " : " - ") + term,
                              flags, sat));
       }
-      ctx.line(ctx.out() + "[i] = (" + std::string(dataTypeCpp(ctx.outType())) +
-               ")" + acc + ";");
+      ctx.line(ctx.out() + "[i] = " + acc + ";");
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);
@@ -145,14 +130,14 @@ class ProductSpec : public ActorSpec {
     auto ops = parseOps(*ctx.fa().src, "**", "*/");
     Value& out = ctx.out();
     ArithFlags fl;
-    bool divZero = false;
+    int divZero = 0;
     if (out.isFloat()) {
       for (int i = 0; i < out.width(); ++i) {
         double acc = 1.0;
         for (size_t p = 0; p < ops.size(); ++p) {
           double v = inD(ctx, static_cast<int>(p), i);
           if (ops[p] == '/') {
-            if (v == 0.0) divZero = true;
+            if (v == 0.0) divZero = 1;
             acc /= v;
           } else {
             acc *= v;
@@ -164,19 +149,13 @@ class ProductSpec : public ActorSpec {
       DataType t = out.type();
       bool sat = saturating(ctx.fa());
       for (int i = 0; i < out.width(); ++i) {
-        int64_t acc = 1;
+        Int128 acc = 1;
         for (size_t p = 0; p < ops.size(); ++p) {
-          int64_t v = inI(ctx, static_cast<int>(p), i);
-          if (ops[p] == '/') {
-            if (v == 0) {
-              divZero = true;
-              acc = 0;
-            } else {
-              acc = foldInt(t, static_cast<Int128>(acc) / v, fl, sat);
-            }
-          } else {
-            acc = foldInt(t, static_cast<Int128>(acc) * v, fl, sat);
-          }
+          Int128 v = inI(ctx, static_cast<int>(p), i);
+          IntResult r = ops[p] == '/' ? intDiv(t, acc, v, sat, &divZero)
+                                      : fold(t, accmos_mul(acc, v), sat);
+          fl.overflow(sat) |= r.wrapped != 0;
+          acc = r.value;
         }
         out.setI(i, acc);
       }
@@ -188,12 +167,15 @@ class ProductSpec : public ActorSpec {
   void emit(EmitContext& ctx) const override {
     auto ops = parseOps(*ctx.fa().src, "**", "*/");
     EmitFlags flags = declareArithFlags(ctx);
+    bool real = isFloatType(ctx.outType());
+    bool dzOn = ctx.sink().diagOn(DiagKind::DivisionByZero);
+    // The integer quotient always takes a flag to set.
+    bool intDivide = !real && std::count(ops.begin(), ops.end(), '/') > 0;
     std::string dz;
-    if (ctx.sink().diagOn(DiagKind::DivisionByZero)) {
+    if (dzOn || intDivide) {
       dz = ctx.sink().freshVar("dz");
       ctx.line("int " + dz + " = 0;");
     }
-    bool real = isFloatType(ctx.outType());
     beginElemLoop(ctx, ctx.outWidth());
     if (real) {
       std::string acc = ctx.sink().freshVar("acc");
@@ -201,9 +183,7 @@ class ProductSpec : public ActorSpec {
       for (size_t p = 0; p < ops.size(); ++p) {
         std::string term = ctx.inElem(static_cast<int>(p), "i", DataType::F64);
         if (ops[p] == '/') {
-          if (!dz.empty()) {
-            ctx.line("if ((" + term + ") == 0.0) " + dz + " = 1;");
-          }
+          if (dzOn) ctx.line("if ((" + term + ") == 0.0) " + dz + " = 1;");
           ctx.line(acc + " /= " + term + ";");
         } else {
           ctx.line(acc + " *= " + term + ";");
@@ -214,27 +194,21 @@ class ProductSpec : public ActorSpec {
     } else {
       std::string acc = ctx.sink().freshVar("acc");
       bool sat = saturating(ctx.fa());
-      ctx.line("int64_t " + acc + " = 1;");
+      ctx.line(declareAcc(ctx, acc, 1));
       for (size_t p = 0; p < ops.size(); ++p) {
         std::string term = ctx.inElem(static_cast<int>(p), "i", DataType::I64);
-        if (ops[p] == '/') {
-          std::string den = ctx.sink().freshVar("den");
-          ctx.line("int64_t " + den + " = " + term + ";");
-          std::string body = foldIntStmt(
-              ctx, acc, acc + " / " + den, flags, sat);
-          ctx.line("if (" + den + " == 0) { " + acc + " = 0;" +
-                   (dz.empty() ? "" : " " + dz + " = 1;") + " } else " + body);
-        } else {
-          ctx.line(foldIntStmt(ctx, acc, acc + " * (__int128)" + term, flags,
-                               sat));
-        }
+        std::string expr = ops[p] == '/'
+                               ? "accmos_quot((__int128)" + acc + ", " + term +
+                                     ", &" + dz + ")"
+                               : "accmos_mul((__int128)" + acc + ", " + term +
+                                     ")";
+        ctx.line(foldAccStmt(ctx, acc, expr, flags, sat));
       }
-      ctx.line(ctx.out() + "[i] = (" + std::string(dataTypeCpp(ctx.outType())) +
-               ")" + acc + ";");
+      ctx.line(ctx.out() + "[i] = " + acc + ";");
     }
     endElemLoop(ctx);
     auto call = flags.asDiagCall();
-    if (!dz.empty()) call.emplace_back(DiagKind::DivisionByZero, dz);
+    if (dzOn) call.emplace_back(DiagKind::DivisionByZero, dz);
     if (ctx.sink().diagOn(DiagKind::Downcast)) {
       call.emplace_back(DiagKind::Downcast, "1");
     }
@@ -267,10 +241,9 @@ class GainSpec : public UnaryBase {
         storeReal(ctx, 0, i, inD(ctx, 0, i) * g, fl);
       }
     } else {
-      int64_t gi = f2i(g);
+      Int128 gi = f2i(g);
       for (int i = 0; i < out.width(); ++i) {
-        out.setI(i, foldInt(out.type(),
-                            static_cast<Int128>(inI(ctx, 0, i)) * gi, fl));
+        out.setI(i, foldInt(out.type(), inI(ctx, 0, i) * gi, false, fl));
       }
     }
     reportArith(ctx, fl);
@@ -290,10 +263,9 @@ class GainSpec : public UnaryBase {
         ctx.line(ctx.storeOutStmt("i", expr, flags.wrap, flags.prec));
       }
     } else {
-      ctx.line(ctx.storeOutStmt("i",
-                                "(__int128)" + ctx.inElem(0, "i", DataType::I64) +
-                                    " * " + fmtI(f2i(g)),
-                                flags.wrap, flags.prec));
+      ctx.line(ctx.storeOutStmt(
+          "i", ctx.inElem(0, "i", DataType::I64) + " * " + fmtI(f2i(g)),
+          flags.wrap, flags.prec));
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);
@@ -313,10 +285,9 @@ class BiasSpec : public UnaryBase {
         storeReal(ctx, 0, i, inD(ctx, 0, i) + b, fl);
       }
     } else {
-      int64_t bi = f2i(b);
+      Int128 bi = f2i(b);
       for (int i = 0; i < out.width(); ++i) {
-        out.setI(i, foldInt(out.type(),
-                            static_cast<Int128>(inI(ctx, 0, i)) + bi, fl));
+        out.setI(i, foldInt(out.type(), inI(ctx, 0, i) + bi, false, fl));
       }
     }
     reportArith(ctx, fl);
@@ -331,10 +302,9 @@ class BiasSpec : public UnaryBase {
           "i", ctx.inElem(0, "i", DataType::F64) + " + " + fmtD(b), flags.wrap,
           flags.prec));
     } else {
-      ctx.line(ctx.storeOutStmt("i",
-                                "(__int128)" + ctx.inElem(0, "i", DataType::I64) +
-                                    " + " + fmtI(f2i(b)),
-                                flags.wrap, flags.prec));
+      ctx.line(ctx.storeOutStmt(
+          "i", ctx.inElem(0, "i", DataType::I64) + " + " + fmtI(f2i(b)),
+          flags.wrap, flags.prec));
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);
@@ -359,10 +329,9 @@ class AbsSpec : public UnaryBase {
       }
     } else {
       for (int i = 0; i < out.width(); ++i) {
-        int64_t v = inI(ctx, 0, i);
+        Int128 v = inI(ctx, 0, i);
         ctx.decision(v < 0 ? 0 : 1);
-        Int128 wide = static_cast<Int128>(v);
-        out.setI(i, foldInt(out.type(), wide < 0 ? -wide : wide, fl));
+        out.setI(i, foldInt(out.type(), v < 0 ? -v : v, false, fl));
       }
     }
     reportArith(ctx, fl);
@@ -379,11 +348,11 @@ class AbsSpec : public UnaryBase {
                                 flags.prec));
     } else {
       std::string v = ctx.sink().freshVar("v");
-      ctx.line("int64_t " + v + " = " + ctx.inElem(0, "i", DataType::I64) + ";");
+      ctx.line("__int128 " + v + " = " + ctx.inElem(0, "i", DataType::I64) +
+               ";");
       ctx.line(ctx.sink().covDecisionStmt(v + " < 0 ? 0 : 1"));
-      ctx.line(ctx.storeOutStmt(
-          "i", "(" + v + " < 0 ? -(__int128)" + v + " : (__int128)" + v + ")",
-          flags.wrap, flags.prec));
+      ctx.line(ctx.storeOutStmt("i", "(" + v + " < 0 ? -" + v + " : " + v + ")",
+                                flags.wrap, flags.prec));
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);
@@ -436,8 +405,7 @@ class UnaryMinusSpec : public UnaryBase {
       }
     } else {
       for (int i = 0; i < out.width(); ++i) {
-        out.setI(i, foldInt(out.type(),
-                            -static_cast<Int128>(inI(ctx, 0, i)), fl));
+        out.setI(i, foldInt(out.type(), -inI(ctx, 0, i), false, fl));
       }
     }
     reportArith(ctx, fl);
@@ -450,9 +418,8 @@ class UnaryMinusSpec : public UnaryBase {
       ctx.line(ctx.storeOutStmt("i", "-" + ctx.inElem(0, "i", DataType::F64),
                                 flags.wrap, flags.prec));
     } else {
-      ctx.line(ctx.storeOutStmt(
-          "i", "-(__int128)" + ctx.inElem(0, "i", DataType::I64), flags.wrap,
-          flags.prec));
+      ctx.line(ctx.storeOutStmt("i", "-" + ctx.inElem(0, "i", DataType::I64),
+                                flags.wrap, flags.prec));
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);
@@ -603,9 +570,7 @@ class MathSpec : public ActorSpec {
     }
     if (o == "mod") {
       if (b == 0.0) divZero = true;
-      double m = std::fmod(a, b);
-      if (m != 0.0 && ((m < 0.0) != (b < 0.0))) m += b;
-      return m;
+      return accmos_fmod_floor(a, b);
     }
     if (o == "rem") {
       if (b == 0.0) divZero = true;
@@ -851,9 +816,9 @@ class SumOfElementsSpec : public ReductionBase {
       for (int i = 0; i < v.width(); ++i) acc += v.asDouble(i);
       storeReal(ctx, 0, 0, acc, fl);
     } else {
-      int64_t acc = 0;
+      Int128 acc = 0;
       for (int i = 0; i < v.width(); ++i) {
-        acc = foldInt(out.type(), static_cast<Int128>(acc) + v.asInt(i), fl);
+        acc = foldInt(out.type(), acc + v.asInt(i), false, fl);
       }
       out.setI(0, acc);
     }
@@ -871,14 +836,14 @@ class SumOfElementsSpec : public ReductionBase {
       if (!flags.nan.empty()) ctx.line(nanCheckStmt(flags, acc));
       ctx.line(ctx.storeOutStmt("0", acc, flags.wrap, flags.prec));
     } else {
-      ctx.line("int64_t " + acc + " = 0;");
+      ctx.line(declareAcc(ctx, acc, 0));
       beginElemLoop(ctx, ctx.inWidth(0));
-      ctx.line(foldIntStmt(ctx, acc,
-                           acc + " + " + ctx.inElem(0, "i", DataType::I64),
-                           flags, false));
+      ctx.line(foldAccStmt(
+          ctx, acc,
+          "(__int128)" + acc + " + " + ctx.inElem(0, "i", DataType::I64),
+          flags, false));
       endElemLoop(ctx);
-      ctx.line(ctx.out() + "[0] = (" + std::string(dataTypeCpp(ctx.outType())) +
-               ")" + acc + ";");
+      ctx.line(ctx.out() + "[0] = " + acc + ";");
     }
     finishEmit(ctx, flags);
   }
@@ -897,9 +862,9 @@ class ProductOfElementsSpec : public ReductionBase {
       for (int i = 0; i < v.width(); ++i) acc *= v.asDouble(i);
       storeReal(ctx, 0, 0, acc, fl);
     } else {
-      int64_t acc = 1;
+      Int128 acc = 1;
       for (int i = 0; i < v.width(); ++i) {
-        acc = foldInt(out.type(), static_cast<Int128>(acc) * v.asInt(i), fl);
+        acc = foldInt(out.type(), accmos_mul(acc, v.asInt(i)), false, fl);
       }
       out.setI(0, acc);
     }
@@ -917,15 +882,14 @@ class ProductOfElementsSpec : public ReductionBase {
       if (!flags.nan.empty()) ctx.line(nanCheckStmt(flags, acc));
       ctx.line(ctx.storeOutStmt("0", acc, flags.wrap, flags.prec));
     } else {
-      ctx.line("int64_t " + acc + " = 1;");
+      ctx.line(declareAcc(ctx, acc, 1));
       beginElemLoop(ctx, ctx.inWidth(0));
-      ctx.line(foldIntStmt(ctx, acc,
-                           acc + " * (__int128)" +
-                               ctx.inElem(0, "i", DataType::I64),
+      ctx.line(foldAccStmt(ctx, acc,
+                           "accmos_mul((__int128)" + acc + ", " +
+                               ctx.inElem(0, "i", DataType::I64) + ")",
                            flags, false));
       endElemLoop(ctx);
-      ctx.line(ctx.out() + "[0] = (" + std::string(dataTypeCpp(ctx.outType())) +
-               ")" + acc + ";");
+      ctx.line(ctx.out() + "[0] = " + acc + ";");
     }
     finishEmit(ctx, flags);
   }
@@ -945,12 +909,12 @@ class DotProductSpec : public ReductionBase {
       for (int i = 0; i < w; ++i) acc += inD(ctx, 0, i) * inD(ctx, 1, i);
       storeReal(ctx, 0, 0, acc, fl);
     } else {
-      int64_t acc = 0;
+      Int128 acc = 0;
       DataType t = out.type();
       for (int i = 0; i < w; ++i) {
-        int64_t prod = foldInt(
-            t, static_cast<Int128>(inI(ctx, 0, i)) * inI(ctx, 1, i), fl);
-        acc = foldInt(t, static_cast<Int128>(acc) + prod, fl);
+        Int128 prod =
+            foldInt(t, accmos_mul(inI(ctx, 0, i), inI(ctx, 1, i)), false, fl);
+        acc = foldInt(t, acc + prod, false, fl);
       }
       out.setI(0, acc);
     }
@@ -970,17 +934,17 @@ class DotProductSpec : public ReductionBase {
       ctx.line(ctx.storeOutStmt("0", acc, flags.wrap, flags.prec));
     } else {
       std::string prod = ctx.sink().freshVar("prod");
-      ctx.line("int64_t " + acc + " = 0;");
+      ctx.line(declareAcc(ctx, acc, 0));
       beginElemLoop(ctx, ctx.inWidth(0));
-      ctx.line("int64_t " + prod + " = 0;");
-      ctx.line(foldIntStmt(ctx, prod,
-                           "(__int128)" + ctx.inElem(0, "i", DataType::I64) +
-                               " * " + ctx.inElem(1, "i", DataType::I64),
+      ctx.line(declareAcc(ctx, prod, 0));
+      ctx.line(foldAccStmt(ctx, prod,
+                           "accmos_mul(" + ctx.inElem(0, "i", DataType::I64) +
+                               ", " + ctx.inElem(1, "i", DataType::I64) + ")",
                            flags, false));
-      ctx.line(foldIntStmt(ctx, acc, acc + " + " + prod, flags, false));
+      ctx.line(foldAccStmt(ctx, acc, "(__int128)" + acc + " + " + prod, flags,
+                           false));
       endElemLoop(ctx);
-      ctx.line(ctx.out() + "[0] = (" + std::string(dataTypeCpp(ctx.outType())) +
-               ")" + acc + ";");
+      ctx.line(ctx.out() + "[0] = " + acc + ";");
     }
     finishEmit(ctx, flags);
   }

@@ -120,7 +120,7 @@ class MultiportSwitchSpec : public ActorSpec {
 
   void eval(EvalContext& ctx) const override {
     int n = cases(*ctx.fa().src);
-    int64_t c = ctx.in(0).asInt(0);
+    Int128 c = ctx.in(0).asInt(0);
     if (c < 1 || c > n) {
       ctx.reportDiag(DiagKind::OutOfBounds);
       c = c < 1 ? 1 : n;
@@ -134,7 +134,8 @@ class MultiportSwitchSpec : public ActorSpec {
   void emit(EmitContext& ctx) const override {
     int n = cases(*ctx.fa().src);
     std::string c = ctx.sink().freshVar("c");
-    ctx.line("int64_t " + c + " = " + ctx.inElem(0, "0", DataType::I64) + ";");
+    ctx.line("__int128 " + c + " = " + ctx.inElem(0, "0", DataType::I64) +
+             ";");
     std::string oob;
     if (ctx.sink().diagOn(DiagKind::OutOfBounds)) {
       oob = ctx.sink().freshVar("oob");
@@ -352,7 +353,7 @@ class IndexVectorSpec : public ActorSpec {
 
   void eval(EvalContext& ctx) const override {
     const Value& vec = ctx.in(1);
-    int64_t idx = ctx.in(0).asInt(0);
+    Int128 idx = ctx.in(0).asInt(0);
     if (idx < 1 || idx > vec.width()) {
       ctx.reportDiag(DiagKind::OutOfBounds);
       idx = idx < 1 ? 1 : vec.width();
@@ -368,7 +369,8 @@ class IndexVectorSpec : public ActorSpec {
   void emit(EmitContext& ctx) const override {
     int w = ctx.inWidth(1);
     std::string c = ctx.sink().freshVar("idx");
-    ctx.line("int64_t " + c + " = " + ctx.inElem(0, "0", DataType::I64) + ";");
+    ctx.line("__int128 " + c + " = " + ctx.inElem(0, "0", DataType::I64) +
+             ";");
     std::string oob;
     if (ctx.sink().diagOn(DiagKind::OutOfBounds)) {
       oob = ctx.sink().freshVar("oob");
@@ -377,7 +379,7 @@ class IndexVectorSpec : public ActorSpec {
     }
     ctx.line("if (" + c + " < 1) " + c + " = 1; else if (" + c + " > " +
              std::to_string(w) + ") " + c + " = " + std::to_string(w) + ";");
-    ctx.line(ctx.out() + "[0] = " + ctx.in(1) + "[" + c + " - 1];");
+    ctx.line(ctx.out() + "[0] = " + ctx.in(1) + "[(int)" + c + " - 1];");
     if (!oob.empty()) {
       ctx.sink().diagCall({{DiagKind::OutOfBounds, oob}});
     }

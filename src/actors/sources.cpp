@@ -53,16 +53,36 @@ class ConstantSpec : public SourceBase {
 
   void eval(EvalContext& ctx) const override {
     Value& out = ctx.out();
+    if (isIntType(out.type())) {
+      auto vals = intConstantValues(*ctx.fa().src, out.type(), out.width());
+      for (int i = 0; i < out.width(); ++i) out.setI(i, vals[i]);
+      return;
+    }
     auto vals = values(*ctx.fa().src, out.width());
     ArithFlags fl;
     for (int i = 0; i < out.width(); ++i) storeReal(ctx, 0, i, vals[i], fl);
   }
 
   void emit(EmitContext& ctx) const override {
+    if (isIntType(ctx.outType())) {
+      auto vals =
+          intConstantValues(*ctx.fa().src, ctx.outType(), ctx.outWidth());
+      for (int i = 0; i < ctx.outWidth(); ++i) {
+        ctx.line(ctx.out() + "[" + std::to_string(i) + "] = " +
+                 fmtI(vals[static_cast<size_t>(i)]) + ";");
+      }
+      return;
+    }
     auto vals = values(*ctx.fa().src, ctx.outWidth());
     for (int i = 0; i < ctx.outWidth(); ++i) {
       ctx.line(ctx.storeOutStmt(std::to_string(i), fmtD(vals[i]), "", ""));
     }
+  }
+
+  // An integer literal outside the output type is a model error.
+  void validate(const FlatModel& fm, const FlatActor& fa) const override {
+    DataType t = fm.signal(fa.outputs[0]).type;
+    if (isIntType(t)) intConstantValues(*fa.src, t, 1);
   }
 
  private:
@@ -243,7 +263,10 @@ class CounterSpec : public SourceBase {
     int64_t max = std::max<int64_t>(1, ctx.fa().src->params().getInt("max", 256));
     ArithFlags fl;
     Int128 v = static_cast<int64_t>(ctx.step() % static_cast<uint64_t>(max));
-    for (int i = 0; i < ctx.out().width(); ++i) storeInt(ctx, 0, i, v, fl);
+    Value& out = ctx.out();
+    for (int i = 0; i < out.width(); ++i) {
+      out.setI(i, foldInt(out.type(), v, false, fl));
+    }
     reportArith(ctx, fl);
   }
 

@@ -46,14 +46,21 @@ std::string EmitContext::inElem(int port, const std::string& idx,
   // Scalar inputs broadcast over vector outputs.
   std::string elem = in(port) + "[" +
                      (inWidth(port) == 1 ? std::string("0") : idx) + "]";
-  if (isFloatType(domain)) {
-    if (isFloatType(t)) return "(double)" + elem;
-    if (t == DataType::U64) return "(double)(uint64_t)" + elem;
-    return "(double)" + elem;
-  }
-  // Integer domain.
-  if (isFloatType(t)) return "accmos_f2i(" + elem + ")";
-  return "(int64_t)" + elem;
+  if (isFloatType(domain)) return "(double)" + elem;
+  // Integer domain: exact for every C++ integer type.
+  if (isFloatType(t)) return "(__int128)accmos_f2i(" + elem + ")";
+  return "(__int128)" + elem;
+}
+
+std::string foldStmt(DataType t, const std::string& dst,
+                     const std::string& expr, bool sat,
+                     const std::string& flagVar, const std::string& precVar) {
+  const std::string ct(dataTypeCpp(t));
+  std::string s = "{ accmos_res _w = accmos_fold<" + ct + ">(" + expr + ", " +
+                  (sat ? "1" : "0") + "); " + dst + " = (" + ct + ")_w.value;";
+  if (!flagVar.empty()) s += " " + flagVar + " |= _w.wrapped;";
+  if (!precVar.empty()) s += " " + precVar + " |= _w.prec;";
+  return s + " }";
 }
 
 std::string EmitContext::storeOutStmt(const std::string& idx,
@@ -63,7 +70,6 @@ std::string EmitContext::storeOutStmt(const std::string& idx,
                                       int port) const {
   DataType t = outType(port);
   std::string elem = out(port) + "[" + idx + "]";
-  std::string ct(dataTypeCpp(t));
   if (t == DataType::F64) {
     return elem + " = (" + expr + ");";
   }
@@ -75,15 +81,9 @@ std::string EmitContext::storeOutStmt(const std::string& idx,
     }
     return s + " }";
   }
-  // Integer/bool output. The expression may be a wide integer (__int128)
-  // or a double; the runtime helpers handle both via overloads mirroring
-  // wrapStore()/Value::store().
-  std::string s = "{ accmos_wrapres _w = accmos_store_" +
-                  std::string(dataTypeName(t)) + "(" + expr + "); " + elem +
-                  " = (" + ct + ")_w.value;";
-  if (!wrapFlagVar.empty()) s += " " + wrapFlagVar + " |= _w.wrapped;";
-  if (!precFlagVar.empty()) s += " " + precFlagVar + " |= _w.prec;";
-  return s + " }";
+  // Integer/bool output: `expr` is an exact __int128 or a double, and the
+  // core's accmos_fold overloads take either.
+  return foldStmt(t, elem, expr, false, wrapFlagVar, precFlagVar);
 }
 
 // ---------------------------------------------------------------------------

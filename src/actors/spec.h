@@ -215,8 +215,9 @@ class EmitContext {
 
   void line(const std::string& stmt) { sink_->line(stmt); }
 
-  // Reads input `port` element `idx` widened to the compute domain of type
-  // `domain` ("double" or "int64_t"), with defined float->int conversion.
+  // Reads input `port` element `idx` in the compute domain of type
+  // `domain`: a double for a float domain, else the element's exact value
+  // as an __int128 (floats truncate through accmos_f2i).
   std::string inElem(int port, const std::string& idx, DataType domain) const;
 
   // `expr` is a value in the compute domain; emits the statement storing it
@@ -231,6 +232,16 @@ class EmitContext {
   const FlatActor* fa_;
   EmitSink* sink_;
 };
+
+// The one emitted fold: a statement that stores `expr` (an exact __int128,
+// or a double for a real-to-int store) into `dst` of type `t` through the
+// runtime core's accmos_fold — a wrap, or a clamp when `sat` — and ORs the
+// fold's wrap/clamp and precision flags into the named int variables when
+// they are non-empty.
+std::string foldStmt(DataType t, const std::string& dst,
+                     const std::string& expr, bool sat,
+                     const std::string& flagVar = "",
+                     const std::string& precVar = "");
 
 // ---------------------------------------------------------------------------
 // The spec itself.

@@ -341,8 +341,7 @@ std::string Emitter::storeFromDouble(DataType t, const std::string& dst,
                                      const std::string& expr) const {
   if (t == DataType::F64) return dst + " = (" + expr + ");";
   if (t == DataType::F32) return dst + " = (float)(" + expr + ");";
-  return dst + " = (" + cpp(t) + ")accmos_store_" +
-         std::string(dataTypeName(t)) + "((double)(" + expr + ")).value;";
+  return foldStmt(t, dst, "(double)(" + expr + ")", false);
 }
 
 void Emitter::emitModelInit(std::ostringstream& os) {
@@ -718,6 +717,7 @@ std::string Emitter::generate() {
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   os << runtimePreamble();
+  os << runtimeCoreText();
   os << runAbiText();
   // The anonymous namespace is load-bearing: it gives the struct (and the
   // statics inside its inline member functions) internal linkage. Without

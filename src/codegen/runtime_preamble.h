@@ -1,11 +1,7 @@
-// The runtime support code embedded at the top of every generated
-// simulation program: wrap-exact store helpers, division, lookup tables,
-// the SplitMix64 stimulus generator, coverage bitmaps, the diagnostic
-// aggregator, and the signal monitor (paper Fig. 3's outputCollect).
-//
-// Every function here mirrors a helper in src/ir/arith.h or
-// src/ir/value.cpp byte-for-byte in behaviour; the cross-engine
-// differential tests depend on that.
+// The text every generated simulation program begins with: the runtime
+// preamble (standard headers and the finiteness, deadline, pause and
+// value-packing helpers only generated code needs), then the runtime core,
+// then the run ABI.
 #pragma once
 
 #include <string_view>
@@ -13,6 +9,11 @@
 namespace accmos {
 
 std::string_view runtimePreamble();
+
+// The exact text of src/ir/arith_core.h (embedded at build time): the one
+// definition of folding, real-to-int stores, quotients, lookups and the
+// stimulus stream, which the host compiles through ir/arith.h.
+std::string_view runtimeCoreText();
 
 // The exact text of src/codegen/run_abi.h (embedded at build time), pasted
 // into generated sources after the preamble so the shared-library entry

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "actors/common.h"
-#include "actors/lut.h"
 #include "actors/spec.h"
 
 namespace accmos {
@@ -60,10 +59,6 @@ inline int srcIdx(const SigRef& r, int i) {
 inline double rdD(const Rt& rt, const SigRef& r, int i) {
   int k = srcIdx(r, i);
   if (r.isF) return rt.f[static_cast<size_t>(k)];
-  if (r.type == DataType::U64) {
-    return static_cast<double>(
-        static_cast<uint64_t>(rt.iv[static_cast<size_t>(k)]));
-  }
   if (isUnsignedInt(r.type)) {
     return static_cast<double>(
         static_cast<uint64_t>(rt.iv[static_cast<size_t>(k)]));
@@ -71,10 +66,12 @@ inline double rdD(const Rt& rt, const SigRef& r, int i) {
   return static_cast<double>(rt.iv[static_cast<size_t>(k)]);
 }
 
-inline int64_t rdI(const Rt& rt, const SigRef& r, int i) {
+// The one exact integer read (a u64 at or above 2^63 stays positive);
+// floats truncate through f2i.
+inline Int128 rdI(const Rt& rt, const SigRef& r, int i) {
   int k = srcIdx(r, i);
   if (r.isF) return f2i(rt.f[static_cast<size_t>(k)]);
-  return rt.iv[static_cast<size_t>(k)];
+  return widen(r.type, static_cast<uint64_t>(rt.iv[static_cast<size_t>(k)]));
 }
 
 inline bool rdB(const Rt& rt, const SigRef& r, int i) {
@@ -83,18 +80,26 @@ inline bool rdB(const Rt& rt, const SigRef& r, int i) {
   return rt.iv[static_cast<size_t>(k)] != 0;
 }
 
-inline void wrReal(Rt& rt, const SigRef& r, int i, double v) {
+// Stores a real; an integer output rounds, then wraps (or clamps when
+// `sat`).
+inline void wrReal(Rt& rt, const SigRef& r, int i, double v,
+                   bool sat = false) {
   if (r.isF) {
     rt.f[static_cast<size_t>(r.off + i)] =
         r.type == DataType::F32 ? static_cast<double>(static_cast<float>(v))
                                 : v;
   } else {
-    rt.iv[static_cast<size_t>(r.off + i)] = storeDoubleAsInt(r.type, v).value;
+    rt.iv[static_cast<size_t>(r.off + i)] =
+        static_cast<int64_t>(fold(r.type, v, sat).value);
   }
 }
 
-inline void wrInt(Rt& rt, const SigRef& r, int i, Int128 acc) {
-  rt.iv[static_cast<size_t>(r.off + i)] = wrapStore(r.type, acc).value;
+// Folds an exact integer into the output (a wrap, or a clamp when `sat`)
+// and stores its 64-bit pattern.
+inline void wrInt(Rt& rt, const SigRef& r, int i, Int128 exact,
+                  bool sat = false) {
+  rt.iv[static_cast<size_t>(r.off + i)] =
+      static_cast<int64_t>(fold(r.type, exact, sat).value);
 }
 
 inline void copyElem(Rt& rt, const SigRef& dst, int di, const SigRef& src,
@@ -135,10 +140,6 @@ void kBinaryReal(const Op& op, Rt& rt) {
   }
 }
 
-inline int64_t foldK(DataType t, Int128 acc, bool sat) {
-  return sat ? satStore(t, acc).value : wrapStore(t, acc).value;
-}
-
 void kSum(const Op& op, Rt& rt) {
   const SigRef& o = op.out[0];
   size_t n = op.in.size();
@@ -153,14 +154,12 @@ void kSum(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < o.width; ++i) {
-      int64_t acc = 0;
+      Int128 acc = 0;
       for (size_t p = 0; p < n; ++p) {
-        Int128 wide = static_cast<Int128>(acc);
-        int64_t v = rdI(rt, op.in[p], i);
-        wide = op.ip[p] > 0 ? wide + v : wide - v;
-        acc = foldK(o.type, wide, op.sat);
+        Int128 v = rdI(rt, op.in[p], i);
+        acc = fold(o.type, op.ip[p] > 0 ? acc + v : acc - v, op.sat).value;
       }
-      rt.iv[static_cast<size_t>(o.off + i)] = acc;
+      wrInt(rt, o, i, acc);
     }
   }
 }
@@ -179,18 +178,15 @@ void kProduct(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < o.width; ++i) {
-      int64_t acc = 1;
+      Int128 acc = 1;
+      int divZero = 0;  // fast modes cannot diagnose
       for (size_t p = 0; p < n; ++p) {
-        int64_t v = rdI(rt, op.in[p], i);
-        if (op.ip[p] > 0) {
-          acc = foldK(o.type, static_cast<Int128>(acc) * v, op.sat);
-        } else if (v == 0) {
-          acc = 0;
-        } else {
-          acc = foldK(o.type, static_cast<Int128>(acc) / v, op.sat);
-        }
+        Int128 v = rdI(rt, op.in[p], i);
+        acc = (op.ip[p] > 0 ? fold(o.type, accmos_mul(acc, v), op.sat)
+                            : intDiv(o.type, acc, v, op.sat, &divZero))
+                  .value;
       }
-      rt.iv[static_cast<size_t>(o.off + i)] = acc;
+      wrInt(rt, o, i, acc);
     }
   }
 }
@@ -203,7 +199,7 @@ void kGain(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < o.width; ++i) {
-      wrInt(rt, o, i, static_cast<Int128>(rdI(rt, op.in[0], i)) * op.ip[0]);
+      wrInt(rt, o, i, rdI(rt, op.in[0], i) * op.ip[0]);
     }
   }
 }
@@ -216,7 +212,7 @@ void kBias(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < o.width; ++i) {
-      wrInt(rt, o, i, static_cast<Int128>(rdI(rt, op.in[0], i)) + op.ip[0]);
+      wrInt(rt, o, i, rdI(rt, op.in[0], i) + op.ip[0]);
     }
   }
 }
@@ -229,7 +225,7 @@ void kAbs(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < o.width; ++i) {
-      Int128 v = static_cast<Int128>(rdI(rt, op.in[0], i));
+      Int128 v = rdI(rt, op.in[0], i);
       wrInt(rt, o, i, v < 0 ? -v : v);
     }
   }
@@ -249,7 +245,7 @@ void kNeg(const Op& op, Rt& rt) {
     for (int i = 0; i < o.width; ++i) wrReal(rt, o, i, -rdD(rt, op.in[0], i));
   } else {
     for (int i = 0; i < o.width; ++i) {
-      wrInt(rt, o, i, -static_cast<Int128>(rdI(rt, op.in[0], i)));
+      wrInt(rt, o, i, -rdI(rt, op.in[0], i));
     }
   }
 }
@@ -287,14 +283,14 @@ void kDot(const Op& op, Rt& rt) {
     }
     wrReal(rt, o, 0, acc);
   } else {
-    int64_t acc = 0;
+    Int128 acc = 0;
     for (int i = 0; i < w; ++i) {
-      int64_t prod = wrapStore(o.type, static_cast<Int128>(rdI(rt, op.in[0], i)) *
-                                           rdI(rt, op.in[1], i))
-                         .value;
-      acc = wrapStore(o.type, static_cast<Int128>(acc) + prod).value;
+      Int128 prod =
+          wrapStore(o.type, accmos_mul(rdI(rt, op.in[0], i), rdI(rt, op.in[1], i)))
+              .value;
+      acc = wrapStore(o.type, acc + prod).value;
     }
-    rt.iv[static_cast<size_t>(o.off)] = acc;
+    wrInt(rt, o, 0, acc);
   }
 }
 
@@ -306,12 +302,11 @@ void kSumElem(const Op& op, Rt& rt) {
     for (int i = 0; i < w; ++i) acc += rdD(rt, op.in[0], i);
     wrReal(rt, o, 0, acc);
   } else {
-    int64_t acc = 0;
+    Int128 acc = 0;
     for (int i = 0; i < w; ++i) {
-      acc = wrapStore(o.type, static_cast<Int128>(acc) + rdI(rt, op.in[0], i))
-                .value;
+      acc = wrapStore(o.type, acc + rdI(rt, op.in[0], i)).value;
     }
-    rt.iv[static_cast<size_t>(o.off)] = acc;
+    wrInt(rt, o, 0, acc);
   }
 }
 
@@ -323,12 +318,11 @@ void kProdElem(const Op& op, Rt& rt) {
     for (int i = 0; i < w; ++i) acc *= rdD(rt, op.in[0], i);
     wrReal(rt, o, 0, acc);
   } else {
-    int64_t acc = 1;
+    Int128 acc = 1;
     for (int i = 0; i < w; ++i) {
-      acc = wrapStore(o.type, static_cast<Int128>(acc) * rdI(rt, op.in[0], i))
-                .value;
+      acc = wrapStore(o.type, accmos_mul(acc, rdI(rt, op.in[0], i))).value;
     }
-    rt.iv[static_cast<size_t>(o.off)] = acc;
+    wrInt(rt, o, 0, acc);
   }
 }
 
@@ -393,6 +387,7 @@ void kBitwise(const Op& op, Rt& rt) {
   const SigRef& o = op.out[0];
   int kind = static_cast<int>(op.ip[0]);  // 0 AND 1 OR 2 XOR 3 NOT
   for (int i = 0; i < o.width; ++i) {
+    // 64-bit patterns, as BitwiseOperatorSpec::eval.
     uint64_t acc = static_cast<uint64_t>(rdI(rt, op.in[0], i));
     if (kind == 3) {
       acc = ~acc;
@@ -404,7 +399,7 @@ void kBitwise(const Op& op, Rt& rt) {
         else acc ^= v;
       }
     }
-    wrInt(rt, o, i, static_cast<Int128>(static_cast<int64_t>(acc)));
+    wrInt(rt, o, i, static_cast<int64_t>(acc));
   }
 }
 
@@ -413,13 +408,8 @@ void kShift(const Op& op, Rt& rt) {
   bool left = op.ip[0] != 0;
   int bits = static_cast<int>(op.ip[1]);
   for (int i = 0; i < o.width; ++i) {
-    int64_t v = rdI(rt, op.in[0], i);
-    if (left) {
-      wrInt(rt, o, i, static_cast<Int128>(v) << bits);
-    } else {
-      rt.iv[static_cast<size_t>(o.off + i)] =
-          wrapStore(o.type, static_cast<Int128>(v >> bits)).value;
-    }
+    Int128 v = rdI(rt, op.in[0], i);
+    wrInt(rt, o, i, left ? v << bits : v >> bits);
   }
 }
 
@@ -437,7 +427,7 @@ void kSwitch(const Op& op, Rt& rt) {
 void kMpSwitch(const Op& op, Rt& rt) {
   const SigRef& o = op.out[0];
   int n = static_cast<int>(op.in.size()) - 1;
-  int64_t c = rdI(rt, op.in[0], 0);
+  Int128 c = rdI(rt, op.in[0], 0);
   if (c < 1) c = 1;
   if (c > n) c = n;
   const SigRef& src = op.in[static_cast<size_t>(c)];
@@ -472,7 +462,7 @@ void kSelector(const Op& op, Rt& rt) {
 }
 
 void kIndexVector(const Op& op, Rt& rt) {
-  int64_t idx = rdI(rt, op.in[0], 0);
+  Int128 idx = rdI(rt, op.in[0], 0);
   int w = op.in[1].width;
   if (idx < 1) idx = 1;
   if (idx > w) idx = w;
@@ -514,10 +504,8 @@ void kIntegratorUpdate(const Op& op, Rt& rt) {
     }
   } else {
     for (int i = 0; i < op.state.width; ++i) {
-      Int128 acc = static_cast<Int128>(rt.iv[static_cast<size_t>(op.state.off + i)]) +
-                   static_cast<Int128>(op.ip[0]) * rdI(rt, op.in[0], i);
-      rt.iv[static_cast<size_t>(op.state.off + i)] =
-          foldK(op.state.type, acc, op.sat);
+      wrInt(rt, op.state, i,
+            rdI(rt, op.state, i) + op.ip[0] * rdI(rt, op.in[0], i), op.sat);
     }
   }
 }
@@ -691,38 +679,28 @@ void kLut1(const Op& op, Rt& rt) {
   for (int i = 0; i < o.width; ++i) {
     int outcome = 1;
     wrReal(rt, o, i,
-           accmosLut1(op.t1, op.t2, rdD(rt, op.in[0], i), nearest, outcome));
+           accmos_lut1(op.t1.data(), op.t2.data(), static_cast<int>(op.t1.size()),
+                       rdD(rt, op.in[0], i), nearest ? 1 : 0, &outcome));
   }
 }
 
 void kLut2(const Op& op, Rt& rt) {
-  bool clipped = false;
+  int clipped = 0;
   wrReal(rt, op.out[0], 0,
-         accmosLut2(op.t1, op.t2, op.t3, rdD(rt, op.in[0], 0),
-                    rdD(rt, op.in[1], 0), clipped));
+         accmos_lut2(op.t1.data(), static_cast<int>(op.t1.size()),
+                     op.t2.data(), static_cast<int>(op.t2.size()),
+                     op.t3.data(), rdD(rt, op.in[0], 0), rdD(rt, op.in[1], 0),
+                     &clipped));
 }
 
 void kConvert(const Op& op, Rt& rt) {
   const SigRef& o = op.out[0];
   const SigRef& in = op.in[0];
   for (int i = 0; i < o.width; ++i) {
-    if (in.isF) {
-      if (op.sat && !o.isF) {
-        rt.iv[static_cast<size_t>(o.off + i)] =
-            storeDoubleAsIntSat(o.type, rdD(rt, in, i)).value;
-      } else {
-        wrReal(rt, o, i, rdD(rt, in, i));
-      }
-    } else if (o.isF) {
-      double d = rdD(rt, in, i);
-      rt.f[static_cast<size_t>(o.off + i)] =
-          o.type == DataType::F32 ? static_cast<double>(static_cast<float>(d))
-                                  : d;
-    } else if (op.sat) {
-      rt.iv[static_cast<size_t>(o.off + i)] =
-          satStore(o.type, static_cast<Int128>(rdI(rt, in, i))).value;
+    if (in.isF || o.isF) {
+      wrReal(rt, o, i, rdD(rt, in, i), op.sat);
     } else {
-      wrInt(rt, o, i, static_cast<Int128>(rdI(rt, in, i)));
+      wrInt(rt, o, i, rdI(rt, in, i), op.sat);
     }
   }
 }
@@ -837,11 +815,6 @@ double fPow(double a, double b) { return std::pow(a, b); }
 double fHypot(double a, double b) { return std::hypot(a, b); }
 double fAtan2(double a, double b) { return std::atan2(a, b); }
 double fRem(double a, double b) { return std::fmod(a, b); }
-double fModFloor(double a, double b) {
-  double m = std::fmod(a, b);
-  if (m != 0.0 && ((m < 0.0) != (b < 0.0))) m += b;
-  return m;
-}
 
 // The Accelerator-mode engine service: an opaque per-operation callback
 // simulating the block-level synchronization with the Simulink process.
@@ -945,16 +918,25 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
   }
   if (ty == "Ground") { pushEval(kGround); return; }
   if (ty == "Constant") {
+    const SigRef& o = op.out[0];
+    if (isIntType(o.type)) {
+      for (Int128 v : intConstantValues(a, o.type, o.width)) {
+        op.ip.push_back(static_cast<int64_t>(v));
+      }
+      pushEval(kConst);
+      return;
+    }
     std::vector<double> vals = a.params().getDoubleList("value");
     if (vals.empty()) vals.push_back(a.params().getDouble("value", 0.0));
-    vals.resize(static_cast<size_t>(op.out[0].width), vals.back());
+    vals.resize(static_cast<size_t>(o.width), vals.back());
     for (double v : vals) {
       if (op.real) {
-        op.dp.push_back(op.out[0].type == DataType::F32
+        op.dp.push_back(o.type == DataType::F32
                             ? static_cast<double>(static_cast<float>(v))
                             : v);
       } else {
-        op.ip.push_back(storeDoubleAsInt(op.out[0].type, v).value);
+        op.ip.push_back(
+            static_cast<int64_t>(storeDoubleAsInt(o.type, v).value));
       }
     }
     pushEval(kConst);
@@ -1044,7 +1026,7 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
     else if (o == "reciprocal") op.ufn = fRecip;
     else if (o == "pow") op.bfn = fPow;
     else if (o == "hypot") op.bfn = fHypot;
-    else if (o == "mod") op.bfn = fModFloor;
+    else if (o == "mod") op.bfn = accmos_fmod_floor;
     else if (o == "rem") op.bfn = fRem;
     pushEval(op.ufn != nullptr ? kUnaryReal : kBinaryReal);
     return;

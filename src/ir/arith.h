@@ -1,222 +1,102 @@
-// Shared arithmetic semantics.
+// The host's view of the runtime core (ir/arith_core.h).
 //
-// Every engine — the boxed interpreter, the typed bytecode/closure engines,
-// and the C++ code AccMoS generates — must agree bit-for-bit on integer
-// wrapping, float->int conversion, and division edge cases, or the
-// differential tests (and the paper's claim that generated code detects the
-// same errors as SSE) fall apart. These helpers are that single definition;
-// the generated-code runtime preamble contains the same functions verbatim
-// and the test suite checks them against each other.
+// Every engine — the boxed interpreter, the typed bytecode/closure engines
+// and the C++ code AccMoS generates — must agree bit for bit on integer
+// wrapping, saturation, real-to-int stores and division, or the
+// differential tests (and the paper's claim that generated code detects
+// the same errors as SSE) fall apart. The core holds each rule once, and
+// generated libraries compile its exact text. This header only maps a
+// runtime DataType to the core's storage type T: each function below is
+// one switch over the core, with no second body.
+//
+// Integer operands are exact: an engine reads an element as the Int128
+// value its type holds (a u64 at or above 2^63 stays positive), computes
+// on exact values and folds the result into the output type.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
+#include "ir/arith_core.h"
 #include "ir/datatype.h"
 
 namespace accmos {
 
 using Int128 = __int128;
 
-// Float -> int64 conversion with defined behaviour on NaN and out-of-range
-// values (plain C++ casts would be UB).
-inline int64_t f2i(double v) {
-  if (std::isnan(v)) return 0;
-  if (v >= 9223372036854775808.0) return std::numeric_limits<int64_t>::max();
-  if (v <= -9223372036854775808.0) return std::numeric_limits<int64_t>::min();
-  return static_cast<int64_t>(v);
-}
+// accmos_res: `value` is the stored value, exact; `wrapped` flags a wrap
+// (or a clamp when saturating); `prec` flags a real input that was not a
+// whole number.
+using IntResult = accmos_res;
 
-struct IntResult {
-  int64_t value = 0;   // wrapped result, sign-extended two's complement
-  bool wrapped = false;
-};
-
-// Wraps a 128-bit accumulated integer into data type `t` with
-// two's-complement semantics and reports whether wrapping occurred —
-// the condition the paper's Fig. 4 diagnostic detects.
-inline IntResult wrapStore(DataType t, Int128 acc) {
-  IntResult r;
-  uint64_t low = static_cast<uint64_t>(static_cast<unsigned __int128>(acc));
+// Calls f(T{}) for integer or bool type t's C++ storage type T.
+template <typename F>
+inline auto withIntType(DataType t, F f) {
   switch (t) {
-    case DataType::Bool:
-      r.value = acc != 0 ? 1 : 0;
-      r.wrapped = acc != 0 && acc != 1;
-      return r;
-    case DataType::I8: r.value = static_cast<int8_t>(low); break;
-    case DataType::I16: r.value = static_cast<int16_t>(low); break;
-    case DataType::I32: r.value = static_cast<int32_t>(low); break;
-    case DataType::I64: r.value = static_cast<int64_t>(low); break;
-    case DataType::U8: r.value = static_cast<uint8_t>(low); break;
-    case DataType::U16: r.value = static_cast<uint16_t>(low); break;
-    case DataType::U32: r.value = static_cast<uint32_t>(low); break;
-    case DataType::U64: r.value = static_cast<int64_t>(low); break;
-    default:
-      r.value = static_cast<int64_t>(low);
-      break;
+    case DataType::Bool: return f(bool{});
+    case DataType::I8: return f(int8_t{});
+    case DataType::I16: return f(int16_t{});
+    case DataType::I32: return f(int32_t{});
+    case DataType::U8: return f(uint8_t{});
+    case DataType::U16: return f(uint16_t{});
+    case DataType::U32: return f(uint32_t{});
+    case DataType::U64: return f(uint64_t{});
+    case DataType::I64:
+    default: return f(int64_t{});
   }
-  // Re-widen the stored pattern per the destination type's signedness and
-  // compare with the exact accumulator.
-  Int128 back;
-  if (isUnsignedInt(t)) {
-    back = static_cast<Int128>(static_cast<uint64_t>(r.value) &
-                               (dataTypeBits(t) >= 64
-                                    ? ~uint64_t{0}
-                                    : ((uint64_t{1} << dataTypeBits(t)) - 1)));
-  } else {
-    back = static_cast<Int128>(r.value);
-  }
-  r.wrapped = back != acc;
-  return r;
 }
 
-// Saturating store: clamps the wide accumulator to the destination type's
-// range (Simulink's "saturate on overflow" arithmetic mode); `wrapped`
-// reports that clamping occurred.
-inline IntResult satStore(DataType t, Int128 acc) {
-  IntResult r;
-  Int128 lo;
-  Int128 hi;
-  if (isUnsignedInt(t)) {
-    lo = 0;
-    hi = static_cast<Int128>(uintTypeMax(t));
-  } else {
-    lo = static_cast<Int128>(intTypeMin(t));
-    hi = static_cast<Int128>(intTypeMax(t));
-  }
-  if (acc < lo) {
-    acc = lo;
-    r.wrapped = true;
-  } else if (acc > hi) {
-    acc = hi;
-    r.wrapped = true;
-  }
-  r.value = wrapStore(t, acc).value;
-  return r;
+// The exact value of a t element held as a 64-bit slot pattern.
+inline Int128 widen(DataType t, uint64_t bits) {
+  return withIntType(t, [bits](auto z) {
+    return accmos_widen<decltype(z)>(bits);
+  });
 }
 
-// Stores a real value into an integer type with Simulink-style
-// round-to-nearest, range clamping, and two's-complement wrap — the exact
-// behaviour of Value::store and the generated accmos_store_<t>(double).
-struct RealStoreResult {
-  int64_t value = 0;
-  bool wrapped = false;
-  bool precisionLoss = false;
-};
-
-inline RealStoreResult storeDoubleAsInt(DataType t, double v) {
-  RealStoreResult r;
-  double rounded = std::nearbyint(v);
-  if (rounded != v) r.precisionLoss = true;
-  int64_t wide;
-  if (std::isnan(v)) {
-    wide = 0;
-    r.precisionLoss = true;
-  } else if (rounded >= 9.2233720368547758e18) {
-    wide = std::numeric_limits<int64_t>::max();
-    r.wrapped = true;
-  } else if (rounded <= -9.2233720368547758e18) {
-    wide = std::numeric_limits<int64_t>::min();
-    r.wrapped = true;
-  } else {
-    wide = static_cast<int64_t>(rounded);
-  }
-  IntResult w = wrapStore(t, static_cast<Int128>(wide));
-  r.value = w.value;
-  r.wrapped = r.wrapped || w.wrapped;
-  return r;
+// Folds `x` into integer or bool type t: an exact Int128 wraps (or clamps
+// when `sat`); a double is a real-to-int store.
+template <typename X>
+inline IntResult fold(DataType t, X x, bool sat) {
+  return withIntType(t, [x, sat](auto z) {
+    return accmos_fold<decltype(z)>(x, sat ? 1 : 0);
+  });
 }
 
-// Saturating variant of storeDoubleAsInt (round-to-nearest, clamp to the
-// destination range; `wrapped` reports clamping).
-inline RealStoreResult storeDoubleAsIntSat(DataType t, double v) {
-  RealStoreResult r;
-  double rounded = std::nearbyint(v);
-  if (rounded != v) r.precisionLoss = true;
-  Int128 wide;
-  if (std::isnan(v)) {
-    wide = 0;
-    r.precisionLoss = true;
-  } else if (rounded >= 1.7014118346046923e38) {
-    wide = static_cast<Int128>(std::numeric_limits<int64_t>::max());
-  } else if (rounded <= -1.7014118346046923e38) {
-    wide = static_cast<Int128>(std::numeric_limits<int64_t>::min());
-  } else {
-    wide = static_cast<Int128>(rounded);
-  }
-  IntResult w = satStore(t, wide);
-  r.value = w.value;
-  r.wrapped = w.wrapped;
-  return r;
+// The wrapping fold and the wrapping real-to-int store (round to nearest).
+inline IntResult wrapStore(DataType t, Int128 exact) {
+  return fold(t, exact, false);
+}
+inline IntResult storeDoubleAsInt(DataType t, double v) {
+  return fold(t, v, false);
 }
 
-// Integer division with defined semantics shared by all engines:
-// divisor 0 -> result 0 with divByZero flag; otherwise exact 128-bit
-// division wrapped into the output type (INT_MIN / -1 wraps, flagged).
-struct DivResult {
-  int64_t value = 0;
-  bool wrapped = false;
-  bool divByZero = false;
-};
-
-inline DivResult intDiv(DataType t, int64_t a, int64_t b) {
-  DivResult r;
-  if (b == 0) {
-    r.divByZero = true;
-    return r;
-  }
-  IntResult w = wrapStore(t, static_cast<Int128>(a) / b);
-  r.value = w.value;
-  r.wrapped = w.wrapped;
-  return r;
+// Product's quotient a / b folded into t; a zero divisor yields 0 and sets
+// *divByZero.
+inline IntResult intDiv(DataType t, Int128 a, Int128 b, bool sat,
+                        int* divByZero) {
+  return fold(t, accmos_quot(a, b, divByZero), sat);
 }
 
-inline DivResult intMod(DataType t, int64_t a, int64_t b) {
-  DivResult r;
-  if (b == 0) {
-    r.divByZero = true;
-    return r;
-  }
-  // INT64_MIN % -1 is UB in C++; compute in 128 bits.
-  IntResult w = wrapStore(t, static_cast<Int128>(a) % b);
-  r.value = w.value;
-  r.wrapped = w.wrapped;
-  return r;
-}
+inline int64_t f2i(double v) { return accmos_f2i(v); }
 
-// The deterministic stimulus generator shared by all engines: SplitMix64.
-// The generated-code runtime preamble carries an identical copy so a
-// compiled simulation sees the same test-case stream as the interpreter.
+// The deterministic stimulus generator shared by all engines.
 struct SplitMix64 {
   uint64_t state = 0;
 
   explicit SplitMix64(uint64_t seed = 0) : state(seed) {}
 
-  uint64_t next() {
-    state += 0x9E3779B97F4A7C15ULL;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
+  uint64_t next() { return accmos_sm64_next(&state); }
 
   // Uniform double in [0, 1).
-  double nextUnit() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
+  double nextUnit() { return accmos_sm64_unit(&state); }
 
   double nextUniform(double lo, double hi) {
     return lo + nextUnit() * (hi - lo);
   }
 };
 
-// Derives an independent per-port stream from a run seed (same formula in
-// the generated runtime).
+// Derives an independent per-port stream from a run seed.
 inline uint64_t portSeed(uint64_t runSeed, int portIndex) {
-  SplitMix64 mixer(runSeed ^ (0xA24BAED4963EE407ULL +
-                              static_cast<uint64_t>(portIndex) * 0x9FB21C651E98DF25ULL));
-  return mixer.next();
+  return accmos_portseed(runSeed, portIndex);
 }
 
 }  // namespace accmos

@@ -106,52 +106,6 @@ uint64_t uintTypeMax(DataType t) {
   }
 }
 
-int64_t wrapToInt(DataType t, int64_t wide, bool* wrapped) {
-  int64_t out = wide;
-  switch (t) {
-    case DataType::Bool:
-      out = wide != 0 ? 1 : 0;
-      break;
-    case DataType::I8:
-      out = static_cast<int8_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::I16:
-      out = static_cast<int16_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::I32:
-      out = static_cast<int32_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::I64:
-      out = wide;
-      break;
-    case DataType::U8:
-      out = static_cast<uint8_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::U16:
-      out = static_cast<uint16_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::U32:
-      out = static_cast<uint32_t>(static_cast<uint64_t>(wide));
-      break;
-    case DataType::U64:
-      out = wide;  // stored as the two's-complement bit pattern
-      break;
-    default:
-      break;
-  }
-  if (wrapped != nullptr) *wrapped = (out != wide) && t != DataType::U64;
-  return out;
-}
-
-uint64_t wrapToUint(DataType t, uint64_t wide, bool* wrapped) {
-  uint64_t out = wide & (dataTypeBits(t) >= 64
-                             ? ~uint64_t{0}
-                             : ((uint64_t{1} << dataTypeBits(t)) - 1));
-  if (t == DataType::Bool) out = wide != 0 ? 1 : 0;
-  if (wrapped != nullptr) *wrapped = out != wide;
-  return out;
-}
-
 bool isDowncast(DataType from, DataType to) {
   if (from == to) return false;
   if (isFloatType(from) && !isFloatType(to)) return true;
@@ -160,7 +114,7 @@ bool isDowncast(DataType from, DataType to) {
   }
   if (isFloatType(to)) return false;  // int -> float handled by precision
   // integer/bool -> integer/bool: smaller representable range is a downcast.
-  if (intTypeMax(to) < intTypeMax(from)) return true;
+  if (uintTypeMax(to) < uintTypeMax(from)) return true;
   if (intTypeMin(to) > intTypeMin(from)) return true;
   return false;
 }

@@ -60,13 +60,6 @@ int64_t intTypeMin(DataType t);
 int64_t intTypeMax(DataType t);
 uint64_t uintTypeMax(DataType t);
 
-// Wraps a 64-bit computed result into the destination integer type using
-// two's-complement semantics; `wrapped` is set when the value changed.
-// This is the single definition of integer wrap used by every engine, so
-// the interpreter and generated code agree bit-for-bit.
-int64_t wrapToInt(DataType t, int64_t wide, bool* wrapped);
-uint64_t wrapToUint(DataType t, uint64_t wide, bool* wrapped);
-
 // True when converting `from` to `to` can lose magnitude (downcast in the
 // paper's sense: sizeof(out) < sizeof(in) within the same kind, or
 // float -> int).

@@ -57,23 +57,14 @@ double Value::f(int idx) const {
   return std::bit_cast<double>(raw(idx));
 }
 
-bool Value::setI(int idx, int64_t v) {
+bool Value::setI(int idx, __int128 v) {
   if (isFloat()) {
     setF(idx, static_cast<double>(v));
     return false;
   }
-  bool wrapped = false;
-  int64_t out;
-  if (isUnsignedInt(type_)) {
-    uint64_t u = wrapToUint(type_, static_cast<uint64_t>(v), &wrapped);
-    // Also flag negative inputs stored into unsigned types.
-    if (v < 0) wrapped = true;
-    out = static_cast<int64_t>(u);
-  } else {
-    out = wrapToInt(type_, v, &wrapped);
-  }
-  setRaw(idx, static_cast<uint64_t>(out));
-  return wrapped;
+  IntResult r = wrapStore(type_, v);
+  setRaw(idx, static_cast<uint64_t>(r.value));
+  return r.wrapped != 0;
 }
 
 bool Value::setF(int idx, double v) {
@@ -85,7 +76,7 @@ bool Value::setF(int idx, double v) {
     setRaw(idx, std::bit_cast<uint64_t>(v));
     return false;
   }
-  return setI(idx, static_cast<int64_t>(v));
+  return setI(idx, f2i(v));
 }
 
 double Value::asDouble(int idx) const {
@@ -96,9 +87,9 @@ double Value::asDouble(int idx) const {
   return static_cast<double>(i(idx));
 }
 
-int64_t Value::asInt(int idx) const {
+__int128 Value::asInt(int idx) const {
   if (isFloat()) return f2i(f(idx));
-  return i(idx);
+  return widen(type_, raw(idx));
 }
 
 bool Value::asBool(int idx) const {
@@ -121,39 +112,34 @@ Value::StoreFlags Value::store(int idx, double v) {
     return flags;
   }
   // Float -> integer: round to nearest (Simulink default for conversion),
-  // then wrap into the destination width. One definition shared with the
-  // typed engines and the generated runtime.
-  RealStoreResult r = storeDoubleAsInt(type_, v);
+  // then wrap into the destination width.
+  IntResult r = storeDoubleAsInt(type_, v);
   setRaw(idx, static_cast<uint64_t>(r.value));
-  flags.wrapped = r.wrapped;
-  flags.precisionLoss = flags.precisionLoss || r.precisionLoss;
+  flags.wrapped = r.wrapped != 0;
+  flags.precisionLoss = r.prec != 0;
   return flags;
 }
 
-Value::StoreFlags Value::convertFrom(const Value& src) {
+Value::StoreFlags Value::convertFrom(const Value& src, bool sat) {
   StoreFlags acc;
-  int n = std::min(width(), src.width());
-  for (int k = 0; k < n; ++k) {
+  for (int k = 0; k < width(); ++k) {
+    const int s = src.width() == 1 ? 0 : k;
     StoreFlags f;
-    if (src.isFloat()) {
-      f = store(k, src.f(k));
-    } else if (isFloat()) {
-      // int -> float: flag precision loss when the value does not
-      // round-trip (mirrors the generated conversion template).
-      double d = src.asDouble(k);
-      setF(k, d);
-      if (this->f(k) != d) {
-        f.precisionLoss = true;
-      } else if (isUnsignedInt(src.type())) {
-        if (static_cast<uint64_t>(static_cast<long double>(d)) !=
-            static_cast<uint64_t>(src.i(k))) {
-          f.precisionLoss = true;
-        }
-      } else if (static_cast<int64_t>(d) != src.i(k)) {
-        f.precisionLoss = true;
-      }
+    if (!isFloat()) {
+      IntResult r = src.isFloat() ? fold(type_, src.f(s), sat)
+                                  : fold(type_, src.asInt(s), sat);
+      setRaw(k, static_cast<uint64_t>(r.value));
+      f.wrapped = r.wrapped != 0;
+      f.precisionLoss = r.prec != 0;
+    } else if (src.isFloat()) {
+      f = store(k, src.f(s));
     } else {
-      f.wrapped = setI(k, src.i(k));
+      // int -> float: precision is lost when the value does not round-trip
+      // (the generated conversion template makes the same test).
+      double d = src.asDouble(s);
+      setF(k, d);
+      f.precisionLoss =
+          this->f(k) != d || static_cast<__int128>(d) != src.asInt(s);
     }
     acc.wrapped = acc.wrapped || f.wrapped;
     acc.precisionLoss = acc.precisionLoss || f.precisionLoss;

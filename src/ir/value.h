@@ -30,19 +30,21 @@ class Value {
   void resize(DataType type, int width);
 
   // Raw typed element access. i() is valid for integer/bool values and
-  // returns the sign-extended element; f() is valid for float values.
+  // returns the element's 64-bit slot pattern (a u64 at or above 2^63
+  // reads negative: use asInt() for its value); f() is valid for float
+  // values.
   int64_t i(int idx) const;
   double f(int idx) const;
 
-  // Stores a scalar into element idx, wrapping/rounding to this Value's
-  // type. Returns true when the stored value differs from the input
-  // (wrap-on-overflow for integers, out-of-range for bool).
-  bool setI(int idx, int64_t v);
+  // Stores the bit pattern of `v` into element idx as this Value's type (a
+  // two's-complement wrap; bool stores v != 0). Returns true when the
+  // stored value differs from `v`.
+  bool setI(int idx, __int128 v);
   bool setF(int idx, double v);
 
   // Type-erased reads used by generic actor code.
   double asDouble(int idx) const;   // any type, widened to double
-  int64_t asInt(int idx) const;     // floats truncate toward zero
+  __int128 asInt(int idx) const;    // exact; floats truncate toward zero
   bool asBool(int idx) const;       // nonzero test
 
   // Stores `v` (a double) into element idx converting to this type with
@@ -54,8 +56,10 @@ class Value {
   };
   StoreFlags store(int idx, double v);
 
-  // Element-wise conversion of src into this Value's type/width.
-  StoreFlags convertFrom(const Value& src);
+  // Element-wise conversion of src into this Value's type (a width-1 src
+  // broadcasts). An integer result wraps, or clamps when `sat`; `wrapped`
+  // then reports the wrap or clamp.
+  StoreFlags convertFrom(const Value& src, bool sat = false);
 
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }

@@ -21,6 +21,13 @@ std::string paramNum(double v) {
   return buf;
 }
 
+// An integer element as the decimal literal an integer Constant parses
+// exactly (every value an integer type holds fits int64 or uint64).
+std::string decimal(__int128 v) {
+  return v < 0 ? std::to_string(static_cast<int64_t>(v))
+               : std::to_string(static_cast<uint64_t>(v));
+}
+
 // True when eval() is a pure function of the current input signals: no
 // state, no data store, no enable gate (a gated actor skips evaluation and
 // holds its previous output, so its output is not step-invariant), and not
@@ -97,8 +104,8 @@ void constantFold(FlatModel& fm, const SimOptions& opt, OptStats& stats) {
     std::string list;
     for (int i = 0; i < folded.width(); ++i) {
       if (i > 0) list += ",";
-      list += paramNum(folded.isFloat() ? folded.f(i)
-                                        : static_cast<double>(folded.i(i)));
+      list += folded.isFloat() ? paramNum(folded.f(i))
+                               : decimal(folded.asInt(i));
     }
 
     auto synth = std::make_shared<Actor>(fa.src->name(), "Constant");

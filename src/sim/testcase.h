@@ -66,9 +66,9 @@ struct TestCaseSpec {
 // number format of test-case CSVs and corpus spec files.
 std::string fmtExact(double v);
 
-// The runtime generator all in-process engines use; the generated runtime
-// preamble contains the byte-identical algorithm, so every engine sees the
-// same stimulus for a given spec.
+// The runtime generator all in-process engines use; generated code embeds
+// the same runtime core (ir/arith_core.h), so every engine sees the same
+// stimulus for a given spec.
 class StimulusStream {
  public:
   StimulusStream(const TestCaseSpec& spec, const FlatModel& fm);

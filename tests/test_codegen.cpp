@@ -15,6 +15,7 @@
 #include "codegen/emitter.h"
 #include "codegen/model_lib.h"
 #include "codegen/result_frame.h"
+#include "codegen/runtime_preamble.h"
 #include "opt/pipeline.h"
 #include "parser/model_io.h"
 #include "sim/simulator.h"
@@ -85,6 +86,43 @@ TEST(Codegen, GeneratedSourceHasPaperStructure) {
   EXPECT_NE(src.find("diagnose_"), std::string::npos);
   // Test-case import.
   EXPECT_NE(src.find("accmos_fill_inputs"), std::string::npos);
+}
+
+// The runtime core has one definition: every generated source carries the
+// exact text of src/ir/arith_core.h once, and the runtime preamble defines
+// none of its functions.
+TEST(Codegen, EmbedsTheRuntimeCoreVerbatimOnce) {
+  std::ifstream in(std::string(ACCMOS_MODELS_DIR) + "/../src/ir/arith_core.h",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string core((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_NE(core.find("accmos_fold"), std::string::npos);
+  Tiny t = mixedModel();
+  Simulator sim(t.model());
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  const std::string src =
+      AccMoSEngine::generate(sim.flatModel(), opt, TestCaseSpec{}).source;
+  const size_t at = src.find(core);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(src.find(core, at + 1), std::string::npos);
+
+  // Each name the core declares ("static inline <type> accmos_x(" and its
+  // result struct) appears nowhere in the preamble.
+  const std::string preamble(runtimePreamble());
+  std::vector<std::string> names = {"accmos_res"};
+  for (size_t p = core.find("static inline "); p != std::string::npos;
+       p = core.find("static inline ", p + 1)) {
+    const size_t open = core.find('(', p);
+    const size_t name = core.rfind(' ', open) + 1;
+    names.push_back(core.substr(name, open - name));
+  }
+  EXPECT_GE(names.size(), 12u);
+  for (const std::string& n : names) {
+    EXPECT_EQ(n.rfind("accmos_", 0), 0u) << n;
+    EXPECT_EQ(preamble.find(n), std::string::npos) << n;
+  }
 }
 
 // The stimulus is run data: the emitted source, and so the compiled

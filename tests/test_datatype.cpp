@@ -52,6 +52,9 @@ TEST(DataType, DowncastMatrix) {
   EXPECT_TRUE(isDowncast(DataType::I32, DataType::I16));
   EXPECT_TRUE(isDowncast(DataType::I16, DataType::U16));  // loses negatives
   EXPECT_TRUE(isDowncast(DataType::U16, DataType::I16));  // loses top half
+  EXPECT_TRUE(isDowncast(DataType::U64, DataType::I64));  // loses top half
+  EXPECT_TRUE(isDowncast(DataType::I64, DataType::U64));  // loses negatives
+  EXPECT_FALSE(isDowncast(DataType::U32, DataType::I64));
   EXPECT_TRUE(isDowncast(DataType::F64, DataType::F32));
   EXPECT_TRUE(isDowncast(DataType::F64, DataType::I64));
   EXPECT_FALSE(isDowncast(DataType::I16, DataType::I32));
@@ -135,12 +138,12 @@ TEST(F2I, DefinedEdgeCases) {
 TEST(StoreDoubleAsInt, RoundsToNearest) {
   auto r = storeDoubleAsInt(DataType::I32, 2.5);
   EXPECT_EQ(r.value, 2);  // nearbyint banker's rounding
-  EXPECT_TRUE(r.precisionLoss);
+  EXPECT_TRUE(r.prec);
   r = storeDoubleAsInt(DataType::I32, 3.5);
   EXPECT_EQ(r.value, 4);
   r = storeDoubleAsInt(DataType::I32, 7.0);
   EXPECT_EQ(r.value, 7);
-  EXPECT_FALSE(r.precisionLoss);
+  EXPECT_FALSE(r.prec);
   EXPECT_FALSE(r.wrapped);
 }
 
@@ -154,28 +157,32 @@ TEST(StoreDoubleAsInt, ClampsAndWraps) {
   EXPECT_TRUE(r.wrapped);
   r = storeDoubleAsInt(DataType::I32, std::nan(""));
   EXPECT_EQ(r.value, 0);
-  EXPECT_TRUE(r.precisionLoss);
+  EXPECT_TRUE(r.prec);
 }
 
 TEST(IntDiv, Semantics) {
-  EXPECT_EQ(intDiv(DataType::I32, 7, 2).value, 3);
-  EXPECT_EQ(intDiv(DataType::I32, -7, 2).value, -3);  // truncation
-  auto z = intDiv(DataType::I32, 5, 0);
-  EXPECT_TRUE(z.divByZero);
-  EXPECT_EQ(z.value, 0);
-  // INT_MIN / -1 wraps instead of trapping.
-  auto w = intDiv(DataType::I64, std::numeric_limits<int64_t>::min(), -1);
+  int dz = 0;
+  EXPECT_EQ(accmos_quot(7, 2, &dz), 3);
+  EXPECT_EQ(accmos_quot(-7, 2, &dz), -3);  // truncation
+  EXPECT_EQ(dz, 0);
+  EXPECT_EQ(accmos_quot(5, 0, &dz), 0);
+  EXPECT_EQ(dz, 1);
+  // INT_MIN / -1 wraps instead of trapping, or clamps when saturating.
+  dz = 0;
+  auto w = intDiv(DataType::I64, std::numeric_limits<int64_t>::min(), -1,
+                  false, &dz);
   EXPECT_TRUE(w.wrapped);
   EXPECT_EQ(w.value, std::numeric_limits<int64_t>::min());
-}
-
-TEST(IntMod, Semantics) {
-  EXPECT_EQ(intMod(DataType::I32, 7, 3).value, 1);
-  EXPECT_EQ(intMod(DataType::I32, -7, 3).value, -1);
-  EXPECT_TRUE(intMod(DataType::I32, 7, 0).divByZero);
-  auto m = intMod(DataType::I64, std::numeric_limits<int64_t>::min(), -1);
-  EXPECT_EQ(m.value, 0);
-  EXPECT_FALSE(m.wrapped);
+  auto s = intDiv(DataType::I64, std::numeric_limits<int64_t>::min(), -1,
+                  true, &dz);
+  EXPECT_TRUE(s.wrapped);
+  EXPECT_EQ(s.value, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(dz, 0);
+  // A zero divisor stores 0 unflagged in every type.
+  auto z = intDiv(DataType::U8, 5, 0, true, &dz);
+  EXPECT_EQ(z.value, 0);
+  EXPECT_FALSE(z.wrapped);
+  EXPECT_EQ(dz, 1);
 }
 
 TEST(SplitMix64, KnownSequenceAndUnitRange) {
@@ -208,16 +215,14 @@ TEST_P(WrapStoreProperty, IdempotentOnRange) {
   for (int k = 0; k < 2000; ++k) {
     Int128 raw = static_cast<Int128>(static_cast<int64_t>(rng.next()));
     IntResult first = wrapStore(t, raw);
-    // Re-widen per the type's signedness (how the engines feed values back
-    // into accumulators).
-    Int128 rewidened = isUnsignedInt(t)
-                           ? static_cast<Int128>(wrapToUint(
-                                 t, static_cast<uint64_t>(first.value),
-                                 nullptr))
-                           : static_cast<Int128>(first.value);
+    // Re-widen the stored 64-bit slot pattern through the core (how the
+    // engines read values back into accumulators).
+    Int128 rewidened = widen(t, static_cast<uint64_t>(first.value));
+    EXPECT_TRUE(rewidened == first.value) << dataTypeName(t);
     IntResult second = wrapStore(t, rewidened);
-    EXPECT_EQ(second.value, first.value) << dataTypeName(t);
-    EXPECT_FALSE(second.wrapped) << dataTypeName(t) << " raw=" << first.value;
+    EXPECT_TRUE(second.value == first.value) << dataTypeName(t);
+    EXPECT_FALSE(second.wrapped)
+        << dataTypeName(t) << " raw=" << static_cast<int64_t>(first.value);
   }
 }
 

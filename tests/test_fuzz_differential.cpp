@@ -283,5 +283,137 @@ TEST_P(FuzzOptCampaign, OptimizedCampaignMatchesUnoptimized) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOptCampaign, ::testing::Values(511, 733));
 
+// ---------------------------------------------------------------------------
+// Integer models: random chains of the integer arithmetic family over
+// random integer types, wrapping or saturating, fed by integer Inports and
+// by Constants at each type's extremes (i64 and u64 included). The
+// pattern library above draws f64 only.
+// ---------------------------------------------------------------------------
+
+constexpr DataType kIntTypes[] = {DataType::I8,  DataType::I16, DataType::I32,
+                                  DataType::I64, DataType::U8,  DataType::U16,
+                                  DataType::U32, DataType::U64};
+
+// A decimal literal of one of type t's extremes: 0, 1, min, min+1,
+// max-1, max, -1, 2^62 and 2^63 where t holds them.
+std::string extremeLiteral(DataType t, SplitMix64& rng) {
+  const int bits = dataTypeSize(t) * 8;
+  const bool sgn = isSignedInt(t);
+  const unsigned __int128 umax =
+      (static_cast<unsigned __int128>(1) << (sgn ? bits - 1 : bits)) - 1;
+  auto dec = [](unsigned __int128 v) {
+    return std::to_string(static_cast<uint64_t>(v));
+  };
+  const std::string max = dec(umax);
+  const std::string min = sgn ? "-" + dec(umax + 1) : "0";
+  std::vector<std::string> pick = {"0", "1", min, max, dec(umax - 1)};
+  if (sgn) {
+    pick.push_back("-1");
+    pick.push_back("-" + dec(umax));
+  }
+  if (bits == 64) pick.push_back("4611686018427387904");
+  if (bits == 64 && !sgn) pick.push_back("9223372036854775808");
+  return pick[rng.next() % pick.size()];
+}
+
+std::unique_ptr<Model> randomIntModel(uint64_t seed) {
+  SplitMix64 rng(seed);
+  auto m = std::make_unique<Model>("Int" + std::to_string(seed));
+  System& root = m->root();
+  auto anyType = [&] { return kIntTypes[rng.next() % 8]; };
+  std::vector<std::string> pool;
+  int n = 0;
+  auto fresh = [&](const std::string& type, DataType t) -> Actor& {
+    std::string name = type.substr(0, 3) + std::to_string(n++);
+    Actor& a = root.addActor(name, type);
+    a.setDtype(t);
+    pool.push_back(name);
+    return a;
+  };
+  for (int k = 0; k < 2; ++k) {
+    fresh("Inport", anyType()).params().setInt("port", k + 1);
+  }
+  for (int k = 0; k < 4; ++k) {
+    DataType t = anyType();
+    fresh("Constant", t).params().set("value", extremeLiteral(t, rng));
+  }
+  auto from = [&] { return pool[rng.next() % pool.size()]; };
+  const int actors = 8 + static_cast<int>(rng.next() % 8);
+  for (int k = 0; k < actors; ++k) {
+    const DataType t = anyType();
+    const bool sat = rng.next() % 2 == 0;
+    std::vector<std::string> ins = {from()};
+    std::string type;
+    switch (rng.next() % 9) {
+      case 0: type = "Sum"; break;
+      case 1: type = "Product"; break;
+      case 2: type = "Gain"; break;
+      case 3: type = "Bias"; break;
+      case 4: type = "Abs"; break;
+      case 5: type = "UnaryMinus"; break;
+      case 6: type = "DataTypeConversion"; break;
+      case 7: type = "DiscreteIntegrator"; break;
+      default: type = "RelationalOperator"; break;
+    }
+    const std::string name = type.substr(0, 3) + std::to_string(n);
+    Actor& a = fresh(type, type == "RelationalOperator" ? DataType::Bool : t);
+    if (type == "Sum" || type == "Product" || type == "RelationalOperator") {
+      ins.push_back(from());
+    }
+    if (type == "Sum") {
+      a.params().set("ops", rng.next() % 2 == 0 ? "++" : "+-");
+    } else if (type == "Product") {
+      a.params().set("ops", rng.next() % 2 == 0 ? "**" : "*/");
+    } else if (type == "Gain") {
+      a.params().setInt("gain", static_cast<int64_t>(rng.next() % 7) - 3);
+    } else if (type == "Bias") {
+      a.params().setInt("bias", static_cast<int64_t>(rng.next() % 201) - 100);
+    } else if (type == "RelationalOperator") {
+      const char* ops[] = {"==", "!=", "<", "<=", ">", ">="};
+      a.params().set("op", ops[rng.next() % 6]);
+    }
+    if (sat && (type == "Sum" || type == "Product" ||
+                type == "DataTypeConversion" || type == "DiscreteIntegrator")) {
+      a.params().set("saturate", "1");
+    }
+    for (size_t p = 0; p < ins.size(); ++p) {
+      root.connect(ins[p], 1, name, static_cast<int>(p + 1));
+    }
+  }
+  for (int k = 0; k < 3; ++k) {
+    std::string out = "Out" + std::to_string(k + 1);
+    root.addActor(out, "Outport").params().setInt("port", k + 1);
+    root.connect(pool[pool.size() - 1 - static_cast<size_t>(k)], 1, out, 1);
+  }
+  return m;
+}
+
+class FuzzIntDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzIntDifferential, EnginesAgreeOnIntegerChains) {
+  uint64_t seed = GetParam();
+  auto model = randomIntModel(seed);
+  TestCaseSpec tests;
+  tests.seed = seed;
+  // Inport 1 draws a wide range; Inport 2 cycles through 64-bit extremes
+  // (stored by the real-to-int rule: the largest clamp to the int64 range).
+  tests.defaultPort.min = -3.0e9;
+  tests.defaultPort.max = 3.0e9;
+  PortStimulus seq;
+  seq.sequence = {0.0, 1.0, -1.0, 4611686018427387904.0,
+                  9223372036854775808.0, -9223372036854775808.0, 255.0,
+                  1.8e19};
+  tests.ports = {tests.defaultPort, seq};
+  const std::string label = "int seed " + std::to_string(seed);
+  auto sse = test::runOn(*model, Engine::SSE, 64, tests);
+  auto acc = test::runOn(*model, Engine::AccMoS, 64, tests);
+  auto rac = test::runOn(*model, Engine::SSErac, 64, tests);
+  test::expectIdenticalResults(sse, acc, label + " AccMoS");
+  test::expectSameOutputs(sse, rac, label + " SSErac");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzIntDifferential,
+                         ::testing::Range<uint64_t>(1, 9));
+
 }  // namespace
 }  // namespace accmos
