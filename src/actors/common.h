@@ -41,8 +41,9 @@ struct ArithFlags {
   bool& overflow(bool saturating) { return saturating ? sat : wrap; }
 };
 
-// Simulink's per-block "saturate on overflow" arithmetic option; supported
-// by Sum, Product, DataTypeConversion and DiscreteIntegrator.
+// Simulink's per-block "saturate on overflow" arithmetic option. Only the
+// specs whose canSaturate() is true clamp (Sum, Product, DataTypeConversion
+// and DiscreteIntegrator); validateFlatModel rejects it on any other type.
 inline bool saturating(const FlatActor& fa) {
   return fa.src->params().getBool("saturate", false);
 }
@@ -74,12 +75,6 @@ inline void reportArith(EvalContext& ctx, const ArithFlags& fl) {
   if (fl.sat) ctx.reportDiag(DiagKind::SaturateOnOverflow);
   if (fl.prec) ctx.reportDiag(DiagKind::PrecisionLoss);
   if (fl.nan) ctx.reportDiag(DiagKind::NanInf);
-  ctx.reportDiag(DiagKind::Downcast);
-}
-
-// The static downcast check of paper Fig. 4 (sizeof(out) < sizeof(in)):
-// fires on every execution when the plan includes it.
-inline void reportDowncast(EvalContext& ctx) {
   ctx.reportDiag(DiagKind::Downcast);
 }
 

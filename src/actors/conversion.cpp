@@ -10,6 +10,7 @@ namespace {
 class DataTypeConversionSpec : public ActorSpec {
  public:
   std::string type() const override { return "DataTypeConversion"; }
+  bool canSaturate() const override { return true; }
 
   ActorCatalog::PortLayout ports(const Actor&) const override {
     return {1, 1};

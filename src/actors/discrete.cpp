@@ -265,6 +265,7 @@ class TappedDelaySpec : public ActorSpec {
 class DiscreteIntegratorSpec : public ActorSpec {
  public:
   std::string type() const override { return "DiscreteIntegrator"; }
+  bool canSaturate() const override { return true; }
 
   ActorCatalog::PortLayout ports(const Actor&) const override {
     return {1, 1};

@@ -32,6 +32,7 @@ std::string declareAcc(EmitContext& ctx, const std::string& acc, int init) {
 class SumSpec : public ActorSpec {
  public:
   std::string type() const override { return "Sum"; }
+  bool canSaturate() const override { return true; }
 
   ActorCatalog::PortLayout ports(const Actor& a) const override {
     return {static_cast<int>(parseOps(a, "++", "+-").size()), 1};
@@ -108,6 +109,7 @@ class SumSpec : public ActorSpec {
 class ProductSpec : public ActorSpec {
  public:
   std::string type() const override { return "Product"; }
+  bool canSaturate() const override { return true; }
 
   ActorCatalog::PortLayout ports(const Actor& a) const override {
     return {static_cast<int>(parseOps(a, "**", "*/").size()), 1};

@@ -1,7 +1,8 @@
 #include "actors/spec.h"
 
-#include <algorithm>
 #include <cctype>
+
+#include "actors/common.h"
 
 namespace accmos {
 
@@ -125,14 +126,6 @@ const ActorSpec& Registry::get(const std::string& type) const {
   return *s;
 }
 
-std::vector<std::string> Registry::typeNames() const {
-  std::vector<std::string> names;
-  names.reserve(specs_.size());
-  for (const auto& s : specs_) names.push_back(s->type());
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 ActorCatalog::PortLayout Registry::ports(const Actor& actor) const {
   return get(actor.type()).ports(actor);
 }
@@ -169,7 +162,14 @@ std::vector<DiagKind> diagKindsFor(const FlatModel& fm, const FlatActor& fa) {
 
 void validateFlatModel(const FlatModel& fm) {
   for (const auto& fa : fm.actors) {
-    Registry::instance().get(fa).validate(fm, fa);
+    const ActorSpec& spec = Registry::instance().get(fa);
+    if (saturating(fa) && !spec.canSaturate()) {
+      throw ModelError("actor '" + fa.path + "': type " + fa.type() +
+                       " cannot saturate on overflow (only Sum, Product, "
+                       "DataTypeConversion and DiscreteIntegrator can); "
+                       "remove its saturate parameter");
+    }
+    spec.validate(fm, fa);
   }
 }
 

@@ -68,7 +68,6 @@ class EvalContext {
     diag_ = diag;
   }
   void setStopFlag(bool* stop) { stop_ = stop; }
-  void setTestInput(const Value* v) { testInput_ = v; }
 
   const FlatModel& fm() const { return *fm_; }
   const FlatActor& fa() const { return *fa_; }
@@ -82,7 +81,6 @@ class EvalContext {
   }
   Value& state() { return *state_; }
   Value& store() { return (*stores_)[static_cast<size_t>(fa_->dataStore)]; }
-  const Value* testInput() const { return testInput_; }
 
   int numInputs() const { return static_cast<int>(fa_->inputs.size()); }
 
@@ -124,7 +122,6 @@ class EvalContext {
   const DiagnosisPlan* diagPlan_ = nullptr;
   DiagnosticSink* diag_ = nullptr;
   bool* stop_ = nullptr;
-  const Value* testInput_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -269,6 +266,10 @@ class ActorSpec {
   // Post-flatten structural validation (width/type consistency, parameter
   // sanity). Throws ModelError.
   virtual void validate(const FlatModel&, const FlatActor&) const;
+  // Honours the "saturate" parameter (Simulink's saturate on integer
+  // overflow) by clamping instead of wrapping. validateFlatModel rejects
+  // the parameter on every type that does not.
+  virtual bool canSaturate() const { return false; }
 
   // Coverage traits (Algorithm 1 lines 4-10).
   virtual bool countsForActorCoverage(const Actor&) const { return true; }
@@ -304,7 +305,6 @@ class Registry : public ActorCatalog {
   const ActorSpec* find(const std::string& type) const;
   const ActorSpec& get(const std::string& type) const;  // throws ModelError
   const ActorSpec& get(const FlatActor& fa) const { return get(fa.type()); }
-  std::vector<std::string> typeNames() const;
 
   // ActorCatalog.
   PortLayout ports(const Actor& actor) const override;

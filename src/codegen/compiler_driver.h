@@ -96,7 +96,6 @@ class CompilerDriver {
   // Wall-clock watchdog for one compiler invocation (seconds; 0 = off).
   // Initialized from $ACCMOS_COMPILE_TIMEOUT, default 300.
   void setCompileTimeout(double sec) { compileTimeoutSec_ = sec; }
-  double compileTimeout() const { return compileTimeoutSec_; }
 
   // The compiler command used ($CXX, else c++).
   static std::string compilerPath();

@@ -71,8 +71,6 @@ struct FaultPlan {
     return hang.armed || crash.armed || compileFail || slowCompileMs > 0 ||
            dlopenFail;
   }
-  // True when the emitter must plant fault code in the generated source.
-  bool affectsEmit() const { return hang.armed || crash.armed; }
 };
 
 // Parses ACCMOS_FAULT on every call, so tests can flip the env between

@@ -900,6 +900,7 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
   if (!fa.outputs.empty()) {
     op.real = isFloatType(fm.signal(fa.outputs[0]).type);
   }
+  op.sat = saturating(fa);
 
   Op upd = op;  // shares refs; fn decides
 
@@ -988,13 +989,11 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
   }
   if (ty == "Sum") {
     for (char c : parseOps(a, "++", "+-")) op.ip.push_back(c == '+' ? 1 : -1);
-    op.sat = a.params().getBool("saturate", false);
     pushEval(kSum);
     return;
   }
   if (ty == "Product") {
     for (char c : parseOps(a, "**", "*/")) op.ip.push_back(c == '*' ? 1 : -1);
-    op.sat = a.params().getBool("saturate", false);
     pushEval(kProduct);
     return;
   }
@@ -1146,7 +1145,6 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
     pushEval(kCopyStateToOut);
     upd.dp = {k};
     upd.ip = {f2i(k)};
-    upd.sat = a.params().getBool("saturate", false);
     pushUpdate(kIntegratorUpdate);
     return;
   }
@@ -1237,7 +1235,6 @@ void lowerActor(CompiledProgram::Impl& im, const FlatActor& fa) {
     return;
   }
   if (ty == "DataTypeConversion") {
-    op.sat = a.params().getBool("saturate", false);
     pushEval(kConvert);
     return;
   }

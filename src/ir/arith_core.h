@@ -54,31 +54,31 @@ static inline accmos_res accmos_fold(__int128 exact, int sat) {
   return r;
 }
 
-// Stores a real into T: round to nearest, then wrap (beyond the int64
-// range the value clamps to it first and counts as wrapped) or, when
-// `sat`, clamp to T's range.
+// Stores a real into T: round to nearest, then fold that integer like any
+// other (a wrap, or a clamp to T's range when `sat`), flagged exactly when
+// the stored value differs from it. A magnitude of 2^127 or more, or an
+// infinity, is beyond every type and folds from such a value with v's
+// sign: a clamp stores T's bound, and a wrap stores 0, the exact low 64
+// bits of every double of 2^116 or more. NaN stores 0 unflagged.
 template <typename T>
 static inline accmos_res accmos_fold(double v, int sat) {
   const double rounded = nearbyint(v);
+  const __int128 beyond = (__int128)1 << 126;
   __int128 wide = 0;
-  int clipped = 0;
   if (v != v) {
     // NaN stores 0.
-  } else if (sat) {
-    if (rounded >= 1.7014118346046923e38) wide = INT64_MAX;
-    else if (rounded <= -1.7014118346046923e38) wide = INT64_MIN;
-    else wide = (__int128)rounded;
-  } else if (rounded >= 9.2233720368547758e18) {
-    wide = INT64_MAX;
-    clipped = 1;
-  } else if (rounded <= -9.2233720368547758e18) {
-    wide = INT64_MIN;
-    clipped = 1;
-  } else {
+  } else if (rounded > -9.2233720368547758e18 &&
+             rounded < 9.2233720368547758e18) {
+    // Most stores: an int64_t conversion is one instruction, while a
+    // double-to-__int128 conversion is a library call.
     wide = (int64_t)rounded;
+  } else if (rounded > -1.7014118346046923e38 &&
+             rounded < 1.7014118346046923e38) {
+    wide = (__int128)rounded;
+  } else {
+    wide = rounded > 0 ? beyond : -beyond;
   }
   accmos_res r = accmos_fold<T>(wide, sat);
-  r.wrapped |= clipped;
   r.prec = rounded != v;  // NaN compares unequal to itself
   return r;
 }

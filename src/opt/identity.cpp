@@ -6,9 +6,9 @@
 namespace accmos::opt {
 namespace {
 
-// The runtime Value an un-gated Constant/Ground producer yields: its
-// parameter list stored through the output signal's type — exactly the
-// conversion its eval() applies.
+// The runtime Value an un-gated Constant/Ground producer yields, read as
+// its eval() reads it: an integer Constant's literals exactly, any other
+// Constant's parameter list stored through the output signal's type.
 bool producerConstValue(const FlatModel& fm, int sigId, Value* out) {
   const SignalInfo& si = fm.signal(sigId);
   if (si.producerActor < 0) return false;
@@ -17,6 +17,12 @@ bool producerConstValue(const FlatModel& fm, int sigId, Value* out) {
   Value v(si.type, si.width);
   if (p.type() == "Ground") {
     for (int i = 0; i < si.width; ++i) v.setI(i, 0);
+  } else if (p.type() == "Constant" && isIntType(si.type)) {
+    const std::vector<Int128> vals =
+        intConstantValues(*p.src, si.type, si.width);
+    for (int i = 0; i < si.width; ++i) {
+      v.setI(i, static_cast<int64_t>(vals[static_cast<size_t>(i)]));
+    }
   } else if (p.type() == "Constant") {
     std::vector<double> vals = p.src->params().getDoubleList("value");
     if (vals.empty()) vals.push_back(p.src->params().getDouble("value", 0.0));

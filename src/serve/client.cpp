@@ -6,24 +6,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "codegen/run_abi.h"
-#include "serve/protocol.h"
-#include "serve/version.h"
 #include "sim/failure.h"
 
 namespace accmos::serve {
 
 namespace {
-
-Json helloRequest() {
-  Json j = Json::object();
-  j.set("op", Json::str("hello"));
-  j.set("protocol", Json::u64(kProtocolVersion));
-  j.set("abi", Json::u64(ACCMOS_ABI_VERSION));
-  j.set("version", Json::str(kAccmosVersion));
-  j.set("cacheSchema", Json::str(kCacheSchema));
-  return j;
-}
 
 // Rehydrate a daemon-side failure into the closest local exception, so
 // `accmos client` surfaces the same typed errors — and hence the same
@@ -38,20 +25,11 @@ Json helloRequest() {
   throw ModelError(message);
 }
 
-ServiceMeta serviceMetaFromJson(const Json& resp) {
-  ServiceMeta meta;
+// The response's "service" member, when the daemon sent one.
+ServiceMeta serviceOf(const Json& resp) {
   const Json* service = resp.find("service");
-  if (service == nullptr) return meta;
-  meta.poolHit = service->at("poolHit", "$.service").asBool("$.service.poolHit");
-  const Json& pool = service->at("pool", "$.service");
-  const std::string w = "$.service.pool";
-  meta.pool.entries = pool.at("entries", w).asU64(w + ".entries");
-  meta.pool.residentBytes = pool.at("residentBytes", w).asU64(w + ".residentBytes");
-  meta.pool.byteBudget = pool.at("byteBudget", w).asU64(w + ".byteBudget");
-  meta.pool.hits = pool.at("hits", w).asU64(w + ".hits");
-  meta.pool.misses = pool.at("misses", w).asU64(w + ".misses");
-  meta.pool.evictions = pool.at("evictions", w).asU64(w + ".evictions");
-  return meta;
+  return service != nullptr ? serviceMetaFromJson(*service, "$.service")
+                            : ServiceMeta{};
 }
 
 }  // namespace
@@ -77,9 +55,9 @@ ServeClient::ServeClient(const std::string& socketPath) {
   }
 
   try {
-    Json resp = request(helloRequest());
-    daemonVersion_ = resp.at("version", "$").asString("$.version");
-    daemonAbi_ = resp.at("abi", "$").asU64("$.abi");
+    const Hello daemon = helloFromJson(request(toJson(Hello{})), "$");
+    daemonVersion_ = daemon.version;
+    daemonAbi_ = daemon.abi;
   } catch (...) {
     ::close(fd_);
     fd_ = -1;
@@ -112,7 +90,7 @@ SimulationResult ServeClient::run(const std::string& modelText,
   req.set("options", toJson(opt));
   req.set("spec", toJson(spec));
   Json resp = request(req);
-  if (meta != nullptr) *meta = serviceMetaFromJson(resp);
+  if (meta != nullptr) *meta = serviceOf(resp);
   return simResultFromJson(resp.at("result", "$"), "$.result");
 }
 
@@ -128,7 +106,7 @@ CampaignResult ServeClient::campaign(const std::string& modelText,
             return toJson(s);
           }));
   Json resp = request(req);
-  if (meta != nullptr) *meta = serviceMetaFromJson(resp);
+  if (meta != nullptr) *meta = serviceOf(resp);
   return campaignResultFromJson(resp.at("result", "$"), "$.result");
 }
 

@@ -7,21 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "serve/json.h"
-#include "serve/lib_pool.h"
-#include "sim/campaign.h"
-#include "sim/options.h"
-#include "sim/result.h"
-#include "sim/testcase.h"
+#include "serve/protocol.h"
 
 namespace accmos::serve {
-
-// What the daemon reports about how it served a request — the client's
-// window into pool behaviour ("was my model already warm?").
-struct ServiceMeta {
-  bool poolHit = false;
-  PoolStats pool;
-};
 
 class ServeClient {
  public:

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "codegen/compiler_driver.h"
-#include "codegen/run_abi.h"
 #include "serve/protocol.h"
 #include "serve/version.h"
 #include "sim/failure.h"
@@ -43,19 +42,9 @@ std::string classify(const std::exception& e) {
   return "internal";
 }
 
-Json helloResponse() {
-  Json j = Json::object();
-  j.set("ok", Json::boolean(true));
-  j.set("op", Json::str("hello"));
-  j.set("protocol", Json::u64(kProtocolVersion));
-  j.set("abi", Json::u64(ACCMOS_ABI_VERSION));
-  j.set("version", Json::str(kAccmosVersion));
-  j.set("cacheSchema", Json::str(kCacheSchema));
-  return j;
-}
-
 // Answers a connection's first frame, which must be a hello in this
-// daemon's protocol version. Returns whether it was.
+// daemon's protocol version. Returns whether it was. Only "op" and
+// "protocol" are read: they are what a client of any version sends.
 bool answerHello(int fd, const std::string& text) {
   try {
     Json hello = parseJson(text);
@@ -78,23 +67,12 @@ bool answerHello(int fd, const std::string& text) {
                      .write());
       return false;
     }
-    writeFrame(fd, helloResponse().write());
+    writeFrame(fd, helloAnswer(Hello{}).write());
     return true;
   } catch (const JsonError& e) {
     writeFrame(fd, errorResponse("protocol", e.what()).write());
     return false;
   }
-}
-
-Json toJson(const PoolStats& s) {
-  Json j = Json::object();
-  j.set("entries", Json::u64(s.entries));
-  j.set("residentBytes", Json::u64(s.residentBytes));
-  j.set("byteBudget", Json::u64(s.byteBudget));
-  j.set("hits", Json::u64(s.hits));
-  j.set("misses", Json::u64(s.misses));
-  j.set("evictions", Json::u64(s.evictions));
-  return j;
 }
 
 }  // namespace
@@ -395,10 +373,7 @@ std::string Daemon::dispatch(const std::string& requestText,
                              simOpt, specs, lease->optStats());
       resp.set("result", toJson(cr));
     }
-    Json service = Json::object();
-    service.set("poolHit", Json::boolean(lease.poolHit()));
-    service.set("pool", toJson(pool_.stats()));
-    resp.set("service", std::move(service));
+    resp.set("service", toJson(ServiceMeta{lease.poolHit(), pool_.stats()}));
     return resp.write();
   } catch (const std::exception& e) {
     return errorResponse(classify(e), e.what()).write();

@@ -55,10 +55,6 @@ class Json {
   static Json rendered(std::string text);
 
   Kind kind() const { return kind_; }
-  bool isNull() const { return kind_ == Kind::Null; }
-  bool isNumber() const {
-    return kind_ == Kind::U64 || kind_ == Kind::I64 || kind_ == Kind::Double;
-  }
 
   // Checked accessors: throw JsonError naming `where` on a kind mismatch.
   // Integer flavours convert when the value fits the requested range;

@@ -9,6 +9,7 @@
 #include "opt/pipeline.h"
 #include "parser/model_io.h"
 #include "serve/protocol.h"
+#include "sim/failure.h"
 
 namespace accmos::serve {
 
@@ -36,10 +37,19 @@ std::string hex16(uint64_t v) {
 
 PoolEntry::PoolEntry(std::string modelText, const SimOptions& opt)
     : modelText_(std::move(modelText)) {
-  LoadedModel loaded = loadModelFromString(modelText_);
-  model_ = std::move(loaded.model);
-  optimized_ = optimizeModel(flatten(*model_, Registry::instance()), opt,
-                             &optStats_);
+  // A model that does not parse, flatten or validate is a load failure, so
+  // the client exits 4 on it as the local CLI does. It is validated before
+  // the optimizer runs, as the CLI's Simulator does: a pass could fold an
+  // invalid actor away.
+  try {
+    LoadedModel loaded = loadModelFromString(modelText_);
+    model_ = std::move(loaded.model);
+    const FlatModel flat = flatten(*model_, Registry::instance());
+    validateFlatModel(flat);
+    optimized_ = optimizeModel(flat, opt, &optStats_);
+  } catch (const ModelError& e) {
+    throw ModelLoadError(e.what());
+  }
   evaluator_ = std::make_unique<SpecEvaluator>(optimized_, opt);
 }
 

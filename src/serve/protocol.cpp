@@ -8,6 +8,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
+#include <limits>
+#include <span>
+#include <type_traits>
 
 #include "codegen/compiler_driver.h"
 #include "ir/datatype.h"
@@ -15,8 +19,6 @@
 namespace accmos::serve {
 
 namespace {
-
-// ---- small shape helpers ----------------------------------------------
 
 std::string sub(const std::string& where, const char* key) {
   return where + "." + key;
@@ -26,33 +28,411 @@ std::string idx(const std::string& where, size_t i) {
   return where + "[" + std::to_string(i) + "]";
 }
 
-bool getBool(const Json& j, const std::string& where, const char* key) {
-  return j.at(key, where).asBool(sub(where, key));
-}
-uint64_t getU64(const Json& j, const std::string& where, const char* key) {
-  return j.at(key, where).asU64(sub(where, key));
-}
-int64_t getI64(const Json& j, const std::string& where, const char* key) {
-  return j.at(key, where).asI64(sub(where, key));
-}
-double getDouble(const Json& j, const std::string& where, const char* key) {
-  return j.at(key, where).asDouble(sub(where, key));
-}
-const std::string& getString(const Json& j, const std::string& where,
-                             const char* key) {
-  return j.at(key, where).asString(sub(where, key));
-}
-const std::vector<Json>& getArray(const Json& j, const std::string& where,
-                                  const char* key) {
-  return j.at(key, where).asArray(sub(where, key));
-}
-
-int getInt(const Json& j, const std::string& where, const char* key) {
-  return static_cast<int>(getI64(j, where, key));
-}
-
 [[noreturn]] void badEnum(const std::string& where, const std::string& got) {
   throw JsonError("unknown name \"" + got + "\" at " + where);
+}
+
+// ---- Enum names --------------------------------------------------------
+// One table per enum, read in both directions: the values that may travel,
+// each named by the enum's own name function. The encoder writes a value's
+// name; the decoder takes the value of that name and rejects any other.
+
+template <class E>
+struct NameTable {
+  std::span<const E> values;
+  std::string_view (*name)(E);
+};
+
+constexpr Engine kEngines[] = {Engine::AccMoS, Engine::SSE, Engine::SSEac,
+                               Engine::SSErac};
+constexpr FailureKind kFailureKinds[] = {
+    FailureKind::Timeout, FailureKind::Crash, FailureKind::CompileError,
+    FailureKind::AbiMismatch};
+// Expression is not one of them: see outbound(CustomDiagnostic) below.
+constexpr CustomDiagnostic::Kind kCustomKinds[] = {
+    CustomDiagnostic::Kind::Range, CustomDiagnostic::Kind::SuddenChange};
+
+NameTable<Engine> names(Engine) { return {kEngines, engineName}; }
+NameTable<FailureKind> names(FailureKind) {
+  return {kFailureKinds,
+          [](FailureKind k) -> std::string_view { return failureKindName(k); }};
+}
+NameTable<DiagKind> names(DiagKind) { return {kAllDiagKinds, diagKindName}; }
+NameTable<DataType> names(DataType) { return {kAllDataTypes, dataTypeName}; }
+NameTable<CustomDiagnostic::Kind> names(CustomDiagnostic::Kind) {
+  return {kCustomKinds, [](CustomDiagnostic::Kind k) -> std::string_view {
+            return k == CustomDiagnostic::Kind::Range ? "range"
+                                                      : "sudden-change";
+          }};
+}
+
+// ---- Field lists -------------------------------------------------------
+// One list per wire struct: `f("key", s.member)` per member, in wire
+// order. S is the struct or the const struct, so the same list drives the
+// encoder and the decoder below. A new field is one line here.
+
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+// A field whose elements render one at a time (renderedArray): a
+// campaign's per-seed rows are many, and a DOM of them all would cost far
+// more than their text. It decodes as a plain array.
+template <class V>
+struct Rows {
+  V& elements;
+};
+template <class V>
+Rows(V&) -> Rows<V>;
+
+template <Of<DiagRecord> S, class F>
+void fields(S& d, F&& f) {
+  f("actorId", d.actorId);
+  f("actorPath", d.actorPath);
+  f("kind", d.kind);
+  f("message", d.message);
+  f("firstStep", d.firstStep);
+  f("count", d.count);
+}
+
+template <Of<RunFailure> S, class F>
+void fields(S& r, F&& f) {
+  f("kind", r.kind);
+  f("seed", r.seed);
+  f("index", r.index);
+  f("signal", r.signal);
+  f("retries", r.retries);
+  f("backend", r.backend);
+  f("message", r.message);
+}
+
+template <Of<OptStats> S, class F>
+void fields(S& s, F&& f) {
+  f("actorsBefore", s.actorsBefore);
+  f("actorsAfter", s.actorsAfter);
+  f("signalsBefore", s.signalsBefore);
+  f("signalsAfter", s.signalsAfter);
+  f("actorsFolded", s.actorsFolded);
+  f("identitiesBypassed", s.identitiesBypassed);
+  f("actorsEliminated", s.actorsEliminated);
+  f("signalsEliminated", s.signalsEliminated);
+  f("stateUpdatesHoisted", s.stateUpdatesHoisted);
+}
+
+template <Of<CollectedSignal> S, class F>
+void fields(S& c, F&& f) {
+  f("path", c.path);
+  f("last", c.last);
+  f("count", c.count);
+}
+
+template <Of<CoverageReport::Entry> S, class F>
+void fields(S& e, F&& f) {
+  f("covered", e.covered);
+  f("total", e.total);
+}
+
+template <Of<SimulationResult> S, class F>
+void fields(S& r, F&& f) {
+  f("stepsExecuted", r.stepsExecuted);
+  f("stoppedEarly", r.stoppedEarly);
+  f("timedOut", r.timedOut);
+  f("failed", r.failed);
+  f("failure", r.failure);
+  f("execSeconds", r.execSeconds);
+  f("generateSeconds", r.generateSeconds);
+  f("compileSeconds", r.compileSeconds);
+  f("loadSeconds", r.loadSeconds);
+  f("execMode", r.execMode);
+  f("hasCoverage", r.hasCoverage);
+  f("coverage", r.coverage);
+  f("bitmaps", r.bitmaps);
+  f("diagnostics", r.diagnostics);
+  f("collected", r.collected);
+  f("finalOutputs", r.finalOutputs);
+  f("optStats", r.optStats);
+}
+
+template <Of<CampaignSeedResult> S, class F>
+void fields(S& r, F&& f) {
+  f("seed", r.seed);
+  f("steps", r.steps);
+  f("execSeconds", r.execSeconds);
+  f("coverage", r.coverage);
+  f("cumulative", r.cumulative);
+  f("diagnosticKinds", r.diagnosticKinds);
+  f("execMode", r.execMode);
+  f("failed", r.failed);
+}
+
+template <Of<CampaignResult> S, class F>
+void fields(S& r, F&& f) {
+  f("perSeed", Rows{r.perSeed});
+  f("cumulative", r.cumulative);
+  f("mergedBitmaps", r.mergedBitmaps);
+  f("diagnostics", r.diagnostics);
+  f("totalExecSeconds", r.totalExecSeconds);
+  f("wallSeconds", r.wallSeconds);
+  f("generateSeconds", r.generateSeconds);
+  f("compileSeconds", r.compileSeconds);
+  f("loadSeconds", r.loadSeconds);
+  f("compileCacheHit", r.compileCacheHit);
+  f("workersUsed", r.workersUsed);
+  f("failures", r.failures);
+  f("optStats", r.optStats);
+  f("interrupted", r.interrupted);
+}
+
+template <Of<PortStimulus> S, class F>
+void fields(S& p, F&& f) {
+  f("min", p.min);
+  f("max", p.max);
+  f("sequence", p.sequence);
+}
+
+template <Of<TestCaseSpec> S, class F>
+void fields(S& s, F&& f) {
+  f("seed", s.seed);
+  f("ports", s.ports);
+  f("defaultPort", s.defaultPort);
+}
+
+template <Of<CustomDiagnostic> S, class F>
+void fields(S& c, F&& f) {
+  f("actorPath", c.actorPath);
+  f("name", c.name);
+  f("kind", c.kind);
+  f("minValue", c.minValue);
+  f("maxValue", c.maxValue);
+  f("maxDelta", c.maxDelta);
+}
+
+template <Of<SimOptions> S, class F>
+void fields(S& o, F&& f) {
+  f("engine", o.engine);
+  f("maxSteps", o.maxSteps);
+  f("timeBudgetSec", o.timeBudgetSec);
+  f("stopOnDiagnostic", o.stopOnDiagnostic);
+  f("runTimeoutSec", o.runTimeoutSec);
+  f("coverage", o.coverage);
+  f("diagnosis", o.diagnosis);
+  f("collectList", o.collectList);
+  f("customDiagnostics", o.customDiagnostics);
+  f("optFlag", o.optFlag);
+  f("workers", o.campaign.workers);
+}
+
+// The shard messages and the hello also carry a constant "op" first,
+// written by their public encoders below.
+
+template <Of<ShardRequest> S, class F>
+void fields(S& r, F&& f) {
+  f("model", r.modelText);
+  f("options", r.options);
+  f("specs", r.specs);
+  f("shardIndex", r.shardIndex);
+  f("shardCount", r.shardCount);
+}
+
+template <Of<ShardPartial> S, class F>
+void fields(S& p, F&& f) {
+  f("first", p.first);
+  f("results", p.results);
+}
+
+template <Of<ShardDone> S, class F>
+void fields(S& d, F&& f) {
+  f("completed", d.completed);
+  f("interrupted", d.interrupted);
+  f("generateSeconds", d.generateSeconds);
+  f("compileSeconds", d.compileSeconds);
+  f("loadSeconds", d.loadSeconds);
+  f("compileCacheHit", d.compileCacheHit);
+  f("compilerInvocations", d.compilerInvocations);
+}
+
+template <Of<Hello> S, class F>
+void fields(S& h, F&& f) {
+  f("protocol", h.protocol);
+  f("abi", h.abi);
+  f("version", h.version);
+  f("cacheSchema", h.cacheSchema);
+}
+
+template <Of<PoolStats> S, class F>
+void fields(S& s, F&& f) {
+  f("entries", s.entries);
+  f("residentBytes", s.residentBytes);
+  f("byteBudget", s.byteBudget);
+  f("hits", s.hits);
+  f("misses", s.misses);
+  f("evictions", s.evictions);
+}
+
+template <Of<ServiceMeta> S, class F>
+void fields(S& m, F&& f) {
+  f("poolHit", m.poolHit);
+  f("pool", m.pool);
+}
+
+// ---- Checks around the lists -------------------------------------------
+// Each runs wherever its struct travels: outbound before the struct is
+// encoded, inbound after it is decoded.
+
+// An Expression check goes neither way. Its std::function callback cannot
+// travel, and accepting its C++ condition string alone would let any
+// client inject code into the daemon's generated simulators: the encoder
+// refuses it here, and the decoder has no name for its kind.
+void outbound(const CustomDiagnostic& c) {
+  if (c.kind == CustomDiagnostic::Kind::Expression) {
+    throw ProtocolError(
+        "custom diagnostic \"" + c.name + "\" on " + c.actorPath +
+        " is an Expression check; callbacks cannot travel over the " +
+        "accmosd protocol — evaluate it locally or restate it as a " +
+        "range/sudden-change diagnostic");
+  }
+}
+
+// The flag lands on the compiler's shell command line: only the four
+// levels may come off the wire.
+void inbound(const SimOptions& o, const std::string& where) {
+  if (!isOptLevel(o.optFlag)) badEnum(sub(where, "optFlag"), o.optFlag);
+}
+
+// ---- The walkers -------------------------------------------------------
+// The member's C++ type picks its leaf codec: bool; unsigned integers
+// (uint64_t, size_t) as u64 and signed ones (int, int64_t) as i64; double
+// as a number; an enum by its name; a string; a vector as an array with
+// [i] paths; a listed struct by its field list; Value and the coverage
+// types through their hand-written codecs below.
+
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+constexpr bool kIsRows = false;
+template <class V>
+constexpr bool kIsRows<Rows<V>> = true;
+
+template <class T>
+concept Listed = requires(T& s) { fields(s, [](const char*, auto&&) {}); };
+
+template <class T>
+Json enc(const T& v);
+template <class T>
+void dec(const Json& j, const std::string& where, T& v);
+
+void dec(const Json& j, const std::string& where, Value& v) {
+  v = valueFromJson(j, where);
+}
+void dec(const Json& j, const std::string& where, CoverageRecorder& r) {
+  r = recorderFromJson(j, where);
+}
+void dec(const Json& j, const std::string& where, CoverageReport& r) {
+  r = reportFromJson(j, where);
+}
+
+// The object of `s`'s field list, after the members already in `j`.
+template <class S>
+Json encFields(const S& s, Json j = Json::object()) {
+  if constexpr (requires { outbound(s); }) outbound(s);
+  fields(s, [&j](const char* key, const auto& m) { j.set(key, enc(m)); });
+  return j;
+}
+
+template <class S>
+void decFields(const Json& j, const std::string& where, S& s) {
+  fields(s, [&](const char* key, auto&& m) {
+    dec(j.at(key, where), sub(where, key), m);
+  });
+  if constexpr (requires { inbound(s, where); }) inbound(s, where);
+}
+
+template <class T>
+Json enc(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Json::boolean(v);
+  } else if constexpr (std::is_integral_v<T> && std::is_unsigned_v<T>) {
+    return Json::u64(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return Json::i64(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return Json::number(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return Json::str(std::string(names(v).name(v)));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Json::str(v);
+  } else if constexpr (kIsVector<T>) {
+    Json a = Json::array();
+    for (const auto& e : v) a.push(enc(e));
+    return a;
+  } else if constexpr (kIsRows<T>) {
+    return renderedArray(v.elements, [](const auto& e) { return enc(e); });
+  } else if constexpr (Listed<T>) {
+    return encFields(v);
+  } else {
+    return toJson(v);
+  }
+}
+
+template <class T>
+void dec(const Json& j, const std::string& where, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = j.asBool(where);
+  } else if constexpr (std::is_same_v<T, int>) {
+    // Checked, not narrowed: the bytes come from an untrusted peer.
+    const int64_t x = j.asI64(where);
+    if (x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max()) {
+      throw JsonError(where + ": expected an int, got " + std::to_string(x));
+    }
+    v = static_cast<int>(x);
+  } else if constexpr (std::is_integral_v<T>) {
+    static_assert(sizeof(T) == sizeof(uint64_t));
+    if constexpr (std::is_unsigned_v<T>) {
+      v = j.asU64(where);
+    } else {
+      v = j.asI64(where);
+    }
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = j.asDouble(where);
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::string& got = j.asString(where);
+    const NameTable<T> table = names(v);
+    for (T e : table.values) {
+      if (table.name(e) == got) {
+        v = e;
+        return;
+      }
+    }
+    badEnum(where, got);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = j.asString(where);
+  } else if constexpr (kIsVector<T>) {
+    const auto& arr = j.asArray(where);
+    v.clear();
+    for (size_t i = 0; i < arr.size(); ++i) {
+      dec(arr[i], idx(where, i), v.emplace_back());
+    }
+  } else if constexpr (kIsRows<T>) {
+    dec(j, where, v.elements);
+  } else {
+    decFields(j, where, v);
+  }
+}
+
+template <class T>
+T decoded(const Json& j, const std::string& where) {
+  T v;
+  dec(j, where, v);
+  return v;
+}
+
+// A message object whose constant "op" comes first.
+Json opObject(const char* op) {
+  Json j = Json::object();
+  j.set("op", Json::str(op));
+  return j;
 }
 
 }  // namespace
@@ -65,7 +445,7 @@ int getInt(const Json& j, const std::string& where, const char* key) {
 
 Json toJson(const Value& v) {
   Json j = Json::object();
-  j.set("t", Json::str(std::string(dataTypeName(v.type()))));
+  j.set("t", enc(v.type()));
   j.set("w", Json::u64(static_cast<uint64_t>(v.width())));
   Json bits = Json::array();
   for (int k = 0; k < v.width(); ++k) {
@@ -76,20 +456,21 @@ Json toJson(const Value& v) {
 }
 
 Value valueFromJson(const Json& j, const std::string& where) {
-  const std::string& tname = getString(j, where, "t");
-  auto type = dataTypeFromName(tname);
-  if (!type) badEnum(sub(where, "t"), tname);
-  uint64_t width = getU64(j, where, "w");
-  const auto& bits = getArray(j, where, "bits");
+  DataType type{};
+  dec(j.at("t", where), sub(where, "t"), type);
+  uint64_t width = 0;
+  dec(j.at("w", where), sub(where, "w"), width);
+  const std::string bwhere = sub(where, "bits");
+  const auto& bits = j.at("bits", where).asArray(bwhere);
   if (width < 1 || bits.size() != width) {
     throw JsonError("width/bits mismatch at " + where);
   }
-  Value v(*type, static_cast<int>(width));
+  Value v(type, static_cast<int>(width));
   for (size_t k = 0; k < bits.size(); ++k) {
-    uint64_t raw = bits[k].asU64(idx(sub(where, "bits"), k));
-    if (*type == DataType::F64) {
+    uint64_t raw = bits[k].asU64(idx(bwhere, k));
+    if (type == DataType::F64) {
       v.setF(static_cast<int>(k), std::bit_cast<double>(raw));
-    } else if (*type == DataType::F32) {
+    } else if (type == DataType::F32) {
       v.setF(static_cast<int>(k),
              static_cast<double>(
                  std::bit_cast<float>(static_cast<uint32_t>(raw))));
@@ -102,7 +483,8 @@ Value valueFromJson(const Json& j, const std::string& where) {
 
 // ---- Coverage ----------------------------------------------------------
 // Bitmaps travel as '0'/'1' strings per metric — compact, diffable, and
-// the decoded recorder compares equal byte-for-byte.
+// the decoded recorder compares equal byte-for-byte. A report is keyed by
+// metric name, each metric's entry through its field list.
 
 Json toJson(const CoverageRecorder& rec) {
   Json j = Json::object();
@@ -139,11 +521,7 @@ CoverageRecorder recorderFromJson(const Json& j, const std::string& where) {
 Json toJson(const CoverageReport& rep) {
   Json j = Json::object();
   for (CovMetric m : kAllCovMetrics) {
-    const auto& e = rep.of(m);
-    Json entry = Json::object();
-    entry.set("covered", Json::i64(e.covered));
-    entry.set("total", Json::i64(e.total));
-    j.set(std::string(covMetricName(m)), std::move(entry));
+    j.set(std::string(covMetricName(m)), enc(rep.of(m)));
   }
   return j;
 }
@@ -152,518 +530,96 @@ CoverageReport reportFromJson(const Json& j, const std::string& where) {
   CoverageReport rep;
   for (CovMetric m : kAllCovMetrics) {
     const std::string key(covMetricName(m));
-    const Json& entry = j.at(key, where);
-    const std::string ewhere = where + "." + key;
-    auto& e = rep.entries[static_cast<size_t>(m)];
-    e.covered = getInt(entry, ewhere, "covered");
-    e.total = getInt(entry, ewhere, "total");
+    dec(j.at(key, where), where + "." + key,
+        rep.entries[static_cast<size_t>(m)]);
   }
   return rep;
 }
 
-// ---- Diagnostics / failures / opt stats --------------------------------
+// ---- Listed structs ----------------------------------------------------
 
-Json toJson(const DiagRecord& d) {
-  Json j = Json::object();
-  j.set("actorId", Json::i64(d.actorId));
-  j.set("actorPath", Json::str(d.actorPath));
-  j.set("kind", Json::str(std::string(diagKindName(d.kind))));
-  j.set("message", Json::str(d.message));
-  j.set("firstStep", Json::u64(d.firstStep));
-  j.set("count", Json::u64(d.count));
-  return j;
-}
-
+Json toJson(const DiagRecord& d) { return enc(d); }
 DiagRecord diagFromJson(const Json& j, const std::string& where) {
-  DiagRecord d;
-  d.actorId = getInt(j, where, "actorId");
-  d.actorPath = getString(j, where, "actorPath");
-  const std::string& kname = getString(j, where, "kind");
-  auto kind = diagKindFromName(kname);
-  if (!kind) badEnum(sub(where, "kind"), kname);
-  d.kind = *kind;
-  d.message = getString(j, where, "message");
-  d.firstStep = getU64(j, where, "firstStep");
-  d.count = getU64(j, where, "count");
-  return d;
+  return decoded<DiagRecord>(j, where);
 }
 
-Json toJson(const RunFailure& f) {
-  Json j = Json::object();
-  j.set("kind", Json::str(failureKindName(f.kind)));
-  j.set("seed", Json::u64(f.seed));
-  j.set("index", Json::u64(static_cast<uint64_t>(f.index)));
-  j.set("signal", Json::i64(f.signal));
-  j.set("retries", Json::i64(f.retries));
-  j.set("backend", Json::str(f.backend));
-  j.set("message", Json::str(f.message));
-  return j;
-}
-
+Json toJson(const RunFailure& f) { return enc(f); }
 RunFailure runFailureFromJson(const Json& j, const std::string& where) {
-  RunFailure f;
-  const std::string& kname = getString(j, where, "kind");
-  bool found = false;
-  for (FailureKind k :
-       {FailureKind::Timeout, FailureKind::Crash, FailureKind::CompileError,
-        FailureKind::AbiMismatch}) {
-    if (kname == failureKindName(k)) {
-      f.kind = k;
-      found = true;
-      break;
-    }
-  }
-  if (!found) badEnum(sub(where, "kind"), kname);
-  f.seed = getU64(j, where, "seed");
-  f.index = static_cast<size_t>(getU64(j, where, "index"));
-  f.signal = getInt(j, where, "signal");
-  f.retries = getInt(j, where, "retries");
-  f.backend = getString(j, where, "backend");
-  f.message = getString(j, where, "message");
-  return f;
+  return decoded<RunFailure>(j, where);
 }
 
-Json toJson(const OptStats& s) {
-  Json j = Json::object();
-  j.set("actorsBefore", Json::i64(s.actorsBefore));
-  j.set("actorsAfter", Json::i64(s.actorsAfter));
-  j.set("signalsBefore", Json::i64(s.signalsBefore));
-  j.set("signalsAfter", Json::i64(s.signalsAfter));
-  j.set("actorsFolded", Json::i64(s.actorsFolded));
-  j.set("identitiesBypassed", Json::i64(s.identitiesBypassed));
-  j.set("actorsEliminated", Json::i64(s.actorsEliminated));
-  j.set("signalsEliminated", Json::i64(s.signalsEliminated));
-  j.set("stateUpdatesHoisted", Json::i64(s.stateUpdatesHoisted));
-  return j;
-}
-
+Json toJson(const OptStats& s) { return enc(s); }
 OptStats optStatsFromJson(const Json& j, const std::string& where) {
-  OptStats s;
-  s.actorsBefore = getInt(j, where, "actorsBefore");
-  s.actorsAfter = getInt(j, where, "actorsAfter");
-  s.signalsBefore = getInt(j, where, "signalsBefore");
-  s.signalsAfter = getInt(j, where, "signalsAfter");
-  s.actorsFolded = getInt(j, where, "actorsFolded");
-  s.identitiesBypassed = getInt(j, where, "identitiesBypassed");
-  s.actorsEliminated = getInt(j, where, "actorsEliminated");
-  s.signalsEliminated = getInt(j, where, "signalsEliminated");
-  s.stateUpdatesHoisted = getInt(j, where, "stateUpdatesHoisted");
-  return s;
+  return decoded<OptStats>(j, where);
 }
 
-Json toJson(const CollectedSignal& c) {
-  Json j = Json::object();
-  j.set("path", Json::str(c.path));
-  j.set("last", toJson(c.last));
-  j.set("count", Json::u64(c.count));
-  return j;
-}
-
+Json toJson(const CollectedSignal& c) { return enc(c); }
 CollectedSignal collectedFromJson(const Json& j, const std::string& where) {
-  CollectedSignal c;
-  c.path = getString(j, where, "path");
-  c.last = valueFromJson(j.at("last", where), sub(where, "last"));
-  c.count = getU64(j, where, "count");
-  return c;
+  return decoded<CollectedSignal>(j, where);
 }
 
-// ---- SimulationResult --------------------------------------------------
-
-Json toJson(const SimulationResult& r) {
-  Json j = Json::object();
-  j.set("stepsExecuted", Json::u64(r.stepsExecuted));
-  j.set("stoppedEarly", Json::boolean(r.stoppedEarly));
-  j.set("timedOut", Json::boolean(r.timedOut));
-  j.set("failed", Json::boolean(r.failed));
-  j.set("failure", toJson(r.failure));
-  j.set("execSeconds", Json::number(r.execSeconds));
-  j.set("generateSeconds", Json::number(r.generateSeconds));
-  j.set("compileSeconds", Json::number(r.compileSeconds));
-  j.set("loadSeconds", Json::number(r.loadSeconds));
-  j.set("execMode", Json::str(r.execMode));
-  j.set("hasCoverage", Json::boolean(r.hasCoverage));
-  j.set("coverage", toJson(r.coverage));
-  j.set("bitmaps", toJson(r.bitmaps));
-  Json diags = Json::array();
-  for (const auto& d : r.diagnostics) diags.push(toJson(d));
-  j.set("diagnostics", std::move(diags));
-  Json coll = Json::array();
-  for (const auto& c : r.collected) coll.push(toJson(c));
-  j.set("collected", std::move(coll));
-  Json outs = Json::array();
-  for (const auto& v : r.finalOutputs) outs.push(toJson(v));
-  j.set("finalOutputs", std::move(outs));
-  j.set("optStats", toJson(r.optStats));
-  return j;
-}
-
+Json toJson(const SimulationResult& r) { return enc(r); }
 SimulationResult simResultFromJson(const Json& j, const std::string& where) {
-  SimulationResult r;
-  r.stepsExecuted = getU64(j, where, "stepsExecuted");
-  r.stoppedEarly = getBool(j, where, "stoppedEarly");
-  r.timedOut = getBool(j, where, "timedOut");
-  r.failed = getBool(j, where, "failed");
-  r.failure = runFailureFromJson(j.at("failure", where), sub(where, "failure"));
-  r.execSeconds = getDouble(j, where, "execSeconds");
-  r.generateSeconds = getDouble(j, where, "generateSeconds");
-  r.compileSeconds = getDouble(j, where, "compileSeconds");
-  r.loadSeconds = getDouble(j, where, "loadSeconds");
-  r.execMode = getString(j, where, "execMode");
-  r.hasCoverage = getBool(j, where, "hasCoverage");
-  r.coverage = reportFromJson(j.at("coverage", where), sub(where, "coverage"));
-  r.bitmaps = recorderFromJson(j.at("bitmaps", where), sub(where, "bitmaps"));
-  {
-    const auto& arr = getArray(j, where, "diagnostics");
-    const std::string awhere = sub(where, "diagnostics");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.diagnostics.push_back(diagFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  {
-    const auto& arr = getArray(j, where, "collected");
-    const std::string awhere = sub(where, "collected");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.collected.push_back(collectedFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  {
-    const auto& arr = getArray(j, where, "finalOutputs");
-    const std::string awhere = sub(where, "finalOutputs");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.finalOutputs.push_back(valueFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  r.optStats = optStatsFromJson(j.at("optStats", where), sub(where, "optStats"));
-  return r;
+  return decoded<SimulationResult>(j, where);
 }
 
-// ---- CampaignResult ----------------------------------------------------
-
-Json toJson(const CampaignSeedResult& r) {
-  Json j = Json::object();
-  j.set("seed", Json::u64(r.seed));
-  j.set("steps", Json::u64(r.steps));
-  j.set("execSeconds", Json::number(r.execSeconds));
-  j.set("coverage", toJson(r.coverage));
-  j.set("cumulative", toJson(r.cumulative));
-  j.set("diagnosticKinds", Json::u64(static_cast<uint64_t>(r.diagnosticKinds)));
-  j.set("execMode", Json::str(r.execMode));
-  j.set("failed", Json::boolean(r.failed));
-  return j;
-}
-
+Json toJson(const CampaignSeedResult& r) { return enc(r); }
 CampaignSeedResult seedResultFromJson(const Json& j, const std::string& where) {
-  CampaignSeedResult r;
-  r.seed = getU64(j, where, "seed");
-  r.steps = getU64(j, where, "steps");
-  r.execSeconds = getDouble(j, where, "execSeconds");
-  r.coverage = reportFromJson(j.at("coverage", where), sub(where, "coverage"));
-  r.cumulative =
-      reportFromJson(j.at("cumulative", where), sub(where, "cumulative"));
-  r.diagnosticKinds = static_cast<size_t>(getU64(j, where, "diagnosticKinds"));
-  r.execMode = getString(j, where, "execMode");
-  r.failed = getBool(j, where, "failed");
-  return r;
+  return decoded<CampaignSeedResult>(j, where);
 }
 
-Json toJson(const CampaignResult& r) {
-  Json j = Json::object();
-  j.set("perSeed", renderedArray(r.perSeed, [](const CampaignSeedResult& s) {
-          return toJson(s);
-        }));
-  j.set("cumulative", toJson(r.cumulative));
-  j.set("mergedBitmaps", toJson(r.mergedBitmaps));
-  Json diags = Json::array();
-  for (const auto& d : r.diagnostics) diags.push(toJson(d));
-  j.set("diagnostics", std::move(diags));
-  j.set("totalExecSeconds", Json::number(r.totalExecSeconds));
-  j.set("wallSeconds", Json::number(r.wallSeconds));
-  j.set("generateSeconds", Json::number(r.generateSeconds));
-  j.set("compileSeconds", Json::number(r.compileSeconds));
-  j.set("loadSeconds", Json::number(r.loadSeconds));
-  j.set("compileCacheHit", Json::boolean(r.compileCacheHit));
-  j.set("workersUsed", Json::u64(static_cast<uint64_t>(r.workersUsed)));
-  Json fails = Json::array();
-  for (const auto& f : r.failures) fails.push(toJson(f));
-  j.set("failures", std::move(fails));
-  j.set("optStats", toJson(r.optStats));
-  j.set("interrupted", Json::boolean(r.interrupted));
-  return j;
-}
-
+Json toJson(const CampaignResult& r) { return enc(r); }
 CampaignResult campaignResultFromJson(const Json& j, const std::string& where) {
-  CampaignResult r;
-  {
-    const auto& arr = getArray(j, where, "perSeed");
-    const std::string awhere = sub(where, "perSeed");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.perSeed.push_back(seedResultFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  r.cumulative =
-      reportFromJson(j.at("cumulative", where), sub(where, "cumulative"));
-  r.mergedBitmaps = recorderFromJson(j.at("mergedBitmaps", where),
-                                     sub(where, "mergedBitmaps"));
-  {
-    const auto& arr = getArray(j, where, "diagnostics");
-    const std::string awhere = sub(where, "diagnostics");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.diagnostics.push_back(diagFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  r.totalExecSeconds = getDouble(j, where, "totalExecSeconds");
-  r.wallSeconds = getDouble(j, where, "wallSeconds");
-  r.generateSeconds = getDouble(j, where, "generateSeconds");
-  r.compileSeconds = getDouble(j, where, "compileSeconds");
-  r.loadSeconds = getDouble(j, where, "loadSeconds");
-  r.compileCacheHit = getBool(j, where, "compileCacheHit");
-  r.workersUsed = static_cast<size_t>(getU64(j, where, "workersUsed"));
-  {
-    const auto& arr = getArray(j, where, "failures");
-    const std::string awhere = sub(where, "failures");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      r.failures.push_back(runFailureFromJson(arr[i], idx(awhere, i)));
-    }
-  }
-  r.optStats = optStatsFromJson(j.at("optStats", where), sub(where, "optStats"));
-  r.interrupted = getBool(j, where, "interrupted");
-  return r;
+  return decoded<CampaignResult>(j, where);
 }
 
-// ---- Stimulus / options ------------------------------------------------
-
-Json toJson(const PortStimulus& p) {
-  Json j = Json::object();
-  j.set("min", Json::number(p.min));
-  j.set("max", Json::number(p.max));
-  Json seq = Json::array();
-  for (double v : p.sequence) seq.push(Json::number(v));
-  j.set("sequence", std::move(seq));
-  return j;
-}
-
+Json toJson(const PortStimulus& p) { return enc(p); }
 PortStimulus portStimulusFromJson(const Json& j, const std::string& where) {
-  PortStimulus p;
-  p.min = getDouble(j, where, "min");
-  p.max = getDouble(j, where, "max");
-  const auto& seq = getArray(j, where, "sequence");
-  const std::string swhere = sub(where, "sequence");
-  p.sequence.reserve(seq.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    p.sequence.push_back(seq[i].asDouble(idx(swhere, i)));
-  }
-  return p;
+  return decoded<PortStimulus>(j, where);
 }
 
-Json toJson(const TestCaseSpec& s) {
-  Json j = Json::object();
-  j.set("seed", Json::u64(s.seed));
-  Json ports = Json::array();
-  for (const auto& p : s.ports) ports.push(toJson(p));
-  j.set("ports", std::move(ports));
-  j.set("defaultPort", toJson(s.defaultPort));
-  return j;
-}
-
+Json toJson(const TestCaseSpec& s) { return enc(s); }
 TestCaseSpec specFromJson(const Json& j, const std::string& where) {
-  TestCaseSpec s;
-  s.seed = getU64(j, where, "seed");
-  const auto& ports = getArray(j, where, "ports");
-  const std::string pwhere = sub(where, "ports");
-  for (size_t i = 0; i < ports.size(); ++i) {
-    s.ports.push_back(portStimulusFromJson(ports[i], idx(pwhere, i)));
-  }
-  s.defaultPort = portStimulusFromJson(j.at("defaultPort", where),
-                                       sub(where, "defaultPort"));
-  return s;
+  return decoded<TestCaseSpec>(j, where);
 }
 
-namespace {
-
-const char* customKindName(CustomDiagnostic::Kind k) {
-  switch (k) {
-    case CustomDiagnostic::Kind::Range:
-      return "range";
-    case CustomDiagnostic::Kind::SuddenChange:
-      return "sudden-change";
-    case CustomDiagnostic::Kind::Expression:
-      return "expression";
-  }
-  return "?";
-}
-
-}  // namespace
-
-Json toJson(const SimOptions& o) {
-  Json j = Json::object();
-  j.set("engine", Json::str(std::string(engineName(o.engine))));
-  j.set("maxSteps", Json::u64(o.maxSteps));
-  j.set("timeBudgetSec", Json::number(o.timeBudgetSec));
-  j.set("stopOnDiagnostic", Json::boolean(o.stopOnDiagnostic));
-  j.set("runTimeoutSec", Json::number(o.runTimeoutSec));
-  j.set("coverage", Json::boolean(o.coverage));
-  j.set("diagnosis", Json::boolean(o.diagnosis));
-  Json coll = Json::array();
-  for (const auto& p : o.collectList) coll.push(Json::str(p));
-  j.set("collectList", std::move(coll));
-  Json customs = Json::array();
-  for (const auto& c : o.customDiagnostics) {
-    if (c.kind == CustomDiagnostic::Kind::Expression) {
-      throw ProtocolError(
-          "custom diagnostic \"" + c.name + "\" on " + c.actorPath +
-          " is an Expression check; callbacks cannot travel over the " +
-          "accmosd protocol — evaluate it locally or restate it as a " +
-          "range/sudden-change diagnostic");
-    }
-    Json cj = Json::object();
-    cj.set("actorPath", Json::str(c.actorPath));
-    cj.set("name", Json::str(c.name));
-    cj.set("kind", Json::str(customKindName(c.kind)));
-    cj.set("minValue", Json::number(c.minValue));
-    cj.set("maxValue", Json::number(c.maxValue));
-    cj.set("maxDelta", Json::number(c.maxDelta));
-    customs.push(std::move(cj));
-  }
-  j.set("customDiagnostics", std::move(customs));
-  j.set("optFlag", Json::str(o.optFlag));
-  j.set("workers", Json::u64(static_cast<uint64_t>(o.campaign.workers)));
-  return j;
-}
-
+Json toJson(const SimOptions& o) { return enc(o); }
 SimOptions optionsFromJson(const Json& j, const std::string& where) {
-  SimOptions o;
-  const std::string& ename = getString(j, where, "engine");
-  bool found = false;
-  for (Engine e : {Engine::AccMoS, Engine::SSE, Engine::SSEac, Engine::SSErac}) {
-    if (ename == engineName(e)) {
-      o.engine = e;
-      found = true;
-      break;
-    }
-  }
-  if (!found) badEnum(sub(where, "engine"), ename);
-  o.maxSteps = getU64(j, where, "maxSteps");
-  o.timeBudgetSec = getDouble(j, where, "timeBudgetSec");
-  o.stopOnDiagnostic = getBool(j, where, "stopOnDiagnostic");
-  o.runTimeoutSec = getDouble(j, where, "runTimeoutSec");
-  o.coverage = getBool(j, where, "coverage");
-  o.diagnosis = getBool(j, where, "diagnosis");
-  {
-    const auto& arr = getArray(j, where, "collectList");
-    const std::string awhere = sub(where, "collectList");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      o.collectList.push_back(arr[i].asString(idx(awhere, i)));
-    }
-  }
-  {
-    const auto& arr = getArray(j, where, "customDiagnostics");
-    const std::string awhere = sub(where, "customDiagnostics");
-    for (size_t i = 0; i < arr.size(); ++i) {
-      const Json& cj = arr[i];
-      const std::string cwhere = idx(awhere, i);
-      CustomDiagnostic c;
-      c.actorPath = getString(cj, cwhere, "actorPath");
-      c.name = getString(cj, cwhere, "name");
-      const std::string& kname = getString(cj, cwhere, "kind");
-      if (kname == "range") {
-        c.kind = CustomDiagnostic::Kind::Range;
-      } else if (kname == "sudden-change") {
-        c.kind = CustomDiagnostic::Kind::SuddenChange;
-      } else {
-        // "expression" is deliberately rejected here too: accepting a
-        // C++ condition string from the wire would let any client inject
-        // code into the daemon's generated simulators.
-        badEnum(sub(cwhere, "kind"), kname);
-      }
-      c.minValue = getDouble(cj, cwhere, "minValue");
-      c.maxValue = getDouble(cj, cwhere, "maxValue");
-      c.maxDelta = getDouble(cj, cwhere, "maxDelta");
-      o.customDiagnostics.push_back(std::move(c));
-    }
-  }
-  // The flag lands on the compiler's shell command line: only the four
-  // levels may come off the wire.
-  o.optFlag = getString(j, where, "optFlag");
-  if (!isOptLevel(o.optFlag)) badEnum(sub(where, "optFlag"), o.optFlag);
-  o.campaign.workers = static_cast<size_t>(getU64(j, where, "workers"));
-  return o;
+  return decoded<SimOptions>(j, where);
 }
 
-// ---- Shard messages ----------------------------------------------------
-
-Json toJson(const ShardRequest& r) {
-  Json j = Json::object();
-  j.set("op", Json::str("shard"));
-  j.set("model", Json::str(r.modelText));
-  j.set("options", toJson(r.options));
-  Json specs = Json::array();
-  for (const auto& s : r.specs) specs.push(toJson(s));
-  j.set("specs", std::move(specs));
-  j.set("shardIndex", Json::u64(static_cast<uint64_t>(r.shardIndex)));
-  j.set("shardCount", Json::u64(static_cast<uint64_t>(r.shardCount)));
-  return j;
-}
-
+Json toJson(const ShardRequest& r) { return encFields(r, opObject("shard")); }
 ShardRequest shardRequestFromJson(const Json& j, const std::string& where) {
-  ShardRequest r;
-  r.modelText = getString(j, where, "model");
-  r.options = optionsFromJson(j.at("options", where), sub(where, "options"));
-  const auto& arr = getArray(j, where, "specs");
-  const std::string awhere = sub(where, "specs");
-  r.specs.reserve(arr.size());
-  for (size_t i = 0; i < arr.size(); ++i) {
-    r.specs.push_back(specFromJson(arr[i], idx(awhere, i)));
-  }
-  r.shardIndex = static_cast<size_t>(getU64(j, where, "shardIndex"));
-  r.shardCount = static_cast<size_t>(getU64(j, where, "shardCount"));
-  return r;
+  return decoded<ShardRequest>(j, where);
 }
 
 Json toJson(const ShardPartial& p) {
-  Json j = Json::object();
-  j.set("op", Json::str("partial"));
-  j.set("first", Json::u64(static_cast<uint64_t>(p.first)));
-  Json results = Json::array();
-  for (const auto& r : p.results) results.push(toJson(r));
-  j.set("results", std::move(results));
-  return j;
+  return encFields(p, opObject("partial"));
 }
-
 ShardPartial shardPartialFromJson(const Json& j, const std::string& where) {
-  ShardPartial p;
-  p.first = static_cast<size_t>(getU64(j, where, "first"));
-  const auto& arr = getArray(j, where, "results");
-  const std::string awhere = sub(where, "results");
-  p.results.reserve(arr.size());
-  for (size_t i = 0; i < arr.size(); ++i) {
-    p.results.push_back(simResultFromJson(arr[i], idx(awhere, i)));
-  }
-  return p;
+  return decoded<ShardPartial>(j, where);
 }
 
-Json toJson(const ShardDone& d) {
-  Json j = Json::object();
-  j.set("op", Json::str("done"));
-  j.set("completed", Json::u64(static_cast<uint64_t>(d.completed)));
-  j.set("interrupted", Json::boolean(d.interrupted));
-  j.set("generateSeconds", Json::number(d.generateSeconds));
-  j.set("compileSeconds", Json::number(d.compileSeconds));
-  j.set("loadSeconds", Json::number(d.loadSeconds));
-  j.set("compileCacheHit", Json::boolean(d.compileCacheHit));
-  j.set("compilerInvocations", Json::u64(d.compilerInvocations));
-  return j;
-}
-
+Json toJson(const ShardDone& d) { return encFields(d, opObject("done")); }
 ShardDone shardDoneFromJson(const Json& j, const std::string& where) {
-  ShardDone d;
-  d.completed = static_cast<size_t>(getU64(j, where, "completed"));
-  d.interrupted = getBool(j, where, "interrupted");
-  d.generateSeconds = getDouble(j, where, "generateSeconds");
-  d.compileSeconds = getDouble(j, where, "compileSeconds");
-  d.loadSeconds = getDouble(j, where, "loadSeconds");
-  d.compileCacheHit = getBool(j, where, "compileCacheHit");
-  d.compilerInvocations = getU64(j, where, "compilerInvocations");
-  return d;
+  return decoded<ShardDone>(j, where);
+}
+
+Json toJson(const Hello& h) { return encFields(h, opObject("hello")); }
+Json helloAnswer(const Hello& h) {
+  Json j = Json::object();
+  j.set("ok", Json::boolean(true));
+  j.set("op", Json::str("hello"));
+  return encFields(h, std::move(j));
+}
+Hello helloFromJson(const Json& j, const std::string& where) {
+  return decoded<Hello>(j, where);
+}
+
+Json toJson(const PoolStats& s) { return enc(s); }
+Json toJson(const ServiceMeta& m) { return enc(m); }
+ServiceMeta serviceMetaFromJson(const Json& j, const std::string& where) {
+  return decoded<ServiceMeta>(j, where);
 }
 
 // ---- Observation canonicalization --------------------------------------
@@ -676,25 +632,22 @@ Json campaignObservations(const CampaignResult& r) {
           row.set("steps", Json::u64(s.steps));
           row.set("coverage", toJson(s.coverage));
           row.set("cumulative", toJson(s.cumulative));
-          row.set("diagnosticKinds",
-                  Json::u64(static_cast<uint64_t>(s.diagnosticKinds)));
+          row.set("diagnosticKinds", enc(s.diagnosticKinds));
           row.set("failed", Json::boolean(s.failed));
           return row;
         }));
   j.set("cumulative", toJson(r.cumulative));
   j.set("mergedBitmaps", toJson(r.mergedBitmaps));
-  Json diags = Json::array();
-  for (const auto& d : r.diagnostics) diags.push(toJson(d));
-  j.set("diagnostics", std::move(diags));
+  j.set("diagnostics", enc(r.diagnostics));
   Json fails = Json::array();
   for (const auto& f : r.failures) {
     // Failure records minus the backend/retry detail: which ladder rung
     // finally contained a fault is an execution-policy observation, the
     // (kind, seed, index, signal) tuple is the workload observation.
     Json fj = Json::object();
-    fj.set("kind", Json::str(failureKindName(f.kind)));
+    fj.set("kind", enc(f.kind));
     fj.set("seed", Json::u64(f.seed));
-    fj.set("index", Json::u64(static_cast<uint64_t>(f.index)));
+    fj.set("index", enc(f.index));
     fails.push(std::move(fj));
   }
   j.set("failures", std::move(fails));

@@ -4,13 +4,23 @@
 //
 //  * Codecs — toJson/fromJson pairs for every struct that crosses the
 //    socket: SimOptions, TestCaseSpec, SimulationResult, CampaignResult and
-//    their members. The contract is *exact* round-trips: a result decoded
-//    by the client is bit-identical to the one the daemon computed —
-//    including NaN payloads and -0.0 in Values (which travel as decimal
-//    uint64 bit patterns, never as JSON doubles), 64-bit counters
-//    (integer JSON flavours, never squeezed through a double), coverage
-//    bitmaps, diagnostics, and contained RunFailure records. Shape errors
-//    throw JsonError naming the JSON path ("$.result.perSeed[3].seed").
+//    their members, the shard messages, the hello and the pool statistics.
+//    The contract is *exact* round-trips: a result decoded by the client is
+//    bit-identical to the one the daemon computed — including NaN payloads
+//    and -0.0 in Values (which travel as decimal uint64 bit patterns, never
+//    as JSON doubles), 64-bit counters (integer JSON flavours, never
+//    squeezed through a double), coverage bitmaps, diagnostics, and
+//    contained RunFailure records. Shape errors throw JsonError naming the
+//    JSON path ("$.result.perSeed[3].seed").
+//
+//    Each struct's JSON shape is written once, as a field list in
+//    protocol.cpp: one `f("key", s.member)` line per member, in wire order.
+//    One generic encoder and one generic decoder walk that list, and the
+//    member's C++ type picks its JSON flavour, so a new field is one line.
+//    Only Value, CoverageRecorder, CoverageReport and campaignObservations
+//    are written by hand, each because it hides a format of its own. The
+//    golden wire-text tests in tests/test_protocol.cpp pin every message
+//    byte for byte.
 //
 //  * Frames — length-prefixed messages over a connected stream socket:
 //    a 4-byte big-endian payload length followed by that many bytes of
@@ -18,8 +28,8 @@
 //    no streaming) and makes a truncated peer detectable instead of a
 //    hang. Transport faults throw ProtocolError.
 //
-// Message envelopes (hello/run/campaign/stats/shutdown) are built by the
-// daemon and client from these pieces; the op grammar is documented in
+// Request envelopes (run/campaign/stats/shutdown) are built by the daemon
+// and client from these pieces; the op grammar is documented in
 // docs/SERVICE.md and exercised end-to-end by tests/test_serve.cpp.
 #pragma once
 
@@ -27,6 +37,8 @@
 #include <string>
 
 #include "serve/json.h"
+#include "serve/lib_pool.h"
+#include "serve/version.h"
 #include "sim/campaign.h"
 #include "sim/options.h"
 #include "sim/result.h"
@@ -143,6 +155,33 @@ struct ShardDone {
 };
 Json toJson(const ShardDone& d);
 ShardDone shardDoneFromJson(const Json& j, const std::string& where);
+
+// ---- Service messages ----------------------------------------------------
+
+// The hello each side of a connection sends first: this build's wire
+// protocol, run ABI, version and compile-cache schema, after "op":
+// "hello". The daemon answers with the same message, "ok": true first.
+// The daemon reads only "op" and "protocol" of a client's hello, so a
+// client of any version learns of a mismatch instead of a shape error.
+struct Hello {
+  uint64_t protocol = kProtocolVersion;
+  uint64_t abi = ACCMOS_ABI_VERSION;
+  std::string version = kAccmosVersion;
+  std::string cacheSchema = kCacheSchema;
+};
+Json toJson(const Hello& h);
+Json helloAnswer(const Hello& h);
+Hello helloFromJson(const Json& j, const std::string& where);
+
+// What the daemon reports about how it served a request — the client's
+// window into pool behaviour ("was my model already warm?").
+struct ServiceMeta {
+  bool poolHit = false;
+  PoolStats pool;
+};
+Json toJson(const PoolStats& s);
+Json toJson(const ServiceMeta& m);
+ServiceMeta serviceMetaFromJson(const Json& j, const std::string& where);
 
 // ---- Observation canonicalization --------------------------------------
 // The observation-only view of a campaign: everything that is contractually

@@ -46,9 +46,6 @@ struct SimulationResult {
   double generateSeconds = 0.0;
   double compileSeconds = 0.0;
   double loadSeconds = 0.0;
-  double totalSeconds() const {
-    return execSeconds + generateSeconds + compileSeconds + loadSeconds;
-  }
 
   // Where the AccMoS engine ran this result: "dlopen" (in-process) or
   // "process" (the accmos-run-lib rung, after a load failure, a struck run

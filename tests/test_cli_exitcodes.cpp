@@ -165,6 +165,70 @@ TEST_F(CliExitCodes, ModelLoadFailureExitsFour) {
   EXPECT_EQ(runCli(run + "/nonexistent/tests.csv"), 4);
 }
 
+// Models that parse but do not flatten or validate are bad input too: an
+// integer literal out of its type's range, an unknown actor type, a shift
+// beyond 63 bits, and saturate on an actor that cannot clamp. Each exits 4
+// from every command, locally and through a daemon, whose failure to
+// build a pool entry for the model is a model-load error.
+TEST_F(CliExitCodes, InvalidModelsExitFour) {
+  const std::string dir = testing::TempDir();
+  auto xml = [&](const char* name, const std::string& actors,
+                 const char* from) {
+    const std::string path = dir + "accmos_cli_" + name + ".xml";
+    std::ofstream(path)
+        << "<model name=\"" << name << "\"><system name=\"root\">"
+        << actors
+        << "<actor name=\"Out1\" type=\"Outport\">"
+           "<param name=\"port\" value=\"1\"/></actor>"
+        << "<line from=\"" << from << "\" fromPort=\"1\" to=\"Out1\" "
+           "toPort=\"1\"/></system></model>";
+    return "'" + path + "'";
+  };
+  const std::string c100 =
+      "<actor name=\"C\" type=\"Constant\"><param name=\"dtype\" "
+      "value=\"i8\"/><param name=\"value\" value=\"100\"/></actor>";
+  auto fedByC = [&](const std::string& actor) {
+    return c100 + actor +
+           "<line from=\"C\" fromPort=\"1\" to=\"X\" toPort=\"1\"/>";
+  };
+  const std::vector<std::string> models = {
+      xml("literal",
+          "<actor name=\"C\" type=\"Constant\"><param name=\"dtype\" "
+          "value=\"i8\"/><param name=\"value\" value=\"128\"/></actor>",
+          "C"),
+      xml("unknown", fedByC("<actor name=\"X\" type=\"NoSuchActor\"/>"), "X"),
+      xml("shift",
+          fedByC("<actor name=\"X\" type=\"ShiftArithmetic\"><param "
+                 "name=\"bits\" value=\"70\"/></actor>"),
+          "X"),
+      xml("satgain",
+          fedByC("<actor name=\"X\" type=\"Gain\"><param name=\"dtype\" "
+                 "value=\"i8\"/><param name=\"gain\" value=\"2\"/><param "
+                 "name=\"saturate\" value=\"1\"/></actor>"),
+          "X"),
+  };
+  const fs::path sock =
+      fs::temp_directory_path() /
+      ("accmosd_cli_invalid_" + std::to_string(::getpid()) + ".sock");
+  serve::ServeOptions so;
+  so.socketPath = sock.string();
+  so.requestWorkers = 1;
+  test::DaemonRunner daemon(so);
+  const std::string client = " --socket='" + sock.string() + "'";
+  for (const std::string& m : models) {
+    EXPECT_EQ(runCli("run " + m + " --steps=5"), 4) << m;
+    EXPECT_EQ(runCli("info " + m), 4) << m;
+    EXPECT_EQ(runCli("campaign " + m + " --seeds=2 --steps=5"), 4) << m;
+    EXPECT_EQ(runCli("client run " + m + " --steps=5" + client), 4) << m;
+    EXPECT_EQ(runCli("client campaign " + m + " --seeds=2 --steps=5" + client),
+              4)
+        << m;
+  }
+  std::string err;
+  EXPECT_EQ(runCliErrors("run " + models[3] + " --steps=5", &err), 4);
+  EXPECT_NE(err.find("cannot saturate"), std::string::npos) << err;
+}
+
 TEST_F(CliExitCodes, CleanRunExitsZero) {
   EXPECT_EQ(
       runCli("run " + model("Sample.xml") + " --steps=100 --opt=-O0 "

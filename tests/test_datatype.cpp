@@ -150,7 +150,15 @@ TEST(StoreDoubleAsInt, RoundsToNearest) {
 TEST(StoreDoubleAsInt, ClampsAndWraps) {
   auto r = storeDoubleAsInt(DataType::I8, 1000.0);
   EXPECT_TRUE(r.wrapped);
+  // 1e300 is a multiple of 2^64: its wrap keeps low bits that are all 0.
   r = storeDoubleAsInt(DataType::I64, 1e300);
+  EXPECT_EQ(r.value, 0);
+  EXPECT_TRUE(r.wrapped);
+  // 1e19 is beyond int64 but within u64: stored exactly, no wrap.
+  r = storeDoubleAsInt(DataType::U64, 1e19);
+  EXPECT_EQ(r.value, Int128{10000000000000000000u});
+  EXPECT_FALSE(r.wrapped);
+  r = fold(DataType::I64, 1e300, true);
   EXPECT_EQ(r.value, std::numeric_limits<int64_t>::max());
   EXPECT_TRUE(r.wrapped);
   r = storeDoubleAsInt(DataType::U32, -3.0);

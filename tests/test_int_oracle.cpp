@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +18,7 @@
 #include "interp/compiled.h"
 #include "ir/model.h"
 #include "sim/simulator.h"
+#include "sim/testcase.h"
 
 namespace accmos {
 namespace {
@@ -70,6 +73,16 @@ Stored store(const Ty& t, I128 exact, bool sat) {
   if (!sat) return {narrow(t, exact), !fits(t, exact)};
   I128 c = exact < lo(t) ? lo(t) : (exact > hi(t) ? hi(t) : exact);
   return {c, c != exact};
+}
+
+// A real's store: round to nearest (ties to even), then the store of that
+// integer. A double of magnitude 2^127 or more, or an infinity, is beyond
+// __int128 here: it clamps to the bound on its side, and it wraps to 0,
+// since such a double is a multiple of 2^75 (its low 64 bits are 0).
+Stored realStore(const Ty& t, double v, bool sat) {
+  const double r = std::nearbyint(v);
+  if (std::fabs(r) < 0x1p127) return store(t, static_cast<I128>(r), sat);
+  return {sat ? (r > 0 ? hi(t) : lo(t)) : 0, true};
 }
 
 // a * b exceeds __int128 only when both are u64 values of at least 2^63;
@@ -148,6 +161,19 @@ class Cases {
     return name;
   }
 
+  // An f64 Constant holding `v`.
+  std::string realConstant(double v) {
+    const std::string text = fmtExact(v);
+    auto it = consts_.find("f64:" + text);
+    if (it != consts_.end()) return it->second;
+    std::string name = "K" + std::to_string(consts_.size());
+    Actor& a = model_.root().addActor(name, "Constant");
+    a.setDtype(DataType::F64);
+    a.params().set("value", text);
+    consts_["f64:" + text] = name;
+    return name;
+  }
+
   // Adds a case actor fed by `ins` and records what it must produce.
   Actor& add(const std::string& type, DataType dtype,
              const std::vector<std::string>& ins, const std::string& value,
@@ -180,9 +206,26 @@ DiagKind overflowKind(bool sat) {
   return sat ? DiagKind::SaturateOnOverflow : DiagKind::WrapOnOverflow;
 }
 
+// Reals stored into an integer type: one that rounds, the int64 bounds,
+// values beyond the int64 range up to and past 2^127, and infinities.
+const double kReals[] = {-2.5,
+                         0x1p63,
+                         -0x1p63,
+                         1e19,
+                         -1e19,
+                         1e20,
+                         0x1p64 + 0x1p12,
+                         0x1p126,
+                         0x1p127,
+                         1e300,
+                         -1e300,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+
 // Every case of type t: Sum, Product, Gain, Bias, Abs, UnaryMinus,
 // DotProduct, SumOfElements, ProductOfElements, DiscreteIntegrator,
-// DataTypeConversion to every integer type and the six relational ops.
+// DataTypeConversion to every integer type and from f64, and the six
+// relational ops.
 void buildCases(Cases& c, const Ty& t) {
   const std::vector<I128> ops = operands(t);
   for (bool sat : {false, true}) {
@@ -246,6 +289,18 @@ void buildCases(Cases& c, const Ty& t) {
                           shown(d, r.value), cd);
         if (sat) cv.params().set("saturate", "1");
       }
+    }
+    // DataTypeConversion from f64: a real-to-int store, always a downcast.
+    for (double v : kReals) {
+      Stored r = realStore(t, v, sat);
+      std::vector<Diag> cd = every(r.flag, ov);
+      cd.push_back(Diag{DiagKind::Downcast, 0, kSteps});
+      if (std::nearbyint(v) != v) {
+        cd.push_back(Diag{DiagKind::PrecisionLoss, 0, kSteps});
+      }
+      Actor& cv = c.add("DataTypeConversion", t.t, {c.realConstant(v)},
+                        shown(t, r.value), cd);
+      if (sat) cv.params().set("saturate", "1");
     }
   }
   const DiagKind wrap = DiagKind::WrapOnOverflow;
@@ -513,6 +568,33 @@ TEST(IntOracleProbes, P5_CompareTwoTo63WithOne) {
   }
 }
 
+// Reals beyond the int64 range: 1e19 fits u64 and stores exactly; a
+// saturating store of 1e300 into i64 clamps and says so.
+TEST(IntOracleProbes, P6_RealStoresBeyondTheInt64Range) {
+  Cases c("P6");
+  const std::string big = c.realConstant(1e19);
+  const std::string huge = c.realConstant(1e300);
+  c.add("DataTypeConversion", DataType::U64, {big},
+        "u64[10000000000000000000]", {});
+  c.add("DataTypeConversion", DataType::I64, {huge},
+        "i64[9223372036854775807]", {})
+      .params()
+      .set("saturate", "1");
+  Probe p = runProbe(c.model());
+  const std::vector<Diag> downcast = {Diag{DiagKind::Downcast, 0, kSteps}};
+  const std::vector<Diag> clamped = {
+      Diag{DiagKind::SaturateOnOverflow, 0, kSteps},
+      Diag{DiagKind::Downcast, 0, kSteps}};
+  for (const SimulationResult* r : {&p.sse, &p.acc}) {
+    EXPECT_EQ(diagsOf(*r, "A0"), downcast);
+    EXPECT_EQ(diagsOf(*r, "A1"), clamped);
+  }
+  for (const SimulationResult* r : {&p.sse, &p.rac, &p.acc}) {
+    EXPECT_EQ(r->finalOutputs[0].toString(), "u64[10000000000000000000]");
+    EXPECT_EQ(r->finalOutputs[1].toString(), "i64[9223372036854775807]");
+  }
+}
+
 // ---- exact integer Constant values ----------------------------------
 
 std::string constantOut(const char* dtype, const char* value, Engine e) {
@@ -556,14 +638,14 @@ TEST(ExactConstant, OutOfRangeLiteralsAreModelErrors) {
 }
 
 TEST(ExactConstant, OtherTokensKeepTheRealStore) {
-  // Not decimal integer literals: rounded (2.5 -> 2, to even) and, beyond
-  // the int64 range, clamped as before.
+  // Not decimal integer literals: rounded (2.5 -> 2, to even) and stored
+  // like the integer they round to, so 1e20 wraps to its low 64 bits.
   EXPECT_EQ(constantOut("i32", "2.5", Engine::SSE), "i32[2]");
   EXPECT_EQ(constantOut("i32", " 7 ", Engine::SSE), "i32[7]");
-  EXPECT_EQ(constantOut("i64", "1e+20", Engine::SSE),
-            "i64[9223372036854775807]");
-  EXPECT_EQ(constantOut("i64", "1e+20", Engine::AccMoS),
-            "i64[9223372036854775807]");
+  const Ty i64 = kTypes[3];
+  const std::string wrapped = shown(i64, realStore(i64, 1e20, false).value);
+  EXPECT_EQ(constantOut("i64", "1e+20", Engine::SSE), wrapped);
+  EXPECT_EQ(constantOut("i64", "1e+20", Engine::AccMoS), wrapped);
 }
 
 }  // namespace

@@ -5,15 +5,20 @@
 // line/byte- or path-anchored JsonError instead of garbage downstream.
 #include <gtest/gtest.h>
 
+#include <string.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <bit>
+#include <filesystem>
 #include <limits>
 #include <thread>
 
 #include "bench_models/suite.h"
 #include "parser/model_io.h"
+#include "serve/client.h"
+#include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/version.h"
 #include "sim/campaign.h"
@@ -521,6 +526,393 @@ TEST(Protocol, CampaignObservationsExcludeTimingAndPlacement) {
     row.execMode = "process";
   }
   EXPECT_EQ(obs, serve::campaignObservations(moved).write());
+}
+
+// ---- Golden wire text --------------------------------------------------
+// Fixed instances of every message, rendered byte for byte as protocol v6
+// renders them. A change to any message's keys, their order or a number's
+// JSON flavour fails here; decoding each text and encoding it again must
+// give the text back.
+
+SimulationResult goldenRun() {
+  SimulationResult r;
+  r.stepsExecuted = 40;
+  r.stoppedEarly = true;
+  r.execSeconds = 0.5;
+  r.generateSeconds = 0.25;
+  r.compileSeconds = 1.75;
+  r.loadSeconds = 0.125;
+  r.execMode = "dlopen";
+  r.hasCoverage = true;
+  r.coverage.entries[0] = {3, 4};
+  r.coverage.entries[1] = {1, 2};
+  r.bitmaps.bits(CovMetric::Actor) = {1, 0, 1, 1};
+  r.bitmaps.bits(CovMetric::Decision) = {0, 1};
+  r.diagnostics.push_back(
+      {2, "root/G", DiagKind::WrapOnOverflow, "", UINT64_C(3), UINT64_C(38)});
+  r.collected.push_back(
+      {"root/G:1", Value::scalarI(DataType::I8, -56), UINT64_C(40)});
+  Value out(DataType::F64, 2);
+  out.setF(0, std::numeric_limits<double>::quiet_NaN());
+  out.setF(1, -0.0);
+  r.finalOutputs.push_back(out);
+  r.optStats = {12, 9, 14, 10, 1, 2, 1, 3, 1};
+  return r;
+}
+
+CampaignResult goldenCampaign() {
+  CampaignResult c;
+  CampaignSeedResult row;
+  row.seed = 1;
+  row.steps = 300;
+  row.execSeconds = 0.5;
+  row.coverage.entries[0] = {3, 4};
+  row.cumulative.entries[0] = {3, 4};
+  row.diagnosticKinds = 1;
+  row.execMode = "dlopen";
+  c.perSeed.push_back(row);
+  row.seed = 2;
+  row.steps = 0;
+  row.execSeconds = 0.0;
+  row.coverage = CoverageReport{};
+  row.diagnosticKinds = 0;
+  row.execMode = "process";
+  row.failed = true;
+  c.perSeed.push_back(row);
+  c.cumulative.entries[0] = {3, 4};
+  c.mergedBitmaps.bits(CovMetric::Actor) = {1, 1, 0, 1};
+  c.diagnostics.push_back(
+      {2, "root/G", DiagKind::WrapOnOverflow, "", UINT64_C(3), UINT64_C(38)});
+  c.totalExecSeconds = 0.5;
+  c.wallSeconds = 0.75;
+  c.generateSeconds = 0.25;
+  c.compileSeconds = 1.5;
+  c.loadSeconds = 0.125;
+  c.compileCacheHit = true;
+  c.workersUsed = 2;
+  c.failures.push_back(
+      {FailureKind::Crash, 2, 1, 11, 1, "process", "SIGSEGV in step 17"});
+  c.optStats = {12, 9, 14, 10, 1, 2, 1, 3, 1};
+  return c;
+}
+
+SimOptions goldenOptions() {
+  SimOptions o;
+  o.engine = Engine::AccMoS;
+  o.maxSteps = 5000;
+  o.stopOnDiagnostic = true;
+  o.runTimeoutSec = 2.5;
+  o.collectList = {"root/G"};
+  o.customDiagnostics.push_back(rangeDiagnostic("root/A", "lane", -1.0, 1.0));
+  o.customDiagnostics.push_back(suddenChangeDiagnostic("root/B", "jump", 0.5));
+  o.optFlag = "-O2";
+  o.campaign.workers = 3;
+  return o;
+}
+
+TestCaseSpec goldenSpec() {
+  TestCaseSpec s;
+  s.seed = 1037;
+  s.ports.resize(2);
+  s.ports[0].min = -2.5;
+  s.ports[0].max = 7.25;
+  s.ports[1].sequence = {0.25, -1.0, 3.0};
+  s.defaultPort.max = 100.0;
+  return s;
+}
+
+template <class T, class Decode>
+void expectGolden(const T& x, const std::string& want, Decode decode) {
+  EXPECT_EQ(serve::toJson(x).write(), want);
+  EXPECT_EQ(serve::toJson(decode(parseJson(want), "$")).write(), want);
+}
+
+const std::string kGoldenRun =
+    R"({"stepsExecuted":40,"stoppedEarly":true,"timedOut":false,)"
+    R"("failed":false,"failure":{"kind":"Crash","seed":0,"index":0,)"
+    R"("signal":0,"retries":0,"backend":"","message":""},"execSeconds":0.5,)"
+    R"("generateSeconds":0.25,"compileSeconds":1.75,"loadSeconds":0.125,)"
+    R"("execMode":"dlopen","hasCoverage":true,)"
+    R"("coverage":{"actor":{"covered":3,"total":4},"condition":{"covered":1,)"
+    R"("total":2},"decision":{"covered":0,"total":0},"mcdc":{"covered":0,)"
+    R"("total":0}},"bitmaps":{"actor":"1011","condition":"","decision":"01",)"
+    R"("mcdc":""},"diagnostics":[{"actorId":2,"actorPath":"root/G",)"
+    R"("kind":"wrap_on_overflow","message":"","firstStep":3,"count":38}],)"
+    R"("collected":[{"path":"root/G:1","last":{"t":"i8","w":1,)"
+    R"("bits":[18446744073709551560]},"count":40}],)"
+    R"("finalOutputs":[{"t":"f64","w":2,"bits":[9221120237041090560,)"
+    R"(9223372036854775808]}],"optStats":{"actorsBefore":12,"actorsAfter":9,)"
+    R"("signalsBefore":14,"signalsAfter":10,"actorsFolded":1,)"
+    R"("identitiesBypassed":2,"actorsEliminated":1,"signalsEliminated":3,)"
+    R"("stateUpdatesHoisted":1}})";
+const std::string kGoldenCampaign =
+    R"({"perSeed":[{"seed":1,"steps":300,"execSeconds":0.5,)"
+    R"("coverage":{"actor":{"covered":3,"total":4},"condition":{"covered":0,)"
+    R"("total":0},"decision":{"covered":0,"total":0},"mcdc":{"covered":0,)"
+    R"("total":0}},"cumulative":{"actor":{"covered":3,"total":4},)"
+    R"("condition":{"covered":0,"total":0},"decision":{"covered":0,)"
+    R"("total":0},"mcdc":{"covered":0,"total":0}},"diagnosticKinds":1,)"
+    R"("execMode":"dlopen","failed":false},{"seed":2,"steps":0,)"
+    R"("execSeconds":0.0,"coverage":{"actor":{"covered":0,"total":0},)"
+    R"("condition":{"covered":0,"total":0},"decision":{"covered":0,)"
+    R"("total":0},"mcdc":{"covered":0,"total":0}},)"
+    R"("cumulative":{"actor":{"covered":3,"total":4},)"
+    R"("condition":{"covered":0,"total":0},"decision":{"covered":0,)"
+    R"("total":0},"mcdc":{"covered":0,"total":0}},"diagnosticKinds":0,)"
+    R"("execMode":"process","failed":true}],)"
+    R"("cumulative":{"actor":{"covered":3,"total":4},)"
+    R"("condition":{"covered":0,"total":0},"decision":{"covered":0,)"
+    R"("total":0},"mcdc":{"covered":0,"total":0}},)"
+    R"("mergedBitmaps":{"actor":"1101","condition":"","decision":"",)"
+    R"("mcdc":""},"diagnostics":[{"actorId":2,"actorPath":"root/G",)"
+    R"("kind":"wrap_on_overflow","message":"","firstStep":3,"count":38}],)"
+    R"("totalExecSeconds":0.5,"wallSeconds":0.75,"generateSeconds":0.25,)"
+    R"("compileSeconds":1.5,"loadSeconds":0.125,"compileCacheHit":true,)"
+    R"("workersUsed":2,"failures":[{"kind":"Crash","seed":2,"index":1,)"
+    R"("signal":11,"retries":1,"backend":"process",)"
+    R"("message":"SIGSEGV in step 17"}],"optStats":{"actorsBefore":12,)"
+    R"("actorsAfter":9,"signalsBefore":14,"signalsAfter":10,"actorsFolded":1,)"
+    R"("identitiesBypassed":2,"actorsEliminated":1,"signalsEliminated":3,)"
+    R"("stateUpdatesHoisted":1},"interrupted":false})";
+const std::string kGoldenOptions =
+    R"({"engine":"AccMoS","maxSteps":5000,"timeBudgetSec":0.0,)"
+    R"("stopOnDiagnostic":true,"runTimeoutSec":2.5,"coverage":true,)"
+    R"("diagnosis":true,"collectList":["root/G"],)"
+    R"("customDiagnostics":[{"actorPath":"root/A","name":"lane",)"
+    R"("kind":"range","minValue":-1.0,"maxValue":1.0,"maxDelta":0.0},)"
+    R"({"actorPath":"root/B","name":"jump","kind":"sudden-change",)"
+    R"("minValue":0.0,"maxValue":0.0,"maxDelta":0.5}],"optFlag":"-O2",)"
+    R"("workers":3})";
+const std::string kGoldenSpec =
+    R"({"seed":1037,"ports":[{"min":-2.5,"max":7.25,"sequence":[]},)"
+    R"({"min":0.0,"max":1.0,"sequence":[0.25,-1.0,3.0]}],)"
+    R"("defaultPort":{"min":0.0,"max":100.0,"sequence":[]}})";
+const std::string kGoldenShardRequest =
+    R"({"op":"shard","model":"<model name=\"T\"/>","options":)" +
+    kGoldenOptions + R"(,"specs":[)" + kGoldenSpec +
+    R"(],"shardIndex":1,"shardCount":4})";
+const std::string kGoldenShardPartial =
+    R"({"op":"partial","first":5,"results":[)" + kGoldenRun + "]}";
+const std::string kGoldenShardDone =
+    R"({"op":"done","completed":9,"interrupted":true,"generateSeconds":0.25,)"
+    R"("compileSeconds":1.5,"loadSeconds":0.125,"compileCacheHit":true,)"
+    R"("compilerInvocations":3})";
+
+// The hello either side sends, and the pool statistics a daemon reports.
+const std::string kGoldenHelloBody =
+    std::string(R"("op":"hello","protocol":6,"abi":6,"version":")") +
+    serve::kAccmosVersion + R"(","cacheSchema":")" + serve::kCacheSchema +
+    "\"}";
+const std::string kGoldenHello = "{" + kGoldenHelloBody;
+const std::string kGoldenHelloAnswer = R"({"ok":true,)" + kGoldenHelloBody;
+const std::string kGoldenFreshPool =
+    R"({"entries":0,"residentBytes":0,"byteBudget":1048576,"hits":0,)"
+    R"("misses":0,"evictions":0})";
+const std::string kGoldenBusyPool =
+    R"({"entries":2,"residentBytes":4096,"byteBudget":1048576,"hits":5,)"
+    R"("misses":2,"evictions":1})";
+
+int connectUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    fd = -1;
+  }
+  return fd;
+}
+
+TEST(Protocol, WireTextIsGolden) {
+  expectGolden(goldenRun(), kGoldenRun, serve::simResultFromJson);
+  expectGolden(goldenCampaign(), kGoldenCampaign,
+               serve::campaignResultFromJson);
+  expectGolden(goldenOptions(), kGoldenOptions, serve::optionsFromJson);
+  expectGolden(goldenSpec(), kGoldenSpec, serve::specFromJson);
+
+  serve::ShardRequest req;
+  req.modelText = "<model name=\"T\"/>";
+  req.options = goldenOptions();
+  req.specs = {goldenSpec()};
+  req.shardIndex = 1;
+  req.shardCount = 4;
+  expectGolden(req, kGoldenShardRequest, serve::shardRequestFromJson);
+  serve::ShardPartial part;
+  part.first = 5;
+  part.results = {goldenRun()};
+  expectGolden(part, kGoldenShardPartial, serve::shardPartialFromJson);
+  serve::ShardDone done;
+  done.completed = 9;
+  done.interrupted = true;
+  done.generateSeconds = 0.25;
+  done.compileSeconds = 1.5;
+  done.loadSeconds = 0.125;
+  done.compileCacheHit = true;
+  done.compilerInvocations = 3;
+  expectGolden(done, kGoldenShardDone, serve::shardDoneFromJson);
+}
+
+// The hello and the pool statistics as the daemon writes them, and as the
+// client writes and reads them against a stand-in daemon that answers one
+// run request with fixed text.
+TEST(Protocol, HelloAndPoolStatsWireTextIsGolden) {
+  const std::string sock = (std::filesystem::temp_directory_path() /
+                            ("accmos_golden_" + std::to_string(::getpid()) +
+                             ".sock"))
+                               .string();
+  {
+    serve::ServeOptions so;
+    so.socketPath = sock;
+    so.requestWorkers = 1;
+    so.poolBudgetBytes = 1u << 20;
+    test::DaemonRunner dr(so);
+    const int fd = connectUnix(sock);
+    ASSERT_GE(fd, 0);
+    std::string text;
+    serve::writeFrame(fd, kGoldenHello);
+    ASSERT_TRUE(serve::readFrame(fd, &text));
+    EXPECT_EQ(text, kGoldenHelloAnswer);
+    serve::writeFrame(fd, R"({"op":"stats"})");
+    ASSERT_TRUE(serve::readFrame(fd, &text));
+    EXPECT_EQ(parseJson(text).at("pool", "$").write(), kGoldenFreshPool);
+    ::close(fd);
+  }
+
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(sock.c_str());
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread standIn([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    try {
+      std::string text;
+      if (fd < 0 || !serve::readFrame(fd, &text)) {
+        throw ProtocolError("no hello arrived");
+      }
+      EXPECT_EQ(text, kGoldenHello);
+      serve::writeFrame(fd, kGoldenHelloAnswer);
+      if (serve::readFrame(fd, &text)) {
+        serve::writeFrame(fd, R"({"ok":true,"op":"run","result":)" +
+                                  kGoldenRun +
+                                  R"(,"service":{"poolHit":true,"pool":)" +
+                                  kGoldenBusyPool + "}}");
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "stand-in daemon: " << e.what();
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  try {
+    serve::ServeClient cl(sock);
+    EXPECT_EQ(cl.daemonVersion(), serve::kAccmosVersion);
+    EXPECT_EQ(cl.daemonAbi(), 6u);
+    serve::ServiceMeta meta;
+    const SimulationResult r =
+        cl.run("<model/>", goldenOptions(), goldenSpec(), &meta);
+    EXPECT_EQ(serve::toJson(r).write(), kGoldenRun);
+    EXPECT_TRUE(meta.poolHit);
+    EXPECT_EQ(meta.pool.entries, 2u);
+    EXPECT_EQ(meta.pool.residentBytes, 4096u);
+    EXPECT_EQ(meta.pool.byteBudget, 1u << 20);
+    EXPECT_EQ(meta.pool.hits, 5u);
+    EXPECT_EQ(meta.pool.misses, 2u);
+    EXPECT_EQ(meta.pool.evictions, 1u);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "client: " << e.what();
+  }
+  standIn.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+}
+
+// The hello and the service record, through the codecs client and daemon
+// share: one field list each, the same text either way.
+TEST(Protocol, HelloAndServiceCodecsRoundTrip) {
+  EXPECT_EQ(serve::toJson(serve::Hello{}).write(), kGoldenHello);
+  EXPECT_EQ(serve::helloAnswer(serve::Hello{}).write(), kGoldenHelloAnswer);
+  const serve::Hello h =
+      serve::helloFromJson(parseJson(kGoldenHelloAnswer), "$");
+  EXPECT_EQ(h.protocol, serve::kProtocolVersion);
+  EXPECT_EQ(h.version, serve::kAccmosVersion);
+  EXPECT_EQ(serve::toJson(h).write(), kGoldenHello);
+
+  const std::string service =
+      R"({"poolHit":true,"pool":)" + kGoldenBusyPool + "}";
+  const serve::ServiceMeta meta =
+      serve::serviceMetaFromJson(parseJson(service), "$.service");
+  EXPECT_EQ(meta.pool.residentBytes, 4096u);
+  EXPECT_EQ(serve::toJson(meta).write(), service);
+  EXPECT_EQ(serve::toJson(meta.pool).write(), kGoldenBusyPool);
+  try {
+    serve::serviceMetaFromJson(parseJson(R"({"poolHit":true,"pool":{}})"),
+                               "$.service");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("$.service.pool: missing key "
+                                         "'entries'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// An int field takes only an int: a wider integer is a JsonError naming
+// its path, never a silent narrowing. Errors inside arrays name the
+// element.
+TEST(Protocol, IntFieldsRejectValuesBeyondIntRange) {
+  Json d = serve::toJson(DiagRecord{});
+  d.set("actorId", Json::i64(std::numeric_limits<int>::min()));
+  EXPECT_EQ(serve::diagFromJson(d, "$").actorId,
+            std::numeric_limits<int>::min());
+  for (int64_t wide : {int64_t{1} << 40, INT64_C(2147483648),
+                       INT64_C(-2147483649)}) {
+    d.set("actorId", Json::i64(wide));
+    try {
+      serve::diagFromJson(d, "$.d");
+      FAIL() << "expected JsonError for " << wide;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("$.d.actorId"), std::string::npos)
+          << e.what();
+    }
+  }
+  Json rep = serve::toJson(CoverageReport{});
+  Json entry = Json::object();
+  entry.set("covered", Json::u64(UINT64_C(1) << 33));
+  entry.set("total", Json::i64(1));
+  rep.set("actor", std::move(entry));
+  EXPECT_THROW(serve::reportFromJson(rep, "$"), JsonError);
+
+  SimulationResult r;
+  r.diagnostics.resize(3);
+  Json j = parseJson(serve::toJson(r).write());
+  Json diags = Json::array();
+  for (int k = 0; k < 3; ++k) {
+    Json dj = serve::toJson(r.diagnostics[static_cast<size_t>(k)]);
+    if (k == 2) {
+      Json stripped = Json::object();
+      for (const auto& [key, v] : dj.members("$")) {
+        if (key != "actorPath") stripped.set(key, v);
+      }
+      dj = std::move(stripped);
+    }
+    diags.push(std::move(dj));
+  }
+  j.set("diagnostics", std::move(diags));
+  try {
+    serve::simResultFromJson(j, "$.result");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "$.result.diagnostics[2]: missing key 'actorPath'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- Frames ------------------------------------------------------------

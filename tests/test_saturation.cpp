@@ -139,5 +139,28 @@ TEST(Saturate, WrappingRemainsTheDefault) {
   EXPECT_EQ(res.findDiag("T_Op", DiagKind::SaturateOnOverflow), nullptr);
 }
 
+// Only the four actors above can clamp. On any other, saturate is a
+// ModelError naming the actor, on every engine: it once planned a
+// saturate diagnostic for an actor that wraps, and so reported a wrap of
+// i8 100 * 2 to -56 as clean.
+TEST(Saturate, ActorsThatCannotClampRejectIt) {
+  for (const char* type : {"Gain", "Bias", "Abs", "UnaryMinus"}) {
+    Tiny t = unary(type, [](Actor& a) {
+      a.params().setInt("gain", 2);
+      a.params().set("saturate", "1");
+    }, DataType::I8, DataType::I8);
+    for (Engine e : {Engine::SSE, Engine::SSErac, Engine::AccMoS}) {
+      try {
+        runSeq(t, {{100}}, e);
+        ADD_FAILURE() << type << " accepted saturate";
+      } catch (const ModelError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("'T_Op'"), std::string::npos) << what;
+        EXPECT_NE(what.find("saturate"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace accmos

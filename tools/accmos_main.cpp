@@ -170,6 +170,18 @@ std::unique_ptr<Model> readModelCli(const std::string& path) {
   }
 }
 
+// A model that parses but does not flatten or validate (an unknown actor
+// type, a parameter out of range) is bad input as well: exit 4. Only the
+// flatten and the validation run here, so a compile failure of a later
+// run still exits 5.
+Simulator simulatorCli(const Model& model, const std::string& path) {
+  try {
+    return Simulator(model);
+  } catch (const ModelError& e) {
+    throw ModelLoadError("invalid model " + path + ": " + e.what());
+  }
+}
+
 // A --tests file that cannot be read or parsed is bad input, as a model
 // that cannot be loaded is: exit 4.
 TestCaseSpec readTestsCli(const std::string& path) {
@@ -278,7 +290,7 @@ void printUncovered(const FlatModel& fm, const SimOptions& opt,
 
 int cmdInfo(const std::string& path) {
   auto model = readModelCli(path);
-  Simulator sim(*model);
+  Simulator sim = simulatorCli(*model, path);
   const FlatModel& fm = sim.flatModel();
   std::printf("model        : %s\n", model->name().c_str());
   std::printf("actors       : %d (flattened: %zu)\n", model->countActors(),
@@ -360,7 +372,7 @@ int cmdTestGen(const std::string& path,
 
   LoadedModel loaded = loadModelCli(path);
   if (loaded.stimulus) gopt.base = *loaded.stimulus;
-  Simulator sim(*loaded.model);
+  Simulator sim = simulatorCli(*loaded.model, path);
   gen::GenResult gr = gen::runGeneration(sim.flatModel(), opt, gopt);
 
   std::string target = gopt.targetMetric
@@ -492,7 +504,7 @@ int cmdGen(const std::string& path, const std::string& outPath) {
   parseRunArgs({}, &ra);
   LoadedModel loaded = loadModelCli(path);
   if (loaded.stimulus) ra.tests = *loaded.stimulus;
-  Simulator sim(*loaded.model);
+  Simulator sim = simulatorCli(*loaded.model, path);
   const FlatModel model = optimizeModel(sim.flatModel(), ra.opt);
   const std::string source =
       AccMoSEngine::generate(model, ra.opt, ra.tests).source;
@@ -523,7 +535,7 @@ int cmdRun(const std::string& path, const std::vector<std::string>& args) {
   LoadedModel loaded = loadModelCli(path);
   // An embedded <stimulus> is the default; --tests/--seed override it.
   if (loaded.stimulus && !ra.explicitTests) ra.tests = *loaded.stimulus;
-  Simulator sim(*loaded.model);
+  Simulator sim = simulatorCli(*loaded.model, path);
   checkTestsColumns(ra, sim.flatModel());
   auto res = sim.run(opt, ra.tests);
 
@@ -714,7 +726,7 @@ int cmdCampaign(const std::string& path,
   if (int rc = parseCampaignArgs(args, &ca); rc != 0) return rc;
   LoadedModel loaded = loadModelCli(path);
   TestCaseSpec base = loaded.stimulus.value_or(TestCaseSpec{});
-  Simulator sim(*loaded.model);
+  Simulator sim = simulatorCli(*loaded.model, path);
 
   // Ctrl-C / SIGTERM stop the campaign cooperatively: finished seeds are
   // flushed below and the exit code says the table is a prefix. With
@@ -851,7 +863,7 @@ int cmdClientRun(const std::string& socketPath, const std::string& path,
   std::string text = readFileText(path);
   LoadedModel loaded = loadModelCli(path);
   if (loaded.stimulus && !ra.explicitTests) ra.tests = *loaded.stimulus;
-  Simulator sim(*loaded.model);
+  Simulator sim = simulatorCli(*loaded.model, path);
   checkTestsColumns(ra, sim.flatModel());
 
   serve::ServeClient client(socketPath);
@@ -899,7 +911,7 @@ int cmdClientCampaign(const std::string& socketPath, const std::string& path,
   int code = printCampaign(cr, ca.opt, ca.numSeeds);
   printServiceLine(meta);
   if (ca.showUncovered) {
-    Simulator sim(*loaded.model);
+    Simulator sim = simulatorCli(*loaded.model, path);
     printUncovered(sim.flatModel(), ca.opt, cr.mergedBitmaps);
   }
   return code;
