@@ -297,10 +297,9 @@ SimulationResult AccMoSEngine::failedResult(FailureKind kind, uint64_t seed,
   return r;
 }
 
-SimulationResult AccMoSEngine::run(const TestCaseSpec& spec,
-                                   uint64_t maxStepsOverride,
-                                   double timeBudgetOverride) {
-  return runSpec(spec, spec.seed, maxStepsOverride, timeBudgetOverride);
+SimulationResult AccMoSEngine::run(const TestCaseSpec& stimulus,
+                                   uint64_t seed) {
+  return runSpec(stimulus, seed, 0, -1.0);
 }
 
 SimulationResult AccMoSEngine::run(uint64_t maxStepsOverride,

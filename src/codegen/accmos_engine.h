@@ -85,12 +85,14 @@ class AccMoSEngine {
   AccMoSEngine(const AccMoSEngine&) = delete;
   AccMoSEngine& operator=(const AccMoSEngine&) = delete;
 
-  // Executes the compiled simulation on `spec`, its ranges, sequences and
-  // seed. maxSteps/timeBudget default to the options used at construction;
-  // pass nonzero values to override. accmos_run takes the test case as an
-  // argument, so one compiled simulator serves a whole campaign and every
-  // generated test case. `spec` must pass validate(); evaluate() checks
-  // every spec of a batch before it runs any.
+  // Executes the compiled simulation on the ranges and sequences of
+  // `stimulus` under `seed` (the stimulus's own seed field is not read),
+  // for the steps and budget of the options used at construction.
+  // accmos_run takes the test case as an argument, so one compiled
+  // simulator serves a whole campaign and every generated test case, and a
+  // seeds campaign runs its one base spec under each seed. `stimulus` must
+  // pass validate(); evaluate() checks every spec of a batch before it
+  // runs any.
   // Thread-safe: concurrent campaign/gen workers share one engine and its
   // one loaded library.
   //
@@ -105,11 +107,10 @@ class AccMoSEngine {
   // run retired at its deadline carries wall-clock-dependent partial
   // observations, so it is reported as FailureKind::Timeout, never as a
   // result.
-  SimulationResult run(const TestCaseSpec& spec, uint64_t maxStepsOverride = 0,
-                       double timeBudgetOverride = -1.0);
+  SimulationResult run(const TestCaseSpec& stimulus, uint64_t seed);
 
   // run() on the constructor's test case, with its seed optionally
-  // overridden.
+  // overridden, and maxSteps/timeBudget overridden by nonzero values.
   SimulationResult run(uint64_t maxStepsOverride = 0,
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);

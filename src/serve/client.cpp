@@ -25,6 +25,11 @@ namespace {
   throw ModelError(message);
 }
 
+// Throws the daemon's error unless the response says ok.
+void checkOk(const Json& resp) {
+  if (!resp.at("ok", "$").asBool("$.ok")) throwDaemonError(resp);
+}
+
 // The response's "service" member, when the daemon sent one.
 ServiceMeta serviceOf(const Json& resp) {
   const Json* service = resp.find("service");
@@ -55,7 +60,8 @@ ServeClient::ServeClient(const std::string& socketPath) {
   }
 
   try {
-    const Hello daemon = helloFromJson(request(toJson(Hello{})), "$");
+    const Hello daemon =
+        helloFromJson(request(toJson(Hello{}).write()), "$");
     daemonVersion_ = daemon.version;
     daemonAbi_ = daemon.abi;
   } catch (...) {
@@ -69,14 +75,18 @@ ServeClient::~ServeClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Json ServeClient::request(const Json& req) {
-  writeFrame(fd_, req.write());
+std::string ServeClient::exchange(const std::string& requestText) {
+  writeFrame(fd_, requestText);
   std::string text;
   if (!readFrame(fd_, &text)) {
     throw ProtocolError("daemon closed the connection mid-request");
   }
-  Json resp = parseJson(text);
-  if (!resp.at("ok", "$").asBool("$.ok")) throwDaemonError(resp);
+  return text;
+}
+
+Json ServeClient::request(const std::string& requestText) {
+  Json resp = parseJson(exchange(requestText));
+  checkOk(resp);
   return resp;
 }
 
@@ -84,42 +94,40 @@ SimulationResult ServeClient::run(const std::string& modelText,
                                   const SimOptions& opt,
                                   const TestCaseSpec& spec,
                                   ServiceMeta* meta) {
-  Json req = Json::object();
-  req.set("op", Json::str("run"));
-  req.set("model", Json::str(modelText));
-  req.set("options", toJson(opt));
-  req.set("spec", toJson(spec));
-  Json resp = request(req);
+  Json resp = request(runRequestText(modelText, opt, spec));
   if (meta != nullptr) *meta = serviceOf(resp);
   return simResultFromJson(resp.at("result", "$"), "$.result");
 }
 
 CampaignResult ServeClient::campaign(const std::string& modelText,
-                                     const SimOptions& opt,
-                                     const std::vector<TestCaseSpec>& specs,
+                                     const SimOptions& opt, SpecBatch specs,
                                      ServiceMeta* meta) {
-  Json req = Json::object();
-  req.set("op", Json::str("campaign"));
-  req.set("model", Json::str(modelText));
-  req.set("options", toJson(opt));
-  req.set("specs", renderedArray(specs, [](const TestCaseSpec& s) {
-            return toJson(s);
-          }));
-  Json resp = request(req);
+  const std::string text =
+      exchange(campaignRequestText(modelText, opt, specs));
+  JsonReader r(text);
+  CampaignResult result;
+  const Json resp = r.object([&](const std::string& key) {
+    if (key != "result") return false;
+    result = campaignResultFromReader(r, "$.result");
+    return true;
+  });
+  r.finish();
+  checkOk(resp);
+  resp.at("result", "$");  // a response without one is a JsonError
   if (meta != nullptr) *meta = serviceOf(resp);
-  return campaignResultFromJson(resp.at("result", "$"), "$.result");
+  return result;
 }
 
 Json ServeClient::stats() {
   Json req = Json::object();
   req.set("op", Json::str("stats"));
-  return request(req);
+  return request(req.write());
 }
 
 void ServeClient::shutdown() {
   Json req = Json::object();
   req.set("op", Json::str("shutdown"));
-  request(req);
+  request(req.write());
 }
 
 }  // namespace accmos::serve

@@ -31,11 +31,13 @@ class ServeClient {
   SimulationResult run(const std::string& modelText, const SimOptions& opt,
                        const TestCaseSpec& spec, ServiceMeta* meta = nullptr);
 
-  // A heterogeneous spec campaign, merged daemon-side by the same
-  // deterministic seed-order merge the local CLI uses.
+  // A spec campaign, merged daemon-side by the same deterministic
+  // seed-order merge the local CLI uses. A seeded batch (one base spec
+  // under many seeds) goes out as the same full specs an explicit batch
+  // would, each rendered straight into the frame. The response's per-seed
+  // rows are read one at a time.
   CampaignResult campaign(const std::string& modelText, const SimOptions& opt,
-                          const std::vector<TestCaseSpec>& specs,
-                          ServiceMeta* meta = nullptr);
+                          SpecBatch specs, ServiceMeta* meta = nullptr);
 
   // Raw stats document (pool, scheduler, compiler counters).
   Json stats();
@@ -44,7 +46,10 @@ class ServeClient {
   void shutdown();
 
  private:
-  Json request(const Json& req);
+  // Sends one request frame and returns the response frame's text.
+  std::string exchange(const std::string& requestText);
+  // exchange(), then the response as a DOM, or the daemon's error thrown.
+  Json request(const std::string& requestText);
 
   int fd_ = -1;
   std::string daemonVersion_;

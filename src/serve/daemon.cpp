@@ -268,7 +268,7 @@ void Daemon::handleConnection(Connection& conn) {
 
     while (helloOk && readFrame(fd, &text, kFrameDeadline)) {
       bool wantShutdown = false;
-      writeFrame(fd, dispatch(text, &wantShutdown));
+      writeFrame(fd, dispatch(std::move(text), &wantShutdown));
       if (wantShutdown) {
         shutdown();
         break;
@@ -301,12 +301,13 @@ void Daemon::handleConnection(Connection& conn) {
 // campaign work executes here, on the connection's thread, once it holds a
 // request slot; stats and shutdown need no slot, so an overloaded daemon
 // still responds to its operator.
-std::string Daemon::dispatch(const std::string& requestText,
-                             bool* wantShutdown) {
-  std::string op = "?";
+std::string Daemon::dispatch(std::string requestText, bool* wantShutdown) {
   try {
-    Json req = parseJson(requestText);
-    op = req.at("op", "$").asString("$.op");
+    Request req = requestFromText(requestText);
+    // A campaign's text holds every spec once more, and its response's
+    // text is yet to grow: free the request's now.
+    std::string().swap(requestText);
+    const std::string& op = req.op;
 
     if (op == "stats") {
       Json j = Json::object();
@@ -339,20 +340,10 @@ std::string Daemon::dispatch(const std::string& requestText,
     if (op != "run" && op != "campaign") {
       return errorResponse("protocol", "unknown op \"" + op + "\"").write();
     }
-
-    const std::string& modelText = req.at("model", "$").asString("$.model");
-    SimOptions simOpt =
-        optionsFromJson(req.at("options", "$"), "$.options");
-    std::vector<TestCaseSpec> specs;
-    if (op == "run") {
-      specs.push_back(specFromJson(req.at("spec", "$"), "$.spec"));
-    } else {
-      const auto& arr = req.at("specs", "$").asArray("$.specs");
-      for (size_t i = 0; i < arr.size(); ++i) {
-        specs.push_back(
-            specFromJson(arr[i], "$.specs[" + std::to_string(i) + "]"));
-      }
-    }
+    const bool isRun = op == "run";
+    const std::string& modelText =
+        isRun ? req.run.model : req.campaign.model;
+    const SimOptions& simOpt = isRun ? req.run.options : req.campaign.options;
 
     RequestSlot slot(*this);
     // Requests for one model share its entry's evaluator and run in
@@ -362,17 +353,23 @@ std::string Daemon::dispatch(const std::string& requestText,
     Json resp = Json::object();
     resp.set("ok", Json::boolean(true));
     resp.set("op", Json::str(op));
-    if (op == "run") {
+    if (isRun) {
       std::vector<SimulationResult> rs = lease->evaluator().evaluate(
-          specs, simOpt.campaign.workers, nullptr);
+          std::vector<TestCaseSpec>{std::move(req.run.spec)},
+          simOpt.campaign.workers, nullptr);
       rs[0].optStats = lease->optStats();
       resp.set("result", toJson(rs[0]));
-    } else {
-      CampaignResult cr =
-          runCampaignSpecsOn(lease->optimizedModel(), lease->evaluator(),
-                             simOpt, specs, lease->optStats());
-      resp.set("result", toJson(cr));
+      resp.set("service", toJson(ServiceMeta{lease.poolHit(), pool_.stats()}));
+      return resp.write();
     }
+    const CampaignResult cr =
+        runCampaignSpecsOn(lease->optimizedModel(), lease->evaluator(),
+                           simOpt, req.campaign.specs, lease->optStats());
+    // The specs are spent: free them before the response's text grows.
+    std::vector<TestCaseSpec>().swap(req.campaign.specs);
+    // resp.write() renders the result's rows straight from `cr`, so `cr`
+    // stays in scope until the text is written.
+    resp.set("result", toJson(cr));
     resp.set("service", toJson(ServiceMeta{lease.poolHit(), pool_.stats()}));
     return resp.write();
   } catch (const std::exception& e) {

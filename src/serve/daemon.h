@@ -92,7 +92,8 @@ class Daemon {
   class RequestSlot;
 
   void handleConnection(Connection& conn);
-  std::string dispatch(const std::string& requestText, bool* wantShutdown);
+  // Takes the request frame's text, and frees it once it is decoded.
+  std::string dispatch(std::string requestText, bool* wantShutdown);
   void joinEndedConnections();
   // Makes the accept loop's poll return now. Thread-safe.
   void wake();

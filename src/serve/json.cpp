@@ -1,14 +1,17 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cctype>
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 namespace accmos::serve {
+
+// Every node of a document pays for each byte of Json (a CSEV test case
+// is 31 nodes, a per-seed campaign row about as many).
+static_assert(sizeof(Json) <= 112, "Json nodes must not grow");
 
 Json Json::boolean(bool v) {
   Json j;
@@ -58,13 +61,6 @@ Json Json::object() {
   return j;
 }
 
-Json Json::rendered(std::string text) {
-  Json j;
-  j.kind_ = Kind::Rendered;
-  j.str_ = std::move(text);
-  return j;
-}
-
 namespace {
 
 const char* kindName(Json::Kind k) {
@@ -77,7 +73,7 @@ const char* kindName(Json::Kind k) {
     case Json::Kind::String: return "string";
     case Json::Kind::Array: return "array";
     case Json::Kind::Object: return "object";
-    case Json::Kind::Rendered: return "rendered JSON text";
+    case Json::Kind::Rendered: return "array rendered on write";
   }
   return "?";
 }
@@ -94,9 +90,12 @@ bool Json::asBool(const std::string& where) const {
   return bool_;
 }
 
+// A double converts to an integer type only inside the type's range:
+// outside it the conversion itself is undefined, so the range is checked
+// first ([0, 2^64) and [-2^63, 2^63); NaN fails every comparison).
 uint64_t Json::asU64(const std::string& where) const {
   if (kind_ == Kind::U64) return u64_;
-  if (kind_ == Kind::Double && dbl_ >= 0.0 &&
+  if (kind_ == Kind::Double && dbl_ >= 0.0 && dbl_ < 0x1p64 &&
       dbl_ == static_cast<double>(static_cast<uint64_t>(dbl_))) {
     return static_cast<uint64_t>(dbl_);
   }
@@ -109,7 +108,7 @@ int64_t Json::asI64(const std::string& where) const {
       u64_ <= static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
     return static_cast<int64_t>(u64_);
   }
-  if (kind_ == Kind::Double &&
+  if (kind_ == Kind::Double && dbl_ >= -0x1p63 && dbl_ < 0x1p63 &&
       dbl_ == static_cast<double>(static_cast<int64_t>(dbl_))) {
     return static_cast<int64_t>(dbl_);
   }
@@ -178,25 +177,34 @@ namespace {
 
 void writeEscaped(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (char c : s) {
-    unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
+  const size_t n = s.size();
+  size_t run = 0;  // start of the bytes not yet appended
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u != '"' && u != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (u) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, n - run);
   out.push_back('"');
+}
+
+template <class Int>
+void writeInt(Int v, std::string& out) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace
@@ -209,18 +217,12 @@ void Json::write(std::string& out) const {
     case Kind::Bool:
       out += bool_ ? "true" : "false";
       return;
-    case Kind::U64: {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, u64_);
-      out += buf;
+    case Kind::U64:
+      writeInt(u64_, out);
       return;
-    }
-    case Kind::I64: {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRId64, i64_);
-      out += buf;
+    case Kind::I64:
+      writeInt(i64_, out);
       return;
-    }
     case Kind::Double: {
       // %.17g round-trips every finite double exactly through strtod.
       // Non-finite timings never travel (Value payloads go as bit
@@ -265,259 +267,282 @@ void Json::write(std::string& out) const {
       return;
     }
     case Kind::Rendered:
-      out += str_;
+      rows_.write(rows_.range, out);
       return;
   }
 }
 
+// ---- JsonReader --------------------------------------------------------
+// Recursive descent over the raw bytes; every failure is anchored to the
+// 1-based line and the absolute byte offset of the offending byte. The
+// streaming calls and the whole-value parse share one grammar: a value
+// parsed whole is read through beginObject/key/nextMember and
+// beginArray/nextElement like any streamed one.
+
 namespace {
+constexpr int kMaxDepth = 64;
+}  // namespace
 
-// Recursive-descent parser over the raw bytes; every failure is anchored
-// to the 1-based line and the absolute byte offset of the offending byte.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Json parse() {
-    Json v = parseValue(0);
-    skipWs();
-    if (pos_ != text_.size()) fail("trailing data after JSON document");
-    return v;
+void JsonReader::fail(const std::string& msg) const {
+  size_t line = 1;
+  for (size_t k = 0; k < pos_ && k < text_.size(); ++k) {
+    if (text_[k] == '\n') ++line;
   }
+  throw JsonError("json parse error at line " + std::to_string(line) +
+                  ", byte " + std::to_string(pos_) + ": " + msg);
+}
 
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    size_t line = 1;
-    for (size_t k = 0; k < pos_ && k < text_.size(); ++k) {
-      if (text_[k] == '\n') ++line;
-    }
-    throw JsonError("json parse error at line " + std::to_string(line) +
-                    ", byte " + std::to_string(pos_) + ": " + msg);
-  }
-
-  void skipWs() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
+void JsonReader::skipWs() {
+  while (pos_ < text_.size()) {
+    char c = text_[pos_];
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+      ++pos_;
+    } else {
+      break;
     }
   }
+}
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
+char JsonReader::peek() {
+  skipWs();
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void JsonReader::expect(char c) {
+  if (pos_ >= text_.size() || text_[pos_] != c) {
+    fail(std::string("expected '") + c + "'");
   }
+  ++pos_;
+}
 
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
+bool JsonReader::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) == lit) {
+    pos_ += lit.size();
+    return true;
+  }
+  return false;
+}
+
+void JsonReader::startValue() {
+  if (depth_ > kMaxDepth) fail("nesting too deep");
+  skipWs();
+}
+
+bool JsonReader::beginObject() {
+  startValue();
+  expect('{');
+  ++depth_;
+  if (peek() == '}') {
     ++pos_;
-  }
-
-  bool literal(const char* lit) {
-    size_t n = std::strlen(lit);
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
+    --depth_;
     return false;
   }
+  return true;
+}
 
-  Json parseValue(int depth) {
-    if (depth > 64) fail("nesting too deep");
-    skipWs();
-    char c = peek();
-    switch (c) {
-      case '{': return parseObject(depth);
-      case '[': return parseArray(depth);
-      case '"': return Json::str(parseString());
-      case 't':
-        if (literal("true")) return Json::boolean(true);
-        fail("invalid literal");
-      case 'f':
-        if (literal("false")) return Json::boolean(false);
-        fail("invalid literal");
-      case 'n':
-        if (literal("null")) return Json::null();
-        fail("invalid literal");
-      default:
-        return parseNumber();
-    }
+std::string JsonReader::key() {
+  if (peek() != '"') fail("expected object key string");
+  std::string k = parseString();
+  skipWs();
+  expect(':');
+  return k;
+}
+
+bool JsonReader::nextMember() {
+  const char c = peek();
+  if (c == ',') {
+    ++pos_;
+    return true;
   }
+  if (c == '}') {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  fail("expected ',' or '}' in object");
+}
 
-  Json parseObject(int depth) {
-    expect('{');
-    Json obj = Json::object();
-    skipWs();
-    if (peek() == '}') {
-      ++pos_;
+bool JsonReader::beginArray() {
+  startValue();
+  expect('[');
+  ++depth_;
+  if (peek() == ']') {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  return true;
+}
+
+bool JsonReader::nextElement() {
+  const char c = peek();
+  if (c == ',') {
+    ++pos_;
+    return true;
+  }
+  if (c == ']') {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  fail("expected ',' or ']' in array");
+}
+
+void JsonReader::finish() {
+  skipWs();
+  if (pos_ != text_.size()) fail("trailing data after JSON document");
+}
+
+Json JsonReader::value() {
+  startValue();
+  switch (peek()) {
+    case '{': {
+      Json obj = Json::object();
+      if (beginObject()) {
+        do {
+          std::string k = key();
+          obj.set(k, value());
+        } while (nextMember());
+      }
       return obj;
     }
-    for (;;) {
-      skipWs();
-      if (peek() != '"') fail("expected object key string");
-      std::string key = parseString();
-      skipWs();
-      expect(':');
-      obj.set(key, parseValue(depth + 1));
-      skipWs();
-      char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
+    case '[': {
+      Json arr = Json::array();
+      if (beginArray()) {
+        do {
+          arr.push(value());
+        } while (nextElement());
       }
-      if (c == '}') {
-        ++pos_;
-        return obj;
-      }
-      fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parseArray(int depth) {
-    expect('[');
-    Json arr = Json::array();
-    skipWs();
-    if (peek() == ']') {
-      ++pos_;
       return arr;
     }
-    for (;;) {
-      arr.push(parseValue(depth + 1));
-      skipWs();
-      char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
+    case '"': return Json::str(parseString());
+    case 't':
+      if (literal("true")) return Json::boolean(true);
+      fail("invalid literal");
+    case 'f':
+      if (literal("false")) return Json::boolean(false);
+      fail("invalid literal");
+    case 'n':
+      if (literal("null")) return Json::null();
+      fail("invalid literal");
+    default:
+      return parseNumber();
+  }
+}
+
+std::string JsonReader::parseString() {
+  expect('"');
+  std::string out;
+  for (;;) {
+    // The bytes up to the next quote or escape go in at once.
+    size_t stop = pos_;
+    while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\') {
+      ++stop;
+    }
+    out.append(text_.substr(pos_, stop - pos_));
+    pos_ = stop;
+    if (pos_ >= text_.size()) fail("unterminated string");
+    if (text_[pos_++] == '"') return out;
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    char e = text_[pos_++];
+    switch (e) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else { --pos_; fail("invalid \\u escape digit"); }
+        }
+        // The protocol only ships ASCII control escapes; encode the
+        // code point as UTF-8 for completeness.
+        if (code < 0x80) {
+          out.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
       }
-      if (c == ']') {
-        ++pos_;
-        return arr;
-      }
-      fail("expected ',' or ']' in array");
+      default:
+        --pos_;
+        fail("invalid escape character");
     }
   }
+}
 
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else { --pos_; fail("invalid \\u escape digit"); }
-          }
-          // The protocol only ships ASCII control escapes; encode the
-          // code point as UTF-8 for completeness.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          --pos_;
-          fail("invalid escape character");
-      }
-    }
+Json JsonReader::parseNumber() {
+  const size_t start = pos_;
+  auto digitAt = [this](size_t k) {
+    return k < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[k]));
+  };
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  bool digits = false;
+  while (digitAt(pos_)) {
+    ++pos_;
+    digits = true;
   }
-
-  Json parseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool digits = false;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-      digits = true;
-    }
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (!digits) {
-      pos_ = start;
-      fail("invalid number");
-    }
-    std::string lit = text_.substr(start, pos_ - start);
-    if (integral) {
-      errno = 0;
-      if (lit[0] == '-') {
-        char* end = nullptr;
-        long long v = std::strtoll(lit.c_str(), &end, 10);
-        if (errno == 0 && end != nullptr && *end == '\0') {
-          return Json::i64(static_cast<int64_t>(v));
-        }
-      } else {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(lit.c_str(), &end, 10);
-        if (errno == 0 && end != nullptr && *end == '\0') {
-          return Json::u64(static_cast<uint64_t>(v));
-        }
-      }
-      // Out of 64-bit range: fall through to double.
-    }
-    char* end = nullptr;
-    double v = std::strtod(lit.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      fail("invalid number literal '" + lit + "'");
-    }
-    return Json::number(v);
+  bool integral = true;
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    integral = false;
+    ++pos_;
+    while (digitAt(pos_)) ++pos_;
   }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    integral = false;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+    while (digitAt(pos_)) ++pos_;
+  }
+  if (!digits) {
+    pos_ = start;
+    fail("invalid number");
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  if (integral) {
+    if (*first == '-') {
+      int64_t v = 0;
+      const auto [end, ec] = std::from_chars(first, last, v);
+      if (ec == std::errc() && end == last) return Json::i64(v);
+    } else {
+      uint64_t v = 0;
+      const auto [end, ec] = std::from_chars(first, last, v);
+      if (ec == std::errc() && end == last) return Json::u64(v);
+    }
+    // Out of 64-bit range: fall through to double.
+  }
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc() && end == last) return Json::number(v);
+  // Out of double's range, or not a number at all: strtod decides, as it
+  // always has (an overflow reads as inf, an underflow as its rounding).
+  const std::string lit(first, last);
+  char* stop = nullptr;
+  v = std::strtod(lit.c_str(), &stop);
+  if (stop == nullptr || *stop != '\0') {
+    pos_ = start;
+    fail("invalid number literal '" + lit + "'");
+  }
+  return Json::number(v);
+}
 
 std::string Json::write() const {
   std::string out;
@@ -525,6 +550,11 @@ std::string Json::write() const {
   return out;
 }
 
-Json parseJson(const std::string& text) { return Parser(text).parse(); }
+Json parseJson(std::string_view text) {
+  JsonReader r(text);
+  Json v = r.value();
+  r.finish();
+  return v;
+}
 
 }  // namespace accmos::serve

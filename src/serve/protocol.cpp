@@ -74,9 +74,11 @@ NameTable<CustomDiagnostic::Kind> names(CustomDiagnostic::Kind) {
 template <class S, class T>
 concept Of = std::same_as<std::remove_const_t<S>, T>;
 
-// A field whose elements render one at a time (renderedArray): a
-// campaign's per-seed rows are many, and a DOM of them all would cost far
-// more than their text. It decodes as a plain array.
+// A field whose elements are many: a campaign's per-seed rows and a
+// campaign request's specs. Its elements are written one at a time
+// (renderedArray), and a reader decodes them one at a time (decRows
+// below), since a DOM of them all would cost far more than their text.
+// A DOM decodes it as a plain array.
 template <class V>
 struct Rows {
   V& elements;
@@ -221,8 +223,44 @@ void fields(S& o, F&& f) {
   f("workers", o.campaign.workers);
 }
 
-// The shard messages and the hello also carry a constant "op" first,
-// written by their public encoders below.
+// The run and campaign request envelopes. The daemon decodes them into
+// RunRequest and CampaignRequest (protocol.h); ServeClient encodes the Ref
+// forms, whose members refer to its caller's model text, options and
+// specs, so a request copies none of them.
+
+struct RunRequestRef {
+  const std::string& model;
+  const SimOptions& options;
+  const TestCaseSpec& spec;
+};
+
+struct CampaignRequestRef {
+  const std::string& model;
+  const SimOptions& options;
+  const SpecBatch& specs;
+};
+
+template <class S>
+concept RunEnvelope = Of<S, RunRequest> || Of<S, RunRequestRef>;
+template <class S>
+concept CampaignEnvelope = Of<S, CampaignRequest> || Of<S, CampaignRequestRef>;
+
+template <RunEnvelope S, class F>
+void fields(S& r, F&& f) {
+  f("model", r.model);
+  f("options", r.options);
+  f("spec", r.spec);
+}
+
+template <CampaignEnvelope S, class F>
+void fields(S& r, F&& f) {
+  f("model", r.model);
+  f("options", r.options);
+  f("specs", Rows{r.specs});
+}
+
+// The requests, the shard messages and the hello also carry a constant
+// "op" first, written by their public encoders below.
 
 template <Of<ShardRequest> S, class F>
 void fields(S& r, F&& f) {
@@ -340,10 +378,17 @@ Json encFields(const S& s, Json j = Json::object()) {
   return j;
 }
 
+// With `rowsRead`, the Rows members were read already (decFields over a
+// reader, below), and only their keys are checked.
 template <class S>
-void decFields(const Json& j, const std::string& where, S& s) {
+void decFields(const Json& j, const std::string& where, S& s,
+               bool rowsRead = false) {
   fields(s, [&](const char* key, auto&& m) {
-    dec(j.at(key, where), sub(where, key), m);
+    const Json& v = j.at(key, where);
+    if constexpr (kIsRows<std::remove_cvref_t<decltype(m)>>) {
+      if (rowsRead) return;
+    }
+    dec(v, sub(where, key), m);
   });
   if constexpr (requires { inbound(s, where); }) inbound(s, where);
 }
@@ -426,6 +471,46 @@ T decoded(const Json& j, const std::string& where) {
   T v;
   dec(j, where, v);
   return v;
+}
+
+// ---- Reading one element at a time ---------------------------------------
+// decFields over a reader. Each Rows member is read one element at a time
+// as it arrives: the element's small DOM is decoded and dropped. Every
+// other member is read whole into a small DOM, which decFields then reads
+// in list order. So the errors are the DOM decoder's, keys may come in any
+// order, and a repeated key's last value wins.
+
+template <class V>
+void decRows(JsonReader& r, const std::string& where, V& v) {
+  if (r.peek() != '[') {  // not an array: the DOM decoder names its kind
+    dec(r.value(), where, v);
+    return;
+  }
+  v.clear();
+  size_t i = 0;
+  if (r.beginArray()) {
+    do {
+      dec(r.value(), idx(where, i++), v.emplace_back());
+    } while (r.nextElement());
+  }
+}
+
+// Reads the object at `r`: its members that are Rows fields of `s` into
+// `s`, and every other member into the returned DOM.
+template <class S>
+Json readRows(JsonReader& r, const std::string& where, S& s) {
+  return r.object([&](const std::string& key) {
+    bool claimed = false;
+    fields(s, [&](const char* k, auto&& m) {
+      if constexpr (kIsRows<std::remove_cvref_t<decltype(m)>>) {
+        if (!claimed && key == k) {
+          decRows(r, sub(where, k), m.elements);
+          claimed = true;
+        }
+      }
+    });
+    return claimed;
+  });
 }
 
 // A message object whose constant "op" comes first.
@@ -572,6 +657,12 @@ Json toJson(const CampaignResult& r) { return enc(r); }
 CampaignResult campaignResultFromJson(const Json& j, const std::string& where) {
   return decoded<CampaignResult>(j, where);
 }
+CampaignResult campaignResultFromReader(JsonReader& r,
+                                        const std::string& where) {
+  CampaignResult out;
+  decFields(readRows(r, where, out), where, out, /*rowsRead=*/true);
+  return out;
+}
 
 Json toJson(const PortStimulus& p) { return enc(p); }
 PortStimulus portStimulusFromJson(const Json& j, const std::string& where) {
@@ -603,6 +694,33 @@ ShardPartial shardPartialFromJson(const Json& j, const std::string& where) {
 Json toJson(const ShardDone& d) { return encFields(d, opObject("done")); }
 ShardDone shardDoneFromJson(const Json& j, const std::string& where) {
   return decoded<ShardDone>(j, where);
+}
+
+std::string runRequestText(const std::string& model, const SimOptions& options,
+                           const TestCaseSpec& spec) {
+  return encFields(RunRequestRef{model, options, spec}, opObject("run"))
+      .write();
+}
+
+std::string campaignRequestText(const std::string& model,
+                                const SimOptions& options, SpecBatch specs) {
+  return encFields(CampaignRequestRef{model, options, specs},
+                   opObject("campaign"))
+      .write();
+}
+
+Request requestFromText(const std::string& text) {
+  JsonReader r(text);
+  Request q;
+  // The op says which envelope the frame holds, and it may come last. So
+  // the specs are read into the campaign's envelope whatever the op, and
+  // every other member waits in a small DOM until the op is known.
+  const Json rest = readRows(r, "$", q.campaign);
+  r.finish();
+  q.op = rest.at("op", "$").asString("$.op");
+  if (q.op == "run") decFields(rest, "$", q.run);
+  if (q.op == "campaign") decFields(rest, "$", q.campaign, /*rowsRead=*/true);
+  return q;
 }
 
 Json toJson(const Hello& h) { return encFields(h, opObject("hello")); }

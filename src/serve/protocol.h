@@ -22,14 +22,19 @@
 //    golden wire-text tests in tests/test_protocol.cpp pin every message
 //    byte for byte.
 //
+//    The two long arrays, a campaign request's specs and a campaign
+//    result's perSeed rows, are written straight into the frame text one
+//    element at a time (renderedArray) and read back one element at a
+//    time (JsonReader): neither end holds a DOM of the whole array.
+//
 //  * Frames — length-prefixed messages over a connected stream socket:
 //    a 4-byte big-endian payload length followed by that many bytes of
-//    JSON text. Framing keeps the parser trivial (one document per frame,
-//    no streaming) and makes a truncated peer detectable instead of a
-//    hang. Transport faults throw ProtocolError.
+//    JSON text. Framing keeps the parser simple (one document per frame)
+//    and makes a truncated peer detectable instead of a hang. Transport
+//    faults throw ProtocolError.
 //
-// Request envelopes (run/campaign/stats/shutdown) are built by the daemon
-// and client from these pieces; the op grammar is documented in
+// The stats and shutdown requests are a bare "op"; run and campaign
+// requests carry the envelopes below. The op grammar is documented in
 // docs/SERVICE.md and exercised end-to-end by tests/test_serve.cpp.
 #pragma once
 
@@ -93,8 +98,14 @@ SimulationResult simResultFromJson(const Json& j, const std::string& where);
 Json toJson(const CampaignSeedResult& r);
 CampaignSeedResult seedResultFromJson(const Json& j, const std::string& where);
 
+// The rows of the encoded result are written from `r` when the document
+// is written (renderedArray): write it while `r` lives.
 Json toJson(const CampaignResult& r);
 CampaignResult campaignResultFromJson(const Json& j, const std::string& where);
+// The same decoder over a reader at the result's value: perSeed is read
+// one row at a time. ServeClient reads a campaign response this way.
+CampaignResult campaignResultFromReader(JsonReader& r,
+                                        const std::string& where);
 
 Json toJson(const PortStimulus& p);
 PortStimulus portStimulusFromJson(const Json& j, const std::string& where);
@@ -156,6 +167,46 @@ struct ShardDone {
 Json toJson(const ShardDone& d);
 ShardDone shardDoneFromJson(const Json& j, const std::string& where);
 
+// ---- Request envelopes ---------------------------------------------------
+// A run or campaign request is its "op" ("run" or "campaign") and then its
+// envelope: the model text, the options, and the run's one "spec" or the
+// campaign's "specs". Each envelope's shape is one field list, which
+// ServeClient's encoder and the daemon's decoder both walk.
+
+struct RunRequest {
+  std::string model;  // model XML
+  SimOptions options;
+  TestCaseSpec spec;
+};
+
+struct CampaignRequest {
+  std::string model;
+  SimOptions options;
+  std::vector<TestCaseSpec> specs;
+};
+
+// The request frames ServeClient sends, written over its arguments. A
+// campaign's specs go into the text one at a time, each rendered from
+// `specs` (a seeded batch's from its base spec and the seed): the wire
+// carries every spec whole, and none is copied on the way.
+std::string runRequestText(const std::string& model, const SimOptions& options,
+                           const TestCaseSpec& spec);
+std::string campaignRequestText(const std::string& model,
+                                const SimOptions& options, SpecBatch specs);
+
+// A request frame as the daemon reads it: the op of any request, and the
+// envelope of a "run" or a "campaign" (the other stays empty). Keys may
+// come in any order, and a repeated key's last value wins. A campaign's
+// specs are read one element at a time. Errors are the field lists' typed
+// JsonErrors ("$: missing key 'model'", "$.specs[3].ports[1]: missing key
+// 'min'").
+struct Request {
+  std::string op;
+  RunRequest run;
+  CampaignRequest campaign;
+};
+Request requestFromText(const std::string& text);
+
 // ---- Service messages ----------------------------------------------------
 
 // The hello each side of a connection sends first: this build's wire
@@ -189,7 +240,8 @@ ServiceMeta serviceMetaFromJson(const Json& j, const std::string& where);
 // steps/coverage/diagnostic counts, merged bitmaps, deduplicated
 // diagnostics, failure records, opt stats — with timing and placement
 // fields (execSeconds, execMode, workersUsed) excluded. Client-vs-local
-// bit-identity asserts compare the rendered text of this view.
+// bit-identity asserts compare the rendered text of this view. Like
+// toJson(CampaignResult), it writes perSeed from `r` when written.
 Json campaignObservations(const CampaignResult& r);
 
 // ---- Frames ------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 
@@ -106,14 +107,12 @@ size_t SpecEvaluator::residentBytes() const {
   return bytes;
 }
 
-std::vector<SimulationResult> SpecEvaluator::evaluate(
-    const std::vector<TestCaseSpec>& specs) {
+std::vector<SimulationResult> SpecEvaluator::evaluate(SpecBatch specs) {
   return evaluate(specs, opt_.campaign.workers, nullptr);
 }
 
 std::vector<SimulationResult> SpecEvaluator::evaluate(
-    const std::vector<TestCaseSpec>& specs, size_t workers,
-    EngineBuildCosts* built) {
+    SpecBatch specs, size_t workers, EngineBuildCosts* built) {
   std::vector<SimulationResult> out(specs.size());
   evaluateInOrder(specs, workers, /*interruptible=*/false, built,
                   [&](size_t k, SimulationResult&& r) {
@@ -129,14 +128,14 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
 // processes each writing to their own pipe when a run is contained out of
 // process. Delivery is strictly in spec order whatever the interleaving,
 // so the merge downstream is deterministic for any worker count.
-size_t SpecEvaluator::evaluateInOrder(const std::vector<TestCaseSpec>& specs,
-                                      size_t workers, bool interruptible,
+size_t SpecEvaluator::evaluateInOrder(SpecBatch specs, size_t workers,
+                                      bool interruptible,
                                       EngineBuildCosts* built,
                                       const ResultSink& sink) {
   if (specs.empty()) {
     throw ModelError("spec batch evaluation needs at least one test case");
   }
-  for (const auto& spec : specs) spec.validate();
+  specs.validate();
 
   // AccMoS: build (or reuse) the one engine before the fan-out. A
   // simulator that cannot be compiled does not abort the batch: every
@@ -145,7 +144,7 @@ size_t SpecEvaluator::evaluateInOrder(const std::vector<TestCaseSpec>& specs,
   std::string compileError;
   if (opt_.engine == Engine::AccMoS) {
     try {
-      engine = engineFor(specs[0], built);
+      engine = engineFor(specs.stimulus(0), built);
     } catch (const CompileError& e) {
       compileError = e.what();
     }
@@ -180,7 +179,10 @@ size_t SpecEvaluator::evaluateInOrder(const std::vector<TestCaseSpec>& specs,
   };
 
   auto work = [&] {
-    std::unique_ptr<Interpreter> interp;  // SSE: this worker's, this call
+    // SSE: this worker's interpreter, and its one copy of a seeded batch's
+    // base spec, both for this call.
+    std::unique_ptr<Interpreter> interp;
+    std::optional<TestCaseSpec> scratch;
     for (;;) {
       // An interrupt stops CLAIMING here, but a claimed spec always
       // finishes and is delivered, so claims — handed out by the monotonic
@@ -192,14 +194,14 @@ size_t SpecEvaluator::evaluateInOrder(const std::vector<TestCaseSpec>& specs,
       try {
         if (opt_.engine == Engine::SSE) {
           if (!interp) interp = std::make_unique<Interpreter>(fm_, opt_);
-          deliver(k, interp->run(specs[k]));
+          deliver(k, interp->run(specs.spec(k, scratch)));
         } else if (engine == nullptr) {
-          deliver(k, compileFailedResult(specs[k].seed, compileError));
+          deliver(k, compileFailedResult(specs.seed(k), compileError));
         } else {
           // An AccMoS run never throws for per-run faults — a hung or
           // crashed seed comes back as a failed result and its
           // neighbours are unaffected.
-          deliver(k, engine->run(specs[k]));
+          deliver(k, engine->run(specs.stimulus(k), specs.seed(k)));
         }
       } catch (...) {
         std::lock_guard<std::mutex> lock(deliveryMutex);
@@ -243,11 +245,12 @@ class CampaignFold {
     out_.perSeed.reserve(specCount);
   }
 
-  // Folds the result of the spec after the last one added.
-  void add(const TestCaseSpec& spec, const SimulationResult& res) {
+  // Folds the result of the spec after the last one added, run under
+  // `seed`.
+  void add(uint64_t seed, const SimulationResult& res) {
     const size_t k = out_.perSeed.size();
     CampaignSeedResult sr;
-    sr.seed = spec.seed;
+    sr.seed = seed;
     sr.execMode = res.execMode;
     if (res.failed) {
       // Contained failure: record it, contribute nothing to the merge.
@@ -255,7 +258,7 @@ class CampaignFold {
       // campaign over the survivors because the fold is strictly
       // spec-ordered and a skipped seed leaves no trace in the bitmaps.
       RunFailure f = res.failure;
-      f.seed = spec.seed;
+      f.seed = seed;
       f.index = k;
       out_.failures.push_back(std::move(f));
       sr.failed = true;
@@ -297,19 +300,18 @@ class CampaignFold {
 
 }  // namespace
 
-CampaignResult mergeSpecResults(const FlatModel& model,
-                                const std::vector<TestCaseSpec>& specs,
+CampaignResult mergeSpecResults(const FlatModel& model, SpecBatch specs,
                                 const std::vector<SimulationResult>& results,
                                 size_t completed, const OptStats& optStats) {
   CampaignFold fold(model, specs.size(), optStats);
   completed = std::min(completed, specs.size());
-  for (size_t k = 0; k < completed; ++k) fold.add(specs[k], results[k]);
+  for (size_t k = 0; k < completed; ++k) fold.add(specs.seed(k), results[k]);
   return std::move(fold).finish();
 }
 
 CampaignResult runCampaignSpecsOn(
     const FlatModel& model, SpecEvaluator& evaluator, const SimOptions& opt,
-    const std::vector<TestCaseSpec>& specs, const OptStats& optStats,
+    SpecBatch specs, const OptStats& optStats,
     std::optional<std::chrono::steady_clock::time_point> wallStart) {
   checkInstrumentedEngine(opt);
   if (specs.empty()) {
@@ -326,7 +328,7 @@ CampaignResult runCampaignSpecsOn(
   EngineBuildCosts built;
   evaluator.evaluateInOrder(
       specs, opt.campaign.workers, /*interruptible=*/true, &built,
-      [&](size_t k, SimulationResult&& res) { fold.add(specs[k], res); });
+      [&](size_t k, SimulationResult&& res) { fold.add(specs.seed(k), res); });
 
   CampaignResult out = std::move(fold).finish();
   out.workersUsed = resolveWorkers(opt.campaign.workers, specs.size());
@@ -340,7 +342,7 @@ CampaignResult runCampaignSpecsOn(
 }
 
 CampaignResult runCampaignSpecs(const FlatModel& fm, const SimOptions& opt,
-                                const std::vector<TestCaseSpec>& specs) {
+                                SpecBatch specs) {
   checkInstrumentedEngine(opt);
   if (specs.empty()) {
     throw ModelError("test campaign needs at least one test case");
@@ -360,9 +362,7 @@ CampaignResult runCampaign(const FlatModel& fm, const SimOptions& opt,
                            const TestCaseSpec& baseTests,
                            const std::vector<uint64_t>& seeds) {
   if (seeds.empty()) throw ModelError("test campaign needs at least one seed");
-  std::vector<TestCaseSpec> specs(seeds.size(), baseTests);
-  for (size_t k = 0; k < seeds.size(); ++k) specs[k].seed = seeds[k];
-  return runCampaignSpecs(fm, opt, specs);
+  return runCampaignSpecs(fm, opt, SpecBatch(baseTests, seeds));
 }
 
 }  // namespace accmos

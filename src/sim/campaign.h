@@ -89,6 +89,7 @@ struct CampaignResult {
 
 // Runs `opt.maxSteps` steps per seed for each seed in `seeds`, using
 // `baseTests` for the port ranges/sequences (the seed field is overridden).
+// The batch is SpecBatch(baseTests, seeds): no spec is copied per seed.
 // Only the instrumented engines (SSE, AccMoS) are supported; throws
 // ModelError otherwise or when coverage is disabled.
 CampaignResult runCampaign(const FlatModel& fm, const SimOptions& opt,
@@ -103,7 +104,7 @@ CampaignResult runCampaign(const FlatModel& fm, const SimOptions& opt,
 // outcome is bit-identical for any worker count. `perSeed` holds one row
 // per spec, in spec order; its `seed` field is the spec's seed.
 CampaignResult runCampaignSpecs(const FlatModel& fm, const SimOptions& opt,
-                                const std::vector<TestCaseSpec>& specs);
+                                SpecBatch specs);
 
 class SpecEvaluator;
 
@@ -120,8 +121,7 @@ class SpecEvaluator;
 // the same fold over the same per-spec results in the same order.
 // Timing / one-off-cost fields (wallSeconds, compileSeconds, ...) are the
 // caller's to fill; optStats is copied through.
-CampaignResult mergeSpecResults(const FlatModel& model,
-                                const std::vector<TestCaseSpec>& specs,
+CampaignResult mergeSpecResults(const FlatModel& model, SpecBatch specs,
                                 const std::vector<SimulationResult>& results,
                                 size_t completed, const OptStats& optStats);
 
@@ -144,7 +144,7 @@ CampaignResult mergeSpecResults(const FlatModel& model,
 // starts here.
 CampaignResult runCampaignSpecsOn(
     const FlatModel& model, SpecEvaluator& evaluator, const SimOptions& opt,
-    const std::vector<TestCaseSpec>& specs, const OptStats& optStats,
+    SpecBatch specs, const OptStats& optStats,
     std::optional<std::chrono::steady_clock::time_point> wallStart =
         std::nullopt);
 
@@ -198,24 +198,25 @@ class SpecEvaluator {
   SpecEvaluator& operator=(const SpecEvaluator&) = delete;
 
   // evaluate() at the constructor's worker count, with no cost record.
-  std::vector<SimulationResult> evaluate(
-      const std::vector<TestCaseSpec>& specs);
+  std::vector<SimulationResult> evaluate(SpecBatch specs);
 
   // Every spec's result at once: out[k] is spec k's result regardless of
   // worker count or interleaving. evaluateInOrder() underneath, ignoring
   // the interrupt flag entirely — what the deterministic generator loop
   // needs.
-  std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,
-                                         size_t workers,
+  std::vector<SimulationResult> evaluate(SpecBatch specs, size_t workers,
                                          EngineBuildCosts* built);
 
   // Takes spec k's result. Called in spec order, one call at a time.
   using ResultSink = std::function<void(size_t k, SimulationResult&& result)>;
 
-  // The evaluation primitive. Validates and runs every spec for
-  // opt.maxSteps, fanning the batch over `workers` workers (0 = one per
-  // hardware thread), and hands each result to `sink` as soon as every
-  // earlier spec's result has been handed over. Workers claim specs one at
+  // The evaluation primitive. Validates each stimulus once (a seeded
+  // batch's base spec once) and runs every spec for opt.maxSteps, fanning
+  // the batch over `workers` workers (0 = one per hardware thread). On a
+  // seeded batch an SSE worker keeps one copy of the base spec and
+  // overwrites its seed per spec, and AccMoS runs the base spec under each
+  // seed as it is. Each result goes to `sink` as soon as every earlier
+  // spec's result has been handed over. Workers claim specs one at
   // a time from a shared counter; a result that finishes ahead of an
   // earlier spec waits until the prefix reaches it. So in steady state
   // about one result per worker waits, and a hung spec holds back at most
@@ -232,8 +233,7 @@ class SpecEvaluator {
   // contained CompileError, and the next call tries the build again. The
   // first exception a run or `sink` throws stops the claims and is
   // rethrown once the workers have stopped.
-  size_t evaluateInOrder(const std::vector<TestCaseSpec>& specs,
-                         size_t workers, bool interruptible,
+  size_t evaluateInOrder(SpecBatch specs, size_t workers, bool interruptible,
                          EngineBuildCosts* built, const ResultSink& sink);
 
   // The model's compiled engine, building it on first use with `spec` as

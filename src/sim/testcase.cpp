@@ -73,6 +73,22 @@ void TestCaseSpec::validate() const {
   defaultPort.validate("test-case default port");
 }
 
+const TestCaseSpec& SpecBatch::spec(
+    size_t k, std::optional<TestCaseSpec>& scratch) const {
+  if (base_ == nullptr) return specs_[k];
+  if (!scratch) scratch = *base_;
+  scratch->seed = seeds_[k];
+  return *scratch;
+}
+
+void SpecBatch::validate() const {
+  if (base_ != nullptr) {
+    base_->validate();
+    return;
+  }
+  for (const TestCaseSpec& s : specs_) s.validate();
+}
+
 TestCaseSpec TestCaseSpec::fromCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ModelError("cannot open test-case CSV '" + path + "'");

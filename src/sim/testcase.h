@@ -9,6 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +63,71 @@ struct TestCaseSpec {
   // written with enough precision to round-trip doubles exactly.
   void toCsv(const std::string& path) const;
   std::string toCsvString() const;
+};
+
+// The test cases of one batch, each held once: either explicit specs, or
+// one base spec run under each seed of a list (a seeds campaign, which thus
+// keeps no spec per seed). A view, like std::span: the specs, base spec
+// and seeds it refers to must outlive it. It converts implicitly from a
+// vector or a braced list of specs, so a call such as evaluate({spec})
+// may pass a temporary, which lives until the call returns.
+class SpecBatch {
+ public:
+  SpecBatch(const std::vector<TestCaseSpec>& specs)  // NOLINT: implicit
+      : specs_(specs) {}
+  SpecBatch(std::initializer_list<TestCaseSpec> specs)  // NOLINT: implicit
+      : specs_(specs.begin(), specs.size()) {}
+  SpecBatch(const TestCaseSpec& base, const std::vector<uint64_t>& seeds)
+      : base_(&base), seeds_(seeds) {}
+
+  size_t size() const {
+    return base_ != nullptr ? seeds_.size() : specs_.size();
+  }
+  bool empty() const { return size() == 0; }
+
+  // Test case k's ports and default port. Its seed is seed(k), whatever
+  // the seed field of the stimulus holds.
+  const TestCaseSpec& stimulus(size_t k) const {
+    return base_ != nullptr ? *base_ : specs_[k];
+  }
+  uint64_t seed(size_t k) const {
+    return base_ != nullptr ? seeds_[k] : specs_[k].seed;
+  }
+
+  // Test case k whole: the explicit spec, or `scratch` holding the base
+  // spec under seed k. An empty scratch takes a copy of the base spec;
+  // after that only its seed changes.
+  const TestCaseSpec& spec(size_t k,
+                           std::optional<TestCaseSpec>& scratch) const;
+
+  // validate() on each stimulus: every explicit spec, or the base spec
+  // once.
+  void validate() const;
+
+  // Input iteration over the test cases, each whole: spec(k, scratch)
+  // with one scratch per pass.
+  class Iterator {
+   public:
+    Iterator(const SpecBatch* batch, size_t k) : batch_(batch), k_(k) {}
+    const TestCaseSpec& operator*() { return batch_->spec(k_, scratch_); }
+    Iterator& operator++() {
+      ++k_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return k_ != other.k_; }
+
+   private:
+    const SpecBatch* batch_;
+    size_t k_;
+    std::optional<TestCaseSpec> scratch_;
+  };
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size()}; }
+
+ private:
+  std::span<const TestCaseSpec> specs_;  // explicit specs, when base_ is null
+  const TestCaseSpec* base_ = nullptr;
+  std::span<const uint64_t> seeds_;
 };
 
 // The shortest text that parses back to exactly `v` (%.17g at worst): the

@@ -285,6 +285,66 @@ TEST(Campaign, SeedOverrideMatchesBakedSeed) {
   test::expectSameOutputs(baked, overridden, "seed override");
 }
 
+// A seeded batch is its base spec under each seed, held once. Iterating it
+// yields each spec whole; SSE and AccMoS evaluate and merge it exactly as
+// they do the explicit specs, at one worker and at three; and
+// AccMoSEngine::run(stimulus, seed) runs the seed it is given, not the
+// stimulus's own.
+TEST(Campaign, SeededBatchRunsLikeItsExplicitSpecs) {
+  auto model = buildBenchmarkModel("SPV");
+  Simulator sim(*model);
+  const TestCaseSpec base = benchStimulus("SPV");
+  const std::vector<uint64_t> seeds = {5, 17, 5, uint64_t{1} << 40, 3};
+  std::vector<TestCaseSpec> specs(seeds.size(), base);
+  for (size_t k = 0; k < seeds.size(); ++k) specs[k].seed = seeds[k];
+  const SpecBatch seeded(base, seeds);
+
+  ASSERT_EQ(seeded.size(), specs.size());
+  size_t k = 0;
+  for (const TestCaseSpec& s : seeded) {
+    EXPECT_EQ(serve::toJson(s).write(), serve::toJson(specs[k]).write());
+    EXPECT_EQ(&seeded.stimulus(k), &base);
+    EXPECT_EQ(seeded.seed(k), seeds[k]);
+    ++k;
+  }
+  EXPECT_EQ(k, seeds.size());
+
+  auto obs = [](const CampaignResult& cr) {
+    return serve::campaignObservations(cr).write();
+  };
+  for (Engine engine : {Engine::SSE, Engine::AccMoS}) {
+    for (size_t workers : {1, 3}) {
+      const std::string label = std::string(engineName(engine)) + " x" +
+                                std::to_string(workers);
+      SimOptions opt;
+      opt.engine = engine;
+      opt.maxSteps = 200;
+      opt.campaign.workers = workers;
+      EXPECT_EQ(obs(runCampaign(sim.flatModel(), opt, base, seeds)),
+                obs(runCampaignSpecs(sim.flatModel(), opt, specs)))
+          << label;
+      SpecEvaluator ev(sim.flatModel(), opt);
+      const std::vector<SimulationResult> got = ev.evaluate(seeded);
+      const std::vector<SimulationResult> want = ev.evaluate(specs);
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (size_t i = 0; i < got.size(); ++i) {
+        test::expectIdenticalResults(got[i], want[i],
+                                     label + " spec " + std::to_string(i));
+      }
+    }
+  }
+
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.maxSteps = 200;
+  AccMoSEngine engine(sim.flatModel(), opt, base);
+  TestCaseSpec otherSeed = base;
+  otherSeed.seed = 999;
+  test::expectIdenticalResults(engine.run(otherSeed, seeds[1]),
+                               engine.run(specs[1], specs[1].seed),
+                               "run(stimulus, seed)");
+}
+
 // Four threads call evaluate() on one evaluator at once, two at one
 // worker and two at four, on a model nothing has built (a private compile
 // cache). Each thread's results equal a sequential evaluation of its batch

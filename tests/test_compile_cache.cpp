@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,6 +169,55 @@ TEST_F(CompileCacheTest, TruncatedToZeroAlsoRecovers) {
   EXPECT_FALSE(recompiled.compileCacheHit());
   auto res = recompiled.run();
   EXPECT_EQ(res.stepsExecuted, opt.maxSteps);
+}
+
+// The sidecar is text anyone who can write the cache directory can
+// change, and verifyEntry reads it as "size hash". Seeded mutants of a real
+// sidecar (test::mutateOnce, 1-3 mutations each) must each end in a hit
+// exactly when the text still reads as the entry's size and hash, and
+// otherwise in a miss that compiles once; the run after it is whole.
+// Nothing may crash or hang.
+TEST_F(CompileCacheTest, MutatedSidecarsMissOrHitValidly) {
+  auto t = gainModel(2.0);
+  Simulator sim(t->model());
+  SimOptions opt = accOptions("-O0");
+  TestCaseSpec tests;
+  AccMoSEngine(sim.flatModel(), opt, tests);
+  fs::path meta;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".meta") meta = entry.path();
+  }
+  ASSERT_FALSE(meta.empty());
+  std::ifstream in(meta);
+  const std::string pristine((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  auto reads = [](const std::string& text) {
+    std::istringstream fields(text);
+    uint64_t size = 0;
+    std::string hash;
+    fields >> size >> hash;
+    return std::to_string(size) + " " + hash;
+  };
+
+  SplitMix64 rng(9);
+  size_t hits = 0;
+  size_t misses = 0;
+  for (int iter = 0; iter < 16; ++iter) {
+    std::string text = pristine;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      text = test::mutateOnce(std::move(text), rng);
+    }
+    std::ofstream(meta, std::ios::trunc) << text;
+    const uint64_t before = CompilerDriver::compilerInvocations();
+    AccMoSEngine engine(sim.flatModel(), opt, tests);
+    const bool intact = reads(text) == reads(pristine);
+    EXPECT_EQ(engine.compileCacheHit(), intact) << "iteration " << iter;
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - before, intact ? 0u : 1u)
+        << "iteration " << iter;
+    EXPECT_EQ(engine.run().stepsExecuted, opt.maxSteps) << "iteration " << iter;
+    ++(intact ? hits : misses);
+  }
+  EXPECT_GT(misses, 0u);
 }
 
 // A cache directory that cannot be used costs no wait. Below a regular

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "bench_models/suite.h"
+#include "opt/pipeline.h"
 #include "parser/model_io.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -862,6 +863,342 @@ TEST(Protocol, HelloAndServiceCodecsRoundTrip) {
   }
 }
 
+// ---- Request envelopes -------------------------------------------------
+// The run and campaign requests ServeClient writes, byte for byte: "op",
+// the model text, the options, and the run's spec or the campaign's
+// specs, for a CSEV model under fixed options and two specs with ranges
+// and a sequence. A real daemon answers the golden text, and the same
+// request with its keys in another order, with what local execution of
+// the request observes.
+
+SimOptions envelopeOptions() {
+  SimOptions o;
+  o.engine = Engine::SSE;
+  o.maxSteps = 300;
+  o.optFlag = "-O2";
+  o.campaign.workers = 2;
+  return o;
+}
+
+TestCaseSpec envelopeSecondSpec() {
+  TestCaseSpec s;
+  s.seed = 7;
+  s.ports.resize(1);
+  s.ports[0].sequence = {1.5, -0.5};
+  s.defaultPort.min = -3.0;
+  s.defaultPort.max = 3.0;
+  return s;
+}
+
+const std::string kGoldenEnvelopeOptions =
+    R"({"engine":"SSE","maxSteps":300,"timeBudgetSec":0.0,)"
+    R"("stopOnDiagnostic":false,"runTimeoutSec":0.0,"coverage":true,)"
+    R"("diagnosis":true,"collectList":[],"customDiagnostics":[],)"
+    R"("optFlag":"-O2","workers":2})";
+const std::string kGoldenSecondSpec =
+    R"({"seed":7,"ports":[{"min":0.0,"max":1.0,"sequence":[1.5,-0.5]}],)"
+    R"("defaultPort":{"min":-3.0,"max":3.0,"sequence":[]}})";
+
+std::string goldenRunRequest(const std::string& modelJson) {
+  return R"({"op":"run","model":)" + modelJson + R"(,"options":)" +
+         kGoldenEnvelopeOptions + R"(,"spec":)" + kGoldenSpec + "}";
+}
+
+std::string goldenCampaignRequest(const std::string& modelJson) {
+  return R"({"op":"campaign","model":)" + modelJson + R"(,"options":)" +
+         kGoldenEnvelopeOptions + R"(,"specs":[)" + kGoldenSpec + "," +
+         kGoldenSecondSpec + "]}";
+}
+
+// The frames a ServeClient on `sock` sends after its hello. A stand-in
+// daemon answers the hello, then request k with answers[k].
+template <class Talk>
+std::vector<std::string> sentRequests(const std::string& sock,
+                                      const std::vector<std::string>& answers,
+                                      Talk talk) {
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(sock.c_str());
+  EXPECT_EQ(
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_EQ(::listen(listener, 1), 0);
+  std::vector<std::string> sent;
+  std::thread standIn([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    try {
+      std::string text;
+      if (fd < 0 || !serve::readFrame(fd, &text)) {
+        throw ProtocolError("no hello arrived");
+      }
+      serve::writeFrame(fd, kGoldenHelloAnswer);
+      for (const std::string& answer : answers) {
+        if (!serve::readFrame(fd, &text)) break;
+        sent.push_back(text);
+        serve::writeFrame(fd, answer);
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "stand-in daemon: " << e.what();
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  try {
+    serve::ServeClient cl(sock);
+    talk(cl);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "client: " << e.what();
+  }
+  standIn.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+  return sent;
+}
+
+// A run's observations: its result text without the timing fields.
+std::string runObservations(SimulationResult r) {
+  r.execSeconds = r.generateSeconds = r.compileSeconds = r.loadSeconds = 0.0;
+  return serve::toJson(r).write();
+}
+
+TEST(Protocol, RequestEnvelopeTextIsGolden) {
+  const auto csev = buildBenchmarkModel("CSEV");
+  const std::string xml = writeModelToString(*csev);
+  const std::string modelJson = Json::str(xml).write();
+  const SimOptions opt = envelopeOptions();
+  const std::vector<TestCaseSpec> specs = {goldenSpec(),
+                                           envelopeSecondSpec()};
+  const std::string sock = (std::filesystem::temp_directory_path() /
+                            ("accmos_envelope_" + std::to_string(::getpid()) +
+                             ".sock"))
+                               .string();
+
+  const std::vector<std::string> sent = sentRequests(
+      sock,
+      {R"({"ok":true,"op":"run","result":)" + kGoldenRun + "}",
+       R"({"ok":true,"op":"campaign","result":)" + kGoldenCampaign + "}"},
+      [&](serve::ServeClient& cl) {
+        EXPECT_EQ(serve::toJson(cl.run(xml, opt, specs[0])).write(),
+                  kGoldenRun);
+        EXPECT_EQ(serve::toJson(cl.campaign(xml, opt, specs)).write(),
+                  kGoldenCampaign);
+      });
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0], goldenRunRequest(modelJson));
+  EXPECT_EQ(sent[1], goldenCampaignRequest(modelJson));
+
+  // The daemon's side: the golden texts, and the same requests with their
+  // keys in another order, answer what local execution observes.
+  const std::string reorderedRun =
+      R"({"spec":)" + kGoldenSpec + R"(,"options":)" + kGoldenEnvelopeOptions +
+      R"(,"model":)" + modelJson + R"(,"op":"run"})";
+  const std::string reorderedCampaign =
+      R"({"specs":[)" + kGoldenSpec + "," + kGoldenSecondSpec +
+      R"(],"model":)" + modelJson + R"(,"op":"campaign","options":)" +
+      kGoldenEnvelopeOptions + "}";
+  Simulator sim(*csev);
+  OptStats optStats;
+  const FlatModel model = optimizeModel(sim.flatModel(), opt, &optStats);
+  SimulationResult localRun = SpecEvaluator(model, opt).evaluate(
+      std::vector<TestCaseSpec>{specs[0]})[0];
+  localRun.optStats = optStats;
+  const std::string localCampaign = serve::campaignObservations(
+      runCampaignSpecs(sim.flatModel(), opt, specs)).write();
+
+  serve::ServeOptions so;
+  so.socketPath = sock;
+  so.requestWorkers = 1;
+  test::DaemonRunner dr(so);
+  const int fd = connectUnix(sock);
+  ASSERT_GE(fd, 0);
+  std::string text;
+  serve::writeFrame(fd, kGoldenHello);
+  ASSERT_TRUE(serve::readFrame(fd, &text));
+  for (const std::string& req :
+       {goldenRunRequest(modelJson), reorderedRun}) {
+    serve::writeFrame(fd, req);
+    ASSERT_TRUE(serve::readFrame(fd, &text));
+    const Json resp = parseJson(text);
+    ASSERT_TRUE(resp.at("ok", "$").asBool("$.ok")) << text;
+    EXPECT_EQ(runObservations(serve::simResultFromJson(
+                  resp.at("result", "$"), "$.result")),
+              runObservations(localRun));
+  }
+  for (const std::string& req :
+       {goldenCampaignRequest(modelJson), reorderedCampaign}) {
+    serve::writeFrame(fd, req);
+    ASSERT_TRUE(serve::readFrame(fd, &text));
+    const Json resp = parseJson(text);
+    ASSERT_TRUE(resp.at("ok", "$").asBool("$.ok")) << text;
+    EXPECT_EQ(serve::campaignObservations(serve::campaignResultFromJson(
+                                              resp.at("result", "$"),
+                                              "$.result"))
+                  .write(),
+              localCampaign);
+  }
+  ::close(fd);
+}
+
+// The daemon's reader of request frames against the golden envelopes:
+// decoding a golden text and encoding it again gives the text back, in
+// whatever order its keys came. A seeded batch sends the text of its
+// explicit specs. A missing key, a wrong kind and a repeated key read as
+// the DOM decoder reads them.
+TEST(Protocol, RequestEnvelopeDecodesToItsText) {
+  const std::string model = "<model name=\"T\"/>";
+  const std::string modelJson = Json::str(model).write();
+  const std::string runText = goldenRunRequest(modelJson);
+  const std::string campaignText = goldenCampaignRequest(modelJson);
+  const std::string runBody = R"("options":)" + kGoldenEnvelopeOptions +
+                              R"(,"spec":)" + kGoldenSpec;
+  const std::string specsBody =
+      R"("specs":[)" + kGoldenSpec + "," + kGoldenSecondSpec + "]";
+
+  auto runAgain = [](const serve::Request& q) {
+    return serve::runRequestText(q.run.model, q.run.options, q.run.spec);
+  };
+  auto campaignAgain = [](const serve::Request& q) {
+    return serve::campaignRequestText(q.campaign.model, q.campaign.options,
+                                      q.campaign.specs);
+  };
+  EXPECT_EQ(runAgain(serve::requestFromText(runText)), runText);
+  EXPECT_EQ(campaignAgain(serve::requestFromText(campaignText)),
+            campaignText);
+  const serve::Request reorderedRun = serve::requestFromText(
+      "{" + runBody + R"(,"model":)" + modelJson + R"(,"op":"run"})");
+  EXPECT_EQ(reorderedRun.op, "run");
+  EXPECT_EQ(runAgain(reorderedRun), runText);
+  const serve::Request reorderedCampaign = serve::requestFromText(
+      "{" + specsBody + R"(,"model":)" + modelJson + R"(,"options":)" +
+      kGoldenEnvelopeOptions + R"(,"op":"campaign"})");
+  EXPECT_EQ(reorderedCampaign.op, "campaign");
+  EXPECT_EQ(campaignAgain(reorderedCampaign), campaignText);
+  EXPECT_EQ(serve::requestFromText(R"({"op":"stats"})").op, "stats");
+
+  // One base spec under two seeds writes the same text as the two specs.
+  const TestCaseSpec base = goldenSpec();
+  const std::vector<uint64_t> seeds = {1037, 7};
+  std::vector<TestCaseSpec> explicitSpecs = {base, base};
+  explicitSpecs[1].seed = 7;
+  EXPECT_EQ(serve::campaignRequestText(model, envelopeOptions(),
+                                       SpecBatch(base, seeds)),
+            serve::campaignRequestText(model, envelopeOptions(),
+                                       explicitSpecs));
+
+  // A repeated key's last value wins, streamed or not.
+  const serve::Request repeated = serve::requestFromText(
+      R"({"op":"campaign","specs":[)" + kGoldenSecondSpec +
+      R"(],"model":"x","model":)" + modelJson + R"(,"options":)" +
+      kGoldenEnvelopeOptions + "," + specsBody + "}");
+  EXPECT_EQ(campaignAgain(repeated), campaignText);
+
+  auto errorOf = [](const std::string& text) -> std::string {
+    try {
+      serve::requestFromText(text);
+    } catch (const JsonError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(errorOf(R"({"op":"run",)" + runBody + "}"),
+            "$: missing key 'model'");
+  EXPECT_EQ(errorOf(R"({"model":"x",)" + runBody + "}"),
+            "$: missing key 'op'");
+  EXPECT_EQ(errorOf(R"({"op":"campaign","model":"x","options":)" +
+                    kGoldenEnvelopeOptions + "}"),
+            "$: missing key 'specs'");
+  EXPECT_EQ(errorOf(R"({"op":"campaign","model":"x","options":)" +
+                    kGoldenEnvelopeOptions + R"(,"specs":7})"),
+            "$.specs: expected array, got number");
+  std::string noMin = R"({"seed":1,"ports":[{"min":0.0,"max":1.0,)"
+                      R"("sequence":[]},{"max":1.0,"sequence":[]}],)"
+                      R"("defaultPort":{"min":0.0,"max":1.0,"sequence":[]}})";
+  EXPECT_EQ(errorOf(R"({"op":"campaign","model":"x","options":)" +
+                    kGoldenEnvelopeOptions + R"(,"specs":[)" + kGoldenSpec +
+                    "," + kGoldenSpec + "," + kGoldenSpec + "," + noMin +
+                    "]}"),
+            "$.specs[3].ports[1]: missing key 'min'");
+  EXPECT_EQ(errorOf("[]"), "$: expected object, got array");
+  const std::string cut = campaignText.substr(0, campaignText.size() - 9);
+  std::string parseError = "no error";
+  try {
+    parseJson(cut);
+  } catch (const JsonError& e) {
+    parseError = e.what();
+  }
+  EXPECT_NE(parseError.find("json parse error at line 1, byte "),
+            std::string::npos);
+  EXPECT_EQ(errorOf(cut), parseError);
+}
+
+// The reader and the DOM parser are one grammar: every document parses to
+// the same DOM through both, and every malformed one fails with the same
+// line/byte error.
+TEST(Protocol, ReaderAndParseJsonAgree) {
+  const std::vector<std::string> texts = {
+      R"({"a":[1,-2,3.5,"x\n\"y",true,null,{}],"b":{"c":[]}})",
+      "  [ 1 ,\n 2 ]\n",
+      "{\n  \"a\": tru\n}",
+      R"({"a":1,})",
+      R"([1 2])",
+      R"({"a" 1})",
+      R"("é\/\t")",
+      R"("unterminated)",
+      R"(-)",
+      R"(1e999)",
+      R"(18446744073709551616)",
+      R"(-9223372036854775809)",
+      std::string(70, '[') + std::string(70, ']'),
+  };
+  for (const std::string& text : texts) {
+    std::string dom;
+    std::string streamed;
+    try {
+      dom = parseJson(text).write();
+    } catch (const JsonError& e) {
+      dom = e.what();
+    }
+    try {
+      serve::JsonReader r(text);
+      Json out = Json::array();
+      if (r.peek() == '[') {
+        if (r.beginArray()) {
+          do {
+            out.push(r.value());
+          } while (r.nextElement());
+        }
+      } else {
+        out = r.object([](const std::string&) { return false; });
+      }
+      r.finish();
+      streamed = out.write();
+    } catch (const JsonError& e) {
+      streamed = e.what();
+    }
+    EXPECT_EQ(streamed, dom) << text;
+  }
+}
+
+// A double converts to an integer field only inside the field's range; the
+// conversion of one outside it is undefined, so it must be refused first.
+TEST(Protocol, OutOfRangeDoublesIntoIntegerFieldsFailTyped) {
+  for (const char* literal :
+       {"1e300", "-1.5", "18446744073709551616.0", "-9.3e18"}) {
+    const Json v = parseJson(literal);
+    EXPECT_THROW(v.asU64("$"), JsonError) << literal;
+    EXPECT_THROW(v.asI64("$"), JsonError) << literal;
+    Json spec = serve::toJson(TestCaseSpec{});
+    spec.set("seed", parseJson(literal));
+    EXPECT_THROW(serve::specFromJson(spec, "$"), JsonError) << literal;
+    Json diag = serve::toJson(DiagRecord{});
+    diag.set("actorId", parseJson(literal));
+    EXPECT_THROW(serve::diagFromJson(diag, "$"), JsonError) << literal;
+  }
+  EXPECT_EQ(parseJson("1e19").asU64("$"), UINT64_C(10000000000000000000));
+  EXPECT_EQ(parseJson("-9.2e18").asI64("$"), INT64_C(-9200000000000000000));
+}
+
 // An int field takes only an int: a wider integer is a JsonError naming
 // its path, never a silent narrowing. Errors inside arrays name the
 // element.
@@ -1072,6 +1409,67 @@ TEST(Protocol, MutatedPayloadsDecodeOrFailTyped) {
     fuzzDecoder(serve::toJson(d).write(), 4,
                 [](const Json& j) { serve::shardDoneFromJson(j, "$"); });
   }
+}
+
+// The decoders that read one element at a time, on mutated payloads: a
+// campaign result read row by row ends exactly as its DOM decode does (the
+// same result text, or a typed error on both), and a campaign request
+// frame as the daemon reads it ends in a request or a typed error.
+TEST(Protocol, MutatedPayloadsReadOneElementAtATime) {
+  test::Tiny t;
+  addGainModel(t);
+  SimOptions sse;
+  sse.maxSteps = 50;
+  CampaignResult cr =
+      runCampaign(t.flatten(), sse, TestCaseSpec{}, {1, 2, 3});
+  cr.failures.push_back(
+      {FailureKind::Crash, 1074, 1, 11, 0, "dlopen", "SIGSEGV in step 17"});
+  const std::string result = serve::toJson(cr).write();
+  const std::vector<TestCaseSpec> specs = {goldenSpec(), envelopeSecondSpec(),
+                                           goldenSpec()};
+  const std::string request =
+      serve::campaignRequestText("<model/>", envelopeOptions(), specs);
+
+  SplitMix64 rng(6);
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const bool isResult = iter % 2 == 0;
+    std::string text = isResult ? result : request;
+    for (uint64_t k = rng.next() % 3 + 1; k > 0; --k) {
+      text = test::mutateOnce(std::move(text), rng);
+    }
+    if (isResult) {
+      std::string dom;
+      std::string streamed;
+      try {
+        dom = serve::toJson(
+                  serve::campaignResultFromJson(parseJson(text), "$"))
+                  .write();
+      } catch (const ModelError&) {
+        dom = "typed error";
+      }
+      try {
+        serve::JsonReader r(text);
+        const CampaignResult got = serve::campaignResultFromReader(r, "$");
+        r.finish();
+        streamed = serve::toJson(got).write();
+      } catch (const ModelError&) {
+        streamed = "typed error";
+      }
+      EXPECT_EQ(streamed, dom) << "iteration " << iter;
+      ++(streamed == "typed error" ? rejected : decoded);
+      continue;
+    }
+    try {
+      serve::requestFromText(text);
+      ++decoded;
+    } catch (const ModelError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // One frame as it travels: a 4-byte big-endian length, then the payload.

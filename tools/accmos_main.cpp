@@ -897,17 +897,15 @@ int cmdClientCampaign(const std::string& socketPath, const std::string& path,
   LoadedModel loaded = loadModelCli(path);
   TestCaseSpec base = loaded.stimulus.value_or(TestCaseSpec{});
 
-  // The exact spec batch runCampaign() would build locally, so the daemon
-  // merge is bit-identical to `accmos campaign` on the same flags.
-  std::vector<TestCaseSpec> specs;
-  for (uint64_t seed : campaignSeeds(ca.numSeeds)) {
-    specs.push_back(base);
-    specs.back().seed = seed;
-  }
+  // The batch runCampaign() runs locally, the base spec under each seed,
+  // so the daemon merge is bit-identical to `accmos campaign` on the same
+  // flags.
+  const std::vector<uint64_t> seeds = campaignSeeds(ca.numSeeds);
 
   serve::ServeClient client(socketPath);
   serve::ServiceMeta meta;
-  CampaignResult cr = client.campaign(text, ca.opt, specs, &meta);
+  CampaignResult cr =
+      client.campaign(text, ca.opt, SpecBatch(base, seeds), &meta);
   int code = printCampaign(cr, ca.opt, ca.numSeeds);
   printServiceLine(meta);
   if (ca.showUncovered) {
