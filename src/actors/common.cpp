@@ -131,7 +131,13 @@ std::string storeOutSat(EmitContext& ctx, const std::string& idx,
 }
 
 void beginElemLoop(EmitContext& ctx, int width) {
-  ctx.line("for (int i = 0; i < " + std::to_string(width) + "; ++i) {");
+  // A one-pass loop costs the compiler a loop to analyze and peel; the
+  // bodies use neither break nor continue, so a block computes the same.
+  if (width == 1) {
+    ctx.line("{ const int i = 0;");
+  } else {
+    ctx.line("for (int i = 0; i < " + std::to_string(width) + "; ++i) {");
+  }
 }
 
 void endElemLoop(EmitContext& ctx) { ctx.line("}"); }

@@ -118,7 +118,8 @@ std::string storeOutSat(EmitContext& ctx, const std::string& idx,
                         const std::string& expr, const EmitFlags& flags,
                         bool sat);
 
-// Emits `for (int i = 0; i < width; ++i) {`.
+// Emits `for (int i = 0; i < width; ++i) {`, or `{ const int i = 0;` when
+// width is 1: element bodies must not use break or continue.
 void beginElemLoop(EmitContext& ctx, int width);
 void endElemLoop(EmitContext& ctx);
 

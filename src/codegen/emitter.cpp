@@ -1,5 +1,6 @@
 #include "codegen/emitter.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "actors/common.h"
@@ -268,7 +269,10 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
     member("uint64_t", "tc_len_" + n, "", "");
     member("uint64_t", "tc_pos_" + n, "", "");
   }
-  // Coverage bitmaps.
+  // Coverage bitmaps, declared bool: a store through uint8_t, a char type,
+  // may alias every member, which slows GCC's alias analysis of the step.
+  // accmos_run copies out the same 0/1 bytes (the preamble asserts
+  // sizeof(bool) == 1).
   if (covPlan_ != nullptr) {
     const std::pair<const char*, CovMetric> maps[] = {
         {"accmos_cov_actor", CovMetric::Actor},
@@ -276,7 +280,7 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
         {"accmos_cov_dec", CovMetric::Decision},
         {"accmos_cov_mcdc", CovMetric::MCDC}};
     for (const auto& [name, metric] : maps) {
-      member("uint8_t", name,
+      member("bool", name,
              "[" + std::to_string(std::max(1, covPlan_->totalSlots(metric))) +
                  "]",
              "");
@@ -452,7 +456,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
      << "    Model_Init(seed, ports);\n"
      << "    int stopped = 0;\n"
      << "    *timedOut = 0;\n"
-     << "    auto t0 = std::chrono::steady_clock::now();\n"
+     << "    const int64_t t0 = accmos_now_ns();\n"
      << "    uint64_t step = 0;\n"
      << "    for (; step < maxSteps; ++step) {\n";
   if (faults_.hang.armed) {
@@ -476,16 +480,13 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
     os << "      if (accmos_diag_fired) { ++step; stopped = 1; break; }\n";
   }
   os << "      if (budget > 0.0 && (step & 1023) == 1023 &&\n"
-     << "          std::chrono::duration<double>(std::chrono::steady_clock"
-        "::now() - t0).count() >= budget) { ++step; break; }\n"
+     << "          (double)(accmos_now_ns() - t0) / 1e9 >= budget) "
+        "{ ++step; break; }\n"
      << "      if (deadline > 0.0 && (step & 255) == 255 &&\n"
      << "          accmos_now_s() >= deadline) { ++step; *timedOut = 1; "
         "break; }\n"
      << "    }\n"
-     << "    auto t1 = std::chrono::steady_clock::now();\n"
-     << "    *execNs = (unsigned long long)\n"
-     << "        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - "
-        "t0).count();\n"
+     << "    *execNs = (unsigned long long)(accmos_now_ns() - t0);\n"
      << "    *stoppedEarly = stopped;\n"
      << "    return step;\n"
      << "  }\n";
@@ -646,8 +647,11 @@ void Emitter::emitAbi(std::ostringstream& os) {
           "return ACCMOS_ABI_EARG;\n";
   }
   emitResultChecks(os);
-  os << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
-     << "  if (!M) return ACCMOS_ABI_EALLOC;\n"
+  // `new accmos_model()` value-initializes: every member starts at zero.
+  // Catching the failed allocation needs no <new>.
+  os << "  accmos_model* M = 0;\n"
+     << "  try { M = new accmos_model(); } "
+        "catch (...) { return ACCMOS_ABI_EALLOC; }\n"
      << "  int stopped = 0;\n"
      << "  unsigned long long ns = 0;\n"
      << "  int timedOut = 0;\n"
@@ -717,6 +721,17 @@ std::string Emitter::generate() {
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   os << runtimePreamble();
+  // The preamble includes C headers only. An armed crash fault calls
+  // raise(), and a cppCondition may use <cmath> names.
+  if (faults_.crash.armed) os << "#include <signal.h>\n";
+  if (std::any_of(opt_.customDiagnostics.begin(),
+                  opt_.customDiagnostics.end(),
+                  [](const CustomDiagnostic& cd) {
+                    return cd.kind == CustomDiagnostic::Kind::Expression &&
+                           !cd.cppCondition.empty();
+                  })) {
+    os << "#include <cmath>\n";
+  }
   os << runtimeCoreText();
   os << runAbiText();
   // The anonymous namespace is load-bearing: it gives the struct (and the

@@ -5,25 +5,60 @@ namespace accmos {
 std::string_view runtimePreamble() {
   static constexpr std::string_view kPreamble = R"RT(
 // ---- AccMoS generated simulation runtime ---------------------------------
-#include <chrono>
-#include <cmath>
-#include <csignal>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <new>
+// Generated code parses no C++ standard header: two C headers, and below
+// them the C library functions it may call.
+#include <stdint.h>
+#include <time.h>
+
+// The coverage bitmaps are bool arrays, copied out byte for byte.
+static_assert(sizeof(bool) == 1, "bool must be one byte");
+
+// Every C library function emitted code may call, declared as glibc
+// declares it (extern "C", noexcept), so a <cmath> included after this
+// point redeclares the same functions: the Trigonometry, Math and Rounding
+// ops, SineWave's sin, Abs's fabs, Sqrt's sqrt, and memcpy.
+extern "C" {
+double sin(double) noexcept;
+double cos(double) noexcept;
+double tan(double) noexcept;
+double asin(double) noexcept;
+double acos(double) noexcept;
+double atan(double) noexcept;
+double atan2(double, double) noexcept;
+double sinh(double) noexcept;
+double cosh(double) noexcept;
+double tanh(double) noexcept;
+double exp(double) noexcept;
+double log(double) noexcept;
+double log10(double) noexcept;
+double sqrt(double) noexcept;
+double pow(double, double) noexcept;
+double hypot(double, double) noexcept;
+double fmod(double, double) noexcept;
+double floor(double) noexcept;
+double ceil(double) noexcept;
+double trunc(double) noexcept;
+double nearbyint(double) noexcept;
+double fabs(double) noexcept;
+void* memcpy(void*, const void*, size_t) noexcept;
+}
 
 static inline int accmos_isfinite(double v) { return v - v == 0.0; }
 
+// Nanoseconds on CLOCK_MONOTONIC, the clock the host's
+// std::chrono::steady_clock reads.
+static inline int64_t accmos_now_ns(void) {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000LL + (int64_t)ts.tv_nsec;
+}
+
 // Deadline clock: absolute seconds on the SAME monotonic clock the host
-// reads (std::chrono::steady_clock), so an AccmosRunArgs::deadlineSeconds
-// computed host-side compares directly in the generated step loop.
+// reads, converted as std::chrono::duration<double> converts, so an
+// AccmosRunArgs::deadlineSeconds computed host-side compares directly in
+// the generated step loop.
 static inline double accmos_now_s(void) {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  return (double)accmos_now_ns() / 1e9;
 }
 
 // Cooperative pause used by injected hangs (ACCMOS_FAULT=hang...): spin

@@ -1,7 +1,8 @@
 // The text every generated simulation program begins with: the runtime
-// preamble (standard headers and the finiteness, deadline, pause and
-// value-packing helpers only generated code needs), then the runtime core,
-// then the run ABI.
+// preamble (<stdint.h>, <time.h>, the declarations of the C functions
+// emitted code calls, and the finiteness, clock, pause and value-packing
+// helpers only generated code needs), then the runtime core, then the run
+// ABI.
 #pragma once
 
 #include <string_view>

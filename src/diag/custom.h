@@ -36,8 +36,10 @@ struct CustomDiagnostic {
   std::function<bool(double cur, double prev, uint64_t step)> callback;
 
   // Expression (generated code): a C++ boolean expression over the
-  // variables `cur`, `prev` (double) and `step` (uint64_t). When empty the
-  // generated code skips this check.
+  // variables `cur`, `prev` (double) and `step` (uint64_t). Beyond those
+  // it may use the names of <cmath> (`std::fabs`, `sqrt`, ...): the
+  // generated source includes <cmath> for it, and no other C++ header.
+  // When empty the generated code skips this check.
   std::string cppCondition;
 };
 

@@ -14,6 +14,7 @@
 // on exact values and folds the result into the output type.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "ir/arith_core.h"

@@ -9,8 +9,9 @@
 // definition. Rules for editing it:
 //  - self-contained C++17 (generated code is compiled as C++17, the host
 //    as C++20), with an #ifndef guard: #pragma once warns in a main file;
-//  - it includes only <cmath> and <cstdint>, which the preamble includes
-//    anyway;
+//  - it includes only <stdint.h> and declares the two C library functions
+//    it calls itself, as glibc declares them (extern "C", noexcept), so
+//    generated code parses no C++ header and the host's <cmath> agrees;
 //  - only static inline, accmos_-prefixed free functions and templates on
 //    the C++ storage type T (bool, int8_t ... uint64_t): no host types;
 //  - every local is initialized where it is declared, so generated code
@@ -18,8 +19,12 @@
 #ifndef ACCMOS_ARITH_CORE_H_
 #define ACCMOS_ARITH_CORE_H_
 
-#include <cmath>
-#include <cstdint>
+#include <stdint.h>
+
+extern "C" {
+double nearbyint(double) noexcept;
+double fmod(double, double) noexcept;
+}
 
 // One stored value. `value` is what T holds, widened exactly; `wrapped`
 // says it differs from the exact input (a wrap, or a clamp when

@@ -17,6 +17,8 @@ class Simulator {
   // Preprocesses (flattens, schedules, validates) the model once; the
   // Model must outlive the Simulator.
   explicit Simulator(const Model& model);
+  // The flat model points into `model`, so a temporary would dangle.
+  Simulator(Model&&) = delete;
 
   const FlatModel& flatModel() const { return fm_; }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "bench_models/sample_overflow.h"
 #include "codegen/accmos_engine.h"
@@ -123,6 +124,136 @@ TEST(Codegen, EmbedsTheRuntimeCoreVerbatimOnce) {
     EXPECT_EQ(n.rfind("accmos_", 0), 0u) << n;
     EXPECT_EQ(preamble.find(n), std::string::npos) << n;
   }
+}
+
+// ---- Header-free generated code --------------------------------------------
+//
+// Generated code parses no C++ standard header: the preamble includes
+// <stdint.h> and <time.h> and declares the C functions emitted code calls.
+
+std::string sourceFor(const Model& model, const SimOptions& opt) {
+  Simulator sim(model);
+  return AccMoSEngine::generate(sim.flatModel(), opt, TestCaseSpec{}).source;
+}
+
+// The distinct `#include` lines of `src`, sorted.
+std::vector<std::string> includeLines(const std::string& src) {
+  std::vector<std::string> lines;
+  std::istringstream in(src);
+  for (std::string l; std::getline(in, l);) {
+    if (l.rfind("#include", 0) == 0) lines.push_back(l);
+  }
+  std::sort(lines.begin(), lines.end());
+  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+  return lines;
+}
+
+TEST(HeaderFree, InstrumentedModelIncludesTwoCHeaders) {
+  test::EnvGuard fault("ACCMOS_FAULT", nullptr);
+  Tiny t = mixedModel();
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  opt.collectList = {"Mixed_Add"};
+  opt.customDiagnostics = {suddenChangeDiagnostic("Mixed_Sw", "jump", 0.4)};
+  const std::string src = sourceFor(t.model(), opt);
+  ASSERT_NE(src.find("accmos_cov_actor["), std::string::npos);
+  ASSERT_NE(src.find("diagnose_"), std::string::npos);
+  EXPECT_EQ(includeLines(src),
+            (std::vector<std::string>{"#include <stdint.h>",
+                                      "#include <time.h>"}));
+}
+
+TEST(HeaderFree, SignalHeaderOnlyWhenACrashIsArmed) {
+  Tiny t = mixedModel();
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  {
+    test::EnvGuard fault("ACCMOS_FAULT", nullptr);
+    EXPECT_EQ(sourceFor(t.model(), opt).find("<signal.h>"),
+              std::string::npos);
+  }
+  test::EnvGuard fault("ACCMOS_FAULT", "crash@5");
+  const std::string src = sourceFor(t.model(), opt);
+  EXPECT_NE(src.find("#include <signal.h>\n"), std::string::npos);
+  EXPECT_NE(src.find("raise(SIGSEGV)"), std::string::npos);
+}
+
+// A cppCondition may use <cmath> names: the emitter includes <cmath> for
+// it, and the snippet reports what the same SuddenChange check reports on
+// SSE.
+TEST(HeaderFree, CppConditionUsesCmath) {
+  test::EnvGuard fault("ACCMOS_FAULT", nullptr);
+  Tiny t = mixedModel();
+  TestCaseSpec tests;
+  tests.seed = 5;
+  tests.defaultPort.min = -2.0;
+  tests.defaultPort.max = 2.0;
+  SimOptions opt;
+  opt.maxSteps = 300;
+  opt.engine = Engine::SSE;
+  opt.customDiagnostics = {suddenChangeDiagnostic("Mixed_Sw", "jump", 1.0)};
+  const SimulationResult sse = simulate(t.model(), opt, tests);
+
+  CustomDiagnostic cd;
+  cd.actorPath = "Mixed_Sw";
+  cd.name = "jump";
+  cd.kind = CustomDiagnostic::Kind::Expression;
+  cd.cppCondition = "step > 0 && std::fabs(cur - prev) > 1.0";
+  opt.engine = Engine::AccMoS;
+  opt.customDiagnostics = {cd};
+  EXPECT_EQ(includeLines(sourceFor(t.model(), opt)),
+            (std::vector<std::string>{"#include <cmath>",
+                                      "#include <stdint.h>",
+                                      "#include <time.h>"}));
+  const SimulationResult acc = simulate(t.model(), opt, tests);
+
+  const DiagRecord* sseCd = sse.findDiag("Mixed_Sw", DiagKind::Custom);
+  const DiagRecord* accCd = acc.findDiag("Mixed_Sw", DiagKind::Custom);
+  ASSERT_NE(sseCd, nullptr);
+  ASSERT_NE(accCd, nullptr);
+  EXPECT_GT(sseCd->count, 0u);
+  EXPECT_EQ(sseCd->firstStep, accCd->firstStep);
+  EXPECT_EQ(sseCd->count, accCd->count);
+  test::expectSameOutputs(sse, acc, "cppCondition");
+}
+
+// A width-1 actor's element code is a block, and a wider one's a loop.
+TEST(HeaderFree, WidthOneActorsEmitNoLoop) {
+  for (int width : {1, 3}) {
+    Tiny t("W");
+    t.inport("In1", 1).setWidth(width);
+    Actor& g = t.actor("G", "Gain");
+    g.params().setDouble("gain", 0.5);
+    g.setWidth(width);
+    t.outport("Out1", 1);
+    t.wire("In1", "G");
+    t.wire("G", "Out1");
+    SimOptions opt;
+    opt.engine = Engine::AccMoS;
+    const std::string src = sourceFor(t.model(), opt);
+    const size_t at = src.find("// -- W_G (Gain)");
+    ASSERT_NE(at, std::string::npos);
+    const std::string body = src.substr(at, src.find("// --", at + 1) - at);
+    EXPECT_EQ(body.find("for (") != std::string::npos, width > 1) << body;
+    EXPECT_EQ(body.find("{ const int i = 0;") != std::string::npos,
+              width == 1)
+        << body;
+  }
+}
+
+// Coverage bitmaps are bool: a store through uint8_t, a char type, may
+// alias every member of the model state.
+TEST(HeaderFree, CoverageBitmapsAreBool) {
+  Tiny t = mixedModel();
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  const std::string src = sourceFor(t.model(), opt);
+  for (const char* map : {"accmos_cov_actor", "accmos_cov_cond",
+                          "accmos_cov_dec", "accmos_cov_mcdc"}) {
+    EXPECT_NE(src.find(std::string("  bool ") + map + "["), std::string::npos)
+        << map;
+  }
+  EXPECT_EQ(src.find("uint8_t accmos_cov_"), std::string::npos);
 }
 
 // The stimulus is run data: the emitted source, and so the compiled

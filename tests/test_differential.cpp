@@ -127,6 +127,8 @@ std::vector<TypeCase> typeCases() {
   unary("Sqrt", "Sqrt");
   unary("MathExp", "Math", [](Actor& a) { a.params().set("op", "exp"); });
   unary("MathLog", "Math", [](Actor& a) { a.params().set("op", "log"); });
+  unary("MathLog10", "Math", [](Actor& a) { a.params().set("op", "log10"); });
+  unary("MathSqrt", "Math", [](Actor& a) { a.params().set("op", "sqrt"); });
   unary("MathSquare", "Math",
         [](Actor& a) { a.params().set("op", "square"); });
   unary("MathRecip", "Math",
@@ -135,9 +137,27 @@ std::vector<TypeCase> typeCases() {
         [](Actor& a) { a.params().set("op", "sin"); });
   unary("TrigTanh", "Trigonometry",
         [](Actor& a) { a.params().set("op", "tanh"); });
+  unary("TrigCos", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "cos"); });
+  unary("TrigTan", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "tan"); });
+  unary("TrigAsin", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "asin"); });
+  unary("TrigAcos", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "acos"); });
+  unary("TrigAtan", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "atan"); });
+  unary("TrigSinh", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "sinh"); });
+  unary("TrigCosh", "Trigonometry",
+        [](Actor& a) { a.params().set("op", "cosh"); });
   unary("RoundFloor", "Rounding",
         [](Actor& a) { a.params().set("op", "floor"); });
   unary("RoundFix", "Rounding", [](Actor& a) { a.params().set("op", "fix"); });
+  unary("RoundCeil", "Rounding",
+        [](Actor& a) { a.params().set("op", "ceil"); });
+  unary("RoundRound", "Rounding",
+        [](Actor& a) { a.params().set("op", "round"); });
   unary("Poly", "Polynomial",
         [](Actor& a) { a.params().set("coeffs", "1.5,-2,0.25"); });
   unary("Quantizer", "Quantizer",
@@ -536,6 +556,65 @@ TEST(TypeDifferentialAccMoS, RepresentativeSubsetMatches) {
     ++tested;
   }
   EXPECT_EQ(tested, static_cast<int>(wanted.size()));
+}
+
+// Every C library function the emitter can write, compiled into one
+// library and checked against SSE. Generated code includes no <cmath>, so
+// a function the runtime preamble does not declare fails to compile here.
+TEST(TypeDifferentialAccMoS, EveryCLibraryCallMatches) {
+  struct Call {
+    const char* type;
+    const char* op;  // "" when the actor has no op parameter
+    int inputs;
+  };
+  const Call calls[] = {
+      {"Trigonometry", "sin", 1},  {"Trigonometry", "cos", 1},
+      {"Trigonometry", "tan", 1},  {"Trigonometry", "asin", 1},
+      {"Trigonometry", "acos", 1}, {"Trigonometry", "atan", 1},
+      {"Trigonometry", "atan2", 2}, {"Trigonometry", "sinh", 1},
+      {"Trigonometry", "cosh", 1}, {"Trigonometry", "tanh", 1},
+      {"Math", "exp", 1},          {"Math", "log", 1},
+      {"Math", "log10", 1},        {"Math", "sqrt", 1},
+      {"Math", "pow", 2},          {"Math", "hypot", 2},
+      {"Math", "mod", 2},          {"Math", "rem", 2},
+      {"Rounding", "floor", 1},    {"Rounding", "ceil", 1},
+      {"Rounding", "round", 1},    {"Rounding", "fix", 1},
+      {"Sqrt", "", 1},             {"Abs", "", 1},
+      {"Quantizer", "", 1},        {"SineWave", "", 0},
+  };
+  Tiny t("M");
+  t.inport("In1", 1);
+  t.inport("In2", 2);
+  int k = 0;
+  for (const Call& c : calls) {
+    const std::string name = "C" + std::to_string(++k);
+    const std::string out = "Out" + std::to_string(k);
+    Actor& a = t.actor(name, c.type);
+    if (*c.op != '\0') a.params().set("op", c.op);
+    for (int p = 1; p <= c.inputs; ++p) {
+      t.wire("In" + std::to_string(p), name, p);
+    }
+    t.outport(out, k);
+    t.wire(name, out);
+  }
+  TestCaseSpec tests;
+  tests.seed = 99;
+  tests.defaultPort.min = -2.0;
+  tests.defaultPort.max = 2.0;
+  auto sse = test::runOn(t.model(), Engine::SSE, 300, tests);
+  auto acc = test::runOn(t.model(), Engine::AccMoS, 300, tests);
+  test::expectSameOutputs(sse, acc, "C library calls");
+  for (CovMetric m : kAllCovMetrics) {
+    EXPECT_EQ(sse.coverage.of(m).covered, acc.coverage.of(m).covered)
+        << covMetricName(m);
+  }
+  ASSERT_EQ(sse.diagnostics.size(), acc.diagnostics.size());
+  for (size_t d = 0; d < sse.diagnostics.size(); ++d) {
+    EXPECT_EQ(sse.diagnostics[d].actorPath, acc.diagnostics[d].actorPath);
+    EXPECT_EQ(sse.diagnostics[d].kind, acc.diagnostics[d].kind);
+    EXPECT_EQ(sse.diagnostics[d].count, acc.diagnostics[d].count);
+    EXPECT_EQ(sse.diagnostics[d].firstStep, acc.diagnostics[d].firstStep);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // (paper §2: what the fast modes can and cannot do).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "interp/compiled.h"
 #include "test_util.h"
 
@@ -137,6 +139,12 @@ TEST(Facade, SimulatorReusesPreprocessing) {
   auto b = sim.run(opt, TestCaseSpec{});
   test::expectSameOutputs(a, b, "simulator reuse");
 }
+
+// A Simulator's flat model points into its Model, so it takes only a Model
+// that outlives it: `Simulator sim(*buildBenchmarkModel("CSEV"))` must not
+// compile.
+static_assert(!std::is_constructible_v<Simulator, Model&&>);
+static_assert(std::is_constructible_v<Simulator, Model&>);
 
 TEST(Facade, EngineNames) {
   EXPECT_EQ(engineName(Engine::AccMoS), "AccMoS");
