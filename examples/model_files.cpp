@@ -3,6 +3,7 @@
 // dump the AccMoS-generated simulation code, and run it.
 //
 //   $ ./examples/model_files [--dump-code]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -54,12 +55,18 @@ int main(int argc, char** argv) {
     std::printf("---- generated simulation code ----\n%s\n",
                 engine.generatedSource().c_str());
   } else {
-    // Show the paper-shaped fragments (Fig. 4/Fig. 5).
+    // Show the paper-shaped fragments (Fig. 4/Fig. 5): a diagnostic
+    // function, the model system function and the library entry point
+    // that plays the paper's main(). Each definition is the last match:
+    // the embedded run ABI declares accmos_run before it.
     const std::string& src = engine.generatedSource();
-    for (const char* needle : {"void diagnose_", "static void Model_Exe",
-                               "int main"}) {
-      size_t pos = src.find(needle);
-      if (pos == std::string::npos) continue;
+    for (const char* needle :
+         {"void diagnose_", "void Model_Exe(", "int accmos_run("}) {
+      size_t pos = src.rfind(needle);
+      if (pos == std::string::npos) {
+        std::fprintf(stderr, "generated code has no '%s'\n", needle);
+        return 1;
+      }
       size_t end = src.find("\n}", pos);
       std::printf("---- %s... ----\n%.*s\n}\n\n", needle,
                   static_cast<int>(std::min(end - pos, size_t{900})),

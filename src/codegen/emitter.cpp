@@ -306,7 +306,10 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
 }
 
 void Emitter::emitDiagFn(std::ostringstream& os) {
-  os << "  void accmos_diag(int actor, int kind, uint64_t step) {\n"
+  // One out-of-line copy: the diagnose_* functions inline into Model_Exe
+  // as branches to it, which `cold` lays out as unlikely.
+  os << "  __attribute__((noinline, cold))\n"
+     << "  void accmos_diag(int actor, int kind, uint64_t step) {\n"
      << "    int idx = actor * " << kNumDiagKinds << " + kind;\n"
      << "    if (accmos_diag_count[idx] == 0) accmos_diag_first[idx] = "
         "step;\n"
@@ -485,8 +488,25 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
      << "      if (deadline > 0.0 && (step & 255) == 255 &&\n"
      << "          accmos_now_s() >= deadline) { ++step; *timedOut = 1; "
         "break; }\n"
-     << "    }\n"
-     << "    *execNs = (unsigned long long)(accmos_now_ns() - t0);\n"
+     << "    }\n";
+  // The ungated actors' coverage, marked once: Model_Exe runs each of them
+  // in every step it enters and has no early exit, and every stop (Stop
+  // actor, stop-on-diagnostic, budget, deadline) falls between whole
+  // steps, so such an actor ran exactly when a step did. A run retired at
+  // its deadline reports no observations.
+  if (!ungatedSlots_.empty()) {
+    const size_t n = ungatedSlots_.size();
+    os << "    if (step > 0) {\n"
+       << "      static const int slots[" << n << "] = {";
+    for (size_t k = 0; k < n; ++k) {
+      os << (k % 16 == 0 ? "\n          " : " ") << ungatedSlots_[k]
+         << (k + 1 < n ? "," : "};\n");
+    }
+    os << "      for (int k = 0; k < " << n
+       << "; ++k) accmos_cov_actor[slots[k]] = 1;\n"
+       << "    }\n";
+  }
+  os << "    *execNs = (unsigned long long)(accmos_now_ns() - t0);\n"
      << "    *stoppedEarly = stopped;\n"
      << "    return step;\n"
      << "  }\n";
@@ -683,11 +703,13 @@ std::string Emitter::generate() {
     reg.get(fa).emit(ctx);
 
     // Generic instrumentation appended by the pass: actor coverage
-    // ("actorBitmap[actorID] = 1" in the paper).
-    if (covPlan_ != nullptr && covPlan_->info(id).actorSlot >= 0) {
-      body_.push_back("accmos_cov_actor[" +
-                      std::to_string(covPlan_->info(id).actorSlot) +
-                      "] = 1;");
+    // ("actorBitmap[actorID] = 1" in the paper). An ungated actor's mark
+    // is written once, after the step loop (emitSimLoop).
+    const int slot = covPlan_ != nullptr ? covPlan_->info(id).actorSlot : -1;
+    if (slot >= 0 && fa.enableSignal < 0) {
+      ungatedSlots_.push_back(slot);
+    } else if (slot >= 0) {
+      body_.push_back("accmos_cov_actor[" + std::to_string(slot) + "] = 1;");
     }
 
     std::string guard;

@@ -118,6 +118,7 @@ class Emitter : public EmitSink {
   std::ostringstream evalSection_;
   std::ostringstream updateSection_;
   std::vector<std::string> diagFuncs_;
+  std::vector<int> ungatedSlots_;  // actor slots marked after the loop
   std::vector<int> collectSignals_;
   std::vector<bool> local_;  // per signal id: a local of Model_Exe
 };

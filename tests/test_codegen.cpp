@@ -256,6 +256,84 @@ TEST(HeaderFree, CoverageBitmapsAreBool) {
   EXPECT_EQ(src.find("uint8_t accmos_cov_"), std::string::npos);
 }
 
+// ---- Lean step code ---------------------------------------------------------
+//
+// An actor that no enable guards runs in every step, so its actor-coverage
+// mark is written once, after the step loop; a gated actor marks inside its
+// guard. The diagnostic recorder is one out-of-line, cold function.
+
+// The text of Model_Exe in `src`.
+std::string modelExeText(const std::string& src) {
+  const size_t at = src.find("void Model_Exe(");
+  if (at == std::string::npos) return "";
+  return src.substr(at, src.find("\n}\n", at) - at);
+}
+
+// An enabled subsystem In1 -> G1 -> Out1 beside an ungated root Gain.
+Tiny gatedGainModel() {
+  Tiny t("Gated");
+  t.inport("In1", 1);
+  t.inport("En", 2);
+  Actor& cmp = t.actor("C", "CompareToConstant");
+  cmp.params().set("op", ">");
+  cmp.params().setDouble("value", 0.5);
+  System& inner = t.actor("S", "EnabledSubsystem").makeSubsystem();
+  inner.addActor("In1", "Inport").params().setInt("port", 1);
+  inner.addActor("G1", "Gain").params().setDouble("gain", 2.0);
+  inner.addActor("Out1", "Outport").params().setInt("port", 1);
+  inner.connect("In1", 1, "G1", 1);
+  inner.connect("G1", 1, "Out1", 1);
+  t.actor("G", "Gain").params().setDouble("gain", 3.0);
+  t.outport("Out1", 1);
+  t.outport("Out2", 2);
+  t.wire("En", "C");
+  t.wire("In1", "S", 1);
+  t.wire("C", "S", 2);
+  t.wire("S", "Out1");
+  t.wire("In1", "G");
+  t.wire("G", "Out2");
+  return t;
+}
+
+TEST(LeanStep, UngatedActorsMarkCoverageAfterTheLoop) {
+  Tiny ungated = mixedModel();
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  std::string src = sourceFor(ungated.model(), opt);
+  std::string exe = modelExeText(src);
+  ASSERT_FALSE(exe.empty());
+  EXPECT_EQ(exe.find("accmos_cov_actor["), std::string::npos) << exe;
+  const size_t loopEnd = src.find("if (step > 0) {");
+  ASSERT_NE(loopEnd, std::string::npos);
+  EXPECT_NE(src.find("accmos_cov_actor[slots[k]] = 1;", loopEnd),
+            std::string::npos);
+
+  Tiny gated = gatedGainModel();
+  src = sourceFor(gated.model(), opt);
+  exe = modelExeText(src);
+  const size_t g1 = exe.find("// -- Gated_S_G1 (Gain)");
+  ASSERT_NE(g1, std::string::npos) << exe;
+  const std::string block = exe.substr(g1, exe.find("// --", g1 + 1) - g1);
+  const size_t guard = block.find("if (s");
+  ASSERT_NE(guard, std::string::npos) << block;
+  EXPECT_GT(block.find("accmos_cov_actor["), guard) << block;
+  const size_t g = exe.find("// -- Gated_G (Gain)");
+  ASSERT_NE(g, std::string::npos) << exe;
+  const std::string root = exe.substr(g, exe.find("// --", g + 1) - g);
+  EXPECT_EQ(root.find("accmos_cov_actor["), std::string::npos) << root;
+}
+
+TEST(LeanStep, DiagnosticRecorderIsOutOfLineAndCold) {
+  Tiny t = mixedModel();
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  const std::string src = sourceFor(t.model(), opt);
+  ASSERT_NE(src.find("diagnose_"), std::string::npos);
+  EXPECT_NE(src.find("  __attribute__((noinline, cold))\n"
+                     "  void accmos_diag(int actor, int kind, uint64_t step)"),
+            std::string::npos);
+}
+
 // The stimulus is run data: the emitted source, and so the compiled
 // library, is one per model whatever the test case — other range bounds, a
 // -0.0 bound, a sequence port or another seed.
@@ -496,6 +574,62 @@ TEST_P(PatternInitShipped, MatchesEngineLibrary) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, PatternInitShipped, ::testing::ValuesIn(shippedModels()),
+    [](const ::testing::TestParamInfo<std::string>& p) { return p.param; });
+
+// On every shipped model, each actor-coverage slot is marked exactly once
+// in the source: inside an enable guard in Model_Exe, or in the table the
+// loop's end marks.
+class LeanStepShipped : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LeanStepShipped, EachActorSlotIsMarkedOnce) {
+  LoadedModel lm = loadModelFromFile(std::string(ACCMOS_MODELS_DIR) + "/" +
+                                     GetParam() + ".xml");
+  Simulator sim(*lm.model);
+  SimOptions opt;
+  opt.engine = Engine::AccMoS;
+  const FlatModel fm = optimizeModel(sim.flatModel(), opt);
+  const std::string src =
+      AccMoSEngine::generate(fm, opt, TestCaseSpec{}).source;
+  const std::string exe = modelExeText(src);
+  ASSERT_FALSE(exe.empty());
+
+  // Each actor's eval block: "  // -- path (type)\n  guard {\n...".
+  std::vector<int> slots;
+  for (size_t at = exe.find("  // -- "); at != std::string::npos;) {
+    const size_t next = exe.find("  // -- ", at + 1);
+    const std::string block = exe.substr(at, next - at);
+    const std::string mark = "accmos_cov_actor[";
+    const size_t store = block.find(mark);
+    if (store != std::string::npos) {
+      EXPECT_EQ(block.compare(block.find('\n') + 1, 7, "  if (s"), 0)
+          << block;
+      EXPECT_EQ(block.find(mark, store + 1), std::string::npos) << block;
+      slots.push_back(std::stoi(block.substr(store + mark.size())));
+    }
+    at = next;
+  }
+  size_t gatedActors = 0;
+  for (const FlatActor& fa : fm.actors) gatedActors += fa.enableSignal >= 0;
+  EXPECT_LE(slots.size(), gatedActors);
+  const size_t table = src.find("static const int slots[");
+  if (table != std::string::npos) {
+    const size_t open = src.find('{', table) + 1;
+    std::istringstream listed(src.substr(open, src.find('}', open) - open));
+    for (int slot; listed >> slot; listed.ignore()) slots.push_back(slot);
+  }
+
+  const std::string lenHead = "info->covLen[0] = ";
+  const size_t len = src.find(lenHead);
+  ASSERT_NE(len, std::string::npos);
+  const int total = std::stoi(src.substr(len + lenHead.size()));
+  std::sort(slots.begin(), slots.end());
+  std::vector<int> every(static_cast<size_t>(total));
+  for (int k = 0; k < total; ++k) every[static_cast<size_t>(k)] = k;
+  EXPECT_EQ(slots, every);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, LeanStepShipped, ::testing::ValuesIn(shippedModels()),
     [](const ::testing::TestParamInfo<std::string>& p) { return p.param; });
 
 // The fuzz differentials' random models, enabled subsystems among them.

@@ -617,5 +617,172 @@ TEST(TypeDifferentialAccMoS, EveryCLibraryCallMatches) {
   }
 }
 
+// ---- Actor coverage marked after the step loop ------------------------------
+//
+// Generated code marks an actor that no enable guards once, after the step
+// loop, when a step ran; an enabled subsystem's actors mark inside their
+// guard in every step they run. These runs end at the loop's edges (no
+// step, a stop after step 0, a time budget) or hold a subsystem disabled,
+// and every bitmap must be the one SSE's per-step marks leave.
+
+// Root: In1 (i8) -> Gain x2 (i8) -> Out1, and Halt -> StopSimulation. An
+// enabled subsystem, on while En > 0.5, runs En through a UnitDelay and a
+// Gain to Out2. The stimulus picks the case, so one library serves them.
+Tiny gatedModel() {
+  Tiny t("Gated");
+  t.inport("In1", 1, DataType::I8);
+  t.inport("En", 2);
+  t.inport("Halt", 3);
+  Actor& g = t.actor("G", "Gain");
+  g.params().setDouble("gain", 2.0);
+  g.setDtype(DataType::I8);
+  Actor& cmp = t.actor("C", "CompareToConstant");
+  cmp.params().set("op", ">");
+  cmp.params().setDouble("value", 0.5);
+  System& inner = t.actor("S", "EnabledSubsystem").makeSubsystem();
+  inner.addActor("In1", "Inport").params().setInt("port", 1);
+  inner.addActor("D", "UnitDelay");
+  inner.addActor("G2", "Gain").params().setDouble("gain", 3.0);
+  inner.addActor("Out1", "Outport").params().setInt("port", 1);
+  inner.connect("In1", 1, "D", 1);
+  inner.connect("D", 1, "G2", 1);
+  inner.connect("G2", 1, "Out1", 1);
+  t.actor("Stop", "StopSimulation");
+  t.outport("Out1", 1);
+  t.outport("Out2", 2);
+  t.wire("In1", "G");
+  t.wire("G", "Out1");
+  t.wire("En", "C");
+  t.wire("En", "S", 1);
+  t.wire("C", "S", 2);
+  t.wire("S", "Out2");
+  t.wire("Halt", "Stop");
+  return t;
+}
+
+// Cycled sequences for In1, En and Halt.
+TestCaseSpec gatedStimulus(std::vector<double> en,
+                           std::vector<double> in1 = {7.0},
+                           std::vector<double> halt = {0.0}) {
+  TestCaseSpec tests;
+  tests.ports.resize(3);
+  tests.ports[0].sequence = std::move(in1);
+  tests.ports[1].sequence = std::move(en);
+  tests.ports[2].sequence = std::move(halt);
+  return tests;
+}
+
+// Runs `tests` on SSE and AccMoS, requires identical results and returns
+// AccMoS's.
+SimulationResult expectCoverageMatchesSse(Model& model, SimOptions opt,
+                                          const TestCaseSpec& tests,
+                                          const std::string& label) {
+  opt.engine = Engine::SSE;
+  const SimulationResult sse = simulate(model, opt, tests);
+  opt.engine = Engine::AccMoS;
+  SimulationResult acc = simulate(model, opt, tests);
+  test::expectIdenticalResults(sse, acc, label);
+  return acc;
+}
+
+// Actor coverage of `res` as (covered, total).
+std::pair<int, int> actorCoverage(const SimulationResult& res) {
+  const auto& m = res.coverage.of(CovMetric::Actor);
+  return {m.covered, m.total};
+}
+
+TEST(ActorCoverageAfterLoop, ZeroStepsCoverNoActor) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = 0;
+  const SimulationResult acc = expectCoverageMatchesSse(
+      t.model(), opt, gatedStimulus({1.0}), "zero steps");
+  EXPECT_EQ(acc.stepsExecuted, 0u);
+  EXPECT_EQ(actorCoverage(acc).first, 0);
+}
+
+TEST(ActorCoverageAfterLoop, StopActorAfterStepZero) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = 100;
+  const SimulationResult acc = expectCoverageMatchesSse(
+      t.model(), opt, gatedStimulus({0.0}, {7.0}, {1.0}), "Stop at step 0");
+  EXPECT_EQ(acc.stepsExecuted, 1u);
+  EXPECT_TRUE(acc.stoppedEarly);
+  const auto [covered, total] = actorCoverage(acc);
+  EXPECT_GT(covered, 0);
+  EXPECT_LT(covered, total);  // the subsystem never ran
+}
+
+TEST(ActorCoverageAfterLoop, StopOnDiagnosticAfterStepZero) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = 100;
+  opt.stopOnDiagnostic = true;
+  // 100 * 2 wraps the i8 Gain in step 0.
+  const SimulationResult acc = expectCoverageMatchesSse(
+      t.model(), opt, gatedStimulus({1.0}, {100.0}), "diagnostic at step 0");
+  EXPECT_EQ(acc.stepsExecuted, 1u);
+  EXPECT_TRUE(acc.stoppedEarly);
+  EXPECT_NE(acc.findDiag("Gated_G", DiagKind::WrapOnOverflow), nullptr);
+  const auto [covered, total] = actorCoverage(acc);
+  EXPECT_EQ(covered, total);
+}
+
+TEST(ActorCoverageAfterLoop, NeverEnabledSubsystem) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = 200;
+  const SimulationResult acc = expectCoverageMatchesSse(
+      t.model(), opt, gatedStimulus({0.0}), "never enabled");
+  const auto [covered, total] = actorCoverage(acc);
+  EXPECT_GT(covered, 0);
+  EXPECT_LT(covered, total);
+}
+
+TEST(ActorCoverageAfterLoop, SubsystemEnabledFromStepFive) {
+  Tiny t = gatedModel();
+  const TestCaseSpec tests =
+      gatedStimulus({0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0});
+  for (uint64_t steps : {uint64_t{5}, uint64_t{6}, uint64_t{200}}) {
+    SimOptions opt;
+    opt.maxSteps = steps;
+    const SimulationResult acc = expectCoverageMatchesSse(
+        t.model(), opt, tests, "enabled from step 5, " +
+                                   std::to_string(steps) + " steps");
+    const auto [covered, total] = actorCoverage(acc);
+    EXPECT_EQ(covered == total, steps > 5) << steps << " steps";
+  }
+}
+
+// A 1e-7 s budget is checked after step 1,023 and stops both engines there.
+TEST(ActorCoverageAfterLoop, TimeBudgetCutsTheRunShort) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = uint64_t{1} << 40;
+  opt.timeBudgetSec = 1e-7;
+  const SimulationResult acc = expectCoverageMatchesSse(
+      t.model(), opt, gatedStimulus({0.0}), "time budget");
+  EXPECT_EQ(acc.stepsExecuted, 1024u);
+  EXPECT_FALSE(acc.stoppedEarly);
+}
+
+// The subprocess rung runs the same library, so it marks the same slots.
+TEST(ActorCoverageAfterLoop, SubprocessRungMatchesDlopen) {
+  Tiny t = gatedModel();
+  SimOptions opt;
+  opt.maxSteps = 200;
+  const TestCaseSpec tests =
+      gatedStimulus({0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0});
+  const SimulationResult dl =
+      expectCoverageMatchesSse(t.model(), opt, tests, "dlopen rung");
+  opt.engine = Engine::AccMoS;
+  test::EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
+  const SimulationResult pr = simulate(t.model(), opt, tests);
+  EXPECT_EQ(dl.execMode, "dlopen");
+  EXPECT_EQ(pr.execMode, "process");
+  test::expectIdenticalResults(dl, pr, "subprocess rung");
+}
+
 }  // namespace
 }  // namespace accmos
