@@ -97,6 +97,9 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
   compileSeconds_ = compiled.seconds;
   compileCacheHit_ = compiled.cacheHit;
   exePath_ = compiled.exePath;
+  std::error_code sizeError;
+  const auto libBytes = std::filesystem::file_size(exePath_, sizeError);
+  libraryBytes_ = sizeError ? 0 : static_cast<size_t>(libBytes);
 
   // Load the library in-process. Any failure — a dlopen error, a library
   // with the wrong ABI or geometry — leaves the engine on the subprocess

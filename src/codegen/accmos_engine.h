@@ -138,6 +138,9 @@ class AccMoSEngine {
   // (compileSeconds is then the cache-verification time, near zero).
   bool compileCacheHit() const { return compileCacheHit_; }
   const std::string& exePath() const { return exePath_; }
+  // The on-disk size of that library, read once when the engine was built
+  // (0 when it could not be read).
+  size_t libraryBytes() const { return libraryBytes_; }
   // Where the next run() executes: "dlopen", or "process" when the
   // library could not be loaded or is quarantined.
   std::string_view execModeUsed() const {
@@ -181,6 +184,7 @@ class AccMoSEngine {
   std::vector<int> collectSignals_;
   std::string source_;
   std::string exePath_;  // the compiled library every run executes
+  size_t libraryBytes_ = 0;
   AccmosModelInfo geometry_;
   double generateSeconds_ = 0.0;
   double compileSeconds_ = 0.0;

@@ -465,6 +465,22 @@ uint64_t CompilerDriver::cacheKey(const std::string& source,
 
 uint64_t CompilerDriver::compilerInvocations() { return g_invocations.load(); }
 
+bool isFlagList(const std::string& flags) {
+  bool tokenStart = true;
+  for (const char c : flags) {
+    if (c == ' ' || c == '\t') {
+      tokenStart = true;
+      continue;
+    }
+    if (tokenStart && c != '-') return false;
+    tokenStart = false;
+    const bool allowed = std::isalnum(static_cast<unsigned char>(c)) ||
+                         (c != '\0' && std::strchr("_=.,+/:-", c) != nullptr);
+    if (!allowed) return false;
+  }
+  return true;
+}
+
 CompileOutput CompilerDriver::compile(const std::string& source,
                                       const std::string& name,
                                       const std::string& optFlag,
@@ -473,6 +489,11 @@ CompileOutput CompilerDriver::compile(const std::string& source,
   if (!isOptLevel(optFlag)) {
     throw CompileError("optimization flag '" + optFlag +
                        "' is not one of -O0, -O1, -O2 or -O3");
+  }
+  if (!isFlagList(extraFlags)) {
+    throw CompileError("extra compiler flags '" + extraFlags +
+                       "' are not a list of -flags made of "
+                       "[A-Za-z0-9_=.,+/:-]");
   }
   CompileParams p;
   p.name = name;

@@ -38,6 +38,12 @@ inline bool isOptLevel(const std::string& flag) {
          flag[2] >= '0' && flag[2] <= '3';
 }
 
+// The extra compiler flags CompilerDriver::compile accepts: tokens
+// separated by spaces or tabs, each starting with '-' and made only of
+// [A-Za-z0-9_=.,+/:-]. They land on the same /bin/sh command line, so no
+// quote, substitution, separator or redirection gets there. Empty passes.
+bool isFlagList(const std::string& flags);
+
 // What the driver produces from the generated source: always a shared
 // library built -shared -fPIC, which the dlopen backend loads in-process
 // and the subprocess backend's runner loads in a child. The enum stays
@@ -64,9 +70,9 @@ class CompilerDriver {
   // Writes `source` to <dir>/<name>.cpp and compiles it to a shared
   // library — or, when the cache holds a verified binary for the same
   // (compiler, flags, source), returns that binary with cacheHit set and
-  // near-zero seconds. `extraFlags` are appended verbatim to the compile
-  // command and are part of the cache identity — same source, different
-  // defines, distinct entries.
+  // near-zero seconds. `extraFlags` are appended to the compile command
+  // and are part of the cache identity — same source, different defines,
+  // distinct entries.
   //
   // Single-flight per cache key: concurrent requests in one process share
   // one compiler run. The first requester compiles inline in its own
@@ -75,7 +81,8 @@ class CompilerDriver {
   // a cold key to one compile (see the .cpp). A cache directory that cannot
   // be used (no claim file can be created in it) costs no wait: the request
   // compiles at once in this driver's directory and publishes nothing.
-  // Throws CompileError, before any shell runs, unless isOptLevel(optFlag).
+  // Throws CompileError, before any shell runs, unless isOptLevel(optFlag)
+  // and isFlagList(extraFlags).
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
                         ArtifactKind kind = ArtifactKind::SharedLib,

@@ -1,7 +1,9 @@
 #include "serve/json.h"
 
+#include <array>
 #include <charconv>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -120,6 +122,12 @@ double Json::asDouble(const std::string& where) const {
     case Kind::Double: return dbl_;
     case Kind::U64: return static_cast<double>(u64_);
     case Kind::I64: return static_cast<double>(i64_);
+    case Kind::String:
+      // The spellings write() gives the non-finite doubles.
+      if (str_ == "nan") return std::numeric_limits<double>::quiet_NaN();
+      if (str_ == "inf") return std::numeric_limits<double>::infinity();
+      if (str_ == "-inf") return -std::numeric_limits<double>::infinity();
+      [[fallthrough]];
     default: kindError(where, "number", kind_);
   }
 }
@@ -175,30 +183,59 @@ Json& Json::push(Json value) {
 
 namespace {
 
-void writeEscaped(const std::string& s, std::string& out) {
-  out.push_back('"');
-  const size_t n = s.size();
-  size_t run = 0;  // start of the bytes not yet appended
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned char u = static_cast<unsigned char>(s[i]);
-    if (u >= 0x20 && u != '"' && u != '\\') continue;
-    out.append(s, run, i - run);
-    run = i + 1;
-    switch (u) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-        out += buf;
-      }
+// How each byte is spelled inside a JSON string: itself, a two-byte
+// escape for '"', '\\', '\n', '\r' and '\t', or \u00xx for any other
+// control byte. Eight bytes each, so a lookup is one scaled index.
+struct alignas(8) Spelling {
+  char text[6];
+  uint8_t len;
+};
+
+constexpr std::array<Spelling, 256> kSpellings = [] {
+  constexpr char hex[] = "0123456789abcdef";
+  std::array<Spelling, 256> t{};
+  for (int b = 0; b < 256; ++b) {
+    Spelling& sp = t[static_cast<size_t>(b)];
+    switch (b) {
+      case '"': sp = {{'\\', '"'}, 2}; break;
+      case '\\': sp = {{'\\', '\\'}, 2}; break;
+      case '\n': sp = {{'\\', 'n'}, 2}; break;
+      case '\r': sp = {{'\\', 'r'}, 2}; break;
+      case '\t': sp = {{'\\', 't'}, 2}; break;
+      default:
+        if (b < 0x20) {
+          sp = {{'\\', 'u', '0', '0', hex[b >> 4], hex[b & 0xf]}, 6};
+        } else {
+          sp = {{static_cast<char>(b)}, 1};
+        }
     }
   }
-  out.append(s, run, n - run);
-  out.push_back('"');
+  return t;
+}();
+
+// One pass over `s`: the output grows once by 2n + 2, which holds every
+// spelling but a control byte's, and by 4 more per control byte. Each
+// one- or two-byte spelling is copied as two bytes, and the pointer
+// advances by its length.
+void writeEscaped(const std::string& s, std::string& out) {
+  const size_t begin = out.size();
+  out.resize(begin + 2 * s.size() + 2);
+  char* p = out.data() + begin;
+  *p++ = '"';
+  for (const char c : s) {
+    const Spelling& sp = kSpellings[static_cast<unsigned char>(c)];
+    if (sp.len > 2) [[unlikely]] {
+      const size_t at = static_cast<size_t>(p - out.data());
+      out.resize(out.size() + sp.len - 2);
+      p = out.data() + at;
+      std::memcpy(p, sp.text, sp.len);
+    } else {
+      std::memcpy(p, sp.text, 2);
+    }
+    p += sp.len;
+  }
+  *p++ = '"';
+  out.resize(static_cast<size_t>(p - out.data()));
 }
 
 template <class Int>
@@ -225,13 +262,17 @@ void Json::write(std::string& out) const {
       return;
     case Kind::Double: {
       // %.17g round-trips every finite double exactly through strtod.
-      // Non-finite timings never travel (Value payloads go as bit
-      // patterns), but render something parse-able rather than invalid
-      // JSON if one ever does.
+      // JSON has no literal for the non-finite ones (a one-sided range
+      // diagnostic's bound is an infinity), so they go as the strings
+      // "nan", "inf" and "-inf", which asDouble reads back.
       const double v = dbl_;
       char buf[40];
-      if (v != v) {
+      if (std::isnan(v)) {
         out += "\"nan\"";
+        return;
+      }
+      if (std::isinf(v)) {
+        out += v > 0 ? "\"inf\"" : "\"-inf\"";
         return;
       }
       std::snprintf(buf, sizeof(buf), "%.17g", v);

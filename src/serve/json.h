@@ -12,7 +12,9 @@
 // unsigned 64-bit, signed 64-bit, or double — chosen by what the literal
 // fits exactly. The writer emits integers as integers and doubles with
 // %.17g (enough digits to round-trip IEEE-754 doubles bit-exactly through
-// strtod). Values that must survive bit-for-bit regardless of flavour
+// strtod); JSON has no literal for a non-finite double, so NaN and ±inf
+// go as the strings "nan", "inf" and "-inf", which asDouble reads back.
+// Values that must survive bit-for-bit regardless of flavour
 // (NaN payloads, -0.0) travel as decimal uint64 bit patterns at the
 // protocol layer, not as JSON doubles.
 #pragma once
@@ -59,7 +61,8 @@ class Json {
 
   // Checked accessors: throw JsonError naming `where` on a kind mismatch.
   // Integer flavours convert when the value fits the requested range;
-  // doubles are accepted for asDouble from any numeric flavour.
+  // doubles are accepted for asDouble from any numeric flavour, and from
+  // the strings "nan", "inf" and "-inf".
   bool asBool(const std::string& where) const;
   uint64_t asU64(const std::string& where) const;
   int64_t asI64(const std::string& where) const;

@@ -13,30 +13,16 @@
 
 namespace accmos::serve {
 
-namespace {
-
-uint64_t fnv1a64(const std::string& data, uint64_t h = 0xcbf29ce484222325ull) {
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+std::string PoolEntry::canonicalOptions(const SimOptions& opt) {
+  // The wire-canonical JSON covers exactly the knobs that can change what
+  // an entry computes; the worker count is scheduling, never observations.
+  SimOptions normalized = opt;
+  normalized.campaign.workers = 0;
+  return toJson(normalized).write();
 }
-
-std::string hex16(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
 
 PoolEntry::PoolEntry(std::string modelText, const SimOptions& opt)
-    : modelText_(std::move(modelText)) {
+    : options_(canonicalOptions(opt)), modelText_(std::move(modelText)) {
   // A model that does not parse, flatten or validate is a load failure, so
   // the client exits 4 on it as the local CLI does. It is validated before
   // the optimizer runs, as the CLI's Simulator does: a pass could fold an
@@ -81,36 +67,27 @@ PoolLease::~PoolLease() {
 
 ModelLibPool::ModelLibPool(uint64_t byteBudget) : byteBudget_(byteBudget) {}
 
-std::string ModelLibPool::key(const std::string& modelText,
-                              const SimOptions& opt) {
-  // The options travel through their wire-canonical JSON form so the key
-  // covers exactly the knobs that can change what an entry computes; the
-  // worker count is normalized out (scheduling, never observations — one
-  // entry serves any workers value).
-  SimOptions normalized = opt;
-  normalized.campaign.workers = 0;
-  uint64_t h = fnv1a64(toJson(normalized).write());
-  h = fnv1a64(modelText, h);
-  return hex16(h);
-}
-
 PoolLease ModelLibPool::acquire(const std::string& modelText,
                                 const SimOptions& opt) {
-  const std::string k = key(modelText, opt);
+  const std::string options = PoolEntry::canonicalOptions(opt);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(k);
-  bool hit = it != entries_.end();
+  auto it = std::find_if(entries_.begin(), entries_.end(), [&](const auto& e) {
+    return e->modelText_ == modelText && e->options_ == options;
+  });
+  const bool hit = it != entries_.end();
+  std::shared_ptr<PoolEntry> entry;
   if (hit) {
     ++hits_;
+    entry = *it;
   } else {
     ++misses_;
-    auto entry = std::make_shared<PoolEntry>(modelText, opt);
-    it = entries_.emplace(k, std::move(entry)).first;
+    entry = std::make_shared<PoolEntry>(modelText, opt);
+    entries_.push_back(entry);
   }
-  it->second->lastUse_ = ++tick_;
-  ++it->second->users_;
-  evictToBudgetLocked(it->second.get());
-  return PoolLease(this, it->second, hit);
+  entry->lastUse_ = ++tick_;
+  ++entry->users_;
+  evictToBudgetLocked(entry.get());
+  return PoolLease(this, std::move(entry), hit);
 }
 
 void ModelLibPool::release(const std::shared_ptr<PoolEntry>& entry) {
@@ -125,14 +102,13 @@ void ModelLibPool::evictToBudgetLocked(const PoolEntry* keep) {
   if (byteBudget_ == 0) return;  // 0 = unbounded
   for (;;) {
     uint64_t resident = 0;
-    for (const auto& [k, e] : entries_) resident += e->residentBytes();
+    for (const auto& e : entries_) resident += e->residentBytes();
     if (resident <= byteBudget_) return;
     // LRU idle victim.
     auto victim = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second->users_ > 0 || it->second.get() == keep) continue;
-      if (victim == entries_.end() ||
-          it->second->lastUse_ < victim->second->lastUse_) {
+      if ((*it)->users_ > 0 || it->get() == keep) continue;
+      if (victim == entries_.end() || (*it)->lastUse_ < (*victim)->lastUse_) {
         victim = it;
       }
     }
@@ -146,7 +122,7 @@ PoolStats ModelLibPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   PoolStats s;
   s.entries = entries_.size();
-  for (const auto& [k, e] : entries_) s.residentBytes += e->residentBytes();
+  for (const auto& e : entries_) s.residentBytes += e->residentBytes();
   s.byteBudget = byteBudget_;
   s.hits = hits_;
   s.misses = misses_;

@@ -4,7 +4,7 @@
 // An entry owns everything a request would otherwise rebuild per process —
 // the parsed model, its optimized FlatModel, and a warm SpecEvaluator
 // whose one AccMoSEngine holds the dlopen'd library. A repeat request for
-// the same (model text, options) key therefore skips generation,
+// the same (options, model text) identity therefore skips generation,
 // compilation AND dlopen entirely, whatever test case it carries: the
 // stimulus is run data, not part of the library. The regression handles are
 // CompilerDriver::compilerInvocations() and ModelLib::loadCount(), both
@@ -12,7 +12,8 @@
 //
 // Eviction is LRU under a byte budget: entries are charged their resident
 // footprint (model text + generated source + on-disk artifact size, via
-// SpecEvaluator::residentBytes), and when the pool exceeds its budget the
+// SpecEvaluator::residentBytes; the artifact is sized once, when its
+// engine is built), and when the pool exceeds its budget the
 // least-recently-used idle entry is dropped. Entries serving an in-flight
 // request (users > 0) are never evicted — a lease pins its entry. An
 // evicted model transparently reloads on next use (a miss), and the
@@ -21,10 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "graph/flat_model.h"
 #include "ir/model.h"
@@ -45,10 +46,11 @@ struct PoolStats {
 };
 
 // One resident model. Constructed from the model XML text a client shipped
-// plus the request's canonical options (worker count normalized out — the
-// worker count never changes observations, so one entry serves requests
-// with any workers value: each passes its own to evaluate()). Any number
-// of requests may use one entry at once; its evaluator is re-entrant.
+// plus the request's options. Its identity is that text and the options'
+// wire-canonical form with the worker count normalized out — the worker
+// count never changes observations, so one entry serves requests with any
+// workers value: each passes its own to evaluate(). Any number of requests
+// may use one entry at once; its evaluator is re-entrant.
 class PoolEntry {
  public:
   PoolEntry(std::string modelText, const SimOptions& opt);
@@ -65,6 +67,11 @@ class PoolEntry {
   size_t residentBytes() const;
 
  private:
+  // The canonical options (worker count normalized out) the identity uses.
+  static std::string canonicalOptions(const SimOptions& opt);
+
+  // The entry's identity, byte for byte; the text is held only here.
+  std::string options_;
   std::string modelText_;
   std::unique_ptr<Model> model_;  // the optimized model's actors point here
   FlatModel optimized_;
@@ -107,12 +114,10 @@ class ModelLibPool {
  public:
   explicit ModelLibPool(uint64_t byteBudget);
 
-  // The pool key: FNV-1a over the model text and the wire-canonical
-  // options with the worker count normalized out.
-  static std::string key(const std::string& modelText, const SimOptions& opt);
-
   // Returns a lease on the resident entry for (modelText, opt), building
-  // it on a miss. Construction (parse + flatten + optimize) happens under
+  // it on a miss. An entry serves a request only when both halves of its
+  // identity equal the request's byte for byte, so two models never share
+  // one, whatever their texts. Construction (parse + flatten + optimize) happens under
   // the pool lock; engine compilation does NOT happen here — the
   // AccMoSEngine builds lazily inside the request, off the pool lock.
   // Throws whatever the model pipeline throws (ModelError and friends) on
@@ -132,7 +137,9 @@ class ModelLibPool {
   void evictToBudgetLocked(const PoolEntry* keep);
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<PoolEntry>> entries_;
+  // Found by a scan, as eviction already walks every entry: a text of
+  // another length costs one size comparison.
+  std::vector<std::shared_ptr<PoolEntry>> entries_;
   uint64_t byteBudget_ = 0;
   uint64_t tick_ = 0;
   uint64_t hits_ = 0;

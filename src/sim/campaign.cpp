@@ -1,7 +1,5 @@
 #include "sim/campaign.h"
 
-#include <sys/stat.h>
-
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -97,14 +95,9 @@ size_t SpecEvaluator::residentBytes() const {
   const AccMoSEngine* e = builtEngine();
   if (e == nullptr) return 0;
   // The generated source the engine holds plus the on-disk size of its
-  // library (what dlopen maps); an estimate is fine, the pool's eviction
-  // only needs a consistent relative measure.
-  size_t bytes = e->generatedSource().size();
-  struct stat st {};
-  if (::stat(e->exePath().c_str(), &st) == 0 && st.st_size > 0) {
-    bytes += static_cast<size_t>(st.st_size);
-  }
-  return bytes;
+  // library (what dlopen maps), which the engine read once when it was
+  // built: the pool asks on every request, under its lock.
+  return e->generatedSource().size() + e->libraryBytes();
 }
 
 std::vector<SimulationResult> SpecEvaluator::evaluate(SpecBatch specs) {

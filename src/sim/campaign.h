@@ -242,8 +242,8 @@ class SpecEvaluator {
   class AccMoSEngine* engineFor(const TestCaseSpec& spec);
 
   // Approximate bytes held resident by the engine (generated source +
-  // loaded artifact) — what the model-library pool charges against its
-  // byte budget.
+  // loaded artifact, sized once when the engine was built) — what the
+  // model-library pool charges against its byte budget.
   size_t residentBytes() const;
 
  private:

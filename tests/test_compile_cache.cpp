@@ -402,6 +402,32 @@ TEST_F(CompileCacheTest, ShellSyntaxInTheOptFlagIsRefused) {
   EXPECT_FALSE(fs::exists(marker));
 }
 
+// The extra flags land on the same command line: a list of plain -flags
+// passes, and anything a shell would read as more than words is refused
+// before the cache key is computed or a compiler runs.
+TEST_F(CompileCacheTest, ShellSyntaxInTheExtraFlagsIsRefused) {
+  const fs::path marker = dir_ / "pwned";
+  CompilerDriver driver;
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  for (const std::string& flags :
+       {"-DX; touch " + marker.string(), std::string("-D$(id)")}) {
+    EXPECT_THROW(driver.compile("int f() { return 0; }\n", "inject", "-O0",
+                                ArtifactKind::SharedLib, flags),
+                 CompileError)
+        << flags;
+  }
+  EXPECT_FALSE(fs::exists(marker));
+  EXPECT_EQ(CompilerDriver::compilerInvocations(), before);
+
+  EXPECT_TRUE(isFlagList(""));
+  EXPECT_TRUE(isFlagList("-DA=1 -I/usr/include\t-Wl,-z,now -std=c++17"));
+  for (const char* bad : {"DX", "-DX Y", "-DX\n-DY", "-D'x'", "-DX >f",
+                          "-DX|y", "-DX&", "-D`id`", "-DX\\"}) {
+    EXPECT_FALSE(isFlagList(bad)) << bad;
+  }
+  EXPECT_FALSE(isFlagList(std::string("-DX\0Y", 5)));
+}
+
 TEST_F(CompileCacheTest, MissingBinaryRunFails) {
   CompilerDriver driver;
   EXPECT_THROW(driver.run((fs::path(driver.dir()) / "nonexistent").string(),

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -426,6 +427,33 @@ TEST(Protocol, SimOptionsRoundTrip) {
   EXPECT_EQ(back.customDiagnostics[1].maxDelta, 0.5);
   EXPECT_EQ(back.optFlag, o.optFlag);
   EXPECT_EQ(back.campaign.workers, o.campaign.workers);
+}
+
+// A one-sided range diagnostic has an infinite bound, and JSON has no
+// literal for one: the non-finite doubles travel as "inf", "-inf" and
+// "nan", and read back as themselves.
+TEST(Protocol, NonFiniteOptionsRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  SimOptions o;
+  o.customDiagnostics.push_back(rangeDiagnostic("root/A", "low", -inf, 0.5));
+  o.customDiagnostics.push_back(rangeDiagnostic("root/A", "high", 0.5, inf));
+  o.customDiagnostics.push_back(suddenChangeDiagnostic("root/B", "jump", inf));
+
+  const std::string text = serve::toJson(o).write();
+  EXPECT_NE(text.find(R"("minValue":"-inf")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("maxValue":"inf")"), std::string::npos) << text;
+  const SimOptions back = serve::optionsFromJson(parseJson(text), "$");
+  ASSERT_EQ(back.customDiagnostics.size(), 3u);
+  EXPECT_EQ(back.customDiagnostics[0].minValue, -inf);
+  EXPECT_EQ(back.customDiagnostics[0].maxValue, 0.5);
+  EXPECT_EQ(back.customDiagnostics[1].minValue, 0.5);
+  EXPECT_EQ(back.customDiagnostics[1].maxValue, inf);
+  EXPECT_EQ(back.customDiagnostics[2].maxDelta, inf);
+  EXPECT_EQ(serve::toJson(back).write(), text);
+
+  EXPECT_TRUE(std::isnan(parseJson(Json::number(std::nan("")).write())
+                             .asDouble("$")));
+  EXPECT_THROW(Json::str("infinity").asDouble("$"), JsonError);
 }
 
 // optFlag lands on the compiler's shell command line in the daemon, so
@@ -1177,6 +1205,64 @@ TEST(Protocol, ReaderAndParseJsonAgree) {
       streamed = e.what();
     }
     EXPECT_EQ(streamed, dom) << text;
+  }
+}
+
+// JSON's string spelling, one byte at a time and independent of the writer
+// under test: `"` and `\` and the three whitespace controls take their
+// two-byte escapes, every other byte below 0x20 is `\u00` plus two
+// lowercase hex digits, and every other byte goes verbatim.
+std::string referenceEscaped(const std::string& s) {
+  static const char* hex = "0123456789abcdef";
+  std::string out = "\"";
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += hex[u >> 4];
+      out += hex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+// Every string on the wire, as a value and as an object key, is spelled
+// as the reference spells it, and reads back byte for byte.
+TEST(Protocol, StringEscapingIsGolden) {
+  std::string everyByte;
+  for (int b = 0; b < 256; ++b) everyByte.push_back(static_cast<char>(b));
+  const std::vector<std::string> inputs = {
+      everyByte, "", std::string("unit separator last\x1f"),
+      writeModelToString(*buildBenchmarkModel("CSEV"))};
+  for (const std::string& s : inputs) {
+    const std::string label = "input of " + std::to_string(s.size()) +
+                              " byte(s)";
+    const std::string value = Json::str(s).write();
+    EXPECT_EQ(value, referenceEscaped(s)) << label;
+    EXPECT_EQ(parseJson(value).asString("$"), s) << label;
+
+    Json obj = Json::object();
+    obj.set(s, Json::u64(1));
+    const std::string key = obj.write();
+    std::string wantKey = "{";
+    wantKey += referenceEscaped(s);
+    wantKey += ":1}";
+    EXPECT_EQ(key, wantKey) << label;
+    const Json back = parseJson(key);
+    ASSERT_EQ(back.members("$").size(), 1u) << label;
+    EXPECT_EQ(back.members("$")[0].first, s) << label;
   }
 }
 

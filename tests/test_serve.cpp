@@ -27,17 +27,21 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "codegen/model_lib.h"
 #include "codegen/run_abi.h"
 #include "parser/model_io.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
+#include "serve/lib_pool.h"
 #include "serve/protocol.h"
 #include "serve/version.h"
 #include "sim/campaign.h"
@@ -345,6 +349,87 @@ TEST_F(ServeTest, LruEvictionUnderByteBudgetReloadsTransparently) {
       << "the content-addressed compile cache should absorb the reload";
   EXPECT_GT(ModelLib::loadCount(), loads)
       << "the reload repays exactly the dlopen";
+}
+
+// The pool finds an entry by its exact identity, the model text and the
+// canonical options, byte for byte: a text one newline longer is another
+// model, the worker count is not part of the identity, the step count is.
+// Each entry is charged its text, its generated source and the size its
+// library has on disk.
+TEST_F(ServeTest, PoolFindsEntriesByExactTextAndOptions) {
+  std::ifstream in(ACCMOS_MODELS_DIR "/CSEV.xml", std::ios::binary);
+  const std::string csev((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(csev.empty());
+  const SimOptions opt = serveSimOptions();
+  serve::ModelLibPool pool(0);
+
+  serve::PoolLease plain = pool.acquire(csev, opt);
+  serve::PoolLease longer = pool.acquire(csev + "\n", opt);
+  EXPECT_FALSE(plain.poolHit());
+  EXPECT_FALSE(longer.poolHit());
+  EXPECT_NE(&*plain, &*longer);
+  EXPECT_EQ(pool.stats().entries, 2u);
+  EXPECT_EQ(pool.stats().misses, 2u);
+
+  SimOptions oneWorker = opt;
+  oneWorker.campaign.workers = 1;
+  SimOptions fourWorkers = opt;
+  fourWorkers.campaign.workers = 4;
+  const serve::PoolLease one = pool.acquire(csev, oneWorker);
+  const serve::PoolLease four = pool.acquire(csev, fourWorkers);
+  EXPECT_TRUE(one.poolHit());
+  EXPECT_TRUE(four.poolHit());
+  EXPECT_EQ(&*one, &*plain);
+  EXPECT_EQ(&*four, &*plain);
+  EXPECT_EQ(pool.stats().entries, 2u);
+
+  SimOptions moreSteps = opt;
+  moreSteps.maxSteps = opt.maxSteps + 1;
+  serve::PoolLease steps = pool.acquire(csev, moreSteps);
+  EXPECT_FALSE(steps.poolHit());
+  EXPECT_EQ(pool.stats().entries, 3u);
+  EXPECT_EQ(pool.stats().misses, 3u);
+  EXPECT_EQ(pool.stats().hits, 2u);
+
+  uint64_t expected = 0;
+  for (const auto& [lease, text] :
+       {std::pair<serve::PoolLease*, std::string>{&plain, csev},
+        {&longer, csev + "\n"},
+        {&steps, csev}}) {
+    const AccMoSEngine* e = (*lease)->evaluator().engineFor(TestCaseSpec{});
+    ASSERT_NE(e, nullptr);
+    expected += text.size() + e->generatedSource().size() +
+                fs::file_size(e->exePath());
+  }
+  EXPECT_EQ(pool.stats().residentBytes, expected);
+}
+
+// A range with one infinite bound crosses the wire and runs in the daemon
+// as it runs locally.
+TEST_F(ServeTest, OneSidedRangeDiagnosticRunsAsLocally) {
+  Tiny t;
+  gainModel(t);
+  const std::string text = writeModelToString(t.model());
+  SimOptions opt = serveSimOptions();
+  opt.customDiagnostics.push_back(rangeDiagnostic(
+      "T_G", "r", -std::numeric_limits<double>::infinity(), 0.5));
+  TestCaseSpec spec = fullRangeStimulus();
+  spec.seed = 42;
+
+  const SimulationResult local = simulate(t.model(), opt, spec);
+  ASSERT_FALSE(local.diagnostics.empty());
+
+  DaemonRunner dr(serveOptions());
+  serve::ServeClient cl(sockPath_.string());
+  const SimulationResult remote = cl.run(text, opt, spec);
+  EXPECT_FALSE(remote.failed) << remote.failure.message;
+  test::expectSameOutputs(local, remote, "one-sided range");
+  ASSERT_EQ(local.diagnostics.size(), remote.diagnostics.size());
+  for (size_t k = 0; k < local.diagnostics.size(); ++k) {
+    EXPECT_EQ(serve::toJson(local.diagnostics[k]).write(),
+              serve::toJson(remote.diagnostics[k]).write());
+  }
 }
 
 // PR 7 containment through the daemon: a crash-injected seed becomes a
