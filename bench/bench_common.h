@@ -77,7 +77,7 @@ inline std::string jsonEscape(const std::string& s) {
 class JsonRow {
  public:
   JsonRow& str(const std::string& key, const std::string& value) {
-    return add(key, "\"" + jsonEscape(value) + "\"");
+    return add(key, std::string("\"").append(jsonEscape(value)).append("\""));
   }
   JsonRow& num(const std::string& key, double value) {
     char buf[40];
@@ -102,7 +102,10 @@ class JsonRow {
 
  private:
   JsonRow& add(const std::string& key, const std::string& rendered) {
-    fields_.push_back("\"" + jsonEscape(key) + "\": " + rendered);
+    fields_.push_back(std::string("\"")
+                          .append(jsonEscape(key))
+                          .append("\": ")
+                          .append(rendered));
     return *this;
   }
   std::vector<std::string> fields_;

@@ -417,11 +417,13 @@ class UnaryMinusSpec : public UnaryBase {
     EmitFlags flags = declareArithFlags(ctx);
     beginElemLoop(ctx, ctx.outWidth());
     if (isFloatType(ctx.outType())) {
-      ctx.line(ctx.storeOutStmt("i", "-" + ctx.inElem(0, "i", DataType::F64),
-                                flags.wrap, flags.prec));
+      ctx.line(ctx.storeOutStmt(
+          "i", std::string("-").append(ctx.inElem(0, "i", DataType::F64)),
+          flags.wrap, flags.prec));
     } else {
-      ctx.line(ctx.storeOutStmt("i", "-" + ctx.inElem(0, "i", DataType::I64),
-                                flags.wrap, flags.prec));
+      ctx.line(ctx.storeOutStmt(
+          "i", std::string("-").append(ctx.inElem(0, "i", DataType::I64)),
+          flags.wrap, flags.prec));
     }
     endElemLoop(ctx);
     finishEmit(ctx, flags);

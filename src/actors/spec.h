@@ -184,10 +184,12 @@ class EmitContext {
 
   // Variable names used by the emitter's declarations.
   std::string in(int port) const {
-    return "s" + std::to_string(fa_->inputs[static_cast<size_t>(port)]);
+    return std::string("s").append(
+        std::to_string(fa_->inputs[static_cast<size_t>(port)]));
   }
   std::string out(int port = 0) const {
-    return "s" + std::to_string(fa_->outputs[static_cast<size_t>(port)]);
+    return std::string("s").append(
+        std::to_string(fa_->outputs[static_cast<size_t>(port)]));
   }
   std::string state() const { return "st" + std::to_string(fa_->id); }
   std::string store() const {

@@ -140,8 +140,11 @@ bool storeEntry(const CacheEntry& e, const fs::path& exePath) {
   try {
     fs::create_directories(e.bin.parent_path());
     sweepStaleTemps(e.bin.parent_path());
-    std::string tag = "." + std::to_string(::getpid()) + "." +
-                      std::to_string(g_tmpCounter.fetch_add(1)) + ".tmp";
+    std::string tag = std::string(".")
+                          .append(std::to_string(::getpid()))
+                          .append(".")
+                          .append(std::to_string(g_tmpCounter.fetch_add(1)))
+                          .append(".tmp");
     fs::path binTmp = e.bin.string() + tag;
     fs::path metaTmp = e.meta.string() + tag;
     fs::copy_file(exePath, binTmp, fs::copy_options::overwrite_existing);
@@ -591,7 +594,7 @@ std::string CompilerDriver::run(const std::string& exePath,
                                 errors.back())) != 0) {
     errors.pop_back();
   }
-  if (!errors.empty()) errors.insert(0, "\n");
+  if (!errors.empty()) errors = std::string("\n").append(errors);
   if (WIFSIGNALED(r.status)) {
     throw SimCrashError(what + " " + describeWaitStatus(r.status) + errors,
                         WTERMSIG(r.status));

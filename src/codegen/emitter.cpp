@@ -325,7 +325,9 @@ void Emitter::emitFillInputs(std::ostringstream& os) {
     const SignalInfo& sig = fm_.signal(fa.outputs[0]);
     const std::string n = std::to_string(k);
     const std::string store = storeFromDouble(
-        sig.type, "s" + std::to_string(fa.outputs[0]) + "[i]", "v");
+        sig.type,
+        std::string("s").append(std::to_string(fa.outputs[0])).append("[i]"),
+        "v");
     os << "  // Inport " << fa.path << "\n"
        << "  if (tc_len_" << n << " != 0) {\n"
        << "    double v = tc_seq_" << n << "[tc_pos_" << n << "];\n"

@@ -90,11 +90,28 @@ Json ServeClient::request(const std::string& requestText) {
   return resp;
 }
 
+std::optional<uint64_t> ServeClient::registered(
+    const std::string& modelText) const {
+  for (const auto& [text, index] : models_) {
+    if (text == modelText) return index;  // sizes first, then the bytes
+  }
+  return std::nullopt;
+}
+
+void ServeClient::record(const std::string& modelText, const Json& resp) {
+  if (const Json* index = resp.find("model")) {
+    models_.emplace_back(modelText, index->asU64("$.model"));
+  }
+}
+
 SimulationResult ServeClient::run(const std::string& modelText,
                                   const SimOptions& opt,
                                   const TestCaseSpec& spec,
                                   ServiceMeta* meta) {
-  Json resp = request(runRequestText(modelText, opt, spec));
+  const std::optional<uint64_t> index = registered(modelText);
+  Json resp = request(index ? runRequestText(*index, opt, spec)
+                            : runRequestText(modelText, opt, spec));
+  if (!index) record(modelText, resp);
   if (meta != nullptr) *meta = serviceOf(resp);
   return simResultFromJson(resp.at("result", "$"), "$.result");
 }
@@ -102,8 +119,10 @@ SimulationResult ServeClient::run(const std::string& modelText,
 CampaignResult ServeClient::campaign(const std::string& modelText,
                                      const SimOptions& opt, SpecBatch specs,
                                      ServiceMeta* meta) {
+  const std::optional<uint64_t> index = registered(modelText);
   const std::string text =
-      exchange(campaignRequestText(modelText, opt, specs));
+      exchange(index ? campaignRequestText(*index, opt, specs)
+                     : campaignRequestText(modelText, opt, specs));
   JsonReader r(text);
   CampaignResult result;
   const Json resp = r.object([&](const std::string& key) {
@@ -113,6 +132,7 @@ CampaignResult ServeClient::campaign(const std::string& modelText,
   });
   r.finish();
   checkOk(resp);
+  if (!index) record(modelText, resp);
   resp.at("result", "$");  // a response without one is a JsonError
   if (meta != nullptr) *meta = serviceOf(resp);
   return result;

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -25,6 +27,12 @@ class ServeClient {
   // Daemon identity from the hello response.
   const std::string& daemonVersion() const { return daemonVersion_; }
   uint64_t daemonAbi() const { return daemonAbi_; }
+
+  // A run or campaign request carries its model's text until the daemon
+  // answers it with the text's index on this connection ("model": k), and
+  // names the model by k from then on: the client records text -> k from
+  // such answers only, and sends k for a text equal to a recorded one
+  // byte for byte.
 
   // One simulation of `modelText` (model XML) under `spec`. The result is
   // bit-identical to local execution of the same model/options/spec.
@@ -50,10 +58,18 @@ class ServeClient {
   std::string exchange(const std::string& requestText);
   // exchange(), then the response as a DOM, or the daemon's error thrown.
   Json request(const std::string& requestText);
+  // The index the daemon registered `modelText` under, if it told us one.
+  std::optional<uint64_t> registered(const std::string& modelText) const;
+  // Records the index an ok answer to a request that carried `modelText`
+  // names, if it names one.
+  void record(const std::string& modelText, const Json& resp);
 
   int fd_ = -1;
   std::string daemonVersion_;
   uint64_t daemonAbi_ = 0;
+  // The texts the daemon registered on this connection, with their
+  // indices, in the order it answered them.
+  std::vector<std::pair<std::string, uint64_t>> models_;
 };
 
 }  // namespace accmos::serve

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "codegen/compiler_driver.h"
 #include "serve/protocol.h"
@@ -105,6 +107,42 @@ class Daemon::RequestSlot {
 
  private:
   Daemon& d_;
+};
+
+// The model texts one connection registered: index k names texts_[k].
+// Only the connection's own thread touches it.
+class Daemon::ModelRegistry {
+ public:
+  // The text registered as `index`, or nullptr if this connection never
+  // handed that index out.
+  const std::string* find(uint64_t index) const {
+    return index < texts_.size() ? &texts_[index] : nullptr;
+  }
+
+  // The index of the registered text equal to `text`, byte for byte; else
+  // the index keep() gives `text`, while both caps admit it; else nullopt.
+  std::optional<uint64_t> indexFor(const std::string& text) const {
+    for (size_t k = 0; k < texts_.size(); ++k) {
+      if (texts_[k] == text) return k;
+    }
+    if (texts_.size() < kMaxRegisteredModels &&
+        text.size() <= kMaxRegisteredBytes - bytes_) {
+      return texts_.size();
+    }
+    return std::nullopt;
+  }
+
+  // Registers `text` as `index`, which indexFor(text) returned, unless an
+  // equal text holds that index already.
+  void keep(uint64_t index, std::string text) {
+    if (index != texts_.size()) return;
+    bytes_ += text.size();
+    texts_.push_back(std::move(text));
+  }
+
+ private:
+  std::vector<std::string> texts_;
+  size_t bytes_ = 0;  // of every text in texts_
 };
 
 Daemon::Daemon(const ServeOptions& opt)
@@ -266,9 +304,10 @@ void Daemon::handleConnection(Connection& conn) {
     const bool helloOk =
         readFrame(fd, &text, kFrameDeadline) && answerHello(fd, text);
 
+    ModelRegistry models;
     while (helloOk && readFrame(fd, &text, kFrameDeadline)) {
       bool wantShutdown = false;
-      writeFrame(fd, dispatch(std::move(text), &wantShutdown));
+      writeFrame(fd, dispatch(std::move(text), models, &wantShutdown));
       if (wantShutdown) {
         shutdown();
         break;
@@ -301,7 +340,8 @@ void Daemon::handleConnection(Connection& conn) {
 // campaign work executes here, on the connection's thread, once it holds a
 // request slot; stats and shutdown need no slot, so an overloaded daemon
 // still responds to its operator.
-std::string Daemon::dispatch(std::string requestText, bool* wantShutdown) {
+std::string Daemon::dispatch(std::string requestText, ModelRegistry& models,
+                             bool* wantShutdown) {
   try {
     Request req = requestFromText(requestText);
     // A campaign's text holds every spec once more, and its response's
@@ -341,36 +381,53 @@ std::string Daemon::dispatch(std::string requestText, bool* wantShutdown) {
       return errorResponse("protocol", "unknown op \"" + op + "\"").write();
     }
     const bool isRun = op == "run";
-    const std::string& modelText =
-        isRun ? req.run.model : req.campaign.model;
+    ModelName& model = isRun ? req.run.model : req.campaign.model;
     const SimOptions& simOpt = isRun ? req.run.options : req.campaign.options;
+    const std::string* modelText =
+        model.index ? models.find(*model.index) : &model.text;
+    if (modelText == nullptr) {
+      return errorResponse("protocol",
+                           "model " + std::to_string(*model.index) +
+                               " was never registered on this connection")
+          .write();
+    }
 
     RequestSlot slot(*this);
     // Requests for one model share its entry's evaluator and run in
     // parallel: evaluate() is re-entrant and takes this request's workers.
-    PoolLease lease = pool_.acquire(modelText, simOpt);
+    PoolLease lease = pool_.acquire(*modelText, simOpt);
 
     Json resp = Json::object();
     resp.set("ok", Json::boolean(true));
     resp.set("op", Json::str(op));
+    // resp.write() renders a campaign's rows straight from `cr`, so `cr`
+    // stays in scope until the text is written.
+    CampaignResult cr;
     if (isRun) {
       std::vector<SimulationResult> rs = lease->evaluator().evaluate(
           std::vector<TestCaseSpec>{std::move(req.run.spec)},
           simOpt.campaign.workers, nullptr);
       rs[0].optStats = lease->optStats();
       resp.set("result", toJson(rs[0]));
-      resp.set("service", toJson(ServiceMeta{lease.poolHit(), pool_.stats()}));
-      return resp.write();
+    } else {
+      cr = runCampaignSpecsOn(lease->optimizedModel(), lease->evaluator(),
+                              simOpt, req.campaign.specs, lease->optStats());
+      // The specs are spent: free them before the response's text grows.
+      std::vector<TestCaseSpec>().swap(req.campaign.specs);
+      resp.set("result", toJson(cr));
     }
-    const CampaignResult cr =
-        runCampaignSpecsOn(lease->optimizedModel(), lease->evaluator(),
-                           simOpt, req.campaign.specs, lease->optStats());
-    // The specs are spent: free them before the response's text grows.
-    std::vector<TestCaseSpec>().swap(req.campaign.specs);
-    // resp.write() renders the result's rows straight from `cr`, so `cr`
-    // stays in scope until the text is written.
-    resp.set("result", toJson(cr));
     resp.set("service", toJson(ServiceMeta{lease.poolHit(), pool_.stats()}));
+    // A text the request carried is registered once its ok answer is
+    // written, and the answer names the text's index. An answer that
+    // fails before then registers nothing.
+    if (!model.index) {
+      if (const std::optional<uint64_t> index = models.indexFor(model.text)) {
+        resp.set("model", Json::u64(*index));
+        std::string answer = resp.write();
+        models.keep(*index, std::move(model.text));
+        return answer;
+      }
+    }
     return resp.write();
   } catch (const std::exception& e) {
     return errorResponse(classify(e), e.what()).write();

@@ -5,7 +5,9 @@
 // the connection's frames and runs its requests itself; the thread ends
 // with the connection and wakes the accept loop, which joins it. A
 // connection must begin its hello within kFrameDeadline, and a frame must
-// arrive whole within kFrameDeadline of its first byte. At most
+// arrive whole within kFrameDeadline of its first byte. Each connection
+// keeps a registry of the model texts it sent, so a later request names a
+// text by its index (docs/SERVICE.md, "Model registration"). At most
 // `requestWorkers` run/campaign requests execute at once, admitted in
 // arrival order, and requests for one model run in parallel like any
 // others; stats and shutdown answer without waiting for a slot.
@@ -39,6 +41,12 @@ namespace accmos::serve {
 // arrived; a connection that misses either is closed. Idle time between
 // frames after the hello is not limited.
 inline constexpr std::chrono::seconds kFrameDeadline{5};
+
+// What one connection may register: at most kMaxRegisteredModels model
+// texts, of at most kMaxRegisteredBytes in all. Past either cap a request's
+// text is answered without an index and keeps travelling inline.
+inline constexpr size_t kMaxRegisteredModels = 16;
+inline constexpr size_t kMaxRegisteredBytes = size_t{16} << 20;
 
 struct ServeOptions {
   std::string socketPath;
@@ -90,10 +98,13 @@ class Daemon {
     std::thread thread;
   };
   class RequestSlot;
+  class ModelRegistry;
 
   void handleConnection(Connection& conn);
   // Takes the request frame's text, and frees it once it is decoded.
-  std::string dispatch(std::string requestText, bool* wantShutdown);
+  // `models` holds the texts the connection registered.
+  std::string dispatch(std::string requestText, ModelRegistry& models,
+                       bool* wantShutdown);
   void joinEndedConnections();
   // Makes the accept loop's poll return now. Thread-safe.
   void wake();

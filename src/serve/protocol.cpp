@@ -228,14 +228,21 @@ void fields(S& o, F&& f) {
 // forms, whose members refer to its caller's model text, options and
 // specs, so a request copies none of them.
 
+// A request's model as ServeClient writes it: the caller's text, or the
+// index the daemon registered it under.
+struct ModelRef {
+  const std::string* text;  // nullptr when the request names `index`
+  uint64_t index;
+};
+
 struct RunRequestRef {
-  const std::string& model;
+  ModelRef model;
   const SimOptions& options;
   const TestCaseSpec& spec;
 };
 
 struct CampaignRequestRef {
-  const std::string& model;
+  ModelRef model;
   const SimOptions& options;
   const SpecBatch& specs;
 };
@@ -368,6 +375,21 @@ void dec(const Json& j, const std::string& where, CoverageRecorder& r) {
 }
 void dec(const Json& j, const std::string& where, CoverageReport& r) {
   r = reportFromJson(j, where);
+}
+
+// A request's model is a string (its text) or an unsigned integer (an
+// index); only the daemon resolves the index.
+Json enc(const ModelRef& m) {
+  return m.text != nullptr ? Json::str(*m.text) : Json::u64(m.index);
+}
+void dec(const Json& j, const std::string& where, ModelName& m) {
+  if (j.kind() == Json::Kind::String) {
+    m = {j.asString(where), std::nullopt};
+  } else if (j.kind() == Json::Kind::U64) {
+    m = {std::string(), j.asU64(where)};
+  } else {
+    throw JsonError(where + ": expected a model text or an unsigned index");
+  }
 }
 
 // The object of `s`'s field list, after the members already in `j`.
@@ -698,13 +720,25 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where) {
 
 std::string runRequestText(const std::string& model, const SimOptions& options,
                            const TestCaseSpec& spec) {
-  return encFields(RunRequestRef{model, options, spec}, opObject("run"))
+  return encFields(RunRequestRef{{&model, 0}, options, spec}, opObject("run"))
+      .write();
+}
+std::string runRequestText(uint64_t model, const SimOptions& options,
+                           const TestCaseSpec& spec) {
+  return encFields(RunRequestRef{{nullptr, model}, options, spec},
+                   opObject("run"))
       .write();
 }
 
 std::string campaignRequestText(const std::string& model,
                                 const SimOptions& options, SpecBatch specs) {
-  return encFields(CampaignRequestRef{model, options, specs},
+  return encFields(CampaignRequestRef{{&model, 0}, options, specs},
+                   opObject("campaign"))
+      .write();
+}
+std::string campaignRequestText(uint64_t model, const SimOptions& options,
+                                SpecBatch specs) {
+  return encFields(CampaignRequestRef{{nullptr, model}, options, specs},
                    opObject("campaign"))
       .write();
 }

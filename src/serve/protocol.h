@@ -39,6 +39,7 @@
 #pragma once
 
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "serve/json.h"
@@ -169,37 +170,53 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where);
 
 // ---- Request envelopes ---------------------------------------------------
 // A run or campaign request is its "op" ("run" or "campaign") and then its
-// envelope: the model text, the options, and the run's one "spec" or the
+// envelope: the model, the options, and the run's one "spec" or the
 // campaign's "specs". Each envelope's shape is one field list, which
 // ServeClient's encoder and the daemon's decoder both walk.
+//
+// The "model" is the model's XML text (a JSON string), or an unsigned
+// integer k that names a text the same connection registered earlier: the
+// daemon answers a request that carried a text with "model": k, and
+// ServeClient sends k in place of that text from then on.
+
+struct ModelName {
+  std::string text;               // the XML text, when the request carried it
+  std::optional<uint64_t> index;  // else the registered index it named
+};
 
 struct RunRequest {
-  std::string model;  // model XML
+  ModelName model;
   SimOptions options;
   TestCaseSpec spec;
 };
 
 struct CampaignRequest {
-  std::string model;
+  ModelName model;
   SimOptions options;
   std::vector<TestCaseSpec> specs;
 };
 
-// The request frames ServeClient sends, written over its arguments. A
+// The request frames ServeClient sends, written over its arguments: the
+// model as its text `model`, or as the registered index `model`. A
 // campaign's specs go into the text one at a time, each rendered from
 // `specs` (a seeded batch's from its base spec and the seed): the wire
 // carries every spec whole, and none is copied on the way.
 std::string runRequestText(const std::string& model, const SimOptions& options,
                            const TestCaseSpec& spec);
+std::string runRequestText(uint64_t model, const SimOptions& options,
+                           const TestCaseSpec& spec);
 std::string campaignRequestText(const std::string& model,
                                 const SimOptions& options, SpecBatch specs);
+std::string campaignRequestText(uint64_t model, const SimOptions& options,
+                                SpecBatch specs);
 
 // A request frame as the daemon reads it: the op of any request, and the
 // envelope of a "run" or a "campaign" (the other stays empty). Keys may
 // come in any order, and a repeated key's last value wins. A campaign's
 // specs are read one element at a time. Errors are the field lists' typed
 // JsonErrors ("$: missing key 'model'", "$.specs[3].ports[1]: missing key
-// 'min'").
+// 'min'", "$.model: expected a model text or an unsigned index"). Whether
+// an index was registered is the daemon's to check.
 struct Request {
   std::string op;
   RunRequest run;

@@ -24,8 +24,11 @@ inline constexpr const char* kAccmosVersion = "0.9.0";
 // optFlag to -O0..-O3; version 5 dropped the optimize option and the ran
 // field of optimizer statistics (the pipeline always runs); version 6
 // dropped the step budget option, and a run that crashes or times out
-// now comes back as a failed result, not as a "timeout" or "crash" error.
-inline constexpr uint32_t kProtocolVersion = 6;
+// now comes back as a failed result, not as a "timeout" or "crash" error;
+// version 7 lets a run or campaign request name its model by an index
+// the daemon answered an earlier request's text with on the same
+// connection, in place of the text.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 // Compile-cache schema: the on-disk layout under $ACCMOS_CACHE_DIR
 // (<key>.bin + "<size> <fnv1a64-hex>" sidecar in <key>.meta, FNV-1a-keyed

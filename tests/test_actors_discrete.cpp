@@ -38,7 +38,7 @@ TEST(TappedDelay, ProducesHistoryVector) {
   Actor& sel = t.actor("Sel", "Selector");
   sel.params().set("indices", "1,2,3");
   sel.setWidth(3);
-  Actor& s = t.actor("S", "SumOfElements");
+  t.actor("S", "SumOfElements");
   t.outport("Out1", 1);
   t.wire("In1", "Op");
   t.wire("Op", "Sel");
@@ -201,7 +201,7 @@ TEST(VectorState, UnitDelayVectorRoundTrip) {
   Actor& d = t.actor("Op", "UnitDelay");
   d.setWidth(3);
   d.params().set("initial", "1,2,3");
-  Actor& s = t.actor("S", "SumOfElements");
+  t.actor("S", "SumOfElements");
   t.outport("Out1", 1);
   t.wire("In1", "Op");
   t.wire("Op", "S");

@@ -241,7 +241,7 @@ TEST(Selector, StaticIndicesReorder) {
   Actor& sel = t.actor("Op", "Selector");
   sel.params().set("indices", "3,1");
   sel.setWidth(2);
-  Actor& sum = t.actor("S", "SumOfElements");
+  t.actor("S", "SumOfElements");
   t.outport("Out1", 1);
   t.wire("In1", "Op");
   t.wire("Op", "S");

@@ -139,7 +139,7 @@ TEST(DiagnosisEndToEnd, AllKindsFire) {
   mux.setWidth(2);
   t.wire("In2", "M", 1);
   t.wire("In2", "M", 2);
-  Actor& iv = t.actor("Idx", "IndexVector");
+  t.actor("Idx", "IndexVector");
   t.wire("In1", "Idx", 1);
   t.wire("M", "Idx", 2);
   Actor& cmp = t.actor("C", "CompareToConstant");

@@ -384,7 +384,7 @@ std::vector<TypeCase> typeCases() {
     Actor& sel = t.actor("Sel", "Selector");
     sel.params().set("indices", "2,1,2");
     sel.setWidth(3);
-    Actor& sum = t.actor("S", "SumOfElements");
+    t.actor("S", "SumOfElements");
     t.outport("Out1", 1);
     t.wire("In1", "M", 1);
     t.wire("In2", "M", 2);
@@ -402,7 +402,7 @@ std::vector<TypeCase> typeCases() {
     Actor& mux = t.actor("M", "Mux");
     mux.params().setInt("inputs", 2);
     mux.setWidth(2);
-    Actor& iv = t.actor("Op", "IndexVector");
+    t.actor("Op", "IndexVector");
     t.outport("Out1", 1);
     t.wire("In1", "G");
     t.wire("G", "K");
@@ -482,7 +482,7 @@ std::vector<TypeCase> typeCases() {
     g.setWidth(4);
     Actor& a = t.actor("A", "Abs");
     a.setWidth(4);
-    Actor& s = t.actor("S", "SumOfElements");
+    t.actor("S", "SumOfElements");
     t.outport("Out1", 1);
     t.wire("In1", "G");
     t.wire("G", "A");
@@ -587,7 +587,7 @@ TEST(TypeDifferentialAccMoS, EveryCLibraryCallMatches) {
   t.inport("In2", 2);
   int k = 0;
   for (const Call& c : calls) {
-    const std::string name = "C" + std::to_string(++k);
+    const std::string name = std::string("C").append(std::to_string(++k));
     const std::string out = "Out" + std::to_string(k);
     Actor& a = t.actor(name, c.type);
     if (*c.op != '\0') a.params().set("op", c.op);

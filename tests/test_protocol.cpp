@@ -558,7 +558,7 @@ TEST(Protocol, CampaignObservationsExcludeTimingAndPlacement) {
 }
 
 // ---- Golden wire text --------------------------------------------------
-// Fixed instances of every message, rendered byte for byte as protocol v6
+// Fixed instances of every message, rendered byte for byte as protocol v7
 // renders them. A change to any message's keys, their order or a number's
 // JSON flavour fails here; decoding each text and encoding it again must
 // give the text back.
@@ -729,7 +729,7 @@ const std::string kGoldenShardDone =
 
 // The hello either side sends, and the pool statistics a daemon reports.
 const std::string kGoldenHelloBody =
-    std::string(R"("op":"hello","protocol":6,"abi":6,"version":")") +
+    std::string(R"("op":"hello","protocol":7,"abi":6,"version":")") +
     serve::kAccmosVersion + R"(","cacheSchema":")" + serve::kCacheSchema +
     "\"}";
 const std::string kGoldenHello = "{" + kGoldenHelloBody;
@@ -1068,40 +1068,152 @@ TEST(Protocol, RequestEnvelopeTextIsGolden) {
   ::close(fd);
 }
 
+// The index form of both envelopes: "model" is the unsigned integer a
+// daemon answered the text with, in the text's place.
+const std::string kGoldenRunRequestByIndex =
+    R"({"op":"run","model":0,"options":)" + kGoldenEnvelopeOptions +
+    R"(,"spec":)" + kGoldenSpec + "}";
+const std::string kGoldenCampaignRequestByIndex =
+    R"({"op":"campaign","model":5,"options":)" + kGoldenEnvelopeOptions +
+    R"(,"specs":[)" + kGoldenSpec + "," + kGoldenSecondSpec + "]}";
+// An ok answer to a request that carried its text: the index the daemon
+// registered the text under comes last.
+const std::string kGoldenRegisteringAnswer =
+    R"({"ok":true,"op":"run","result":)" + kGoldenRun +
+    R"(,"service":{"poolHit":false,"pool":)" + kGoldenBusyPool +
+    R"(},"model":0})";
+
+// The index form on the wire, from both sides. A stand-in daemon that
+// answers a text with "model": 0 sees the client name index 0 in its next
+// request for that text, whichever kind. A text of the same size but other
+// bytes still travels whole, and an error answer registers nothing, even
+// one that names an index. A real daemon's answer names the index last.
+TEST(Protocol, RequestByIndexTextIsGolden) {
+  const SimOptions opt = envelopeOptions();
+  const std::vector<TestCaseSpec> specs = {goldenSpec(),
+                                           envelopeSecondSpec()};
+  EXPECT_EQ(serve::runRequestText(0, opt, specs[0]), kGoldenRunRequestByIndex);
+  EXPECT_EQ(serve::campaignRequestText(5, opt, specs),
+            kGoldenCampaignRequestByIndex);
+
+  const std::string model = "<model name=\"T\"/>";
+  std::string sameSize = model;
+  sameSize[13] = 'U';
+  const std::string sock = (std::filesystem::temp_directory_path() /
+                            ("accmos_by_index_" + std::to_string(::getpid()) +
+                             ".sock"))
+                               .string();
+  const std::string runAnswer =
+      R"({"ok":true,"op":"run","result":)" + kGoldenRun + "}";
+  const std::vector<std::string> sent = sentRequests(
+      sock,
+      {kGoldenRegisteringAnswer,
+       R"({"ok":true,"op":"campaign","result":)" + kGoldenCampaign + "}",
+       R"({"ok":false,"kind":"model-load","error":"bad","model":1})",
+       runAnswer, runAnswer},
+      [&](serve::ServeClient& cl) {
+        EXPECT_EQ(serve::toJson(cl.run(model, opt, specs[0])).write(),
+                  kGoldenRun);
+        EXPECT_EQ(serve::toJson(cl.campaign(model, opt, specs)).write(),
+                  kGoldenCampaign);
+        EXPECT_THROW(cl.run(sameSize, opt, specs[0]), ModelLoadError);
+        cl.run(sameSize, opt, specs[0]);
+        cl.run(model, opt, specs[0]);
+      });
+  ASSERT_EQ(sent.size(), 5u);
+  EXPECT_EQ(sent[0], goldenRunRequest(Json::str(model).write()));
+  EXPECT_EQ(sent[1], goldenCampaignRequest("0"));
+  EXPECT_EQ(sent[2], goldenRunRequest(Json::str(sameSize).write()));
+  EXPECT_EQ(sent[3], sent[2]);
+  EXPECT_EQ(sent[4], kGoldenRunRequestByIndex);
+
+  // A real daemon: the text is answered with its index, last; the same
+  // text inline again with the same index; the index with no "model".
+  const std::string csev = Json::str(writeModelToString(
+                                         *buildBenchmarkModel("CSEV")))
+                               .write();
+  serve::ServeOptions so;
+  so.socketPath = sock;
+  so.requestWorkers = 1;
+  test::DaemonRunner dr(so);
+  const int fd = connectUnix(sock);
+  ASSERT_GE(fd, 0);
+  std::string text;
+  serve::writeFrame(fd, kGoldenHello);
+  ASSERT_TRUE(serve::readFrame(fd, &text));
+  std::vector<std::string> results;
+  for (const std::string& req :
+       {goldenRunRequest(csev), goldenRunRequest(csev),
+        kGoldenRunRequestByIndex}) {
+    serve::writeFrame(fd, req);
+    ASSERT_TRUE(serve::readFrame(fd, &text));
+    const Json resp = parseJson(text);
+    std::vector<std::string> keys;
+    for (const auto& member : resp.members("$")) keys.push_back(member.first);
+    std::vector<std::string> want = {"ok", "op", "result", "service"};
+    if (req != kGoldenRunRequestByIndex) want.push_back("model");
+    EXPECT_EQ(keys, want) << text.substr(0, 200);
+    if (req != kGoldenRunRequestByIndex) {
+      EXPECT_EQ(text.substr(text.size() - 11), R"(,"model":0})");
+    }
+    results.push_back(runObservations(
+        serve::simResultFromJson(resp.at("result", "$"), "$.result")));
+  }
+  EXPECT_EQ(results[1], results[0]);
+  EXPECT_EQ(results[2], results[0]);
+  ::close(fd);
+}
+
 // The daemon's reader of request frames against the golden envelopes:
 // decoding a golden text and encoding it again gives the text back, in
-// whatever order its keys came. A seeded batch sends the text of its
-// explicit specs. A missing key, a wrong kind and a repeated key read as
-// the DOM decoder reads them.
+// whatever order its keys came, whether the model is a text or an index.
+// A seeded batch sends the text of its explicit specs. A missing key, a
+// wrong kind and a repeated key read as the DOM decoder reads them.
 TEST(Protocol, RequestEnvelopeDecodesToItsText) {
   const std::string model = "<model name=\"T\"/>";
   const std::string modelJson = Json::str(model).write();
-  const std::string runText = goldenRunRequest(modelJson);
-  const std::string campaignText = goldenCampaignRequest(modelJson);
   const std::string runBody = R"("options":)" + kGoldenEnvelopeOptions +
                               R"(,"spec":)" + kGoldenSpec;
   const std::string specsBody =
       R"("specs":[)" + kGoldenSpec + "," + kGoldenSecondSpec + "]";
 
   auto runAgain = [](const serve::Request& q) {
-    return serve::runRequestText(q.run.model, q.run.options, q.run.spec);
+    const serve::ModelName& m = q.run.model;
+    return m.index
+               ? serve::runRequestText(*m.index, q.run.options, q.run.spec)
+               : serve::runRequestText(m.text, q.run.options, q.run.spec);
   };
   auto campaignAgain = [](const serve::Request& q) {
-    return serve::campaignRequestText(q.campaign.model, q.campaign.options,
-                                      q.campaign.specs);
+    const serve::ModelName& m = q.campaign.model;
+    return m.index ? serve::campaignRequestText(*m.index, q.campaign.options,
+                                                q.campaign.specs)
+                   : serve::campaignRequestText(m.text, q.campaign.options,
+                                                q.campaign.specs);
   };
-  EXPECT_EQ(runAgain(serve::requestFromText(runText)), runText);
-  EXPECT_EQ(campaignAgain(serve::requestFromText(campaignText)),
-            campaignText);
-  const serve::Request reorderedRun = serve::requestFromText(
-      "{" + runBody + R"(,"model":)" + modelJson + R"(,"op":"run"})");
-  EXPECT_EQ(reorderedRun.op, "run");
-  EXPECT_EQ(runAgain(reorderedRun), runText);
-  const serve::Request reorderedCampaign = serve::requestFromText(
-      "{" + specsBody + R"(,"model":)" + modelJson + R"(,"options":)" +
-      kGoldenEnvelopeOptions + R"(,"op":"campaign"})");
-  EXPECT_EQ(reorderedCampaign.op, "campaign");
-  EXPECT_EQ(campaignAgain(reorderedCampaign), campaignText);
+  // The model as a text, and as the indices 0 and 2^64 - 1.
+  for (const std::string& name :
+       {modelJson, std::string("0"), std::string("18446744073709551615")}) {
+    SCOPED_TRACE(name.substr(0, 8));
+    const std::string runText = goldenRunRequest(name);
+    const std::string campaignText = goldenCampaignRequest(name);
+    const serve::Request run = serve::requestFromText(runText);
+    EXPECT_EQ(run.run.model.index.has_value(), name != modelJson);
+    EXPECT_EQ(run.run.model.text, name == modelJson ? model : "");
+    EXPECT_EQ(runAgain(run), runText);
+    EXPECT_EQ(campaignAgain(serve::requestFromText(campaignText)),
+              campaignText);
+    const serve::Request reorderedRun = serve::requestFromText(
+        "{" + runBody + R"(,"model":)" + name + R"(,"op":"run"})");
+    EXPECT_EQ(reorderedRun.op, "run");
+    EXPECT_EQ(runAgain(reorderedRun), runText);
+    const serve::Request reorderedCampaign = serve::requestFromText(
+        "{" + specsBody + R"(,"model":)" + name + R"(,"options":)" +
+        kGoldenEnvelopeOptions + R"(,"op":"campaign"})");
+    EXPECT_EQ(reorderedCampaign.op, "campaign");
+    EXPECT_EQ(campaignAgain(reorderedCampaign), campaignText);
+  }
+  const std::string runText = goldenRunRequest(modelJson);
+  const std::string campaignText = goldenCampaignRequest(modelJson);
   EXPECT_EQ(serve::requestFromText(R"({"op":"stats"})").op, "stats");
 
   // One base spec under two seeds writes the same text as the two specs.
@@ -1148,6 +1260,13 @@ TEST(Protocol, RequestEnvelopeDecodesToItsText) {
                     "]}"),
             "$.specs[3].ports[1]: missing key 'min'");
   EXPECT_EQ(errorOf("[]"), "$: expected object, got array");
+  // A model is a string or an unsigned integer, and nothing else.
+  for (const char* bad : {"true", "null", "-1", "1.5", "1e3", "[]", "{}"}) {
+    EXPECT_EQ(errorOf(R"({"op":"run","model":)" + std::string(bad) + "," +
+                      runBody + "}"),
+              "$.model: expected a model text or an unsigned index")
+        << bad;
+  }
   const std::string cut = campaignText.substr(0, campaignText.size() - 9);
   std::string parseError = "no error";
   try {
@@ -1494,6 +1613,17 @@ TEST(Protocol, MutatedPayloadsDecodeOrFailTyped) {
     SCOPED_TRACE("ShardDone");
     fuzzDecoder(serve::toJson(d).write(), 4,
                 [](const Json& j) { serve::shardDoneFromJson(j, "$"); });
+  }
+
+  // Requests that name their model by index, as the daemon reads them.
+  auto request = [](const Json& j) { serve::requestFromText(j.write()); };
+  {
+    SCOPED_TRACE("run request by index");
+    fuzzDecoder(serve::runRequestText(3, o, spec), 7, request);
+  }
+  {
+    SCOPED_TRACE("campaign request by index");
+    fuzzDecoder(serve::campaignRequestText(0, o, {spec, spec}), 8, request);
   }
 }
 

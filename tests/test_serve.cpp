@@ -405,6 +405,277 @@ TEST_F(ServeTest, PoolFindsEntriesByExactTextAndOptions) {
   EXPECT_EQ(pool.stats().residentBytes, expected);
 }
 
+// ---- Model registration --------------------------------------------------
+// A request that carries its model's text is answered with the text's
+// index on its connection ("model": k), and later requests name the text
+// by k. RawConnection shows each answer's "model"; ServeClient sends k by
+// itself.
+
+// One connection below ServeClient: it sends each request text as given
+// and returns the answer.
+class RawConnection {
+ public:
+  explicit RawConnection(const fs::path& sock) : fd_(connectRaw(sock)) {
+    EXPECT_GE(fd_, 0);
+    EXPECT_TRUE(ask(serve::toJson(serve::Hello{}).write())
+                    .at("ok", "$")
+                    .asBool("$.ok"));
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  Json ask(const std::string& request) {
+    serve::writeFrame(fd_, request);
+    std::string text;
+    if (!serve::readFrame(fd_, &text)) {
+      throw serve::ProtocolError("the daemon hung up");
+    }
+    return serve::parseJson(text);
+  }
+
+ private:
+  int fd_;
+};
+
+// The index an answer names, or -1 when it names none.
+int64_t modelOf(const Json& resp) {
+  const Json* m = resp.find("model");
+  return m != nullptr ? static_cast<int64_t>(m->asU64("$.model")) : -1;
+}
+
+bool okOf(const Json& resp) { return resp.at("ok", "$").asBool("$.ok"); }
+
+SimulationResult runOf(const Json& resp) {
+  return serve::simResultFromJson(resp.at("result", "$"), "$.result");
+}
+
+CampaignResult campaignOf(const Json& resp) {
+  return serve::campaignResultFromJson(resp.at("result", "$"), "$.result");
+}
+
+SimOptions sseOptions() {
+  SimOptions opt = serveSimOptions();
+  opt.engine = Engine::SSE;
+  return opt;
+}
+
+// One ServeClient interleaves runs and campaigns over three models: the
+// first request per model carries its text, every later one its index,
+// and every answer equals local execution.
+TEST_F(ServeTest, OneClientInterleavesRunsAndCampaignsOverThreeModels) {
+  Tiny t[3];
+  std::vector<FlatModel> fm;
+  std::vector<std::string> text;
+  for (int m = 0; m < 3; ++m) {
+    fm.push_back(gainModel(t[m], 3.0 + m));
+    text.push_back(writeModelToString(t[m].model()));
+  }
+  const SimOptions opt = serveSimOptions();
+  const TestCaseSpec base = fullRangeStimulus();
+
+  DaemonRunner dr(serveOptions());
+  serve::ServeClient cl(sockPath_.string());
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (size_t m = 0; m < 3; ++m) {
+      const std::string label =
+          "round " + std::to_string(round) + " model " + std::to_string(m);
+      TestCaseSpec spec = base;
+      spec.seed = 100 * round + m;
+      test::expectIdenticalResults(cl.run(text[m], opt, spec),
+                                   simulate(t[m].model(), opt, spec), label);
+      const std::vector<uint64_t> seeds = {round + 1, m + 10};
+      EXPECT_EQ(obs(cl.campaign(text[m], opt, specsFor(base, seeds))),
+                obs(runCampaign(fm[m], opt, base, seeds)))
+          << label;
+    }
+  }
+  EXPECT_EQ(dr.daemon().poolStats().misses, 3u);
+}
+
+// An index the connection was never given is a protocol error, and the
+// connection serves on: a text registers as 0, the same text inline again
+// is answered 0, and 0 then names it.
+TEST_F(ServeTest, UnknownModelIndexIsAProtocolErrorAndTheConnectionServesOn) {
+  Tiny t;
+  gainModel(t);
+  const std::string text = writeModelToString(t.model());
+  const SimOptions opt = sseOptions();
+  TestCaseSpec spec = fullRangeStimulus();
+  spec.seed = 42;
+  const SimulationResult local = simulate(t.model(), opt, spec);
+
+  DaemonRunner dr(serveOptions());
+  RawConnection c(sockPath_);
+  auto expectUnknown = [&](uint64_t index) {
+    const Json resp = c.ask(serve::runRequestText(index, opt, spec));
+    EXPECT_FALSE(okOf(resp));
+    EXPECT_EQ(resp.at("kind", "$").asString("$.kind"), "protocol");
+    EXPECT_NE(
+        resp.at("error", "$").asString("$.error").find("never registered"),
+        std::string::npos);
+    EXPECT_EQ(modelOf(resp), -1);
+  };
+  expectUnknown(0);
+  for (int k = 0; k < 2; ++k) {
+    const Json registered = c.ask(serve::runRequestText(text, opt, spec));
+    ASSERT_TRUE(okOf(registered));
+    EXPECT_EQ(modelOf(registered), 0);
+    test::expectIdenticalResults(runOf(registered), local, "by text");
+  }
+  expectUnknown(1);
+  const Json named = c.ask(serve::runRequestText(0, opt, spec));
+  ASSERT_TRUE(okOf(named));
+  EXPECT_EQ(modelOf(named), -1);
+  test::expectIdenticalResults(runOf(named), local, "by index");
+}
+
+// An error answer registers nothing: a text whose model fails to load is
+// answered model-load with no "model", and the next text registers as 0.
+TEST_F(ServeTest, FailedModelLoadRegistersNothing) {
+  Tiny t;
+  gainModel(t);
+  const std::string text = writeModelToString(t.model());
+  const SimOptions opt = sseOptions();
+  const std::vector<TestCaseSpec> specs =
+      specsFor(fullRangeStimulus(), {1, 2});
+
+  DaemonRunner dr(serveOptions());
+  RawConnection c(sockPath_);
+  const std::string unknownActor =
+      R"(<model name="Bad"><system name="root">)"
+      R"(<actor name="X" type="NoSuchActor"/></system></model>)";
+  const Json failed =
+      c.ask(serve::campaignRequestText(unknownActor, opt, specs));
+  EXPECT_FALSE(okOf(failed));
+  EXPECT_EQ(failed.at("kind", "$").asString("$.kind"), "model-load");
+  EXPECT_EQ(modelOf(failed), -1);
+  EXPECT_FALSE(okOf(c.ask(serve::campaignRequestText(0, opt, specs))));
+
+  const Json registered = c.ask(serve::campaignRequestText(text, opt, specs));
+  ASSERT_TRUE(okOf(registered));
+  EXPECT_EQ(modelOf(registered), 0);
+  const Json named = c.ask(serve::campaignRequestText(0, opt, specs));
+  ASSERT_TRUE(okOf(named));
+  const std::string local =
+      obs(runCampaign(t.flatten(), opt, fullRangeStimulus(), {1, 2}));
+  EXPECT_EQ(obs(campaignOf(registered)), local);
+  EXPECT_EQ(obs(campaignOf(named)), local);
+}
+
+// A connection registers at most kMaxRegisteredModels texts of at most
+// kMaxRegisteredBytes in all. The 17th distinct text, and a text that
+// would pass 16 MiB, are answered with no "model" (and as locally), and
+// the indices handed out before still name their texts.
+TEST_F(ServeTest, RegistrationStopsAtItsCaps) {
+  static_assert(serve::kMaxRegisteredModels == 16);
+  static_assert(serve::kMaxRegisteredBytes == size_t{16} << 20);
+  Tiny t;
+  gainModel(t);
+  const std::string text = writeModelToString(t.model());
+  const SimOptions opt = sseOptions();
+  TestCaseSpec spec = fullRangeStimulus();
+  spec.seed = 9;
+  const SimulationResult local = simulate(t.model(), opt, spec);
+
+  DaemonRunner dr(serveOptions());
+  {
+    // Trailing spaces make distinct texts of one model.
+    RawConnection c(sockPath_);
+    for (size_t k = 0; k <= serve::kMaxRegisteredModels; ++k) {
+      const Json resp = c.ask(
+          serve::runRequestText(text + std::string(k, ' '), opt, spec));
+      ASSERT_TRUE(okOf(resp)) << k;
+      EXPECT_EQ(modelOf(resp),
+                k < serve::kMaxRegisteredModels ? static_cast<int64_t>(k) : -1)
+          << k;
+      test::expectIdenticalResults(runOf(resp), local, "text " +
+                                                           std::to_string(k));
+    }
+    const Json last = c.ask(serve::runRequestText(15, opt, spec));
+    ASSERT_TRUE(okOf(last));
+    test::expectIdenticalResults(runOf(last), local, "index 15");
+  }
+
+  RawConnection c(sockPath_);
+  ASSERT_EQ(modelOf(c.ask(serve::runRequestText(text, opt, spec))), 0);
+  const std::string big =
+      text + std::string(serve::kMaxRegisteredBytes - 2 * text.size() + 1, ' ');
+  ASSERT_EQ(text.size() + big.size(), serve::kMaxRegisteredBytes + 1);
+  const Json tooBig = c.ask(serve::runRequestText(big, opt, spec));
+  ASSERT_TRUE(okOf(tooBig));
+  EXPECT_EQ(modelOf(tooBig), -1);
+  test::expectIdenticalResults(runOf(tooBig), local, "past 16 MiB");
+  EXPECT_EQ(modelOf(c.ask(serve::runRequestText(text + " ", opt, spec))), 1);
+}
+
+// Each connection has its own registry: the same text may hold different
+// indices on two connections, and an index one connection handed out is
+// unknown on the other.
+TEST_F(ServeTest, ConnectionsRegisterIndependently) {
+  Tiny ta, tb;
+  gainModel(ta, 5.0);
+  gainModel(tb, 3.0);
+  const std::string textA = writeModelToString(ta.model());
+  const std::string textB = writeModelToString(tb.model());
+  const SimOptions opt = sseOptions();
+  TestCaseSpec spec = fullRangeStimulus();
+  spec.seed = 77;
+
+  DaemonRunner dr(serveOptions());
+  RawConnection one(sockPath_);
+  RawConnection two(sockPath_);
+  EXPECT_EQ(modelOf(one.ask(serve::runRequestText(textA, opt, spec))), 0);
+  EXPECT_EQ(modelOf(one.ask(serve::runRequestText(textB, opt, spec))), 1);
+  EXPECT_EQ(modelOf(two.ask(serve::runRequestText(textB, opt, spec))), 0);
+  EXPECT_FALSE(okOf(two.ask(serve::runRequestText(1, opt, spec))));
+
+  const Json a = one.ask(serve::runRequestText(0, opt, spec));
+  const Json b1 = one.ask(serve::runRequestText(1, opt, spec));
+  const Json b2 = two.ask(serve::runRequestText(0, opt, spec));
+  const SimulationResult localA = simulate(ta.model(), opt, spec);
+  const SimulationResult localB = simulate(tb.model(), opt, spec);
+  test::expectIdenticalResults(runOf(a), localA, "A on one");
+  test::expectIdenticalResults(runOf(b1), localB, "B on one");
+  test::expectIdenticalResults(runOf(b2), localB, "B on two");
+}
+
+// An index outlives its pool entry: under a 1-byte pool budget, the entry
+// of a registered text is evicted, and a request naming the text's index
+// rebuilds it through the compile cache and answers as locally.
+TEST_F(ServeTest, EvictedRegisteredModelAnswersAsLocally) {
+  Tiny ta, tb;
+  const FlatModel fmA = gainModel(ta, 5.0);
+  gainModel(tb, 3.0);
+  const std::string textA = writeModelToString(ta.model());
+  const std::string textB = writeModelToString(tb.model());
+  const SimOptions opt = serveSimOptions();
+  const std::vector<uint64_t> seeds = {1, 2};
+  const std::vector<TestCaseSpec> specs = specsFor(fullRangeStimulus(), seeds);
+  const std::string localA =
+      obs(runCampaign(fmA, opt, fullRangeStimulus(), seeds));
+
+  serve::ServeOptions so = serveOptions();
+  so.poolBudgetBytes = 1;
+  DaemonRunner dr(so);
+  RawConnection c(sockPath_);
+  EXPECT_EQ(modelOf(c.ask(serve::campaignRequestText(textA, opt, specs))), 0);
+  EXPECT_EQ(modelOf(c.ask(serve::campaignRequestText(textB, opt, specs))), 1);
+
+  const uint64_t invocations = CompilerDriver::compilerInvocations();
+  const Json again = c.ask(serve::campaignRequestText(0, opt, specs));
+  ASSERT_TRUE(okOf(again));
+  EXPECT_FALSE(serve::serviceMetaFromJson(again.at("service", "$"),
+                                          "$.service")
+                   .poolHit)
+      << "model A should have been evicted by B";
+  EXPECT_EQ(obs(campaignOf(again)), localA);
+  EXPECT_EQ(CompilerDriver::compilerInvocations(), invocations)
+      << "the compile cache should absorb the rebuild";
+}
+
 // A range with one infinite bound crosses the wire and runs in the daemon
 // as it runs locally.
 TEST_F(ServeTest, OneSidedRangeDiagnosticRunsAsLocally) {
